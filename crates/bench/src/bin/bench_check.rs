@@ -13,7 +13,8 @@
 //! latency below sequential and below N=1; 4-thread total below 1-thread
 //! on multi-core runners; bucketed padded batching below shape-group
 //! splitting on the mixed-length LM trace; blocked+packed GEMM kernels
-//! at least their gated factor over the naive reference; full span
+//! at least their gated factor over the naive reference, and (AVX2)
+//! the dense low-band tile at least 1.3× over the i8 pair tile; full span
 //! tracing within its declared overhead budget; continuous-batching
 //! decode at least its gated factor over static batching in tokens/sec;
 //! goodput under the fixed fault schedule at least its gated fraction

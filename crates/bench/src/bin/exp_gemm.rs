@@ -29,6 +29,16 @@
 //!   prepacked must never lose (≥ 1.0×) and must reach ≥ 1.3× on the
 //!   decode-step linears, where per-call packing dominates the pass.
 //!
+//! * the **low-band** sweep times [`gemm::gemm_i8_low_bands`] — the
+//!   4-bit band of the integer engines, shifted accumulation fused into
+//!   the write-back — at the RNet20 band shapes, once on nibble-range
+//!   (`[-8, 7]`) operands and once on full-range i8 operands of the same
+//!   shape. Same entry point, same arithmetic work; the only difference
+//!   is the tile the operand range admits. On AVX2 the nibble run takes
+//!   the dense `vpmaddubsw` tile and must beat the pair tile by ≥ 1.3×
+//!   on the conv rows; other ISAs run one tile for both and the gate is
+//!   skipped. A decode-shape linear row (m = 8) rides along ungated.
+//!
 //! `FLEXIQ_BENCH_REPS` overrides the auto-calibrated repetition count.
 
 use std::fmt::Write as _;
@@ -55,6 +65,10 @@ const PREPACK_MIN_SPEEDUP: f64 = 1.0;
 /// Prepacked floor on the small linear shapes, where per-call packing is
 /// a substantial fraction of the work and caching it must pay off.
 const PREPACK_SMALL_MIN_SPEEDUP: f64 = 1.3;
+
+/// Floor for the dense low-range tile over the i8 pair tile on the conv
+/// band shapes (AVX2 only — no other ISA has a dense tile).
+const LOW_BAND_MIN_SPEEDUP: f64 = 1.3;
 
 #[derive(Clone, Copy)]
 enum Dtype {
@@ -204,6 +218,16 @@ fn time_best(reps: usize, mut run: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Repetitions per timing: `FLEXIQ_BENCH_REPS` if set, else `auto`
+/// clamped to `[3, cap]`.
+fn reps_for(auto: usize, cap: usize) -> usize {
+    std::env::var("FLEXIQ_BENCH_REPS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .map(|r| r.max(1))
+        .unwrap_or_else(|| auto.clamp(3, cap))
+}
+
 struct Measured {
     naive_s: f64,
     blocked_s: f64,
@@ -296,6 +320,220 @@ fn measure_i8(m: usize, n: usize, k: usize, reps: usize, rng: &mut impl Rng) -> 
     }
 }
 
+/// One row of the low-band sweep: a run of `bands` feature-group bands
+/// of `kb` reduction steps each. `conv` rows put the weights on the lhs
+/// (`[m, kb]` per band against `[bands·kb, n]` im2col rows), the linear
+/// row puts them on the rhs (`[m, kb]` strided activations against a
+/// `[kb, n]` block).
+struct LowShape {
+    name: &'static str,
+    conv: bool,
+    m: usize,
+    n: usize,
+    kb: usize,
+    bands: usize,
+}
+
+/// RNet20's conv layers at batch 8 (`c_out` × `8·H·W`), as single
+/// 4-channel 3×3 bands (kb = 36) and as the coalesced runs a fully
+/// 4-bit layer issues (all of a layer's bands in one call), plus the
+/// decode-step linear band.
+const LOW_SHAPES: [LowShape; 7] = [
+    LowShape {
+        name: "rnet20_s1_band",
+        conv: true,
+        m: 16,
+        n: 2048,
+        kb: 36,
+        bands: 1,
+    },
+    LowShape {
+        name: "rnet20_s1_run",
+        conv: true,
+        m: 16,
+        n: 2048,
+        kb: 36,
+        bands: 4,
+    },
+    LowShape {
+        name: "rnet20_s2_band",
+        conv: true,
+        m: 24,
+        n: 512,
+        kb: 36,
+        bands: 1,
+    },
+    LowShape {
+        name: "rnet20_s2_run",
+        conv: true,
+        m: 24,
+        n: 512,
+        kb: 36,
+        bands: 6,
+    },
+    LowShape {
+        name: "rnet20_s3_band",
+        conv: true,
+        m: 32,
+        n: 128,
+        kb: 36,
+        bands: 1,
+    },
+    LowShape {
+        name: "rnet20_s3_run",
+        conv: true,
+        m: 32,
+        n: 128,
+        kb: 36,
+        bands: 8,
+    },
+    LowShape {
+        name: "tinylm_linear_decode_band",
+        conv: false,
+        m: 8,
+        n: 128,
+        kb: 16,
+        bands: 1,
+    },
+];
+
+/// Times one low-band shape on operands drawn from `[-hi - 1, hi]`,
+/// after checking the call against per-band reference GEMMs shifted in
+/// by hand.
+fn measure_low(s: &LowShape, hi: i16, reps: usize, rng: &mut impl Rng) -> f64 {
+    let mut draw = |len: usize| -> Vec<i8> {
+        (0..len)
+            .map(|_| rng.gen_range(-hi - 1..=hi) as i8)
+            .collect()
+    };
+    let (m, n, kb) = (s.m, s.n, s.kb);
+    let mut c = vec![0i32; m * n];
+    let mut expect = vec![0i32; m * n];
+    if s.conv {
+        let blocks: Vec<Vec<i8>> = (0..s.bands).map(|_| draw(m * kb)).collect();
+        let shifts: Vec<u8> = (0..m).map(|i| (i % 3) as u8).collect();
+        let a_shifts: Vec<u8> = (0..s.bands).map(|b| (b % 4) as u8).collect();
+        let b = draw(s.bands * kb * n);
+        let bands: Vec<gemm::LowBandLhs> = blocks
+            .iter()
+            .map(|w| gemm::LowBandLhs::new(m, kb, w.clone(), shifts.clone()))
+            .collect();
+        let call = gemm::LowBands::WeightLhs {
+            n,
+            bands: &bands,
+            a_shifts: &a_shifts,
+            b: &b,
+        };
+        for (bi, w) in blocks.iter().enumerate() {
+            let mut scratch = vec![0i32; m * n];
+            reference::gemm_i8(m, n, kb, w, &b[bi * kb * n..], &mut scratch);
+            for (i, (e, v)) in expect.iter_mut().zip(&scratch).enumerate() {
+                *e += v << (a_shifts[bi] + shifts[i / n]);
+            }
+        }
+        gemm::gemm_i8_low_bands(call, &mut c);
+        assert_eq!(c, expect, "low-band run diverged ({})", s.name);
+        time_best(reps, || {
+            c.fill(0);
+            gemm::gemm_i8_low_bands(call, &mut c);
+            std::hint::black_box(&c);
+        })
+    } else {
+        let lda = 4 * kb;
+        let a = draw(m * lda);
+        let w = draw(kb * n);
+        let shifts: Vec<u8> = (0..n).map(|j| (j % 3) as u8).collect();
+        let band = gemm::LowBandRhs::new(n, kb, w.clone(), shifts.clone());
+        let call = gemm::LowBands::WeightRhs {
+            m,
+            a: &a[kb..],
+            lda,
+            a_shift: 2,
+            w: &band,
+        };
+        for i in 0..m {
+            for j in 0..n {
+                let dot: i32 = (0..kb)
+                    .map(|p| a[i * lda + kb + p] as i32 * w[p * n + j] as i32)
+                    .sum();
+                expect[i * n + j] = dot << (2 + shifts[j]);
+            }
+        }
+        gemm::gemm_i8_low_bands(call, &mut c);
+        assert_eq!(c, expect, "low-band linear diverged ({})", s.name);
+        time_best(reps, || {
+            c.fill(0);
+            gemm::gemm_i8_low_bands(call, &mut c);
+            std::hint::black_box(&c);
+        })
+    }
+}
+
+/// Runs the low-band sweep, appends its JSON section, and returns
+/// whether every gated row passed.
+fn low_band_sweep(json: &mut String, isa: simd::Isa, rng: &mut impl Rng) -> bool {
+    let dense = isa == simd::Isa::Avx2;
+    let mut table = ResultTable::new(
+        "Low-band GEMM: nibble-range operands vs full-range i8, same shapes (single thread)",
+        &[
+            "shape", "m", "n", "kb", "bands", "i8_ms", "low_ms", "speedup",
+        ],
+    );
+    let mut all_pass = true;
+    json.push_str("  \"low_bands\": [\n");
+    for (si, s) in LOW_SHAPES.iter().enumerate() {
+        let madds = s.m * s.n * s.kb * s.bands;
+        let reps = reps_for(80_000_000 / madds, 2000);
+        let i8_s = measure_low(s, 127, reps, rng);
+        let low_s = measure_low(s, 7, reps, rng);
+        let speedup = i8_s / low_s;
+        let gate = (dense && s.conv).then_some(LOW_BAND_MIN_SPEEDUP);
+        let gate_field = gate.map_or(String::new(), |min| format!(", \"min_speedup\": {min}"));
+        table.row(vec![
+            s.name.into(),
+            s.m.to_string(),
+            s.n.to_string(),
+            s.kb.to_string(),
+            s.bands.to_string(),
+            format!("{:.4}", i8_s * 1e3),
+            format!("{:.4}", low_s * 1e3),
+            f2(speedup),
+        ]);
+        let _ = writeln!(
+            json,
+            "    {{\"name\": \"{}\", \"m\": {}, \"n\": {}, \"kb\": {}, \"bands\": {}, \
+             \"i8_ms\": {:.6}, \"low_ms\": {:.6}, \"speedup\": {:.4}{gate_field}}}{}",
+            s.name,
+            s.m,
+            s.n,
+            s.kb,
+            s.bands,
+            i8_s * 1e3,
+            low_s * 1e3,
+            speedup,
+            if si + 1 < LOW_SHAPES.len() { "," } else { "" }
+        );
+        let verdict = match gate {
+            None if s.conv => "skipped: isa",
+            None => "informational",
+            Some(min) if speedup >= min => "PASS",
+            Some(_) => {
+                all_pass = false;
+                "FAIL"
+            }
+        };
+        println!(
+            "[{}] i8 tile {:.4} ms, low-band tile {:.4} ms ({speedup:.2}x, {verdict})",
+            s.name,
+            i8_s * 1e3,
+            low_s * 1e3
+        );
+    }
+    json.push_str("  ]\n");
+    table.emit("gemm_low_bands");
+    all_pass
+}
+
 fn main() {
     let mut rng = seeded(0x6E77);
     let isa = simd::active();
@@ -328,11 +566,7 @@ fn main() {
     for (si, s) in SHAPES.iter().enumerate() {
         let madds = s.m * s.n * s.k;
         // Calibrate reps to ~0.2 s of naive measurement per shape.
-        let reps = std::env::var("FLEXIQ_BENCH_REPS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|r| r.max(1))
-            .unwrap_or_else(|| (40_000_000 / madds).clamp(3, 400));
+        let reps = reps_for(40_000_000 / madds, 400);
         let (dtype, meas) = flexiq_parallel::with_pool(&pool, || match s.dtype {
             Dtype::F32 => ("f32", measure_f32(s.m, s.n, s.k, reps, &mut rng)),
             Dtype::I8 => ("i8", measure_i8(s.m, s.n, s.k, reps, &mut rng)),
@@ -402,7 +636,9 @@ fn main() {
             gflops(meas.blocked_s),
         );
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n");
+    all_pass &= flexiq_parallel::with_pool(&pool, || low_band_sweep(&mut json, isa, &mut rng));
+    json.push_str("}\n");
 
     table.emit("gemm_kernels");
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");

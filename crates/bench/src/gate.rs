@@ -24,6 +24,11 @@
 //!   sweep ([`check_prepacked`]): ahead-of-time packed rhs panels must
 //!   never lose to per-call packing on any shape, and must clear the
 //!   1.3× tier on the decode-step linears.
+//!   And the **low-band** sweep ([`check_low_bands`]): where the dense
+//!   nibble-range tile exists (AVX2), the fused low-band call on
+//!   `[-8, 7]` operands must beat the same call on full-range i8
+//!   operands by 1.3× on every conv band shape; on other ISAs both runs
+//!   share one tile and the check reports `skipped: isa`.
 //! * `BENCH_telemetry.json` — full span tracing must cost at most its
 //!   declared `max_overhead_pct` over the untraced batch-16 pass, and
 //!   the traced pass must actually record spans.
@@ -284,6 +289,65 @@ pub fn check_prepacked(doc: &Json) -> Result<Vec<GateCheck>, String> {
     Ok(checks)
 }
 
+/// The floor `exp_gemm` applies to the dense low-range tile over the i8
+/// pair tile on the conv band shapes. Mirrored here so an AVX2 artifact
+/// whose low-band rows lost their gate is rejected.
+const LOW_BAND_MIN_SPEEDUP: f64 = 1.3;
+
+/// Criteria over `BENCH_gemm.json`'s low-band sweep. Only AVX2 has a
+/// dense low-range tile: there, every row carrying `min_speedup` must
+/// reach it, some row must carry the repo floor, and a missing section
+/// fails structurally. Every other ISA runs one tile for both operand
+/// ranges, so the sweep cannot discriminate — one `skipped: isa` check.
+pub fn check_low_bands(doc: &Json) -> Result<Vec<GateCheck>, String> {
+    let isa = doc
+        .get("isa")
+        .and_then(Json::as_str)
+        .ok_or("BENCH_gemm.json: missing \"isa\"")?;
+    if isa != "avx2" {
+        return Ok(vec![GateCheck::new(
+            "gemm: low-band tile >= i8 pair tile",
+            true,
+            "skipped: isa",
+        )]);
+    }
+    let rows = doc
+        .get("low_bands")
+        .and_then(Json::as_arr)
+        .ok_or("BENCH_gemm.json: no \"low_bands\" — artifact predates the low-band tile?")?;
+    let mut checks = Vec::new();
+    let mut floor_tier = 0usize;
+    for row in rows {
+        let name = row.get("name").and_then(Json::as_str).unwrap_or("?");
+        let speedup = row
+            .num("speedup")
+            .ok_or_else(|| format!("low_bands[{name}]: no speedup"))?;
+        match row.num("min_speedup") {
+            Some(min) => {
+                if min >= LOW_BAND_MIN_SPEEDUP {
+                    floor_tier += 1;
+                }
+                checks.push(GateCheck::new(
+                    format!("low_bands[{name}]: low >= {min}x i8"),
+                    speedup >= min,
+                    format!("{speedup:.2}x"),
+                ));
+            }
+            None => checks.push(GateCheck::new(
+                format!("low_bands[{name}]: informational"),
+                true,
+                format!("{speedup:.2}x"),
+            )),
+        }
+    }
+    checks.push(GateCheck::new(
+        format!("gemm: low-band rows gated at the repo floor (>= {LOW_BAND_MIN_SPEEDUP}x)"),
+        floor_tier > 0,
+        format!("{floor_tier} row(s) at the floor"),
+    ));
+    Ok(checks)
+}
+
 /// Criteria over `BENCH_telemetry.json`: with full span tracing enabled
 /// the traced batch-16 pass must stay within its declared overhead
 /// budget over the untraced pass, and the traced pass must actually
@@ -454,6 +518,7 @@ pub fn run_gate(
         ("BENCH_varlen.json", varlen, check_varlen),
         ("BENCH_gemm.json", gemm, check_gemm),
         ("BENCH_gemm.json", gemm, check_prepacked),
+        ("BENCH_gemm.json", gemm, check_low_bands),
         ("BENCH_telemetry.json", telemetry, check_telemetry),
         ("BENCH_decode.json", decode, check_decode),
         ("BENCH_fault.json", fault, check_fault),
@@ -582,7 +647,46 @@ mod tests {
             Some(&healthy_fault_doc()),
         );
         assert!(ok, "checks: {checks:?}");
-        assert_eq!(checks.len(), 24);
+        assert_eq!(checks.len(), 25);
+    }
+
+    fn low_band_doc(isa: &str, band: f64, min: f64) -> String {
+        format!(
+            "{{\"isa\": \"{isa}\", \"low_bands\": [\
+             {{\"name\": \"rnet20_s1_band\", \"speedup\": {band}, \"min_speedup\": {min}}}, \
+             {{\"name\": \"rnet20_s1_run\", \"speedup\": 2.8, \"min_speedup\": 1.3}}, \
+             {{\"name\": \"tinylm_linear_decode_band\", \"speedup\": 1.0}}]}}"
+        )
+    }
+
+    #[test]
+    fn low_band_gate_is_avx2_only_and_holds_its_floor() {
+        // Healthy AVX2 artifact: both gated rows, the informational row,
+        // the floor-present check.
+        let doc = Json::parse(&low_band_doc("avx2", 1.5, 1.3)).unwrap();
+        let checks = check_low_bands(&doc).unwrap();
+        assert_eq!(checks.len(), 4);
+        assert!(checks.iter().all(|c| c.pass), "{checks:?}");
+        // The dense tile losing its edge on a band shape fails.
+        let doc = Json::parse(&low_band_doc("avx2", 1.1, 1.3)).unwrap();
+        assert!(!check_low_bands(&doc).unwrap()[0].pass);
+        // Every other ISA: one passing check that says why.
+        for isa in ["scalar", "neon"] {
+            let doc = Json::parse(&low_band_doc(isa, 1.0, 1.3)).unwrap();
+            let checks = check_low_bands(&doc).unwrap();
+            assert_eq!(checks.len(), 1);
+            assert!(checks[0].pass);
+            assert_eq!(checks[0].detail, "skipped: isa");
+        }
+        // An AVX2 artifact without the section predates the tile.
+        let doc = Json::parse("{\"isa\": \"avx2\", \"shapes\": []}").unwrap();
+        assert!(check_low_bands(&doc).unwrap_err().contains("predates"));
+        // Gates quietly dropped from every row fail the floor check.
+        let doc = Json::parse(
+            "{\"isa\": \"avx2\", \"low_bands\": [{\"name\": \"x\", \"speedup\": 0.9}]}",
+        )
+        .unwrap();
+        assert!(!check_low_bands(&doc).unwrap().last().unwrap().pass);
     }
 
     #[test]

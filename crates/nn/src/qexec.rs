@@ -9,23 +9,50 @@
 //!
 //! Two execution paths are provided:
 //!
-//! * [`ExecMode::Int`] — the functional path: real `i8` GEMM bands per
+//! * [`ExecMode::Int`] — the integer path: real `i8` GEMM bands per
 //!   feature group, bit-extracted 4-bit operands, and bit-shifted `i32`
 //!   accumulation, exactly as the paper's GPU kernel and NPU datapath
-//!   operate. Used to validate the arithmetic.
+//!   operate. The arithmetic the simulators cross-validate against, and
+//!   the engine whose cost falls as the 4-bit ratio rises.
 //! * [`ExecMode::Fake`] — the fast path: weights and activations are
 //!   replaced by their reconstruction (`dequantize(lower(quantize(x)))`)
 //!   and the layer runs in f32. Produces the same results up to f32
 //!   summation order; used for accuracy experiments and fitness
 //!   evaluation in the channel-selection loop.
 //!
+//! # Integer data flow
+//!
+//! An Int-mode layer runs `quantize + lower → im2col → band GEMMs →
+//! requantize`, arranged so a 4-bit band costs **less** than an 8-bit
+//! one:
+//!
+//! * Activation quantization leaves the buffer *band-ready*: under
+//!   static or naive extraction the channels of every 4-bit feature
+//!   group are bit-lowered in place, in the same sweep (lowering is
+//!   per channel and `lower(0) == 0`, so it commutes with im2col's
+//!   copy-and-zero-pad). im2col runs once over the lowered data and
+//!   the band GEMMs read their rows of it where they lie.
+//! * Adjacent bands of one precision run as one GEMM call, and a 4-bit
+//!   run's *bit-shifted accumulation* is the call's write-back
+//!   ([`gemm::gemm_i8_low_bands`]): each band's sum enters the layer
+//!   accumulator as `sum << (s_a + s_w[o])` straight from the kernel's
+//!   registers. Where the ISA has one, nibble-range operands take a
+//!   denser tile (see `flexiq_tensor::simd`).
+//! * Lowered weights, their shifts and their packed forms come from a
+//!   [`PackCache`] — the runtime's shared one or a private one — built
+//!   from calibration and options only, never from the plan.
+//!
+//! Dynamic extraction ([`QuantExecOptions::dynamic_extract`]) derives
+//! each band's rule from the values the band's GEMM reads, so it lowers
+//! in the band loop instead — in place, through the same calls.
+//!
 //! # Batched execution
 //!
 //! Both paths implement the batched [`Compute`] hooks: a stacked
-//! `[N, …]` activation is quantized **once per layer per batch**, the
-//! per-group bit-lowered weight blocks are built once per batch (instead
-//! of once per sample), and the band GEMMs run column-batched across all
-//! samples. With calibrated (static) extraction positions the batched
+//! `[N, …]` activation is quantized (and lowered) **once per layer per
+//! batch** and the band GEMMs run column-batched across all samples;
+//! the single-sample hooks are the same code at `N = 1`. With
+//! calibrated (static) extraction positions the batched
 //! integer path is **bit-exact** per sample with the single-sample path —
 //! the equivalence tests in `tests/batch_equivalence.rs` pin this down at
 //! every ratio level. The one intentional divergence: with
@@ -50,15 +77,15 @@
 //! along independent output ranges, so the parallel integer path stays
 //! bit-exact with serial execution at every thread count.
 
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use flexiq_quant::dynamic::dynamic_lowering;
+use flexiq_quant::dynamic::{dynamic_lowering, lowering_for_or, or_magnitude};
 use flexiq_quant::lowering::BitLowering;
 use flexiq_quant::quantize::{PerChannelQ, RANGE_EPS};
 use flexiq_quant::{GroupSpec, QParams, QuantBits};
 use flexiq_telemetry as tel;
-use flexiq_tensor::im2col::{im2col_i8_batch_fill, im2col_i8_fill};
+use flexiq_tensor::im2col::im2col_i8_batch_fill;
 use flexiq_tensor::{gemm, simd, I8Tensor, SeqMask, Tensor};
 
 use crate::calibrate::CalibrationRecord;
@@ -390,22 +417,134 @@ struct HighPack {
     panel: gemm::PackedRhsI8,
 }
 
-/// Cached state of one low (4-bit) linear band: per-output-channel
-/// extraction rules, the lowered weight block `[bw, C_out]`, and its rhs
-/// panels for [`gemm::gemm_i8_prepacked`].
-struct LowPack {
-    rules: Vec<BitLowering>,
-    wg: Vec<i8>,
-    panel: gemm::PackedRhsI8,
+/// One feature-group band of a conv group: the feature group it
+/// belongs to and its rows `[k0, k1)` of the conv group's im2col matrix.
+struct ConvBand {
+    g: usize,
+    k0: usize,
+    k1: usize,
 }
 
-/// Cached state of one conv feature-group band: per-output-row rules
-/// plus the lowered weight band `[c_out_g, bw]`. Conv band GEMMs run the
-/// weights as the **lhs** operand, so there is no rhs panel to prepack —
-/// the cache saves the per-batch lowering rebuild.
-struct ConvLowPack {
-    rules: Vec<BitLowering>,
-    wb: Vec<i8>,
+/// Every feature-group band of one conv group, in reduction order:
+/// where each band sits, its lowered weights (the GEMM **lhs**, with
+/// per-output-row extraction shifts and prepacked dense tiles — see
+/// [`gemm::LowBandLhs`]) and its static activation extraction shift.
+/// Indexed alike, so a run of adjacent low bands is one sub-slice of
+/// each vector.
+struct ConvGroupBands {
+    bands: Vec<ConvBand>,
+    lhs: Vec<gemm::LowBandLhs>,
+    a_shifts: Vec<u8>,
+}
+
+/// Cached state of one conv layer: the bands of each conv group.
+struct ConvPack {
+    groups: Vec<ConvGroupBands>,
+}
+
+impl ConvPack {
+    fn bytes(&self) -> usize {
+        self.groups
+            .iter()
+            .map(|g| {
+                g.lhs.iter().map(gemm::LowBandLhs::bytes).sum::<usize>()
+                    + g.a_shifts.len()
+                    + std::mem::size_of_val(&g.bands[..])
+            })
+            .sum()
+    }
+}
+
+/// Static activation extraction rule for `(layer, group)` — like
+/// `static_w_rule`, a function of the calibrated maxima and the exec
+/// options only.
+fn static_a_rule(
+    model: &QuantizedModel,
+    opts: &QuantExecOptions,
+    l: LayerId,
+    g: usize,
+) -> BitLowering {
+    if opts.naive_lowering {
+        BitLowering::naive(QuantBits::B8, opts.low_bits)
+    } else {
+        model.layers[l].act_lowering(g, opts.low_bits)
+    }
+}
+
+/// Lowers linear layer `l`'s weights over feature group `g` into the
+/// `[bw, C_out]` rhs block of a low band, with per-column shifts.
+fn build_linear_low(
+    model: &QuantizedModel,
+    opts: &QuantExecOptions,
+    l: LayerId,
+    g: usize,
+) -> gemm::LowBandRhs {
+    let lq = &model.layers[l];
+    let wq = lq.w_q.data();
+    let (c_in, c_out) = (lq.c_in, lq.c_out);
+    let range = model.groups.channel_range(g, c_in);
+    let bw = range.len();
+    let rules: Vec<BitLowering> = (0..c_out)
+        .map(|o| static_w_rule(model, opts, l, g, o))
+        .collect();
+    let mut wg = vec![0i8; bw * c_out];
+    for (bi, c) in range.enumerate() {
+        for o in 0..c_out {
+            wg[bi * c_out + o] = rules[o].lower(wq[o * c_in + c]);
+        }
+    }
+    let shifts = rules.iter().map(BitLowering::shift).collect();
+    gemm::LowBandRhs::new(c_out, bw, wg, shifts)
+}
+
+/// Lowers every feature-group band of conv layer `l`. The geometry
+/// comes from the master weights (`[C_out, C_in/groups, KH, KW]`); a
+/// band is a maximal run of one conv group's local channels that share
+/// a feature group, so `C_in` need not divide evenly into either.
+fn build_conv_pack(model: &QuantizedModel, opts: &QuantExecOptions, l: LayerId) -> ConvPack {
+    let lq = &model.layers[l];
+    let wq = lq.w_q.data();
+    let dims = lq.w_q.dims();
+    let (c_in_g, khkw) = (dims[1], dims[2] * dims[3]);
+    let conv_groups = lq.c_in / c_in_g;
+    let c_out_g = lq.c_out / conv_groups;
+    let k = c_in_g * khkw;
+    let groups = (0..conv_groups)
+        .map(|cg| {
+            let w_base = cg * c_out_g * k;
+            let mut gb = ConvGroupBands {
+                bands: Vec::new(),
+                lhs: Vec::new(),
+                a_shifts: Vec::new(),
+            };
+            let mut cl = 0usize;
+            while cl < c_in_g {
+                let g = model.groups.group_of(cg * c_in_g + cl);
+                let g_end = model.groups.channel_range(g, lq.c_in).end;
+                let run_end = (g_end - cg * c_in_g).min(c_in_g);
+                let (k0, k1) = (cl * khkw, run_end * khkw);
+                let bw = k1 - k0;
+                let rules: Vec<BitLowering> = (0..c_out_g)
+                    .map(|ol| static_w_rule(model, opts, l, g, cg * c_out_g + ol))
+                    .collect();
+                let mut wb = wq[w_base..w_base + c_out_g * k]
+                    .chunks_exact(k)
+                    .flat_map(|row| &row[k0..k1])
+                    .copied()
+                    .collect::<Vec<i8>>();
+                for (row, rule) in wb.chunks_exact_mut(bw).zip(&rules) {
+                    rule.lower_in_place(row);
+                }
+                let shifts = rules.iter().map(BitLowering::shift).collect();
+                gb.bands.push(ConvBand { g, k0, k1 });
+                gb.lhs.push(gemm::LowBandLhs::new(c_out_g, bw, wb, shifts));
+                gb.a_shifts.push(static_a_rule(model, opts, l, g).shift());
+                cl = run_end;
+            }
+            gb
+        })
+        .collect();
+    ConvPack { groups }
 }
 
 /// Everything a cache entry's content depends on besides the immutable
@@ -419,37 +558,50 @@ struct CacheKey {
     isa: simd::Isa,
 }
 
+/// Indexed slot tables, sized to the model on first use: `high` and
+/// `low` per `[layer][feature group]` (linear layers), `conv` per
+/// layer.
 #[derive(Default)]
 struct CacheInner {
     key: Option<CacheKey>,
-    /// `high[layer][group]`, sized to the model on first use.
     high: Vec<Vec<Option<Arc<HighPack>>>>,
-    /// `low[layer][group]`.
-    low: Vec<Vec<Option<Arc<LowPack>>>>,
-    /// Conv bands keyed by `(layer, conv group, feature group)` — run
-    /// boundaries are deterministic from the key, so it identifies the
-    /// band exactly.
-    conv_low: HashMap<(LayerId, usize, usize), Arc<ConvLowPack>>,
+    low: Vec<Vec<Option<Arc<gemm::LowBandRhs>>>>,
+    conv: Vec<Option<Arc<ConvPack>>>,
 }
 
 /// Ahead-of-time prepacked-weight cache (the tentpole of PR 8).
 ///
-/// Holds, per `(layer, feature group)`, the quantized + bit-lowered +
-/// NR-lane-packed weight state that [`QuantCompute`] would otherwise
-/// rebuild on every call: high-band wt panels, low-band lowered blocks
-/// with their panels and rules, and conv lowered bands. Entries are
-/// **level-independent** (see `static_w_rule`) — a level switch needs
-/// no invalidation; [`PackCache::invalidate`] exists for weight
-/// mutation. Lookups clone an `Arc` under a read lock (no allocation on
-/// the hot path); builds run outside the lock.
+/// Holds the quantized + bit-lowered + packed weight state that
+/// [`QuantCompute`] consumes: per `(linear layer, feature group)` the
+/// high-band wt panels and the low band's lowered block with its
+/// panels and shifts; per conv layer every band's lowered block with
+/// its shifts and dense lhs tiles. Entries are **level-independent**
+/// (see `static_w_rule`) — a level switch needs no invalidation;
+/// [`PackCache::invalidate`] exists for weight mutation. Lookups clone
+/// an `Arc` out of an indexed slot under a read lock (no hashing, no
+/// allocation — one lookup per linear band, one per conv layer);
+/// builds run outside the lock.
 ///
 /// Populated lazily on first use, or eagerly via [`PackCache::prewarm`].
-/// Consultation is skipped entirely under `FLEXIQ_NO_PREPACK=1`
-/// ([`gemm::prepack_enabled`]), which restores the per-call path as the
-/// bit-exactness oracle.
-#[derive(Default)]
+/// A hook created without a shared cache — or under
+/// `FLEXIQ_NO_PREPACK=1` ([`gemm::prepack_enabled`]), which also makes
+/// the GEMM tier ignore every prepacked panel — builds the same entries
+/// into a private cache of its own, so there is one weight path either
+/// way.
 pub struct PackCache {
     inner: RwLock<CacheInner>,
+    /// Whether lookups feed the `PackCache*` telemetry counters (a
+    /// hook's private cache does not: those count the shared one).
+    counted: bool,
+}
+
+impl Default for PackCache {
+    fn default() -> Self {
+        PackCache {
+            inner: RwLock::default(),
+            counted: true,
+        }
+    }
 }
 
 impl PackCache {
@@ -458,12 +610,21 @@ impl PackCache {
         Self::default()
     }
 
+    /// An empty cache private to one hook.
+    fn private() -> Self {
+        PackCache {
+            inner: RwLock::default(),
+            counted: false,
+        }
+    }
+
     /// Drops every entry (call after mutating model weights).
     pub fn invalidate(&self) {
         *self.write() = CacheInner::default();
     }
 
-    /// Total bytes held by cache entries (panels + lowered blocks).
+    /// Total bytes held by cache entries (panels, lowered blocks,
+    /// shifts and dense tiles).
     pub fn resident_bytes(&self) -> usize {
         let inner = self.read();
         let hi: usize = inner
@@ -478,13 +639,9 @@ impl PackCache {
             .iter()
             .flatten()
             .flatten()
-            .map(|p| p.panel.bytes() + p.wg.len() + std::mem::size_of_val(&p.rules[..]))
+            .map(|p| p.bytes())
             .sum();
-        let cv: usize = inner
-            .conv_low
-            .values()
-            .map(|p| p.wb.len() + std::mem::size_of_val(&p.rules[..]))
-            .sum();
+        let cv: usize = inner.conv.iter().flatten().map(|p| p.bytes()).sum();
         hi + lo + cv
     }
 
@@ -507,20 +664,53 @@ impl PackCache {
     /// Flushes and resizes the slot tables when the key doesn't match.
     fn align(inner: &mut CacheInner, key: CacheKey, model: &QuantizedModel) {
         if inner.key != Some(key) {
+            let groups = || model.layers.iter().map(LayerQuant::num_groups);
             *inner = CacheInner {
                 key: Some(key),
-                high: model
-                    .layers
-                    .iter()
-                    .map(|l| vec![None; l.num_groups()])
-                    .collect(),
-                low: model
-                    .layers
-                    .iter()
-                    .map(|l| vec![None; l.num_groups()])
-                    .collect(),
-                conv_low: HashMap::new(),
+                high: groups().map(|n| vec![None; n]).collect(),
+                low: groups().map(|n| vec![None; n]).collect(),
+                conv: vec![None; model.num_layers()],
             };
+        }
+    }
+
+    /// The resident entry `get` finds, if the cache is keyed for `key`.
+    fn lookup<T>(
+        &self,
+        key: CacheKey,
+        get: impl FnOnce(&CacheInner) -> Option<&Arc<T>>,
+    ) -> Option<Arc<T>> {
+        let inner = self.read();
+        let hit = (inner.key == Some(key)).then(|| get(&inner).cloned())??;
+        self.count(tel::Counter::PackCacheHits, 1);
+        Some(hit)
+    }
+
+    /// Installs an entry built outside the lock (so concurrent hits
+    /// keep flowing) into the slot `slot` picks. A lost build race
+    /// keeps the resident entry — identical content — so bytes aren't
+    /// double-booked.
+    fn insert<T>(
+        &self,
+        key: CacheKey,
+        model: &QuantizedModel,
+        entry: T,
+        bytes: usize,
+        slot: impl FnOnce(&mut CacheInner) -> &mut Option<Arc<T>>,
+    ) -> Arc<T> {
+        self.count(tel::Counter::PackCacheMisses, 1);
+        let mut inner = self.write();
+        Self::align(&mut inner, key, model);
+        let slot = slot(&mut inner);
+        if slot.is_none() {
+            self.count(tel::Counter::PackCacheBytes, bytes as u64);
+        }
+        slot.get_or_insert_with(|| Arc::new(entry)).clone()
+    }
+
+    fn count(&self, counter: tel::Counter, by: u64) {
+        if self.counted {
+            tel::count(counter, by);
         }
     }
 
@@ -533,138 +723,43 @@ impl PackCache {
         g: usize,
     ) -> Arc<HighPack> {
         let key = Self::key_for(opts);
-        {
-            let inner = self.read();
-            if inner.key == Some(key) {
-                if let Some(Some(p)) = inner.high.get(l).and_then(|v| v.get(g)) {
-                    tel::count(tel::Counter::PackCacheHits, 1);
-                    return p.clone();
-                }
-            }
+        if let Some(p) = self.lookup(key, |i| i.high.get(l)?.get(g)?.as_ref()) {
+            return p;
         }
-        // Build outside the lock so concurrent hits keep flowing.
         let lq = &model.layers[l];
         let range = model.groups.channel_range(g, lq.c_in);
         let panel =
             gemm::prepack_i8_wt_band(lq.c_out, lq.c_in, range.start, range.end, lq.w_q.data());
-        let entry = Arc::new(HighPack { panel });
-        tel::count(tel::Counter::PackCacheMisses, 1);
-        let mut inner = self.write();
-        Self::align(&mut inner, key, model);
-        let slot = &mut inner.high[l][g];
-        match slot {
-            // Lost a build race: the resident entry is identical content;
-            // keep it so bytes aren't double-booked.
-            Some(p) => p.clone(),
-            None => {
-                tel::count(tel::Counter::PackCacheBytes, entry.panel.bytes() as u64);
-                *slot = Some(entry.clone());
-                entry
-            }
-        }
+        let bytes = panel.bytes();
+        self.insert(key, model, HighPack { panel }, bytes, |i| &mut i.high[l][g])
     }
 
-    /// Low-band lowered block + panels for linear layer `l`, group `g`.
+    /// Lowered low-band block for linear layer `l`, feature group `g`.
     fn low(
         &self,
         model: &QuantizedModel,
         opts: &QuantExecOptions,
         l: LayerId,
         g: usize,
-    ) -> Arc<LowPack> {
+    ) -> Arc<gemm::LowBandRhs> {
         let key = Self::key_for(opts);
-        {
-            let inner = self.read();
-            if inner.key == Some(key) {
-                if let Some(Some(p)) = inner.low.get(l).and_then(|v| v.get(g)) {
-                    tel::count(tel::Counter::PackCacheHits, 1);
-                    return p.clone();
-                }
-            }
+        if let Some(p) = self.lookup(key, |i| i.low.get(l)?.get(g)?.as_ref()) {
+            return p;
         }
-        let lq = &model.layers[l];
-        let wq = lq.w_q.data();
-        let (c_in, c_out) = (lq.c_in, lq.c_out);
-        let range = model.groups.channel_range(g, c_in);
-        let bw = range.len();
-        let rules: Vec<BitLowering> = (0..c_out)
-            .map(|o| static_w_rule(model, opts, l, g, o))
-            .collect();
-        let mut wg = vec![0i8; bw * c_out];
-        for (bi, c) in range.enumerate() {
-            for o in 0..c_out {
-                wg[bi * c_out + o] = rules[o].lower(wq[o * c_in + c]);
-            }
-        }
-        let panel = gemm::prepack_i8(c_out, bw, &wg);
-        let bytes = (panel.bytes() + wg.len() + std::mem::size_of_val(&rules[..])) as u64;
-        let entry = Arc::new(LowPack { rules, wg, panel });
-        tel::count(tel::Counter::PackCacheMisses, 1);
-        let mut inner = self.write();
-        Self::align(&mut inner, key, model);
-        let slot = &mut inner.low[l][g];
-        match slot {
-            Some(p) => p.clone(),
-            None => {
-                tel::count(tel::Counter::PackCacheBytes, bytes);
-                *slot = Some(entry.clone());
-                entry
-            }
-        }
+        let entry = build_linear_low(model, opts, l, g);
+        let bytes = entry.bytes();
+        self.insert(key, model, entry, bytes, |i| &mut i.low[l][g])
     }
 
-    /// Lowered conv band for layer `l`, conv group `cg`, feature group
-    /// `g`. Geometry args mirror [`QuantCompute::conv_group_bands`]'s
-    /// locals: `k = c_in_g·kh·kw`, `w_base` the group's offset into the
-    /// master weights, `k0..k1` the feature-group run within the group.
-    #[allow(clippy::too_many_arguments)]
-    fn conv_low(
-        &self,
-        model: &QuantizedModel,
-        opts: &QuantExecOptions,
-        l: LayerId,
-        cg: usize,
-        g: usize,
-        c_out_g: usize,
-        k: usize,
-        w_base: usize,
-        k0: usize,
-        k1: usize,
-    ) -> Arc<ConvLowPack> {
+    /// Lowered bands of conv layer `l`.
+    fn conv(&self, model: &QuantizedModel, opts: &QuantExecOptions, l: LayerId) -> Arc<ConvPack> {
         let key = Self::key_for(opts);
-        {
-            let inner = self.read();
-            if inner.key == Some(key) {
-                if let Some(p) = inner.conv_low.get(&(l, cg, g)) {
-                    tel::count(tel::Counter::PackCacheHits, 1);
-                    return p.clone();
-                }
-            }
+        if let Some(p) = self.lookup(key, |i| i.conv.get(l)?.as_ref()) {
+            return p;
         }
-        let wq = model.layers[l].w_q.data();
-        let bw = k1 - k0;
-        let rules: Vec<BitLowering> = (0..c_out_g)
-            .map(|ol| static_w_rule(model, opts, l, g, cg * c_out_g + ol))
-            .collect();
-        let mut wb = vec![0i8; c_out_g * bw];
-        for ol in 0..c_out_g {
-            for r in 0..bw {
-                wb[ol * bw + r] = rules[ol].lower(wq[w_base + ol * k + k0 + r]);
-            }
-        }
-        let bytes = (wb.len() + std::mem::size_of_val(&rules[..])) as u64;
-        let entry = Arc::new(ConvLowPack { rules, wb });
-        tel::count(tel::Counter::PackCacheMisses, 1);
-        let mut inner = self.write();
-        Self::align(&mut inner, key, model);
-        match inner.conv_low.get(&(l, cg, g)) {
-            Some(p) => p.clone(),
-            None => {
-                tel::count(tel::Counter::PackCacheBytes, bytes);
-                inner.conv_low.insert((l, cg, g), entry.clone());
-                entry
-            }
-        }
+        let entry = build_conv_pack(model, opts, l);
+        let bytes = entry.bytes();
+        self.insert(key, model, entry, bytes, |i| &mut i.conv[l])
     }
 
     /// Eagerly builds every entry any plan could touch. Entries are
@@ -695,23 +790,8 @@ impl PackCache {
                         self.low(model, &opts, l, g);
                     }
                 }
-                LayerView::Conv(conv) => {
-                    let khkw = conv.kh() * conv.kw();
-                    let c_in_g = conv.weight.dims()[1];
-                    let c_out_g = conv.c_out() / conv.groups;
-                    let k = c_in_g * khkw;
-                    for cg in 0..conv.groups {
-                        let w_base = cg * c_out_g * k;
-                        let mut cl = 0usize;
-                        while cl < c_in_g {
-                            let g = model.groups.group_of(cg * c_in_g + cl);
-                            let g_end = model.groups.channel_range(g, lq.c_in).end;
-                            let run_end = (g_end - cg * c_in_g).min(c_in_g);
-                            let (k0, k1) = (cl * khkw, run_end * khkw);
-                            self.conv_low(model, &opts, l, cg, g, c_out_g, k, w_base, k0, k1);
-                            cl = run_end;
-                        }
-                    }
+                LayerView::Conv(_) => {
+                    self.conv(model, &opts, l);
                 }
             }
         }
@@ -719,15 +799,16 @@ impl PackCache {
     }
 }
 
-/// The per-group scratch one conv band pass needs, borrowed field-wise
-/// from a [`Workspace`] so the caller can keep the quantized activation
-/// and im2col buffers borrowed alongside.
-struct GroupScratch<'a> {
-    low_act: &'a mut Buf<i8>,
-    low_w: &'a mut Buf<i8>,
-    live: &'a mut Buf<i8>,
-    rules: &'a mut Buf<BitLowering>,
-    gemm: &'a mut Buf<i32>,
+/// How an activation buffer's elements map to feature channels — what
+/// [`QuantCompute::quantize_act_into`] needs to lower the plan's 4-bit
+/// groups in place.
+#[derive(Clone, Copy)]
+enum ActLayout {
+    /// Stacked `[N, C, H, W]` convolution input: channel `c` of a sample
+    /// is one contiguous plane of `hw` elements.
+    Planes { c_in: usize, hw: usize },
+    /// Stacked `[rows, C]` linear input: channel `c` is column `c`.
+    Rows { c_in: usize },
 }
 
 /// The quantized compute hook.
@@ -756,9 +837,11 @@ pub struct QuantCompute<'m> {
     /// out of `self` (`std::mem::take`) for the duration of each layer
     /// call so its fields can be borrowed alongside `&self` helpers.
     ws: Workspace,
-    /// Shared prepacked-weight cache ([`PackCache`]); `None` runs every
-    /// band through per-call lowering + packing (the oracle path).
-    cache: Option<Arc<PackCache>>,
+    /// The prepacked-weight cache every Int-mode band reads its lowered
+    /// weights from: the shared one handed to
+    /// [`QuantCompute::with_cache`], or a private one filled lazily for
+    /// this hook's lifetime.
+    cache: Arc<PackCache>,
     /// K/V-cache precision spec attention cores run under. Stays the
     /// f32 default (uncached [`crate::ops::Attention::core`]) unless the
     /// runtime installs a quantized spec via
@@ -779,9 +862,12 @@ impl<'m> QuantCompute<'m> {
     }
 
     /// Like [`QuantCompute::new`], with a shared prepacked-weight cache.
-    /// Int-mode linear and conv bands consult it instead of re-lowering
-    /// and re-packing weights per call; outputs are bit-identical either
-    /// way (the cache stores exactly what the per-call path would build).
+    /// Int-mode linear and conv bands read their lowered, packed weights
+    /// from it instead of building them into a private cache per hook;
+    /// outputs are bit-identical either way (both hold what the same
+    /// builders produce). Under `FLEXIQ_NO_PREPACK=1` the shared cache
+    /// is left alone, so the equivalence suites can exercise a hook that
+    /// lowers and packs everything itself.
     pub fn with_cache(
         model: &'m QuantizedModel,
         plan: MixedPlan,
@@ -797,19 +883,11 @@ impl<'m> QuantCompute<'m> {
             fake_weights: vec![None; n],
             seq_mask: None,
             ws: workspace::take(),
-            cache,
+            cache: cache
+                .filter(|_| gemm::prepack_enabled())
+                .unwrap_or_else(|| Arc::new(PackCache::private())),
             kv: crate::kv::KvSpec::f32(),
         })
-    }
-
-    /// The cache to consult this call, honouring the escape hatch
-    /// (`FLEXIQ_NO_PREPACK=1` disables consumption entirely so the
-    /// equivalence suites can exercise the fully uncached path).
-    fn pack_cache(&self) -> Option<&PackCache> {
-        match &self.cache {
-            Some(c) if gemm::prepack_enabled() => Some(c),
-            _ => None,
-        }
     }
 
     /// This hook's workspace (growth counters are test hooks).
@@ -832,6 +910,22 @@ impl<'m> QuantCompute<'m> {
             }
         }
         Some(valid)
+    }
+
+    /// The contiguous runs of valid rows of an `[N, T, C]` token stack
+    /// under the installed sequence mask — each sample's valid prefix —
+    /// or `None` when every row is live.
+    fn row_runs(&self, n: usize, t: usize) -> Option<Vec<Range<usize>>> {
+        let m = self.seq_mask.as_ref()?;
+        if !m.matches(n, t) || m.is_trivial() {
+            return None;
+        }
+        Some(
+            (0..n)
+                .map(|s| s * t..s * t + m.len_of(s))
+                .filter(|r| !r.is_empty())
+                .collect(),
+        )
     }
 
     /// The active plan.
@@ -899,15 +993,34 @@ impl<'m> QuantCompute<'m> {
     /// scale, into a workspace buffer (no steady-state allocation).
     /// Elements are independent, so large activations quantize in
     /// parallel chunks (bit-exact: each element's rounding is untouched).
-    fn quantize_act_into(&self, l: LayerId, x: &Tensor, buf: &mut Buf<i8>) {
-        let _span = tel::span("act_quant", tel::Cat::Phase);
+    ///
+    /// With a `layout` (the integer engines pass one) the buffer leaves
+    /// **band-ready**: under static or naive extraction, the channels of
+    /// every feature group the plan runs at low precision are bit-lowered
+    /// in place by the group's rule, right here on the activation — one
+    /// branch-free sweep over data that is still cache-hot, instead of a
+    /// pass over each band of the (`KH·KW`× larger) im2col matrix.
+    /// Lowering is per channel and `lower(0) == 0`, so it commutes with
+    /// im2col's copy-and-zero-pad. Dynamic extraction derives its rules
+    /// from the values a band's GEMM will actually read, so it lowers
+    /// later, in the band loop.
+    fn quantize_act_into(
+        &self,
+        l: LayerId,
+        x: &Tensor,
+        layout: Option<ActLayout>,
+        buf: &mut Buf<i8>,
+    ) {
+        let quant_span = tel::span("act_quant", tel::Cat::Phase);
         let p = QParams::new(self.model.layers[l].act_scale, QuantBits::B8)
             .expect("scale validated at prepare");
         let data = x.data();
         let out = buf.prep(data.len());
-        if !flexiq_parallel::in_task() && data.len() >= 16 * 1024 {
-            let pool = flexiq_parallel::current();
-            if pool.threads() >= 2 {
+        let pool = (!flexiq_parallel::in_task() && data.len() >= 16 * 1024)
+            .then(flexiq_parallel::current)
+            .filter(|pool| pool.threads() >= 2);
+        match pool {
+            Some(pool) => {
                 let mut ranges = flexiq_parallel::take_ranges();
                 flexiq_parallel::chunk_ranges_into(data.len(), pool.threads() * 4, &mut ranges);
                 pool.run_disjoint_mut(out, &ranges, |bi, chunk| {
@@ -916,33 +1029,48 @@ impl<'m> QuantCompute<'m> {
                     }
                 });
                 flexiq_parallel::put_ranges(ranges);
-                return;
+            }
+            None => {
+                for (dst, &v) in out.iter_mut().zip(data.iter()) {
+                    *dst = p.quantize(v) as i8;
+                }
             }
         }
-        for (dst, &v) in out.iter_mut().zip(data.iter()) {
-            *dst = p.quantize(v) as i8;
+        drop(quant_span);
+        let Some(layout) = layout else { return };
+        let low = &self.plan.low_groups[l];
+        if self.needs_live() || !low.contains(&true) {
+            return;
+        }
+        let _span = tel::span("bit_lower", tel::Cat::Phase);
+        let (c_in, plane) = match layout {
+            ActLayout::Planes { c_in, hw } => (c_in, hw),
+            ActLayout::Rows { c_in } => (c_in, 1),
+        };
+        // One slab is one sample's `[C, H·W]` planes or one `[C]` row;
+        // a group's channels are contiguous inside it either way.
+        for slab in out.chunks_exact_mut(c_in * plane) {
+            for (g, _) in low.iter().enumerate().filter(|(_, &is_low)| is_low) {
+                let range = self.model.groups.channel_range(g, c_in);
+                static_a_rule(self.model, &self.opts, l, g)
+                    .lower_in_place(&mut slab[range.start * plane..range.end * plane]);
+            }
         }
     }
 
     /// Activation extraction rule for one group: static position from
     /// calibration, or dynamic from the live values.
     fn act_rule(&self, l: LayerId, g: usize, live: &[i8]) -> BitLowering {
-        if self.opts.naive_lowering {
-            BitLowering::naive(QuantBits::B8, self.opts.low_bits)
-        } else if self.opts.dynamic_extract {
+        if self.needs_live() {
             dynamic_lowering(live, self.opts.low_bits)
         } else {
-            self.model.layers[l].act_lowering(g, self.opts.low_bits)
+            static_a_rule(self.model, &self.opts, l, g)
         }
     }
 
     /// Weight extraction rule for `(group, out-channel)`.
     fn w_rule(&self, l: LayerId, g: usize, o: usize) -> BitLowering {
-        if self.opts.naive_lowering {
-            BitLowering::naive(QuantBits::B8, self.opts.low_bits)
-        } else {
-            self.model.layers[l].w_lowering(g, o, self.opts.low_bits)
-        }
+        static_w_rule(self.model, &self.opts, l, g, o)
     }
 
     /// Fake-mode effective activation: per-channel lower + reconstruct.
@@ -990,7 +1118,7 @@ impl<'m> QuantCompute<'m> {
     fn linear_fake(&mut self, l: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
         let (t, c_in) = lin.check_input(x)?;
         let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, &mut ws.act_q);
+        self.quantize_act_into(l, x, None, &mut ws.act_q);
         let x_eff = self.fake_effective_act(
             l,
             &ws.act_q,
@@ -1009,7 +1137,7 @@ impl<'m> QuantCompute<'m> {
         let (c_in, h, w) = conv.check_input(x)?;
         let hw = h * w;
         let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, &mut ws.act_q);
+        self.quantize_act_into(l, x, None, &mut ws.act_q);
         let x_eff = self.fake_effective_act(
             l,
             &ws.act_q,
@@ -1025,121 +1153,106 @@ impl<'m> QuantCompute<'m> {
     }
 
     fn linear_int(&mut self, l: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
-        let (t, c_in) = lin.check_input(x)?;
-        let c_out = lin.c_out();
+        let (t, _c_in) = lin.check_input(x)?;
+        let out = self.linear_int_rows(l, lin, x, t, None);
+        if x.dims().len() == 1 {
+            Ok(Tensor::from_vec([lin.c_out()], out)?)
+        } else {
+            Ok(Tensor::from_vec([t, lin.c_out()], out)?)
+        }
+    }
+
+    /// Integer linear over `rows` stacked token rows — the single copy
+    /// of the linear band algorithm, shared by the single-sample and
+    /// batched hooks. One activation quantization (low groups lowered in
+    /// the same sweep), then one band GEMM per feature group reading its
+    /// columns of `act_q` in place: 8-bit bands accumulate plain sums,
+    /// 4-bit bands shift theirs in at write-back.
+    ///
+    /// `runs`, when given, lists the contiguous runs of valid rows of a
+    /// masked batch. Each band then issues one GEMM per run, so pad rows
+    /// never enter a kernel (their accumulator stays zero) and every
+    /// valid row keeps its reduction order — bit-exact with the unmasked
+    /// call.
+    fn linear_int_rows(
+        &mut self,
+        l: LayerId,
+        lin: &Linear,
+        x: &Tensor,
+        rows: usize,
+        runs: Option<Vec<Range<usize>>>,
+    ) -> Vec<f32> {
+        let (c_in, c_out) = (lin.c_in(), lin.c_out());
+        let all_rows = 0..rows;
+        let runs = runs.as_deref().unwrap_or(std::slice::from_ref(&all_rows));
         // The workspace is taken out of `self` for the duration of the
         // layer so its fields can be borrowed alongside `&self` helpers.
         let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, &mut ws.act_q);
+        self.quantize_act_into(l, x, Some(ActLayout::Rows { c_in }), &mut ws.act_q);
         let lq = &self.model.layers[l];
         let wq = lq.w_q.data();
-        ws.acc.prep(t * c_out);
+        ws.acc.prep(rows * c_out);
         for g in 0..lq.num_groups() {
             let range = self.model.groups.channel_range(g, c_in);
-            let bw = range.len();
-            if bw == 0 {
+            if range.is_empty() {
                 continue;
             }
             if !self.plan.low_groups[l][g] {
                 // 8-bit band: acc[t,o] += sum_{c in band} xq[t,c] wq[o,c],
-                // run as a blocked band GEMM straight off the [C_out,
-                // C_in] master weights (no transposed copy). With a warm
-                // cache the band's rhs panels come prepacked.
+                // one blocked band GEMM straight off the [C_out, C_in]
+                // master weights (no transposed copy) against the band's
+                // prepacked rhs panels. Token rows are independent, so
+                // the kernel bands them across the pool internally.
                 let _band = tel::span("band_gemm", tel::Cat::Phase);
-                match self.pack_cache() {
-                    Some(cache) => {
-                        let hp = cache.high(self.model, &self.opts, l, g);
-                        gemm::gemm_i8_band_wt_prepacked(
-                            t,
-                            c_out,
-                            c_in,
-                            range.start,
-                            range.end,
-                            &ws.act_q,
-                            wq,
-                            &hp.panel,
-                            &mut ws.acc,
-                        );
-                    }
-                    None => gemm::gemm_i8_band_wt(
-                        t,
+                let hp = self.cache.high(self.model, &self.opts, l, g);
+                for run in runs {
+                    gemm::gemm_i8_band_wt_prepacked(
+                        run.len(),
                         c_out,
                         c_in,
                         range.start,
                         range.end,
-                        &ws.act_q,
+                        &ws.act_q[run.start * c_in..],
                         wq,
-                        &mut ws.acc,
-                    ),
+                        &hp.panel,
+                        &mut ws.acc[run.start * c_out..],
+                    );
                 }
                 continue;
             }
-            // 4-bit band with bit extraction and shifted accumulation.
-            let lower_span = tel::span("bit_lower", tel::Cat::Phase);
-            let a_rule = {
-                let act_q: &[i8] = &ws.act_q;
-                let live = if self.needs_live() {
-                    ws.live.collect_from(
-                        (0..t).flat_map(|ti| range.clone().map(move |c| act_q[ti * c_in + c])),
-                    )
-                } else {
-                    ws.live.prep(0)
-                };
-                self.act_rule(l, g, live)
+            // 4-bit band. Static extraction lowered it during activation
+            // quantization; dynamic extraction derives its rule from the
+            // valid rows' live values now (pad rows carry no information
+            // about the real activations) and lowers the band in place.
+            let a_shift = if self.needs_live() {
+                let _lower = tel::span("bit_lower", tel::Cat::Phase);
+                let band = |ti: usize| ti * c_in + range.start..ti * c_in + range.end;
+                let valid = || runs.iter().flat_map(|run| run.clone());
+                let or = valid().fold(0, |or, ti| or | or_magnitude(&ws.act_q[band(ti)]));
+                let rule = lowering_for_or(or, self.opts.low_bits);
+                for ti in valid() {
+                    rule.lower_in_place(&mut ws.act_q[band(ti)]);
+                }
+                rule.shift()
+            } else {
+                static_a_rule(self.model, &self.opts, l, g).shift()
             };
-            {
-                let (xg, act_q) = (ws.low_act.prep(t * bw), &ws.act_q);
-                for ti in 0..t {
-                    for (bi, c) in range.clone().enumerate() {
-                        xg[ti * bw + bi] = a_rule.lower(act_q[ti * c_in + c]);
-                    }
-                }
-            }
-            // Per-output-channel lowered weight block [bw, C_out] — read
-            // straight from the cache when warm, else rebuilt in scratch.
-            let lp = self
-                .pack_cache()
-                .map(|c| c.low(self.model, &self.opts, l, g));
-            if lp.is_none() {
-                ws.rules.fill_with(c_out, |o| self.w_rule(l, g, o));
-                let (wg, rules) = (ws.low_w.prep(bw * c_out), &ws.rules);
-                for (bi, c) in range.clone().enumerate() {
-                    for o in 0..c_out {
-                        wg[bi * c_out + o] = rules[o].lower(wq[o * c_in + c]);
-                    }
-                }
-            }
-            drop(lower_span);
             let _band = tel::span("band_gemm", tel::Cat::Phase);
-            ws.group_scratch.prep(t * c_out);
-            let rules: &[BitLowering] = match &lp {
-                Some(lp) => {
-                    gemm::gemm_i8_prepacked(
-                        t,
-                        c_out,
-                        bw,
-                        &ws.low_act,
-                        &lp.wg,
-                        &lp.panel,
-                        &mut ws.group_scratch,
-                    );
-                    &lp.rules
-                }
-                None => {
-                    gemm::gemm_i8(t, c_out, bw, &ws.low_act, &ws.low_w, &mut ws.group_scratch);
-                    &ws.rules
-                }
-            };
-            for ti in 0..t {
-                for o in 0..c_out {
-                    let shift = a_rule.shift() + rules[o].shift();
-                    ws.acc[ti * c_out + o] += ws.group_scratch[ti * c_out + o] << shift;
-                }
+            let lp = self.cache.low(self.model, &self.opts, l, g);
+            for run in runs {
+                let call = gemm::LowBands::WeightRhs {
+                    m: run.len(),
+                    a: &ws.act_q[run.start * c_in + range.start..],
+                    lda: c_in,
+                    a_shift,
+                    w: &lp,
+                };
+                gemm::gemm_i8_low_bands(call, &mut ws.acc[run.start * c_out..]);
             }
         }
         let requant_span = tel::span("requant", tel::Cat::Phase);
-        let mut out = vec![0.0f32; t * c_out];
-        for ti in 0..t {
+        let mut out = vec![0.0f32; rows * c_out];
+        for ti in 0..rows {
             for o in 0..c_out {
                 let mut v = ws.acc[ti * c_out + o] as f32 * lq.act_scale * lq.w_scales[o];
                 if let Some(b) = &lin.bias {
@@ -1150,60 +1263,17 @@ impl<'m> QuantCompute<'m> {
         }
         drop(requant_span);
         self.ws = ws;
-        if x.dims().len() == 1 {
-            Ok(Tensor::from_vec([c_out], out)?)
-        } else {
-            Ok(Tensor::from_vec([t, c_out], out)?)
-        }
+        out
     }
 
     fn conv_int(&mut self, l: LayerId, conv: &Conv2d, x: &Tensor) -> Result<Tensor> {
         let (_c_in, h, w) = conv.check_input(x)?;
         let geom = conv.group_geometry(h, w);
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let cols = geom.cols();
-        let k = geom.rows();
-        let c_in_g = conv.weight.dims()[1];
-        let c_out = conv.c_out();
-        let c_out_g = c_out / conv.groups;
-        let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, &mut ws.act_q);
-        let lq = &self.model.layers[l];
-        let mut out = vec![0.0f32; c_out * cols];
-        for cg in 0..conv.groups {
-            // Lower this conv group's quantized input slice (borrowed in
-            // place — no per-group copy) into the workspace.
-            let im2col_span = tel::span("im2col", tel::Cat::Phase);
-            im2col_i8_fill(
-                &ws.act_q[cg * c_in_g * h * w..(cg + 1) * c_in_g * h * w],
-                &geom,
-                ws.cols_q.prep(k * cols),
-            );
-            drop(im2col_span);
-            let acc = ws.acc.prep(c_out_g * cols);
-            let scratch = GroupScratch {
-                low_act: &mut ws.low_act,
-                low_w: &mut ws.low_w,
-                live: &mut ws.live,
-                rules: &mut ws.rules,
-                gemm: &mut ws.group_scratch,
-            };
-            self.conv_group_bands(l, conv, cg, 1, cols, &ws.cols_q, scratch, acc);
-            let _requant = tel::span("requant", tel::Cat::Phase);
-            for ol in 0..c_out_g {
-                let o = cg * c_out_g + ol;
-                let s = lq.act_scale * lq.w_scales[o];
-                for j in 0..cols {
-                    let mut v = ws.acc[ol * cols + j] as f32 * s;
-                    if let Some(b) = &conv.bias {
-                        v += b[o];
-                    }
-                    out[o * cols + j] = v;
-                }
-            }
-        }
-        self.ws = ws;
-        Ok(Tensor::from_vec([c_out, oh, ow], out)?)
+        let out = self.conv_int_stack(l, conv, x, 1, h, w);
+        Ok(Tensor::from_vec(
+            [conv.c_out(), geom.out_h(), geom.out_w()],
+            out,
+        )?)
     }
 
     /// Whether an extraction rule needs the live quantized values (only
@@ -1213,106 +1283,67 @@ impl<'m> QuantCompute<'m> {
     }
 
     /// Accumulates one conv group's feature-group bands into `acc`
-    /// (`[c_out_g, nb*cols]`, zeroed by the caller), reading the group's
-    /// already-lowered im2col matrix `cols_q` (`[k, nb*cols]`). This is
-    /// the single copy of the band algorithm — the serial single-sample,
-    /// serial batched, and pool-fanned batched paths all call it, each
-    /// supplying its own [`GroupScratch`] (`nb == 1` for single-sample).
-    #[allow(clippy::too_many_arguments)]
+    /// (`[c_out_g, ncols]`, zeroed by the caller), reading the group's
+    /// im2col matrix `cols_q` (`[k, ncols]`) in place. This is the single
+    /// copy of the band algorithm — the single-sample, batched and
+    /// pool-fanned paths all call it.
+    ///
+    /// Adjacent bands of one precision run as **one call**: a run of
+    /// 8-bit bands is one plain band GEMM over their joint rows (the
+    /// same exact integer sum), a run of 4-bit bands one fused low-band
+    /// call that shifts each band's sum in at write-back. Under static
+    /// extraction the low bands' rows arrive already lowered (see
+    /// [`QuantCompute::quantize_act_into`]); dynamic extraction derives
+    /// each band's rule from exactly the rows its GEMM reads, lowers
+    /// them in place, and hands the live shifts to the same call.
     fn conv_group_bands(
         &self,
         l: LayerId,
         conv: &Conv2d,
         cg: usize,
-        nb: usize,
-        cols: usize,
-        cols_q: &[i8],
-        s: GroupScratch<'_>,
+        gb: &ConvGroupBands,
+        cols_q: &mut [i8],
+        live_shifts: &mut Buf<u8>,
         acc: &mut [i32],
     ) {
-        let lq = &self.model.layers[l];
-        let wq = lq.w_q.data();
-        let khkw = conv.kh() * conv.kw();
-        let c_in_g = conv.weight.dims()[1];
         let c_out_g = conv.c_out() / conv.groups;
-        let k = c_in_g * khkw;
-        let ncols = nb * cols;
-        let w_base = cg * c_out_g * k;
-        // Iterate runs of local channels sharing one feature group.
-        let mut cl = 0usize;
-        while cl < c_in_g {
-            let c_global = cg * c_in_g + cl;
-            let g = self.model.groups.group_of(c_global);
-            let g_end = self.model.groups.channel_range(g, lq.c_in).end;
-            let run_end = (g_end - cg * c_in_g).min(c_in_g);
-            let (k0, k1) = (cl * khkw, run_end * khkw);
-            if !self.plan.low_groups[l][g] {
+        let k = conv.weight.dims()[1] * conv.kh() * conv.kw();
+        let ncols = cols_q.len() / k;
+        let wq = &self.model.layers[l].w_q.data()[cg * c_out_g * k..(cg + 1) * c_out_g * k];
+        let low = |b: &ConvBand| self.plan.low_groups[l][b.g];
+        let mut i = 0;
+        while i < gb.bands.len() {
+            let is_low = low(&gb.bands[i]);
+            let j = i + gb.bands[i..]
+                .iter()
+                .take_while(|b| low(b) == is_low)
+                .count();
+            let (k0, k1) = (gb.bands[i].k0, gb.bands[j - 1].k1);
+            if !is_low {
                 let _band = tel::span("band_gemm", tel::Cat::Phase);
-                gemm::gemm_i8_band_colbatch(
-                    nb,
-                    c_out_g,
-                    cols,
-                    k,
-                    k0,
-                    k1,
-                    &wq[w_base..w_base + c_out_g * k],
-                    cols_q,
-                    acc,
-                );
+                gemm::gemm_i8_band(c_out_g, ncols, k, k0, k1, wq, cols_q, acc);
             } else {
-                let bw = k1 - k0;
-                let lower_span = tel::span("bit_lower", tel::Cat::Phase);
-                let a_rule = {
-                    let live = if self.needs_live() {
-                        s.live
-                            .collect_from(cols_q[k0 * ncols..k1 * ncols].iter().copied())
-                    } else {
-                        s.live.prep(0)
-                    };
-                    self.act_rule(l, g, live)
+                let a_shifts: &[u8] = if self.needs_live() {
+                    let _lower = tel::span("bit_lower", tel::Cat::Phase);
+                    live_shifts.collect_from(gb.bands[i..j].iter().map(|b| {
+                        let band = &mut cols_q[b.k0 * ncols..b.k1 * ncols];
+                        let rule = dynamic_lowering(band, self.opts.low_bits);
+                        rule.lower_in_place(band);
+                        rule.shift()
+                    }))
+                } else {
+                    &gb.a_shifts[i..j]
                 };
-                // Lowered activation band [bw, nb*cols].
-                {
-                    let xb = s.low_act.prep(bw * ncols);
-                    for r in 0..bw {
-                        for j in 0..ncols {
-                            xb[r * ncols + j] = a_rule.lower(cols_q[(k0 + r) * ncols + j]);
-                        }
-                    }
-                }
-                // Lowered weight band [c_out_g, bw], per-row rules —
-                // served from the cache when warm (conv runs weights as
-                // the GEMM lhs, so the cached band is the lowered block
-                // itself, not rhs panels); rebuilt in scratch otherwise.
-                let clp = self.pack_cache().map(|c| {
-                    c.conv_low(self.model, &self.opts, l, cg, g, c_out_g, k, w_base, k0, k1)
-                });
-                if clp.is_none() {
-                    s.rules
-                        .fill_with(c_out_g, |ol| self.w_rule(l, g, cg * c_out_g + ol));
-                    let wb = s.low_w.prep(c_out_g * bw);
-                    for ol in 0..c_out_g {
-                        for r in 0..bw {
-                            wb[ol * bw + r] = s.rules[ol].lower(wq[w_base + ol * k + k0 + r]);
-                        }
-                    }
-                }
-                drop(lower_span);
                 let _band = tel::span("band_gemm", tel::Cat::Phase);
-                s.gemm.prep(c_out_g * ncols);
-                let (wb, rules): (&[i8], &[BitLowering]) = match &clp {
-                    Some(p) => (&p.wb, &p.rules),
-                    None => (&s.low_w[..], &s.rules[..]),
+                let call = gemm::LowBands::WeightLhs {
+                    n: ncols,
+                    bands: &gb.lhs[i..j],
+                    a_shifts,
+                    b: &cols_q[k0 * ncols..k1 * ncols],
                 };
-                gemm::gemm_i8_colbatch(nb, c_out_g, cols, bw, wb, &s.low_act[..], &mut s.gemm[..]);
-                for ol in 0..c_out_g {
-                    let shift = a_rule.shift() + rules[ol].shift();
-                    for j in 0..ncols {
-                        acc[ol * ncols + j] += s.gemm[ol * ncols + j] << shift;
-                    }
-                }
+                gemm::gemm_i8_low_bands(call, acc);
             }
-            cl = run_end;
+            i = j;
         }
     }
 
@@ -1320,7 +1351,7 @@ impl<'m> QuantCompute<'m> {
         let (n, t, c_in) = lin.check_input_batch(x)?;
         let rows = n * t;
         let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, &mut ws.act_q);
+        self.quantize_act_into(l, x, None, &mut ws.act_q);
         let row_live = self.row_mask(n, t);
         let x_eff = self.fake_effective_act(
             l,
@@ -1347,7 +1378,7 @@ impl<'m> QuantCompute<'m> {
         let hw = h * w;
         let chw = c_in * hw;
         let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, &mut ws.act_q);
+        self.quantize_act_into(l, x, None, &mut ws.act_q);
         let x_eff = self.fake_effective_act(
             l,
             &ws.act_q,
@@ -1366,200 +1397,36 @@ impl<'m> QuantCompute<'m> {
         eff.forward_batch(&x_eff)
     }
 
-    /// Batched integer linear: one quantization, one weight lowering and
-    /// one band GEMM per group for the whole `[N(,T), C]` stack.
+    /// Batched integer linear: one quantization and one band GEMM per
+    /// group for the whole `[N(,T), C]` stack.
     fn linear_int_batch(&mut self, l: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
-        let (n, t, c_in) = lin.check_input_batch(x)?;
-        let rows = n * t;
-        let c_out = lin.c_out();
-        let row_live = self.row_mask(n, t);
-        let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, &mut ws.act_q);
-        let lq = &self.model.layers[l];
-        let wq = lq.w_q.data();
-        ws.acc.prep(rows * c_out);
-        for g in 0..lq.num_groups() {
-            let range = self.model.groups.channel_range(g, c_in);
-            let bw = range.len();
-            if bw == 0 {
-                continue;
-            }
-            if !self.plan.low_groups[l][g] {
-                let _band = tel::span("band_gemm", tel::Cat::Phase);
-                if row_live.is_none() {
-                    // 8-bit band over the whole stack: one blocked band
-                    // GEMM straight off the [C_out, C_in] master weights.
-                    // Token rows are independent, so the kernel bands
-                    // them across the pool internally (integer adds in
-                    // unchanged per-element order — bit-exact). With a
-                    // warm cache the band's rhs panels come prepacked.
-                    match self.pack_cache() {
-                        Some(cache) => {
-                            let hp = cache.high(self.model, &self.opts, l, g);
-                            gemm::gemm_i8_band_wt_prepacked(
-                                rows,
-                                c_out,
-                                c_in,
-                                range.start,
-                                range.end,
-                                &ws.act_q,
-                                wq,
-                                &hp.panel,
-                                &mut ws.acc,
-                            );
-                        }
-                        None => gemm::gemm_i8_band_wt(
-                            rows,
-                            c_out,
-                            c_in,
-                            range.start,
-                            range.end,
-                            &ws.act_q,
-                            wq,
-                            &mut ws.acc,
-                        ),
-                    }
-                    continue;
-                }
-                // Masked batch: pad rows are skipped — their accumulator
-                // stays zero and they cost no multiplies. The per-row
-                // inner product routes through [`gemm::dot_i8`] so it
-                // uses the same dispatched ISA kernel as the GEMM paths
-                // (exact in i32 regardless of path).
-                let (row_live, xq) = (&row_live, &ws.act_q);
-                let band_rows = |trange: std::ops::Range<usize>, accband: &mut [i32]| {
-                    let t0 = trange.start;
-                    for ti in trange {
-                        if row_live.as_ref().is_some_and(|v| !v[ti]) {
-                            continue;
-                        }
-                        let xrow = &xq[ti * c_in + range.start..ti * c_in + range.end];
-                        for o in 0..c_out {
-                            let wrow = &wq[o * c_in + range.start..o * c_in + range.end];
-                            accband[(ti - t0) * c_out + o] += gemm::dot_i8(xrow, wrow);
-                        }
-                    }
-                };
-                let worth_it = !flexiq_parallel::in_task()
-                    && rows >= 2
-                    && rows * c_out * bw >= gemm::PAR_MIN_WORK;
-                let pool = worth_it.then(flexiq_parallel::current);
-                match pool {
-                    Some(pool) if pool.threads() >= 2 => {
-                        let mut bands = flexiq_parallel::take_ranges();
-                        flexiq_parallel::chunk_ranges_into(rows, pool.threads() * 4, &mut bands);
-                        let mut elems = flexiq_parallel::take_ranges();
-                        elems.extend(bands.iter().map(|r| r.start * c_out..r.end * c_out));
-                        pool.run_disjoint_mut(&mut ws.acc, &elems, |bi, chunk| {
-                            band_rows(bands[bi].clone(), chunk)
-                        });
-                        flexiq_parallel::put_ranges(elems);
-                        flexiq_parallel::put_ranges(bands);
-                    }
-                    _ => band_rows(0..rows, &mut ws.acc),
-                }
-                continue;
-            }
-            let lower_span = tel::span("bit_lower", tel::Cat::Phase);
-            let a_rule = {
-                let (xq, row_live): (&[i8], _) = (&ws.act_q, &row_live);
-                let live = if self.needs_live() {
-                    // Pad rows of a masked batch carry no information
-                    // about the real activations; dynamic extraction
-                    // positions derive from live rows only.
-                    ws.live.collect_from(
-                        (0..rows)
-                            .filter(|&ti| row_live.as_ref().is_none_or(|v| v[ti]))
-                            .flat_map(|ti| range.clone().map(move |c| xq[ti * c_in + c])),
-                    )
-                } else {
-                    ws.live.prep(0)
-                };
-                self.act_rule(l, g, live)
-            };
-            // One lowered weight block [bw, C_out] for the whole batch —
-            // served prepacked from the cache when warm.
-            let lp = self
-                .pack_cache()
-                .map(|c| c.low(self.model, &self.opts, l, g));
-            if lp.is_none() {
-                ws.rules.fill_with(c_out, |o| self.w_rule(l, g, o));
-                let (wg, rules) = (ws.low_w.prep(bw * c_out), &ws.rules);
-                for (bi, c) in range.clone().enumerate() {
-                    for o in 0..c_out {
-                        wg[bi * c_out + o] = rules[o].lower(wq[o * c_in + c]);
-                    }
-                }
-            }
-            // Masked batches compact to their valid rows before the band
-            // GEMM: pad rows never enter the kernel (their accumulator
-            // stays zero), and each valid row's reduction order is
-            // untouched — bit-exact with the unmasked call.
-            {
-                let row_live = &row_live;
-                ws.rows
-                    .collect_from((0..rows).filter(|&r| row_live.as_ref().is_none_or(|v| v[r])));
-            }
-            let nv = ws.rows.len();
-            {
-                let (xg, vrows, xq) = (ws.low_act.prep(nv * bw), &ws.rows, &ws.act_q);
-                for (vi, &ti) in vrows.iter().enumerate() {
-                    for (bi, c) in range.clone().enumerate() {
-                        xg[vi * bw + bi] = a_rule.lower(xq[ti * c_in + c]);
-                    }
-                }
-            }
-            drop(lower_span);
-            let _band = tel::span("band_gemm", tel::Cat::Phase);
-            ws.group_scratch.prep(nv * c_out);
-            let rules: &[BitLowering] = match &lp {
-                Some(lp) => {
-                    gemm::gemm_i8_prepacked(
-                        nv,
-                        c_out,
-                        bw,
-                        &ws.low_act,
-                        &lp.wg,
-                        &lp.panel,
-                        &mut ws.group_scratch,
-                    );
-                    &lp.rules
-                }
-                None => {
-                    gemm::gemm_i8(nv, c_out, bw, &ws.low_act, &ws.low_w, &mut ws.group_scratch);
-                    &ws.rules
-                }
-            };
-            for (vi, &ti) in ws.rows.iter().enumerate() {
-                for o in 0..c_out {
-                    let shift = a_rule.shift() + rules[o].shift();
-                    ws.acc[ti * c_out + o] += ws.group_scratch[vi * c_out + o] << shift;
-                }
-            }
-        }
-        let requant_span = tel::span("requant", tel::Cat::Phase);
-        let mut out = vec![0.0f32; rows * c_out];
-        for ti in 0..rows {
-            for o in 0..c_out {
-                let mut v = ws.acc[ti * c_out + o] as f32 * lq.act_scale * lq.w_scales[o];
-                if let Some(b) = &lin.bias {
-                    v += b[o];
-                }
-                out[ti * c_out + o] = v;
-            }
-        }
-        drop(requant_span);
-        self.ws = ws;
+        let (n, t, _c_in) = lin.check_input_batch(x)?;
+        let runs = self.row_runs(n, t);
+        let out = self.linear_int_rows(l, lin, x, n * t, runs);
         if x.dims().len() == 2 {
-            Ok(Tensor::from_vec([n, c_out], out)?)
+            Ok(Tensor::from_vec([n, lin.c_out()], out)?)
         } else {
-            Ok(Tensor::from_vec([n, t, c_out], out)?)
+            Ok(Tensor::from_vec([n, t, lin.c_out()], out)?)
         }
     }
 
-    /// Batched integer convolution: per conv group, one batched im2col
-    /// (`[K, N*cols]`), one lowered weight band per feature group for the
-    /// whole batch, and column-batched band GEMMs.
+    /// Batched integer convolution over a stacked `[N, C, H, W]` input.
+    fn conv_int_batch(&mut self, l: LayerId, conv: &Conv2d, x: &Tensor) -> Result<Tensor> {
+        let (n, h, w) = conv.check_input_batch(x)?;
+        let geom = conv.group_geometry(h, w);
+        let out = self.conv_int_stack(l, conv, x, n, h, w);
+        Ok(Tensor::from_vec(
+            [n, conv.c_out(), geom.out_h(), geom.out_w()],
+            out,
+        )?)
+    }
+
+    /// Integer convolution of `n` stacked samples (`n == 1` for the
+    /// single-sample hook): one activation quantization (low groups
+    /// lowered in the same sweep), then per conv group one batched
+    /// im2col (`[K, N*cols]`) and the run-coalesced band GEMMs of
+    /// [`QuantCompute::conv_group_bands`] against the layer's cached
+    /// lowered weights.
     ///
     /// Conv groups are independent (each reads its own channel slice and
     /// produces its own output channels), so grouped/depthwise layers fan
@@ -1567,10 +1434,16 @@ impl<'m> QuantCompute<'m> {
     /// parallelize inside the band GEMMs instead. Either way each
     /// accumulator element keeps its serial reduction order — bit-exact
     /// at any thread count.
-    fn conv_int_batch(&mut self, l: LayerId, conv: &Conv2d, x: &Tensor) -> Result<Tensor> {
-        let (n, h, w) = conv.check_input_batch(x)?;
+    fn conv_int_stack(
+        &mut self,
+        l: LayerId,
+        conv: &Conv2d,
+        x: &Tensor,
+        n: usize,
+        h: usize,
+        w: usize,
+    ) -> Vec<f32> {
         let geom = conv.group_geometry(h, w);
-        let (oh, ow) = (geom.out_h(), geom.out_w());
         let cols = geom.cols();
         let ncols = n * cols;
         let k = geom.rows();
@@ -1579,25 +1452,47 @@ impl<'m> QuantCompute<'m> {
         let c_out_g = c_out / conv.groups;
         let chw = conv.c_in() * h * w;
         let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, &mut ws.act_q);
+        let layout = ActLayout::Planes {
+            c_in: conv.c_in(),
+            hw: h * w,
+        };
+        self.quantize_act_into(l, x, Some(layout), &mut ws.act_q);
         let lq = &self.model.layers[l];
+        let pack = self.cache.conv(self.model, &self.opts, l);
         let mut out = vec![0.0f32; n * c_out * cols];
-        let scatter = |cg: usize, acc: &[i32], out: &mut [f32]| {
-            let _requant = tel::span("requant", tel::Cat::Phase);
-            for ol in 0..c_out_g {
+        // One conv group through workspace `tls`: im2col, then the band
+        // GEMMs into the i32 accumulator slab `tls.acc`.
+        let run_group = |cg: usize, xq: &[i8], tls: &mut Workspace| {
+            let im2col_span = tel::span("im2col", tel::Cat::Phase);
+            let cols_q = tls.cols_q.prep(k * ncols);
+            im2col_i8_batch_fill(&xq[cg * c_in_g * h * w..], n, chw, &geom, cols_q);
+            drop(im2col_span);
+            let acc = tls.acc.prep(c_out_g * ncols);
+            let gb = &pack.groups[cg];
+            self.conv_group_bands(l, conv, cg, gb, cols_q, &mut tls.live_shifts, acc);
+        };
+        // Requantizes sample `smp` of a finished group into `row`, the
+        // group's `c_out_g * cols` output columns of that sample.
+        let requant = |cg: usize, acc: &[i32], smp: usize, row: &mut [f32]| {
+            for (ol, dst) in row.chunks_exact_mut(cols).enumerate() {
                 let o = cg * c_out_g + ol;
                 let s = lq.act_scale * lq.w_scales[o];
-                for smp in 0..n {
-                    for j in 0..cols {
-                        let mut v = acc[ol * ncols + smp * cols + j] as f32 * s;
-                        if let Some(b) = &conv.bias {
-                            v += b[o];
+                let sums = &acc[ol * ncols + smp * cols..][..cols];
+                match &conv.bias {
+                    Some(b) => {
+                        for (v, &sum) in dst.iter_mut().zip(sums) {
+                            *v = sum as f32 * s + b[o];
                         }
-                        out[(smp * c_out + o) * cols + j] = v;
+                    }
+                    None => {
+                        for (v, &sum) in dst.iter_mut().zip(sums) {
+                            *v = sum as f32 * s;
+                        }
                     }
                 }
             }
         };
+        let group_cols = |cg: usize| cg * c_out_g * cols..(cg + 1) * c_out_g * cols;
         let pool = (conv.groups >= 2 && !flexiq_parallel::in_task())
             .then(flexiq_parallel::current)
             .filter(|p| p.threads() >= 2);
@@ -1605,89 +1500,45 @@ impl<'m> QuantCompute<'m> {
             Some(pool) => {
                 // Parallel conv-group fan-out over disjoint **column
                 // bands** of the batched output: band `cg` is that
-                // group's `c_out_g * cols` output columns of every
-                // sample row. Each executing thread checks its own
-                // parked workspace out for the group's im2col matrix,
-                // lowering scratch, and i32 accumulator slab (helpers
-                // are long-lived pool threads, so their workspaces warm
-                // up and stick like the submitter's) and requantizes its
-                // band in task — steady state allocates nothing here.
+                // group's output columns of every sample row. Each
+                // executing thread checks its own parked workspace out
+                // (helpers are long-lived pool threads, so their
+                // workspaces warm up and stick like the submitter's) and
+                // requantizes its band in task — steady state allocates
+                // nothing here.
                 let xq: &[i8] = &ws.act_q;
                 let mut bands = flexiq_parallel::take_ranges();
-                bands.extend(
-                    (0..conv.groups).map(|cg| cg * c_out_g * cols..(cg + 1) * c_out_g * cols),
-                );
+                bands.extend((0..conv.groups).map(group_cols));
                 pool.run_col_bands_mut(&mut out, n, c_out * cols, &bands, |cg, band| {
                     let mut tls = workspace::take();
-                    let im2col_span = tel::span("im2col", tel::Cat::Phase);
-                    im2col_i8_batch_fill(
-                        &xq[cg * c_in_g * h * w..],
-                        n,
-                        chw,
-                        &geom,
-                        tls.cols_q.prep(k * ncols),
-                    );
-                    drop(im2col_span);
-                    let acc = tls.acc.prep(c_out_g * ncols);
-                    let scratch = GroupScratch {
-                        low_act: &mut tls.low_act,
-                        low_w: &mut tls.low_w,
-                        live: &mut tls.live,
-                        rules: &mut tls.rules,
-                        gemm: &mut tls.group_scratch,
-                    };
-                    self.conv_group_bands(l, conv, cg, n, cols, &tls.cols_q, scratch, acc);
-                    // Same per-element expression as `scatter`, so the
-                    // banded write is bit-exact with the serial path.
-                    let _requant = tel::span("requant", tel::Cat::Phase);
+                    run_group(cg, xq, &mut tls);
+                    let requant_span = tel::span("requant", tel::Cat::Phase);
                     for smp in 0..n {
-                        let row = band.row(smp);
-                        for ol in 0..c_out_g {
-                            let o = cg * c_out_g + ol;
-                            let s = lq.act_scale * lq.w_scales[o];
-                            for j in 0..cols {
-                                let mut v = tls.acc[ol * ncols + smp * cols + j] as f32 * s;
-                                if let Some(b) = &conv.bias {
-                                    v += b[o];
-                                }
-                                row[ol * cols + j] = v;
-                            }
-                        }
+                        requant(cg, &tls.acc, smp, band.row(smp));
                     }
+                    drop(requant_span);
                     workspace::put(tls);
                 });
                 flexiq_parallel::put_ranges(bands);
             }
-            // Serial: compute and scatter one group at a time through the
-            // workspace, so peak scratch stays one group's accumulator
-            // (matters for depthwise layers, where groups == C_in) and
-            // steady-state passes allocate nothing here.
+            // Serial: one group at a time through this hook's workspace,
+            // so peak scratch stays one group's accumulator (matters for
+            // depthwise layers, where groups == C_in).
             None => {
+                let act_q = std::mem::take(&mut ws.act_q);
                 for cg in 0..conv.groups {
-                    let im2col_span = tel::span("im2col", tel::Cat::Phase);
-                    im2col_i8_batch_fill(
-                        &ws.act_q[cg * c_in_g * h * w..],
-                        n,
-                        chw,
-                        &geom,
-                        ws.cols_q.prep(k * ncols),
-                    );
-                    drop(im2col_span);
-                    let acc = ws.acc.prep(c_out_g * ncols);
-                    let scratch = GroupScratch {
-                        low_act: &mut ws.low_act,
-                        low_w: &mut ws.low_w,
-                        live: &mut ws.live,
-                        rules: &mut ws.rules,
-                        gemm: &mut ws.group_scratch,
-                    };
-                    self.conv_group_bands(l, conv, cg, n, cols, &ws.cols_q, scratch, acc);
-                    scatter(cg, &ws.acc, &mut out);
+                    run_group(cg, &act_q, &mut ws);
+                    let _requant = tel::span("requant", tel::Cat::Phase);
+                    for smp in 0..n {
+                        let row = &mut out[smp * c_out * cols..][group_cols(cg)];
+                        requant(cg, &ws.acc, smp, row);
+                    }
                 }
+                ws.act_q = act_q;
             }
         }
         self.ws = ws;
-        Ok(Tensor::from_vec([n, c_out, oh, ow], out)?)
+        out
     }
 }
 
@@ -2066,6 +1917,10 @@ mod tests {
 
     #[test]
     fn pack_cache_is_bit_exact_with_uncached_and_hits_on_reuse() {
+        // Under FLEXIQ_NO_PREPACK=1 hooks leave the shared cache alone.
+        if !gemm::prepack_enabled() {
+            return;
+        }
         let _gate = cache_test_lock();
         let (g, model, samples) = prepared(141, 2);
         let opts = QuantExecOptions {
@@ -2137,6 +1992,10 @@ mod tests {
 
     #[test]
     fn pack_cache_prewarm_covers_every_band() {
+        // Under FLEXIQ_NO_PREPACK=1 hooks leave the shared cache alone.
+        if !gemm::prepack_enabled() {
+            return;
+        }
         let _gate = cache_test_lock();
         let (g, model, samples) = prepared(143, 2);
         let opts = QuantExecOptions {

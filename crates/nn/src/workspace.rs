@@ -1,9 +1,9 @@
 //! Reusable per-thread scratch for the quantized execution hot path.
 //!
 //! Every quantized layer pass needs the same family of scratch buffers:
-//! the quantized activation, the im2col lowering, the bit-lowered
-//! activation/weight bands of each feature group, the band accumulator,
-//! and the per-group GEMM scratch. Allocating them per layer per call
+//! the quantized activation (lowered in place for 4-bit groups), its
+//! im2col lowering, and the band accumulator the GEMMs write their
+//! (shifted) sums straight into. Allocating them per layer per call
 //! (as the engines originally did with `vec![0; …]`) dominates small
 //! layers and churns the allocator under serving load.
 //!
@@ -19,8 +19,6 @@
 //! packing scratch is per-thread already (`flexiq_tensor::scratch`).
 
 use std::ops::{Deref, DerefMut};
-
-use flexiq_quant::lowering::BitLowering;
 
 /// One capacity-retaining scratch buffer that counts reallocation.
 ///
@@ -70,8 +68,8 @@ impl<T> Buf<T> {
 
 impl<T> Buf<T> {
     /// Clears the buffer and refills it from an iterator (the
-    /// irregular-length counterpart of [`Buf::prep`], e.g. valid-row
-    /// gathers), reusing capacity and counting growth.
+    /// irregular-length counterpart of [`Buf::prep`], e.g. the live
+    /// shifts of a band run), reusing capacity and counting growth.
     pub fn collect_from(&mut self, iter: impl Iterator<Item = T>) -> &mut [T] {
         self.data.clear();
         let cap = self.data.capacity();
@@ -81,12 +79,6 @@ impl<T> Buf<T> {
             flexiq_telemetry::count(flexiq_telemetry::Counter::WsBufGrowth, 1);
         }
         &mut self.data
-    }
-
-    /// Clears the buffer and refills it element-by-index (for types
-    /// without a meaningful zero, e.g. lowering rules).
-    pub fn fill_with(&mut self, len: usize, f: impl FnMut(usize) -> T) -> &mut [T] {
-        self.collect_from((0..len).map(f))
     }
 }
 
@@ -106,29 +98,21 @@ impl<T> DerefMut for Buf<T> {
 
 /// Reusable scratch buffers for one thread's quantized layer passes.
 ///
-/// Distinct simultaneous roles get distinct fields (e.g. the lowered
-/// activation band is built while the quantized activation is still
-/// being read), so the borrow checker can split them field-wise.
+/// Distinct simultaneous roles get distinct fields (the im2col matrix is
+/// built while the quantized activation is still being read), so the
+/// borrow checker can split them field-wise.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Quantized activation of the current layer (`quantize_act` output).
+    /// Quantized activation of the current layer, band-ready: the
+    /// channels of 4-bit feature groups are already bit-lowered.
     pub act_q: Buf<i8>,
     /// im2col lowering of the quantized activation (conv layers).
     pub cols_q: Buf<i8>,
-    /// Bit-lowered activation band of the current feature group.
-    pub low_act: Buf<i8>,
-    /// Bit-lowered weight band of the current feature group.
-    pub low_w: Buf<i8>,
-    /// Live values feeding dynamic extraction statistics.
-    pub live: Buf<i8>,
     /// Integer band accumulator of the current layer.
     pub acc: Buf<i32>,
-    /// Per-group GEMM scratch (shifted into `acc` after each band).
-    pub group_scratch: Buf<i32>,
-    /// Per-output-channel lowering rules of the current group.
-    pub rules: Buf<BitLowering>,
-    /// Valid-row gather list of a masked (variable-length) batch.
-    pub rows: Buf<usize>,
+    /// Live activation extraction shifts of a run of 4-bit bands
+    /// (dynamic extraction only; static shifts come from the cache).
+    pub live_shifts: Buf<u8>,
 }
 
 impl Workspace {
@@ -141,28 +125,15 @@ impl Workspace {
     /// [`Workspace::reset_growth`]. A warmed workspace serving a
     /// steady-state pass reports zero.
     pub fn growth_events(&self) -> u64 {
-        self.act_q.grown()
-            + self.cols_q.grown()
-            + self.low_act.grown()
-            + self.low_w.grown()
-            + self.live.grown()
-            + self.acc.grown()
-            + self.group_scratch.grown()
-            + self.rules.grown()
-            + self.rows.grown()
+        self.act_q.grown() + self.cols_q.grown() + self.acc.grown() + self.live_shifts.grown()
     }
 
     /// Resets every buffer's growth counter (call after warm-up).
     pub fn reset_growth(&mut self) {
         self.act_q.reset_growth();
         self.cols_q.reset_growth();
-        self.low_act.reset_growth();
-        self.low_w.reset_growth();
-        self.live.reset_growth();
         self.acc.reset_growth();
-        self.group_scratch.reset_growth();
-        self.rules.reset_growth();
-        self.rows.reset_growth();
+        self.live_shifts.reset_growth();
     }
 }
 

@@ -32,7 +32,15 @@ pub fn or_magnitude(values: &[i8]) -> u8 {
 /// dynamically positioned window never saturates on the group it was
 /// derived from.
 pub fn dynamic_lowering(values: &[i8], low_bits: QuantBits) -> BitLowering {
-    let or = or_magnitude(values);
+    lowering_for_or(or_magnitude(values), low_bits)
+}
+
+/// The extraction rule for a group whose [`or_magnitude`] is `or`.
+///
+/// Split out of [`dynamic_lowering`] for groups that are not one
+/// contiguous slice (the feature band of a row-major activation): OR
+/// the per-row reductions together, then ask for the rule once.
+pub fn lowering_for_or(or: u8, low_bits: QuantBits) -> BitLowering {
     let b = (8 - or.leading_zeros()) as u8;
     let shift = b.saturating_sub(low_bits.bits() - 1);
     BitLowering::with_shift(shift, low_bits)

@@ -98,6 +98,27 @@
 //! only — the SIMD f32 tile wins from the generic [`BLOCK_MIN_WORK`]
 //! threshold, so small shapes block as soon as a SIMD ISA is active.
 //!
+//! # Low-precision bands
+//!
+//! A bit-lowered band of a mixed-precision layer does not end at its
+//! sum: the sum re-enters the 8-bit accumulator scale by a left shift
+//! of the band's extraction positions (the paper's *bit-shifted
+//! accumulation*). [`gemm_i8_low_bands`] takes that shift as the
+//! **write-back** of the integer drivers — every tile and reference
+//! loop adds `sum << (act + weight[channel])` straight into `c`, with
+//! the per-channel vector indexed by output row when the weights are
+//! the lhs (convolution, [`LowBandLhs`]) or by output column when they
+//! are the rhs (linear, [`LowBandRhs`]) — so a band needs no scratch
+//! matrix and no second pass, and a run of consecutive convolution
+//! bands is one call that packs the activations once and visits each
+//! output tile once. Operands lowered to four bits or fewer lie in
+//! `[-8, 7]`; where the ISA has a dense low-range tile (AVX2's
+//! `vpmaddubsw` tile over byte-quad panels, exactness argued in
+//! [`crate::simd`]) such a run takes it, with the lowered weights
+//! prepacked as lhs tiles inside [`LowBandLhs`]. Everything else runs
+//! the ordinary i8 kernels with the same write-back; all of it is
+//! exact in `i32`.
+//!
 //! # Prepacked weights
 //!
 //! The rhs of a weight GEMM is immutable across calls, so its pack
@@ -200,9 +221,15 @@ fn plan_bands(m: usize, n: usize, kb: usize) -> Plan {
     }
     // Band vectors come from the thread-local range pool and are
     // returned by the drivers — band planning is allocation-free in
-    // steady state.
-    if m >= 2 * t {
-        Plan::Rows(pool, banded(m, t * 4))
+    // steady state. Row bands are whole `MR`-row register tiles (the
+    // last may be ragged): a band that splits a tile makes both halves
+    // pack and compute a full, half-empty one.
+    if m >= 2 * t * MR {
+        let mut bands = banded(m.div_ceil(MR), t * 4);
+        for band in &mut bands {
+            *band = band.start * MR..(band.end * MR).min(m);
+        }
+        Plan::Rows(pool, bands)
     } else if n >= 2 * t {
         // Wide but short: too few rows to feed the pool, so split the
         // column (sample) axis instead. Column bands of a row-major
@@ -684,6 +711,123 @@ fn microkernel_f32(
     }
 }
 
+/// Largest total shift a shifted write-back accepts. Bit-lowering shifts
+/// top out at 6 per operand (8-bit source, 2-bit target), so 16 is
+/// generous — and it keeps a single shifted product
+/// (`128·128 << 16 = 2^30`) inside `i32`, which lets the reference-order
+/// loops fold a row shift into the lhs scalar.
+pub const MAX_EPILOGUE_SHIFT: u8 = 16;
+
+/// How an integer band's reduction sums reach `c` — the write-back
+/// epilogue of the blocked drivers and the reference-order loops.
+///
+/// The shifted forms are the paper's *bit-shifted accumulation*: a
+/// 4-bit band's partial sum re-enters the 8-bit accumulator scale by a
+/// left shift of `act + weight[channel]`, where `act` is the band's
+/// activation extraction shift and `weight` holds one extraction shift
+/// per weight output channel — the output **rows** when the weights are
+/// the lhs (convolution), the output **columns** when they are the rhs
+/// (linear). Shifts distribute over integer addition, so applying the
+/// epilogue per k-block equals applying it to the whole band's sum.
+#[derive(Clone, Copy)]
+enum Epilogue<'a> {
+    /// `c[i][j] += sum`.
+    Add,
+    /// `c[i][j] += sum << (act + weight[i])`.
+    ShlRows { act: u8, weight: &'a [u8] },
+    /// `c[i][j] += sum << (act + weight[j])`.
+    ShlCols { act: u8, weight: &'a [u8] },
+}
+
+impl<'a> Epilogue<'a> {
+    /// The epilogue of an output sub-block, re-based so a view over
+    /// `rows × cols` of the output indexes it from zero.
+    fn block(self, rows: Range<usize>, cols: Range<usize>) -> Epilogue<'a> {
+        match self {
+            Epilogue::Add => Epilogue::Add,
+            Epilogue::ShlRows { act, weight } => Epilogue::ShlRows {
+                act,
+                weight: &weight[rows],
+            },
+            Epilogue::ShlCols { act, weight } => Epilogue::ShlCols {
+                act,
+                weight: &weight[cols],
+            },
+        }
+    }
+
+    /// Checks the shift vector against the output extent it indexes
+    /// and the [`MAX_EPILOGUE_SHIFT`] bound.
+    fn validate(self, m: usize, n: usize) {
+        let (act, weight, extent) = match self {
+            Epilogue::Add => return,
+            Epilogue::ShlRows { act, weight } => (act, weight, m),
+            Epilogue::ShlCols { act, weight } => (act, weight, n),
+        };
+        assert!(weight.len() >= extent, "shift vector too short");
+        assert!(
+            weight[..extent]
+                .iter()
+                .all(|&w| act as u32 + w as u32 <= MAX_EPILOGUE_SHIFT as u32),
+            "write-back shift above {MAX_EPILOGUE_SHIFT}"
+        );
+    }
+}
+
+/// The accumulator tile a micro-kernel starts from: the current `c`
+/// values under [`Epilogue::Add`] (the tile is stored back verbatim),
+/// zeros under the shifted forms (the tile holds the bare band sum
+/// until [`tile_write_back`] shifts it in).
+#[inline]
+fn tile_init(
+    epi: Epilogue<'_>,
+    c: &mut ColBandMut<'_, i32>,
+    r0: usize,
+    col0: usize,
+    mr: usize,
+    nrw: usize,
+) -> [[i32; NR_I8]; MR] {
+    let mut acc = [[0i32; NR_I8]; MR];
+    if let Epilogue::Add = epi {
+        for r in 0..mr {
+            acc[r][..nrw].copy_from_slice(&c.row(r0 + r)[col0..col0 + nrw]);
+        }
+    }
+    acc
+}
+
+/// Writes a finished accumulator tile into `c` under `epi`.
+#[inline]
+fn tile_write_back(
+    epi: Epilogue<'_>,
+    acc: &[[i32; NR_I8]; MR],
+    c: &mut ColBandMut<'_, i32>,
+    r0: usize,
+    col0: usize,
+    mr: usize,
+    nrw: usize,
+) {
+    for r in 0..mr {
+        let crow = &mut c.row(r0 + r)[col0..col0 + nrw];
+        let sums = &acc[r][..nrw];
+        match epi {
+            Epilogue::Add => crow.copy_from_slice(sums),
+            Epilogue::ShlRows { act, weight } => {
+                let sh = (act + weight[r0 + r]) as u32;
+                for (cj, &v) in crow.iter_mut().zip(sums) {
+                    *cj += v << sh;
+                }
+            }
+            Epilogue::ShlCols { act, weight } => {
+                let shifts = &weight[col0..col0 + nrw];
+                for ((cj, &v), &w) in crow.iter_mut().zip(sums).zip(shifts) {
+                    *cj += v << (act + w) as u32;
+                }
+            }
+        }
+    }
+}
+
 /// One `mr × nrw` integer output tile (`i8` operands, `i32` accumulators)
 /// over the plain i8 panel. Zero lhs lanes are skipped in the scalar
 /// tile — exact in integer arithmetic, and the bit-lowered 4-bit
@@ -701,12 +845,10 @@ fn microkernel_i8(
     c: &mut ColBandMut<'_, i32>,
     r0: usize,
     col0: usize,
+    epi: Epilogue<'_>,
     isa: Isa,
 ) {
-    let mut acc = [[0i32; NR_I8]; MR];
-    for r in 0..mr {
-        acc[r][..nrw].copy_from_slice(&c.row(r0 + r)[col0..col0 + nrw]);
-    }
+    let mut acc = tile_init(epi, c, r0, col0, mr, nrw);
     let ap = &ap[..kc * MR];
     let bp = &bp[..kc * NR_I8];
     if mr == MR && nrw == NR_I8 {
@@ -754,9 +896,7 @@ fn microkernel_i8(
             }
         }
     }
-    for r in 0..mr {
-        c.row(r0 + r)[col0..col0 + nrw].copy_from_slice(&acc[r][..nrw]);
-    }
+    tile_write_back(epi, &acc, c, r0, col0, mr, nrw);
 }
 
 /// One `mr × nrw` integer output tile over a **pair** rhs panel
@@ -776,12 +916,10 @@ fn microkernel_i8_pairs(
     c: &mut ColBandMut<'_, i32>,
     r0: usize,
     col0: usize,
+    epi: Epilogue<'_>,
 ) {
     let kpairs = kc.div_ceil(2);
-    let mut acc = [[0i32; NR_I8]; MR];
-    for r in 0..mr {
-        acc[r][..nrw].copy_from_slice(&c.row(r0 + r)[col0..col0 + nrw]);
-    }
+    let mut acc = tile_init(epi, c, r0, col0, mr, nrw);
     let ap = &ap[..kc * MR];
     let bp = &bp[..kpairs * NR_I8];
     if mr == MR && nrw == NR_I8 {
@@ -812,9 +950,7 @@ fn microkernel_i8_pairs(
             }
         }
     }
-    for r in 0..mr {
-        c.row(r0 + r)[col0..col0 + nrw].copy_from_slice(&acc[r][..nrw]);
-    }
+    tile_write_back(epi, &acc, c, r0, col0, mr, nrw);
 }
 
 // ─── Blocked drivers ────────────────────────────────────────────────────
@@ -1033,12 +1169,13 @@ fn blocked_i8_any(
     k1: usize,
     bpack: PanelsI8Ref<'_>,
     c: &mut ColBandMut<'_, i32>,
+    epi: Epilogue<'_>,
     isa: Isa,
 ) {
     match bpack {
-        PanelsI8Ref::Plain(buf) => blocked_i8(a, lda, rows, k0, k1, buf, c, isa),
+        PanelsI8Ref::Plain(buf) => blocked_i8(a, lda, rows, k0, k1, buf, c, epi, isa),
         #[cfg(target_arch = "x86_64")]
-        PanelsI8Ref::Pairs(buf) => blocked_i8_pairs(a, lda, rows, k0, k1, buf, c),
+        PanelsI8Ref::Pairs(buf) => blocked_i8_pairs(a, lda, rows, k0, k1, buf, c, epi),
     }
 }
 
@@ -1052,6 +1189,7 @@ fn blocked_i8(
     k1: usize,
     bpack: &[i8],
     c: &mut ColBandMut<'_, i32>,
+    epi: Epilogue<'_>,
     isa: Isa,
 ) {
     let kb = k1 - k0;
@@ -1075,7 +1213,7 @@ fn blocked_i8(
                     let tr0 = ic0 - rows.start + it * MR;
                     let mr = (ic1 - ic0 - it * MR).min(MR);
                     let aseg = &apack[it * kcb * MR..(it + 1) * kcb * MR];
-                    microkernel_i8(kcb, aseg, bseg, mr, nrw, c, tr0, col0, isa);
+                    microkernel_i8(kcb, aseg, bseg, mr, nrw, c, tr0, col0, epi, isa);
                 }
             }
             ic0 = ic1;
@@ -1098,6 +1236,7 @@ fn blocked_i8_pairs(
     k1: usize,
     bpack: &[i32],
     c: &mut ColBandMut<'_, i32>,
+    epi: Epilogue<'_>,
 ) {
     let kpairs = (k1 - k0).div_ceil(2);
     let ncols = c.width();
@@ -1122,7 +1261,7 @@ fn blocked_i8_pairs(
                     let tr0 = ic0 - rows.start + it * MR;
                     let mr = (ic1 - ic0 - it * MR).min(MR);
                     let aseg = &apack[it * kcb * MR..(it + 1) * kcb * MR];
-                    microkernel_i8_pairs(kcb, aseg, bseg, mr, nrw, c, tr0, col0);
+                    microkernel_i8_pairs(kcb, aseg, bseg, mr, nrw, c, tr0, col0, epi);
                 }
             }
             ic0 = ic1;
@@ -1134,19 +1273,25 @@ fn blocked_i8_pairs(
 
 /// Integer entry point: validates nothing (callers assert), plans
 /// banding, and dispatches blocked or reference execution under `isa`.
-/// `pre` optionally supplies ahead-of-time packed full-width panels in
-/// `isa`'s format for the band `[k0, k1)` — substituted exactly where
-/// the per-call path packs the full rhs once (see [`gemm_f32_general`]).
+/// `lda` is the lhs row stride (row `i`'s band is `a[i*lda + k0..i*lda
+/// + k1]`), independent of the rhs extent so a band of a wider
+/// activation matrix can be read in place. `pre` optionally supplies
+/// ahead-of-time packed full-width panels in `isa`'s format for the
+/// band `[k0, k1)` — substituted exactly where the per-call path packs
+/// the full rhs once (see [`gemm_f32_general`]). `epi` is the
+/// write-back: every tile and reference loop routes its sums through
+/// it, so a shifted band accumulates straight into `c`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_i8_general(
     m: usize,
     n: usize,
-    k: usize,
+    lda: usize,
     k0: usize,
     k1: usize,
     a: &[i8],
     rhs: Rhs<'_, i8>,
     pre: Option<PanelsI8Ref<'_>>,
+    epi: Epilogue<'_>,
     c: &mut [i32],
     isa: Isa,
 ) {
@@ -1171,7 +1316,8 @@ fn gemm_i8_general(
                 pool.run_disjoint_mut(&mut c[..m * n], &elems, |bi, chunk| {
                     let rows = bands[bi].clone();
                     let mut view = ColBandMut::new(chunk, rows.len(), n, 0..n);
-                    blocked_i8_any(a, k, rows, k0, k1, bbuf, &mut view, isa);
+                    let epi = epi.block(rows.clone(), 0..n);
+                    blocked_i8_any(a, lda, rows, k0, k1, bbuf, &mut view, epi, isa);
                 });
                 if let Some(o) = owned {
                     put_bpack_i8(o);
@@ -1180,7 +1326,8 @@ fn gemm_i8_general(
                 pool.run_disjoint_mut(&mut c[..m * n], &elems, |bi, chunk| {
                     let rows = bands[bi].clone();
                     let mut view = ColBandMut::new(chunk, rows.len(), n, 0..n);
-                    naive_i8_view(a, k, rhs, rows, k0, k1, 0..n, &mut view);
+                    let epi = epi.block(rows.clone(), 0..n);
+                    naive_i8_view(a, lda, rhs, rows, k0, k1, 0..n, &mut view, epi);
                 });
             }
             put_ranges(elems);
@@ -1189,13 +1336,14 @@ fn gemm_i8_general(
         Plan::Cols(pool, bands) => {
             pool.run_col_bands_mut(&mut c[..m * n], m, n, &bands, |bi, view| {
                 let cols = bands[bi].clone();
+                let epi = epi.block(0..m, cols.clone());
                 if worth_blocking(m, cols.len(), kb, NR_I8, 0) {
                     // Each band packs its own column slice.
                     let bbuf = pack_b_i8_any(isa, rhs, k0, k1, cols);
-                    blocked_i8_any(a, k, 0..m, k0, k1, bbuf.as_panels(), view, isa);
+                    blocked_i8_any(a, lda, 0..m, k0, k1, bbuf.as_panels(), view, epi, isa);
                     put_bpack_i8(bbuf);
                 } else {
-                    naive_i8_view(a, k, rhs, 0..m, k0, k1, cols, view);
+                    naive_i8_view(a, lda, rhs, 0..m, k0, k1, cols, view, epi);
                 }
             });
             put_ranges(bands);
@@ -1208,12 +1356,12 @@ fn gemm_i8_general(
                     None => Some(pack_b_i8_any(isa, rhs, k0, k1, 0..n)),
                 };
                 let bbuf = pre.unwrap_or_else(|| owned.as_ref().expect("packed above").as_panels());
-                blocked_i8_any(a, k, 0..m, k0, k1, bbuf, &mut view, isa);
+                blocked_i8_any(a, lda, 0..m, k0, k1, bbuf, &mut view, epi, isa);
                 if let Some(o) = owned {
                     put_bpack_i8(o);
                 }
             } else {
-                naive_i8_view(a, k, rhs, 0..m, k0, k1, 0..n, &mut view);
+                naive_i8_view(a, lda, rhs, 0..m, k0, k1, 0..n, &mut view, epi);
             }
         }
     }
@@ -1266,7 +1414,11 @@ fn naive_f32_view(
     }
 }
 
-/// Naive integer kernel over a view, with the lhs zero-skip.
+/// Naive integer kernel over a view, with the lhs zero-skip. `epi` is
+/// indexed view-relative (see [`Epilogue::block`]). The `Rows` arm
+/// folds a row shift into the lhs scalar — `(a << s)·b == (a·b) << s`,
+/// and [`MAX_EPILOGUE_SHIFT`] keeps the shifted product inside `i32` —
+/// so its inner loop is the unshifted one.
 fn naive_i8_view(
     a: &[i8],
     lda: usize,
@@ -1276,17 +1428,43 @@ fn naive_i8_view(
     k1: usize,
     cols: Range<usize>,
     c: &mut ColBandMut<'_, i32>,
+    epi: Epilogue<'_>,
 ) {
     match rhs {
         Rhs::Rows { b, n } => {
             for (ri, i) in rows.enumerate() {
                 let crow = c.row(ri);
-                for p in k0..k1 {
-                    let av = a[i * lda + p] as i32;
+                let arow = &a[i * lda + k0..i * lda + k1];
+                if let Epilogue::ShlCols { act, weight } = epi {
+                    // Per-column shifts: sum the band into a lane block
+                    // first (the plain, vectorizable inner loop), then
+                    // shift each column's sum in once.
+                    for j0 in (0..crow.len()).step_by(NR_I8) {
+                        let width = (crow.len() - j0).min(NR_I8);
+                        let mut sums = [0i32; NR_I8];
+                        for (p, &av) in arow.iter().enumerate().filter(|(_, &av)| av != 0) {
+                            let at = (k0 + p) * n + cols.start + j0;
+                            for (sum, &bv) in sums.iter_mut().zip(&b[at..at + width]) {
+                                *sum += av as i32 * bv as i32;
+                            }
+                        }
+                        let lanes = crow[j0..j0 + width].iter_mut().zip(&weight[j0..]);
+                        for ((cj, &w), &sum) in lanes.zip(&sums) {
+                            *cj += sum << (act + w) as u32;
+                        }
+                    }
+                    continue;
+                }
+                let row_shift = match epi {
+                    Epilogue::ShlRows { act, weight } => (act + weight[ri]) as u32,
+                    _ => 0,
+                };
+                for (p, &av) in arow.iter().enumerate() {
+                    let av = (av as i32) << row_shift;
                     if av == 0 {
                         continue;
                     }
-                    let brow = &b[p * n + cols.start..p * n + cols.end];
+                    let brow = &b[(k0 + p) * n + cols.start..(k0 + p) * n + cols.end];
                     for (cj, &bv) in crow.iter_mut().zip(brow) {
                         *cj += av * bv as i32;
                     }
@@ -1299,11 +1477,15 @@ fn naive_i8_view(
                 let crow = c.row(ri);
                 for (ji, j) in cols.clone().enumerate() {
                     let wrow = &w[j * k + k0..j * k + k1];
-                    let mut acc = crow[ji];
+                    let mut sum = 0i32;
                     for (av, wv) in arow.iter().zip(wrow.iter()) {
-                        acc += *av as i32 * *wv as i32;
+                        sum += *av as i32 * *wv as i32;
                     }
-                    crow[ji] = acc;
+                    crow[ji] += match epi {
+                        Epilogue::Add => sum,
+                        Epilogue::ShlRows { act, weight } => sum << (act + weight[ri]) as u32,
+                        Epilogue::ShlCols { act, weight } => sum << (act + weight[ji]) as u32,
+                    };
                 }
             }
         }
@@ -1635,7 +1817,21 @@ pub fn gemm_i8_band(
         packed,
         isa,
         || lhs_zero_pm(a, k, m, k0, k1),
-        || gemm_i8_general(m, n, k, k0, k1, a, Rhs::Rows { b, n }, None, c, isa),
+        || {
+            gemm_i8_general(
+                m,
+                n,
+                k,
+                k0,
+                k1,
+                a,
+                Rhs::Rows { b, n },
+                None,
+                Epilogue::Add,
+                c,
+                isa,
+            )
+        },
     );
 }
 
@@ -1683,6 +1879,7 @@ pub fn gemm_i8_prepacked(
                 a,
                 Rhs::Rows { b, n },
                 Some(packed.panels.as_panels()),
+                Epilogue::Add,
                 c,
                 isa,
             )
@@ -1719,7 +1916,21 @@ pub fn gemm_i8_band_wt(
         packed,
         isa,
         || lhs_zero_pm(a, k, m, k0, k1),
-        || gemm_i8_general(m, n, k, k0, k1, a, Rhs::WeightT { w, k }, None, c, isa),
+        || {
+            gemm_i8_general(
+                m,
+                n,
+                k,
+                k0,
+                k1,
+                a,
+                Rhs::WeightT { w, k },
+                None,
+                Epilogue::Add,
+                c,
+                isa,
+            )
+        },
     );
 }
 
@@ -1770,6 +1981,7 @@ pub fn gemm_i8_band_wt_prepacked(
                 a,
                 Rhs::WeightT { w, k },
                 Some(packed.panels.as_panels()),
+                Epilogue::Add,
                 c,
                 isa,
             )
@@ -1805,6 +2017,460 @@ pub fn gemm_i8_band_colbatch(
     c: &mut [i32],
 ) {
     gemm_i8_band(m, nb * n, k, k0, k1, a, b, c)
+}
+
+// ─── Low-band operands and the fused low-band entry point ───────────────
+
+/// Quad-interleaved lhs tiles of the dense low-range tile with their
+/// per-row offset corrections (see [`crate::simd`]): `tiles[((it*kq +
+/// q)*MR + r)*4 + t]` is row `it*MR + r`, reduction step `4q + t` (zero
+/// past the operand's edges) and `corr[i] = -8·Σ_p a[i][p]`.
+#[derive(Debug, Clone)]
+struct DenseLhs {
+    tiles: Vec<i8>,
+    corr: Vec<i32>,
+}
+
+impl DenseLhs {
+    /// Packs a row-major `[m, kb]` block.
+    fn pack(m: usize, kb: usize, rows: &[i8]) -> Self {
+        let kq = kb.div_ceil(4);
+        let ntiles = m.div_ceil(MR);
+        let mut tiles = vec![0i8; ntiles * kq * MR * 4];
+        let mut corr = vec![0i32; ntiles * MR];
+        for (i, arow) in rows.chunks_exact(kb.max(1)).take(m).enumerate() {
+            let (it, r) = (i / MR, i % MR);
+            for (p, &v) in arow.iter().enumerate() {
+                tiles[((it * kq + p / 4) * MR + r) * 4 + p % 4] = v;
+            }
+            corr[i] = -8 * arow.iter().map(|&v| v as i32).sum::<i32>();
+        }
+        DenseLhs { tiles, corr }
+    }
+}
+
+/// A bit-lowered weight band in **convolution orientation** (weights
+/// are the GEMM lhs): the lowered `[m, kb]` block, one extraction shift
+/// per output row, and — when built under an ISA with a dense
+/// low-range tile and lowered to four bits or fewer — the block's
+/// prepacked dense lhs tiles. The owned operand of
+/// [`LowBands::WeightLhs`]; the quantized engines cache one per
+/// (layer, conv group, feature group).
+#[derive(Debug, Clone)]
+pub struct LowBandLhs {
+    m: usize,
+    kb: usize,
+    rows: Vec<i8>,
+    shifts: Vec<u8>,
+    low_range: bool,
+    dense: Option<DenseLhs>,
+}
+
+impl LowBandLhs {
+    /// Wraps a lowered row-major `[m, kb]` weight block and its `m`
+    /// per-row extraction shifts, prepacking for the active ISA.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice does not match its extent.
+    pub fn new(m: usize, kb: usize, rows: Vec<i8>, shifts: Vec<u8>) -> Self {
+        assert_eq!(rows.len(), m * kb, "lowered block must be [m, kb]");
+        assert_eq!(shifts.len(), m, "one shift per output row");
+        // True of anything lowered to four bits or fewer.
+        let low_range = rows.iter().all(|v| (-8..=7).contains(v));
+        let dense =
+            (low_range && simd::active() == Isa::Avx2).then(|| DenseLhs::pack(m, kb, &rows));
+        LowBandLhs {
+            m,
+            kb,
+            rows,
+            shifts,
+            low_range,
+            dense,
+        }
+    }
+
+    /// Bytes held (lowered block, shifts, dense tiles and corrections).
+    pub fn bytes(&self) -> usize {
+        self.rows.len()
+            + self.shifts.len()
+            + self.dense.as_ref().map_or(0, |d| {
+                d.tiles.len() + d.corr.len() * std::mem::size_of::<i32>()
+            })
+    }
+}
+
+/// A bit-lowered weight band in **linear orientation** (weights are the
+/// GEMM rhs): the lowered `[kb, n]` block, one extraction shift per
+/// output column, and the block's prepacked rhs panels. The owned
+/// operand of [`LowBands::WeightRhs`].
+#[derive(Debug, Clone)]
+pub struct LowBandRhs {
+    kb: usize,
+    n: usize,
+    rows: Vec<i8>,
+    shifts: Vec<u8>,
+    panel: PackedRhsI8,
+}
+
+impl LowBandRhs {
+    /// Wraps a lowered row-major `[kb, n]` weight block and its `n`
+    /// per-column extraction shifts, prepacking for the active ISA.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice does not match its extent.
+    pub fn new(n: usize, kb: usize, rows: Vec<i8>, shifts: Vec<u8>) -> Self {
+        assert_eq!(rows.len(), kb * n, "lowered block must be [kb, n]");
+        assert_eq!(shifts.len(), n, "one shift per output column");
+        let panel = prepack_i8(n, kb, &rows);
+        LowBandRhs {
+            kb,
+            n,
+            rows,
+            shifts,
+            panel,
+        }
+    }
+
+    /// Bytes held (lowered block, shifts and panels).
+    pub fn bytes(&self) -> usize {
+        self.rows.len() + self.shifts.len() + self.panel.bytes()
+    }
+}
+
+/// The operands of one fused low-band call ([`gemm_i8_low_bands`]):
+/// bit-lowered bands whose partial sums are shifted into the 8-bit
+/// accumulator scale **at write-back**, with no intermediate buffer.
+#[derive(Clone, Copy)]
+pub enum LowBands<'a> {
+    /// Convolution orientation — a run of consecutive lowered weight
+    /// bands as the lhs. With `sh(s, i) = a_shifts[s] + bands[s].shift[i]`:
+    /// `c[i, j] += Σ_s (bands[s] · b_s)[i, j] << sh(s, i)`, where `b` is
+    /// row-major `[Σ kb, n]` and `b_s` its rows belonging to band `s`
+    /// (bands are consecutive in the reduction dimension, e.g. rows of
+    /// one im2col matrix).
+    WeightLhs {
+        /// Output columns.
+        n: usize,
+        /// The run's lowered weight bands, all `m` rows tall.
+        bands: &'a [LowBandLhs],
+        /// Activation extraction shift of each band.
+        a_shifts: &'a [u8],
+        /// The lowered activations, `[Σ kb, n]` row-major.
+        b: &'a [i8],
+    },
+    /// Linear orientation — one lowered weight band as the rhs:
+    /// `c[m, n] += (a · w) << (a_shift + w.shift[j])`, reading the
+    /// lowered activation band in place: row `i` is `a[i*lda..i*lda +
+    /// kb]`.
+    WeightRhs {
+        /// Output rows.
+        m: usize,
+        /// The lowered activation band, strided.
+        a: &'a [i8],
+        /// Row stride of `a`.
+        lda: usize,
+        /// Activation extraction shift of the band.
+        a_shift: u8,
+        /// The lowered weight band.
+        w: &'a LowBandRhs,
+    },
+}
+
+/// Fused low-band GEMM: bit-lowered operands in, **shifted
+/// accumulation applied at write-back** — the paper's low-precision
+/// band in one call, accumulating straight into `c`.
+///
+/// A convolution run ([`LowBands::WeightLhs`]) whose operands all lie
+/// in `[-8, 7]` runs the dense low-range tile where the ISA has one
+/// (AVX2 — see [`crate::simd`]): the rhs is packed once for the whole
+/// run, and each output tile is visited once however many bands the run
+/// has. Everything else — other ISAs, sub-threshold shapes, wider
+/// operands, the linear orientation — runs the ordinary i8 kernels with
+/// the same fused write-back. Every path is exact in `i32`, so results
+/// are bit-identical to per-band GEMMs into a scratch buffer followed
+/// by `c += scratch << shift`.
+///
+/// # Panics
+///
+/// Panics if a buffer is smaller than its extent, if band heights or
+/// shift counts disagree, if a total shift exceeds
+/// [`MAX_EPILOGUE_SHIFT`], or if the dense path meets an activation
+/// outside `[-8, 7]` under bands that promised that range.
+pub fn gemm_i8_low_bands(call: LowBands<'_>, c: &mut [i32]) {
+    let isa = simd::active();
+    match call {
+        LowBands::WeightRhs {
+            m,
+            a,
+            lda,
+            a_shift,
+            w,
+        } => {
+            let (n, kb) = (w.n, w.kb);
+            assert!(lda >= kb, "lhs stride below band width");
+            assert!(
+                m == 0 || a.len() >= (m - 1) * lda + kb,
+                "lhs buffer too small"
+            );
+            assert!(c.len() >= m * n, "out buffer too small");
+            let epi = Epilogue::ShlCols {
+                act: a_shift,
+                weight: &w.shifts,
+            };
+            epi.validate(m, n);
+            let pre = (prepack_enabled() && w.panel.isa == isa).then(|| w.panel.panels.as_panels());
+            let bytes = match pre {
+                Some(_) => packed_bytes_prepacked(m, n, kb, NR_I8, 0, 1),
+                None => packed_bytes_est(m, n, kb, NR_I8, 0, 1),
+            };
+            let rhs = Rhs::Rows { b: &w.rows, n };
+            gemm_traced(
+                "gemm_i8_low_bands",
+                m,
+                n,
+                kb,
+                bytes,
+                isa,
+                || lhs_zero_pm(a, lda, m, 0, kb),
+                || gemm_i8_general(m, n, lda, 0, kb, a, rhs, pre, epi, c, isa),
+            );
+        }
+        LowBands::WeightLhs {
+            n,
+            bands,
+            a_shifts,
+            b,
+        } => {
+            let Some(first) = bands.first() else { return };
+            let m = first.m;
+            let kb: usize = bands.iter().map(|s| s.kb).sum();
+            assert!(bands.iter().all(|s| s.m == m), "bands differ in height");
+            assert_eq!(a_shifts.len(), bands.len(), "one activation shift per band");
+            assert!(b.len() >= kb * n, "rhs buffer too small");
+            assert!(c.len() >= m * n, "out buffer too small");
+            for (band, &act) in bands.iter().zip(a_shifts) {
+                let weight = &band.shifts[..];
+                Epilogue::ShlRows { act, weight }.validate(m, n);
+            }
+            let blocked = worth_blocking(m, n, kb, NR_I8, 0);
+            let dense = blocked && isa == Isa::Avx2 && bands.iter().all(|s| s.low_range);
+            let bytes = if !blocked {
+                0
+            } else if dense {
+                rhs_panel_bytes(n, kb, NR_I8, 1)
+            } else {
+                packed_bytes_est(m, n, kb, NR_I8, 0, 1)
+            };
+            gemm_traced(
+                "gemm_i8_low_bands",
+                m,
+                n,
+                kb,
+                bytes,
+                isa,
+                || 0,
+                || {
+                    #[cfg(target_arch = "x86_64")]
+                    if dense {
+                        return low_run_dense(m, n, bands, a_shifts, b, c);
+                    }
+                    let mut row0 = 0;
+                    for (band, &act) in bands.iter().zip(a_shifts) {
+                        let epi = Epilogue::ShlRows {
+                            act,
+                            weight: &band.shifts,
+                        };
+                        let rhs = Rhs::Rows {
+                            b: &b[row0 * n..],
+                            n,
+                        };
+                        gemm_i8_general(
+                            m, n, band.kb, 0, band.kb, &band.rows, rhs, None, epi, c, isa,
+                        );
+                        row0 += band.kb;
+                    }
+                },
+            );
+        }
+    }
+}
+
+/// Packs rhs columns `cols` of a run's rows into dense quad panels:
+/// `buf[((jp*kq + q0_s + q)*NR_I8 + lane)*4 + t]` holds column `cols.start
+/// + jp*NR_I8 + lane` of band `s`'s reduction step `4q + t`, **offset by
+/// +8**, where `kq = Σ_s ⌈kb_s/4⌉` and `q0_s` is band `s`'s first quad —
+/// every band starts on a quad boundary, so each can be fed to the tile
+/// on its own. Steps past a band's end and lanes past the matrix edge
+/// stay zero (the lhs tiles are zero there, so the value is moot).
+/// Returns whether every packed value lay in `[-8, 7]`.
+#[cfg(target_arch = "x86_64")]
+fn pack_b_i8_quads(
+    b: &[i8],
+    n: usize,
+    cols: Range<usize>,
+    bands: &[LowBandLhs],
+    buf: &mut Vec<i8>,
+) -> bool {
+    let kq: usize = bands.iter().map(|s| s.kb.div_ceil(4)).sum();
+    let npan = cols.len().div_ceil(NR_I8);
+    buf.clear();
+    buf.resize(npan * kq * NR_I8 * 4, 0);
+    let mut seen = 0u8;
+    for jp in 0..npan {
+        let j0 = cols.start + jp * NR_I8;
+        let lanes = (cols.end - j0).min(NR_I8);
+        let (mut row0, mut q0) = (0, jp * kq);
+        for band in bands {
+            let full = if lanes == NR_I8 { band.kb / 4 } else { 0 };
+            let dst = &mut buf[q0 * NR_I8 * 4..(q0 + band.kb.div_ceil(4)) * NR_I8 * 4];
+            // SAFETY: this packer is only reached from the dense driver,
+            // which dispatches on runtime-detected AVX2.
+            seen |= unsafe { simd::x86::quads_pack_avx2(&b[row0 * n + j0..], n, full, dst) };
+            for p in 4 * full..band.kb {
+                let src = &b[(row0 + p) * n + j0..(row0 + p) * n + j0 + lanes];
+                for (lane, &v) in src.iter().enumerate() {
+                    let u = (v as u8).wrapping_add(8);
+                    seen |= u;
+                    dst[(p / 4 * NR_I8 + lane) * 4 + p % 4] = u as i8;
+                }
+            }
+            row0 += band.kb;
+            q0 += band.kb.div_ceil(4);
+        }
+    }
+    seen <= 15
+}
+
+/// Dense low-range pass over lhs tiles `tiles` of every band against
+/// quad panels `bq` covering the view's columns: each output tile sums
+/// all bands' shifted contributions in registers and touches `c` once.
+/// `local` holds per-call lhs tiles, one per band, or is empty when the
+/// bands' own prepacked tiles serve.
+#[cfg(target_arch = "x86_64")]
+fn dense_block(
+    m: usize,
+    tiles: Range<usize>,
+    bands: &[LowBandLhs],
+    a_shifts: &[u8],
+    local: &[DenseLhs],
+    bq: &[i8],
+    c: &mut ColBandMut<'_, i32>,
+) {
+    let kq: usize = bands.iter().map(|s| s.kb.div_ceil(4)).sum();
+    let ncols = c.width();
+    for jp in 0..ncols.div_ceil(NR_I8) {
+        let col0 = jp * NR_I8;
+        let nrw = (ncols - col0).min(NR_I8);
+        for it in tiles.clone() {
+            let mr = (m - it * MR).min(MR);
+            let mut total = [[0i32; NR_I8]; MR];
+            let mut q0 = jp * kq;
+            for (s, (band, &act)) in bands.iter().zip(a_shifts).enumerate() {
+                let dense = match local.get(s) {
+                    Some(d) => d,
+                    None => band.dense.as_ref().expect("prepacked or packed per call"),
+                };
+                let kqs = band.kb.div_ceil(4);
+                let mut corr = [0i32; MR];
+                let mut shl = [0u32; MR];
+                corr.copy_from_slice(&dense.corr[it * MR..(it + 1) * MR]);
+                for r in 0..mr {
+                    shl[r] = (act + band.shifts[it * MR + r]) as u32;
+                }
+                let ap = &dense.tiles[it * kqs * MR * 4..(it + 1) * kqs * MR * 4];
+                let bp = &bq[q0 * NR_I8 * 4..(q0 + kqs) * NR_I8 * 4];
+                // SAFETY: the dense driver dispatches on runtime-detected
+                // AVX2.
+                unsafe { simd::x86::i8_tile_dense_avx2(kqs, ap, bp, &corr, &shl, &mut total) };
+                q0 += kqs;
+            }
+            let r0 = (it - tiles.start) * MR;
+            for r in 0..mr {
+                let crow = &mut c.row(r0 + r)[col0..col0 + nrw];
+                for (cj, &v) in crow.iter_mut().zip(&total[r][..nrw]) {
+                    *cj += v;
+                }
+            }
+        }
+    }
+}
+
+/// Dense driver of [`LowBands::WeightLhs`] (AVX2, all operands in
+/// `[-8, 7]`, blocked shape). Lhs tiles come prepacked from the bands
+/// or are packed here when a band was built under another ISA or
+/// prepacked consumption is disabled; the rhs quad panels are packed
+/// once per call (per column band under a column plan). Parallel plans
+/// split whole lhs tiles or output columns — either way each output
+/// element's integer sum is untouched.
+#[cfg(target_arch = "x86_64")]
+fn low_run_dense(
+    m: usize,
+    n: usize,
+    bands: &[LowBandLhs],
+    a_shifts: &[u8],
+    b: &[i8],
+    c: &mut [i32],
+) {
+    simd::note_dispatch(Isa::Avx2);
+    let kb: usize = bands.iter().map(|s| s.kb).sum();
+    let ntiles = m.div_ceil(MR);
+    // Per-call lhs tiles for bands without usable prepacked ones.
+    let prepacked = prepack_enabled() && bands.iter().all(|s| s.dense.is_some());
+    let local: Vec<DenseLhs> = if prepacked {
+        Vec::new()
+    } else {
+        bands
+            .iter()
+            .map(|s| DenseLhs::pack(s.m, s.kb, &s.rows))
+            .collect()
+    };
+    let pack = |cols: Range<usize>| {
+        let mut bq = scratch::take_i8();
+        assert!(
+            pack_b_i8_quads(b, n, cols, bands, &mut bq),
+            "low-band activation outside [-8, 7]"
+        );
+        bq
+    };
+    match plan_bands(m, n, kb) {
+        Plan::Serial => {
+            let bq = pack(0..n);
+            let mut view = ColBandMut::new(&mut c[..m * n], m, n, 0..n);
+            dense_block(m, 0..ntiles, bands, a_shifts, &local, &bq, &mut view);
+            scratch::put_i8(bq);
+        }
+        Plan::Rows(pool, mut row_bands) => {
+            // Re-band over whole lhs tiles: the prepacked tiles are
+            // MR-aligned.
+            chunk_ranges_into(ntiles, pool.threads() * 4, &mut row_bands);
+            let mut elems = take_ranges();
+            elems.extend(
+                row_bands
+                    .iter()
+                    .map(|t| t.start * MR * n..(t.end * MR).min(m) * n),
+            );
+            let bq = pack(0..n);
+            pool.run_disjoint_mut(&mut c[..m * n], &elems, |bi, chunk| {
+                let tiles = row_bands[bi].clone();
+                let rows = (tiles.end * MR).min(m) - tiles.start * MR;
+                let mut view = ColBandMut::new(chunk, rows, n, 0..n);
+                dense_block(m, tiles, bands, a_shifts, &local, &bq, &mut view);
+            });
+            scratch::put_i8(bq);
+            put_ranges(elems);
+            put_ranges(row_bands);
+        }
+        Plan::Cols(pool, col_bands) => {
+            pool.run_col_bands_mut(&mut c[..m * n], m, n, &col_bands, |bi, view| {
+                let bq = pack(col_bands[bi].clone());
+                dense_block(m, 0..ntiles, bands, a_shifts, &local, &bq, view);
+                scratch::put_i8(bq);
+            });
+            put_ranges(col_bands);
+        }
+    }
 }
 
 /// Dot product of two `i8` slices with `i32` accumulation. Routes
@@ -2426,5 +3092,186 @@ mod tests {
         let packed = prepack_i8_wt_band(8, 8, 0, 4, &wi);
         let mut c = vec![0i32; 4 * 8];
         gemm_i8_band_wt_prepacked(4, 8, 8, 2, 6, &ai, &wi, &packed, &mut c);
+    }
+
+    // ── fused low-band entry point ──
+
+    fn rand_low(len: usize, lo: i16, hi: i16, rng: &mut impl Rng) -> Vec<i8> {
+        (0..len).map(|_| rng.gen_range(lo..=hi) as i8).collect()
+    }
+
+    /// `c += Σ_s (w_s · b_s) << (a_shifts[s] + shifts_s[i])`, one term at
+    /// a time — the semantics [`LowBands::WeightLhs`] must reproduce.
+    fn low_run_oracle(
+        m: usize,
+        n: usize,
+        blocks: &[(usize, Vec<i8>, Vec<u8>)],
+        a_shifts: &[u8],
+        b: &[i8],
+        c: &mut [i32],
+    ) {
+        let mut row0 = 0;
+        for ((kb, w, shifts), &act) in blocks.iter().zip(a_shifts) {
+            for i in 0..m {
+                for j in 0..n {
+                    let mut sum = 0i32;
+                    for p in 0..*kb {
+                        sum += w[i * kb + p] as i32 * b[(row0 + p) * n + j] as i32;
+                    }
+                    c[i * n + j] += sum << (act + shifts[i]);
+                }
+            }
+            row0 += kb;
+        }
+    }
+
+    fn check_low_run(m: usize, n: usize, kbs: &[usize], lo: i16, hi: i16, seed: u64) {
+        let mut rng = seeded(seed);
+        let blocks: Vec<(usize, Vec<i8>, Vec<u8>)> = kbs
+            .iter()
+            .map(|&kb| {
+                let w = rand_low(m * kb, lo, hi, &mut rng);
+                let shifts = (0..m).map(|_| rng.gen_range(0u8..=4)).collect();
+                (kb, w, shifts)
+            })
+            .collect();
+        let a_shifts: Vec<u8> = kbs.iter().map(|_| rng.gen_range(0u8..=4)).collect();
+        let k: usize = kbs.iter().sum();
+        let b = rand_low(k * n, lo, hi, &mut rng);
+        let start: Vec<i32> = (0..m * n).map(|_| rng.gen_range(-999..999)).collect();
+        let bands: Vec<LowBandLhs> = blocks
+            .iter()
+            .map(|(kb, w, s)| LowBandLhs::new(m, *kb, w.clone(), s.clone()))
+            .collect();
+        let mut want = start.clone();
+        low_run_oracle(m, n, &blocks, &a_shifts, &b, &mut want);
+        let mut got = start;
+        let call = LowBands::WeightLhs {
+            n,
+            bands: &bands,
+            a_shifts: &a_shifts,
+            b: &b,
+        };
+        gemm_i8_low_bands(call, &mut got);
+        assert_eq!(want, got, "m={m} n={n} kbs={kbs:?} range=[{lo},{hi}]");
+    }
+
+    #[test]
+    fn low_run_matches_the_per_band_oracle() {
+        // Blocked and sub-threshold shapes, partial lane panels, partial
+        // row tiles, odd band widths, runs of one and of many bands —
+        // under whichever tile the ISA picks for nibble-range operands.
+        let shapes: &[(usize, usize, &[usize])] = &[
+            (16, 2048, &[36, 36, 36, 36]),
+            (24, 512, &[36, 27, 9]),
+            (33, 100, &[5, 3, 7, 1, 4]),
+            (4, 32, &[64]),
+            (7, 75, &[13]),
+            (1, 300, &[9]),
+            (2, 31, &[8, 8]),
+            (64, 130, &[144, 145]),
+        ];
+        for (i, &(m, n, kbs)) in shapes.iter().enumerate() {
+            check_low_run(m, n, kbs, -8, 7, 400 + i as u64);
+            check_low_run(m, n, kbs, -2, 1, 500 + i as u64);
+            // Full i8 operands take the ordinary tiles, same write-back.
+            check_low_run(m, n, kbs, -128, 127, 600 + i as u64);
+        }
+    }
+
+    #[test]
+    fn low_run_is_exact_at_the_range_and_accumulation_limits() {
+        // Constant operands at each corner of [-8, 7]² drive every i16
+        // lane to its extreme; reduction extents straddle the proven
+        // i16 accumulation limit (136 steps of four) and its odd tails.
+        let limit = 4 * simd::DENSE_I16_STEPS;
+        for kb in [limit - 1, limit, limit + 1, limit + 4, 2 * limit + 3] {
+            for (wv, bv) in [(-8i8, 7i8), (-8, -8), (7, 7), (7, -8)] {
+                let (m, n) = (5usize, 70usize);
+                let band = LowBandLhs::new(m, kb, vec![wv; m * kb], vec![1; m]);
+                let b = vec![bv; kb * n];
+                let mut c = vec![3i32; m * n];
+                let call = LowBands::WeightLhs {
+                    n,
+                    bands: std::slice::from_ref(&band),
+                    a_shifts: &[2],
+                    b: &b,
+                };
+                gemm_i8_low_bands(call, &mut c);
+                let want = 3 + ((kb as i32 * wv as i32 * bv as i32) << 3);
+                assert!(c.iter().all(|&v| v == want), "kb={kb} w={wv} b={bv}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [-8, 7]")]
+    fn low_run_rejects_wide_activations_under_low_range_bands() {
+        if simd::active() != Isa::Avx2 {
+            panic!("outside [-8, 7] (dense tile not dispatched on this ISA)");
+        }
+        let (m, n, kb) = (8usize, 64usize, 32usize);
+        let band = LowBandLhs::new(m, kb, vec![1; m * kb], vec![0; m]);
+        let mut b = vec![0i8; kb * n];
+        b[5 * n + 40] = 8;
+        let call = LowBands::WeightLhs {
+            n,
+            bands: std::slice::from_ref(&band),
+            a_shifts: &[0],
+            b: &b,
+        };
+        gemm_i8_low_bands(call, &mut vec![0i32; m * n]);
+    }
+
+    #[test]
+    fn low_band_rhs_reads_a_strided_lhs_and_shifts_per_column() {
+        let mut rng = seeded(78);
+        for &(m, n, kb, lda, off) in &[
+            (8usize, 96usize, 32usize, 128usize, 32usize),
+            (1, 10, 4, 12, 8),
+            (40, 64, 16, 64, 0),
+            (3, 33, 7, 7, 0),
+        ] {
+            let a = rand_low(m * lda, -8, 7, &mut rng);
+            let w = rand_low(kb * n, -8, 7, &mut rng);
+            let shifts: Vec<u8> = (0..n).map(|_| rng.gen_range(0u8..=4)).collect();
+            let band = LowBandRhs::new(n, kb, w.clone(), shifts.clone());
+            let start: Vec<i32> = (0..m * n).map(|_| rng.gen_range(-99..99)).collect();
+            let mut want = start.clone();
+            for i in 0..m {
+                for j in 0..n {
+                    let mut sum = 0i32;
+                    for p in 0..kb {
+                        sum += a[i * lda + off + p] as i32 * w[p * n + j] as i32;
+                    }
+                    want[i * n + j] += sum << (3 + shifts[j]);
+                }
+            }
+            let mut got = start;
+            let call = LowBands::WeightRhs {
+                m,
+                a: &a[off..],
+                lda,
+                a_shift: 3,
+                w: &band,
+            };
+            gemm_i8_low_bands(call, &mut got);
+            assert_eq!(want, got, "({m},{n},{kb}) lda={lda}");
+        }
+    }
+
+    #[test]
+    fn low_run_is_bit_exact_across_thread_counts() {
+        for threads in [2usize, 4] {
+            let pool = flexiq_parallel::ThreadPool::new(threads);
+            flexiq_parallel::with_pool(&pool, || {
+                // Tall (row plan), wide-but-short (column plan) and a
+                // ragged last tile.
+                check_low_run(64, 512, &[36, 36], -8, 7, 900);
+                check_low_run(3, 4096, &[36, 9], -8, 7, 901);
+                check_low_run(19, 1024, &[40], -8, 7, 902);
+                check_low_run(64, 512, &[36, 36], -100, 100, 903);
+            });
+        }
     }
 }

@@ -34,6 +34,38 @@
 //!   exact (`|a·b| ≤ 16384`, pair sums ≤ 32768), so any lane order
 //!   yields identical results by construction.
 //!
+//! # The dense low-range tile
+//!
+//! A bit-lowered 4-bit band's operands lie in `[-8, 7]` (`[-2, 1]` at
+//! two bits) — a range the pair tile above ignores: it widens every
+//! operand to i16 and spends one `pmaddwd` per two reduction steps. The
+//! dense tile (`x86::i8_tile_dense_avx2`) keeps such operands one
+//! byte wide and issues one `vpmaddubsw` per **four** reduction steps of
+//! eight columns (32 multiply-adds per instruction, half the panel
+//! bytes). It is exact, by three arguments that the tests pin at their
+//! boundaries:
+//!
+//! * **Offset.** `vpmaddubsw` multiplies *unsigned* by signed bytes, so
+//!   the rhs panel stores `b + 8 ∈ [0, 15]` and the lhs stays signed.
+//!   `Σ_p a_p·(b_p + 8) = Σ_p a_p·b_p + 8·Σ_p a_p`: the surplus depends
+//!   on the lhs row alone, and the lhs pack records the correction
+//!   `-8·Σ_p a_p` per row, added back once per band. Padding is exact
+//!   too — a padded reduction step has `a_p = 0`, so whatever the panel
+//!   holds there contributes nothing to either sum.
+//! * **Range.** One instruction lane holds `a₀·u₀ + a₁·u₁` with
+//!   `a ∈ [-8, 7]`, `u ∈ [0, 15]`, so it lies in `[-240, 210]` — far
+//!   from `vpmaddubsw`'s i16 saturation.
+//! * **Accumulation limit.** Lanes are summed in i16 for at most
+//!   [`DENSE_I16_STEPS`]` = 136` instructions (`136 · 240 = 32640 ≤
+//!   32767`), then widened to i32 by one `pmaddwd` against ones; longer
+//!   bands repeat the cycle. No intermediate can wrap.
+//!
+//! Both packers (`x86::quads_pack_avx2` for the rhs, the lhs packer
+//! in [`crate::gemm`]) verify the `[-8, 7]` precondition on every byte
+//! they touch and the driver panics on a violation rather than return a
+//! saturated sum. Scalar and NEON builds run the ordinary i8 tiles on
+//! the same lowered operands — exact as ever, just not cheaper.
+//!
 //! The AVX2 i8 tile consumes a dedicated *pair* panel layout
 //! (`gemm::pack_b_i8_pairs`) holding two adjacent reduction steps as an
 //! i16 pair per lane, feeding `pmaddwd` (`_mm256_madd_epi16`) directly.
@@ -128,6 +160,13 @@ pub fn active() -> Isa {
         detect()
     }
 }
+
+/// `vpmaddubsw` steps the dense low-range tile may sum in i16 lanes
+/// before widening: one step adds a pair sum of magnitude at most
+/// `2·8·15 = 240` per lane (see the module docs).
+pub const DENSE_I16_STEPS: usize = 136;
+const _: () = assert!(DENSE_I16_STEPS * 240 <= i16::MAX as usize);
+const _: () = assert!((DENSE_I16_STEPS + 1) * 240 > i16::MAX as usize);
 
 thread_local! {
     /// ISA of the most recent GEMM dispatch **on this thread** — set by
@@ -261,6 +300,134 @@ pub(crate) mod x86 {
                 _mm256_storeu_si256(acc[r].as_mut_ptr().add(off + 8).cast(), regs[1]);
             }
         }
+    }
+
+    /// Full `MR × NR_I8` **dense low-range** tile (see the module docs
+    /// for the exactness argument). `ap` is a quad-interleaved lhs tile
+    /// (`ap[(q*MR + r)*4 + t]` = row `r`, reduction step `4q + t`,
+    /// values in `[-8, 7]`, zero past the band); `bp` a quad panel
+    /// (`bp[(q*NR_I8 + lane)*4 + t]` = column `lane`, step `4q + t`,
+    /// stored **offset by +8** as `u8 ∈ [0, 15]`). Per row it computes
+    /// the band sum, adds the row's offset correction `corr[r]`, shifts
+    /// left by `shl[r]` and adds the result into `out[r]` — the fused
+    /// shifted accumulation of one band, so a run of bands can share
+    /// one output tile.
+    ///
+    /// # Safety
+    /// AVX2 must be supported by the executing CPU.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn i8_tile_dense_avx2(
+        kq: usize,
+        ap: &[i8],
+        bp: &[i8],
+        corr: &[i32; MR],
+        shl: &[u32; MR],
+        out: &mut [[i32; NR_I8]; MR],
+    ) {
+        assert!(ap.len() >= kq * MR * 4 && bp.len() >= kq * NR_I8 * 4);
+        let ones = _mm256_set1_epi16(1);
+        let a = ap.as_ptr();
+        let b = bp.as_ptr();
+        // 32 lanes as two halves of 16 columns: 4 rows × 2 registers of
+        // i16 lanes (8 columns × 2 pair sums each) + 2 panel registers
+        // + 1 broadcast.
+        for half in 0..2 {
+            let off = half * (NR_I8 / 2);
+            let mut wide = [[_mm256_setzero_si256(); 2]; MR];
+            for (r, regs) in wide.iter_mut().enumerate() {
+                *regs = [_mm256_set1_epi32(corr[r]); 2];
+            }
+            let mut q0 = 0;
+            while q0 < kq {
+                let q1 = (q0 + super::DENSE_I16_STEPS).min(kq);
+                let mut acc = [[_mm256_setzero_si256(); 2]; MR];
+                for q in q0..q1 {
+                    let bb = b.add((q * NR_I8 + off) * 4);
+                    let b0 = _mm256_loadu_si256(bb.cast());
+                    let b1 = _mm256_loadu_si256(bb.add(32).cast());
+                    let ar = a.add(q * MR * 4);
+                    for (r, regs) in acc.iter_mut().enumerate() {
+                        // Four lhs steps of row r as one 32-bit broadcast.
+                        let av = _mm256_set1_epi32(ar.add(r * 4).cast::<i32>().read_unaligned());
+                        regs[0] = _mm256_add_epi16(regs[0], _mm256_maddubs_epi16(b0, av));
+                        regs[1] = _mm256_add_epi16(regs[1], _mm256_maddubs_epi16(b1, av));
+                    }
+                }
+                // Widen: adjacent i16 lanes are the two pair sums of one
+                // column.
+                for (w, regs) in wide.iter_mut().zip(&acc) {
+                    w[0] = _mm256_add_epi32(w[0], _mm256_madd_epi16(regs[0], ones));
+                    w[1] = _mm256_add_epi32(w[1], _mm256_madd_epi16(regs[1], ones));
+                }
+                q0 = q1;
+            }
+            for (r, regs) in wide.iter().enumerate() {
+                let count = _mm_cvtsi32_si128(shl[r] as i32);
+                let o = out[r].as_mut_ptr().add(off);
+                for (g, &reg) in regs.iter().enumerate() {
+                    let dst = o.add(8 * g).cast::<__m256i>();
+                    let sum =
+                        _mm256_add_epi32(_mm256_loadu_si256(dst), _mm256_sll_epi32(reg, count));
+                    _mm256_storeu_si256(dst, sum);
+                }
+            }
+        }
+    }
+
+    /// Packs `nq` full quads (4 rhs rows × 32 columns each) of a
+    /// row-major i8 matrix into dense quad-panel blocks: `dst[(q*32 +
+    /// lane)*4 + t] = src[(4q + t)*n + lane] + 8`. `src` starts at the
+    /// panel's first column of the band's first row; rows are `n`
+    /// apart. Returns the OR of every stored byte, so the caller can
+    /// verify all inputs lay in `[-8, 7]` (stored bytes `≤ 15`).
+    ///
+    /// The byte interleave is two rounds of in-lane unpacks (8- then
+    /// 16-bit) and a cross-lane permute that restores column order.
+    ///
+    /// # Safety
+    /// AVX2 must be supported by the executing CPU.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn quads_pack_avx2(src: &[i8], n: usize, nq: usize, dst: &mut [i8]) -> u8 {
+        if nq == 0 {
+            return 0;
+        }
+        assert!(src.len() >= (4 * nq - 1) * n + NR_I8 && dst.len() >= nq * NR_I8 * 4);
+        let eight = _mm256_set1_epi8(8);
+        let mut seen = _mm256_setzero_si256();
+        let s = src.as_ptr();
+        let d = dst.as_mut_ptr();
+        for q in 0..nq {
+            let row = s.add(4 * q * n);
+            let r0 = _mm256_loadu_si256(row.cast());
+            let r1 = _mm256_loadu_si256(row.add(n).cast());
+            let r2 = _mm256_loadu_si256(row.add(2 * n).cast());
+            let r3 = _mm256_loadu_si256(row.add(3 * n).cast());
+            let t0 = _mm256_unpacklo_epi8(r0, r1);
+            let t1 = _mm256_unpackhi_epi8(r0, r1);
+            let u0 = _mm256_unpacklo_epi8(r2, r3);
+            let u1 = _mm256_unpackhi_epi8(r2, r3);
+            // Per 128-bit lane: o0 = columns 0..4 | 16..20, o1 = 4..8 |
+            // 20..24, o2 = 8..12 | 24..28, o3 = 12..16 | 28..32.
+            let o0 = _mm256_unpacklo_epi16(t0, u0);
+            let o1 = _mm256_unpackhi_epi16(t0, u0);
+            let o2 = _mm256_unpacklo_epi16(t1, u1);
+            let o3 = _mm256_unpackhi_epi16(t1, u1);
+            let blocks = [
+                _mm256_permute2x128_si256::<0x20>(o0, o1),
+                _mm256_permute2x128_si256::<0x20>(o2, o3),
+                _mm256_permute2x128_si256::<0x31>(o0, o1),
+                _mm256_permute2x128_si256::<0x31>(o2, o3),
+            ];
+            let out = d.add(q * NR_I8 * 4);
+            for (g, &blk) in blocks.iter().enumerate() {
+                let v = _mm256_add_epi8(blk, eight);
+                seen = _mm256_or_si256(seen, v);
+                _mm256_storeu_si256(out.add(32 * g).cast(), v);
+            }
+        }
+        let mut bytes = [0u8; 32];
+        _mm256_storeu_si256(bytes.as_mut_ptr().cast(), seen);
+        bytes.iter().fold(0, |acc, &v| acc | v)
     }
 
     /// Full i8 dot product: 32-byte chunks widened to i16
@@ -552,6 +719,127 @@ mod tests {
                 }
                 unsafe { x86::i8_tile_avx2(kc, &ap, &bp, &mut got) };
                 assert_eq!(want, got, "kc={kc}");
+            }
+        }
+
+        /// Nibble-range pseudo-random values in `[lo, hi]`.
+        fn splat_range(seed: u64, len: usize, lo: i8, hi: i8) -> Vec<i8> {
+            let span = (hi as i16 - lo as i16 + 1) as u8;
+            splat_i8(seed, len)
+                .into_iter()
+                .map(|v| lo + (v as u8 % span) as i8)
+                .collect()
+        }
+
+        /// Runs the dense tile on row-major operands `a [MR, k]` and
+        /// `b [k, NR_I8]` packed by hand (lhs quads zero-padded, rhs
+        /// quads offset by +8) and checks `out = start + (a·b) << shl`.
+        fn check_dense_tile(k: usize, a: &[i8], b: &[i8], shl: [u32; MR]) {
+            let kq = k.div_ceil(4);
+            let mut ap = vec![0i8; kq * MR * 4];
+            let mut corr = [0i32; MR];
+            for r in 0..MR {
+                for p in 0..k {
+                    ap[((p / 4) * MR + r) * 4 + p % 4] = a[r * k + p];
+                    corr[r] -= 8 * a[r * k + p] as i32;
+                }
+            }
+            let mut bp = vec![0i8; kq * NR_I8 * 4];
+            for p in 0..k {
+                for lane in 0..NR_I8 {
+                    bp[((p / 4) * NR_I8 + lane) * 4 + p % 4] = b[p * NR_I8 + lane] + 8;
+                }
+            }
+            let mut want = [[0i32; NR_I8]; MR];
+            let mut got = [[0i32; NR_I8]; MR];
+            for r in 0..MR {
+                for lane in 0..NR_I8 {
+                    let start = (r * NR_I8 + lane) as i32 - 77;
+                    let dot: i32 = (0..k)
+                        .map(|p| a[r * k + p] as i32 * b[p * NR_I8 + lane] as i32)
+                        .sum();
+                    want[r][lane] = start + (dot << shl[r]);
+                    got[r][lane] = start;
+                }
+            }
+            unsafe { x86::i8_tile_dense_avx2(kq, &ap, &bp, &corr, &shl, &mut got) };
+            assert_eq!(want, got, "k={k}");
+        }
+
+        #[test]
+        fn dense_tile_matches_scalar_across_extents_and_tails() {
+            if detect() != Isa::Avx2 {
+                return;
+            }
+            // Odd tails (k % 4 != 0), one quad, and extents straddling
+            // the i16 accumulation limit of DENSE_I16_STEPS quads.
+            let limit = 4 * DENSE_I16_STEPS;
+            for k in [
+                1usize,
+                3,
+                4,
+                5,
+                36,
+                127,
+                limit - 3,
+                limit,
+                limit + 1,
+                2 * limit + 6,
+            ] {
+                let a = splat_range(0xA ^ k as u64, MR * k, -8, 7);
+                let b = splat_range(0xB ^ k as u64, k * NR_I8, -8, 7);
+                check_dense_tile(k, &a, &b, [0, 1, 4, 8]);
+                let a2 = splat_range(0xC ^ k as u64, MR * k, -2, 1);
+                check_dense_tile(k, &a2, &b, [3, 0, 2, 12]);
+            }
+        }
+
+        #[test]
+        fn dense_tile_is_exact_at_the_lane_extremes() {
+            if detect() != Isa::Avx2 {
+                return;
+            }
+            // Constant operands drive every i16 lane monotonically to its
+            // bound: lhs -8 against offset-side 15 (b = 7) is the -240
+            // pair sum the accumulation limit is derived from; +7 against
+            // 15 the positive extreme; offset-side 0 (b = -8) the case
+            // where only the correction carries the answer.
+            let limit = 4 * DENSE_I16_STEPS;
+            for k in [limit, limit + 4, 3 * limit] {
+                for (av, bv) in [(-8i8, 7i8), (7, 7), (-8, -8), (7, -8)] {
+                    check_dense_tile(k, &vec![av; MR * k], &vec![bv; k * NR_I8], [0, 0, 1, 2]);
+                }
+            }
+        }
+
+        #[test]
+        fn quads_pack_matches_the_scalar_layout_and_reports_range() {
+            if detect() != Isa::Avx2 {
+                return;
+            }
+            let (n, nq, j0) = (75usize, 5usize, 11usize);
+            let src = splat_range(0xD, 4 * nq * n, -8, 7);
+            let mut got = vec![0i8; nq * NR_I8 * 4];
+            let seen = unsafe { x86::quads_pack_avx2(&src[j0..], n, nq, &mut got) };
+            for q in 0..nq {
+                for lane in 0..NR_I8 {
+                    for t in 0..4 {
+                        let want = src[(4 * q + t) * n + j0 + lane] + 8;
+                        assert_eq!(
+                            got[(q * NR_I8 + lane) * 4 + t],
+                            want,
+                            "q={q} lane={lane} t={t}"
+                        );
+                    }
+                }
+            }
+            assert!(seen <= 15);
+            // One value just outside [-8, 7], on either side, is seen.
+            for bad in [8i8, -9, 127, -128] {
+                let mut wide = src.clone();
+                wide[7 * n + j0 + 19] = bad;
+                let seen = unsafe { x86::quads_pack_avx2(&wide[j0..], n, nq, &mut got) };
+                assert!(seen > 15, "{bad} went unnoticed");
             }
         }
 

@@ -155,7 +155,7 @@ fn infer_reaches_allocation_steady_state() {
     let (rt, inputs) = int_runtime();
     let pool = ThreadPool::new(1);
     flexiq::parallel::with_pool(&pool, || {
-        for level in [LEVEL_INT8, rt.num_levels() - 1] {
+        for (nth, level) in [LEVEL_INT8, rt.num_levels() - 1].into_iter().enumerate() {
             rt.set_level(level).unwrap();
             // First pass grows the workspace; second settles scratch pools.
             let (first, _) = count_allocs(|| rt.infer(&inputs[0]).unwrap());
@@ -164,10 +164,13 @@ fn infer_reaches_allocation_steady_state() {
             let (a4, _) = count_allocs(|| rt.infer(&inputs[0]).unwrap());
             // Steady state: per-call allocations stop changing, and the
             // warmed calls allocate strictly less than the cold one (the
-            // workspace and pack scratch no longer churn).
+            // workspace, pack scratch and weight cache no longer churn).
+            // The second level may find nothing left to warm: a 4-bit
+            // band needs no buffer an 8-bit band does not, and cached
+            // weights are level-independent.
             assert_eq!(a3, a4, "level {level}: allocation count still drifting");
             assert!(
-                a3 < first,
+                a3 <= first && (nth > 0 || a3 < first),
                 "level {level}: steady state ({a3}) not below cold start ({first})"
             );
         }
@@ -246,6 +249,11 @@ fn batched_infer_reaches_allocation_steady_state() {
 
 #[test]
 fn warm_pack_cache_adds_zero_allocations_across_level_flips() {
+    // `FLEXIQ_NO_PREPACK=1` turns the shared cache off (prewarm is a
+    // no-op and hooks lower their own weights): nothing to pin there.
+    if !gemm::prepack_enabled() {
+        return;
+    }
     let _serial = serial();
     let (rt, inputs) = int_runtime();
     // Eagerly build every cached weight band up front, so no inference

@@ -109,6 +109,126 @@ fn npu_and_gpu_agree_in_4bit_mode_with_shared_extraction_rules() {
 }
 
 #[test]
+fn fused_low_band_kernel_agrees_with_gpu_and_npu_in_4bit_mode() {
+    // The CPU's low-band kernel (dense nibble tile + shifted write-back
+    // where the ISA has one) against the two simulated datapaths, on the
+    // extraction rules the GPU descriptor derives: three 4-bit tiles,
+    // per-tile activation rules, per-(tile, output) weight rules.
+    use flexiq::tensor::gemm::{gemm_i8_low_bands, LowBandLhs, LowBandRhs, LowBands};
+
+    let mut rng = seeded(9104);
+    let (m, n, k) = (40usize, 12usize, 3 * TILE_K);
+    let a: Vec<i8> = (0..m * k)
+        .map(|_| rng.gen_range(-90i16..=90) as i8)
+        .collect();
+    let w: Vec<i8> = (0..n * k)
+        .map(|_| rng.gen_range(-90i16..=90) as i8)
+        .collect();
+    let act_max: Vec<u32> = (0..k / TILE_K)
+        .map(|t| {
+            (0..m)
+                .flat_map(|i| &a[i * k + t * TILE_K..i * k + (t + 1) * TILE_K])
+                .map(|&v| (v ^ (v >> 7)) as u8 as u32)
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
+    let kern = MixedGemm::new(&w, n, k, k, &act_max);
+    let gpu = kern.run(&a, &w, m);
+
+    // Lower both operands once with the descriptor's rules.
+    let tile = |c: usize| &kern.rules[c / TILE_K];
+    let a_low: Vec<i8> = (0..m * k).map(|i| tile(i % k).act.lower(a[i])).collect();
+    let a_shifts: Vec<u8> = kern.rules.iter().map(|r| r.act.shift()).collect();
+    let w_shifts = |t: usize| -> Vec<u8> {
+        kern.rules[t]
+            .weight
+            .iter()
+            .map(BitLowering::shift)
+            .collect()
+    };
+
+    // Convolution orientation: weights are the lhs, one band per tile,
+    // the whole run in one call against the transposed activations.
+    let bands: Vec<LowBandLhs> = (0..k / TILE_K)
+        .map(|t| {
+            let block = (0..n * TILE_K)
+                .map(|i| {
+                    let (o, c) = (i / TILE_K, t * TILE_K + i % TILE_K);
+                    kern.rules[t].weight[o].lower(w[o * k + c])
+                })
+                .collect();
+            LowBandLhs::new(n, TILE_K, block, w_shifts(t))
+        })
+        .collect();
+    let a_low_t: Vec<i8> = (0..k * m).map(|i| a_low[(i % m) * k + i / m]).collect();
+    let mut conv_out = vec![0i32; n * m];
+    let call = LowBands::WeightLhs {
+        n: m,
+        bands: &bands,
+        a_shifts: &a_shifts,
+        b: &a_low_t,
+    };
+    gemm_i8_low_bands(call, &mut conv_out);
+
+    // Linear orientation: weights are the rhs, the lowered activation
+    // band read in place at stride k, one call per tile.
+    let mut lin_out = vec![0i32; m * n];
+    for t in 0..k / TILE_K {
+        let block = (0..TILE_K * n)
+            .map(|i| {
+                let (c, o) = (t * TILE_K + i / n, i % n);
+                kern.rules[t].weight[o].lower(w[o * k + c])
+            })
+            .collect();
+        let band = LowBandRhs::new(n, TILE_K, block, w_shifts(t));
+        let call = LowBands::WeightRhs {
+            m,
+            a: &a_low[t * TILE_K..],
+            lda: k,
+            a_shift: a_shifts[t],
+            w: &band,
+        };
+        gemm_i8_low_bands(call, &mut lin_out);
+    }
+    assert_eq!(
+        lin_out, gpu,
+        "linear-orientation low bands diverge from the GPU kernel"
+    );
+
+    // NPU: one weight-stationary 4-bit tile per feature tile, summed.
+    let arr = SystolicArray::new(NpuConfig::default());
+    let mut npu = vec![0i32; n * m];
+    for (t, rules) in kern.rules.iter().enumerate() {
+        let cs = t * TILE_K..(t + 1) * TILE_K;
+        let w_rows: Vec<Vec<i8>> = (0..n)
+            .map(|o| w[o * k..(o + 1) * k][cs.clone()].to_vec())
+            .collect();
+        let a_cols: Vec<Vec<i8>> = cs
+            .clone()
+            .map(|c| (0..m).map(|i| a[i * k + c]).collect())
+            .collect();
+        let tile = arr.run_tile(
+            Precision::Int4,
+            &w_rows,
+            &a_cols,
+            Some(&rules.weight),
+            Some(rules.act),
+        );
+        for (sum, part) in npu.iter_mut().zip(&tile.partials) {
+            *sum += part;
+        }
+    }
+    for o in 0..n {
+        for i in 0..m {
+            let got = conv_out[o * m + i];
+            assert_eq!(got, gpu[i * n + o], "GPU divergence at (o={o}, i={i})");
+            assert_eq!(got, npu[o * m + i], "NPU divergence at (o={o}, i={i})");
+        }
+    }
+}
+
+#[test]
 fn quantized_executor_int_path_matches_gpu_kernel_for_a_linear_layer() {
     use flexiq::nn::calibrate::calibrate_default;
     use flexiq::nn::ops::Linear;

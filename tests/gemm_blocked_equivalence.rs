@@ -314,6 +314,90 @@ proptest! {
     }
 }
 
+/// Low-range (`[-8, 7]`) or full-range i8 data.
+fn rand_band(len: usize, nibble: bool, rng: &mut impl Rng) -> Vec<i8> {
+    let (lo, hi) = if nibble { (-8i16, 7) } else { (-128, 127) };
+    (0..len).map(|_| rng.gen_range(lo..=hi) as i8).collect()
+}
+
+proptest! {
+    /// The fused low-band entry point == per-band naive sums shifted in
+    /// afterwards, in both orientations, for nibble-range operands (the
+    /// dense tile where the ISA has one) and full-range ones (the
+    /// ordinary tiles), at threads 1/2/4 — and the dispatched kernels ==
+    /// the forced-scalar ones.
+    #[test]
+    fn low_bands_match_shifted_reference(
+        m in 1usize..40,
+        n in 1usize..200,
+        kbs in proptest::collection::vec(1usize..50, 1..5),
+        nibble in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        let _serial = scalar_lock();
+        let nibble = nibble == 1;
+        let mut rng = seeded(seed ^ 0x10B);
+        let k: usize = kbs.iter().sum();
+        let blocks: Vec<(Vec<i8>, Vec<u8>)> = kbs.iter().map(|&kb| {
+            (rand_band(m * kb, nibble, &mut rng), (0..m).map(|_| rng.gen_range(0u8..=5)).collect())
+        }).collect();
+        let a_shifts: Vec<u8> = kbs.iter().map(|_| rng.gen_range(0u8..=5)).collect();
+        let b = rand_band(k * n, nibble, &mut rng);
+        let c0: Vec<i32> = (0..m * n).map(|_| rng.gen_range(-500..500)).collect();
+        // Convolution orientation: per band, a reference GEMM into a
+        // scratch, then the shifted accumulation as its own loop.
+        let mut want = c0.clone();
+        let mut row0 = 0;
+        for ((kb, (w, shifts)), &act) in kbs.iter().zip(&blocks).zip(&a_shifts) {
+            let mut scratch = vec![0i32; m * n];
+            reference::gemm_i8(m, n, *kb, w, &b[row0 * n..], &mut scratch);
+            for i in 0..m {
+                for j in 0..n {
+                    want[i * n + j] += scratch[i * n + j] << (act + shifts[i]);
+                }
+            }
+            row0 += kb;
+        }
+        // Linear orientation on the first band, its block transposed to
+        // the rhs and the activations read at a stride.
+        let (kb, lda) = (kbs[0], kbs[0] + 3);
+        let wt: Vec<i8> = (0..kb * m).map(|i| blocks[0].0[(i % m) * kb + i / m]).collect();
+        let a = rand_band(n * lda, nibble, &mut rng);
+        let mut want_t = vec![0i32; n * m];
+        for i in 0..n {
+            for j in 0..m {
+                let dot: i32 = (0..kb).map(|p| a[i * lda + p] as i32 * wt[p * m + j] as i32).sum();
+                want_t[i * m + j] = dot << (a_shifts[0] + blocks[0].1[j]);
+            }
+        }
+        let run = |threads: usize| {
+            let pool = ThreadPool::new(threads);
+            flexiq::parallel::with_pool(&pool, || {
+                let bands: Vec<gemm::LowBandLhs> = kbs.iter().zip(&blocks)
+                    .map(|(&kb, (w, s))| gemm::LowBandLhs::new(m, kb, w.clone(), s.clone()))
+                    .collect();
+                let mut c = c0.clone();
+                let call = gemm::LowBands::WeightLhs { n, bands: &bands, a_shifts: &a_shifts, b: &b };
+                gemm::gemm_i8_low_bands(call, &mut c);
+                let rhs = gemm::LowBandRhs::new(m, kb, wt.clone(), blocks[0].1.clone());
+                let mut ct = vec![0i32; n * m];
+                let call = gemm::LowBands::WeightRhs { m: n, a: &a, lda, a_shift: a_shifts[0], w: &rhs };
+                gemm::gemm_i8_low_bands(call, &mut ct);
+                (c, ct)
+            })
+        };
+        for threads in THREADS {
+            let (c, ct) = run(threads);
+            prop_assert_eq!(&c, &want, "lhs ({}, {}, {:?}) nibble={} x{}", m, n, &kbs, nibble, threads);
+            prop_assert_eq!(&ct, &want_t, "rhs ({}, {}, {}) nibble={} x{}", n, m, kb, nibble, threads);
+            let _scalar = ForceScalar::on();
+            let (c, ct) = run(threads);
+            prop_assert_eq!(&c, &want, "scalar lhs x{}", threads);
+            prop_assert_eq!(&ct, &want_t, "scalar rhs x{}", threads);
+        }
+    }
+}
+
 /// `set_scalar(true)` actually disables the SIMD path: the kernels record
 /// which ISA they dispatched, and forcing scalar must flip it (and
 /// releasing must restore the hardware pick, modulo `FLEXIQ_NO_SIMD`).

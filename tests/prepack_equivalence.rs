@@ -176,6 +176,54 @@ fn no_prepack_override_falls_back_bitwise() {
     }
 }
 
+/// A low-band run's prepacked dense lhs tiles are an optimization, not
+/// a dependency: the same bands give the same sums when consumption is
+/// disabled (tiles packed per call), when the bands were built under a
+/// forced-scalar ISA and carry no tiles (packed per call under SIMD),
+/// and when the whole call runs the scalar tiles.
+#[test]
+fn low_band_tiles_are_optional_bitwise() {
+    let _gate = toggle_lock();
+    let mut rng = seeded(0x10BA);
+    let (m, n, kbs) = (16usize, 256usize, [36usize, 20, 7]);
+    let mut nibbles =
+        |len: usize| -> Vec<i8> { (0..len).map(|_| rng.gen_range(-8i16..=7) as i8).collect() };
+    let blocks: Vec<Vec<i8>> = kbs.iter().map(|&kb| nibbles(m * kb)).collect();
+    let b = nibbles(kbs.iter().sum::<usize>() * n);
+    let build = || -> Vec<gemm::LowBandLhs> {
+        kbs.iter()
+            .zip(&blocks)
+            .map(|(&kb, w)| gemm::LowBandLhs::new(m, kb, w.clone(), vec![2; m]))
+            .collect()
+    };
+    let run = |bands: &[gemm::LowBandLhs]| {
+        let mut c = vec![0i32; m * n];
+        let call = gemm::LowBands::WeightLhs {
+            n,
+            bands,
+            a_shifts: &[1, 3, 0],
+            b: &b,
+        };
+        gemm::gemm_i8_low_bands(call, &mut c);
+        c
+    };
+    let bands = build();
+    let want = run(&bands);
+    assert!(want.iter().any(|&v| v != 0));
+    {
+        let _off = ForceNoPrepack::on();
+        assert_eq!(run(&bands), want, "consumption disabled");
+    }
+    let (scalar_built, scalar_run) = {
+        let _scalar = ForceScalar::on();
+        let bands = build();
+        let c = run(&bands);
+        (bands, c)
+    };
+    assert_eq!(scalar_run, want, "scalar tiles");
+    assert_eq!(run(&scalar_built), want, "bands without tiles under SIMD");
+}
+
 /// Builds an Int-mode runtime (cache-serving by construction).
 fn int_runtime() -> (flexiq::core::FlexiRuntime, Vec<flexiq::tensor::Tensor>) {
     let id = ModelId::RNet20;
