@@ -23,11 +23,15 @@
 //!   to stay on the naive loop below `BLOCK_MIN_RHS_F32` precisely
 //!   because it lost there; the vector tile removes that regression, so
 //!   parity-or-better is now enforced;
-//! * every shape additionally times the **prepacked** entry points
-//!   (`gemm_*_prepacked`, rhs panels built once outside the timed loop —
-//!   the cached-weight serving pattern) against per-call packing:
+//! * the i8 linear shapes additionally time the **prepacked** weight
+//!   band as the integer engine runs it (`prepack_i8_wt_band` once
+//!   outside the timed loop — the cached-weight serving pattern — then
+//!   `gemm_i8_band_wt_prepacked` over the full band) against
+//!   `gemm_i8_band_wt` packing the same weight-layout rhs per call:
 //!   prepacked must never lose (≥ 1.0×) and must reach ≥ 1.3× on the
-//!   decode-step linears, where per-call packing dominates the pass.
+//!   decode-step linear, where per-call packing dominates the pass. A
+//!   conv's rhs is activations and is never prepacked, so the other
+//!   shapes carry no prepacked fields.
 //!
 //! * the **low-band** sweep times [`gemm::gemm_i8_low_bands`] — the
 //!   4-bit band of the integer engines, shifted accumulation fused into
@@ -59,10 +63,10 @@ const SIMD_MIN_SPEEDUP: f64 = 2.5;
 /// Small-shape f32 floor under SIMD: the vector tile must at least match
 /// the naive loop where the scalar blocked kernel used to lose.
 const F32_MIN_SPEEDUP: f64 = 1.0;
-/// Floor for ahead-of-time prepacked rhs vs per-call packing, every
-/// shape: reusing a cached panel must never lose to packing in-call.
+/// Floor for the ahead-of-time prepacked weight band vs per-call
+/// packing: reusing a cached panel must never lose to packing in-call.
 const PREPACK_MIN_SPEEDUP: f64 = 1.0;
-/// Prepacked floor on the small linear shapes, where per-call packing is
+/// Prepacked floor on the decode-step linear, where per-call packing is
 /// a substantial fraction of the work and caching it must pay off.
 const PREPACK_SMALL_MIN_SPEEDUP: f64 = 1.3;
 
@@ -109,19 +113,17 @@ fn gate_for(s: &Shape, simd_on: bool) -> Option<f64> {
     }
 }
 
-/// Prepacked-vs-per-call floor for this shape (always enforced): parity
-/// everywhere — reusing a cached panel must never lose to packing
-/// in-call — and `PREPACK_SMALL_MIN_SPEEDUP` on the small linear
-/// shapes, where per-call packing is the dominant overhead the cache
-/// exists to delete.
-fn prepack_gate_for(s: &Shape, simd_on: bool) -> f64 {
+/// Prepacked-vs-per-call floor for the shapes that time the prepacked
+/// weight band — the i8 linears, the one production consumer of a
+/// prepacked rhs — or `None` for every other shape: parity on the
+/// context linear, `PREPACK_SMALL_MIN_SPEEDUP` on the decode step,
+/// where per-call packing is the dominant overhead the cache exists to
+/// delete.
+fn prepack_gate_for(s: &Shape) -> Option<f64> {
     match s.name {
-        "tinylm_linear_decode_i8" => PREPACK_SMALL_MIN_SPEEDUP,
-        // The scalar f32 kernel runs this shape through the naive loop
-        // (below `BLOCK_MIN_RHS_F32`), where there is no pack to skip —
-        // only parity is meaningful there.
-        "vits_linear_decode_f32" if simd_on => PREPACK_SMALL_MIN_SPEEDUP,
-        _ => PREPACK_MIN_SPEEDUP,
+        "tinylm_linear_i8" => Some(PREPACK_MIN_SPEEDUP),
+        "tinylm_linear_decode_i8" => Some(PREPACK_SMALL_MIN_SPEEDUP),
+        _ => None,
     }
 }
 
@@ -167,7 +169,7 @@ const SHAPES: [Shape; 8] = [
     // Decode-step linears: the same layers at a small token batch (one
     // decode step of an 8-request batch), where per-call rhs packing is
     // a large fraction of the pass — the regime the prepacked-weight
-    // cache exists for (every decode step re-pays the pack today).
+    // cache exists for.
     Shape {
         name: "vits_linear_decode_f32",
         dtype: Dtype::F32,
@@ -231,6 +233,14 @@ fn reps_for(auto: usize, cap: usize) -> usize {
 struct Measured {
     naive_s: f64,
     blocked_s: f64,
+    /// Per-call and prepacked weight-band times, where timed.
+    wt: Option<WtBand>,
+}
+
+/// The weight-layout band of an i8 linear, packed per call vs consumed
+/// from a panel built once.
+struct WtBand {
+    per_call_s: f64,
     prepacked_s: f64,
 }
 
@@ -244,14 +254,6 @@ fn measure_f32(m: usize, n: usize, k: usize, reps: usize, rng: &mut impl Rng) ->
     for (i, (x, y)) in c.iter().zip(expect.iter()).enumerate() {
         assert_eq!(x.to_bits(), y.to_bits(), "blocked f32 diverged at {i}");
     }
-    // Prepack once outside the timed loop — the cached-weight serving
-    // pattern — and hold the entry point to the same bits.
-    let packed = gemm::prepack_f32(n, k, &b);
-    c.fill(0.0);
-    gemm::gemm_f32_prepacked(m, n, k, &a, &b, &packed, &mut c);
-    for (i, (x, y)) in c.iter().zip(expect.iter()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "prepacked f32 diverged at {i}");
-    }
     let naive_s = time_best(reps, || {
         expect.fill(0.0);
         reference::gemm_f32(m, n, k, &a, &b, &mut expect);
@@ -262,19 +264,24 @@ fn measure_f32(m: usize, n: usize, k: usize, reps: usize, rng: &mut impl Rng) ->
         gemm::gemm_f32(m, n, k, &a, &b, &mut c);
         std::hint::black_box(&c);
     });
-    let prepacked_s = time_best(reps, || {
-        c.fill(0.0);
-        gemm::gemm_f32_prepacked(m, n, k, &a, &b, &packed, &mut c);
-        std::hint::black_box(&c);
-    });
     Measured {
         naive_s,
         blocked_s,
-        prepacked_s,
+        wt: None,
     }
 }
 
-fn measure_i8(m: usize, n: usize, k: usize, reps: usize, rng: &mut impl Rng) -> Measured {
+/// `linear` additionally times the shape as a quantized linear's 8-bit
+/// band: the same rhs in weight layout `[n, k]`, packed per call vs
+/// prepacked once.
+fn measure_i8(
+    m: usize,
+    n: usize,
+    k: usize,
+    linear: bool,
+    reps: usize,
+    rng: &mut impl Rng,
+) -> Measured {
     // ~25% zeros in the lhs, the sparsity regime of bit-lowered operands,
     // so both kernels' zero-skip paths see representative work.
     let a: Vec<i8> = (0..m * k)
@@ -294,10 +301,6 @@ fn measure_i8(m: usize, n: usize, k: usize, reps: usize, rng: &mut impl Rng) -> 
     gemm::gemm_i8(m, n, k, &a, &b, &mut c);
     reference::gemm_i8(m, n, k, &a, &b, &mut expect);
     assert_eq!(c, expect, "blocked i8 diverged");
-    let packed = gemm::prepack_i8(n, k, &b);
-    c.fill(0);
-    gemm::gemm_i8_prepacked(m, n, k, &a, &b, &packed, &mut c);
-    assert_eq!(c, expect, "prepacked i8 diverged");
     let naive_s = time_best(reps, || {
         expect.fill(0);
         reference::gemm_i8(m, n, k, &a, &b, &mut expect);
@@ -308,15 +311,41 @@ fn measure_i8(m: usize, n: usize, k: usize, reps: usize, rng: &mut impl Rng) -> 
         gemm::gemm_i8(m, n, k, &a, &b, &mut c);
         std::hint::black_box(&c);
     });
-    let prepacked_s = time_best(reps, || {
+    let wt = linear.then(|| {
+        let mut w = vec![0i8; n * k];
+        for (p, brow) in b.chunks_exact(n).enumerate() {
+            for (j, &v) in brow.iter().enumerate() {
+                w[j * k + p] = v;
+            }
+        }
+        // Prepack once outside the timed loop — the cached-weight
+        // serving pattern — and hold both entry points to the same bits.
+        let packed = gemm::prepack_i8_wt_band(n, k, 0, k, &w);
         c.fill(0);
-        gemm::gemm_i8_prepacked(m, n, k, &a, &b, &packed, &mut c);
-        std::hint::black_box(&c);
+        gemm::gemm_i8_band_wt(m, n, k, 0, k, &a, &w, &mut c);
+        assert_eq!(c, expect, "weight-layout i8 band diverged");
+        c.fill(0);
+        gemm::gemm_i8_band_wt_prepacked(m, n, k, 0, k, &a, &w, &packed, &mut c);
+        assert_eq!(c, expect, "prepacked i8 band diverged");
+        let per_call_s = time_best(reps, || {
+            c.fill(0);
+            gemm::gemm_i8_band_wt(m, n, k, 0, k, &a, &w, &mut c);
+            std::hint::black_box(&c);
+        });
+        let prepacked_s = time_best(reps, || {
+            c.fill(0);
+            gemm::gemm_i8_band_wt_prepacked(m, n, k, 0, k, &a, &w, &packed, &mut c);
+            std::hint::black_box(&c);
+        });
+        WtBand {
+            per_call_s,
+            prepacked_s,
+        }
     });
     Measured {
         naive_s,
         blocked_s,
-        prepacked_s,
+        wt,
     }
 }
 
@@ -550,6 +579,7 @@ fn main() {
             "k",
             "naive_ms",
             "blocked_ms",
+            "wt_ms",
             "prepacked_ms",
             "naive_gflops",
             "blocked_gflops",
@@ -567,13 +597,21 @@ fn main() {
         let madds = s.m * s.n * s.k;
         // Calibrate reps to ~0.2 s of naive measurement per shape.
         let reps = reps_for(40_000_000 / madds, 400);
+        let prepack_min = prepack_gate_for(s);
         let (dtype, meas) = flexiq_parallel::with_pool(&pool, || match s.dtype {
             Dtype::F32 => ("f32", measure_f32(s.m, s.n, s.k, reps, &mut rng)),
-            Dtype::I8 => ("i8", measure_i8(s.m, s.n, s.k, reps, &mut rng)),
+            Dtype::I8 => {
+                let linear = prepack_min.is_some();
+                ("i8", measure_i8(s.m, s.n, s.k, linear, reps, &mut rng))
+            }
         });
         let gflops = |secs: f64| 2.0 * madds as f64 / secs / 1e9;
         let speedup = meas.naive_s / meas.blocked_s;
-        let prepacked_speedup = meas.blocked_s / meas.prepacked_s;
+        // Prepacked weight band vs the same band packed per call.
+        let wt = meas.wt.as_ref().zip(prepack_min);
+        let wt_ratio = |wt: &WtBand| wt.per_call_s / wt.prepacked_s;
+        let cell =
+            |v: Option<f64>, digits: usize| v.map_or("-".to_string(), |v| format!("{v:.digits$}"));
         table.row(vec![
             s.name.into(),
             dtype.into(),
@@ -582,25 +620,32 @@ fn main() {
             s.k.to_string(),
             format!("{:.4}", meas.naive_s * 1e3),
             format!("{:.4}", meas.blocked_s * 1e3),
-            format!("{:.4}", meas.prepacked_s * 1e3),
+            cell(wt.map(|(wt, _)| wt.per_call_s * 1e3), 4),
+            cell(wt.map(|(wt, _)| wt.prepacked_s * 1e3), 4),
             f2(gflops(meas.naive_s)),
             f2(gflops(meas.blocked_s)),
             f2(speedup),
-            f2(prepacked_speedup),
+            cell(wt.map(|(wt, _)| wt_ratio(wt)), 2),
         ]);
         let gate = gate_for(s, simd_on);
         let gate_field = match gate {
             Some(min) => format!(", \"min_speedup\": {min}"),
             None => String::new(),
         };
-        let prepack_min = prepack_gate_for(s, simd_on);
+        let prepack_fields = wt.map_or(String::new(), |(wt, min)| {
+            format!(
+                ", \"wt_ms\": {:.6}, \"prepacked_ms\": {:.6}, \"prepacked_speedup\": {:.4}, \
+                 \"min_prepacked_speedup\": {min}",
+                wt.per_call_s * 1e3,
+                wt.prepacked_s * 1e3,
+                wt_ratio(wt)
+            )
+        });
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"dtype\": \"{dtype}\", \"m\": {}, \"n\": {}, \"k\": {}, \
              \"naive_ms\": {:.6}, \"blocked_ms\": {:.6}, \"naive_gflops\": {:.4}, \
-             \"blocked_gflops\": {:.4}, \"speedup\": {:.4}{gate_field}, \
-             \"prepacked_ms\": {:.6}, \"prepacked_speedup\": {:.4}, \
-             \"min_prepacked_speedup\": {prepack_min}}}{}",
+             \"blocked_gflops\": {:.4}, \"speedup\": {:.4}{gate_field}{prepack_fields}}}{}",
             s.name,
             s.m,
             s.n,
@@ -610,8 +655,6 @@ fn main() {
             gflops(meas.naive_s),
             gflops(meas.blocked_s),
             speedup,
-            meas.prepacked_s * 1e3,
-            prepacked_speedup,
             if si + 1 < SHAPES.len() { "," } else { "" }
         );
         let verdict = match gate {
@@ -622,19 +665,25 @@ fn main() {
                 "FAIL"
             }
         };
-        let prepack_verdict = if prepacked_speedup >= prepack_min {
-            "PASS"
-        } else {
-            all_pass = false;
-            "FAIL"
-        };
         println!(
-            "[{}] naive {:.2} GFLOP/s, blocked {:.2} GFLOP/s ({speedup:.2}x, {verdict}); \
-             prepacked {prepacked_speedup:.2}x vs per-call (>= {prepack_min}x, {prepack_verdict})",
+            "[{}] naive {:.2} GFLOP/s, blocked {:.2} GFLOP/s ({speedup:.2}x, {verdict})",
             s.name,
             gflops(meas.naive_s),
             gflops(meas.blocked_s),
         );
+        if let Some((wt, min)) = wt {
+            let ratio = wt_ratio(wt);
+            let verdict = if ratio >= min {
+                "PASS"
+            } else {
+                all_pass = false;
+                "FAIL"
+            };
+            println!(
+                "[{}] prepacked weight band {ratio:.2}x vs per-call (>= {min}x, {verdict})",
+                s.name
+            );
+        }
     }
     json.push_str("  ],\n");
     all_pass &= flexiq_parallel::with_pool(&pool, || low_band_sweep(&mut json, isa, &mut rng));

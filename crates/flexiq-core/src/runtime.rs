@@ -164,7 +164,7 @@ impl FlexiRuntime {
     /// Eagerly builds every prepacked-weight cache entry any schedule
     /// level could touch, so no serving request — and no level switch —
     /// ever pays lazy packing latency. Safe to call more than once
-    /// (warm entries are hits). No-op under `FLEXIQ_NO_PREPACK=1`.
+    /// (warm entries are hits).
     pub fn prewarm_levels(&self) -> Result<()> {
         self.pack_cache
             .prewarm(&self.graph, &self.model, self.opts)?;
@@ -822,11 +822,7 @@ mod tests {
             }
         }
         // Weight-mutation hook: invalidation empties the cache and the
-        // next pass transparently rebuilds. (Under FLEXIQ_NO_PREPACK=1
-        // the shared cache is never filled: nothing to invalidate.)
-        if !flexiq_tensor::gemm::prepack_enabled() {
-            return;
-        }
+        // next pass transparently rebuilds.
         assert!(rt.pack_cache().resident_bytes() > 0);
         rt.invalidate_pack_cache();
         assert_eq!(rt.pack_cache().resident_bytes(), 0);

@@ -171,12 +171,13 @@ impl Conv2d {
     /// Batched f32 forward pass over a stacked `[N, C_in, H, W]` input.
     ///
     /// Each channel group is lowered once for the whole batch
-    /// (`im2col_batch`) and multiplied in one column-batched GEMM, so
-    /// the weight rows stream across all `N` samples. Channel groups are
-    /// independent, so grouped/depthwise convolutions fan their groups
-    /// across the ambient thread pool (single-group convolutions
-    /// parallelize inside the GEMM instead); per-sample results are
-    /// bit-exact with [`Conv2d::forward`] at any thread count.
+    /// (`im2col_batch`) and multiplied in one GEMM over the samples
+    /// stacked along `n`, so the weight rows stream across all `N`
+    /// samples. Channel groups are independent, so grouped/depthwise
+    /// convolutions fan their groups across the ambient thread pool
+    /// (single-group convolutions parallelize inside the GEMM instead);
+    /// per-sample results are bit-exact with [`Conv2d::forward`] at any
+    /// thread count.
     pub fn forward_batch(&self, x: &Tensor) -> Result<Tensor> {
         let (n, h, w) = self.check_input_batch(x)?;
         let g = self.group_geometry(h, w);
@@ -196,10 +197,9 @@ impl Conv2d {
             im2col_batch_into(&x.data()[grp * c_in_g * h * w..], n, chw, &g, cols_mat);
             big.clear();
             big.resize(c_out_g * ncols, 0.0);
-            gemm::gemm_f32_colbatch(
-                n,
+            gemm::gemm_f32(
                 c_out_g,
-                cols,
+                ncols,
                 k,
                 &self.weight.data()[grp * c_out_g * k..(grp + 1) * c_out_g * k],
                 cols_mat,

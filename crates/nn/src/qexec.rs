@@ -50,7 +50,7 @@
 //!
 //! Both paths implement the batched [`Compute`] hooks: a stacked
 //! `[N, …]` activation is quantized (and lowered) **once per layer per
-//! batch** and the band GEMMs run column-batched across all samples;
+//! batch** and the band GEMMs run over all samples stacked along `n`;
 //! the single-sample hooks are the same code at `N = 1`. With
 //! calibrated (static) extraction positions the batched
 //! integer path is **bit-exact** per sample with the single-sample path —
@@ -583,11 +583,8 @@ struct CacheInner {
 /// builds run outside the lock.
 ///
 /// Populated lazily on first use, or eagerly via [`PackCache::prewarm`].
-/// A hook created without a shared cache — or under
-/// `FLEXIQ_NO_PREPACK=1` ([`gemm::prepack_enabled`]), which also makes
-/// the GEMM tier ignore every prepacked panel — builds the same entries
-/// into a private cache of its own, so there is one weight path either
-/// way.
+/// A hook created without a shared cache builds the same entries into a
+/// private cache of its own, so there is one weight path either way.
 pub struct PackCache {
     inner: RwLock<CacheInner>,
     /// Whether lookups feed the `PackCache*` telemetry counters (a
@@ -767,17 +764,12 @@ impl PackCache {
     /// what the serve crate's `ServeConfig::prewarm` runs at startup so
     /// the adaptive controller's first level switch pays no packing
     /// latency.
-    ///
-    /// No-op when prepacking is disabled (`FLEXIQ_NO_PREPACK=1`).
     pub fn prewarm(
         &self,
         graph: &Graph,
         model: &QuantizedModel,
         opts: QuantExecOptions,
     ) -> Result<()> {
-        if !gemm::prepack_enabled() {
-            return Ok(());
-        }
         for l in 0..model.num_layers() {
             let lq = &model.layers[l];
             match graph.layer(l)? {
@@ -865,9 +857,7 @@ impl<'m> QuantCompute<'m> {
     /// Int-mode linear and conv bands read their lowered, packed weights
     /// from it instead of building them into a private cache per hook;
     /// outputs are bit-identical either way (both hold what the same
-    /// builders produce). Under `FLEXIQ_NO_PREPACK=1` the shared cache
-    /// is left alone, so the equivalence suites can exercise a hook that
-    /// lowers and packs everything itself.
+    /// builders produce).
     pub fn with_cache(
         model: &'m QuantizedModel,
         plan: MixedPlan,
@@ -883,9 +873,7 @@ impl<'m> QuantCompute<'m> {
             fake_weights: vec![None; n],
             seq_mask: None,
             ws: workspace::take(),
-            cache: cache
-                .filter(|_| gemm::prepack_enabled())
-                .unwrap_or_else(|| Arc::new(PackCache::private())),
+            cache: cache.unwrap_or_else(|| Arc::new(PackCache::private())),
             kv: crate::kv::KvSpec::f32(),
         })
     }
@@ -1115,43 +1103,6 @@ impl<'m> QuantCompute<'m> {
         out
     }
 
-    fn linear_fake(&mut self, l: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
-        let (t, c_in) = lin.check_input(x)?;
-        let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, None, &mut ws.act_q);
-        let x_eff = self.fake_effective_act(
-            l,
-            &ws.act_q,
-            c_in,
-            |c| (0..t).map(|ti| ti * c_in + c).collect(),
-            |_| true,
-        );
-        self.ws = ws;
-        let x_eff = Tensor::from_vec(x.dims().to_vec(), x_eff)?;
-        let w_eff = self.fake_weight(l)?.clone();
-        let eff = Linear::new(w_eff, lin.bias.clone())?;
-        eff.forward(&x_eff)
-    }
-
-    fn conv_fake(&mut self, l: LayerId, conv: &Conv2d, x: &Tensor) -> Result<Tensor> {
-        let (c_in, h, w) = conv.check_input(x)?;
-        let hw = h * w;
-        let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, None, &mut ws.act_q);
-        let x_eff = self.fake_effective_act(
-            l,
-            &ws.act_q,
-            c_in,
-            |c| (c * hw..(c + 1) * hw).collect(),
-            |_| true,
-        );
-        self.ws = ws;
-        let x_eff = Tensor::from_vec(x.dims().to_vec(), x_eff)?;
-        let w_eff = self.fake_weight(l)?.clone();
-        let eff = Conv2d::new(w_eff, conv.bias.clone(), conv.stride, conv.pad, conv.groups)?;
-        eff.forward(&x_eff)
-    }
-
     fn linear_int(&mut self, l: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
         let (t, _c_in) = lin.check_input(x)?;
         let out = self.linear_int_rows(l, lin, x, t, None);
@@ -1347,9 +1298,19 @@ impl<'m> QuantCompute<'m> {
         }
     }
 
-    fn linear_fake_batch(&mut self, l: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
-        let (n, t, c_in) = lin.check_input_batch(x)?;
-        let rows = n * t;
+    /// Fake-mode linear over `n` stacked samples of `t` token rows each
+    /// (`n == 1` for the single-sample hook): `x` is any tensor holding
+    /// those `n·t` rows of `C_in`, and the result has its shape with the
+    /// last dim replaced by `C_out`.
+    fn linear_fake_batch(
+        &mut self,
+        l: LayerId,
+        lin: &Linear,
+        x: &Tensor,
+        n: usize,
+        t: usize,
+    ) -> Result<Tensor> {
+        let (rows, c_in) = (n * t, lin.c_in());
         let mut ws = std::mem::take(&mut self.ws);
         self.quantize_act_into(l, x, None, &mut ws.act_q);
         let row_live = self.row_mask(n, t);
@@ -1361,19 +1322,32 @@ impl<'m> QuantCompute<'m> {
             |i| row_live.as_ref().is_none_or(|v| v[i / c_in]),
         );
         self.ws = ws;
-        let x_eff = Tensor::from_vec(x.dims().to_vec(), x_eff)?;
+        let x_eff = Tensor::from_vec([n, t, c_in], x_eff)?;
         let w_eff = self.fake_weight(l)?.clone();
         let eff = Linear::new(w_eff, lin.bias.clone())?;
-        match &row_live {
+        let y = match &row_live {
             // Masked batch: pad rows are skipped outright — the padded
             // pass pays GEMM compute for real tokens only.
             Some(valid) => eff.forward_batch_masked(&x_eff, valid),
             None => eff.forward_batch(&x_eff),
-        }
+        }?;
+        let mut dims = x.dims().to_vec();
+        *dims.last_mut().expect("input rank checked by the caller") = lin.c_out();
+        Ok(Tensor::from_vec(dims, y.into_vec())?)
     }
 
-    fn conv_fake_batch(&mut self, l: LayerId, conv: &Conv2d, x: &Tensor) -> Result<Tensor> {
-        let (n, h, w) = conv.check_input_batch(x)?;
+    /// Fake-mode convolution over `n` stacked `[C, h, w]` samples
+    /// (`n == 1`, and no leading axis on `x` or the result, for the
+    /// single-sample hook).
+    fn conv_fake_batch(
+        &mut self,
+        l: LayerId,
+        conv: &Conv2d,
+        x: &Tensor,
+        n: usize,
+        h: usize,
+        w: usize,
+    ) -> Result<Tensor> {
         let c_in = conv.c_in();
         let hw = h * w;
         let chw = c_in * hw;
@@ -1391,10 +1365,12 @@ impl<'m> QuantCompute<'m> {
             |_| true,
         );
         self.ws = ws;
-        let x_eff = Tensor::from_vec(x.dims().to_vec(), x_eff)?;
+        let x_eff = Tensor::from_vec([n, c_in, h, w], x_eff)?;
         let w_eff = self.fake_weight(l)?.clone();
         let eff = Conv2d::new(w_eff, conv.bias.clone(), conv.stride, conv.pad, conv.groups)?;
-        eff.forward_batch(&x_eff)
+        let y = eff.forward_batch(&x_eff)?;
+        let dims = y.dims()[4 - x.dims().len()..].to_vec();
+        Ok(Tensor::from_vec(dims, y.into_vec())?)
     }
 
     /// Batched integer linear: one quantization and one band GEMM per
@@ -1545,14 +1521,20 @@ impl<'m> QuantCompute<'m> {
 impl Compute for QuantCompute<'_> {
     fn conv2d(&mut self, layer: LayerId, conv: &Conv2d, x: &Tensor) -> Result<Tensor> {
         match self.opts.mode {
-            ExecMode::Fake => self.conv_fake(layer, conv, x),
+            ExecMode::Fake => {
+                let (_, h, w) = conv.check_input(x)?;
+                self.conv_fake_batch(layer, conv, x, 1, h, w)
+            }
             ExecMode::Int => self.conv_int(layer, conv, x),
         }
     }
 
     fn linear(&mut self, layer: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
         match self.opts.mode {
-            ExecMode::Fake => self.linear_fake(layer, lin, x),
+            ExecMode::Fake => {
+                let (t, _) = lin.check_input(x)?;
+                self.linear_fake_batch(layer, lin, x, 1, t)
+            }
             ExecMode::Int => self.linear_int(layer, lin, x),
         }
     }
@@ -1565,7 +1547,10 @@ impl Compute for QuantCompute<'_> {
         _n: usize,
     ) -> Result<Tensor> {
         match self.opts.mode {
-            ExecMode::Fake => self.conv_fake_batch(layer, conv, x),
+            ExecMode::Fake => {
+                let (n, h, w) = conv.check_input_batch(x)?;
+                self.conv_fake_batch(layer, conv, x, n, h, w)
+            }
             ExecMode::Int => self.conv_int_batch(layer, conv, x),
         }
     }
@@ -1578,7 +1563,10 @@ impl Compute for QuantCompute<'_> {
         _n: usize,
     ) -> Result<Tensor> {
         match self.opts.mode {
-            ExecMode::Fake => self.linear_fake_batch(layer, lin, x),
+            ExecMode::Fake => {
+                let (n, t, _) = lin.check_input_batch(x)?;
+                self.linear_fake_batch(layer, lin, x, n, t)
+            }
             ExecMode::Int => self.linear_int_batch(layer, lin, x),
         }
     }
@@ -1917,10 +1905,6 @@ mod tests {
 
     #[test]
     fn pack_cache_is_bit_exact_with_uncached_and_hits_on_reuse() {
-        // Under FLEXIQ_NO_PREPACK=1 hooks leave the shared cache alone.
-        if !gemm::prepack_enabled() {
-            return;
-        }
         let _gate = cache_test_lock();
         let (g, model, samples) = prepared(141, 2);
         let opts = QuantExecOptions {
@@ -1992,10 +1976,6 @@ mod tests {
 
     #[test]
     fn pack_cache_prewarm_covers_every_band() {
-        // Under FLEXIQ_NO_PREPACK=1 hooks leave the shared cache alone.
-        if !gemm::prepack_enabled() {
-            return;
-        }
         let _gate = cache_test_lock();
         let (g, model, samples) = prepared(143, 2);
         let opts = QuantExecOptions {

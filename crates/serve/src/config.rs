@@ -86,8 +86,7 @@ pub struct ServeConfig {
     /// ([`flexiq_core::FlexiRuntime::prewarm_levels`])
     /// before accepting work, so neither the first request nor any
     /// adaptive level switch pays lazy packing latency. Turn off to
-    /// trade startup time for lazy, on-demand population. Ignored (the
-    /// cache is bypassed entirely) under `FLEXIQ_NO_PREPACK=1`.
+    /// trade startup time for lazy, on-demand population.
     pub prewarm: bool,
     /// Reject requests whose input contains a non-finite value (NaN /
     /// Inf) with [`ServeError::PoisonedInput`] before batching.

@@ -49,12 +49,12 @@
 //! must **not** skip — `0.0 * NaN` is `NaN` and `0.0 * inf` is `NaN`, so
 //! skipping would silently suppress NaN/Inf propagation from the rhs.
 //!
-//! # Batched layout
+//! # Layouts
 //!
-//! The `*_colbatch` variants run one GEMM whose rhs stacks a batch of
-//! `nb` sample matrices **column-wise**: `b` is `[k, nb*n]` with sample
-//! `s` occupying columns `[s*n, (s+1)*n)`, and `c` is `[m, nb*n]` in the
-//! same layout. Each output element's reduction order is identical to a
+//! A batch of `nb` samples is **stacked along `n`**: the rhs of
+//! [`gemm_f32`] / [`gemm_i8_band`] is then `[k, nb*n]` with sample `s`
+//! in columns `[s*n, (s+1)*n)`, and `c` is `[m, nb*n]` in the same
+//! layout. Each output element's reduction order is identical to a
 //! per-sample call, so batched results are bit-exact with single-sample
 //! results while the lhs row (the weights) is streamed across the whole
 //! batch.
@@ -71,7 +71,7 @@
 //! Large GEMMs fan across the ambient [`flexiq_parallel`] pool along
 //! whichever independent output axis can feed it: contiguous **row
 //! bands** when `m` is tall enough, else contiguous **column bands**
-//! (the sample axis of wide-but-short colbatch GEMMs, where row banding
+//! (the sample axis of wide-but-short stacked GEMMs, where row banding
 //! has nothing to split — e.g. depthwise convolutions with one output
 //! row per group). Bands partition only independent output elements:
 //! every element keeps its exact serial reduction order over `p`, so
@@ -87,7 +87,7 @@
 //! `FLEXIQ_NO_SIMD=1` forces the scalar tiles). Edge tiles and
 //! sub-threshold problems always run the scalar/reference code. The
 //! AVX2 integer path packs its rhs into a dedicated `pmaddwd` *pair*
-//! panel (`pack_b_i8_pairs`); every other ISA shares the plain
+//! panel (the `I8Pairs` kernel); every other ISA shares the plain
 //! panels. All paths are bit-identical — the f32 SIMD tiles keep
 //! per-element k-accumulation in ascending order with unfused
 //! multiply-adds, and integer tiles are exact in `i32` regardless of
@@ -104,7 +104,7 @@
 //! sum: the sum re-enters the 8-bit accumulator scale by a left shift
 //! of the band's extraction positions (the paper's *bit-shifted
 //! accumulation*). [`gemm_i8_low_bands`] takes that shift as the
-//! **write-back** of the integer drivers — every tile and reference
+//! **write-back** of the integer kernels — every tile and reference
 //! loop adds `sum << (act + weight[channel])` straight into `c`, with
 //! the per-channel vector indexed by output row when the weights are
 //! the lhs (convolution, [`LowBandLhs`]) or by output column when they
@@ -122,30 +122,48 @@
 //! # Prepacked weights
 //!
 //! The rhs of a weight GEMM is immutable across calls, so its pack
-//! stage can run **once ahead of time**: [`prepack_f32_wt`] /
-//! [`prepack_i8_wt_band`] (and their `Rows`-layout twins) build an
-//! owned [`PackedRhsF32`] / [`PackedRhsI8`] holding exactly the panels
-//! a per-call pack would produce, and the `gemm_*_prepacked` entry
-//! points feed them straight to the blocked drivers. Consumption is
-//! conservative: a prepacked call uses the panels only where the
-//! per-call path would have packed the full rhs once (the serial and
-//! row-banded plans of a blocked problem) and falls back to per-call
-//! behavior everywhere else — column-banded plans (whose bands pack
-//! lane-interleaved column *slices* that cannot be cut out of a
-//! full-width panel at arbitrary boundaries), sub-threshold shapes
-//! that run the reference loops, and i8 panels packed for a different
-//! ISA than the one dispatching now. Prepacked results are therefore
-//! bit-identical to the per-call entry points by construction.
-//! `FLEXIQ_NO_PREPACK=1` disables consumption entirely (the CI escape
-//! hatch mirroring `FLEXIQ_NO_SIMD`).
+//! stage can run **once ahead of time**: [`prepack_i8_wt_band`] builds
+//! an owned [`PackedRhsI8`] holding exactly the panels a per-call pack
+//! would produce, and [`gemm_i8_band_wt_prepacked`] feeds them straight
+//! to the driver (as [`LowBandRhs`] and [`LowBandLhs`] do for the
+//! lowered bands). Whether a panel is consumed is decided by the call's
+//! inputs, never by a setting: it is used exactly where the per-call
+//! path would have packed the full rhs once (the serial and row-banded
+//! plans of a blocked problem), and the per-call code runs everywhere
+//! else — column-banded plans (whose bands pack lane-interleaved column
+//! *slices* that cannot be cut out of a full-width panel at arbitrary
+//! boundaries), sub-threshold shapes that run the reference loops, and
+//! panels or lhs tiles built in another ISA's format than the one
+//! dispatching now. Prepacked results are therefore bit-identical to
+//! the per-call entry points by construction.
+//!
+//! # One driver, many kernels
+//!
+//! Everything above is one loop nest. A private `Kernel` description
+//! names what differs between the f32, plain-i8 and AVX2 pair-panel
+//! families — element, accumulator and panel types, the lane count, the
+//! rhs packer, where a k-block sits inside a panel, the `MR × NR` tile
+//! with its write-back, and the reference-order loop for sub-threshold
+//! shapes — and the generic `blocked` walk plus the `run_plan`
+//! dispatcher (band planning, pack-once-or-per-column-band,
+//! prepacked-panel substitution, packed-byte accounting) are written
+//! once over it. The ISA picks the kernel at the top of a call, so the
+//! generics monomorphise: no `dyn`, no function pointer inside the
+//! nest. Adding a tile or a panel format means one more `Kernel` impl
+//! (a packer and a tile) and one arm where the entry points pick a
+//! kernel — no new driver, plan match or public function. The dense
+//! low-range run goes through the same dispatcher with its own tile
+//! loop: its lhs tiles are prepacked and span whole bands, not `KC`
+//! blocks.
 
+use std::mem::size_of;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flexiq_parallel::{chunk_ranges_into, put_ranges, take_ranges, ColBandMut, ThreadPool};
 
-use crate::scratch;
+use crate::scratch::Pooled;
 use crate::simd::{self, Isa};
 
 /// Minimum multiply-add count (`m*n*k`) before a GEMM fans its output
@@ -196,6 +214,30 @@ enum Rhs<'a, T> {
     WeightT { w: &'a [T], k: usize },
 }
 
+/// One call's operands over its reduction band `[k0, k1)`: lhs row `i`
+/// is `a[i*lda + k0..i*lda + k1]` — `lda` is independent of the rhs
+/// extent, so a band of a wider activation matrix is read in place.
+#[derive(Clone, Copy)]
+struct Operands<'a, T> {
+    a: &'a [T],
+    lda: usize,
+    rhs: Rhs<'a, T>,
+    k0: usize,
+    k1: usize,
+}
+
+impl<'a, T> Operands<'a, T> {
+    fn new(a: &'a [T], lda: usize, rhs: Rhs<'a, T>, k0: usize, k1: usize) -> Self {
+        Operands {
+            a,
+            lda,
+            rhs,
+            k0,
+            k1,
+        }
+    }
+}
+
 /// How a call partitions its output across the pool.
 enum Plan {
     Serial,
@@ -205,7 +247,7 @@ enum Plan {
 
 /// Picks the parallel partitioning for an `[m, n]` output with a `kb`-step
 /// reduction: row bands when the row axis can feed every thread, else
-/// column bands (the sample axis of wide-but-short colbatch GEMMs), else
+/// column bands (the sample axis of wide-but-short stacked GEMMs), else
 /// serial. Oversplits ~4× the thread count so dynamic claiming balances
 /// bands of uneven cost.
 fn plan_bands(m: usize, n: usize, kb: usize) -> Plan {
@@ -219,17 +261,8 @@ fn plan_bands(m: usize, n: usize, kb: usize) -> Plan {
     if t < 2 {
         return Plan::Serial;
     }
-    // Band vectors come from the thread-local range pool and are
-    // returned by the drivers — band planning is allocation-free in
-    // steady state. Row bands are whole `MR`-row register tiles (the
-    // last may be ragged): a band that splits a tile makes both halves
-    // pack and compute a full, half-empty one.
     if m >= 2 * t * MR {
-        let mut bands = banded(m.div_ceil(MR), t * 4);
-        for band in &mut bands {
-            *band = band.start * MR..(band.end * MR).min(m);
-        }
-        Plan::Rows(pool, bands)
+        Plan::Rows(pool, tile_bands(m, t * 4))
     } else if n >= 2 * t {
         // Wide but short: too few rows to feed the pool, so split the
         // column (sample) axis instead. Column bands of a row-major
@@ -237,13 +270,26 @@ fn plan_bands(m: usize, n: usize, kb: usize) -> Plan {
         // `run_col_bands_mut` partitions safely.
         Plan::Cols(pool, banded(n, t * 4))
     } else if m >= 2 {
-        Plan::Rows(pool, banded(m, t * 4))
+        Plan::Rows(pool, tile_bands(m, t * 4))
     } else {
         Plan::Serial
     }
 }
 
-/// `chunk_ranges` drawing its vector from the thread-local range pool.
+/// Row bands of whole `MR`-row register tiles (the last may be ragged):
+/// a band that splits a tile makes both halves pack and compute a full,
+/// half-empty one, and prepacked lhs tiles can only be consumed whole.
+fn tile_bands(m: usize, max_parts: usize) -> Vec<Range<usize>> {
+    let mut bands = banded(m.div_ceil(MR), max_parts);
+    for band in &mut bands {
+        *band = band.start * MR..(band.end * MR).min(m);
+    }
+    bands
+}
+
+/// `chunk_ranges` drawing its vector from the thread-local range pool
+/// (the dispatcher returns it), so band planning is allocation-free in
+/// steady state.
 fn banded(total: usize, max_parts: usize) -> Vec<Range<usize>> {
     let mut bands = take_ranges();
     chunk_ranges_into(total, max_parts, &mut bands);
@@ -257,98 +303,79 @@ fn worth_blocking(m: usize, n: usize, kb: usize, nr: usize, min_rhs: usize) -> b
     m >= 2 && n >= nr && m * n * kb >= BLOCK_MIN_WORK && kb * n >= min_rhs
 }
 
-/// Rhs-extent floor of the f32 blocked path for `isa`. The scalar f32
-/// tile only beats the naive loop once the rhs stops fitting in cache
-/// ([`BLOCK_MIN_RHS_F32`]); the explicit SIMD tiles win from the
-/// generic [`BLOCK_MIN_WORK`] threshold, so they get no extra floor.
-fn min_rhs_f32(isa: Isa) -> usize {
-    match isa {
-        Isa::Scalar => BLOCK_MIN_RHS_F32,
-        _ => 0,
+// ─── Packing ────────────────────────────────────────────────────────────
+
+/// Packs rhs columns `cols` of the reduction band `[k0, k1)` into
+/// `NR_`-lane column panels: `buf[(jp*kb + p)*NR_ + lane]`, with tail
+/// lanes zero-filled.
+fn pack_b_panels<T: Copy + Default, const NR_: usize>(
+    rhs: Rhs<'_, T>,
+    k0: usize,
+    k1: usize,
+    cols: Range<usize>,
+    buf: &mut Vec<T>,
+) {
+    let kb = k1 - k0;
+    let ncols = cols.len();
+    let npan = ncols.div_ceil(NR_);
+    buf.clear();
+    buf.resize(npan * kb * NR_, T::default());
+    match rhs {
+        Rhs::Rows { b, n } => {
+            for jp in 0..npan {
+                let j0 = cols.start + jp * NR_;
+                let w = (cols.end - j0).min(NR_);
+                let base = jp * kb * NR_;
+                for p in 0..kb {
+                    buf[base + p * NR_..base + p * NR_ + w]
+                        .copy_from_slice(&b[(k0 + p) * n + j0..(k0 + p) * n + j0 + w]);
+                }
+            }
+        }
+        Rhs::WeightT { w, k } => {
+            for jp in 0..npan {
+                let j0 = cols.start + jp * NR_;
+                let lanes = (cols.end - j0).min(NR_);
+                let base = jp * kb * NR_;
+                for lane in 0..lanes {
+                    let wrow = &w[(j0 + lane) * k..(j0 + lane) * k + k];
+                    for p in 0..kb {
+                        buf[base + p * NR_ + lane] = wrow[k0 + p];
+                    }
+                }
+            }
+        }
     }
 }
 
-// ─── Packing ────────────────────────────────────────────────────────────
-
-macro_rules! pack_impl {
-    ($pack_b:ident, $pack_a:ident, $ty:ty, $zero:expr, $nr:expr) => {
-        /// Packs rhs columns `cols` of the reduction band `[k0, k1)` into
-        /// `$nr`-lane column panels: `buf[(jp*kb + p)*$nr + lane]`, with
-        /// tail lanes zero-filled.
-        fn $pack_b(
-            rhs: Rhs<'_, $ty>,
-            k0: usize,
-            k1: usize,
-            cols: Range<usize>,
-            buf: &mut Vec<$ty>,
-        ) {
-            const NR_: usize = $nr;
-            let kb = k1 - k0;
-            let ncols = cols.len();
-            let npan = ncols.div_ceil(NR_);
-            buf.clear();
-            buf.resize(npan * kb * NR_, $zero);
-            match rhs {
-                Rhs::Rows { b, n } => {
-                    for jp in 0..npan {
-                        let j0 = cols.start + jp * NR_;
-                        let w = (cols.end - j0).min(NR_);
-                        let base = jp * kb * NR_;
-                        for p in 0..kb {
-                            buf[base + p * NR_..base + p * NR_ + w]
-                                .copy_from_slice(&b[(k0 + p) * n + j0..(k0 + p) * n + j0 + w]);
-                        }
-                    }
-                }
-                Rhs::WeightT { w, k } => {
-                    for jp in 0..npan {
-                        let j0 = cols.start + jp * NR_;
-                        let lanes = (cols.end - j0).min(NR_);
-                        let base = jp * kb * NR_;
-                        for lane in 0..lanes {
-                            let wrow = &w[(j0 + lane) * k..(j0 + lane) * k + k];
-                            for p in 0..kb {
-                                buf[base + p * NR_ + lane] = wrow[k0 + p];
-                            }
-                        }
-                    }
-                }
+/// Packs lhs rows `rows` of the reduction block `kr` into
+/// `MR`-interleaved tiles: `buf[(it*kcb + p)*MR + r]`, with tail rows
+/// zero-filled.
+fn pack_a_tiles<T: Copy + Default>(
+    a: &[T],
+    lda: usize,
+    rows: Range<usize>,
+    kr: Range<usize>,
+    buf: &mut Vec<T>,
+) {
+    let kcb = kr.len();
+    let ntiles = rows.len().div_ceil(MR);
+    buf.clear();
+    buf.resize(ntiles * kcb * MR, T::default());
+    for it in 0..ntiles {
+        let base = it * kcb * MR;
+        for r in 0..MR {
+            let i = rows.start + it * MR + r;
+            if i >= rows.end {
+                break;
+            }
+            let arow = &a[i * lda + kr.start..i * lda + kr.end];
+            for (p, &v) in arow.iter().enumerate() {
+                buf[base + p * MR + r] = v;
             }
         }
-
-        /// Packs lhs rows `rows` of the reduction block `kr` into
-        /// `MR`-interleaved tiles: `buf[(it*kcb + p)*MR + r]`, with tail
-        /// rows zero-filled.
-        fn $pack_a(
-            a: &[$ty],
-            lda: usize,
-            rows: Range<usize>,
-            kr: Range<usize>,
-            buf: &mut Vec<$ty>,
-        ) {
-            let kcb = kr.len();
-            let ntiles = rows.len().div_ceil(MR);
-            buf.clear();
-            buf.resize(ntiles * kcb * MR, $zero);
-            for it in 0..ntiles {
-                let base = it * kcb * MR;
-                for r in 0..MR {
-                    let i = rows.start + it * MR + r;
-                    if i >= rows.end {
-                        break;
-                    }
-                    let arow = &a[i * lda + kr.start..i * lda + kr.end];
-                    for (p, &v) in arow.iter().enumerate() {
-                        buf[base + p * MR + r] = v;
-                    }
-                }
-            }
-        }
-    };
+    }
 }
-
-pack_impl!(pack_b_f32_generic, pack_a_f32, f32, 0.0f32, NR);
-pack_impl!(pack_b_i8, pack_a_i8, i8, 0i8, NR_I8);
 
 /// Transpose-tile edge of the f32 weight-layout packer: an 8×8 f32
 /// block spans one cache line per weight row and one per panel row, so
@@ -356,211 +383,15 @@ pack_impl!(pack_b_i8, pack_a_i8, i8, 0i8, NR_I8);
 const WT_TILE: usize = 8;
 const _: () = assert!(WT_TILE == NR);
 
-/// f32 rhs packer. `Rows` sources copy whole panel rows and delegate to
-/// the generic arm. `WeightT` sources run a blocked 8×8 transpose
-/// instead of the generic per-lane strided scatter: each full tile
-/// reads [`WT_TILE`] consecutive elements of [`NR`] weight rows into
-/// registers and writes [`WT_TILE`] consecutive `NR`-lane panel rows,
-/// so neither side strides across cache lines (the generic arm's
-/// lane-major fill revisits every panel line [`NR`] times, which falls
-/// out of L1 once `kb` is a few hundred). Only the fill *order*
-/// differs — the packed layout, and therefore every consumer, is
-/// unchanged, and edge tiles (lane or k tails) keep the generic walk.
-fn pack_b_f32(rhs: Rhs<'_, f32>, k0: usize, k1: usize, cols: Range<usize>, buf: &mut Vec<f32>) {
-    let (w, k) = match rhs {
-        Rhs::Rows { .. } => return pack_b_f32_generic(rhs, k0, k1, cols, buf),
-        Rhs::WeightT { w, k } => (w, k),
-    };
-    let kb = k1 - k0;
-    let npan = cols.len().div_ceil(NR);
-    buf.clear();
-    buf.resize(npan * kb * NR, 0.0);
-    for jp in 0..npan {
-        let j0 = cols.start + jp * NR;
-        let lanes = (cols.end - j0).min(NR);
-        let base = jp * kb * NR;
-        let mut p0 = 0;
-        while p0 < kb {
-            let pt = (kb - p0).min(WT_TILE);
-            if lanes == NR && pt == WT_TILE {
-                let mut tile = [[0.0f32; WT_TILE]; NR];
-                for (lane, row) in tile.iter_mut().enumerate() {
-                    let src = (j0 + lane) * k + k0 + p0;
-                    row.copy_from_slice(&w[src..src + WT_TILE]);
-                }
-                for (t, _) in tile.iter().enumerate() {
-                    let dst = &mut buf[base + (p0 + t) * NR..base + (p0 + t) * NR + NR];
-                    for (lane, row) in tile.iter().enumerate() {
-                        dst[lane] = row[t];
-                    }
-                }
-            } else {
-                for lane in 0..lanes {
-                    let wrow = &w[(j0 + lane) * k..(j0 + lane) * k + k];
-                    for p in p0..p0 + pt {
-                        buf[base + p * NR + lane] = wrow[k0 + p];
-                    }
-                }
-            }
-            p0 += pt;
-        }
-    }
-}
-
 // The AVX2 pair panel assumes k-blocks start on pair boundaries; any
 // even KC guarantees it (only the final block of a band can be odd).
 const _: () = assert!(KC % 2 == 0);
 
-/// Packs rhs columns into `pmaddwd`-ready i16-**pair** panels for the
-/// AVX2 integer tile: element `buf[(jp*kpairs + pp)*NR_I8 + lane]`
-/// holds reduction steps `2pp` (low 16 bits) and `2pp+1` (high 16
-/// bits) of lane `lane`, where `kpairs = kb.div_ceil(2)`. An odd band
-/// tail leaves the final pair's high halves zero; tail lanes of a
-/// partial panel are zero like the plain packer. Stored as `i32` so
-/// the pair panel reuses the i32 scratch pool.
-#[cfg(target_arch = "x86_64")]
-fn pack_b_i8_pairs(rhs: Rhs<'_, i8>, k0: usize, k1: usize, cols: Range<usize>, buf: &mut Vec<i32>) {
-    #[inline]
-    fn pair(b0: i8, b1: i8) -> i32 {
-        ((b0 as i16 as u16 as u32) | ((b1 as i16 as u16 as u32) << 16)) as i32
-    }
-    let kb = k1 - k0;
-    let kpairs = kb.div_ceil(2);
-    let ncols = cols.len();
-    let npan = ncols.div_ceil(NR_I8);
-    buf.clear();
-    buf.resize(npan * kpairs * NR_I8, 0);
-    match rhs {
-        Rhs::Rows { b, n } => {
-            for jp in 0..npan {
-                let j0 = cols.start + jp * NR_I8;
-                let w = (cols.end - j0).min(NR_I8);
-                let base = jp * kpairs * NR_I8;
-                for pp in 0..kpairs {
-                    let p0 = k0 + 2 * pp;
-                    let row0 = &b[p0 * n + j0..p0 * n + j0 + w];
-                    let dst = &mut buf[base + pp * NR_I8..base + pp * NR_I8 + w];
-                    if p0 + 1 < k1 {
-                        let row1 = &b[(p0 + 1) * n + j0..(p0 + 1) * n + j0 + w];
-                        for ((d, &b0), &b1) in dst.iter_mut().zip(row0).zip(row1) {
-                            *d = pair(b0, b1);
-                        }
-                    } else {
-                        for (d, &b0) in dst.iter_mut().zip(row0) {
-                            *d = pair(b0, 0);
-                        }
-                    }
-                }
-            }
-        }
-        Rhs::WeightT { w, k } => {
-            for jp in 0..npan {
-                let j0 = cols.start + jp * NR_I8;
-                let lanes = (cols.end - j0).min(NR_I8);
-                let base = jp * kpairs * NR_I8;
-                for lane in 0..lanes {
-                    let wrow = &w[(j0 + lane) * k..(j0 + lane) * k + k];
-                    for pp in 0..kpairs {
-                        let p0 = k0 + 2 * pp;
-                        let b1 = if p0 + 1 < k1 { wrow[p0 + 1] } else { 0 };
-                        buf[base + pp * NR_I8 + lane] = pair(wrow[p0], b1);
-                    }
-                }
-            }
-        }
-    }
-}
-
 // ─── Prepacked rhs operands ─────────────────────────────────────────────
 
-/// `FLEXIQ_NO_PREPACK` tri-state cache: 0 = unread, 1 = disabled,
-/// 2 = enabled (same lazy-env pattern as `simd::env_no_simd`).
-static ENV_NO_PREPACK: AtomicU8 = AtomicU8::new(0);
-
-/// Programmatic prepack kill switch ([`set_no_prepack`]); 1 = disabled.
-static FORCE_NO_PREPACK: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the `*_prepacked` entry points may consume their panels.
-/// `FLEXIQ_NO_PREPACK=1` (env, read once) or [`set_no_prepack`] force
-/// every prepacked call down its per-call fallback — the escape hatch
-/// CI uses to re-run the equivalence suites over the per-call pack
-/// stage, mirroring `FLEXIQ_NO_SIMD`.
-pub fn prepack_enabled() -> bool {
-    let env_off = match ENV_NO_PREPACK.load(Ordering::Relaxed) {
-        0 => {
-            let off = matches!(
-                std::env::var("FLEXIQ_NO_PREPACK")
-                    .ok()
-                    .as_deref()
-                    .map(str::trim),
-                Some("1" | "true" | "yes" | "on")
-            );
-            ENV_NO_PREPACK.store(if off { 1 } else { 2 }, Ordering::Relaxed);
-            off
-        }
-        v => v == 1,
-    };
-    !env_off && FORCE_NO_PREPACK.load(Ordering::Relaxed) == 0
-}
-
-/// Forces (or releases) the per-call fallback of the `*_prepacked`
-/// entry points — the programmatic twin of `FLEXIQ_NO_PREPACK`, used
-/// by the prepack-equivalence tests. Subordinate to the env knob.
-/// Global; callers toggling it concurrently should serialize.
-pub fn set_no_prepack(force: bool) {
-    FORCE_NO_PREPACK.store(force as u8, Ordering::Relaxed);
-}
-
-/// An owned, ahead-of-time packed f32 rhs: exactly the [`NR`]-lane
-/// column panels a per-call [`gemm_f32`] / [`gemm_f32_wt`] would build,
-/// packed once over rhs columns `0..n` of the reduction band `[k0, k1)`
-/// and reusable across calls. The f32 panel layout is ISA-independent.
-#[derive(Debug, Clone)]
-pub struct PackedRhsF32 {
-    panels: Vec<f32>,
-    n: usize,
-    k0: usize,
-    k1: usize,
-}
-
-impl PackedRhsF32 {
-    /// Bytes held by the packed panels.
-    pub fn bytes(&self) -> usize {
-        self.panels.len() * std::mem::size_of::<f32>()
-    }
-}
-
-/// Prepacks a `Rows`-layout f32 rhs `b [k, n]` for
-/// [`gemm_f32_prepacked`].
-pub fn prepack_f32(n: usize, k: usize, b: &[f32]) -> PackedRhsF32 {
-    assert!(b.len() >= k * n, "rhs buffer too small");
-    let mut panels = Vec::new();
-    pack_b_f32(Rhs::Rows { b, n }, 0, k, 0..n, &mut panels);
-    PackedRhsF32 {
-        panels,
-        n,
-        k0: 0,
-        k1: k,
-    }
-}
-
-/// Prepacks a weight-layout f32 rhs `w [n, k]` (a `Linear` weight
-/// `[C_out, C_in]`) for [`gemm_f32_wt_prepacked`].
-pub fn prepack_f32_wt(n: usize, k: usize, w: &[f32]) -> PackedRhsF32 {
-    assert!(w.len() >= n * k, "rhs buffer too small");
-    let mut panels = Vec::new();
-    pack_b_f32(Rhs::WeightT { w, k }, 0, k, 0..n, &mut panels);
-    PackedRhsF32 {
-        panels,
-        n,
-        k0: 0,
-        k1: k,
-    }
-}
-
 /// Owned i8 panel storage of a [`PackedRhsI8`], in whichever format the
-/// packing ISA consumes (plain panels everywhere, `pmaddwd` pair panels
-/// under AVX2 — the owned twin of the scratch-pooled `BPackI8`).
+/// packing ISA's kernel consumes: plain panels everywhere, `pmaddwd`
+/// pair panels under AVX2.
 #[derive(Debug, Clone)]
 enum PanelsI8 {
     Plain(Vec<i8>),
@@ -568,18 +399,16 @@ enum PanelsI8 {
     Pairs(Vec<i32>),
 }
 
-/// An owned, ahead-of-time packed i8 rhs for the integer `*_prepacked`
-/// entry points. Packed in the panel format of the ISA active at
-/// construction time and stamped with it: a consumer dispatching a
-/// different ISA falls back to per-call packing rather than feed a
-/// foreign panel format to its tiles.
+/// An owned, ahead-of-time packed i8 rhs, in the panel format of the
+/// ISA active at construction time. A call dispatching a kernel that
+/// reads the other format packs per call rather than feed a foreign
+/// panel to its tiles.
 #[derive(Debug, Clone)]
 pub struct PackedRhsI8 {
     panels: PanelsI8,
     n: usize,
     k0: usize,
     k1: usize,
-    isa: Isa,
 }
 
 impl PackedRhsI8 {
@@ -588,128 +417,41 @@ impl PackedRhsI8 {
         match &self.panels {
             PanelsI8::Plain(buf) => buf.len(),
             #[cfg(target_arch = "x86_64")]
-            PanelsI8::Pairs(buf) => buf.len() * std::mem::size_of::<i32>(),
+            PanelsI8::Pairs(buf) => buf.len() * size_of::<i32>(),
         }
     }
-
-    /// The ISA whose panel format this rhs was packed in.
-    pub fn isa(&self) -> Isa {
-        self.isa
-    }
 }
 
-/// Packs an i8 rhs into owned panels for the active ISA.
-fn prepack_i8_rhs(rhs: Rhs<'_, i8>, n: usize, k0: usize, k1: usize) -> PackedRhsI8 {
-    let isa = simd::active();
-    #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 {
-        let mut buf = Vec::new();
-        pack_b_i8_pairs(rhs, k0, k1, 0..n, &mut buf);
-        return PackedRhsI8 {
-            panels: PanelsI8::Pairs(buf),
-            n,
-            k0,
-            k1,
-            isa,
-        };
-    }
-    let mut buf = Vec::new();
-    pack_b_i8(rhs, k0, k1, 0..n, &mut buf);
-    PackedRhsI8 {
-        panels: PanelsI8::Plain(buf),
-        n,
-        k0,
-        k1,
-        isa,
-    }
-}
-
-/// Prepacks a `Rows`-layout i8 rhs `b [k, n]` for
-/// [`gemm_i8_prepacked`].
-pub fn prepack_i8(n: usize, k: usize, b: &[i8]) -> PackedRhsI8 {
-    assert!(b.len() >= k * n, "rhs buffer too small");
-    prepack_i8_rhs(Rhs::Rows { b, n }, n, 0, k)
+/// Packs an i8 rhs into owned panels in `isa`'s format.
+fn prepack_i8_rhs(isa: Isa, rhs: Rhs<'_, i8>, n: usize, k0: usize, k1: usize) -> PackedRhsI8 {
+    let panels = match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => {
+            let mut buf = Vec::new();
+            I8Pairs::pack_b(rhs, k0, k1, 0..n, &mut buf);
+            PanelsI8::Pairs(buf)
+        }
+        _ => {
+            let mut buf = Vec::new();
+            I8Plain::pack_b(rhs, k0, k1, 0..n, &mut buf);
+            PanelsI8::Plain(buf)
+        }
+    };
+    PackedRhsI8 { panels, n, k0, k1 }
 }
 
 /// Prepacks the reduction band `[k0, k1)` of a weight-layout i8 rhs
 /// `w [n, k]` for [`gemm_i8_band_wt_prepacked`] over the same band.
-/// The blocked drivers index panels relative to the band start, so a
-/// panel serves exactly the band it was packed for — one panel per
+/// The driver indexes panels relative to the band start, so a panel
+/// serves exactly the band it was packed for — one panel per
 /// feature-group band, as the mixed-precision engines consume them.
 pub fn prepack_i8_wt_band(n: usize, k: usize, k0: usize, k1: usize, w: &[i8]) -> PackedRhsI8 {
     assert!(k0 <= k1 && k1 <= k, "invalid band [{k0}, {k1}) for k={k}");
     assert!(w.len() >= n * k, "rhs buffer too small");
-    prepack_i8_rhs(Rhs::WeightT { w, k }, n, k0, k1)
+    prepack_i8_rhs(simd::active(), Rhs::WeightT { w, k }, n, k0, k1)
 }
 
-// ─── Micro-kernels ──────────────────────────────────────────────────────
-
-/// One `mr × nrw` f32 output tile: loads the tile from `c`, streams `kc`
-/// packed steps, stores back. Loading from `c` (instead of zeroing) is
-/// what keeps the per-element accumulation order identical to the naive
-/// loop across k-blocks — see the module docs. Full tiles dispatch to
-/// the explicit SIMD kernel of `isa` (bit-identical; unfused mul+add in
-/// ascending k order); edges always run the scalar loop.
-#[inline]
-fn microkernel_f32(
-    kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    mr: usize,
-    nrw: usize,
-    c: &mut ColBandMut<'_, f32>,
-    r0: usize,
-    col0: usize,
-    isa: Isa,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for r in 0..mr {
-        acc[r][..nrw].copy_from_slice(&c.row(r0 + r)[col0..col0 + nrw]);
-    }
-    // Pre-slice to the exact step extent so the inner loops carry no
-    // bounds checks.
-    let ap = &ap[..kc * MR];
-    let bp = &bp[..kc * NR];
-    if mr == MR && nrw == NR {
-        match isa {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `isa == Avx2` only after runtime detection.
-            Isa::Avx2 => unsafe { simd::x86::f32_tile_avx2(kc, ap, bp, &mut acc) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: `isa == Neon` only after runtime detection.
-            Isa::Neon => unsafe { simd::arm::f32_tile_neon(kc, ap, bp, &mut acc) },
-            _ => {
-                // Full scalar tile: fixed-size loops the compiler
-                // unrolls and keeps in registers. No zero-skip — f32
-                // must propagate NaN/Inf.
-                for p in 0..kc {
-                    let ar = &ap[p * MR..p * MR + MR];
-                    let br = &bp[p * NR..p * NR + NR];
-                    for r in 0..MR {
-                        let av = ar[r];
-                        for j in 0..NR {
-                            acc[r][j] += av * br[j];
-                        }
-                    }
-                }
-            }
-        }
-    } else {
-        for p in 0..kc {
-            let ar = &ap[p * MR..p * MR + MR];
-            let br = &bp[p * NR..p * NR + NR];
-            for (r, accr) in acc.iter_mut().enumerate().take(mr) {
-                let av = ar[r];
-                for j in 0..nrw {
-                    accr[j] += av * br[j];
-                }
-            }
-        }
-    }
-    for r in 0..mr {
-        c.row(r0 + r)[col0..col0 + nrw].copy_from_slice(&acc[r][..nrw]);
-    }
-}
+// ─── Write-back ─────────────────────────────────────────────────────────
 
 /// Largest total shift a shifted write-back accepts. Bit-lowering shifts
 /// top out at 6 per operand (8-bit source, 2-bit target), so 16 is
@@ -719,7 +461,7 @@ fn microkernel_f32(
 pub const MAX_EPILOGUE_SHIFT: u8 = 16;
 
 /// How an integer band's reduction sums reach `c` — the write-back
-/// epilogue of the blocked drivers and the reference-order loops.
+/// epilogue of the integer tiles and the reference-order loops.
 ///
 /// The shifted forms are the paper's *bit-shifted accumulation*: a
 /// 4-bit band's partial sum re-enters the 8-bit accumulator scale by a
@@ -828,589 +570,516 @@ fn tile_write_back(
     }
 }
 
-/// One `mr × nrw` integer output tile (`i8` operands, `i32` accumulators)
-/// over the plain i8 panel. Zero lhs lanes are skipped in the scalar
-/// tile — exact in integer arithmetic, and the bit-lowered 4-bit
-/// operands the mixed-precision engines feed in here are sparse enough
-/// for the branch to pay. Full NEON tiles run branch-free instead
-/// (exact either way; see [`crate::simd`]). The AVX2 path never reaches
-/// this kernel — it uses the pair panel via [`microkernel_i8_pairs`].
-#[inline]
-fn microkernel_i8(
-    kc: usize,
-    ap: &[i8],
-    bp: &[i8],
-    mr: usize,
-    nrw: usize,
-    c: &mut ColBandMut<'_, i32>,
-    r0: usize,
-    col0: usize,
-    epi: Epilogue<'_>,
+// ─── Kernel descriptions ────────────────────────────────────────────────
+
+/// Everything that differs between the blocked kernel families; the
+/// [`blocked`] walk and the [`run_plan`] dispatcher are written once
+/// over it. A value carries the per-call state its tile needs (the
+/// dispatched ISA, the integer write-back). Every tile reads its lhs
+/// from the `MR`-interleaved tiles of [`pack_a_tiles`]. A new tile or
+/// panel format is one more impl of this trait — see the module docs.
+trait Kernel: Copy + Sync {
+    /// Operand element.
+    type Elem: Pooled;
+    /// Output (accumulator) element.
+    type Acc: Send;
+    /// Packed rhs panel element.
+    type Panel: Pooled;
+    /// Rhs panel lane count (register-tile columns).
+    const NR: usize;
+
+    /// Rhs-extent floor (`kb * n` elements) below which this kernel's
+    /// tile loses to the reference loop.
+    fn min_rhs(self) -> usize {
+        0
+    }
+
+    /// This kernel with its write-back re-based onto output block
+    /// `rows × cols`, so a view over the block indexes it from zero.
+    fn block(self, _rows: Range<usize>, _cols: Range<usize>) -> Self {
+        self
+    }
+
+    /// Packs rhs columns `cols` of the reduction band `[k0, k1)` into
+    /// [`Kernel::NR`]-lane column panels.
+    fn pack_b(
+        rhs: Rhs<'_, Self::Elem>,
+        k0: usize,
+        k1: usize,
+        cols: Range<usize>,
+        buf: &mut Vec<Self::Panel>,
+    );
+
+    /// Where band-relative reduction steps `[p0, p1)` of panel `jp` sit
+    /// in a panel buffer packed over a `kb`-step band (`p0` is a k-block
+    /// start, a multiple of [`KC`]). By default one element per lane per
+    /// step.
+    #[inline]
+    fn panel_seg(kb: usize, jp: usize, p0: usize, p1: usize) -> Range<usize> {
+        (jp * kb + p0) * Self::NR..(jp * kb + p1) * Self::NR
+    }
+
+    /// One `mr × nrw` output tile at `(r0, col0)` of `c`: streams `kc`
+    /// packed steps and writes the result back.
+    fn tile(
+        self,
+        kc: usize,
+        ap: &[Self::Elem],
+        bp: &[Self::Panel],
+        mr: usize,
+        nrw: usize,
+        c: &mut ColBandMut<'_, Self::Acc>,
+        r0: usize,
+        col0: usize,
+    );
+
+    /// The reference-order loop over output block `rows × cols`, for
+    /// shapes below the blocking threshold.
+    fn naive(
+        self,
+        ops: Operands<'_, Self::Elem>,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        c: &mut ColBandMut<'_, Self::Acc>,
+    );
+}
+
+/// The f32 family: [`NR`]-lane f32 panels, scalar/AVX2/NEON tiles.
+#[derive(Clone, Copy)]
+struct F32Kernel {
     isa: Isa,
-) {
-    let mut acc = tile_init(epi, c, r0, col0, mr, nrw);
-    let ap = &ap[..kc * MR];
-    let bp = &bp[..kc * NR_I8];
-    if mr == MR && nrw == NR_I8 {
-        match isa {
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: `isa == Neon` only after runtime detection.
-            Isa::Neon => unsafe { simd::arm::i8_tile_neon(kc, ap, bp, &mut acc) },
-            _ => {
-                for p in 0..kc {
-                    let ar = &ap[p * MR..p * MR + MR];
-                    if ar.iter().all(|&v| v == 0) {
-                        continue;
+}
+
+impl Kernel for F32Kernel {
+    type Elem = f32;
+    type Acc = f32;
+    type Panel = f32;
+    const NR: usize = NR;
+
+    /// The scalar f32 tile only beats the naive loop once the rhs stops
+    /// fitting in cache ([`BLOCK_MIN_RHS_F32`]); the explicit SIMD tiles
+    /// win from the generic [`BLOCK_MIN_WORK`] threshold, so they get
+    /// no extra floor.
+    fn min_rhs(self) -> usize {
+        match self.isa {
+            Isa::Scalar => BLOCK_MIN_RHS_F32,
+            _ => 0,
+        }
+    }
+
+    /// `Rows` sources copy whole panel rows through the generic packer.
+    /// `WeightT` sources run a blocked 8×8 transpose instead of the
+    /// generic per-lane strided scatter: each full tile reads
+    /// [`WT_TILE`] consecutive elements of [`NR`] weight rows into
+    /// registers and writes [`WT_TILE`] consecutive `NR`-lane panel
+    /// rows, so neither side strides across cache lines (the generic
+    /// arm's lane-major fill revisits every panel line [`NR`] times,
+    /// which falls out of L1 once `kb` is a few hundred). Only the fill
+    /// *order* differs — the packed layout, and therefore every
+    /// consumer, is unchanged, and edge tiles (lane or k tails) keep
+    /// the generic walk.
+    fn pack_b(rhs: Rhs<'_, f32>, k0: usize, k1: usize, cols: Range<usize>, buf: &mut Vec<f32>) {
+        let (w, k) = match rhs {
+            Rhs::Rows { .. } => return pack_b_panels::<f32, NR>(rhs, k0, k1, cols, buf),
+            Rhs::WeightT { w, k } => (w, k),
+        };
+        let kb = k1 - k0;
+        let npan = cols.len().div_ceil(NR);
+        buf.clear();
+        buf.resize(npan * kb * NR, 0.0);
+        for jp in 0..npan {
+            let j0 = cols.start + jp * NR;
+            let lanes = (cols.end - j0).min(NR);
+            let base = jp * kb * NR;
+            let mut p0 = 0;
+            while p0 < kb {
+                let pt = (kb - p0).min(WT_TILE);
+                if lanes == NR && pt == WT_TILE {
+                    let mut tile = [[0.0f32; WT_TILE]; NR];
+                    for (lane, row) in tile.iter_mut().enumerate() {
+                        let src = (j0 + lane) * k + k0 + p0;
+                        row.copy_from_slice(&w[src..src + WT_TILE]);
                     }
-                    let br = &bp[p * NR_I8..p * NR_I8 + NR_I8];
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        let av = ar[r] as i32;
-                        // The per-row zero branch doubles as the
-                        // vectorization boundary: LLVM keeps the lane
-                        // loop in vector code when the row body is
-                        // guarded (measured ~4× over the unguarded
-                        // form), and bit-lowered operands are sparse
-                        // enough for the skip itself to pay.
-                        if av == 0 {
+                    for (t, _) in tile.iter().enumerate() {
+                        let dst = &mut buf[base + (p0 + t) * NR..base + (p0 + t) * NR + NR];
+                        for (lane, row) in tile.iter().enumerate() {
+                            dst[lane] = row[t];
+                        }
+                    }
+                } else {
+                    for lane in 0..lanes {
+                        let wrow = &w[(j0 + lane) * k..(j0 + lane) * k + k];
+                        for p in p0..p0 + pt {
+                            buf[base + p * NR + lane] = wrow[k0 + p];
+                        }
+                    }
+                }
+                p0 += pt;
+            }
+        }
+    }
+
+    /// Loads the tile from `c`, streams `kc` packed steps, stores back.
+    /// Loading from `c` (instead of zeroing) is what keeps the
+    /// per-element accumulation order identical to the naive loop
+    /// across k-blocks — see the module docs. Full tiles dispatch to
+    /// the explicit SIMD kernel of the ISA (bit-identical; unfused
+    /// mul+add in ascending k order); edges always run the scalar loop.
+    #[inline]
+    fn tile(
+        self,
+        kc: usize,
+        ap: &[f32],
+        bp: &[f32],
+        mr: usize,
+        nrw: usize,
+        c: &mut ColBandMut<'_, f32>,
+        r0: usize,
+        col0: usize,
+    ) {
+        let mut acc = [[0.0f32; NR]; MR];
+        for r in 0..mr {
+            acc[r][..nrw].copy_from_slice(&c.row(r0 + r)[col0..col0 + nrw]);
+        }
+        // Pre-slice to the exact step extent so the inner loops carry no
+        // bounds checks.
+        let ap = &ap[..kc * MR];
+        let bp = &bp[..kc * NR];
+        if mr == MR && nrw == NR {
+            match self.isa {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `isa == Avx2` only after runtime detection.
+                Isa::Avx2 => unsafe { simd::x86::f32_tile_avx2(kc, ap, bp, &mut acc) },
+                #[cfg(target_arch = "aarch64")]
+                // SAFETY: `isa == Neon` only after runtime detection.
+                Isa::Neon => unsafe { simd::arm::f32_tile_neon(kc, ap, bp, &mut acc) },
+                _ => {
+                    // Full scalar tile: fixed-size loops the compiler
+                    // unrolls and keeps in registers. No zero-skip — f32
+                    // must propagate NaN/Inf.
+                    for p in 0..kc {
+                        let ar = &ap[p * MR..p * MR + MR];
+                        let br = &bp[p * NR..p * NR + NR];
+                        for r in 0..MR {
+                            let av = ar[r];
+                            for j in 0..NR {
+                                acc[r][j] += av * br[j];
+                            }
+                        }
+                    }
+                }
+            }
+        } else {
+            for p in 0..kc {
+                let ar = &ap[p * MR..p * MR + MR];
+                let br = &bp[p * NR..p * NR + NR];
+                for (r, accr) in acc.iter_mut().enumerate().take(mr) {
+                    let av = ar[r];
+                    for j in 0..nrw {
+                        accr[j] += av * br[j];
+                    }
+                }
+            }
+        }
+        for r in 0..mr {
+            c.row(r0 + r)[col0..col0 + nrw].copy_from_slice(&acc[r][..nrw]);
+        }
+    }
+
+    /// Per element, terms are added in ascending `p` order to the
+    /// running value — exactly the blocked kernel's (and the old
+    /// `i-p-j` loop's) order.
+    fn naive(
+        self,
+        ops: Operands<'_, f32>,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        c: &mut ColBandMut<'_, f32>,
+    ) {
+        let (a, lda, rhs, k0, k1) = (ops.a, ops.lda, ops.rhs, ops.k0, ops.k1);
+        match rhs {
+            Rhs::Rows { b, n } => {
+                for (ri, i) in rows.enumerate() {
+                    let crow = c.row(ri);
+                    for p in k0..k1 {
+                        // No zero-skip: f32 must propagate NaN/Inf from `b`
+                        // (see the module docs); skipping is integer-only.
+                        let av = a[i * lda + p];
+                        let brow = &b[p * n + cols.start..p * n + cols.end];
+                        for (cj, &bv) in crow.iter_mut().zip(brow) {
+                            *cj += av * bv;
+                        }
+                    }
+                }
+            }
+            Rhs::WeightT { w, k } => {
+                for (ri, i) in rows.enumerate() {
+                    let arow = &a[i * lda + k0..i * lda + k1];
+                    let crow = c.row(ri);
+                    for (ji, j) in cols.clone().enumerate() {
+                        let wrow = &w[j * k + k0..j * k + k1];
+                        let mut acc = crow[ji];
+                        for (av, wv) in arow.iter().zip(wrow.iter()) {
+                            acc += av * wv;
+                        }
+                        crow[ji] = acc;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The plain-panel integer family: [`NR_I8`]-lane i8 panels, scalar and
+/// NEON tiles. The AVX2 path never reaches this kernel — it uses the
+/// pair panel via [`I8Pairs`].
+#[derive(Clone, Copy)]
+struct I8Plain<'a> {
+    isa: Isa,
+    epi: Epilogue<'a>,
+}
+
+impl Kernel for I8Plain<'_> {
+    type Elem = i8;
+    type Acc = i32;
+    type Panel = i8;
+    const NR: usize = NR_I8;
+
+    fn block(self, rows: Range<usize>, cols: Range<usize>) -> Self {
+        let epi = self.epi.block(rows, cols);
+        I8Plain { epi, ..self }
+    }
+
+    fn pack_b(rhs: Rhs<'_, i8>, k0: usize, k1: usize, cols: Range<usize>, buf: &mut Vec<i8>) {
+        pack_b_panels::<i8, NR_I8>(rhs, k0, k1, cols, buf)
+    }
+
+    /// Zero lhs lanes are skipped in the scalar tile — exact in integer
+    /// arithmetic, and the bit-lowered 4-bit operands the
+    /// mixed-precision engines feed in here are sparse enough for the
+    /// branch to pay. Full NEON tiles run branch-free instead (exact
+    /// either way; see [`crate::simd`]).
+    #[inline]
+    fn tile(
+        self,
+        kc: usize,
+        ap: &[i8],
+        bp: &[i8],
+        mr: usize,
+        nrw: usize,
+        c: &mut ColBandMut<'_, i32>,
+        r0: usize,
+        col0: usize,
+    ) {
+        let mut acc = tile_init(self.epi, c, r0, col0, mr, nrw);
+        let ap = &ap[..kc * MR];
+        let bp = &bp[..kc * NR_I8];
+        if mr == MR && nrw == NR_I8 {
+            match self.isa {
+                #[cfg(target_arch = "aarch64")]
+                // SAFETY: `isa == Neon` only after runtime detection.
+                Isa::Neon => unsafe { simd::arm::i8_tile_neon(kc, ap, bp, &mut acc) },
+                _ => {
+                    for p in 0..kc {
+                        let ar = &ap[p * MR..p * MR + MR];
+                        if ar.iter().all(|&v| v == 0) {
                             continue;
                         }
-                        for j in 0..NR_I8 {
-                            accr[j] += av * br[j] as i32;
+                        let br = &bp[p * NR_I8..p * NR_I8 + NR_I8];
+                        for (r, accr) in acc.iter_mut().enumerate() {
+                            let av = ar[r] as i32;
+                            // The per-row zero branch doubles as the
+                            // vectorization boundary: LLVM keeps the lane
+                            // loop in vector code when the row body is
+                            // guarded (measured ~4× over the unguarded
+                            // form), and bit-lowered operands are sparse
+                            // enough for the skip itself to pay.
+                            if av == 0 {
+                                continue;
+                            }
+                            for j in 0..NR_I8 {
+                                accr[j] += av * br[j] as i32;
+                            }
+                        }
+                    }
+                }
+            }
+        } else {
+            for p in 0..kc {
+                let ar = &ap[p * MR..p * MR + MR];
+                let br = &bp[p * NR_I8..p * NR_I8 + NR_I8];
+                for (r, accr) in acc.iter_mut().enumerate().take(mr) {
+                    let av = ar[r] as i32;
+                    if av == 0 {
+                        continue;
+                    }
+                    for j in 0..nrw {
+                        accr[j] += av * br[j] as i32;
+                    }
+                }
+            }
+        }
+        tile_write_back(self.epi, &acc, c, r0, col0, mr, nrw);
+    }
+
+    fn naive(
+        self,
+        ops: Operands<'_, i8>,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        c: &mut ColBandMut<'_, i32>,
+    ) {
+        naive_i8_view(ops, rows, cols, c, self.epi)
+    }
+}
+
+/// The AVX2 integer family over `pmaddwd`-ready i16-**pair** panels.
+/// Only constructed after runtime detection reported AVX2.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct I8Pairs<'a> {
+    epi: Epilogue<'a>,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Kernel for I8Pairs<'_> {
+    type Elem = i8;
+    type Acc = i32;
+    type Panel = i32;
+    const NR: usize = NR_I8;
+
+    fn block(self, rows: Range<usize>, cols: Range<usize>) -> Self {
+        let epi = self.epi.block(rows, cols);
+        I8Pairs { epi }
+    }
+
+    /// Element `buf[(jp*kpairs + pp)*NR_I8 + lane]` holds reduction
+    /// steps `2pp` (low 16 bits) and `2pp+1` (high 16 bits) of lane
+    /// `lane`, where `kpairs = kb.div_ceil(2)`. An odd band tail leaves
+    /// the final pair's high halves zero; tail lanes of a partial panel
+    /// are zero like the plain packer. Stored as `i32` so the pair
+    /// panel reuses the i32 scratch pool.
+    fn pack_b(rhs: Rhs<'_, i8>, k0: usize, k1: usize, cols: Range<usize>, buf: &mut Vec<i32>) {
+        #[inline]
+        fn pair(b0: i8, b1: i8) -> i32 {
+            ((b0 as i16 as u16 as u32) | ((b1 as i16 as u16 as u32) << 16)) as i32
+        }
+        let kb = k1 - k0;
+        let kpairs = kb.div_ceil(2);
+        let ncols = cols.len();
+        let npan = ncols.div_ceil(NR_I8);
+        buf.clear();
+        buf.resize(npan * kpairs * NR_I8, 0);
+        match rhs {
+            Rhs::Rows { b, n } => {
+                for jp in 0..npan {
+                    let j0 = cols.start + jp * NR_I8;
+                    let w = (cols.end - j0).min(NR_I8);
+                    let base = jp * kpairs * NR_I8;
+                    for pp in 0..kpairs {
+                        let p0 = k0 + 2 * pp;
+                        let row0 = &b[p0 * n + j0..p0 * n + j0 + w];
+                        let dst = &mut buf[base + pp * NR_I8..base + pp * NR_I8 + w];
+                        if p0 + 1 < k1 {
+                            let row1 = &b[(p0 + 1) * n + j0..(p0 + 1) * n + j0 + w];
+                            for ((d, &b0), &b1) in dst.iter_mut().zip(row0).zip(row1) {
+                                *d = pair(b0, b1);
+                            }
+                        } else {
+                            for (d, &b0) in dst.iter_mut().zip(row0) {
+                                *d = pair(b0, 0);
+                            }
+                        }
+                    }
+                }
+            }
+            Rhs::WeightT { w, k } => {
+                for jp in 0..npan {
+                    let j0 = cols.start + jp * NR_I8;
+                    let lanes = (cols.end - j0).min(NR_I8);
+                    let base = jp * kpairs * NR_I8;
+                    for lane in 0..lanes {
+                        let wrow = &w[(j0 + lane) * k..(j0 + lane) * k + k];
+                        for pp in 0..kpairs {
+                            let p0 = k0 + 2 * pp;
+                            let b1 = if p0 + 1 < k1 { wrow[p0 + 1] } else { 0 };
+                            buf[base + pp * NR_I8 + lane] = pair(wrow[p0], b1);
                         }
                     }
                 }
             }
         }
-    } else {
-        for p in 0..kc {
-            let ar = &ap[p * MR..p * MR + MR];
-            let br = &bp[p * NR_I8..p * NR_I8 + NR_I8];
-            for (r, accr) in acc.iter_mut().enumerate().take(mr) {
-                let av = ar[r] as i32;
-                if av == 0 {
-                    continue;
-                }
-                for j in 0..nrw {
-                    accr[j] += av * br[j] as i32;
-                }
-            }
-        }
     }
-    tile_write_back(epi, &acc, c, r0, col0, mr, nrw);
-}
 
-/// One `mr × nrw` integer output tile over a **pair** rhs panel
-/// ([`pack_b_i8_pairs`]). `kc` is the true reduction extent; the panel
-/// holds `kc.div_ceil(2)` i16 pairs per lane. Full tiles run the AVX2
-/// `pmaddwd` kernel, edge tiles a scalar pair loop — both exact in
-/// `i32`, with no zero-skip (branch-free SIMD throughput beats
-/// skipping on this path).
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn microkernel_i8_pairs(
-    kc: usize,
-    ap: &[i8],
-    bp: &[i32],
-    mr: usize,
-    nrw: usize,
-    c: &mut ColBandMut<'_, i32>,
-    r0: usize,
-    col0: usize,
-    epi: Epilogue<'_>,
-) {
-    let kpairs = kc.div_ceil(2);
-    let mut acc = tile_init(epi, c, r0, col0, mr, nrw);
-    let ap = &ap[..kc * MR];
-    let bp = &bp[..kpairs * NR_I8];
-    if mr == MR && nrw == NR_I8 {
-        // SAFETY: the pairs panel family is only selected when runtime
-        // detection reported AVX2 (see `pack_b_i8_any`).
-        unsafe { simd::x86::i8_tile_avx2(kc, ap, bp, &mut acc) };
-    } else {
-        // Scalar walk of the pair encoding: low i16 is step 2pp, high
-        // i16 is step 2pp+1 (arithmetic shift sign-extends); an odd
-        // tail's phantom step contributes a1 = 0 on both sides.
-        for pp in 0..kpairs {
-            let a0r = &ap[2 * pp * MR..2 * pp * MR + MR];
-            let a1r = if 2 * pp + 1 < kc {
-                Some(&ap[(2 * pp + 1) * MR..(2 * pp + 1) * MR + MR])
-            } else {
-                None
-            };
-            let br = &bp[pp * NR_I8..pp * NR_I8 + NR_I8];
-            for (r, accr) in acc.iter_mut().enumerate().take(mr) {
-                let a0 = a0r[r] as i32;
-                let a1 = a1r.map_or(0, |a1r| a1r[r] as i32);
-                for j in 0..nrw {
-                    let pairv = br[j];
-                    let b0 = pairv as i16 as i32;
-                    let b1 = pairv >> 16;
-                    accr[j] += a0 * b0 + a1 * b1;
-                }
-            }
-        }
+    /// The segment arithmetic is in pairs. `KC` is even (compile-time
+    /// asserted), so every k-block starts on a pair boundary and only
+    /// the final block of a band can carry the odd tail pair.
+    #[inline]
+    fn panel_seg(kb: usize, jp: usize, p0: usize, p1: usize) -> Range<usize> {
+        let kpairs = kb.div_ceil(2);
+        (jp * kpairs + p0 / 2) * NR_I8..(jp * kpairs + p1.div_ceil(2)) * NR_I8
     }
-    tile_write_back(epi, &acc, c, r0, col0, mr, nrw);
-}
 
-// ─── Blocked drivers ────────────────────────────────────────────────────
-
-/// Blocked f32 pass over lhs/output rows `rows` against a pre-packed
-/// rhs covering the view's columns. k-blocks run in ascending order
-/// (load-bearing for f32 bit-exactness).
-fn blocked_f32(
-    a: &[f32],
-    lda: usize,
-    rows: Range<usize>,
-    k0: usize,
-    k1: usize,
-    bpack: &[f32],
-    c: &mut ColBandMut<'_, f32>,
-    isa: Isa,
-) {
-    let kb = k1 - k0;
-    let ncols = c.width();
-    let npan = ncols.div_ceil(NR);
-    let mut apack = scratch::take_f32();
-    let mut pc0 = k0;
-    while pc0 < k1 {
-        let pc1 = (pc0 + KC).min(k1);
-        let kcb = pc1 - pc0;
-        let mut ic0 = rows.start;
-        while ic0 < rows.end {
-            let ic1 = (ic0 + MC).min(rows.end);
-            pack_a_f32(a, lda, ic0..ic1, pc0..pc1, &mut apack);
-            let ntiles = (ic1 - ic0).div_ceil(MR);
-            for jp in 0..npan {
-                let col0 = jp * NR;
-                let nrw = (ncols - col0).min(NR);
-                let bseg = &bpack[(jp * kb + (pc0 - k0)) * NR..(jp * kb + (pc1 - k0)) * NR];
-                for it in 0..ntiles {
-                    let tr0 = ic0 - rows.start + it * MR;
-                    let mr = (ic1 - ic0 - it * MR).min(MR);
-                    let aseg = &apack[it * kcb * MR..(it + 1) * kcb * MR];
-                    microkernel_f32(kcb, aseg, bseg, mr, nrw, c, tr0, col0, isa);
-                }
-            }
-            ic0 = ic1;
-        }
-        pc0 = pc1;
-    }
-    scratch::put_f32(apack);
-}
-
-/// f32 entry point: validates nothing (callers assert), plans banding,
-/// and dispatches blocked or reference execution under `isa`. `pre`
-/// optionally supplies an ahead-of-time packed full-width rhs panel for
-/// the band `[k0, k1)`; it substitutes for the single per-call pack of
-/// the serial/row-banded blocked plans and is ignored everywhere else
-/// (column bands pack their own slices, sub-threshold shapes run the
-/// reference loops) — so prepacked results are bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn gemm_f32_general(
-    m: usize,
-    n: usize,
-    k: usize,
-    k0: usize,
-    k1: usize,
-    a: &[f32],
-    rhs: Rhs<'_, f32>,
-    pre: Option<&[f32]>,
-    c: &mut [f32],
-    isa: Isa,
-) {
-    let kb = k1 - k0;
-    if m == 0 || n == 0 || kb == 0 {
-        return;
-    }
-    simd::note_dispatch(isa);
-    let min_rhs = min_rhs_f32(isa);
-    let blocked = worth_blocking(m, n, kb, NR, min_rhs);
-    match plan_bands(m, n, kb) {
-        Plan::Rows(pool, bands) => {
-            let mut elems = take_ranges();
-            elems.extend(bands.iter().map(|r| r.start * n..r.end * n));
-            if blocked {
-                // Pack the rhs once (unless a prepacked panel already
-                // covers it); every row band reuses it.
-                let owned = match pre {
-                    Some(_) => None,
-                    None => {
-                        let mut b = scratch::take_f32();
-                        pack_b_f32(rhs, k0, k1, 0..n, &mut b);
-                        Some(b)
-                    }
-                };
-                let bbuf: &[f32] = pre.unwrap_or_else(|| owned.as_deref().expect("packed above"));
-                pool.run_disjoint_mut(&mut c[..m * n], &elems, |bi, chunk| {
-                    let rows = bands[bi].clone();
-                    let mut view = ColBandMut::new(chunk, rows.len(), n, 0..n);
-                    blocked_f32(a, k, rows, k0, k1, bbuf, &mut view, isa);
-                });
-                if let Some(b) = owned {
-                    scratch::put_f32(b);
-                }
-            } else {
-                pool.run_disjoint_mut(&mut c[..m * n], &elems, |bi, chunk| {
-                    let rows = bands[bi].clone();
-                    let mut view = ColBandMut::new(chunk, rows.len(), n, 0..n);
-                    naive_f32_view(a, k, rhs, rows, k0, k1, 0..n, &mut view);
-                });
-            }
-            put_ranges(elems);
-            put_ranges(bands);
-        }
-        Plan::Cols(pool, bands) => {
-            pool.run_col_bands_mut(&mut c[..m * n], m, n, &bands, |bi, view| {
-                let cols = bands[bi].clone();
-                if worth_blocking(m, cols.len(), kb, NR, min_rhs) {
-                    // Each band packs its own column slice.
-                    let mut bbuf = scratch::take_f32();
-                    pack_b_f32(rhs, k0, k1, cols, &mut bbuf);
-                    blocked_f32(a, k, 0..m, k0, k1, &bbuf, view, isa);
-                    scratch::put_f32(bbuf);
+    /// `kc` is the true reduction extent; the panel holds
+    /// `kc.div_ceil(2)` i16 pairs per lane. Full tiles run the AVX2
+    /// `pmaddwd` kernel, edge tiles a scalar pair loop — both exact in
+    /// `i32`, with no zero-skip (branch-free SIMD throughput beats
+    /// skipping on this path).
+    #[inline]
+    fn tile(
+        self,
+        kc: usize,
+        ap: &[i8],
+        bp: &[i32],
+        mr: usize,
+        nrw: usize,
+        c: &mut ColBandMut<'_, i32>,
+        r0: usize,
+        col0: usize,
+    ) {
+        let kpairs = kc.div_ceil(2);
+        let mut acc = tile_init(self.epi, c, r0, col0, mr, nrw);
+        let ap = &ap[..kc * MR];
+        let bp = &bp[..kpairs * NR_I8];
+        if mr == MR && nrw == NR_I8 {
+            // SAFETY: an `I8Pairs` kernel is only constructed when runtime
+            // detection reported AVX2 (see `gemm_i8_general`).
+            unsafe { simd::x86::i8_tile_avx2(kc, ap, bp, &mut acc) };
+        } else {
+            // Scalar walk of the pair encoding: low i16 is step 2pp, high
+            // i16 is step 2pp+1 (arithmetic shift sign-extends); an odd
+            // tail's phantom step contributes a1 = 0 on both sides.
+            for pp in 0..kpairs {
+                let a0r = &ap[2 * pp * MR..2 * pp * MR + MR];
+                let a1r = if 2 * pp + 1 < kc {
+                    Some(&ap[(2 * pp + 1) * MR..(2 * pp + 1) * MR + MR])
                 } else {
-                    naive_f32_view(a, k, rhs, 0..m, k0, k1, cols, view);
-                }
-            });
-            put_ranges(bands);
-        }
-        Plan::Serial => {
-            let mut view = ColBandMut::new(&mut c[..m * n], m, n, 0..n);
-            if blocked {
-                let owned = match pre {
-                    Some(_) => None,
-                    None => {
-                        let mut b = scratch::take_f32();
-                        pack_b_f32(rhs, k0, k1, 0..n, &mut b);
-                        Some(b)
-                    }
+                    None
                 };
-                let bbuf: &[f32] = pre.unwrap_or_else(|| owned.as_deref().expect("packed above"));
-                blocked_f32(a, k, 0..m, k0, k1, bbuf, &mut view, isa);
-                if let Some(b) = owned {
-                    scratch::put_f32(b);
-                }
-            } else {
-                naive_f32_view(a, k, rhs, 0..m, k0, k1, 0..n, &mut view);
-            }
-        }
-    }
-}
-
-/// A packed i8 rhs in whichever panel format `isa` consumes: the AVX2
-/// tile eats `pmaddwd` pair panels, every other ISA the plain panel.
-/// Both draw from (and return to) the thread-local scratch pools.
-enum BPackI8 {
-    Plain(Vec<i8>),
-    #[cfg(target_arch = "x86_64")]
-    Pairs(Vec<i32>),
-}
-
-/// A borrowed view of packed i8 panels — from a per-call scratch pack
-/// ([`BPackI8`]) or an owned prepacked rhs ([`PackedRhsI8`]); the
-/// blocked drivers consume either through this one type.
-#[derive(Clone, Copy)]
-enum PanelsI8Ref<'a> {
-    Plain(&'a [i8]),
-    #[cfg(target_arch = "x86_64")]
-    Pairs(&'a [i32]),
-}
-
-impl BPackI8 {
-    fn as_panels(&self) -> PanelsI8Ref<'_> {
-        match self {
-            BPackI8::Plain(buf) => PanelsI8Ref::Plain(buf),
-            #[cfg(target_arch = "x86_64")]
-            BPackI8::Pairs(buf) => PanelsI8Ref::Pairs(buf),
-        }
-    }
-}
-
-impl PanelsI8 {
-    fn as_panels(&self) -> PanelsI8Ref<'_> {
-        match self {
-            PanelsI8::Plain(buf) => PanelsI8Ref::Plain(buf),
-            #[cfg(target_arch = "x86_64")]
-            PanelsI8::Pairs(buf) => PanelsI8Ref::Pairs(buf),
-        }
-    }
-}
-
-/// Packs the rhs into the panel format of `isa`.
-fn pack_b_i8_any(isa: Isa, rhs: Rhs<'_, i8>, k0: usize, k1: usize, cols: Range<usize>) -> BPackI8 {
-    let _ = isa;
-    #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 {
-        let mut buf = scratch::take_i32();
-        pack_b_i8_pairs(rhs, k0, k1, cols, &mut buf);
-        return BPackI8::Pairs(buf);
-    }
-    let mut buf = scratch::take_i8();
-    pack_b_i8(rhs, k0, k1, cols, &mut buf);
-    BPackI8::Plain(buf)
-}
-
-/// Returns a packed rhs to its scratch pool.
-fn put_bpack_i8(bpack: BPackI8) {
-    match bpack {
-        BPackI8::Plain(buf) => scratch::put_i8(buf),
-        #[cfg(target_arch = "x86_64")]
-        BPackI8::Pairs(buf) => scratch::put_i32(buf),
-    }
-}
-
-/// Blocked integer pass dispatching on the packed panel format.
-fn blocked_i8_any(
-    a: &[i8],
-    lda: usize,
-    rows: Range<usize>,
-    k0: usize,
-    k1: usize,
-    bpack: PanelsI8Ref<'_>,
-    c: &mut ColBandMut<'_, i32>,
-    epi: Epilogue<'_>,
-    isa: Isa,
-) {
-    match bpack {
-        PanelsI8Ref::Plain(buf) => blocked_i8(a, lda, rows, k0, k1, buf, c, epi, isa),
-        #[cfg(target_arch = "x86_64")]
-        PanelsI8Ref::Pairs(buf) => blocked_i8_pairs(a, lda, rows, k0, k1, buf, c, epi),
-    }
-}
-
-/// Blocked integer pass over the plain i8 panel (scalar and NEON
-/// tiles). Same KC/MC walk as [`blocked_f32`].
-fn blocked_i8(
-    a: &[i8],
-    lda: usize,
-    rows: Range<usize>,
-    k0: usize,
-    k1: usize,
-    bpack: &[i8],
-    c: &mut ColBandMut<'_, i32>,
-    epi: Epilogue<'_>,
-    isa: Isa,
-) {
-    let kb = k1 - k0;
-    let ncols = c.width();
-    let npan = ncols.div_ceil(NR_I8);
-    let mut apack = scratch::take_i8();
-    let mut pc0 = k0;
-    while pc0 < k1 {
-        let pc1 = (pc0 + KC).min(k1);
-        let kcb = pc1 - pc0;
-        let mut ic0 = rows.start;
-        while ic0 < rows.end {
-            let ic1 = (ic0 + MC).min(rows.end);
-            pack_a_i8(a, lda, ic0..ic1, pc0..pc1, &mut apack);
-            let ntiles = (ic1 - ic0).div_ceil(MR);
-            for jp in 0..npan {
-                let col0 = jp * NR_I8;
-                let nrw = (ncols - col0).min(NR_I8);
-                let bseg = &bpack[(jp * kb + (pc0 - k0)) * NR_I8..(jp * kb + (pc1 - k0)) * NR_I8];
-                for it in 0..ntiles {
-                    let tr0 = ic0 - rows.start + it * MR;
-                    let mr = (ic1 - ic0 - it * MR).min(MR);
-                    let aseg = &apack[it * kcb * MR..(it + 1) * kcb * MR];
-                    microkernel_i8(kcb, aseg, bseg, mr, nrw, c, tr0, col0, epi, isa);
-                }
-            }
-            ic0 = ic1;
-        }
-        pc0 = pc1;
-    }
-    scratch::put_i8(apack);
-}
-
-/// Blocked integer pass over the AVX2 pair panel. Identical KC/MC walk;
-/// the rhs segment arithmetic is in pairs. `KC` is even (compile-time
-/// asserted), so every k-block starts on a pair boundary and only the
-/// final block of a band can carry the odd tail pair.
-#[cfg(target_arch = "x86_64")]
-fn blocked_i8_pairs(
-    a: &[i8],
-    lda: usize,
-    rows: Range<usize>,
-    k0: usize,
-    k1: usize,
-    bpack: &[i32],
-    c: &mut ColBandMut<'_, i32>,
-    epi: Epilogue<'_>,
-) {
-    let kpairs = (k1 - k0).div_ceil(2);
-    let ncols = c.width();
-    let npan = ncols.div_ceil(NR_I8);
-    let mut apack = scratch::take_i8();
-    let mut pc0 = k0;
-    while pc0 < k1 {
-        let pc1 = (pc0 + KC).min(k1);
-        let kcb = pc1 - pc0;
-        let pair0 = (pc0 - k0) / 2;
-        let pair1 = (pc1 - k0).div_ceil(2);
-        let mut ic0 = rows.start;
-        while ic0 < rows.end {
-            let ic1 = (ic0 + MC).min(rows.end);
-            pack_a_i8(a, lda, ic0..ic1, pc0..pc1, &mut apack);
-            let ntiles = (ic1 - ic0).div_ceil(MR);
-            for jp in 0..npan {
-                let col0 = jp * NR_I8;
-                let nrw = (ncols - col0).min(NR_I8);
-                let bseg = &bpack[(jp * kpairs + pair0) * NR_I8..(jp * kpairs + pair1) * NR_I8];
-                for it in 0..ntiles {
-                    let tr0 = ic0 - rows.start + it * MR;
-                    let mr = (ic1 - ic0 - it * MR).min(MR);
-                    let aseg = &apack[it * kcb * MR..(it + 1) * kcb * MR];
-                    microkernel_i8_pairs(kcb, aseg, bseg, mr, nrw, c, tr0, col0, epi);
-                }
-            }
-            ic0 = ic1;
-        }
-        pc0 = pc1;
-    }
-    scratch::put_i8(apack);
-}
-
-/// Integer entry point: validates nothing (callers assert), plans
-/// banding, and dispatches blocked or reference execution under `isa`.
-/// `lda` is the lhs row stride (row `i`'s band is `a[i*lda + k0..i*lda
-/// + k1]`), independent of the rhs extent so a band of a wider
-/// activation matrix can be read in place. `pre` optionally supplies
-/// ahead-of-time packed full-width panels in `isa`'s format for the
-/// band `[k0, k1)` — substituted exactly where the per-call path packs
-/// the full rhs once (see [`gemm_f32_general`]). `epi` is the
-/// write-back: every tile and reference loop routes its sums through
-/// it, so a shifted band accumulates straight into `c`.
-#[allow(clippy::too_many_arguments)]
-fn gemm_i8_general(
-    m: usize,
-    n: usize,
-    lda: usize,
-    k0: usize,
-    k1: usize,
-    a: &[i8],
-    rhs: Rhs<'_, i8>,
-    pre: Option<PanelsI8Ref<'_>>,
-    epi: Epilogue<'_>,
-    c: &mut [i32],
-    isa: Isa,
-) {
-    let kb = k1 - k0;
-    if m == 0 || n == 0 || kb == 0 {
-        return;
-    }
-    simd::note_dispatch(isa);
-    let blocked = worth_blocking(m, n, kb, NR_I8, 0);
-    match plan_bands(m, n, kb) {
-        Plan::Rows(pool, bands) => {
-            let mut elems = take_ranges();
-            elems.extend(bands.iter().map(|r| r.start * n..r.end * n));
-            if blocked {
-                // Pack the rhs once (unless prepacked); every row band
-                // reuses it.
-                let owned = match pre {
-                    Some(_) => None,
-                    None => Some(pack_b_i8_any(isa, rhs, k0, k1, 0..n)),
-                };
-                let bbuf = pre.unwrap_or_else(|| owned.as_ref().expect("packed above").as_panels());
-                pool.run_disjoint_mut(&mut c[..m * n], &elems, |bi, chunk| {
-                    let rows = bands[bi].clone();
-                    let mut view = ColBandMut::new(chunk, rows.len(), n, 0..n);
-                    let epi = epi.block(rows.clone(), 0..n);
-                    blocked_i8_any(a, lda, rows, k0, k1, bbuf, &mut view, epi, isa);
-                });
-                if let Some(o) = owned {
-                    put_bpack_i8(o);
-                }
-            } else {
-                pool.run_disjoint_mut(&mut c[..m * n], &elems, |bi, chunk| {
-                    let rows = bands[bi].clone();
-                    let mut view = ColBandMut::new(chunk, rows.len(), n, 0..n);
-                    let epi = epi.block(rows.clone(), 0..n);
-                    naive_i8_view(a, lda, rhs, rows, k0, k1, 0..n, &mut view, epi);
-                });
-            }
-            put_ranges(elems);
-            put_ranges(bands);
-        }
-        Plan::Cols(pool, bands) => {
-            pool.run_col_bands_mut(&mut c[..m * n], m, n, &bands, |bi, view| {
-                let cols = bands[bi].clone();
-                let epi = epi.block(0..m, cols.clone());
-                if worth_blocking(m, cols.len(), kb, NR_I8, 0) {
-                    // Each band packs its own column slice.
-                    let bbuf = pack_b_i8_any(isa, rhs, k0, k1, cols);
-                    blocked_i8_any(a, lda, 0..m, k0, k1, bbuf.as_panels(), view, epi, isa);
-                    put_bpack_i8(bbuf);
-                } else {
-                    naive_i8_view(a, lda, rhs, 0..m, k0, k1, cols, view, epi);
-                }
-            });
-            put_ranges(bands);
-        }
-        Plan::Serial => {
-            let mut view = ColBandMut::new(&mut c[..m * n], m, n, 0..n);
-            if blocked {
-                let owned = match pre {
-                    Some(_) => None,
-                    None => Some(pack_b_i8_any(isa, rhs, k0, k1, 0..n)),
-                };
-                let bbuf = pre.unwrap_or_else(|| owned.as_ref().expect("packed above").as_panels());
-                blocked_i8_any(a, lda, 0..m, k0, k1, bbuf, &mut view, epi, isa);
-                if let Some(o) = owned {
-                    put_bpack_i8(o);
-                }
-            } else {
-                naive_i8_view(a, lda, rhs, 0..m, k0, k1, 0..n, &mut view, epi);
-            }
-        }
-    }
-}
-
-// ─── Reference-order serial kernels over views ──────────────────────────
-
-/// Naive f32 kernel over a view (small problems / narrow bands). Per
-/// element, terms are added in ascending `p` order to the running value —
-/// exactly the blocked kernel's (and the old `i-p-j` loop's) order.
-fn naive_f32_view(
-    a: &[f32],
-    lda: usize,
-    rhs: Rhs<'_, f32>,
-    rows: Range<usize>,
-    k0: usize,
-    k1: usize,
-    cols: Range<usize>,
-    c: &mut ColBandMut<'_, f32>,
-) {
-    match rhs {
-        Rhs::Rows { b, n } => {
-            for (ri, i) in rows.enumerate() {
-                let crow = c.row(ri);
-                for p in k0..k1 {
-                    // No zero-skip: f32 must propagate NaN/Inf from `b`
-                    // (see the module docs); skipping is integer-only.
-                    let av = a[i * lda + p];
-                    let brow = &b[p * n + cols.start..p * n + cols.end];
-                    for (cj, &bv) in crow.iter_mut().zip(brow) {
-                        *cj += av * bv;
+                let br = &bp[pp * NR_I8..pp * NR_I8 + NR_I8];
+                for (r, accr) in acc.iter_mut().enumerate().take(mr) {
+                    let a0 = a0r[r] as i32;
+                    let a1 = a1r.map_or(0, |a1r| a1r[r] as i32);
+                    for j in 0..nrw {
+                        let pairv = br[j];
+                        let b0 = pairv as i16 as i32;
+                        let b1 = pairv >> 16;
+                        accr[j] += a0 * b0 + a1 * b1;
                     }
                 }
             }
         }
-        Rhs::WeightT { w, k } => {
-            for (ri, i) in rows.enumerate() {
-                let arow = &a[i * lda + k0..i * lda + k1];
-                let crow = c.row(ri);
-                for (ji, j) in cols.clone().enumerate() {
-                    let wrow = &w[j * k + k0..j * k + k1];
-                    let mut acc = crow[ji];
-                    for (av, wv) in arow.iter().zip(wrow.iter()) {
-                        acc += av * wv;
-                    }
-                    crow[ji] = acc;
-                }
-            }
-        }
+        tile_write_back(self.epi, &acc, c, r0, col0, mr, nrw);
+    }
+
+    fn naive(
+        self,
+        ops: Operands<'_, i8>,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        c: &mut ColBandMut<'_, i32>,
+    ) {
+        naive_i8_view(ops, rows, cols, c, self.epi)
     }
 }
 
@@ -1420,16 +1089,13 @@ fn naive_f32_view(
 /// and [`MAX_EPILOGUE_SHIFT`] keeps the shifted product inside `i32` —
 /// so its inner loop is the unshifted one.
 fn naive_i8_view(
-    a: &[i8],
-    lda: usize,
-    rhs: Rhs<'_, i8>,
+    ops: Operands<'_, i8>,
     rows: Range<usize>,
-    k0: usize,
-    k1: usize,
     cols: Range<usize>,
     c: &mut ColBandMut<'_, i32>,
     epi: Epilogue<'_>,
 ) {
+    let (a, lda, rhs, k0, k1) = (ops.a, ops.lda, ops.rhs, ops.k0, ops.k1);
     match rhs {
         Rhs::Rows { b, n } => {
             for (ri, i) in rows.enumerate() {
@@ -1492,49 +1158,171 @@ fn naive_i8_view(
     }
 }
 
-// ─── Telemetry ──────────────────────────────────────────────────────────
+// ─── The blocked driver ─────────────────────────────────────────────────
 
-/// Estimated bytes of the `nr`-lane rhs column panels a blocked call
-/// packs (zero-padded tail lanes included).
-fn rhs_panel_bytes(n: usize, kb: usize, nr: usize, elem: usize) -> u64 {
-    (n.div_ceil(nr) * nr * kb * elem) as u64
+/// The one KC/MC block walk: a blocked pass over lhs/output rows `rows`
+/// against packed rhs panels covering the view's columns. k-blocks run
+/// in ascending order (load-bearing for f32 bit-exactness). Returns the
+/// bytes of lhs tiles it packed.
+fn blocked<K: Kernel>(
+    kern: K,
+    ops: Operands<'_, K::Elem>,
+    rows: Range<usize>,
+    bpack: &[K::Panel],
+    c: &mut ColBandMut<'_, K::Acc>,
+) -> u64 {
+    let Operands { a, lda, k0, k1, .. } = ops;
+    let kb = k1 - k0;
+    let ncols = c.width();
+    let npan = ncols.div_ceil(K::NR);
+    let mut apack = K::Elem::take();
+    let mut packed = 0;
+    let mut pc0 = k0;
+    while pc0 < k1 {
+        let pc1 = (pc0 + KC).min(k1);
+        let kcb = pc1 - pc0;
+        let mut ic0 = rows.start;
+        while ic0 < rows.end {
+            let ic1 = (ic0 + MC).min(rows.end);
+            pack_a_tiles(a, lda, ic0..ic1, pc0..pc1, &mut apack);
+            packed += apack.len();
+            let ntiles = (ic1 - ic0).div_ceil(MR);
+            for jp in 0..npan {
+                let col0 = jp * K::NR;
+                let nrw = (ncols - col0).min(K::NR);
+                let bseg = &bpack[K::panel_seg(kb, jp, pc0 - k0, pc1 - k0)];
+                for it in 0..ntiles {
+                    let tr0 = ic0 - rows.start + it * MR;
+                    let mr = (ic1 - ic0 - it * MR).min(MR);
+                    let aseg = &apack[it * kcb * MR..(it + 1) * kcb * MR];
+                    kern.tile(kcb, aseg, bseg, mr, nrw, c, tr0, col0);
+                }
+            }
+            ic0 = ic1;
+        }
+        pc0 = pc1;
+    }
+    K::Elem::put(apack);
+    (packed * size_of::<K::Elem>()) as u64
 }
 
-/// Estimated bytes of the `MR`-interleaved lhs tiles a blocked call
-/// packs across its `MC×KC` blocks.
-fn lhs_tile_bytes(m: usize, kb: usize, elem: usize) -> u64 {
-    (m.div_ceil(MR) * MR * kb * elem) as u64
-}
-
-/// Estimated bytes staged through packed panels for a blocked call: rhs
-/// column panels (packed once, `nr`-lane padded) plus lhs row tiles
-/// (packed per `MC×KC` block). Zero when the problem would run the
-/// reference loops instead.
-fn packed_bytes_est(m: usize, n: usize, kb: usize, nr: usize, min_rhs: usize, elem: usize) -> u64 {
-    if !worth_blocking(m, n, kb, nr, min_rhs) {
+/// The one plan dispatcher: partitions an `[m, n]` output with a
+/// `kb`-step reduction across the pool and produces each band blocked
+/// or in reference order. The problem is described by three closures:
+/// `blocks(ncols)` — whether an `m × ncols` slice of the output is worth
+/// packing and blocking; `pack_b(cols, buf)` — pack the rhs panels of
+/// columns `cols`; and `run(rows, cols, bpack, view)` — produce output
+/// block `rows × cols` into `view`, by a blocked pass against `bpack`
+/// (panels covering `cols`) or the reference-order loop without,
+/// returning the lhs bytes it packed.
+///
+/// Serial and row-banded plans share **one** full-width rhs pack — the
+/// caller's `pre` (an ahead-of-time packed panel covering columns `0..n`
+/// in the problem's panel format) or one packed here; column bands each
+/// pack their own slice and decide blocking for themselves, so `pre` is
+/// not consulted there, nor below the blocking threshold. Bands
+/// partition only independent output elements, so every plan is
+/// bit-identical.
+///
+/// Returns the bytes this call staged through packed buffers, counted
+/// where they are packed: rhs panels once per call or per column band,
+/// lhs tiles per block, and nothing for a consumed `pre` — its bytes
+/// were booked under the pack-cache counters when the cache built it,
+/// so charging them per call would double-count.
+fn run_plan<C: Send, P: Pooled>(
+    [m, n, kb]: [usize; 3],
+    pre: Option<&[P]>,
+    c: &mut [C],
+    blocks: impl Fn(usize) -> bool + Sync,
+    pack_b: impl Fn(Range<usize>, &mut Vec<P>) + Sync,
+    run: impl Fn(Range<usize>, Range<usize>, Option<&[P]>, &mut ColBandMut<'_, C>) -> u64 + Sync,
+) -> u64 {
+    if m == 0 || n == 0 || kb == 0 {
         return 0;
     }
-    rhs_panel_bytes(n, kb, nr, elem) + lhs_tile_bytes(m, kb, elem)
+    // A statistic, summed from whichever threads pack: Relaxed.
+    let packed = AtomicU64::new(0);
+    // The panels of `cols` from the scratch pool, when `m × cols` blocks.
+    let pack = |cols: Range<usize>| {
+        blocks(cols.len()).then(|| {
+            let mut buf = P::take();
+            pack_b(cols, &mut buf);
+            packed.fetch_add((buf.len() * size_of::<P>()) as u64, Ordering::Relaxed);
+            buf
+        })
+    };
+    let run = |rows, cols, bpack: Option<&[P]>, view: &mut ColBandMut<'_, C>| {
+        packed.fetch_add(run(rows, cols, bpack, view), Ordering::Relaxed);
+    };
+    match plan_bands(m, n, kb) {
+        Plan::Cols(pool, bands) => {
+            pool.run_col_bands_mut(&mut c[..m * n], m, n, &bands, |bi, view| {
+                let owned = pack(bands[bi].clone());
+                run(0..m, bands[bi].clone(), owned.as_deref(), view);
+                if let Some(buf) = owned {
+                    P::put(buf);
+                }
+            });
+            put_ranges(bands);
+        }
+        plan => {
+            let pre = pre.filter(|_| blocks(n));
+            let owned = if pre.is_none() { pack(0..n) } else { None };
+            let bpack = pre.or(owned.as_deref());
+            if let Plan::Rows(pool, bands) = plan {
+                let mut elems = take_ranges();
+                elems.extend(bands.iter().map(|r| r.start * n..r.end * n));
+                pool.run_disjoint_mut(&mut c[..m * n], &elems, |bi, chunk| {
+                    let rows = bands[bi].clone();
+                    let mut view = ColBandMut::new(chunk, rows.len(), n, 0..n);
+                    run(rows, 0..n, bpack, &mut view);
+                });
+                put_ranges(elems);
+                put_ranges(bands);
+            } else {
+                let mut view = ColBandMut::new(&mut c[..m * n], m, n, 0..n);
+                run(0..m, 0..n, bpack, &mut view);
+            }
+            if let Some(buf) = owned {
+                P::put(buf);
+            }
+        }
+    }
+    packed.into_inner()
 }
 
-/// [`packed_bytes_est`] for a call served by a prepacked rhs: only the
-/// lhs tiles are staged per call. The rhs panels were packed once at
-/// prepack time — those bytes are booked under the pack-cache counters
-/// when the cache builds an entry, so charging them per call would
-/// double-count them in `gemm_packed_bytes`.
-fn packed_bytes_prepacked(
+/// One call of kernel `kern` over `ops` through the plan: the blocked
+/// walk where a band blocks, the kernel's reference-order loop where it
+/// does not, the write-back re-based onto each band.
+fn run_kernel<K: Kernel>(
+    kern: K,
+    ops: Operands<'_, K::Elem>,
     m: usize,
     n: usize,
-    kb: usize,
-    nr: usize,
-    min_rhs: usize,
-    elem: usize,
+    pre: Option<&[K::Panel]>,
+    c: &mut [K::Acc],
 ) -> u64 {
-    if !worth_blocking(m, n, kb, nr, min_rhs) {
-        return 0;
-    }
-    lhs_tile_bytes(m, kb, elem)
+    let kb = ops.k1 - ops.k0;
+    run_plan(
+        [m, n, kb],
+        pre,
+        c,
+        |ncols| worth_blocking(m, ncols, kb, K::NR, kern.min_rhs()),
+        |cols, buf| K::pack_b(ops.rhs, ops.k0, ops.k1, cols, buf),
+        |rows, cols, bpack, view| {
+            let kern = kern.block(rows.clone(), cols.clone());
+            match bpack {
+                Some(bpack) => blocked(kern, ops, rows, bpack, view),
+                None => {
+                    kern.naive(ops, rows, cols, view);
+                    0
+                }
+            }
+        },
+    )
 }
+
+// ─── Telemetry ──────────────────────────────────────────────────────────
 
 /// Rows sampled by [`lhs_zero_pm`]. A full scan of a large activation
 /// band costs more than the span it annotates and alone blows the
@@ -1563,28 +1351,27 @@ fn lhs_zero_pm(a: &[i8], lda: usize, m: usize, k0: usize, k1: usize) -> u32 {
     ((zeros * 1000) / total) as u32
 }
 
-/// Counts a kernel call into the global telemetry counters (including
-/// the per-ISA dispatch counter, so perf artifacts are attributable to
-/// the code path that produced them) and, when this thread is
-/// recording, times `f` into a `Cat::Gemm` span (shape + packed-byte
-/// estimate in `args`, lhs zero-skip per-mille in `id`). The skip scan
-/// runs before the timed window opens, so telemetry never inflates the
+/// Counts a kernel call of shape `[m, n, kb]` into the global telemetry
+/// counters (including the per-ISA dispatch counter, so perf artifacts
+/// are attributable to the code path that produced them), notes the
+/// dispatch for [`simd::last_dispatch`] and, when this thread is
+/// recording, times `f` into a `Cat::Gemm` span (shape + packed bytes
+/// in `args`, lhs zero-skip per-mille in `id`). `f` returns the bytes
+/// it staged through packed buffers ([`run_plan`]). The skip scan runs
+/// before the timed window opens, so telemetry never inflates the
 /// measured kernel time.
 #[inline]
 fn gemm_traced(
     name: &'static str,
-    m: usize,
-    n: usize,
-    kb: usize,
-    packed_bytes: u64,
+    [m, n, kb]: [usize; 3],
     isa: Isa,
     zero_skip_pm: impl FnOnce() -> u32,
-    f: impl FnOnce(),
+    f: impl FnOnce() -> u64,
 ) {
     use flexiq_telemetry as tel;
+    simd::note_dispatch(isa);
     tel::count(tel::Counter::GemmCalls, 1);
     tel::count(tel::Counter::GemmMadds, (m * n * kb) as u64);
-    tel::count(tel::Counter::GemmPackedBytes, packed_bytes);
     tel::count(
         match isa {
             Isa::Avx2 => tel::Counter::GemmIsaAvx2,
@@ -1594,22 +1381,40 @@ fn gemm_traced(
         1,
     );
     if !tel::recording() {
-        return f();
+        return tel::count(tel::Counter::GemmPackedBytes, f());
     }
     let skip = zero_skip_pm();
     let t0 = tel::now_ns();
-    f();
-    tel::record_span(
-        name,
-        tel::Cat::Gemm,
-        skip,
-        t0,
-        tel::now_ns(),
-        [m as u64, n as u64, kb as u64, packed_bytes],
-    );
+    let packed_bytes = f();
+    let t1 = tel::now_ns();
+    tel::count(tel::Counter::GemmPackedBytes, packed_bytes);
+    let args = [m as u64, n as u64, kb as u64, packed_bytes];
+    tel::record_span(name, tel::Cat::Gemm, skip, t0, t1, args);
 }
 
 // ─── Public API ─────────────────────────────────────────────────────────
+
+/// The f32 entry points behind their asserts: one traced plan under the
+/// active ISA's f32 kernel.
+fn gemm_f32_traced(
+    name: &'static str,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    rhs: Rhs<'_, f32>,
+    c: &mut [f32],
+) {
+    let isa = simd::active();
+    let ops = Operands::new(a, k, rhs, 0, k);
+    gemm_traced(
+        name,
+        [m, n, k],
+        isa,
+        || 0,
+        || run_kernel(F32Kernel { isa }, ops, m, n, None, c),
+    );
+}
 
 /// `c[m,n] += a[m,k] * b[k,n]` in f32.
 ///
@@ -1623,75 +1428,7 @@ pub fn gemm_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32
     assert!(a.len() >= m * k, "lhs buffer too small");
     assert!(b.len() >= k * n, "rhs buffer too small");
     assert!(c.len() >= m * n, "out buffer too small");
-    let isa = simd::active();
-    let packed = packed_bytes_est(m, n, k, NR, min_rhs_f32(isa), 4);
-    gemm_traced(
-        "gemm_f32",
-        m,
-        n,
-        k,
-        packed,
-        isa,
-        || 0,
-        || gemm_f32_general(m, n, k, 0, k, a, Rhs::Rows { b, n }, None, c, isa),
-    );
-}
-
-/// [`gemm_f32`] consuming an ahead-of-time packed rhs ([`prepack_f32`]).
-///
-/// Bit-identical to [`gemm_f32`]: the owned panels are byte-for-byte
-/// what the per-call pack would build, and every plan the per-call path
-/// would not serve from one full-width pack (column-banded,
-/// sub-threshold, prepacking disabled) runs the per-call code instead.
-///
-/// # Panics
-///
-/// Panics if a slice is too small or `packed` does not cover rhs
-/// columns `0..n` of the full reduction `[0, k)`.
-pub fn gemm_f32_prepacked(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    packed: &PackedRhsF32,
-    c: &mut [f32],
-) {
-    assert!(a.len() >= m * k, "lhs buffer too small");
-    assert!(b.len() >= k * n, "rhs buffer too small");
-    assert!(c.len() >= m * n, "out buffer too small");
-    assert!(
-        packed.n == n && packed.k0 == 0 && packed.k1 == k,
-        "prepacked rhs shape mismatch"
-    );
-    if !prepack_enabled() {
-        return gemm_f32(m, n, k, a, b, c);
-    }
-    let isa = simd::active();
-    let bytes = packed_bytes_prepacked(m, n, k, NR, min_rhs_f32(isa), 4);
-    gemm_traced(
-        "gemm_f32",
-        m,
-        n,
-        k,
-        bytes,
-        isa,
-        || 0,
-        || {
-            gemm_f32_general(
-                m,
-                n,
-                k,
-                0,
-                k,
-                a,
-                Rhs::Rows { b, n },
-                Some(&packed.panels),
-                c,
-                isa,
-            )
-        },
-    );
+    gemm_f32_traced("gemm_f32", m, n, k, a, Rhs::Rows { b, n }, c);
 }
 
 /// [`gemm_f32`] with the rhs in weight layout: `c[m,n] += a[m,k] * wᵀ`
@@ -1702,82 +1439,63 @@ pub fn gemm_f32_wt(m: usize, n: usize, k: usize, a: &[f32], w: &[f32], c: &mut [
     assert!(a.len() >= m * k, "lhs buffer too small");
     assert!(w.len() >= n * k, "rhs buffer too small");
     assert!(c.len() >= m * n, "out buffer too small");
-    let isa = simd::active();
-    let packed = packed_bytes_est(m, n, k, NR, min_rhs_f32(isa), 4);
-    gemm_traced(
-        "gemm_f32_wt",
-        m,
-        n,
-        k,
-        packed,
-        isa,
-        || 0,
-        || gemm_f32_general(m, n, k, 0, k, a, Rhs::WeightT { w, k }, None, c, isa),
-    );
+    gemm_f32_traced("gemm_f32_wt", m, n, k, a, Rhs::WeightT { w, k }, c);
 }
 
-/// [`gemm_f32_wt`] consuming an ahead-of-time packed weight rhs
-/// ([`prepack_f32_wt`]). Same fallback contract as
-/// [`gemm_f32_prepacked`] — bit-identical to the per-call entry point.
-pub fn gemm_f32_wt_prepacked(
+/// One integer GEMM under `isa`: validates nothing (callers assert),
+/// picks the kernel — AVX2 reads pair panels, every other ISA the plain
+/// ones — and runs the plan. `pre` optionally supplies an ahead-of-time
+/// packed full-width rhs for the operands' band; it is consumed only if
+/// it holds the picked kernel's panel format (see [`run_plan`] for
+/// where), so a panel built under another ISA costs a per-call pack,
+/// never a wrong tile. `epi` is the write-back: every tile and
+/// reference loop routes its sums through it, so a shifted band
+/// accumulates straight into `c`. Returns the bytes packed.
+fn gemm_i8_general(
     m: usize,
     n: usize,
-    k: usize,
-    a: &[f32],
-    w: &[f32],
-    packed: &PackedRhsF32,
-    c: &mut [f32],
-) {
-    assert!(a.len() >= m * k, "lhs buffer too small");
-    assert!(w.len() >= n * k, "rhs buffer too small");
-    assert!(c.len() >= m * n, "out buffer too small");
-    assert!(
-        packed.n == n && packed.k0 == 0 && packed.k1 == k,
-        "prepacked rhs shape mismatch"
-    );
-    if !prepack_enabled() {
-        return gemm_f32_wt(m, n, k, a, w, c);
+    ops: Operands<'_, i8>,
+    pre: Option<&PackedRhsI8>,
+    epi: Epilogue<'_>,
+    c: &mut [i32],
+    isa: Isa,
+) -> u64 {
+    let panels = pre.map(|p| &p.panels);
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Avx2 {
+        let pre = match panels {
+            Some(PanelsI8::Pairs(buf)) => Some(&buf[..]),
+            _ => None,
+        };
+        return run_kernel(I8Pairs { epi }, ops, m, n, pre, c);
     }
-    let isa = simd::active();
-    let bytes = packed_bytes_prepacked(m, n, k, NR, min_rhs_f32(isa), 4);
-    gemm_traced(
-        "gemm_f32_wt",
-        m,
-        n,
-        k,
-        bytes,
-        isa,
-        || 0,
-        || {
-            gemm_f32_general(
-                m,
-                n,
-                k,
-                0,
-                k,
-                a,
-                Rhs::WeightT { w, k },
-                Some(&packed.panels),
-                c,
-                isa,
-            )
-        },
-    );
+    let pre = match panels {
+        Some(PanelsI8::Plain(buf)) => Some(&buf[..]),
+        _ => None,
+    };
+    run_kernel(I8Plain { isa, epi }, ops, m, n, pre, c)
 }
 
-/// Batched [`gemm_f32`]: shared lhs `a [m,k]`, column-stacked rhs
-/// `b [k, nb*n]`, output `c [m, nb*n]` (see the module docs for the
-/// layout). Bit-exact with `nb` independent [`gemm_f32`] calls.
-pub fn gemm_f32_colbatch(
-    nb: usize,
+/// [`gemm_i8_general`] as one traced call under the active ISA — the
+/// body of every single-GEMM integer entry point.
+fn gemm_i8_traced(
+    name: &'static str,
     m: usize,
     n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
+    ops: Operands<'_, i8>,
+    pre: Option<&PackedRhsI8>,
+    epi: Epilogue<'_>,
+    c: &mut [i32],
 ) {
-    gemm_f32(m, nb * n, k, a, b, c)
+    let isa = simd::active();
+    let Operands { a, lda, k0, k1, .. } = ops;
+    gemm_traced(
+        name,
+        [m, n, k1 - k0],
+        isa,
+        || lhs_zero_pm(a, lda, m, k0, k1),
+        || gemm_i8_general(m, n, ops, pre, epi, c, isa),
+    );
 }
 
 /// `c[m,n] += a[m,k] * b[k,n]` with `i8` operands and `i32` accumulation.
@@ -1807,84 +1525,9 @@ pub fn gemm_i8_band(
     assert!(a.len() >= m * k, "lhs buffer too small");
     assert!(b.len() >= k * n, "rhs buffer too small");
     assert!(c.len() >= m * n, "out buffer too small");
-    let isa = simd::active();
-    let packed = packed_bytes_est(m, n, k1 - k0, NR_I8, 0, 1);
-    gemm_traced(
-        "gemm_i8_band",
-        m,
-        n,
-        k1 - k0,
-        packed,
-        isa,
-        || lhs_zero_pm(a, k, m, k0, k1),
-        || {
-            gemm_i8_general(
-                m,
-                n,
-                k,
-                k0,
-                k1,
-                a,
-                Rhs::Rows { b, n },
-                None,
-                Epilogue::Add,
-                c,
-                isa,
-            )
-        },
-    );
-}
-
-/// [`gemm_i8`] consuming an ahead-of-time packed rhs ([`prepack_i8`]).
-/// On top of the structural fallbacks of [`gemm_f32_prepacked`], an i8
-/// panel packed under a different ISA than the one dispatching now
-/// (its format would not match the tiles) also falls back to per-call
-/// packing. Exact in `i32` on every path.
-pub fn gemm_i8_prepacked(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[i8],
-    b: &[i8],
-    packed: &PackedRhsI8,
-    c: &mut [i32],
-) {
-    assert!(a.len() >= m * k, "lhs buffer too small");
-    assert!(b.len() >= k * n, "rhs buffer too small");
-    assert!(c.len() >= m * n, "out buffer too small");
-    assert!(
-        packed.n == n && packed.k0 == 0 && packed.k1 == k,
-        "prepacked rhs shape mismatch"
-    );
-    let isa = simd::active();
-    if !prepack_enabled() || packed.isa != isa {
-        return gemm_i8(m, n, k, a, b, c);
-    }
-    let bytes = packed_bytes_prepacked(m, n, k, NR_I8, 0, 1);
-    gemm_traced(
-        "gemm_i8_band",
-        m,
-        n,
-        k,
-        bytes,
-        isa,
-        || lhs_zero_pm(a, k, m, 0, k),
-        || {
-            gemm_i8_general(
-                m,
-                n,
-                k,
-                0,
-                k,
-                a,
-                Rhs::Rows { b, n },
-                Some(packed.panels.as_panels()),
-                Epilogue::Add,
-                c,
-                isa,
-            )
-        },
-    );
+    let rhs = Rhs::Rows { b, n };
+    let ops = Operands::new(a, k, rhs, k0, k1);
+    gemm_i8_traced("gemm_i8_band", m, n, ops, None, Epilogue::Add, c);
 }
 
 /// [`gemm_i8_band`] with the rhs in weight layout `[n, k]` row-major:
@@ -1906,39 +1549,23 @@ pub fn gemm_i8_band_wt(
     assert!(a.len() >= m * k, "lhs buffer too small");
     assert!(w.len() >= n * k, "rhs buffer too small");
     assert!(c.len() >= m * n, "out buffer too small");
-    let isa = simd::active();
-    let packed = packed_bytes_est(m, n, k1 - k0, NR_I8, 0, 1);
-    gemm_traced(
-        "gemm_i8_band_wt",
-        m,
-        n,
-        k1 - k0,
-        packed,
-        isa,
-        || lhs_zero_pm(a, k, m, k0, k1),
-        || {
-            gemm_i8_general(
-                m,
-                n,
-                k,
-                k0,
-                k1,
-                a,
-                Rhs::WeightT { w, k },
-                None,
-                Epilogue::Add,
-                c,
-                isa,
-            )
-        },
-    );
+    let rhs = Rhs::WeightT { w, k };
+    let ops = Operands::new(a, k, rhs, k0, k1);
+    gemm_i8_traced("gemm_i8_band_wt", m, n, ops, None, Epilogue::Add, c);
 }
 
 /// [`gemm_i8_band_wt`] consuming an ahead-of-time packed weight band
-/// ([`prepack_i8_wt_band`] over the same `[k0, k1)`). Same fallback
-/// contract as [`gemm_i8_prepacked`]. This is the quantized linear
-/// layers' 8-bit band with the per-pass weight pack amortized to zero.
-#[allow(clippy::too_many_arguments)]
+/// ([`prepack_i8_wt_band`] over the same `[k0, k1)`): the quantized
+/// linear layers' 8-bit band with the per-pass weight pack amortized to
+/// zero. Bit-identical to [`gemm_i8_band_wt`] — the owned panels are
+/// byte-for-byte what the per-call pack would build, and every case
+/// they do not serve (column-banded plan, sub-threshold shape, panel
+/// built under another ISA) runs the per-call code; see the module docs.
+///
+/// # Panics
+///
+/// Panics if a slice is too small or `packed` does not cover rhs
+/// columns `0..n` of the band `[k0, k1)`.
 pub fn gemm_i8_band_wt_prepacked(
     m: usize,
     n: usize,
@@ -1958,65 +1585,9 @@ pub fn gemm_i8_band_wt_prepacked(
         packed.n == n && packed.k0 == k0 && packed.k1 == k1,
         "prepacked rhs band mismatch"
     );
-    let isa = simd::active();
-    if !prepack_enabled() || packed.isa != isa {
-        return gemm_i8_band_wt(m, n, k, k0, k1, a, w, c);
-    }
-    let bytes = packed_bytes_prepacked(m, n, k1 - k0, NR_I8, 0, 1);
-    gemm_traced(
-        "gemm_i8_band_wt",
-        m,
-        n,
-        k1 - k0,
-        bytes,
-        isa,
-        || lhs_zero_pm(a, k, m, k0, k1),
-        || {
-            gemm_i8_general(
-                m,
-                n,
-                k,
-                k0,
-                k1,
-                a,
-                Rhs::WeightT { w, k },
-                Some(packed.panels.as_panels()),
-                Epilogue::Add,
-                c,
-                isa,
-            )
-        },
-    );
-}
-
-/// Batched [`gemm_i8`]: shared lhs `a [m,k]`, column-stacked rhs
-/// `b [k, nb*n]`, output `c [m, nb*n]`. Exact (integer arithmetic).
-pub fn gemm_i8_colbatch(
-    nb: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[i8],
-    b: &[i8],
-    c: &mut [i32],
-) {
-    gemm_i8(m, nb * n, k, a, b, c)
-}
-
-/// Batched [`gemm_i8_band`]: the band GEMM over a column-stacked rhs
-/// `b [k, nb*n]`, output `c [m, nb*n]`. Exact (integer arithmetic).
-pub fn gemm_i8_band_colbatch(
-    nb: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    k0: usize,
-    k1: usize,
-    a: &[i8],
-    b: &[i8],
-    c: &mut [i32],
-) {
-    gemm_i8_band(m, nb * n, k, k0, k1, a, b, c)
+    let rhs = Rhs::WeightT { w, k };
+    let ops = Operands::new(a, k, rhs, k0, k1);
+    gemm_i8_traced("gemm_i8_band_wt", m, n, ops, Some(packed), Epilogue::Add, c);
 }
 
 // ─── Low-band operands and the fused low-band entry point ───────────────
@@ -2046,6 +1617,11 @@ impl DenseLhs {
             corr[i] = -8 * arow.iter().map(|&v| v as i32).sum::<i32>();
         }
         DenseLhs { tiles, corr }
+    }
+
+    /// Bytes held (tiles and corrections).
+    fn bytes(&self) -> usize {
+        self.tiles.len() + self.corr.len() * size_of::<i32>()
     }
 }
 
@@ -2092,11 +1668,7 @@ impl LowBandLhs {
 
     /// Bytes held (lowered block, shifts, dense tiles and corrections).
     pub fn bytes(&self) -> usize {
-        self.rows.len()
-            + self.shifts.len()
-            + self.dense.as_ref().map_or(0, |d| {
-                d.tiles.len() + d.corr.len() * std::mem::size_of::<i32>()
-            })
+        self.rows.len() + self.shifts.len() + self.dense.as_ref().map_or(0, DenseLhs::bytes)
     }
 }
 
@@ -2123,7 +1695,7 @@ impl LowBandRhs {
     pub fn new(n: usize, kb: usize, rows: Vec<i8>, shifts: Vec<u8>) -> Self {
         assert_eq!(rows.len(), kb * n, "lowered block must be [kb, n]");
         assert_eq!(shifts.len(), n, "one shift per output column");
-        let panel = prepack_i8(n, kb, &rows);
+        let panel = prepack_i8_rhs(simd::active(), Rhs::Rows { b: &rows, n }, n, 0, kb);
         LowBandRhs {
             kb,
             n,
@@ -2199,7 +1771,6 @@ pub enum LowBands<'a> {
 /// [`MAX_EPILOGUE_SHIFT`], or if the dense path meets an activation
 /// outside `[-8, 7]` under bands that promised that range.
 pub fn gemm_i8_low_bands(call: LowBands<'_>, c: &mut [i32]) {
-    let isa = simd::active();
     match call {
         LowBands::WeightRhs {
             m,
@@ -2220,22 +1791,9 @@ pub fn gemm_i8_low_bands(call: LowBands<'_>, c: &mut [i32]) {
                 weight: &w.shifts,
             };
             epi.validate(m, n);
-            let pre = (prepack_enabled() && w.panel.isa == isa).then(|| w.panel.panels.as_panels());
-            let bytes = match pre {
-                Some(_) => packed_bytes_prepacked(m, n, kb, NR_I8, 0, 1),
-                None => packed_bytes_est(m, n, kb, NR_I8, 0, 1),
-            };
             let rhs = Rhs::Rows { b: &w.rows, n };
-            gemm_traced(
-                "gemm_i8_low_bands",
-                m,
-                n,
-                kb,
-                bytes,
-                isa,
-                || lhs_zero_pm(a, lda, m, 0, kb),
-                || gemm_i8_general(m, n, lda, 0, kb, a, rhs, pre, epi, c, isa),
-            );
+            let ops = Operands::new(a, lda, rhs, 0, kb);
+            gemm_i8_traced("gemm_i8_low_bands", m, n, ops, Some(&w.panel), epi, c);
         }
         LowBands::WeightLhs {
             n,
@@ -2254,43 +1812,33 @@ pub fn gemm_i8_low_bands(call: LowBands<'_>, c: &mut [i32]) {
                 let weight = &band.shifts[..];
                 Epilogue::ShlRows { act, weight }.validate(m, n);
             }
-            let blocked = worth_blocking(m, n, kb, NR_I8, 0);
-            let dense = blocked && isa == Isa::Avx2 && bands.iter().all(|s| s.low_range);
-            let bytes = if !blocked {
-                0
-            } else if dense {
-                rhs_panel_bytes(n, kb, NR_I8, 1)
-            } else {
-                packed_bytes_est(m, n, kb, NR_I8, 0, 1)
-            };
+            let isa = simd::active();
             gemm_traced(
                 "gemm_i8_low_bands",
-                m,
-                n,
-                kb,
-                bytes,
+                [m, n, kb],
                 isa,
                 || 0,
                 || {
                     #[cfg(target_arch = "x86_64")]
-                    if dense {
+                    if isa == Isa::Avx2
+                        && worth_blocking(m, n, kb, NR_I8, 0)
+                        && bands.iter().all(|s| s.low_range)
+                    {
                         return low_run_dense(m, n, bands, a_shifts, b, c);
                     }
-                    let mut row0 = 0;
+                    let (mut row0, mut packed) = (0, 0);
                     for (band, &act) in bands.iter().zip(a_shifts) {
-                        let epi = Epilogue::ShlRows {
-                            act,
-                            weight: &band.shifts,
-                        };
+                        let weight = &band.shifts[..];
+                        let epi = Epilogue::ShlRows { act, weight };
                         let rhs = Rhs::Rows {
                             b: &b[row0 * n..],
                             n,
                         };
-                        gemm_i8_general(
-                            m, n, band.kb, 0, band.kb, &band.rows, rhs, None, epi, c, isa,
-                        );
+                        let ops = Operands::new(&band.rows, band.kb, rhs, 0, band.kb);
+                        packed += gemm_i8_general(m, n, ops, None, epi, c, isa);
                         row0 += band.kb;
                     }
+                    packed
                 },
             );
         }
@@ -2397,13 +1945,13 @@ fn dense_block(
     }
 }
 
-/// Dense driver of [`LowBands::WeightLhs`] (AVX2, all operands in
-/// `[-8, 7]`, blocked shape). Lhs tiles come prepacked from the bands
-/// or are packed here when a band was built under another ISA or
-/// prepacked consumption is disabled; the rhs quad panels are packed
-/// once per call (per column band under a column plan). Parallel plans
-/// split whole lhs tiles or output columns — either way each output
-/// element's integer sum is untouched.
+/// Dense path of [`LowBands::WeightLhs`] (AVX2, all operands in
+/// `[-8, 7]`, blocked shape) through [`run_plan`]. Lhs tiles come
+/// prepacked from the bands, or are packed here when a band was built
+/// under another ISA; the rhs quad panels are packed once per call (per
+/// column band under a column plan). Parallel plans split whole lhs
+/// tiles or output columns — either way each output element's integer
+/// sum is untouched. Returns the bytes packed.
 #[cfg(target_arch = "x86_64")]
 fn low_run_dense(
     m: usize,
@@ -2412,13 +1960,9 @@ fn low_run_dense(
     a_shifts: &[u8],
     b: &[i8],
     c: &mut [i32],
-) {
-    simd::note_dispatch(Isa::Avx2);
+) -> u64 {
     let kb: usize = bands.iter().map(|s| s.kb).sum();
-    let ntiles = m.div_ceil(MR);
-    // Per-call lhs tiles for bands without usable prepacked ones.
-    let prepacked = prepack_enabled() && bands.iter().all(|s| s.dense.is_some());
-    let local: Vec<DenseLhs> = if prepacked {
+    let local: Vec<DenseLhs> = if bands.iter().all(|s| s.dense.is_some()) {
         Vec::new()
     } else {
         bands
@@ -2426,72 +1970,28 @@ fn low_run_dense(
             .map(|s| DenseLhs::pack(s.m, s.kb, &s.rows))
             .collect()
     };
-    let pack = |cols: Range<usize>| {
-        let mut bq = scratch::take_i8();
-        assert!(
-            pack_b_i8_quads(b, n, cols, bands, &mut bq),
-            "low-band activation outside [-8, 7]"
-        );
-        bq
-    };
-    match plan_bands(m, n, kb) {
-        Plan::Serial => {
-            let bq = pack(0..n);
-            let mut view = ColBandMut::new(&mut c[..m * n], m, n, 0..n);
-            dense_block(m, 0..ntiles, bands, a_shifts, &local, &bq, &mut view);
-            scratch::put_i8(bq);
-        }
-        Plan::Rows(pool, mut row_bands) => {
-            // Re-band over whole lhs tiles: the prepacked tiles are
-            // MR-aligned.
-            chunk_ranges_into(ntiles, pool.threads() * 4, &mut row_bands);
-            let mut elems = take_ranges();
-            elems.extend(
-                row_bands
-                    .iter()
-                    .map(|t| t.start * MR * n..(t.end * MR).min(m) * n),
-            );
-            let bq = pack(0..n);
-            pool.run_disjoint_mut(&mut c[..m * n], &elems, |bi, chunk| {
-                let tiles = row_bands[bi].clone();
-                let rows = (tiles.end * MR).min(m) - tiles.start * MR;
-                let mut view = ColBandMut::new(chunk, rows, n, 0..n);
-                dense_block(m, tiles, bands, a_shifts, &local, &bq, &mut view);
-            });
-            scratch::put_i8(bq);
-            put_ranges(elems);
-            put_ranges(row_bands);
-        }
-        Plan::Cols(pool, col_bands) => {
-            pool.run_col_bands_mut(&mut c[..m * n], m, n, &col_bands, |bi, view| {
-                let bq = pack(col_bands[bi].clone());
-                dense_block(m, 0..ntiles, bands, a_shifts, &local, &bq, view);
-                scratch::put_i8(bq);
-            });
-            put_ranges(col_bands);
-        }
-    }
-}
-
-/// Dot product of two `i8` slices with `i32` accumulation. Routes
-/// through the dispatched kernel family like the tiled GEMMs, so there
-/// is exactly one i8 inner-product implementation per ISA. Exact in
-/// `i32` on every path.
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    assert_eq!(a.len(), b.len(), "dot operands must have equal length");
-    match simd::active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active()` only reports Avx2 after runtime detection.
-        Isa::Avx2 => unsafe { simd::x86::dot_i8_avx2(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `active()` only reports Neon after runtime detection.
-        Isa::Neon => unsafe { simd::arm::dot_i8_neon(a, b) },
-        _ => a
-            .iter()
-            .zip(b.iter())
-            .map(|(&x, &y)| x as i32 * y as i32)
-            .sum(),
-    }
+    let lhs_bytes: usize = local.iter().map(DenseLhs::bytes).sum();
+    let rhs_bytes = run_plan(
+        [m, n, kb],
+        None,
+        c,
+        // The caller checked the whole problem against the blocking
+        // threshold; column bands of a dense run stay dense.
+        |_| true,
+        |cols, bq| {
+            let in_range = pack_b_i8_quads(b, n, cols, bands, bq);
+            assert!(in_range, "low-band activation outside [-8, 7]");
+        },
+        |rows, _, bq, view| {
+            let bq = bq.expect("a dense run always blocks");
+            // Row bands are tile-aligned (`tile_bands`), and the lhs
+            // tiles were packed ahead of the plan: nothing staged here.
+            let tiles = rows.start / MR..rows.end.div_ceil(MR);
+            dense_block(m, tiles, bands, a_shifts, &local, bq, view);
+            0
+        },
+    );
+    lhs_bytes as u64 + rhs_bytes
 }
 
 /// The naive serial loops the blocked kernels replaced. They remain the
@@ -2718,7 +2218,7 @@ mod tests {
             }
         }
         let mut c = vec![0.0f32; m * nb * n];
-        gemm_f32_colbatch(nb, m, n, k, &a, &b, &mut c);
+        gemm_f32(m, nb * n, k, &a, &b, &mut c);
         for (s, sm) in samples.iter().enumerate() {
             let mut cs = vec![0.0f32; m * n];
             gemm_f32(m, n, k, &a, sm, &mut cs);
@@ -2749,10 +2249,10 @@ mod tests {
             }
         }
         let mut c = vec![0i32; m * nb * n];
-        gemm_i8_colbatch(nb, m, n, k, &a, &b, &mut c);
+        gemm_i8(m, nb * n, k, &a, &b, &mut c);
         let mut banded = vec![0i32; m * nb * n];
-        gemm_i8_band_colbatch(nb, m, n, k, 0, 2, &a, &b, &mut banded);
-        gemm_i8_band_colbatch(nb, m, n, k, 2, k, &a, &b, &mut banded);
+        gemm_i8_band(m, nb * n, k, 0, 2, &a, &b, &mut banded);
+        gemm_i8_band(m, nb * n, k, 2, k, &a, &b, &mut banded);
         assert_eq!(c, banded);
         for (s, sm) in samples.iter().enumerate() {
             let mut cs = vec![0i32; m * n];
@@ -2836,24 +2336,6 @@ mod tests {
         assert_eq!(c, vec![0; 4]);
     }
 
-    #[test]
-    fn dot_i8_extremes() {
-        let a = vec![-128i8; 8];
-        let b = vec![-128i8; 8];
-        assert_eq!(dot_i8(&a, &b), 128 * 128 * 8);
-        let b = vec![127i8; 8];
-        assert_eq!(dot_i8(&a, &b), -128 * 127 * 8);
-        // Lengths straddling the SIMD chunk widths (32 on AVX2, 16 on
-        // NEON), pinned against the naive sum.
-        let mut rng = seeded(31);
-        for n in [0usize, 1, 15, 16, 17, 31, 32, 33, 100, 257] {
-            let a = rand_i8(n, &mut rng);
-            let b = rand_i8(n, &mut rng);
-            let want: i32 = a.iter().zip(&b).map(|(&x, &y)| x as i32 * y as i32).sum();
-            assert_eq!(dot_i8(&a, &b), want, "n={n}");
-        }
-    }
-
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn pairs_panel_matches_plain_panel_semantics() {
@@ -2866,9 +2348,9 @@ mod tests {
         let (k0, k1) = (2usize, 19usize); // odd-length band
         let b = rand_i8(k * n, &mut rng);
         let mut plain = Vec::new();
-        pack_b_i8(Rhs::Rows { b: &b, n }, k0, k1, 0..n, &mut plain);
+        I8Plain::pack_b(Rhs::Rows { b: &b, n }, k0, k1, 0..n, &mut plain);
         let mut pairs = Vec::new();
-        pack_b_i8_pairs(Rhs::Rows { b: &b, n }, k0, k1, 0..n, &mut pairs);
+        I8Pairs::pack_b(Rhs::Rows { b: &b, n }, k0, k1, 0..n, &mut pairs);
         let kb = k1 - k0;
         let kpairs = kb.div_ceil(2);
         let npan = n.div_ceil(NR_I8);
@@ -2898,9 +2380,9 @@ mod tests {
             }
         }
         let mut from_wt = Vec::new();
-        pack_b_i8_pairs(Rhs::WeightT { w: &w, k }, k0, k1, 0..n, &mut from_wt);
+        I8Pairs::pack_b(Rhs::WeightT { w: &w, k }, k0, k1, 0..n, &mut from_wt);
         let mut from_rows = Vec::new();
-        pack_b_i8_pairs(Rhs::Rows { b: &bt, n }, k0, k1, 0..n, &mut from_rows);
+        I8Pairs::pack_b(Rhs::Rows { b: &bt, n }, k0, k1, 0..n, &mut from_rows);
         assert_eq!(from_wt, from_rows);
     }
 
@@ -3003,9 +2485,9 @@ mod tests {
         ] {
             let w = rand_f32(n * k, &mut rng);
             let mut tiled = Vec::new();
-            pack_b_f32(Rhs::WeightT { w: &w, k }, k0, k1, 0..n, &mut tiled);
+            F32Kernel::pack_b(Rhs::WeightT { w: &w, k }, k0, k1, 0..n, &mut tiled);
             let mut generic = Vec::new();
-            pack_b_f32_generic(Rhs::WeightT { w: &w, k }, k0, k1, 0..n, &mut generic);
+            pack_b_panels::<f32, NR>(Rhs::WeightT { w: &w, k }, k0, k1, 0..n, &mut generic);
             assert_eq!(tiled.len(), generic.len(), "({n},{k},{k0},{k1})");
             for (i, (x, y)) in tiled.iter().zip(generic.iter()).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "({n},{k},{k0},{k1}) elem {i}");
@@ -3020,64 +2502,31 @@ mod tests {
         // fallback (m = 1).
         let mut rng = seeded(34);
         for &(m, n, k) in &[(MC + 5, 3 * NR_I8 + 9, KC + 11), (16, 64, 40), (1, 48, 32)] {
-            let a = rand_f32(m * k, &mut rng);
-            let b = rand_f32(k * n, &mut rng);
-            let w = rand_f32(n * k, &mut rng);
             let ai = rand_i8(m * k, &mut rng);
-            let bi = rand_i8(k * n, &mut rng);
             let wi = rand_i8(n * k, &mut rng);
-
-            let (mut c0, mut c1) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-            gemm_f32(m, n, k, &a, &b, &mut c0);
-            gemm_f32_prepacked(m, n, k, &a, &b, &prepack_f32(n, k, &b), &mut c1);
-            for (x, y) in c0.iter().zip(c1.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "f32 rows ({m},{n},{k})");
-            }
-
-            let (mut c0, mut c1) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-            gemm_f32_wt(m, n, k, &a, &w, &mut c0);
-            gemm_f32_wt_prepacked(m, n, k, &a, &w, &prepack_f32_wt(n, k, &w), &mut c1);
-            for (x, y) in c0.iter().zip(c1.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "f32 wt ({m},{n},{k})");
-            }
-
-            let (mut c0, mut c1) = (vec![0i32; m * n], vec![0i32; m * n]);
-            gemm_i8(m, n, k, &ai, &bi, &mut c0);
-            gemm_i8_prepacked(m, n, k, &ai, &bi, &prepack_i8(n, k, &bi), &mut c1);
-            assert_eq!(c0, c1, "i8 rows ({m},{n},{k})");
-
             let (k0, k1) = (3usize, k - 5);
             let (mut c0, mut c1) = (vec![0i32; m * n], vec![0i32; m * n]);
             gemm_i8_band_wt(m, n, k, k0, k1, &ai, &wi, &mut c0);
-            gemm_i8_band_wt_prepacked(
-                m,
-                n,
-                k,
-                k0,
-                k1,
-                &ai,
-                &wi,
-                &prepack_i8_wt_band(n, k, k0, k1, &wi),
-                &mut c1,
-            );
+            let packed = prepack_i8_wt_band(n, k, k0, k1, &wi);
+            gemm_i8_band_wt_prepacked(m, n, k, k0, k1, &ai, &wi, &packed, &mut c1);
             assert_eq!(c0, c1, "i8 band wt ({m},{n},{k})");
         }
     }
 
     #[test]
     fn prepacked_isa_mismatch_falls_back_to_per_call() {
-        // A panel stamped with an ISA other than the dispatching one
+        // A panel in the format of an ISA other than the dispatching one
         // must not be consumed — the call still completes (per-call
-        // path) with identical results.
+        // pack) with identical results.
         let mut rng = seeded(35);
         let (m, n, k) = (24usize, 2 * NR_I8, 64usize);
         let ai = rand_i8(m * k, &mut rng);
         let wi = rand_i8(n * k, &mut rng);
-        let mut packed = prepack_i8_wt_band(n, k, 0, k, &wi);
-        packed.isa = match packed.isa {
+        let other = match simd::active() {
             Isa::Scalar => Isa::Avx2,
             _ => Isa::Scalar,
         };
+        let packed = prepack_i8_rhs(other, Rhs::WeightT { w: &wi, k }, n, 0, k);
         let (mut c0, mut c1) = (vec![0i32; m * n], vec![0i32; m * n]);
         gemm_i8_band_wt(m, n, k, 0, k, &ai, &wi, &mut c0);
         gemm_i8_band_wt_prepacked(m, n, k, 0, k, &ai, &wi, &packed, &mut c1);

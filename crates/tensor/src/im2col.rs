@@ -113,9 +113,9 @@ pub fn im2col_i8_fill(input: &[i8], g: &Conv2dGeometry, out: &mut [i8]) {
 /// Sample `s` reads `input[s*sample_stride .. s*sample_stride + C_in*H*W]`,
 /// so a strided view into a larger stacked activation (e.g. one channel
 /// group of a `[N, C, H, W]` batch with `sample_stride = C*H*W`) lowers
-/// without an intermediate copy. The result feeds the `*_colbatch` GEMMs
-/// in [`crate::gemm`]: one lowering + one GEMM per layer per batch instead
-/// of per sample.
+/// without an intermediate copy. The result is the rhs of one
+/// [`crate::gemm`] call over the samples stacked along `n`: one lowering
+/// + one GEMM per layer per batch instead of per sample.
 pub fn im2col_batch(
     input: &[f32],
     nb: usize,

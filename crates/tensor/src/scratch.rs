@@ -33,6 +33,16 @@ use std::cell::RefCell;
 /// Buffers retained per thread per element type.
 pub const POOL_CAP: usize = 8;
 
+/// An element type with a scratch pool: the generic face of the
+/// `take_*`/`put_*` pairs, for kernels written once over several element
+/// types.
+pub(crate) trait Pooled: Copy + Default + Send + Sync {
+    /// Pops (or creates) a reusable buffer for this thread.
+    fn take() -> Vec<Self>;
+    /// Returns a buffer to this thread's pool, keeping its capacity.
+    fn put(buf: Vec<Self>);
+}
+
 macro_rules! scratch_pool {
     ($static_:ident, $ty:ty, $take:ident, $put:ident, $warm:ident, $take_doc:expr, $put_doc:expr) => {
         thread_local! {
@@ -55,6 +65,15 @@ macro_rules! scratch_pool {
                     pool.push(buf);
                 }
             });
+        }
+
+        impl Pooled for $ty {
+            fn take() -> Vec<$ty> {
+                $take()
+            }
+            fn put(buf: Vec<$ty>) {
+                $put(buf)
+            }
         }
 
         /// Grows one pooled buffer of this type to `elems` elements and

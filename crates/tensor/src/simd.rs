@@ -1,6 +1,6 @@
 //! Runtime ISA dispatch and explicit SIMD micro-kernel tiles.
 //!
-//! The blocked GEMM drivers in [`crate::gemm`] call full `MR × NR`
+//! The blocked GEMM driver in [`crate::gemm`] calls full `MR × NR`
 //! (f32) and `MR × NR_I8` (i8) register tiles through this module. The
 //! instruction set is detected **once per process** ([`detect`]) and
 //! resolved per GEMM call ([`active`]), so a binary built for generic
@@ -66,9 +66,9 @@
 //! saturated sum. Scalar and NEON builds run the ordinary i8 tiles on
 //! the same lowered operands — exact as ever, just not cheaper.
 //!
-//! The AVX2 i8 tile consumes a dedicated *pair* panel layout
-//! (`gemm::pack_b_i8_pairs`) holding two adjacent reduction steps as an
-//! i16 pair per lane, feeding `pmaddwd` (`_mm256_madd_epi16`) directly.
+//! The AVX2 i8 tile consumes a dedicated *pair* panel layout (packed
+//! by `gemm`'s `I8Pairs` kernel) holding two adjacent reduction steps as
+//! an i16 pair per lane, feeding `pmaddwd` (`_mm256_madd_epi16`) directly.
 //! The NEON i8 tile widens the ordinary i8 panel on the fly
 //! (`vmovl_s8` + `vmlal_s16`), so `aarch64` needs no second panel
 //! format.
@@ -170,12 +170,12 @@ const _: () = assert!((DENSE_I16_STEPS + 1) * 240 > i16::MAX as usize);
 
 thread_local! {
     /// ISA of the most recent GEMM dispatch **on this thread** — set by
-    /// the drivers in [`crate::gemm`], observable by tests that need to
+    /// the entry points in [`crate::gemm`], observable by tests that need to
     /// prove forced-scalar actually took effect.
     static LAST_DISPATCH: Cell<Option<Isa>> = const { Cell::new(None) };
 }
 
-/// Records a dispatch decision (called by the GEMM drivers).
+/// Records a dispatch decision (called by the GEMM entry points).
 pub(crate) fn note_dispatch(isa: Isa) {
     LAST_DISPATCH.with(|c| c.set(Some(isa)));
 }
@@ -234,8 +234,8 @@ pub(crate) mod x86 {
         }
     }
 
-    /// Full `MR × NR_I8` i8 tile over a **pair** panel
-    /// (`gemm::pack_b_i8_pairs`): each `bp` element holds reduction
+    /// Full `MR × NR_I8` i8 tile over a **pair** panel (packed by
+    /// `gemm`'s `I8Pairs` kernel): each `bp` element holds reduction
     /// steps `2pp` (low i16) and `2pp+1` (high i16) for one lane, so
     /// `pmaddwd` computes `a0·b0 + a1·b1` per lane in one instruction.
     /// `kc` is the true reduction extent; an odd tail is handled by a
@@ -429,41 +429,6 @@ pub(crate) mod x86 {
         _mm256_storeu_si256(bytes.as_mut_ptr().cast(), seen);
         bytes.iter().fold(0, |acc, &v| acc | v)
     }
-
-    /// Full i8 dot product: 32-byte chunks widened to i16
-    /// (`cvtepi8_epi16`), `pmaddwd` into i32 lanes, horizontal sum,
-    /// scalar tail. Exact in i32.
-    ///
-    /// # Safety
-    /// AVX2 must be supported by the executing CPU; `a.len() == b.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
-        assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let chunks = n / 32;
-        let mut acc = _mm256_setzero_si256();
-        for i in 0..chunks {
-            let av = _mm256_loadu_si256(a.as_ptr().add(i * 32).cast());
-            let bv = _mm256_loadu_si256(b.as_ptr().add(i * 32).cast());
-            let a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(av));
-            let a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(av));
-            let b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(bv));
-            let b_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(bv));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_lo, b_lo));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_hi, b_hi));
-        }
-        let s = _mm_add_epi32(
-            _mm256_castsi256_si128(acc),
-            _mm256_extracti128_si256::<1>(acc),
-        );
-        let s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b01>(s));
-        let mut sum = _mm_cvtsi128_si32(s);
-        for i in chunks * 32..n {
-            sum += *a.get_unchecked(i) as i32 * *b.get_unchecked(i) as i32;
-        }
-        sum
-    }
 }
 
 /// NEON register tiles — the aarch64 twins of [`x86`]. Same exactness
@@ -557,31 +522,6 @@ pub(crate) mod arm {
                 }
             }
         }
-    }
-
-    /// Full i8 dot product: 16-byte chunks through `vmull_s8` (i16
-    /// products) pairwise-accumulated into i32 (`vpadalq_s16`), lane
-    /// reduction via `vaddvq_s32`, scalar tail. Exact in i32.
-    ///
-    /// # Safety
-    /// NEON must be supported by the executing CPU; `a.len() == b.len()`.
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn dot_i8_neon(a: &[i8], b: &[i8]) -> i32 {
-        assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let chunks = n / 16;
-        let mut acc = vdupq_n_s32(0);
-        for i in 0..chunks {
-            let av = vld1q_s8(a.as_ptr().add(i * 16));
-            let bv = vld1q_s8(b.as_ptr().add(i * 16));
-            acc = vpadalq_s16(acc, vmull_s8(vget_low_s8(av), vget_low_s8(bv)));
-            acc = vpadalq_s16(acc, vmull_s8(vget_high_s8(av), vget_high_s8(bv)));
-        }
-        let mut sum = vaddvq_s32(acc);
-        for i in chunks * 16..n {
-            sum += *a.get_unchecked(i) as i32 * *b.get_unchecked(i) as i32;
-        }
-        sum
     }
 }
 
@@ -840,20 +780,6 @@ mod tests {
                 wide[7 * n + j0 + 19] = bad;
                 let seen = unsafe { x86::quads_pack_avx2(&wide[j0..], n, nq, &mut got) };
                 assert!(seen > 15, "{bad} went unnoticed");
-            }
-        }
-
-        #[test]
-        fn dot_matches_scalar_across_lengths() {
-            if detect() != Isa::Avx2 {
-                return;
-            }
-            for n in [0usize, 1, 31, 32, 33, 64, 257] {
-                let a = splat_i8(1 + n as u64, n);
-                let b = splat_i8(2 + n as u64, n);
-                let want: i32 = a.iter().zip(&b).map(|(&x, &y)| x as i32 * y as i32).sum();
-                let got = unsafe { x86::dot_i8_avx2(&a, &b) };
-                assert_eq!(want, got, "n={n}");
             }
         }
     }

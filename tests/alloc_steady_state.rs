@@ -249,11 +249,6 @@ fn batched_infer_reaches_allocation_steady_state() {
 
 #[test]
 fn warm_pack_cache_adds_zero_allocations_across_level_flips() {
-    // `FLEXIQ_NO_PREPACK=1` turns the shared cache off (prewarm is a
-    // no-op and hooks lower their own weights): nothing to pin there.
-    if !gemm::prepack_enabled() {
-        return;
-    }
     let _serial = serial();
     let (rt, inputs) = int_runtime();
     // Eagerly build every cached weight band up front, so no inference

@@ -34,7 +34,7 @@ use flexiq::nn::kv::KvSpec;
 use flexiq::nn::qexec::{ExecMode, QuantExecOptions};
 use flexiq::nn::zoo::{ModelId, Scale, TinyLmCfg};
 use flexiq::parallel::ThreadPool;
-use flexiq::tensor::{gemm, Tensor};
+use flexiq::tensor::Tensor;
 use proptest::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -246,42 +246,6 @@ fn mid_decode_level_flips_are_prefix_stable_and_deterministic() {
             "{spec:?}: flip had no effect — the pin is vacuous"
         );
     }
-}
-
-/// The whole identity with prepack consumption forced off (the
-/// `FLEXIQ_NO_PREPACK=1` analogue): the per-call packing path must
-/// produce the same bits. CI additionally re-runs this entire binary
-/// under the real environment variable.
-#[test]
-fn decode_equivalence_survives_no_prepack_override() {
-    struct Off;
-    impl Drop for Off {
-        fn drop(&mut self) {
-            gemm::set_no_prepack(false);
-        }
-    }
-    let (_, seqs) = base();
-    let rt = runtime(ExecMode::Int, KvSpec::mixed(2, 0.5));
-    rt.set_level(0).unwrap();
-    let with_pack = {
-        let (mut s, first, _) = rt.decode_start(&seqs[5].slice_axis0(4).unwrap()).unwrap();
-        let mut bits: Vec<u32> = first.data().iter().map(|v| v.to_bits()).collect();
-        for t in 4..seqs[5].numel() {
-            let (row, _) = rt.decode_step(&mut s, seqs[5].data()[t]).unwrap();
-            bits.extend(row.data().iter().map(|v| v.to_bits()));
-        }
-        bits
-    };
-    gemm::set_no_prepack(true);
-    let _restore = Off;
-    check_decode_matches_full(&rt, &seqs[5], 4, "no-prepack");
-    let (mut s, first, _) = rt.decode_start(&seqs[5].slice_axis0(4).unwrap()).unwrap();
-    let mut bits: Vec<u32> = first.data().iter().map(|v| v.to_bits()).collect();
-    for t in 4..seqs[5].numel() {
-        let (row, _) = rt.decode_step(&mut s, seqs[5].data()[t]).unwrap();
-        bits.extend(row.data().iter().map(|v| v.to_bits()));
-    }
-    assert_eq!(with_pack, bits, "escape hatch changed decode bits");
 }
 
 proptest! {

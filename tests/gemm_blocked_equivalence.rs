@@ -210,8 +210,8 @@ proptest! {
             let mut cf = vec![0.0f32; m * nb * n];
             let mut ci = vec![0i32; m * nb * n];
             flexiq::parallel::with_pool(&pool, || {
-                gemm::gemm_f32_colbatch(nb, m, n, k, &af, &bf, &mut cf);
-                gemm::gemm_i8_colbatch(nb, m, n, k, &ai, &bi, &mut ci);
+                gemm::gemm_f32(m, nb * n, k, &af, &bf, &mut cf);
+                gemm::gemm_i8(m, nb * n, k, &ai, &bi, &mut ci);
             });
             for s in 0..nb {
                 let mut ef = vec![0.0f32; m * n];
@@ -300,11 +300,11 @@ proptest! {
             flexiq::parallel::with_pool(&pool, || {
                 gemm::gemm_i8_band(m, n, k, k0, k1, &a, &b, &mut c_simd);
                 gemm::gemm_i8_band_wt(m, n, k, k0, k1, &a, &w, &mut cw_simd);
-                gemm::gemm_i8_colbatch(nb, m, n, k, &a, &bcol, &mut cb_simd);
+                gemm::gemm_i8(m, nb * n, k, &a, &bcol, &mut cb_simd);
                 let _scalar = ForceScalar::on();
                 gemm::gemm_i8_band(m, n, k, k0, k1, &a, &b, &mut c_scalar);
                 gemm::gemm_i8_band_wt(m, n, k, k0, k1, &a, &w, &mut cw_scalar);
-                gemm::gemm_i8_colbatch(nb, m, n, k, &a, &bcol, &mut cb_scalar);
+                gemm::gemm_i8(m, nb * n, k, &a, &bcol, &mut cb_scalar);
             });
             prop_assert_eq!(&c_simd, &c_scalar,
                 "band ({}, {}, {}) [{}, {}) x{}", m, n, k, k0, k1, threads);

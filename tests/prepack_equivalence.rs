@@ -1,14 +1,16 @@
 //! Prepacked-weight equivalence (ISSUE 8).
 //!
-//! The tentpole invariant: consuming an ahead-of-time packed rhs
-//! ([`gemm::prepack_f32`] & friends) is **bit-identical** to per-call
-//! packing — same panels, same micro-kernels, same reduction order — at
-//! every shape, layout (`Rows` / `WeightT`), dtype (f32 / i8), thread
-//! count, and ISA. Proptests sweep the kernel tier; the runtime tests
-//! pin the end-to-end property: a `FlexiRuntime` serving through its
-//! prepacked-weight cache, with levels flipping mid-stream, reproduces
-//! an uncached oracle bit for bit, and the `FLEXIQ_NO_PREPACK` escape
-//! hatch restores the per-call path without changing a single bit.
+//! The tentpole invariant: consuming an ahead-of-time packed weight
+//! band ([`gemm::prepack_i8_wt_band`], the tiles inside
+//! [`gemm::LowBandLhs`]) is **bit-identical** to per-call packing — same
+//! panels, same micro-kernels, same reduction order — at every shape,
+//! thread count, and ISA, and a panel the call cannot consume (built
+//! under another ISA) costs a per-call pack, never a wrong bit — which
+//! the packed-byte counter makes visible. Proptests sweep the kernel
+//! tier; the runtime test pins the end-to-end property: a
+//! `FlexiRuntime` serving through its prepacked-weight cache, with
+//! levels flipping mid-stream, reproduces an uncached oracle bit for
+//! bit.
 
 use std::sync::Mutex;
 
@@ -27,8 +29,8 @@ use rand::Rng;
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
-/// Serializes tests that flip process-wide overrides (forced scalar,
-/// forced no-prepack) against each other.
+/// Serializes the tests of this binary: some flip the process-wide
+/// forced-scalar override, one reads global telemetry counter deltas.
 static TOGGLE_LOCK: Mutex<()> = Mutex::new(());
 
 fn toggle_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -51,74 +53,23 @@ impl Drop for ForceScalar {
     }
 }
 
-/// RAII forced no-prepack scope (the `FLEXIQ_NO_PREPACK=1` analogue).
-struct ForceNoPrepack;
-
-impl ForceNoPrepack {
-    fn on() -> ForceNoPrepack {
-        gemm::set_no_prepack(true);
-        ForceNoPrepack
-    }
-}
-
-impl Drop for ForceNoPrepack {
-    fn drop(&mut self) {
-        gemm::set_no_prepack(false);
-    }
-}
-
-fn rand_f32(len: usize, rng: &mut impl Rng) -> Vec<f32> {
-    (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
-}
-
 fn rand_i8(len: usize, rng: &mut impl Rng) -> Vec<i8> {
     (0..len)
         .map(|_| rng.gen_range(-128i16..=127) as i8)
         .collect()
 }
 
-/// Runs all four prepacked entry points against their per-call twins at
-/// one shape and asserts bitwise equality, under every thread count.
-fn check_all_layouts(m: usize, n: usize, k: usize, seed: u64) {
+/// Runs the prepacked weight band against its per-call twin at one
+/// shape and asserts bitwise equality, under every thread count.
+fn check_wt_band(m: usize, n: usize, k: usize, seed: u64) {
     let mut rng = seeded(seed);
-    let a = rand_f32(m * k, &mut rng);
-    let b = rand_f32(k * n, &mut rng);
-    let w = rand_f32(n * k, &mut rng);
     let ai = rand_i8(m * k, &mut rng);
-    let bi = rand_i8(k * n, &mut rng);
     let wi = rand_i8(n * k, &mut rng);
-    let pb = gemm::prepack_f32(n, k, &b);
-    let pw = gemm::prepack_f32_wt(n, k, &w);
-    let pbi = gemm::prepack_i8(n, k, &bi);
     let (k0, k1) = (k / 3, k - k / 4);
     let pwi = gemm::prepack_i8_wt_band(n, k, k0, k1, &wi);
     for threads in THREADS {
         let pool = ThreadPool::new(threads);
         flexiq::parallel::with_pool(&pool, || {
-            let (mut c0, mut c1) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-            gemm::gemm_f32(m, n, k, &a, &b, &mut c0);
-            gemm::gemm_f32_prepacked(m, n, k, &a, &b, &pb, &mut c1);
-            for (i, (x, y)) in c0.iter().zip(c1.iter()).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "f32 rows ({m}, {n}, {k}) x{threads} elem {i}"
-                );
-            }
-            let (mut c0, mut c1) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-            gemm::gemm_f32_wt(m, n, k, &a, &w, &mut c0);
-            gemm::gemm_f32_wt_prepacked(m, n, k, &a, &w, &pw, &mut c1);
-            for (i, (x, y)) in c0.iter().zip(c1.iter()).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "f32 wt ({m}, {n}, {k}) x{threads} elem {i}"
-                );
-            }
-            let (mut c0, mut c1) = (vec![0i32; m * n], vec![0i32; m * n]);
-            gemm::gemm_i8(m, n, k, &ai, &bi, &mut c0);
-            gemm::gemm_i8_prepacked(m, n, k, &ai, &bi, &pbi, &mut c1);
-            assert_eq!(&c0, &c1, "i8 rows ({m}, {n}, {k}) x{threads}");
             let (mut c0, mut c1) = (vec![0i32; m * n], vec![0i32; m * n]);
             gemm::gemm_i8_band_wt(m, n, k, k0, k1, &ai, &wi, &mut c0);
             gemm::gemm_i8_band_wt_prepacked(m, n, k, k0, k1, &ai, &wi, &pwi, &mut c1);
@@ -128,8 +79,8 @@ fn check_all_layouts(m: usize, n: usize, k: usize, seed: u64) {
 }
 
 proptest! {
-    /// Prepacked == per-call, bit for bit: every layout and dtype, any
-    /// shape (blocked or sub-threshold), threads 1/2/4, active ISA.
+    /// Prepacked == per-call, bit for bit: any shape (blocked or
+    /// sub-threshold), threads 1/2/4, active ISA.
     #[test]
     fn prepacked_matches_per_call_bitwise(
         m in 1usize..48,
@@ -137,7 +88,8 @@ proptest! {
         k in 4usize..140,
         seed in 0u64..1000,
     ) {
-        check_all_layouts(m, n, k, seed);
+        let _gate = toggle_lock();
+        check_wt_band(m, n, k, seed);
     }
 }
 
@@ -152,35 +104,65 @@ fn prepacked_matches_per_call_under_forced_scalar() {
         .iter()
         .enumerate()
     {
-        check_all_layouts(m, n, k, 0x5CA1A + i as u64);
+        check_wt_band(m, n, k, 0x5CA1A + i as u64);
     }
 }
 
-/// The no-prepack escape hatch: entry points fall back to per-call
-/// packing and still match bitwise.
+/// The silent fallback made visible: a consumed panel books no rhs
+/// bytes in `GemmPackedBytes` (they were booked when the cache built
+/// it), a panel built under forced-scalar and met by another ISA's
+/// kernel is re-packed per call — and the bits are equal either way.
 #[test]
-fn no_prepack_override_falls_back_bitwise() {
+fn foreign_isa_panel_is_repacked_per_call_and_counted() {
     let _gate = toggle_lock();
-    let mut rng = seeded(0x0FF);
+    let mut rng = seeded(0xF0E);
+    // Blocked, single-threaded: one rhs pack, lhs tiles per block.
     let (m, n, k) = (24usize, 96usize, 72usize);
-    let a = rand_f32(m * k, &mut rng);
-    let b = rand_f32(k * n, &mut rng);
-    let packed = gemm::prepack_f32(n, k, &b);
-    let mut base = vec![0.0f32; m * n];
-    gemm::gemm_f32(m, n, k, &a, &b, &mut base);
-    let _off = ForceNoPrepack::on();
-    let mut c = vec![0.0f32; m * n];
-    gemm::gemm_f32_prepacked(m, n, k, &a, &b, &packed, &mut c);
-    for (x, y) in base.iter().zip(c.iter()) {
-        assert_eq!(x.to_bits(), y.to_bits());
+    let ai = rand_i8(m * k, &mut rng);
+    let wi = rand_i8(n * k, &mut rng);
+    let native = gemm::prepack_i8_wt_band(n, k, 0, k, &wi);
+    let scalar_built = {
+        let _scalar = ForceScalar::on();
+        gemm::prepack_i8_wt_band(n, k, 0, k, &wi)
+    };
+    let pool = ThreadPool::new(1);
+    let booked = |run: &dyn Fn(&mut [i32])| -> (u64, Vec<i32>) {
+        let mut c = vec![0i32; m * n];
+        let before = flexiq::telemetry::counters().gemm_packed_bytes;
+        flexiq::parallel::with_pool(&pool, || run(&mut c));
+        (flexiq::telemetry::counters().gemm_packed_bytes - before, c)
+    };
+    let (per_call, want) = booked(&|c| gemm::gemm_i8_band_wt(m, n, k, 0, k, &ai, &wi, c));
+    let (consumed, got) =
+        booked(&|c| gemm::gemm_i8_band_wt_prepacked(m, n, k, 0, k, &ai, &wi, &native, c));
+    assert_eq!(got, want);
+    // Lhs tiles only: `m` rows (a multiple of MR) by `k` steps of i8.
+    assert_eq!(
+        consumed,
+        (m * k) as u64,
+        "a consumed panel booked rhs bytes"
+    );
+    assert_eq!(
+        per_call - consumed,
+        native.bytes() as u64,
+        "rhs panel bytes"
+    );
+    let (foreign, got) =
+        booked(&|c| gemm::gemm_i8_band_wt_prepacked(m, n, k, 0, k, &ai, &wi, &scalar_built, c));
+    assert_eq!(got, want);
+    if native.bytes() == scalar_built.bytes() {
+        // Scalar dispatch (or an ISA sharing the plain panels): the
+        // scalar-built panel is native here and is consumed.
+        assert_eq!(foreign, consumed);
+    } else {
+        assert_eq!(foreign, per_call, "foreign panel was not re-packed");
     }
 }
 
 /// A low-band run's prepacked dense lhs tiles are an optimization, not
-/// a dependency: the same bands give the same sums when consumption is
-/// disabled (tiles packed per call), when the bands were built under a
-/// forced-scalar ISA and carry no tiles (packed per call under SIMD),
-/// and when the whole call runs the scalar tiles.
+/// a dependency: the same bands give the same sums when they were built
+/// under a forced-scalar ISA and carry no tiles (packed per call under
+/// SIMD), and when the whole call runs the scalar tiles.
 #[test]
 fn low_band_tiles_are_optional_bitwise() {
     let _gate = toggle_lock();
@@ -210,10 +192,6 @@ fn low_band_tiles_are_optional_bitwise() {
     let bands = build();
     let want = run(&bands);
     assert!(want.iter().any(|&v| v != 0));
-    {
-        let _off = ForceNoPrepack::on();
-        assert_eq!(run(&bands), want, "consumption disabled");
-    }
     let (scalar_built, scalar_run) = {
         let _scalar = ForceScalar::on();
         let bands = build();
@@ -280,33 +258,6 @@ fn level_flips_mid_stream_match_uncached_oracle() {
             for (a, b) in oracle.data().iter().zip(ys[i].data().iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "level {level} batched sample {i}");
             }
-        }
-    }
-}
-
-/// The whole runtime under the escape hatch: with prepack consumption
-/// forced off, the cache-bearing runtime routes through per-call packing
-/// and must reproduce its own cached outputs bit for bit.
-#[test]
-fn runtime_outputs_identical_with_prepack_disabled() {
-    let _gate = toggle_lock();
-    let (rt, inputs) = int_runtime();
-    rt.prewarm_levels().unwrap();
-    let mut levels = vec![LEVEL_INT8];
-    levels.extend(0..rt.num_levels());
-    for &level in &levels {
-        rt.set_level(level).unwrap();
-        let cached = rt.infer(&inputs[0]).unwrap();
-        let uncached = {
-            let _off = ForceNoPrepack::on();
-            rt.infer(&inputs[0]).unwrap()
-        };
-        for (a, b) in cached.data().iter().zip(uncached.data().iter()) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "level {level}: escape hatch changed bits"
-            );
         }
     }
 }
