@@ -22,7 +22,7 @@
 //! A stacked pass also parallelizes **within** a dispatch: per-sample
 //! attention cores and window cores fan across the ambient
 //! [`flexiq_parallel`] pool, and the kernels underneath (GEMM row bands,
-//! batched im2col, conv channel groups) band their own disjoint output
+//! conv channel groups) band their own disjoint output
 //! ranges. No float reduction is reordered anywhere, so parallel output
 //! is bit-exact with serial at every thread count.
 //!

@@ -265,12 +265,10 @@ impl KvLayerCache {
         self.k_scale.push(kp.scale());
         self.v_scale.push(vp.scale());
         let base = self.k_q.len();
-        for &x in k_row {
-            self.k_q.push(kp.quantize(x) as i8);
-        }
-        for &x in v_row {
-            self.v_q.push(vp.quantize(x) as i8);
-        }
+        self.k_q.resize(base + self.c, 0);
+        kp.quantize_slice(k_row, &mut self.k_q[base..]);
+        self.v_q.resize(base + self.c, 0);
+        vp.quantize_slice(v_row, &mut self.v_q[base..]);
         // Carve the low band: one live lowering rule per (head, group),
         // derived from this row's 8-bit maxima exactly as the weight
         // path derives its static rules from calibrated maxima.
@@ -342,8 +340,8 @@ impl KvLayerCache {
         // Quantize the query row live (per-row symmetric, like appends).
         let qp = row_params(q_row)?;
         let q_scale = qp.scale();
-        self.q_q.clear();
-        self.q_q.extend(q_row.iter().map(|&x| qp.quantize(x) as i8));
+        self.q_q.resize(c, 0);
+        qp.quantize_slice(q_row, &mut self.q_q);
         let low_groups = self.spec.low_groups(dh);
         let gw = self.spec.group;
         for h in 0..self.heads {

@@ -978,9 +978,11 @@ impl<'m> QuantCompute<'m> {
     }
 
     /// Quantizes an activation tensor to `i8` with the layer's per-tensor
-    /// scale, into a workspace buffer (no steady-state allocation).
-    /// Elements are independent, so large activations quantize in
-    /// parallel chunks (bit-exact: each element's rounding is untouched).
+    /// scale, into a workspace buffer (no steady-state allocation): one
+    /// [`QParams::quantize_slice`] sweep. Serial on purpose — at 0.25 ns
+    /// per element a pool dispatch only breaks even at 512 k elements
+    /// (16 k: 4 → 14 µs across two threads), sixteen times the largest
+    /// activation a bundled model quantizes at batch 8.
     ///
     /// With a `layout` (the integer engines pass one) the buffer leaves
     /// **band-ready**: under static or naive extraction, the channels of
@@ -1003,27 +1005,8 @@ impl<'m> QuantCompute<'m> {
         let p = QParams::new(self.model.layers[l].act_scale, QuantBits::B8)
             .expect("scale validated at prepare");
         let data = x.data();
-        let out = buf.prep(data.len());
-        let pool = (!flexiq_parallel::in_task() && data.len() >= 16 * 1024)
-            .then(flexiq_parallel::current)
-            .filter(|pool| pool.threads() >= 2);
-        match pool {
-            Some(pool) => {
-                let mut ranges = flexiq_parallel::take_ranges();
-                flexiq_parallel::chunk_ranges_into(data.len(), pool.threads() * 4, &mut ranges);
-                pool.run_disjoint_mut(out, &ranges, |bi, chunk| {
-                    for (dst, &v) in chunk.iter_mut().zip(&data[ranges[bi].clone()]) {
-                        *dst = p.quantize(v) as i8;
-                    }
-                });
-                flexiq_parallel::put_ranges(ranges);
-            }
-            None => {
-                for (dst, &v) in out.iter_mut().zip(data.iter()) {
-                    *dst = p.quantize(v) as i8;
-                }
-            }
-        }
+        let out = buf.prep_dirty(data.len());
+        p.quantize_slice(data, out);
         drop(quant_span);
         let Some(layout) = layout else { return };
         let low = &self.plan.low_groups[l];
@@ -1440,7 +1423,7 @@ impl<'m> QuantCompute<'m> {
         // GEMMs into the i32 accumulator slab `tls.acc`.
         let run_group = |cg: usize, xq: &[i8], tls: &mut Workspace| {
             let im2col_span = tel::span("im2col", tel::Cat::Phase);
-            let cols_q = tls.cols_q.prep(k * ncols);
+            let cols_q = tls.cols_q.prep_dirty(k * ncols);
             im2col_i8_batch_fill(&xq[cg * c_in_g * h * w..], n, chw, &geom, cols_q);
             drop(im2col_span);
             let acc = tls.acc.prep(c_out_g * ncols);

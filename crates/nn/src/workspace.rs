@@ -22,9 +22,10 @@ use std::ops::{Deref, DerefMut};
 
 /// One capacity-retaining scratch buffer that counts reallocation.
 ///
-/// [`Buf::prep`] clears and resizes in place; it records whether the
-/// request had to grow the allocation, so tests can assert a warmed
-/// workspace serves a steady-state pass without growing.
+/// [`Buf::prep`] clears and resizes in place ([`Buf::prep_dirty`]
+/// resizes without clearing); both record whether the request had to
+/// grow the allocation, so tests can assert a warmed workspace serves a
+/// steady-state pass without growing.
 #[derive(Debug)]
 pub struct Buf<T> {
     data: Vec<T>,
@@ -44,11 +45,22 @@ impl<T: Clone + Default> Buf<T> {
     /// Clears the buffer and resizes it to `len` default-valued (zeroed)
     /// elements, reusing capacity where possible.
     pub fn prep(&mut self, len: usize) -> &mut [T] {
+        self.data.clear();
+        self.prep_dirty(len)
+    }
+
+    /// Resizes the buffer to `len` elements **keeping whatever it
+    /// held** (only elements past the previous length are
+    /// default-valued), reusing capacity where possible — for a buffer
+    /// the callee overwrites in full (the quantized activation, the
+    /// im2col matrix), where [`Buf::prep`]'s zero fill would be a second
+    /// write of every byte.
+    pub fn prep_dirty(&mut self, len: usize) -> &mut [T] {
         if len > self.data.capacity() {
             self.grown += 1;
             flexiq_telemetry::count(flexiq_telemetry::Counter::WsBufGrowth, 1);
         }
-        self.data.clear();
+        self.data.truncate(len);
         self.data.resize(len, T::default());
         &mut self.data
     }
@@ -194,6 +206,19 @@ mod tests {
         assert_eq!(&buf[..], &[1, 2, 3, 4]);
         buf.prep(3);
         assert_eq!(&buf[..], &[0, 0, 0]);
+    }
+
+    #[test]
+    fn prep_dirty_keeps_contents_and_counts_growth() {
+        let mut buf: Buf<i8> = Buf::default();
+        buf.prep_dirty(4).copy_from_slice(&[1, 2, 3, 4]);
+        assert_eq!(buf.grown(), 1);
+        assert_eq!(&buf.prep_dirty(3)[..], &[1, 2, 3]);
+        // Only the elements past the previous length are defaulted.
+        assert_eq!(&buf.prep_dirty(4)[..], &[1, 2, 3, 0]);
+        assert_eq!(buf.grown(), 1, "within-capacity requests are free");
+        buf.prep_dirty(64);
+        assert_eq!(buf.grown(), 2);
     }
 
     #[test]

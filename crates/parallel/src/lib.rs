@@ -1,7 +1,7 @@
 //! Vendored scoped thread pool for intra-batch data parallelism.
 //!
 //! The execution stack partitions work **only along independent output
-//! ranges** (GEMM row bands, im2col row chunks, per-sample attention
+//! ranges** (GEMM row bands, per-sample attention
 //! cores, per-channel-group conv GEMMs), so every task writes a disjoint
 //! region and the parallel result is bit-exact with serial execution —
 //! no float reduction is ever reordered. This crate provides the pool

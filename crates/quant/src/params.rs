@@ -2,6 +2,13 @@
 
 use crate::error::QuantError;
 use crate::Result;
+use flexiq_tensor::simd::Isa;
+
+/// The largest `f32` below one half, `0.5 − 2⁻²⁵`: what
+/// [`QParams::quantize`] adds before truncating (see there for why this
+/// and not `0.5`).
+const HALF_BELOW: f32 = 0.499_999_97;
+const _: () = assert!(HALF_BELOW.to_bits() + 1 == 0.5f32.to_bits());
 
 /// A supported integer bitwidth.
 ///
@@ -108,10 +115,68 @@ impl QParams {
         self.bits
     }
 
-    /// Quantizes one value: `clip(round(x / scale), qmin, qmax)`.
+    /// Quantizes one value: `clip(round(x / scale), qmin, qmax)`, ties
+    /// away from zero, NaN to 0.
+    ///
+    /// This is the one quantization formula of the workspace
+    /// ([`QParams::quantize_slice`] and its SIMD bodies are tested equal
+    /// to it), written without a branch or a `roundf` call so it inlines
+    /// and vectorizes: clamp `r = x / scale` in f32 to one step past the
+    /// integer range, add `0.5 − 2⁻²⁵` (the largest f32 below one half)
+    /// with `r`'s sign, truncate, clamp to the integer range.
+    ///
+    /// # Why the constant is exact
+    ///
+    /// `trunc(r + copysign(0.5 − 2⁻²⁵, r))` equals `round(r)` (ties away)
+    /// for every f32 `|r| < 2²²`. Take `r = n + f ≥ 0` with `n` an
+    /// integer and `0 ≤ f < 1`, and let `u ≥ 2⁻²⁴` be the f32 spacing
+    /// just below `n + 1`; f32 addition rounds the real sum to nearest,
+    /// monotonically:
+    ///
+    /// * `f ≥ ½`: the real sum is at least `n + 1 − 2⁻²⁵`, at most `u/2`
+    ///   below `n + 1`, so it rounds up to `n + 1` (on the one exact
+    ///   tie, `n = 0`, because `1.0` has the even mantissa) and
+    ///   truncates to `n + 1`.
+    /// * `f < ½`: for `n ≥ 1`, `r` sits on the grid of spacing `u`, and
+    ///   so does `½`, hence `f ≤ ½ − u`; for `n = 0`, `f` is at most the
+    ///   constant itself. Either way the real sum is at most
+    ///   `n + 1 − u`, which is representable, so the rounded sum stays
+    ///   below `n + 1` and truncates to `n`.
+    ///
+    /// (Adding `0.5` itself fails the second case: `0.49999997 + 0.5`
+    /// rounds up to `1.0`.) Negative `r` mirrors. The division stays a
+    /// division — `x * (1 / scale)` rounds differently. The f32 clamp
+    /// keeps `r` far inside that range and maps ±∞ one step outside the
+    /// integer range, where the integer clamp finishes the job; NaN
+    /// passes the f32 clamp and the add, and `as` maps it to 0.
+    #[inline]
     pub fn quantize(&self, x: f32) -> i32 {
-        let q = (x / self.scale).round() as i64;
-        q.clamp(self.bits.qmin() as i64, self.bits.qmax() as i64) as i32
+        let (lo, hi) = (self.bits.qmin(), self.bits.qmax());
+        let r = (x / self.scale).clamp((lo - 1) as f32, (hi + 1) as f32);
+        ((r + HALF_BELOW.copysign(r)) as i32).clamp(lo, hi)
+    }
+
+    /// Quantizes `xs` into `out` (equal lengths), element for element
+    /// what [`QParams::quantize`] returns, narrowed to `i8` (every
+    /// supported bitwidth fits).
+    ///
+    /// Dispatches on [`flexiq_tensor::simd::active`]: 32 values per step
+    /// on AVX2, 16 on NEON, the scalar formula for the tail and
+    /// everywhere else (`FLEXIQ_NO_SIMD=1` included).
+    pub fn quantize_slice(&self, xs: &[f32], out: &mut [i8]) {
+        assert_eq!(xs.len(), out.len(), "quantize_slice length mismatch");
+        let done = match flexiq_tensor::simd::active() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `active() == Avx2` only after runtime detection.
+            Isa::Avx2 => unsafe { x86::quantize_avx2(self, xs, out) },
+            #[cfg(target_arch = "aarch64")]
+            // SAFETY: `active() == Neon` only after runtime detection.
+            Isa::Neon => unsafe { arm::quantize_neon(self, xs, out) },
+            _ => 0,
+        };
+        for (q, &x) in out[done..].iter_mut().zip(&xs[done..]) {
+            *q = self.quantize(x) as i8;
+        }
     }
 
     /// Dequantizes one integer back to a real value.
@@ -137,6 +202,111 @@ impl QParams {
             scale: abs_max / bits.qmax() as f32,
             bits,
         }
+    }
+}
+
+/// AVX2 body of [`QParams::quantize_slice`].
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{QParams, HALF_BELOW};
+    use std::arch::x86_64::*;
+
+    /// Quantizes the leading whole blocks of 32 values and returns how
+    /// many elements that was; lane for lane the arithmetic of
+    /// [`QParams::quantize`].
+    ///
+    /// # Safety
+    /// AVX2 must be supported by the executing CPU.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn quantize_avx2(p: &QParams, xs: &[f32], out: &mut [i8]) -> usize {
+        assert_eq!(xs.len(), out.len());
+        let (lo, hi) = (p.bits.qmin(), p.bits.qmax());
+        let scale = _mm256_set1_ps(p.scale);
+        let flo = _mm256_set1_ps((lo - 1) as f32);
+        let fhi = _mm256_set1_ps((hi + 1) as f32);
+        let half = _mm256_set1_ps(HALF_BELOW);
+        let sign = _mm256_set1_ps(-0.0);
+        let (ilo, ihi) = (_mm256_set1_epi8(lo as i8), _mm256_set1_epi8(hi as i8));
+        // The two pack rounds interleave the four source registers per
+        // 128-bit lane; this dword order restores element order.
+        let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        let blocks = xs.len() / 32;
+        for b in 0..blocks {
+            // SAFETY: `b < blocks`, so elements `[32b, 32b + 32)` are in
+            // bounds of both slices (equal lengths asserted above).
+            let src = xs.as_ptr().add(32 * b);
+            let mut q = [_mm256_setzero_si256(); 4];
+            for (i, lanes) in q.iter_mut().enumerate() {
+                let r = _mm256_div_ps(_mm256_loadu_ps(src.add(8 * i)), scale);
+                // max/min return their second operand when either is
+                // NaN, so a NaN survives the clamp as it does in scalar.
+                let r = _mm256_min_ps(fhi, _mm256_max_ps(flo, r));
+                let t = _mm256_add_ps(r, _mm256_or_ps(half, _mm256_and_ps(r, sign)));
+                // `cvttps` turns NaN into i32::MIN where `as` gives 0:
+                // zero the unordered lanes first.
+                let t = _mm256_and_ps(t, _mm256_cmp_ps::<_CMP_ORD_Q>(t, t));
+                *lanes = _mm256_cvttps_epi32(t);
+            }
+            // Every lane is within one step of the integer range, so
+            // the saturating packs clip nothing at i16 and, at i8, only
+            // what the integer clamp below would clip anyway.
+            let bytes = _mm256_packs_epi16(
+                _mm256_packs_epi32(q[0], q[1]),
+                _mm256_packs_epi32(q[2], q[3]),
+            );
+            let bytes = _mm256_permutevar8x32_epi32(bytes, order);
+            let bytes = _mm256_min_epi8(ihi, _mm256_max_epi8(ilo, bytes));
+            _mm256_storeu_si256(out.as_mut_ptr().add(32 * b).cast(), bytes);
+        }
+        blocks * 32
+    }
+}
+
+/// NEON body of [`QParams::quantize_slice`].
+#[cfg(target_arch = "aarch64")]
+mod arm {
+    use super::{QParams, HALF_BELOW};
+    use std::arch::aarch64::*;
+
+    /// Quantizes the leading whole blocks of 16 values and returns how
+    /// many elements that was; lane for lane the arithmetic of
+    /// [`QParams::quantize`] (`fmax`/`fmin` propagate NaN and `fcvtzs`
+    /// maps it to 0, as `clamp` and `as` do).
+    ///
+    /// # Safety
+    /// NEON must be supported by the executing CPU.
+    #[target_feature(enable = "neon")]
+    pub(super) unsafe fn quantize_neon(p: &QParams, xs: &[f32], out: &mut [i8]) -> usize {
+        assert_eq!(xs.len(), out.len());
+        let (lo, hi) = (p.bits.qmin(), p.bits.qmax());
+        let scale = vdupq_n_f32(p.scale);
+        let flo = vdupq_n_f32((lo - 1) as f32);
+        let fhi = vdupq_n_f32((hi + 1) as f32);
+        let half = vdupq_n_f32(HALF_BELOW);
+        let sign = vdupq_n_u32(0x8000_0000);
+        let (ilo, ihi) = (vdupq_n_s8(lo as i8), vdupq_n_s8(hi as i8));
+        let blocks = xs.len() / 16;
+        for b in 0..blocks {
+            // SAFETY: `b < blocks`, so elements `[16b, 16b + 16)` are in
+            // bounds of both slices (equal lengths asserted above).
+            let src = xs.as_ptr().add(16 * b);
+            let mut q = [vdupq_n_s32(0); 4];
+            for (i, lanes) in q.iter_mut().enumerate() {
+                let r = vdivq_f32(vld1q_f32(src.add(4 * i)), scale);
+                let r = vminq_f32(vmaxq_f32(r, flo), fhi);
+                // copysign: the sign bit from `r`, the rest from `half`.
+                let t = vaddq_f32(r, vbslq_f32(sign, r, half));
+                *lanes = vcvtq_s32_f32(t);
+            }
+            // The saturating narrows clip only what the integer clamp
+            // below would (every lane is within one step of its range).
+            let lo16 = vcombine_s16(vqmovn_s32(q[0]), vqmovn_s32(q[1]));
+            let hi16 = vcombine_s16(vqmovn_s32(q[2]), vqmovn_s32(q[3]));
+            let bytes = vcombine_s8(vqmovn_s16(lo16), vqmovn_s16(hi16));
+            let bytes = vminq_s8(ihi, vmaxq_s8(ilo, bytes));
+            vst1q_s8(out.as_mut_ptr().add(16 * b), bytes);
+        }
+        blocks * 16
     }
 }
 

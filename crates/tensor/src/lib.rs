@@ -30,8 +30,7 @@
 //! register tiling (see [`gemm`]), not from pointer tricks, and the
 //! kernels are still structured the way the paper's CUDA kernel is
 //! (tiles over feature-channel groups) so that the Criterion benches
-//! expose the same relative costs. Large GEMMs and batched im2col
-//! lowerings fan disjoint
+//! expose the same relative costs. Large GEMMs fan disjoint
 //! output bands — row bands, or column bands for wide-but-short shapes —
 //! across the shared `flexiq-parallel` pool (the banding keeps every
 //! element's reduction order unchanged, so parallel results are bit-exact

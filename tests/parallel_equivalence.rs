@@ -1,8 +1,8 @@
 //! Parallel == serial bit-exactness of the runtime (ISSUE 3 acceptance).
 //!
 //! The execution stack parallelizes a stacked pass by partitioning work
-//! along independent output ranges only (GEMM row bands, im2col row
-//! chunks, per-sample attention cores, conv channel groups), so running
+//! along independent output ranges only (GEMM row bands, per-sample
+//! attention cores, conv channel groups), so running
 //! under a multi-thread `flexiq-parallel` pool must be **bit-exact**
 //! with the 1-thread serial fallback — per sample, at every ratio
 //! level, at every thread count, for both execution modes. Verified on
