@@ -1,40 +1,45 @@
 //! Fault-tolerance sweep (ISSUE 10).
 //!
-//! Drives the batch server through the same RNet20 request trace twice —
+//! Drives the batch server (integer engine at eval scale, what
+//! `benchmark/` deploys) through the same RNet20 request trace
 //! fault-free and under a fixed seeded fault schedule (worker panics,
-//! worker deaths, slow passes, poisoned inputs, queue stalls) — and
-//! emits `BENCH_fault.json` at the workspace root. Three acceptance
-//! criteria (enforced here and re-derived by `bench_check`):
+//! worker deaths, slow passes, poisoned inputs, queue stalls), in
+//! [`PAIRS`] alternating clean/faulted pairs. The floors live in [`floors`] and nowhere else;
+//! the binary exits 1 on a miss and CI reads the exit code:
 //!
 //! 1. **Goodput.** Successful responses per second under the schedule
 //!    must stay at or above `MIN_GOODPUT_RATIO` of the fault-free rate:
 //!    faults may kill the work they hit, never collapse the service.
-//! 2. **No hung tickets, and recovery.** Every ticket of both runs must
-//!    resolve within its wait bound, and once the schedule is disarmed
-//!    the supervisor must restore a whole, idle fleet within
-//!    `MAX_RECOVERY_MS`.
+//!    The ratio is the median over the pairs — single pairs on a shared
+//!    box read anywhere from 0.6 to 1.6. (Eval scale matters: at test
+//!    scale a clean run lasts 7 ms, the schedule's fixed 0.5 ms sleeps
+//!    and 1 ms respawn tick alone put the ratio at 0.70–0.72, and the
+//!    floor measures those constants instead of lost work.)
+//! 2. **No hung tickets, and recovery.** Every ticket of every run must
+//!    resolve within its wait bound, the schedule must actually have
+//!    fired, and once it is disarmed the supervisor must restore a
+//!    whole, idle fleet within `MAX_RECOVERY_MS` (worst pair).
 //! 3. **Disarmed overhead.** The fault-injection framework is compiled
 //!    in unconditionally, so every serve request walks its fire sites
 //!    even in production. The disarmed per-site cost (one relaxed
 //!    atomic load) is timed directly in a calibrated loop and expressed
 //!    as a fraction of the measured request round trip; it must stay
 //!    within `MAX_OVERHEAD_PCT`. (An end-to-end A/B against an
-//!    armed-zero-rate schedule is reported informationally as
-//!    `armed_zero_ms` — at sub-100µs round trips, scheduler jitter
-//!    dwarfs the nanoseconds under test, so the gate does not hang off
-//!    that difference.)
+//!    armed-zero-rate schedule is printed informationally — at
+//!    sub-100µs round trips, scheduler jitter dwarfs the nanoseconds
+//!    under test, so the floor does not hang off that difference.)
 //!
 //! `FLEXIQ_CHAOS_SEED` varies the schedule seed (the CI chaos matrix
-//! sets it); any seed must clear the gates.
+//! sets it); any seed must clear the floors.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flexiq_core::pipeline::{prepare, FlexiQConfig};
 use flexiq_core::selection::Strategy;
+use flexiq_core::FlexiRuntime;
 use flexiq_nn::data::gen_image_inputs;
+use flexiq_nn::qexec::{ExecMode, QuantExecOptions};
 use flexiq_nn::zoo::{ModelId, Scale};
 use flexiq_serve::fault::{self, FaultConfig, FaultSite};
 use flexiq_serve::{
@@ -45,6 +50,9 @@ use flexiq_tensor::Tensor;
 /// Requests per goodput run. Large enough that the fixed schedule fires
 /// tens of faults and the rps ratio is not one unlucky batch.
 const REQUESTS: usize = 480;
+/// Alternating clean/faulted run pairs; the goodput ratio is their
+/// median.
+const PAIRS: usize = 5;
 /// The gated goodput floor: faulted rps / clean rps.
 const MIN_GOODPUT_RATIO: f64 = 0.7;
 /// The gated post-disarm recovery budget, milliseconds.
@@ -184,36 +192,114 @@ fn overhead_cfg(fault: Option<FaultConfig>) -> ServeConfig {
     }
 }
 
+/// What the sweep measured, as the floors see it.
+struct Measured {
+    /// Faulted / clean goodput, one per alternating pair.
+    pair_ratios: Vec<f64>,
+    hung_tickets: u64,
+    faults_injected: u64,
+    /// Worst post-disarm recovery over the pairs; infinite = never.
+    recovery_ms: f64,
+    overhead_pct: f64,
+}
+
+impl Measured {
+    /// Median of the per-pair goodput ratios (NaN when there are none).
+    fn goodput_ratio(&self) -> f64 {
+        let mut r = self.pair_ratios.clone();
+        r.sort_by(f64::total_cmp);
+        r.get(r.len() / 2).copied().unwrap_or(f64::NAN)
+    }
+}
+
+/// The floors, stated once. Returns one message per miss — empty means
+/// pass.
+fn floors(m: &Measured) -> Vec<String> {
+    let mut misses = Vec::new();
+    let ratio = m.goodput_ratio();
+    // Each stated as the pass condition so a NaN reading is a miss.
+    let goodput_held = ratio >= MIN_GOODPUT_RATIO;
+    if !goodput_held {
+        misses.push(format!(
+            "goodput ratio {ratio:.3} (median of {:.3?}) below {MIN_GOODPUT_RATIO}",
+            m.pair_ratios
+        ));
+    }
+    if m.hung_tickets > 0 {
+        misses.push(format!(
+            "{} ticket(s) hung past the wait bound",
+            m.hung_tickets
+        ));
+    }
+    if m.faults_injected == 0 {
+        misses.push("the schedule never fired — the faulted runs measured nothing".into());
+    }
+    let recovered = m.recovery_ms <= MAX_RECOVERY_MS;
+    if !recovered {
+        misses.push(format!(
+            "no recovery to a whole, Ready fleet within {MAX_RECOVERY_MS} ms of disarm"
+        ));
+    }
+    let cheap = m.overhead_pct <= MAX_OVERHEAD_PCT;
+    if !cheap {
+        misses.push(format!(
+            "disarmed overhead {:.2}% exceeds {MAX_OVERHEAD_PCT}%",
+            m.overhead_pct
+        ));
+    }
+    misses
+}
+
+/// One faulted goodput run plus the time the fleet takes to return to
+/// whole, idle and Ready once the schedule is disarmed (infinite when it
+/// does not within `MAX_RECOVERY_MS`).
+fn faulted_run(
+    rt: &Arc<FlexiRuntime>,
+    inputs: &[Tensor],
+    schedule: FaultConfig,
+    seed: u64,
+) -> (RunStats, f64) {
+    let server = Server::start_fixed(Arc::clone(rt), goodput_cfg(Some(schedule))).unwrap();
+    let stats = goodput_run(&server, inputs, seed);
+    fault::disarm();
+    let t0 = Instant::now();
+    let recovery_ms = loop {
+        let h = server.health();
+        if h.state == ServeState::Ready && h.workers_alive == h.workers && h.inflight == 0 {
+            break t0.elapsed().as_secs_f64() * 1e3;
+        }
+        if t0.elapsed().as_secs_f64() * 1e3 > MAX_RECOVERY_MS {
+            break f64::INFINITY;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    };
+    server.shutdown();
+    (stats, recovery_ms)
+}
+
 fn main() {
     let id = ModelId::RNet20;
     println!(
-        "preparing {} (test scale) for the fault-tolerance sweep...",
+        "preparing {} (eval scale) for the fault-tolerance sweep...",
         id.name()
     );
-    let graph = id.build(Scale::Test).unwrap();
-    let calib = gen_image_inputs(8, &id.input_dims(Scale::Test), 0xFA0701);
+    let graph = id.build(Scale::Eval).unwrap();
+    let calib = gen_image_inputs(8, &id.input_dims(Scale::Eval), 0xFA0701);
     let prepared = prepare(&graph, &calib, &FlexiQConfig::new(4, Strategy::Greedy)).unwrap();
-    let rt = Arc::new(prepared.runtime);
-    let inputs = gen_image_inputs(8, &id.input_dims(Scale::Test), 0xFA0702);
+    // The integer engine: the one that is served, not the fake-quant
+    // float path the library still defaults to.
+    let rt = Arc::new(prepared.runtime.with_exec_options(QuantExecOptions {
+        mode: ExecMode::Int,
+        ..Default::default()
+    }));
+    let inputs = gen_image_inputs(8, &id.input_dims(Scale::Eval), 0xFA0702);
     let seed = chaos_seed();
-
-    // Fault-free goodput baseline.
-    fault::disarm();
-    let clean_server = Server::start_fixed(Arc::clone(&rt), goodput_cfg(None)).unwrap();
-    let clean = goodput_run(&clean_server, &inputs, seed);
-    clean_server.shutdown();
-    if clean.ok != REQUESTS as u64 {
-        eprintln!(
-            "FAIL: fault-free run lost requests ({} ok, {} errs, {} hung of {REQUESTS})",
-            clean.ok, clean.errs, clean.hung
-        );
-        std::process::exit(1);
-    }
 
     // Disarmed overhead: the directly-timed per-site cost, scaled by
     // the worst-case sites-per-request count, as a fraction of the
     // measured disarmed round trip. The armed-zero round trip is
     // reported informationally.
+    fault::disarm();
     let reps = std::env::var("FLEXIQ_BENCH_REPS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -235,7 +321,8 @@ fn main() {
     armed_server.shutdown();
     let overhead_pct = SITES_PER_REQUEST * fire_ns / (disarmed * 1e9) * 100.0;
 
-    // Goodput under the fixed schedule, then recovery once disarmed.
+    // Goodput: alternating fault-free / fixed-schedule runs over the
+    // same trace, each faulted run followed by its recovery probe.
     let schedule = FaultConfig {
         seed,
         worker_panic: 0.05,
@@ -247,100 +334,128 @@ fn main() {
         stall: Duration::from_micros(500),
         scheduler_panic: 0.0,
     };
-    let fired_before = fault::injected_total();
-    let fault_server = Server::start_fixed(Arc::clone(&rt), goodput_cfg(Some(schedule))).unwrap();
-    let faulted = goodput_run(&fault_server, &inputs, seed);
-    let faults_injected = fault::injected_total() - fired_before;
-    fault::disarm();
-    let t0 = Instant::now();
-    let recovery_ms = loop {
-        let h = fault_server.health();
-        if h.state == ServeState::Ready && h.workers_alive == h.workers && h.inflight == 0 {
-            break t0.elapsed().as_secs_f64() * 1e3;
-        }
-        if t0.elapsed().as_secs_f64() * 1e3 > MAX_RECOVERY_MS {
-            break f64::INFINITY;
-        }
-        std::thread::sleep(Duration::from_micros(200));
+    let mut m = Measured {
+        pair_ratios: Vec::with_capacity(PAIRS),
+        hung_tickets: 0,
+        faults_injected: 0,
+        recovery_ms: 0.0,
+        overhead_pct,
     };
-    fault_server.shutdown();
-
-    let goodput_clean_rps = clean.ok as f64 / clean.elapsed_s;
-    let goodput_fault_rps = faulted.ok as f64 / faulted.elapsed_s;
-    let goodput_ratio = goodput_fault_rps / goodput_clean_rps;
-    let hung_tickets = clean.hung + faulted.hung;
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"model\": \"rnet20\",");
-    let _ = writeln!(json, "  \"scale\": \"test\",");
-    let _ = writeln!(json, "  \"requests\": {REQUESTS},");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"ok_clean\": {},", clean.ok);
-    let _ = writeln!(json, "  \"ok_fault\": {},", faulted.ok);
-    let _ = writeln!(json, "  \"errs_fault\": {},", faulted.errs);
-    let _ = writeln!(json, "  \"goodput_clean_rps\": {goodput_clean_rps:.3},");
-    let _ = writeln!(json, "  \"goodput_fault_rps\": {goodput_fault_rps:.3},");
-    let _ = writeln!(json, "  \"goodput_ratio\": {goodput_ratio:.4},");
-    let _ = writeln!(json, "  \"min_goodput_ratio\": {MIN_GOODPUT_RATIO},");
-    let _ = writeln!(json, "  \"hung_tickets\": {hung_tickets},");
-    let _ = writeln!(json, "  \"faults_injected\": {faults_injected},");
-    let _ = writeln!(json, "  \"recovery_ms\": {recovery_ms:.3},");
-    let _ = writeln!(json, "  \"max_recovery_ms\": {MAX_RECOVERY_MS},");
-    let _ = writeln!(json, "  \"fire_site_ns\": {fire_ns:.4},");
-    let _ = writeln!(json, "  \"sites_per_request\": {SITES_PER_REQUEST},");
-    let _ = writeln!(json, "  \"disarmed_ms\": {:.6},", disarmed * 1e3);
-    let _ = writeln!(json, "  \"armed_zero_ms\": {:.6},", armed * 1e3);
-    let _ = writeln!(json, "  \"overhead_pct\": {overhead_pct:.4},");
-    let _ = writeln!(json, "  \"max_overhead_pct\": {MAX_OVERHEAD_PCT}");
-    json.push_str("}\n");
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_fault.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("[written {}]", path.display()),
-        // The bench_check gate reads this file: a stale artifact from a
-        // failed write must fail the sweep, not warn and exit 0.
-        Err(e) => {
-            eprintln!("FAIL: could not write {}: {e}", path.display());
+    for pair in 0..PAIRS {
+        fault::disarm();
+        let clean_server = Server::start_fixed(Arc::clone(&rt), goodput_cfg(None)).unwrap();
+        let clean = goodput_run(&clean_server, &inputs, seed);
+        clean_server.shutdown();
+        if clean.ok != REQUESTS as u64 {
+            eprintln!(
+                "FAIL: fault-free run lost requests ({} ok, {} errs, {} hung of {REQUESTS})",
+                clean.ok, clean.errs, clean.hung
+            );
             std::process::exit(1);
         }
+        let fired_before = fault::injected_total();
+        let (faulted, recovery_ms) = faulted_run(&rt, &inputs, schedule.clone(), seed);
+        let fired = fault::injected_total() - fired_before;
+        let clean_rps = clean.ok as f64 / clean.elapsed_s;
+        let fault_rps = faulted.ok as f64 / faulted.elapsed_s;
+        let ratio = fault_rps / clean_rps;
+        println!(
+            "pair {pair}: clean {clean_rps:.1} rps, faulted {fault_rps:.1} rps (ratio {ratio:.3}; \
+             {} ok, {} errs, {fired} faults fired; recovery {recovery_ms:.2} ms)",
+            faulted.ok, faulted.errs
+        );
+        m.pair_ratios.push(ratio);
+        m.hung_tickets += clean.hung + faulted.hung;
+        m.faults_injected += fired;
+        m.recovery_ms = m.recovery_ms.max(recovery_ms);
     }
 
     println!(
-        "goodput: clean {goodput_clean_rps:.1} rps, faulted {goodput_fault_rps:.1} rps \
-         (ratio {goodput_ratio:.3}, {} faults fired)",
-        faults_injected
+        "goodput ratio {:.3} (median of {PAIRS} pairs), {} faults fired, worst recovery {:.2} ms",
+        m.goodput_ratio(),
+        m.faults_injected,
+        m.recovery_ms
     );
     println!(
-        "recovery after disarm: {recovery_ms:.2} ms; disarmed site cost {fire_ns:.2} ns \
-         x {SITES_PER_REQUEST} sites over a {:.4} ms round trip = {overhead_pct:.4}% \
-         (armed-zero round trip {:.4} ms, informational)",
+        "disarmed site cost {fire_ns:.2} ns x {SITES_PER_REQUEST} sites over a {:.4} ms round \
+         trip = {overhead_pct:.4}% (armed-zero round trip {:.4} ms, informational)",
         disarmed * 1e3,
         armed * 1e3
     );
 
-    let mut failed = false;
-    if goodput_ratio < MIN_GOODPUT_RATIO {
-        eprintln!("FAIL: goodput ratio {goodput_ratio:.3} below {MIN_GOODPUT_RATIO}");
-        failed = true;
+    let misses = floors(&m);
+    for miss in &misses {
+        eprintln!("FAIL: {miss}");
     }
-    if hung_tickets > 0 {
-        eprintln!("FAIL: {hung_tickets} ticket(s) hung past the wait bound");
-        failed = true;
-    }
-    if faults_injected == 0 {
-        eprintln!("FAIL: the schedule never fired — the faulted run measured nothing");
-        failed = true;
-    }
-    if recovery_ms > MAX_RECOVERY_MS {
-        eprintln!("FAIL: no recovery to a whole, Ready fleet within {MAX_RECOVERY_MS} ms");
-        failed = true;
-    }
-    if overhead_pct > MAX_OVERHEAD_PCT {
-        eprintln!("FAIL: disarmed overhead {overhead_pct:.2}% exceeds {MAX_OVERHEAD_PCT}%");
-        failed = true;
-    }
-    if failed {
+    if !misses.is_empty() {
         std::process::exit(1);
     }
     println!("fault-tolerance sweep PASS");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn healthy() -> Measured {
+        Measured {
+            pair_ratios: vec![0.91, 0.62, 1.1, 0.88, 0.95],
+            hung_tickets: 0,
+            faults_injected: 42,
+            recovery_ms: 12.5,
+            overhead_pct: 0.2,
+        }
+    }
+
+    #[test]
+    fn doctored_fault_regression_fails() {
+        // One noisy pair below the floor does not fail the median.
+        assert!(floors(&healthy()).is_empty());
+        // Goodput collapsing under the schedule: the regression this
+        // floor exists for.
+        let collapsed = Measured {
+            pair_ratios: vec![0.55, 0.6, 0.9, 0.5, 0.69],
+            ..healthy()
+        };
+        let misses = floors(&collapsed);
+        assert_eq!(misses.len(), 1);
+        assert!(misses[0].contains("0.600"), "{misses:?}");
+        // At the floor exactly: pass. No pairs at all: miss.
+        let at_floor = Measured {
+            pair_ratios: vec![MIN_GOODPUT_RATIO; 5],
+            ..healthy()
+        };
+        assert!(floors(&at_floor).is_empty());
+        let none = Measured {
+            pair_ratios: Vec::new(),
+            ..healthy()
+        };
+        assert_eq!(floors(&none).len(), 1);
+        // A hung ticket is the invariant violation, never acceptable.
+        let hung = Measured {
+            hung_tickets: 1,
+            ..healthy()
+        };
+        assert_eq!(floors(&hung).len(), 1);
+        // A schedule that never fired cannot vouch for the ratio.
+        let silent = Measured {
+            faults_injected: 0,
+            ..healthy()
+        };
+        assert_eq!(floors(&silent).len(), 1);
+        // Recovery beyond the budget (or never) fails.
+        for recovery_ms in [9000.0, f64::INFINITY] {
+            let slow = Measured {
+                recovery_ms,
+                ..healthy()
+            };
+            assert_eq!(floors(&slow).len(), 1);
+        }
+        // Disarmed overhead above the budget fails.
+        let costly = Measured {
+            overhead_pct: 2.5,
+            ..healthy()
+        };
+        assert_eq!(floors(&costly).len(), 1);
+    }
 }

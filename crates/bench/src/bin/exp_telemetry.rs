@@ -1,20 +1,28 @@
 //! Telemetry overhead sweep (ISSUE 6).
 //!
-//! Times the batch-16 RNet20 stacked pass twice — span tracing disabled
-//! and fully enabled — and emits `BENCH_telemetry.json` at the workspace
-//! root. The enabled pass records per-node, per-engine-phase and
-//! per-GEMM spans, so this measures the all-in cost of the tracing the
-//! serving path can switch on per request; the acceptance criterion
-//! (enforced here and re-derived by `bench_check`) is **≤
-//! `MAX_OVERHEAD_PCT` overhead**. A sampled Chrome trace of one traced
+//! Times the batch-16 RNet20 stacked pass with span tracing disabled and
+//! fully enabled, at `Scale::Eval` (the scale the end-to-end benchmark
+//! deploys) on the integer engine. The enabled pass records per-node,
+//! per-engine-phase and per-GEMM spans, so this measures the all-in cost
+//! of the tracing the serving path can switch on per request. Disabled
+//! and enabled passes **alternate one by one** and the overhead is the
+//! median of the per-pair enabled/disabled ratios: the box drifts by
+//! ±5 % at the 100 ms scale, which cancels inside a ~10 ms pair and
+//! lands in the result of anything coarser (best-of per side over
+//! alternating 70 ms groups read −3 % to +6 % across 20 runs, this
+//! estimator +0.4 % to +1.5 %). A sampled Chrome trace of one traced
 //! pass lands in `results/telemetry_trace.json` and the top span
 //! aggregates are printed as the per-layer breakdown.
 //!
-//! `FLEXIQ_BENCH_REPS` overrides the auto-calibrated repetition count
-//! (e.g. `FLEXIQ_BENCH_REPS=5` keeps the CI smoke run fast).
+//! **Floor** ([`floors`], the only place it is stated): traced overhead
+//! ≤ [`MAX_OVERHEAD_PCT`] %, and the traced pass must have recorded
+//! spans and dropped none (an empty or truncated trace would make the
+//! overhead number vacuous). The binary exits 1 on a miss — CI reads
+//! the exit code.
+//!
+//! `FLEXIQ_BENCH_REPS` overrides the auto-calibrated pair count (e.g.
+//! `FLEXIQ_BENCH_REPS=25` keeps a smoke run fast).
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use flexiq_bench::{results_dir, ResultTable};
@@ -28,35 +36,69 @@ use flexiq_telemetry as tel;
 use flexiq_tensor::Tensor;
 
 const BATCH: usize = 16;
-/// The gated overhead budget, percent.
+/// The floor: overhead budget of full tracing, percent.
 const MAX_OVERHEAD_PCT: f64 = 3.0;
 
-/// Seconds per stacked pass over `inputs`, best of `groups` timed groups
-/// of `reps` passes (one untimed warm-up pass first). The ring buffers
-/// are cleared before every group so the enabled measurement times span
-/// *recording*, not the cheaper drop-when-full path.
-fn best_pass_s(rt: &FlexiRuntime, inputs: &[Tensor], groups: usize, reps: usize) -> f64 {
-    std::hint::black_box(rt.infer_batch(inputs).expect("warm-up inference"));
-    let mut best = f64::INFINITY;
-    for _ in 0..groups {
-        tel::reset();
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(rt.infer_batch(inputs).expect("batched inference"));
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / reps as f64);
+/// What the sweep measured, as the floor sees it.
+struct Measured {
+    /// Enabled / disabled pass time, one per alternating pair.
+    pair_ratios: Vec<f64>,
+    spans_per_pass: usize,
+    spans_dropped: u64,
+}
+
+impl Measured {
+    /// Median per-pair overhead, percent (NaN when there are no pairs).
+    fn overhead_pct(&self) -> f64 {
+        let mut r = self.pair_ratios.clone();
+        r.sort_by(f64::total_cmp);
+        (r.get(r.len() / 2).copied().unwrap_or(f64::NAN) - 1.0) * 100.0
     }
-    best
+}
+
+/// The floor, stated once. Returns one message per miss — empty means
+/// pass.
+fn floors(m: &Measured) -> Vec<String> {
+    let mut misses = Vec::new();
+    let overhead = m.overhead_pct();
+    // Stated as the pass condition so a NaN reading is a miss.
+    let within_budget = overhead <= MAX_OVERHEAD_PCT;
+    if !within_budget {
+        misses.push(format!(
+            "telemetry overhead {overhead:+.2}% (median of {} pairs), floor {MAX_OVERHEAD_PCT}%",
+            m.pair_ratios.len()
+        ));
+    }
+    if m.spans_per_pass == 0 {
+        misses.push("traced pass recorded no spans — the overhead is vacuous".into());
+    }
+    if m.spans_dropped > 0 {
+        misses.push(format!(
+            "traced pass dropped {} span(s) — a full ring is cheaper than recording",
+            m.spans_dropped
+        ));
+    }
+    misses
+}
+
+/// Seconds for one stacked pass. The ring buffers are cleared first
+/// (untimed) so an enabled pass times span *recording*, never the
+/// cheaper drop-when-full path.
+fn pass_s(rt: &FlexiRuntime, inputs: &[Tensor]) -> f64 {
+    tel::reset();
+    let t0 = Instant::now();
+    std::hint::black_box(rt.infer_batch(inputs).expect("batched inference"));
+    t0.elapsed().as_secs_f64()
 }
 
 fn main() {
     let id = ModelId::RNet20;
     println!(
-        "preparing {} (test scale) for the telemetry overhead sweep...",
+        "preparing {} (eval scale) for the telemetry overhead sweep...",
         id.name()
     );
-    let graph = id.build(Scale::Test).unwrap();
-    let calib = gen_image_inputs(8, &id.input_dims(Scale::Test), 0x7E1E01);
+    let graph = id.build(Scale::Eval).unwrap();
+    let calib = gen_image_inputs(8, &id.input_dims(Scale::Eval), 0x7E1E01);
     let prepared = prepare(&graph, &calib, &FlexiQConfig::new(4, Strategy::Greedy)).unwrap();
     // The real integer engine, not the default fake-quant float path:
     // the overhead criterion targets the quantized hot path the server
@@ -66,27 +108,31 @@ fn main() {
         mode: ExecMode::Int,
         ..Default::default()
     });
-    let inputs = gen_image_inputs(BATCH, &id.input_dims(Scale::Test), 0x7E1E02);
+    let inputs = gen_image_inputs(BATCH, &id.input_dims(Scale::Eval), 0x7E1E02);
     // Mixed-precision level: the traced pass must cover the full engine
     // (act-quant, bit-lowering, band GEMMs, requant), not the 8-bit
     // shortcut.
     rt.set_level(rt.num_levels() - 1).unwrap();
 
     tel::set_enabled(false);
-    let once = best_pass_s(&rt, &inputs, 1, 3);
-    // Keep each timed group well under the ring capacity so the enabled
-    // run records every span (a full ring drops, which is cheaper and
-    // would flatter the overhead number).
-    let reps = std::env::var("FLEXIQ_BENCH_REPS")
+    std::hint::black_box(rt.infer_batch(&inputs).expect("warm-up inference"));
+    let once = pass_s(&rt, &inputs);
+    // ~3 s of alternating passes.
+    let pairs = std::env::var("FLEXIQ_BENCH_REPS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .map(|r| r.max(1))
-        .unwrap_or_else(|| ((0.2 / once.max(1e-6)) as usize).clamp(5, 64));
+        .unwrap_or_else(|| ((1.5 / once.max(1e-6)) as usize).clamp(25, 1000));
 
-    let disabled = best_pass_s(&rt, &inputs, 5, reps);
-    tel::set_enabled(true);
-    let enabled = best_pass_s(&rt, &inputs, 5, reps);
-    let overhead_pct = (enabled / disabled - 1.0) * 100.0;
+    let mut disabled = f64::INFINITY;
+    let mut pair_ratios = Vec::with_capacity(pairs);
+    for _ in 0..pairs {
+        tel::set_enabled(false);
+        let d = pass_s(&rt, &inputs);
+        tel::set_enabled(true);
+        pair_ratios.push(pass_s(&rt, &inputs) / d);
+        disabled = disabled.min(d);
+    }
 
     // One clean traced pass for the span census, the Chrome trace
     // artifact and the per-layer breakdown.
@@ -94,8 +140,11 @@ fn main() {
     std::hint::black_box(rt.infer_batch(&inputs).expect("traced inference"));
     let threads = tel::drain();
     tel::set_enabled(false);
-    let spans_per_pass: usize = threads.iter().map(|t| t.spans.len()).sum();
-    let dropped: u64 = threads.iter().map(|t| t.dropped).sum();
+    let m = Measured {
+        pair_ratios,
+        spans_per_pass: threads.iter().map(|t| t.spans.len()).sum(),
+        spans_dropped: threads.iter().map(|t| t.dropped).sum(),
+    };
 
     let mut table = ResultTable::new(
         "Traced batch-16 pass: top spans by total time",
@@ -123,45 +172,59 @@ fn main() {
         }
     }
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"model\": \"rnet20\",");
-    let _ = writeln!(json, "  \"scale\": \"test\",");
-    let _ = writeln!(json, "  \"batch\": {BATCH},");
-    let _ = writeln!(json, "  \"reps\": {reps},");
-    let _ = writeln!(json, "  \"disabled_ms\": {:.6},", disabled * 1e3);
-    let _ = writeln!(json, "  \"enabled_ms\": {:.6},", enabled * 1e3);
-    let _ = writeln!(json, "  \"overhead_pct\": {overhead_pct:.4},");
-    let _ = writeln!(json, "  \"max_overhead_pct\": {MAX_OVERHEAD_PCT},");
-    let _ = writeln!(json, "  \"spans_per_pass\": {spans_per_pass},");
-    let _ = writeln!(json, "  \"spans_dropped\": {dropped}");
-    json.push_str("}\n");
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_telemetry.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("[written {}]", path.display()),
-        // The bench_check gate reads this file: a stale artifact from a
-        // failed write must fail the sweep, not warn and exit 0.
-        Err(e) => {
-            eprintln!("FAIL: could not write {}: {e}", path.display());
-            std::process::exit(1);
+    println!(
+        "telemetry overhead ({pairs} alternating pass pairs, untraced pass {:.4} ms): \
+         {:+.2}% ({} spans/pass, {} dropped)",
+        disabled * 1e3,
+        m.overhead_pct(),
+        m.spans_per_pass,
+        m.spans_dropped
+    );
+    let misses = floors(&m);
+    for miss in &misses {
+        eprintln!("FAIL: {miss}");
+    }
+    if !misses.is_empty() {
+        std::process::exit(1);
+    }
+    println!("telemetry sweep PASS (overhead <= {MAX_OVERHEAD_PCT}%)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn measured(overhead_pct: f64) -> Measured {
+        // One drifted pair either side of the true overhead.
+        let r = 1.0 + overhead_pct / 100.0;
+        Measured {
+            pair_ratios: vec![r, 0.9, r, 1.4, r],
+            spans_per_pass: 120,
+            spans_dropped: 0,
         }
     }
 
-    let pass = overhead_pct <= MAX_OVERHEAD_PCT;
-    println!(
-        "telemetry overhead: disabled {:.4} ms, enabled {:.4} ms, {:+.2}% \
-         ({spans_per_pass} spans/pass) ({})",
-        disabled * 1e3,
-        enabled * 1e3,
-        overhead_pct,
-        if pass { "PASS" } else { "FAIL" }
-    );
-    if spans_per_pass == 0 {
-        eprintln!("FAIL: traced pass recorded no spans");
-        std::process::exit(1);
-    }
-    if !pass {
-        eprintln!("FAIL: telemetry overhead {overhead_pct:.2}% exceeds {MAX_OVERHEAD_PCT}%");
-        std::process::exit(1);
+    #[test]
+    fn doctored_telemetry_regression_fails() {
+        assert!(floors(&measured(1.1)).is_empty());
+        assert!(floors(&measured(-0.4)).is_empty());
+        // Overhead above the budget: the regression this floor exists
+        // for.
+        let misses = floors(&measured(7.5));
+        assert_eq!(misses.len(), 1);
+        assert!(misses[0].contains("+7.50%"), "{misses:?}");
+        assert_eq!(floors(&measured(f64::NAN)).len(), 1);
+        // A traced pass that recorded nothing, or overflowed its ring,
+        // cannot vouch for the overhead number.
+        let empty = Measured {
+            spans_per_pass: 0,
+            ..measured(1.0)
+        };
+        assert_eq!(floors(&empty).len(), 1);
+        let truncated = Measured {
+            spans_dropped: 3,
+            ..measured(1.0)
+        };
+        assert_eq!(floors(&truncated).len(), 1);
     }
 }

@@ -6,12 +6,15 @@
 //! experiment scale, FlexiQ preparation, and plain-text/CSV table output
 //! into `results/`.
 //!
+//! Four of the binaries are perf floors rather than reproductions —
+//! `exp_gemm`, `exp_telemetry`, `exp_decode`, `exp_fault`: each states
+//! its floor once, as a pure `floors` function over the numbers it
+//! measured, and exits non-zero on a miss. Serving performance itself is
+//! measured by the standalone `benchmark/` package (`BENCHMARK.json`).
+//!
 //! Experiment sizes are chosen so the full suite finishes in minutes on a
 //! laptop CPU; the `FLEXIQ_SAMPLES`, `FLEXIQ_CALIB` and `FLEXIQ_EPOCHS`
 //! environment variables scale them up for higher-fidelity runs.
-
-pub mod gate;
-pub mod json;
 
 use std::fmt::Write as _;
 use std::fs;

@@ -761,9 +761,8 @@ impl PackCache {
 
     /// Eagerly builds every entry any plan could touch. Entries are
     /// level-independent, so warming once covers all levels — this is
-    /// what the serve crate's `ServeConfig::prewarm` runs at startup so
-    /// the adaptive controller's first level switch pays no packing
-    /// latency.
+    /// what the serve crate runs at server startup so the adaptive
+    /// controller's first level switch pays no packing latency.
     pub fn prewarm(
         &self,
         graph: &Graph,

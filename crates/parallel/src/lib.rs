@@ -651,23 +651,22 @@ pub fn in_task() -> bool {
     IN_TASK.with(|t| t.get())
 }
 
-/// Thread count the global pool uses: `FLEXIQ_THREADS` if set (values
-/// `< 1` clamp to 1; an unparsable value warns and falls back), else
-/// the machine's available parallelism.
-pub fn default_threads() -> usize {
-    match std::env::var("FLEXIQ_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(t) => t.max(1),
-            Err(_) => {
-                eprintln!(
-                    "warning: FLEXIQ_THREADS={v:?} is not a thread count; \
-                     using machine parallelism"
-                );
-                machine_threads()
-            }
-        },
-        Err(_) => machine_threads(),
-    }
+/// The one parse of `FLEXIQ_THREADS`: `Some(count)` when the variable is
+/// set (values `< 1` clamp to 1; an unparsable value warns and yields
+/// the machine's available parallelism), `None` when it is not. The
+/// global pool and the serve crate's pool sizing both ask here.
+pub fn env_threads() -> Option<usize> {
+    let v = std::env::var("FLEXIQ_THREADS").ok()?;
+    Some(match v.trim().parse::<usize>() {
+        Ok(t) => t.max(1),
+        Err(_) => {
+            eprintln!(
+                "warning: FLEXIQ_THREADS={v:?} is not a thread count; \
+                 using machine parallelism"
+            );
+            machine_threads()
+        }
+    })
 }
 
 /// The machine's available parallelism (ignores `FLEXIQ_THREADS`).
@@ -677,11 +676,11 @@ pub fn machine_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The process-global pool, created on first use with
-/// [`default_threads`] threads.
+/// The process-global pool, created on first use with [`env_threads`]
+/// threads, else [`machine_threads`].
 pub fn global() -> &'static Arc<ThreadPool> {
     static GLOBAL: OnceLock<Arc<ThreadPool>> = OnceLock::new();
-    GLOBAL.get_or_init(|| ThreadPool::new(default_threads()))
+    GLOBAL.get_or_init(|| ThreadPool::new(env_threads().unwrap_or_else(machine_threads)))
 }
 
 /// The ambient pool kernels should submit to: the innermost

@@ -48,24 +48,16 @@ pub struct ServeConfig {
     /// means requests never expire. Individual submissions can override
     /// it.
     pub default_deadline: Option<Duration>,
-    /// Length-bucketed dispatch of variable-length token (LM) requests.
-    ///
-    /// When set, rank-1 token-id inputs in a dispatched batch are
-    /// planned into power-of-two length buckets, padded (tightly, to
-    /// each group's longest member) and executed as masked stacked
-    /// passes ([`flexiq_core::FlexiRuntime::infer_batch_varlen_traced`])
-    /// instead of being split into exact-shape groups — one dispatch
-    /// serves mixed sequence lengths. Outputs are bit-exact with
-    /// unpadded inference (the mask invariant), so this is purely a
-    /// throughput knob. Non-token inputs keep exact-shape grouping.
-    pub lm_bucketing: bool,
     /// Padding-waste cap for bucket merging, in `[0, 1)`.
     ///
-    /// Underfilled buckets merge into the next larger one while the
-    /// merged group's fraction of padded positions stays at or below
-    /// this cap (see [`crate::bucket::plan_buckets`]). `0.0` never
-    /// merges; the default `0.5` merges whenever the group still
-    /// computes more real than pad positions.
+    /// Rank-1 token-id (LM) inputs in a dispatched batch are planned
+    /// into power-of-two length buckets, padded tightly and executed as
+    /// masked stacked passes, bit-exact with unpadded inference (see
+    /// [`crate::worker`]). Underfilled buckets merge into the next
+    /// larger one while the merged group's fraction of padded positions
+    /// stays at or below this cap (see [`crate::bucket::plan_buckets`]).
+    /// `0.0` never merges; the default `0.5` merges whenever the group
+    /// still computes more real than pad positions.
     pub max_padding_waste: f64,
     /// Fraction of requests traced end to end (admission → bucket plan
     /// → dispatch → completion), in `[0, 1]`.
@@ -78,16 +70,6 @@ pub struct ServeConfig {
     /// reproducible. `0.0` (default) never samples; `1.0` traces every
     /// request.
     pub trace_sample_rate: f64,
-    /// Prewarm the runtime's prepacked-weight cache at startup.
-    ///
-    /// When on (the default), the server eagerly builds every
-    /// quantized, bit-lowered, packed weight band any
-    /// controller-reachable level could touch
-    /// ([`flexiq_core::FlexiRuntime::prewarm_levels`])
-    /// before accepting work, so neither the first request nor any
-    /// adaptive level switch pays lazy packing latency. Turn off to
-    /// trade startup time for lazy, on-demand population.
-    pub prewarm: bool,
     /// Reject requests whose input contains a non-finite value (NaN /
     /// Inf) with [`ServeError::PoisonedInput`] before batching.
     ///
@@ -120,10 +102,8 @@ impl Default for ServeConfig {
             pool_threads: None,
             pin: None,
             default_deadline: None,
-            lm_bucketing: true,
             max_padding_waste: 0.5,
             trace_sample_rate: 0.0,
-            prewarm: true,
             validate_inputs: true,
             supervise_tick: Duration::from_millis(2),
             brownout: BrownoutConfig::default(),
@@ -177,13 +157,9 @@ impl ServeConfig {
     pub fn resolved_pool_threads(&self) -> usize {
         match self.pool_threads {
             Some(t) => t.max(1),
-            None => {
-                if std::env::var("FLEXIQ_THREADS").is_ok() {
-                    flexiq_parallel::default_threads()
-                } else {
-                    (flexiq_parallel::machine_threads() / self.workers.max(1)).max(1)
-                }
-            }
+            None => flexiq_parallel::env_threads().unwrap_or_else(|| {
+                (flexiq_parallel::machine_threads() / self.workers.max(1)).max(1)
+            }),
         }
     }
 
@@ -252,6 +228,11 @@ impl ControlConfig {
         }
         if self.window.is_zero() {
             return Err(ServeError::Config("window must be positive".into()));
+        }
+        // `spawn_control_loop` sleeps `tick` between evaluations: zero
+        // would spin a core.
+        if self.tick.is_zero() {
+            return Err(ServeError::Config("control tick must be positive".into()));
         }
         Ok(())
     }
@@ -342,6 +323,41 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+        let c = ServeConfig {
+            control: ControlConfig {
+                tick: Duration::ZERO,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        assert!(matches!(c.validate(), Err(ServeError::Config(_))));
+        // NaN in any fractional field is a typed error, never a panic.
+        for c in [
+            ServeConfig {
+                max_padding_waste: f64::NAN,
+                ..Default::default()
+            },
+            ServeConfig {
+                trace_sample_rate: f64::NAN,
+                ..Default::default()
+            },
+            ServeConfig {
+                control: ControlConfig {
+                    percentile: f64::NAN,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            ServeConfig {
+                control: ControlConfig {
+                    down_margin: f64::NAN,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        ] {
+            assert!(matches!(c.validate(), Err(ServeError::Config(_))));
+        }
         let c = ServeConfig {
             brownout: BrownoutConfig {
                 shed_frac: 0.1,

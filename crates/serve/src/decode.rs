@@ -93,10 +93,6 @@ pub struct DecodeConfig {
     /// How long an under-filled admission draft may wait for more
     /// arrivals when the server is idle.
     pub batch_timeout: Duration,
-    /// Bucket-aware admission: drafted groups prefer prompts of the
-    /// same power-of-two length class (see
-    /// [`crate::queue::AdmissionQueue::pop_batch_bucketed`]).
-    pub bucket_admission: bool,
 }
 
 impl Default for DecodeConfig {
@@ -107,7 +103,6 @@ impl Default for DecodeConfig {
             continuous: true,
             queue_capacity: 1024,
             batch_timeout: Duration::from_millis(2),
-            bucket_admission: true,
         }
     }
 }
@@ -349,25 +344,17 @@ fn pop_draft(
 ) -> Option<Vec<GenQueued>> {
     let len_of = |r: &GenQueued| Some(r.prompt.numel());
     if idle {
-        let popped = if cfg.bucket_admission {
-            queue.pop_batch_bucketed(slots, cfg.batch_timeout, len_of)
-        } else {
-            queue.pop_batch(slots, cfg.batch_timeout)
-        };
-        popped.map(|(batch, _)| batch)
+        queue
+            .pop_batch_bucketed(slots, cfg.batch_timeout, len_of)
+            .map(|(batch, _)| batch)
     } else {
-        let (batch, _) = if cfg.bucket_admission {
-            queue.try_pop_batch_bucketed(slots, len_of)
-        } else {
-            queue.try_pop_batch(slots)
-        };
-        Some(batch)
+        Some(queue.try_pop_batch_bucketed(slots, len_of).0)
     }
 }
 
 /// Prefills one admitted request into an [`Active`] session; admission
 /// errors (over-long prompt, malformed ids) answer the ticket directly.
-fn admit(runtime: &FlexiRuntime, _cfg: &DecodeConfig, req: GenQueued) -> Option<Active> {
+fn admit(runtime: &FlexiRuntime, req: GenQueued) -> Option<Active> {
     let queue_delay = req.enqueued_at.elapsed();
     match runtime.decode_start(&req.prompt) {
         Ok((session, first_logits, level)) => {
@@ -476,13 +463,13 @@ fn scheduler_loop(
             match pop_draft(queue, cfg, cfg.max_active, true) {
                 None => return,
                 Some(batch) => {
-                    active.extend(batch.into_iter().filter_map(|r| admit(runtime, cfg, r)));
+                    active.extend(batch.into_iter().filter_map(|r| admit(runtime, r)));
                 }
             }
         } else if cfg.continuous && active.len() < cfg.max_active {
             let slots = cfg.max_active - active.len();
             if let Some(batch) = pop_draft(queue, cfg, slots, false) {
-                active.extend(batch.into_iter().filter_map(|r| admit(runtime, cfg, r)));
+                active.extend(batch.into_iter().filter_map(|r| admit(runtime, r)));
             }
         }
         if active.len() > admitted_from {

@@ -133,33 +133,19 @@ impl<T> AdmissionQueue<T> {
         })
     }
 
-    /// Non-blocking [`AdmissionQueue::pop_batch`]: takes whatever is
-    /// queued right now (up to `max_batch`), possibly nothing. The
-    /// continuous-batching decode scheduler uses this to refill free
-    /// slots between fused steps without ever stalling the running
-    /// batch. Returns the batch plus the depth left behind.
-    pub fn try_pop_batch(&self, max_batch: usize) -> (Vec<T>, usize) {
-        self.try_pop_batch_with(max_batch, |_, _| true)
-    }
-
     /// Non-blocking [`AdmissionQueue::pop_batch_bucketed`]: same
     /// anchor-class admission, but returns immediately with whatever
-    /// co-bucketed requests are queued right now.
+    /// co-bucketed requests are queued right now (up to `max_batch`),
+    /// possibly nothing. The continuous-batching decode scheduler uses
+    /// this to refill free slots between fused steps without ever
+    /// stalling the running batch. Returns the batch plus the depth left
+    /// behind.
     pub fn try_pop_batch_bucketed(
         &self,
         max_batch: usize,
         len_of: impl Fn(&T) -> Option<usize>,
     ) -> (Vec<T>, usize) {
-        self.try_pop_batch_with(max_batch, |anchor, cand| {
-            len_of(anchor).map(len_class) == len_of(cand).map(len_class)
-        })
-    }
-
-    fn try_pop_batch_with(
-        &self,
-        max_batch: usize,
-        admit: impl Fn(&T, &T) -> bool,
-    ) -> (Vec<T>, usize) {
+        let class = |r: &T| len_of(r).map(len_class);
         let mut inner = lock_clean(&self.inner);
         let mut batch = Vec::new();
         if max_batch > 0 {
@@ -167,7 +153,7 @@ impl<T> AdmissionQueue<T> {
                 batch.push(first);
                 let mut i = 0;
                 while batch.len() < max_batch && i < inner.deque.len() {
-                    if admit(&batch[0], &inner.deque[i]) {
+                    if class(&batch[0]) == class(&inner.deque[i]) {
                         let r = inner.deque.remove(i).expect("indexed request");
                         batch.push(r);
                     } else {

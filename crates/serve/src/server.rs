@@ -151,11 +151,9 @@ impl Server {
         // any worker accepts a request: the adaptive controller can then
         // switch levels without a packing latency spike, and the first
         // request runs the same steady-state path as the thousandth.
-        if cfg.prewarm {
-            runtime
-                .prewarm_levels()
-                .map_err(|e| crate::error::ServeError::Config(e.to_string()))?;
-        }
+        runtime
+            .prewarm_levels()
+            .map_err(|e| crate::error::ServeError::Config(e.to_string()))?;
         let queue = Arc::new(AdmissionQueue::new(cfg.queue_capacity));
         // One shared intra-batch pool for the whole worker fleet (see
         // `ServeConfig::pool_threads` for the sizing rule). Helpers
@@ -629,7 +627,7 @@ mod tests {
         // Explicit setting wins; zero is rejected.
         let auto = cfg.resolved_pool_threads();
         assert!(auto >= 1);
-        if std::env::var("FLEXIQ_THREADS").is_err() {
+        if flexiq_parallel::env_threads().is_none() {
             assert!(
                 auto * cfg.workers <= flexiq_parallel::machine_threads().max(cfg.workers),
                 "default must keep workers x threads within the core budget"

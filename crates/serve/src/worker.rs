@@ -21,15 +21,14 @@
 //! GEMMs, not just amortized dispatch.
 //!
 //! **Variable-length LM dispatch:** token-sequence requests (rank-1 id
-//! inputs) of *different* lengths used to be split into exact-shape
-//! groups, which collapses batching under real LM traffic. With
-//! [`crate::ServeConfig::lm_bucketing`] (the default) they are instead
-//! planned into power-of-two length buckets ([`crate::bucket`]), padded,
-//! and executed as masked stacked passes via
+//! inputs) of *different* lengths are not split into exact-shape
+//! groups, which would collapse batching under real LM traffic: they
+//! are planned into power-of-two length buckets ([`crate::bucket`]),
+//! padded, and executed as masked stacked passes via
 //! [`FlexiRuntime::infer_batch_varlen_traced`] — one pass per bucket
 //! group, regardless of how many distinct lengths it contains. The mask
 //! invariant guarantees every response is bit-exact with unpadded
-//! inference, so bucketing is purely a throughput knob; the
+//! inference, so bucketing only buys throughput; the
 //! [`crate::ServeConfig::max_padding_waste`] cap bounds how much padded
 //! compute a merged group may carry. Non-token inputs (CNN/ViT images)
 //! keep the exact-shape grouping.
@@ -85,8 +84,6 @@ use crate::request::{InferResponse, QueuedRequest, RequestId};
 /// dispatch-relevant slice of [`ServeConfig`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DispatchPolicy {
-    /// Length-bucketed padded dispatch for rank-1 token inputs.
-    pub lm_bucketing: bool,
     /// Padding-waste cap for bucket merging (see [`crate::bucket`]).
     pub max_padding_waste: f64,
     /// Reject non-finite inputs before stacking (see
@@ -98,7 +95,6 @@ impl DispatchPolicy {
     /// Extracts the dispatch policy from a server configuration.
     pub fn from_config(cfg: &ServeConfig) -> Self {
         DispatchPolicy {
-            lm_bucketing: cfg.lm_bucketing,
             max_padding_waste: cfg.max_padding_waste,
             validate_inputs: cfg.validate_inputs,
         }
@@ -265,11 +261,7 @@ fn run_batch_traced(
     // Token-sequence (LM) requests: one padded stacked pass per bucket
     // group, mixed lengths welcome.
     let tokens: Vec<QueuedRequest>;
-    (tokens, live) = if policy.lm_bucketing {
-        live.into_iter().partition(|r| r.input.dims().len() == 1)
-    } else {
-        (Vec::new(), live)
-    };
+    (tokens, live) = live.into_iter().partition(|r| r.input.dims().len() == 1);
     if !tokens.is_empty() {
         let lens: Vec<usize> = tokens.iter().map(|r| r.input.numel()).collect();
         let mut slots: Vec<Option<QueuedRequest>> = tokens.into_iter().map(Some).collect();
@@ -778,44 +770,6 @@ pub(crate) mod tests {
             let expect = rt.infer(x).unwrap();
             for (a, b) in resp.output.data().iter().zip(expect.data().iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "healthy request {i} poisoned");
-            }
-        }
-    }
-
-    #[test]
-    fn bucketing_disabled_falls_back_to_shape_groups() {
-        let (rt, seqs) = tiny_lm_runtime();
-        let metrics = MetricsHub::new(Duration::from_secs(1));
-        let now = Instant::now();
-        let inputs = [
-            seqs[0].slice_axis0(3).unwrap(),
-            seqs[1].slice_axis0(6).unwrap(),
-        ];
-        let mut tickets = Vec::new();
-        let mut batch = Vec::new();
-        for (i, x) in inputs.iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            batch.push(QueuedRequest {
-                id: i as u64,
-                input: x.clone(),
-                enqueued_at: now,
-                deadline: None,
-                trace: 0,
-                reply: tx,
-            });
-            tickets.push(Ticket { id: i as u64, rx });
-        }
-        let off = DispatchPolicy {
-            lm_bucketing: false,
-            max_padding_waste: 0.5,
-            validate_inputs: true,
-        };
-        run_batch(&rt, &metrics, batch, off);
-        for (t, x) in tickets.into_iter().zip(inputs.iter()) {
-            let resp = t.wait().unwrap();
-            let expect = rt.infer(x).unwrap();
-            for (a, b) in resp.output.data().iter().zip(expect.data().iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }

@@ -33,8 +33,8 @@
 //! [`FixedLevel`] and profile-driven [`AdaptiveController`] both
 //! implement the shared trait. The live crate's measured controller has
 //! no simulator counterpart because its input — measured latency — only
-//! exists there; `benches/bench_serve.rs` compares it against the live
-//! fixed-level baselines.
+//! exists there; the end-to-end benchmark's `vit_burst` workload is
+//! where it is measured.
 
 pub mod arrivals;
 pub mod controller;
