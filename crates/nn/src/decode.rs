@@ -3,19 +3,24 @@
 //! The full-context executor ([`crate::exec`]) recomputes every position
 //! on every call; generation needs the incremental form — each new token
 //! runs once, attending over the cached keys/values of everything before
-//! it. This module is that walker: a [`DecodeState`] holds one
+//! it. This module is that driver: a [`DecodeState`] holds one
 //! [`KvLayerCache`] per attention node, [`prefill`] runs the prompt and
 //! fills the caches, [`step`] runs one token, and [`step_batch`] fuses
 //! one token from each of several sessions into a single stacked pass
 //! (the regime where the prepacked-weight cache pays: every per-step
 //! linear runs once at `m = batch` instead of `batch` times at `m = 1`).
 //!
+//! It owns no graph traversal and no operator table: every pass is the
+//! executor's walk ([`exec::walk`]) over its dispatch table
+//! ([`exec::apply_node`]), with only the two position-dependent operators
+//! — positional `AddParam` tables and attention — answered here instead.
+//!
 //! # The equivalence ladder
 //!
 //! Decode is **bit-exact** with the full-context executor over the same
 //! prefix, at every precision level, by construction:
 //!
-//! * Every non-attention operator the walker admits is per-token: row
+//! * Every non-attention operator the driver admits is per-token: row
 //!   `i` of its output depends only on row `i` of its input, so running
 //!   rows one at a time is the same arithmetic as running them stacked.
 //!   (Positional tables are re-based: a step at position `p` adds table
@@ -247,9 +252,7 @@ pub fn step_batch(
         s.check_advance(1, compute)?;
     }
     let input = Tensor::from_vec([n], tokens.to_vec())?;
-    let out = walk(graph, &input, compute, |nid, node, x, compute| {
-        attend_rows(node, nid, x, compute, states)
-    })?;
+    let out = run_rows(graph, &input, compute, states)?;
     for s in states.iter_mut() {
         s.pos += 1;
     }
@@ -265,84 +268,27 @@ fn forward(
 ) -> Result<Tensor> {
     let t = tokens.dims()[0];
     state.check_advance(t, compute)?;
-    let out = walk(graph, tokens, compute, |nid, node, x, compute| {
-        let mut one = [&mut *state];
-        attend_rows(node, nid, x, compute, &mut one)
-    })?;
+    let out = run_rows(graph, tokens, compute, &mut [&mut *state])?;
     state.pos += t;
     Ok(out)
 }
 
-/// Shared node walk: demand-driven from the output (the layout
-/// optimizer appends reorder nodes out of index order, so a plain
-/// index-order sweep would read inputs before computing them),
-/// delegating per-token operators to [`exec::apply_node`] and giving the
-/// caller only the two position-dependent arms (positional tables and
-/// attention) through `attention`.
-fn walk(
+/// One pass of token rows through the graph on the executor's walk
+/// ([`exec::walk`]) and dispatch table ([`exec::apply_node`], one sample):
+/// every per-token operator runs there, and only the two
+/// position-dependent arms — positional tables and attention — are
+/// answered here, from the sessions' positions and caches.
+fn run_rows(
     graph: &Graph,
     input: &Tensor,
     compute: &mut dyn Compute,
-    mut attention: impl FnMut(NodeId, &crate::graph::Node, &Tensor, &mut dyn Compute) -> Result<Tensor>,
+    states: &mut [&mut DecodeState],
 ) -> Result<Tensor> {
-    let n_nodes = graph.nodes().len();
     let output = graph.output()?;
-    let mut memo: Vec<Option<Tensor>> = vec![None; n_nodes];
-    let mut expanding = vec![false; n_nodes];
-    let mut stack = vec![output];
-    while let Some(&nid) = stack.last() {
-        if memo.get(nid).is_none_or(Option::is_some) {
-            // Already computed (or a duplicate push): nothing to do.
-            stack.pop();
-            continue;
-        }
-        let node = graph.node(nid)?;
-        if !expanding[nid] {
-            // First visit: queue any not-yet-computed inputs above us.
-            expanding[nid] = true;
-            let mut waiting = false;
-            for &i in node.inputs.iter().rev() {
-                if i >= n_nodes {
-                    return Err(NnError::Invalid(format!(
-                        "node {nid} reads nonexistent input {i}"
-                    )));
-                }
-                if memo[i].is_none() {
-                    if expanding[i] {
-                        return Err(NnError::Invalid(format!(
-                            "graph cycle through nodes {nid} and {i}"
-                        )));
-                    }
-                    stack.push(i);
-                    waiting = true;
-                }
-            }
-            if waiting {
-                continue;
-            }
-        }
-        // Second visit (or no inputs were missing): everything queued
-        // above us has been computed by stack discipline.
-        let resolved: Vec<Tensor> = node
-            .inputs
-            .iter()
-            .map(|&i| {
-                memo[i]
-                    .clone()
-                    .ok_or_else(|| NnError::Invalid(format!("node {nid} input {i} not computed")))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let first = || -> Result<&Tensor> {
-            resolved
-                .first()
-                .ok_or_else(|| NnError::Invalid(format!("node {nid} missing input 0")))
-        };
-        memo[nid] = Some(match &node.op {
-            Op::AddParam(_) | Op::Attention(_) => attention(nid, node, first()?, compute)?,
-            _ => exec::apply_node(node, &resolved, input, compute)?,
-        });
-        stack.pop();
-    }
+    let mut memo = exec::walk(graph, output, false, |nid, node, resolved| match &node.op {
+        Op::AddParam(_) | Op::Attention(_) => attend_rows(node, nid, resolved, compute, states),
+        _ => exec::apply_node(node, resolved, input, None, None, compute),
+    })?;
     memo[output]
         .take()
         .ok_or_else(|| NnError::Invalid("graph output was not computed".into()))
@@ -357,10 +303,16 @@ fn walk(
 fn attend_rows(
     node: &crate::graph::Node,
     nid: NodeId,
-    x: &Tensor,
+    inputs: &[Tensor],
     compute: &mut dyn Compute,
     states: &mut [&mut DecodeState],
 ) -> Result<Tensor> {
+    let x = inputs.first().filter(|x| !x.dims().is_empty());
+    let x = x.ok_or_else(|| NnError::BadActivation {
+        op: "decode_rows",
+        expected: "[T, …] token rows".into(),
+        got: inputs.first().map_or(Vec::new(), |x| x.dims().to_vec()),
+    })?;
     let t = x.dims()[0];
     let fused = states.len() > 1;
     if fused && states.len() != t {
@@ -535,6 +487,25 @@ mod tests {
         }
         assert_eq!(a2.pos(), a.pos());
         assert_eq!(b2.pos(), b.pos());
+    }
+
+    #[test]
+    fn rank0_rows_are_a_typed_error_not_a_panic() {
+        let g = lm();
+        let mut st = DecodeState::new(&g, KvSpec::f32()).unwrap();
+        for (nid, node) in g.nodes().iter().enumerate() {
+            if !matches!(node.op, Op::AddParam(_) | Op::Attention(_)) {
+                continue;
+            }
+            let r = attend_rows(
+                node,
+                nid,
+                &[Tensor::scalar(1.0)],
+                &mut F32Compute,
+                &mut [&mut st],
+            );
+            assert!(matches!(r, Err(NnError::BadActivation { .. })), "{r:?}");
+        }
     }
 
     #[test]

@@ -1,23 +1,34 @@
-//! Graph execution.
+//! Graph execution: one graph walk, one op-dispatch table.
 //!
-//! One walker serves every precision mode: the float path, calibration,
-//! and the mixed-precision integer path all call [`run`] with a different
-//! [`Compute`] hook. The hook intercepts exactly the quantizable
-//! operations (convolutions and linears, including attention projections);
-//! everything else — normalization, activations, attention cores, pooling
-//! — executes in floating point, matching the paper's execution model
-//! (§8.2: integer compute for conv/linear, 16-bit float for the rest).
+//! One walker serves every precision mode and every driver: the float
+//! path, calibration, the mixed-precision integer path, incremental
+//! decode ([`crate::decode`]) and the training forward
+//! (`flexiq_train::diff::forward`) all traverse the graph with [`walk`]
+//! and apply operators through [`apply_node`], differing only in what
+//! they intercept. Inference passes a [`Compute`] hook, which intercepts
+//! exactly the quantizable operations (convolutions and linears,
+//! including attention projections); decode answers the two
+//! position-dependent operators from its caches; training fake-quantizes
+//! the quantizable operators and keeps the walk's activations as its
+//! tape. Everything else — normalization, activations, attention cores,
+//! pooling — executes in floating point in the table's one arm per
+//! operator, matching the paper's execution model (§8.2: integer compute
+//! for conv/linear, 16-bit float for the rest), so the drivers cannot
+//! disagree about what an operator does.
 //!
 //! # Batched execution
 //!
-//! [`run_batch`] walks the same graph with **stacked** `[N, …]`
-//! activations: quantizable layers go through the batched [`Compute`]
-//! hooks ([`Compute::conv2d_batch`] / [`Compute::linear_batch`], with
-//! per-sample fallbacks for hooks that do not override them), and every
-//! other operator has a batch-aware forward. Per-sample outputs are
-//! bit-exact with [`run`] — the batched kernels preserve each output
-//! element's reduction order — which is what lets the serving stack batch
-//! freely without perturbing the mixed-precision arithmetic.
+//! The batch size is data, not a second table: [`apply_node`] applies an
+//! operator to one sample (`n = None`) or to **stacked** `[N, …]`
+//! activations (`n = Some(N)`), and each operator's one arithmetic body
+//! serves both (the single sample is the batch of one — see
+//! [`crate::ops`]). [`run_batch`] is [`run`] with `n` set: quantizable
+//! layers go through the batched [`Compute`] hooks
+//! ([`Compute::conv2d_batch`] / [`Compute::linear_batch`], with
+//! per-sample fallbacks for hooks that do not override them). Per-sample
+//! outputs are bit-exact with [`run`] — the batched kernels preserve each
+//! output element's reduction order — which is what lets the serving
+//! stack batch freely without perturbing the mixed-precision arithmetic.
 //!
 //! A stacked pass also parallelizes **within** a dispatch: per-sample
 //! attention cores and window cores fan across the ambient
@@ -47,8 +58,9 @@
 use flexiq_tensor::{SeqMask, Tensor};
 
 use crate::error::NnError;
-use crate::graph::{Graph, LayerId, NodeId, Op};
-use crate::ops::{act, pool, tokens, Attention, Conv2d, Linear};
+use crate::graph::{Graph, LayerId, Node, NodeId, Op};
+use crate::ops::pool::{self, Window};
+use crate::ops::{act, split_stack, tokens, Conv2d, Linear};
 use crate::Result;
 
 /// Hook deciding how quantizable layers are computed.
@@ -107,7 +119,7 @@ pub trait Compute {
     fn set_seq_mask(&mut self, _mask: Option<&SeqMask>) {}
 
     /// The K/V precision spec attention cores run under. The f32 default
-    /// keeps attention on the uncached [`Attention::core`] path
+    /// keeps attention on the uncached [`crate::ops::Attention::core`] path
     /// byte-for-byte; engines carrying a quantized spec make every
     /// full-context forward route through the *same* cache arithmetic
     /// the decode loop uses ([`crate::kv::core_kv`]), which is what
@@ -180,12 +192,7 @@ impl Compute for F32Compute {
 
 /// Runs the graph on one input through the given compute hook.
 pub fn run(graph: &Graph, input: &Tensor, compute: &mut dyn Compute) -> Result<Tensor> {
-    let output = graph.output()?;
-    let mut memo: Vec<Option<Tensor>> = vec![None; graph.nodes().len()];
-    eval(graph, output, input, compute, &mut memo, None, None, false)?;
-    memo[output]
-        .take()
-        .ok_or_else(|| NnError::Invalid("output was not computed".into()))
+    take_output(graph, eval(graph, input, compute, None, None, false)?)
 }
 
 /// Runs the graph at full f32 precision.
@@ -216,7 +223,7 @@ pub fn run_batch_masked(
     mask: Option<&SeqMask>,
     compute: &mut dyn Compute,
 ) -> Result<Tensor> {
-    let n = batch_size(input)?;
+    let n = split_stack("batch", input, true)?.0;
     if let Some(m) = mask {
         if m.n() != n {
             return Err(NnError::Invalid(format!(
@@ -225,24 +232,10 @@ pub fn run_batch_masked(
             )));
         }
     }
-    let output = graph.output()?;
-    let mut memo: Vec<Option<Tensor>> = vec![None; graph.nodes().len()];
     compute.set_seq_mask(mask);
-    let walked = eval(
-        graph,
-        output,
-        input,
-        compute,
-        &mut memo,
-        Some(n),
-        mask,
-        false,
-    );
+    let walked = eval(graph, input, compute, Some(n), mask, false);
     compute.set_seq_mask(None);
-    walked?;
-    memo[output]
-        .take()
-        .ok_or_else(|| NnError::Invalid("output was not computed".into()))
+    take_output(graph, walked?)
 }
 
 /// Runs a stacked batch at full f32 precision.
@@ -261,10 +254,7 @@ pub fn run_traced(
     input: &Tensor,
     compute: &mut dyn Compute,
 ) -> Result<Vec<Option<Tensor>>> {
-    let output = graph.output()?;
-    let mut memo: Vec<Option<Tensor>> = vec![None; graph.nodes().len()];
-    eval(graph, output, input, compute, &mut memo, None, None, true)?;
-    Ok(memo)
+    eval(graph, input, compute, None, None, true)
 }
 
 /// Batched [`run_traced`]: every node's stacked `[N, …]` output.
@@ -273,71 +263,86 @@ pub fn run_batch_traced(
     input: &Tensor,
     compute: &mut dyn Compute,
 ) -> Result<Vec<Option<Tensor>>> {
-    let n = batch_size(input)?;
-    let output = graph.output()?;
-    let mut memo: Vec<Option<Tensor>> = vec![None; graph.nodes().len()];
-    eval(
-        graph,
-        output,
-        input,
-        compute,
-        &mut memo,
-        Some(n),
-        None,
-        true,
-    )?;
-    Ok(memo)
+    let n = split_stack("batch", input, true)?.0;
+    eval(graph, input, compute, Some(n), None, true)
 }
 
-fn batch_size(input: &Tensor) -> Result<usize> {
-    match input.dims().first() {
-        Some(&n) if n > 0 => Ok(n),
-        _ => Err(NnError::BadActivation {
-            op: "batch",
-            expected: "non-empty stacked input [N, …]".into(),
-            got: input.dims().to_vec(),
-        }),
-    }
+/// Moves the output node's activation out of a finished walk.
+fn take_output(graph: &Graph, mut memo: Vec<Option<Tensor>>) -> Result<Tensor> {
+    memo[graph.output()?]
+        .take()
+        .ok_or_else(|| NnError::Invalid("output was not computed".into()))
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The inference walk: [`walk`] with every node sent to [`apply_node`]
+/// under a graph-node telemetry span.
 fn eval(
     graph: &Graph,
-    id: NodeId,
     input: &Tensor,
     compute: &mut dyn Compute,
-    memo: &mut [Option<Tensor>],
-    batch: Option<usize>,
+    n: Option<usize>,
     mask: Option<&SeqMask>,
     retain_all: bool,
-) -> Result<()> {
-    if memo[id].is_some() {
-        return Ok(());
-    }
+) -> Result<Vec<Option<Tensor>>> {
+    walk(graph, graph.output()?, retain_all, |nid, node, resolved| {
+        // Graph-node span: one per node per pass, named after the op.
+        let _span = flexiq_telemetry::span_full(
+            node.op.name(),
+            flexiq_telemetry::Cat::Node,
+            nid as u32,
+            [n.unwrap_or(0) as u64, 0, 0, 0],
+        );
+        apply_node(node, resolved, input, n, mask, compute)
+    })
+}
+
+/// The one graph walk: demand-driven from `output`, calling `visit` once
+/// per reachable node in a topological (post-)order with the node's
+/// resolved input activations, and returning every activation still
+/// alive — the output's always, all of them under `retain_all`.
+///
+/// Demand-driven rather than an index-order sweep because the layout
+/// optimizer appends reorder nodes out of index order; iterative because
+/// deep residual chains would otherwise exhaust the stack on large
+/// graphs. A node reading a nonexistent input, or a cycle (reachable
+/// through [`Graph::reroute_input`]), is a typed error, not a hang.
+pub fn walk(
+    graph: &Graph,
+    output: NodeId,
+    retain_all: bool,
+    mut visit: impl FnMut(NodeId, &Node, &[Tensor]) -> Result<Tensor>,
+) -> Result<Vec<Option<Tensor>>> {
+    let n_nodes = graph.nodes().len();
+    let mut memo: Vec<Option<Tensor>> = vec![None; n_nodes];
     // Remaining-consumer counts over the whole graph: once a node's last
     // consumer has resolved, its memoized activation can be **moved** out
     // instead of cloned. Only activations feeding several consumers (the
     // shared trunk of a residual block, say) pay for a clone; on a linear
-    // chain nothing is copied. `retain_all` (tracing/calibration) keeps
-    // every activation alive instead.
-    let mut remaining = vec![0usize; graph.nodes().len()];
-    for node in graph.nodes() {
-        for &inp in &node.inputs {
-            remaining[inp] += 1;
+    // chain nothing is copied. `retain_all` (tracing/calibration/training)
+    // keeps every activation alive instead.
+    let mut remaining = vec![0usize; n_nodes];
+    for &inp in graph.nodes().iter().flat_map(|node| &node.inputs) {
+        if let Some(count) = remaining.get_mut(inp) {
+            *count += 1;
         }
     }
-    // Iterative post-order traversal: deep residual chains would otherwise
-    // exhaust the stack on large graphs.
-    let mut stack: Vec<(NodeId, bool)> = vec![(id, false)];
+    // A node is `expanding` from the moment its inputs are queued until
+    // it is computed; meeting it again unexpanded in that window means
+    // one of its own inputs depends on it.
+    let mut expanding = vec![false; n_nodes];
+    let mut stack: Vec<(NodeId, bool)> = vec![(output, false)];
     while let Some((nid, expanded)) = stack.pop() {
+        let node = graph.node(nid)?;
         if memo[nid].is_some() {
             continue;
         }
-        let node = graph.node(nid)?;
         if !expanded {
+            if std::mem::replace(&mut expanding[nid], true) {
+                return Err(NnError::Invalid(format!("graph cycle through node {nid}")));
+            }
             stack.push((nid, true));
             for &inp in &node.inputs {
-                if memo[inp].is_none() {
+                if !memo.get(inp).is_some_and(Option::is_some) {
                     stack.push((inp, false));
                 }
             }
@@ -345,152 +350,58 @@ fn eval(
         }
         let mut resolved = Vec::with_capacity(node.inputs.len());
         for (slot, &inp) in node.inputs.iter().enumerate() {
-            if memo[inp].is_none() {
-                return Err(NnError::Invalid(format!(
-                    "input {slot} of node {nid} missing"
-                )));
-            }
             remaining[inp] = remaining[inp].saturating_sub(1);
-            let value = if !retain_all && remaining[inp] == 0 && inp != id {
-                memo[inp].take().expect("checked above")
+            let value = if !retain_all && remaining[inp] == 0 && inp != output {
+                memo[inp].take()
             } else {
-                memo[inp].clone().expect("checked above")
+                memo[inp].clone()
             };
-            resolved.push(value);
+            resolved.push(
+                value.ok_or_else(|| {
+                    NnError::Invalid(format!("input {slot} of node {nid} missing"))
+                })?,
+            );
         }
-        // Graph-node span: one per node per pass, named after the op.
-        let _span = flexiq_telemetry::span_full(
-            node.op.name(),
-            flexiq_telemetry::Cat::Node,
-            nid as u32,
-            [batch.unwrap_or(0) as u64, 0, 0, 0],
-        );
-        memo[nid] = Some(match batch {
-            None => apply_node(node, &resolved, input, compute)?,
-            Some(n) => apply_node_batch_masked(node, &resolved, input, n, mask, compute)?,
-        });
+        memo[nid] = Some(visit(nid, node, &resolved)?);
     }
-    Ok(())
+    Ok(memo)
 }
 
-/// Applies one node's operator to resolved input activations.
+/// Projects through the hook: the single-sample method for one sample,
+/// the batched one for a stack.
+fn project(
+    compute: &mut dyn Compute,
+    n: Option<usize>,
+    layer: LayerId,
+    lin: &Linear,
+    x: &Tensor,
+) -> Result<Tensor> {
+    match n {
+        None => compute.linear(layer, lin, x),
+        Some(n) => compute.linear_batch(layer, lin, x, n),
+    }
+}
+
+/// The one op-dispatch table: applies one node's operator to its resolved
+/// input activations — single samples when `n` is `None`, **stacked**
+/// `[N, …]` activations when it is `Some(N)`.
+///
+/// The two hook operators pick the single or batched [`Compute`] method;
+/// every other operator has one body, told only whether a leading batch
+/// axis is present. Token-mixing cores (attention, window attention) run
+/// per sample inside that body, since attention never mixes tokens across
+/// samples.
+///
+/// `mask` (stacked passes only) is the per-sample valid-length mask of a
+/// padded variable-length batch (module docs). It applies to an operator
+/// exactly when the activation is token-shaped for it — `[N, bucket]`
+/// ids or `[N, bucket, C]` tokens matching the mask — so CNN-side
+/// operators in the same graph are untouched.
 pub fn apply_node(
-    node: &crate::graph::Node,
+    node: &Node,
     inputs: &[Tensor],
     graph_input: &Tensor,
-    compute: &mut dyn Compute,
-) -> Result<Tensor> {
-    let get = |slot: usize| -> Result<&Tensor> {
-        inputs
-            .get(slot)
-            .ok_or_else(|| NnError::Invalid(format!("missing input {slot}")))
-    };
-    Ok(match &node.op {
-        Op::Input => graph_input.clone(),
-        Op::Conv2d(conv) => compute.conv2d(node.layers[0], conv, get(0)?)?,
-        Op::Linear(lin) => compute.linear(node.layers[0], lin, get(0)?)?,
-        Op::BatchNorm(bn) => bn.forward(get(0)?)?,
-        Op::LayerNorm(ln) => ln.forward(get(0)?)?,
-        Op::Relu => act::relu(get(0)?),
-        Op::Gelu => act::gelu(get(0)?),
-        Op::Add => get(0)?.add(get(1)?)?,
-        Op::MaxPool { k, stride } => pool::max_pool2d(get(0)?, *k, *stride)?,
-        Op::AvgPool { k, stride } => pool::avg_pool2d(get(0)?, *k, *stride)?,
-        Op::GlobalAvgPool => pool::global_avg_pool(get(0)?)?,
-        Op::ToTokens => tokens::to_tokens(get(0)?)?,
-        Op::MeanTokens => tokens::mean_tokens(get(0)?)?,
-        Op::PatchMerge { h, w } => tokens::patch_merge(get(0)?, *h, *w)?,
-        Op::Attention(attn) => run_attention(attn, &node.layers_array()?, get(0)?, compute)?,
-        Op::WindowAttention(wa) => {
-            let x = get(0)?;
-            let lids = node.layers_array()?;
-            // Projections are per-token, so they commute with the window
-            // partition: project once on the full grid, then run the
-            // attention core per window.
-            let q = compute.linear(lids[0], &wa.attn.q, x)?;
-            let k = compute.linear(lids[1], &wa.attn.k, x)?;
-            let v = compute.linear(lids[2], &wa.attn.v, x)?;
-            let qw = wa.partition(&q)?;
-            let kw = wa.partition(&k)?;
-            let vw = wa.partition(&v)?;
-            let mut outs = Vec::with_capacity(qw.len());
-            for ((qi, ki), vi) in qw.iter().zip(kw.iter()).zip(vw.iter()) {
-                outs.push(wa.attn.core(qi, ki, vi)?);
-            }
-            let merged = wa.merge(&outs)?;
-            compute.linear(lids[3], &wa.attn.o, &merged)?
-        }
-        Op::Reorder(perm) => tokens::reorder_channels(get(0)?, perm)?,
-        Op::AddParam(p) => add_param(get(0)?, p)?,
-        Op::Embedding(emb) => emb.forward(get(0)?)?,
-    })
-}
-
-/// `AddParam` with the positional-table prefix semantics documented on
-/// [`Op::AddParam`]: a `[T, C]` activation may be shorter than its
-/// `[P, C]` parameter (a variable-length sequence against a full-context
-/// positional table), in which case the parameter's first `T` rows
-/// apply. Every other shape difference — including an activation
-/// *longer* than the table — still fails with the usual shape mismatch
-/// from [`Tensor::add`].
-fn add_param(x: &Tensor, p: &Tensor) -> Result<Tensor> {
-    if x.dims() != p.dims()
-        && x.dims().len() == 2
-        && p.dims().len() == 2
-        && x.dims()[1] == p.dims()[1]
-        && x.dims()[0] < p.dims()[0]
-    {
-        return Ok(x.add(&p.slice_axis0(x.dims()[0])?)?);
-    }
-    Ok(x.add(p)?)
-}
-
-/// Batched [`add_param`]: broadcast over the batch axis, slicing the
-/// parameter's leading rows when the stacked `[N, T, C]` activation is
-/// shorter than the `[P, C]` parameter.
-fn add_param_batch(x: &Tensor, p: &Tensor) -> Result<Tensor> {
-    if x.dims().len() == 3
-        && p.dims().len() == 2
-        && &x.dims()[1..] != p.dims()
-        && x.dims()[2] == p.dims()[1]
-        && x.dims()[1] < p.dims()[0]
-    {
-        return Ok(x.add_bcast0(&p.slice_axis0(x.dims()[1])?)?);
-    }
-    Ok(x.add_bcast0(p)?)
-}
-
-/// Applies one node's operator to resolved **stacked** `[N, …]` input
-/// activations (the batched counterpart of [`apply_node`]).
-///
-/// Quantizable operators route through the batched [`Compute`] hooks;
-/// token-mixing cores (attention, window attention) run per sample, since
-/// attention never mixes tokens across samples; everything else uses the
-/// batch-aware op forwards.
-pub fn apply_node_batch(
-    node: &crate::graph::Node,
-    inputs: &[Tensor],
-    graph_input: &Tensor,
-    n: usize,
-    compute: &mut dyn Compute,
-) -> Result<Tensor> {
-    apply_node_batch_masked(node, inputs, graph_input, n, None, compute)
-}
-
-/// [`apply_node_batch`] with a per-sample valid-length mask for padded
-/// variable-length batches.
-///
-/// The mask engages only on the operators where padding could leak:
-/// embeddings, attention cores (masked softmax), token pooling, and
-/// positional `AddParam` tables. It applies to an operator exactly when
-/// the activation is token-shaped for it — `[N, bucket]` ids or
-/// `[N, bucket, C]` tokens matching the mask — so CNN-side operators in
-/// the same graph are untouched.
-pub fn apply_node_batch_masked(
-    node: &crate::graph::Node,
-    inputs: &[Tensor],
-    graph_input: &Tensor,
-    n: usize,
+    n: Option<usize>,
     mask: Option<&SeqMask>,
     compute: &mut dyn Compute,
 ) -> Result<Tensor> {
@@ -499,107 +410,91 @@ pub fn apply_node_batch_masked(
             .get(slot)
             .ok_or_else(|| NnError::Invalid(format!("missing input {slot}")))
     };
+    let stacked = n.is_some();
     // The mask engages only where the activation is token-shaped for the
     // operator at hand.
     let mask_for = |dims: &[usize]| -> Option<&SeqMask> {
         mask.filter(|m| dims.len() >= 2 && m.matches(dims[0], dims[1]))
     };
+    // Operators that mix tokens across positions with no mask support:
+    // silently running one on a padded batch would leak pad rows into
+    // valid outputs, so a matching mask is a hard error, not a latent
+    // corruption.
+    let unmasked = |x: &Tensor| match mask_for(x.dims()) {
+        Some(_) => Err(NnError::Invalid(format!(
+            "{} is not mask-aware; cannot run it over a padded batch",
+            node.op.name()
+        ))),
+        None => Ok(()),
+    };
     Ok(match &node.op {
         Op::Input => graph_input.clone(),
-        Op::Conv2d(conv) => compute.conv2d_batch(node.layers[0], conv, get(0)?, n)?,
-        Op::Linear(lin) => compute.linear_batch(node.layers[0], lin, get(0)?, n)?,
-        Op::BatchNorm(bn) => bn.forward_batch(get(0)?)?,
-        Op::LayerNorm(ln) => ln.forward_batch(get(0)?)?,
+        Op::Conv2d(conv) => match n {
+            None => compute.conv2d(node.layers[0], conv, get(0)?)?,
+            Some(n) => compute.conv2d_batch(node.layers[0], conv, get(0)?, n)?,
+        },
+        Op::Linear(lin) => project(compute, n, node.layers[0], lin, get(0)?)?,
+        Op::BatchNorm(bn) => bn.forward_n(get(0)?, stacked)?,
+        Op::LayerNorm(ln) => ln.forward_n(get(0)?, stacked)?,
         Op::Relu => act::relu(get(0)?),
         Op::Gelu => act::gelu(get(0)?),
         Op::Add => get(0)?.add(get(1)?)?,
-        Op::MaxPool { k, stride } => pool::max_pool2d_batch(get(0)?, *k, *stride)?,
-        Op::AvgPool { k, stride } => pool::avg_pool2d_batch(get(0)?, *k, *stride)?,
-        Op::GlobalAvgPool => pool::global_avg_pool_batch(get(0)?)?,
-        Op::ToTokens => tokens::to_tokens_batch(get(0)?)?,
-        Op::MeanTokens => {
-            let x = get(0)?;
-            tokens::mean_tokens_batch_masked(x, mask_for(x.dims()))?
-        }
+        Op::MaxPool { k, stride } => pool::window_pool(Window::Max, get(0)?, *k, *stride, stacked)?,
+        Op::AvgPool { k, stride } => pool::window_pool(Window::Avg, get(0)?, *k, *stride, stacked)?,
+        Op::GlobalAvgPool => pool::global_pool(get(0)?, stacked)?,
+        Op::ToTokens => tokens::to_tokens_n(get(0)?, stacked)?,
+        Op::MeanTokens => tokens::mean_tokens_n(get(0)?, stacked, mask_for(get(0)?.dims()))?,
         Op::PatchMerge { h, w } => {
-            let x = get(0)?;
-            // PatchMerge mixes tokens across positions with no mask
-            // support: silently running it on a padded batch would leak
-            // pad rows into valid outputs, so a matching mask is a hard
-            // error, not a latent corruption.
-            if mask_for(x.dims()).is_some() {
-                return Err(NnError::Invalid(
-                    "patch_merge is not mask-aware; cannot run it over a padded batch".into(),
-                ));
-            }
-            tokens::patch_merge_batch(x, *h, *w)?
+            unmasked(get(0)?)?;
+            tokens::patch_merge_n(get(0)?, *h, *w, stacked)?
         }
         Op::Attention(attn) => {
             let lids = node.layers_array()?;
-            let x = get(0)?;
-            let q = compute.linear_batch(lids[0], &attn.q, x, n)?;
-            let k = compute.linear_batch(lids[1], &attn.k, x, n)?;
-            let v = compute.linear_batch(lids[2], &attn.v, x, n)?;
+            let q = project(compute, n, lids[0], &attn.q, get(0)?)?;
+            let k = project(compute, n, lids[1], &attn.k, get(0)?)?;
+            let v = project(compute, n, lids[2], &attn.v, get(0)?)?;
             let spec = compute.kv_spec();
+            let mask = mask_for(q.dims());
             let core = if spec.is_f32() {
-                attn.core_batch_masked(&q, &k, &v, mask_for(q.dims()))?
+                attn.core_n(&q, &k, &v, stacked, mask)?
             } else {
-                crate::kv::core_kv_batch_masked(attn, &spec, &q, &k, &v, mask_for(q.dims()))?
+                crate::kv::core_kv_n(attn, &spec, &q, &k, &v, stacked, mask)?
             };
-            compute.linear_batch(lids[3], &attn.o, &core, n)?
+            project(compute, n, lids[3], &attn.o, &core)?
         }
         Op::WindowAttention(wa) => {
-            let x = get(0)?;
+            unmasked(get(0)?)?;
             let lids = node.layers_array()?;
-            // Window attention mixes tokens across its (spatial) grid
-            // with no mask support — same hard error as PatchMerge.
-            if mask_for(x.dims()).is_some() {
-                return Err(NnError::Invalid(
-                    "window attention is not mask-aware; cannot run it over a padded batch".into(),
-                ));
-            }
-            // Projections are per-token, so they run batched on the full
-            // stack; the window cores run per sample, fanned across the
-            // ambient pool (samples are independent, so parallel output
-            // is bit-exact with the serial loop).
-            let q = compute.linear_batch(lids[0], &wa.attn.q, x, n)?;
-            let k = compute.linear_batch(lids[1], &wa.attn.k, x, n)?;
-            let v = compute.linear_batch(lids[2], &wa.attn.v, x, n)?;
-            let pool = flexiq_parallel::current();
-            let merged = pool
-                .map(n, |s| -> Result<Tensor> {
-                    let (qs, ks, vs) = (q.index_axis0(s)?, k.index_axis0(s)?, v.index_axis0(s)?);
-                    let qw = wa.partition(&qs)?;
-                    let kw = wa.partition(&ks)?;
-                    let vw = wa.partition(&vs)?;
-                    let mut outs = Vec::with_capacity(qw.len());
-                    for ((qi, ki), vi) in qw.iter().zip(kw.iter()).zip(vw.iter()) {
-                        outs.push(wa.attn.core(qi, ki, vi)?);
-                    }
-                    wa.merge(&outs)
-                })
-                .into_iter()
-                .collect::<Result<Vec<_>>>()?;
-            let merged = Tensor::stack(&merged)?;
-            compute.linear_batch(lids[3], &wa.attn.o, &merged, n)?
+            // Projections are per-token, so they commute with the window
+            // partition: project once on the full grid (the whole stack
+            // at once when batched), then run the attention core per
+            // window.
+            let q = project(compute, n, lids[0], &wa.attn.q, get(0)?)?;
+            let k = project(compute, n, lids[1], &wa.attn.k, get(0)?)?;
+            let v = project(compute, n, lids[2], &wa.attn.v, get(0)?)?;
+            let core = wa.core_n(&q, &k, &v, stacked)?;
+            project(compute, n, lids[3], &wa.attn.o, &core)?
         }
-        Op::Reorder(perm) => tokens::reorder_channels_batch(get(0)?, perm)?,
-        Op::AddParam(p) => add_param_batch(get(0)?, p)?,
-        Op::Embedding(emb) => {
-            let ids = get(0)?;
-            match mask_for(ids.dims()) {
-                Some(m) => {
-                    let mut s = 0usize;
-                    map_samples(ids, n, |row| {
-                        let y = emb.forward_masked(row, m.len_of(s));
-                        s += 1;
-                        y
-                    })?
-                }
-                None => map_samples(ids, n, |ids| emb.forward(ids))?,
-            }
-        }
+        Op::Reorder(perm) => tokens::reorder_channels_n(get(0)?, perm, stacked)?,
+        Op::AddParam(p) => add_param(get(0)?, p, stacked)?,
+        Op::Embedding(emb) => emb.forward_n(get(0)?, stacked, mask_for(get(0)?.dims()))?,
     })
+}
+
+/// `AddParam` under the positional-table prefix contract documented on
+/// [`Op::AddParam`]: a `[T, C]` sample shorter than its `[P, C]`
+/// parameter adds the parameter's first `T` rows; every other shape
+/// difference — a sample *longer* than the table included — fails with
+/// the usual shape mismatch. A stacked activation broadcasts the
+/// (sliced) parameter over its batch axis.
+fn add_param(x: &Tensor, p: &Tensor, stacked: bool) -> Result<Tensor> {
+    let sample = x.dims().get(usize::from(stacked)..).unwrap_or(&[]);
+    let prefix = match (sample, p.dims()) {
+        (&[t, c], &[rows, pc]) if c == pc && t < rows => Some(p.slice_axis0(t)?),
+        _ => None,
+    };
+    let p = prefix.as_ref().unwrap_or(p);
+    Ok(if stacked { x.add_bcast0(p)? } else { x.add(p)? })
 }
 
 /// Steps through the graph in node-index order (topological for graphs
@@ -611,12 +506,13 @@ pub fn apply_node_batch_masked(
 /// inputs produced by already-calibrated upstream BNs, so one pass
 /// suffices even for very deep residual networks.
 ///
-/// When all samples share one shape (the common case — calibration
+/// The samples run as **lanes** of [`apply_node`]: one stacked `[N, …]`
+/// lane when all samples share one shape (the common case — calibration
 /// sets are homogeneous) and the hook's batching is invariant
-/// ([`Compute::batch_invariant`]), each node executes as **one**
-/// stacked `[N, …]` pass instead of N per-sample calls; the visitor
-/// still receives per-sample activations, sliced from the stack, whose
-/// values are bit-exact with the per-sample walk.
+/// ([`Compute::batch_invariant`]), else one single-sample lane each. The
+/// visitor receives per-sample activations either way — sliced from the
+/// stack in the first case, with values bit-exact with the per-sample
+/// lanes.
 pub fn run_stepwise(
     graph: &mut Graph,
     samples: &[Tensor],
@@ -627,129 +523,67 @@ pub fn run_stepwise(
         return Ok(());
     }
     let same_shape = samples.windows(2).all(|w| w[0].dims() == w[1].dims());
-    if !(same_shape && compute.batch_invariant()) {
-        return run_stepwise_per_sample(graph, samples, compute, visit);
-    }
-    let n = samples.len();
-    let stacked = Tensor::stack(samples)?;
+    let stacked;
+    let lanes: Vec<(&Tensor, Option<usize>)> = if same_shape && compute.batch_invariant() {
+        stacked = Tensor::stack(samples)?;
+        vec![(&stacked, Some(samples.len()))]
+    } else {
+        samples.iter().map(|s| (s, None)).collect()
+    };
     let n_nodes = graph.nodes().len();
-    let mut memo: Vec<Option<Tensor>> = vec![None; n_nodes];
+    let mut memos: Vec<Vec<Option<Tensor>>> = vec![vec![None; n_nodes]; lanes.len()];
+    fn computed(memo: &[Option<Tensor>], nid: NodeId, inp: NodeId) -> Result<&Tensor> {
+        memo.get(inp).and_then(Option::as_ref).ok_or_else(|| {
+            NnError::Invalid(format!(
+                "node {nid} executed before its input {inp} (graph not in topological index order)"
+            ))
+        })
+    }
     for nid in 0..n_nodes {
         // Gather every sample's first-input activation for the visitor.
-        let node_inputs = graph.node(nid)?.inputs.clone();
-        let first_inputs: Vec<Tensor> = if node_inputs.is_empty() {
-            Vec::new()
-        } else {
-            let stack = memo[node_inputs[0]].as_ref().ok_or_else(|| {
-                NnError::Invalid(format!(
-                    "node {nid} executed before its input {} (graph not in topological index order)",
-                    node_inputs[0]
-                ))
-            })?;
-            (0..n)
-                .map(|s| Ok(stack.index_axis0(s)?))
-                .collect::<Result<Vec<_>>>()?
-        };
+        let mut first_inputs = Vec::new();
+        if let Some(&src) = graph.node(nid)?.inputs.first() {
+            for (&(_, n), memo) in lanes.iter().zip(&memos) {
+                let act = computed(memo, nid, src)?;
+                match n {
+                    Some(n) => {
+                        for s in 0..n {
+                            first_inputs.push(act.index_axis0(s)?);
+                        }
+                    }
+                    None => first_inputs.push(act.clone()),
+                }
+            }
+        }
         visit(graph.op_mut(nid)?, &first_inputs)?;
-        let node = graph.node(nid)?.clone();
-        let resolved: Vec<Tensor> = node
-            .inputs
-            .iter()
-            .map(|&i| {
-                memo[i]
-                    .clone()
-                    .ok_or_else(|| NnError::Invalid(format!("missing memo {i}")))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        memo[nid] = Some(apply_node_batch(&node, &resolved, &stacked, n, compute)?);
-    }
-    Ok(())
-}
-
-/// Per-sample fallback of [`run_stepwise`] for heterogeneous sample
-/// shapes or non-batch-invariant hooks.
-fn run_stepwise_per_sample(
-    graph: &mut Graph,
-    samples: &[Tensor],
-    compute: &mut dyn Compute,
-    mut visit: impl FnMut(&mut Op, &[Tensor]) -> Result<()>,
-) -> Result<()> {
-    let n_nodes = graph.nodes().len();
-    let mut memos: Vec<Vec<Option<Tensor>>> = vec![vec![None; n_nodes]; samples.len()];
-    for nid in 0..n_nodes {
-        let node_inputs = graph.node(nid)?.inputs.clone();
-        let first_inputs: Vec<Tensor> = if node_inputs.is_empty() {
-            Vec::new()
-        } else {
-            memos
-                .iter()
-                .map(|m| {
-                    m[node_inputs[0]].clone().ok_or_else(|| {
-                        NnError::Invalid(format!(
-                            "node {nid} executed before its input {} (graph not in topological index order)",
-                            node_inputs[0]
-                        ))
-                    })
-                })
-                .collect::<Result<Vec<_>>>()?
-        };
-        visit(graph.op_mut(nid)?, &first_inputs)?;
-        let node = graph.node(nid)?.clone();
-        for (s, sample) in samples.iter().enumerate() {
-            let resolved: Vec<Tensor> = node
+        let node = graph.node(nid)?;
+        for (&(input, n), memo) in lanes.iter().zip(&mut memos) {
+            let resolved = node
                 .inputs
                 .iter()
-                .map(|&i| {
-                    memos[s][i]
-                        .clone()
-                        .ok_or_else(|| NnError::Invalid(format!("missing memo {i}")))
-                })
+                .map(|&inp| computed(memo, nid, inp).cloned())
                 .collect::<Result<Vec<_>>>()?;
-            memos[s][nid] = Some(apply_node(&node, &resolved, sample, compute)?);
+            memo[nid] = Some(apply_node(node, &resolved, input, n, None, compute)?);
         }
     }
     Ok(())
 }
 
-fn run_attention(
-    attn: &Attention,
-    lids: &[LayerId; 4],
-    x: &Tensor,
-    compute: &mut dyn Compute,
-) -> Result<Tensor> {
-    let q = compute.linear(lids[0], &attn.q, x)?;
-    let k = compute.linear(lids[1], &attn.k, x)?;
-    let v = compute.linear(lids[2], &attn.v, x)?;
-    let spec = compute.kv_spec();
-    let core = if spec.is_f32() {
-        attn.core(&q, &k, &v)?
-    } else {
-        crate::kv::core_kv(attn, &spec, &q, &k, &v)?
-    };
-    compute.linear(lids[3], &attn.o, &core)
-}
-
-impl crate::graph::Node {
+impl Node {
     pub(crate) fn layers_array(&self) -> Result<[LayerId; 4]> {
-        if self.layers.len() != 4 {
-            return Err(NnError::Invalid(format!(
+        <[LayerId; 4]>::try_from(self.layers.as_slice()).map_err(|_| {
+            NnError::Invalid(format!(
                 "attention node has {} registered layers, expected 4",
                 self.layers.len()
-            )));
-        }
-        Ok([
-            self.layers[0],
-            self.layers[1],
-            self.layers[2],
-            self.layers[3],
-        ])
+            ))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{BatchNorm2d, Conv2d};
+    use crate::ops::{Attention, BatchNorm2d, Conv2d};
     use flexiq_tensor::rng::seeded;
 
     #[test]
@@ -962,6 +796,119 @@ mod tests {
         let y = run_batch(&g, &stacked, &mut hook).unwrap();
         assert_eq!(y.dims(), &[3, 2, 2, 2]);
         assert_eq!(hook.calls, 3, "fallback must run once per sample");
+    }
+
+    #[test]
+    fn cyclic_graph_is_a_typed_error_in_every_driver() {
+        // input → embedding → relu → gelu, then relu rewired to read gelu:
+        // relu and gelu now feed each other. Every driver rides the one
+        // walk, so all of them must report the cycle instead of spinning.
+        let mut g = Graph::new("cycle");
+        let x = g.input();
+        let table = Tensor::ones([4, 2]);
+        let emb = crate::ops::Embedding::new(table).unwrap();
+        let e = g.add_node(Op::Embedding(emb), vec![x]).unwrap();
+        let a = g.relu(e).unwrap();
+        let b = g.gelu(a).unwrap();
+        g.set_output(b).unwrap();
+        g.reroute_input(a, 0, b).unwrap();
+        let ids = Tensor::from_vec([2], vec![1.0, 3.0]).unwrap();
+        let invalid =
+            |r: Result<Tensor>| matches!(r, Err(NnError::Invalid(m)) if m.contains("cycle"));
+        assert!(invalid(run_f32(&g, &ids)));
+        assert!(invalid(run_batch_f32(
+            &g,
+            &Tensor::stack(std::slice::from_ref(&ids)).unwrap()
+        )));
+        let mut st = crate::decode::DecodeState::new(&g, crate::kv::KvSpec::f32()).unwrap();
+        assert!(invalid(crate::decode::prefill(
+            &g,
+            &mut st,
+            &ids,
+            &mut F32Compute
+        )));
+        // A self-loop is the smallest cycle.
+        g.reroute_input(a, 0, a).unwrap();
+        g.reroute_input(b, 0, a).unwrap();
+        assert!(invalid(run_f32(&g, &ids)));
+    }
+
+    /// Visitor inputs `run_stepwise` must reproduce: each sample's own
+    /// single-sample trace, read at every node's first input.
+    fn per_sample_first_inputs(g: &Graph, samples: &[Tensor]) -> Vec<Vec<Tensor>> {
+        let traces: Vec<_> = samples
+            .iter()
+            .map(|s| run_traced(g, s, &mut F32Compute).unwrap())
+            .collect();
+        g.nodes()
+            .iter()
+            .map(|node| match node.inputs.first() {
+                Some(&src) => traces.iter().map(|t| t[src].clone().unwrap()).collect(),
+                None => Vec::new(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stepwise_takes_per_sample_lanes_when_it_cannot_stack() {
+        /// The f32 reference, except that it declares its batching
+        /// variant and counts any batched call it still receives.
+        struct NoStack(usize);
+        impl Compute for NoStack {
+            fn conv2d(&mut self, _l: LayerId, c: &Conv2d, x: &Tensor) -> Result<Tensor> {
+                c.forward(x)
+            }
+            fn linear(&mut self, _l: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
+                lin.forward(x)
+            }
+            fn conv2d_batch(
+                &mut self,
+                _l: LayerId,
+                c: &Conv2d,
+                x: &Tensor,
+                _n: usize,
+            ) -> Result<Tensor> {
+                self.0 += 1;
+                c.forward_batch(x)
+            }
+            fn batch_invariant(&self) -> bool {
+                false
+            }
+        }
+        let mut rng = seeded(115);
+        let mut g = Graph::new("bnchain");
+        let x = g.input();
+        let w = Tensor::randn([2, 2, 3, 3], 0.0, 0.3, &mut rng);
+        let c = g.conv2d(x, Conv2d::new(w, None, 1, 1, 1).unwrap()).unwrap();
+        let b = g.batch_norm(c, BatchNorm2d::identity(2)).unwrap();
+        let r = g.relu(b).unwrap();
+        let p = g.add_node(Op::GlobalAvgPool, vec![r]).unwrap();
+        g.set_output(p).unwrap();
+        let same: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::randn([2, 4, 4], 0.0, 1.0, &mut rng))
+            .collect();
+        let mut mixed = same.clone();
+        mixed[1] = Tensor::randn([2, 5, 3], 0.0, 1.0, &mut rng);
+        let collect = |g: &mut Graph, samples: &[Tensor], hook: &mut dyn Compute| {
+            let mut seen = Vec::new();
+            run_stepwise(g, samples, hook, |_, inputs| {
+                seen.push(inputs.to_vec());
+                Ok(())
+            })
+            .unwrap();
+            seen
+        };
+        // Heterogeneous shapes cannot stack, whatever the hook says.
+        let expect = per_sample_first_inputs(&g, &mixed);
+        assert_eq!(collect(&mut g, &mixed, &mut F32Compute), expect);
+        // A hook whose batching is not invariant must not be stacked
+        // under, even over a homogeneous set.
+        let expect = per_sample_first_inputs(&g, &same);
+        let mut hook = NoStack(0);
+        assert_eq!(collect(&mut g, &same, &mut hook), expect);
+        assert_eq!(hook.0, 0, "a non-batch-invariant hook was stacked under");
+        // And the stacked lane hands the visitor the same per-sample bits.
+        assert_eq!(collect(&mut g, &same, &mut F32Compute), expect);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! the `[n, k]` weight layout of [`gemm::gemm_i8_band_wt`] — the score
 //! pass for one head's channel band is a single band GEMM (`m = 1`)
 //! against the cache, reusing the `gemm_i8_band`-family kernels (and
-//! their AVX2/NEON dispatch) unchanged. The carved low band stores
+//! their AVX2 dispatch) unchanged. The carved low band stores
 //! *reconstructed* values (`lower` then `reconstruct`, still `i8`-ranged
 //! since a 4-bit window over an 8-bit source shifts by at most 4), so a
 //! low read is the same straight band GEMM over a second buffer — no
@@ -50,7 +50,8 @@ use flexiq_quant::{QParams, QuantBits};
 use flexiq_tensor::{gemm, Tensor};
 
 use crate::error::NnError;
-use crate::ops::Attention;
+use crate::ops::act::softmax_row;
+use crate::ops::{check_mask, per_sample, split_sample, Attention};
 use crate::Result;
 
 /// How a decode session's K/V cache stores and reads its rows.
@@ -377,22 +378,6 @@ impl KvLayerCache {
     }
 }
 
-/// In-place softmax over one score row — the exact per-row arithmetic of
-/// [`crate::ops::act::softmax_lastdim`] (max-fold, ascending exp with
-/// running denominator, divide in place), so cache attends stay
-/// bit-compatible with the full-context core's softmax.
-fn softmax_row(row: &mut [f32]) {
-    let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-    let mut denom = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - m).exp();
-        denom += *v;
-    }
-    for v in row.iter_mut() {
-        *v /= denom;
-    }
-}
-
 /// Full-context attention core through a K/V cache: appends every
 /// position's key/value row, then attends each query row over its causal
 /// prefix — exactly the arithmetic N decode steps perform, run in one
@@ -411,8 +396,7 @@ pub fn core_kv(
     k: &Tensor,
     v: &Tensor,
 ) -> Result<Tensor> {
-    let t = q.dims().first().copied().unwrap_or(0);
-    core_kv_masked(attn, spec, q, k, v, t)
+    core_kv_n(attn, spec, q, k, v, false, None)
 }
 
 /// [`core_kv`] over the first `len` rows of padded `[T, C]` projections;
@@ -425,74 +409,50 @@ pub fn core_kv_masked(
     v: &Tensor,
     len: usize,
 ) -> Result<Tensor> {
-    let t = q.dims().first().copied().unwrap_or(0);
-    let c = attn.width();
-    if q.dims() != [t, c] || k.dims() != [t, c] || v.dims() != [t, c] {
-        return Err(NnError::BadActivation {
-            op: "attention_core_kv",
-            expected: format!("[T, {c}] projections"),
-            got: q.dims().to_vec(),
-        });
-    }
-    if len == 0 || len > t {
-        return Err(NnError::Invalid(format!(
-            "attention mask length {len} outside 1..={t}"
-        )));
-    }
-    if !attn.causal {
-        return Err(NnError::Invalid(
-            "kv-cached attention requires a causal core".into(),
-        ));
-    }
-    let mut cache = KvLayerCache::new(c, attn.heads, *spec, len)?;
-    let mut out = vec![0.0f32; t * c];
-    for i in 0..len {
-        cache.append(&k.data()[i * c..(i + 1) * c], &v.data()[i * c..(i + 1) * c])?;
-        cache.attend(&q.data()[i * c..(i + 1) * c], &mut out[i * c..(i + 1) * c])?;
-    }
-    Ok(Tensor::from_vec([t, c], out)?)
+    let t = q.dims().first().copied().unwrap_or(len);
+    let mask = flexiq_tensor::SeqMask::new(vec![len], t)?;
+    core_kv_n(attn, spec, q, k, v, false, Some(&mask))
 }
 
-/// Batched [`core_kv`] over stacked `[N, T, C]` projections with an
-/// optional per-sample valid-length mask — the cached counterpart of
-/// [`Attention::core_batch_masked`], fanned across the ambient pool
-/// exactly the same way (samples are independent, so parallel output is
-/// bit-exact with the serial loop).
-pub fn core_kv_batch_masked(
+/// The one cached-core body, behind the two entry points above and the
+/// executor's attention arm: `N` samples (one when not `stacked`), each
+/// appending and attending its valid prefix (all `T` rows without a
+/// mask) through a fresh cache of its own, fanned across the ambient pool
+/// like [`Attention::core_batch_masked`]'s (bit-exact with serial).
+pub(crate) fn core_kv_n(
     attn: &Attention,
     spec: &KvSpec,
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
+    stacked: bool,
     mask: Option<&flexiq_tensor::SeqMask>,
 ) -> Result<Tensor> {
-    if q.dims().len() != 3 || q.dims() != k.dims() || q.dims() != v.dims() {
+    let (n, [t, c]) = split_sample("attention_core_kv", q, stacked)?;
+    if c != attn.width() || t == 0 || q.dims() != k.dims() || q.dims() != v.dims() {
         return Err(NnError::BadActivation {
             op: "attention_core_kv",
-            expected: "matching [N, T, C] projections".into(),
+            expected: format!("matching non-empty [T, {}] projections", attn.width()),
             got: q.dims().to_vec(),
         });
     }
-    let (n, t) = (q.dims()[0], q.dims()[1]);
-    if let Some(m) = mask {
-        if !m.matches(n, t) {
-            return Err(NnError::Invalid(format!(
-                "sequence mask for {} x {} does not match [N={n}, T={t}] projections",
-                m.n(),
-                m.bucket()
-            )));
-        }
+    check_mask("attention_core_kv", mask, n, t)?;
+    if !attn.causal {
+        return Err(NnError::Invalid(
+            "kv-cached attention requires a causal core".into(),
+        ));
     }
-    let pool = flexiq_parallel::current();
-    let outs = pool
-        .map(n, |s| -> Result<Tensor> {
-            let (qs, ks, vs) = (q.index_axis0(s)?, k.index_axis0(s)?, v.index_axis0(s)?);
-            let len = mask.map(|m| m.len_of(s)).unwrap_or(t);
-            core_kv_masked(attn, spec, &qs, &ks, &vs, len)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?;
-    Ok(Tensor::stack(&outs)?)
+    let out = per_sample(n, t * c, |s, out| {
+        let len = mask.map_or(t, |m| m.len_of(s));
+        let mut cache = KvLayerCache::new(c, attn.heads, *spec, len)?;
+        for i in s * t..s * t + len {
+            let row = i * c..(i + 1) * c;
+            cache.append(&k.data()[row.clone()], &v.data()[row.clone()])?;
+            cache.attend(&q.data()[row], &mut out[(i - s * t) * c..][..c])?;
+        }
+        Ok(())
+    })?;
+    Ok(Tensor::from_vec(q.dims().to_vec(), out)?)
 }
 
 #[cfg(test)]

@@ -36,22 +36,25 @@ pub fn softmax_lastdim(x: &Tensor) -> Result<Tensor> {
             got: dims.to_vec(),
         });
     }
-    let rows = x.numel() / c;
-    let mut out = vec![0.0f32; x.numel()];
-    for r in 0..rows {
-        let row = &x.data()[r * c..(r + 1) * c];
-        let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let mut denom = 0.0f32;
-        for (i, &v) in row.iter().enumerate() {
-            let e = (v - m).exp();
-            out[r * c + i] = e;
-            denom += e;
-        }
-        for v in &mut out[r * c..(r + 1) * c] {
-            *v /= denom;
-        }
-    }
+    let mut out = x.data().to_vec();
+    out.chunks_exact_mut(c).for_each(softmax_row);
     Ok(Tensor::from_vec(dims.to_vec(), out)?)
+}
+
+/// In-place softmax over one row: max-fold, ascending exp with running
+/// denominator, divide in place. The one softmax arithmetic —
+/// [`softmax_lastdim`], the attention cores and the K/V cache attends all
+/// run it, which is what keeps them bit-compatible.
+pub(crate) fn softmax_row(row: &mut [f32]) {
+    let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    let mut denom = 0.0f32;
+    for v in row.iter_mut() {
+        *v = (*v - m).exp();
+        denom += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= denom;
+    }
 }
 
 /// Log-softmax over the last dimension (used by the LM perplexity path

@@ -9,8 +9,9 @@
 use flexiq_tensor::{SeqMask, Tensor};
 
 use crate::error::NnError;
-use crate::ops::act::softmax_lastdim;
+use crate::ops::act::softmax_row;
 use crate::ops::linear::Linear;
+use crate::ops::{check_mask, per_sample, split_sample};
 use crate::Result;
 
 /// Multi-head self-attention over `[T, C]` tokens.
@@ -72,46 +73,7 @@ impl Attention {
     /// Split out from the projections so the executor can route Q/K/V/O
     /// through the quantized compute hook while the core stays in f32.
     pub fn core(&self, q: &Tensor, k: &Tensor, v: &Tensor) -> Result<Tensor> {
-        let t = q.dims()[0];
-        let c = self.width();
-        if q.dims() != [t, c] || k.dims() != [t, c] || v.dims() != [t, c] {
-            return Err(NnError::BadActivation {
-                op: "attention_core",
-                expected: format!("[T, {c}] projections"),
-                got: q.dims().to_vec(),
-            });
-        }
-        let dh = c / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut out = vec![0.0f32; t * c];
-        for h in 0..self.heads {
-            // Scores for this head: [T, T].
-            let mut scores = vec![0.0f32; t * t];
-            for i in 0..t {
-                for j in 0..t {
-                    if self.causal && j > i {
-                        scores[i * t + j] = f32::NEG_INFINITY;
-                        continue;
-                    }
-                    let mut acc = 0.0f32;
-                    for d in 0..dh {
-                        acc += q.data()[i * c + h * dh + d] * k.data()[j * c + h * dh + d];
-                    }
-                    scores[i * t + j] = acc * scale;
-                }
-            }
-            let probs = softmax_lastdim(&Tensor::from_vec([t, t], scores)?)?;
-            for i in 0..t {
-                for d in 0..dh {
-                    let mut acc = 0.0f32;
-                    for j in 0..t {
-                        acc += probs.data()[i * t + j] * v.data()[j * c + h * dh + d];
-                    }
-                    out[i * c + h * dh + d] = acc;
-                }
-            }
-        }
-        Ok(Tensor::from_vec([t, c], out)?)
+        self.core_n(q, k, v, false, None)
     }
 
     /// Length-masked attention core over `[T, C]` projections padded to
@@ -121,37 +83,83 @@ impl Attention {
     /// `j < len` (on top of the causal constraint, if any), and pad query
     /// rows `i >= len` are written as zeros without touching the
     /// arithmetic of valid rows. The valid region is **bit-exact** with
-    /// [`Attention::core`] on the unpadded `[len, C]` slices: the loops
-    /// below reproduce that call's reduction orders element for element,
-    /// and pad positions are skipped outright (never multiplied by a zero
-    /// probability), so no pad value — however extreme — can perturb a
-    /// valid output.
+    /// [`Attention::core`] on the unpadded `[len, C]` slices — it is the
+    /// same loop, bounded by `len` — and pad positions are skipped
+    /// outright (never multiplied by a zero probability), so no pad value
+    /// — however extreme — can perturb a valid output.
     pub fn core_masked(&self, q: &Tensor, k: &Tensor, v: &Tensor, len: usize) -> Result<Tensor> {
-        let t = q.dims().first().copied().unwrap_or(0);
-        let c = self.width();
-        if q.dims() != [t, c] || k.dims() != [t, c] || v.dims() != [t, c] {
+        let t = q.dims().first().copied().unwrap_or(len);
+        self.core_n(q, k, v, false, Some(&SeqMask::new(vec![len], t)?))
+    }
+
+    /// Batched attention core over stacked `[N, T, C]` projections with
+    /// an optional per-sample length mask (the padded variable-length
+    /// path).
+    ///
+    /// Attention mixes tokens only **within** a sample, so the core runs
+    /// per sample (softmax rows never cross samples) — which also makes
+    /// samples embarrassingly parallel: the cores fan out across the
+    /// ambient thread pool, and because each sample's arithmetic is
+    /// untouched the result is bit-exact with serial execution. One
+    /// stacked dispatch serves mixed sequence lengths while every
+    /// sample's valid rows stay bit-exact with its unpadded
+    /// [`Attention::core`] run.
+    pub fn core_batch_masked(
+        &self,
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        mask: Option<&SeqMask>,
+    ) -> Result<Tensor> {
+        self.core_n(q, k, v, true, mask)
+    }
+
+    /// The one core entry: `N` samples (one when not `stacked`), each
+    /// attending over its valid prefix (all `T` positions without a
+    /// mask).
+    pub(crate) fn core_n(
+        &self,
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        stacked: bool,
+        mask: Option<&SeqMask>,
+    ) -> Result<Tensor> {
+        let (n, [t, c]) = split_sample("attention_core", q, stacked)?;
+        if c != self.width() || t == 0 || q.dims() != k.dims() || q.dims() != v.dims() {
             return Err(NnError::BadActivation {
                 op: "attention_core",
-                expected: format!("[T, {c}] projections"),
+                expected: format!("matching non-empty [T, {}] projections", self.width()),
                 got: q.dims().to_vec(),
             });
         }
-        if len == 0 || len > t {
-            return Err(NnError::Invalid(format!(
-                "attention mask length {len} outside 1..={t}"
-            )));
-        }
-        if len == t {
-            return self.core(q, k, v);
-        }
+        check_mask("attention_core", mask, n, t)?;
+        let per = t * c;
+        let out = per_sample(n, per, |s, out| {
+            let rows = s * per..(s + 1) * per;
+            let len = mask.map_or(t, |m| m.len_of(s));
+            self.core_rows(
+                &q.data()[rows.clone()],
+                &k.data()[rows.clone()],
+                &v.data()[rows],
+                len,
+                out,
+            );
+            Ok(())
+        })?;
+        Ok(Tensor::from_vec(q.dims().to_vec(), out)?)
+    }
+
+    /// The one core body: one sample's row-major `[T, C]` projections,
+    /// attending over the first `len >= 1` positions into the first `len`
+    /// rows of `out`. Rows past `len` are neither read nor written.
+    fn core_rows(&self, q: &[f32], k: &[f32], v: &[f32], len: usize, out: &mut [f32]) {
+        let c = self.width();
         let dh = c / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        // Pad query rows stay exactly zero.
-        let mut out = vec![0.0f32; t * c];
+        // Scores for one head: [len, len], rewritten in full per head.
+        let mut scores = vec![0.0f32; len * len];
         for h in 0..self.heads {
-            // Scores over the valid block only: [len, len], laid out and
-            // reduced exactly as `core` would for a [len, C] input.
-            let mut scores = vec![0.0f32; len * len];
             for i in 0..len {
                 for j in 0..len {
                     if self.causal && j > i {
@@ -160,82 +168,22 @@ impl Attention {
                     }
                     let mut acc = 0.0f32;
                     for d in 0..dh {
-                        acc += q.data()[i * c + h * dh + d] * k.data()[j * c + h * dh + d];
+                        acc += q[i * c + h * dh + d] * k[j * c + h * dh + d];
                     }
                     scores[i * len + j] = acc * scale;
                 }
             }
-            let probs = softmax_lastdim(&Tensor::from_vec([len, len], scores)?)?;
+            scores.chunks_exact_mut(len).for_each(softmax_row);
             for i in 0..len {
                 for d in 0..dh {
                     let mut acc = 0.0f32;
                     for j in 0..len {
-                        acc += probs.data()[i * len + j] * v.data()[j * c + h * dh + d];
+                        acc += scores[i * len + j] * v[j * c + h * dh + d];
                     }
                     out[i * c + h * dh + d] = acc;
                 }
             }
         }
-        Ok(Tensor::from_vec([t, c], out)?)
-    }
-
-    /// Batched attention core over stacked `[N, T, C]` projections.
-    ///
-    /// Attention mixes tokens only **within** a sample, so the core runs
-    /// per sample (softmax rows never cross samples) — which also makes
-    /// samples embarrassingly parallel: the cores fan out across the
-    /// ambient thread pool, and because each sample's arithmetic is
-    /// untouched the result is bit-exact with serial execution.
-    /// Projections are batched by the executor. Bit-exact per sample
-    /// with [`Attention::core`].
-    pub fn core_batch(&self, q: &Tensor, k: &Tensor, v: &Tensor) -> Result<Tensor> {
-        self.core_batch_masked(q, k, v, None)
-    }
-
-    /// Batched attention core with an optional per-sample length mask
-    /// (the padded variable-length path).
-    ///
-    /// With `mask = None` (or a trivial mask) this is [`Attention::core_batch`];
-    /// otherwise each sample runs [`Attention::core_masked`] with its own
-    /// valid length, so one stacked dispatch serves mixed sequence
-    /// lengths while every sample's valid rows stay bit-exact with its
-    /// unpadded single-sample run.
-    pub fn core_batch_masked(
-        &self,
-        q: &Tensor,
-        k: &Tensor,
-        v: &Tensor,
-        mask: Option<&SeqMask>,
-    ) -> Result<Tensor> {
-        if q.dims().len() != 3 || q.dims() != k.dims() || q.dims() != v.dims() {
-            return Err(NnError::BadActivation {
-                op: "attention_core",
-                expected: "matching [N, T, C] projections".into(),
-                got: q.dims().to_vec(),
-            });
-        }
-        let (n, t) = (q.dims()[0], q.dims()[1]);
-        if let Some(m) = mask {
-            if !m.matches(n, t) {
-                return Err(NnError::Invalid(format!(
-                    "sequence mask for {} x {} does not match [N={n}, T={t}] projections",
-                    m.n(),
-                    m.bucket()
-                )));
-            }
-        }
-        let pool = flexiq_parallel::current();
-        let outs = pool
-            .map(n, |s| -> Result<Tensor> {
-                let (qs, ks, vs) = (q.index_axis0(s)?, k.index_axis0(s)?, v.index_axis0(s)?);
-                match mask {
-                    Some(m) if m.len_of(s) < t => self.core_masked(&qs, &ks, &vs, m.len_of(s)),
-                    _ => self.core(&qs, &ks, &vs),
-                }
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Tensor::stack(&outs)?)
     }
 }
 
@@ -297,6 +245,25 @@ impl WindowAttention {
         }
     }
 
+    /// The source token of every window slot, window-major: slot `i` of
+    /// window `w` reads (and, merging back, writes) grid token
+    /// `order[w * window² + i]`, cyclic shift included.
+    fn window_order(&self) -> Vec<usize> {
+        let roll = self.roll();
+        let (h, w, win) = (self.grid_h, self.grid_w, self.window);
+        let mut order = Vec::with_capacity(h * w);
+        for wy in (0..h).step_by(win) {
+            for wx in (0..w).step_by(win) {
+                for dy in 0..win {
+                    for dx in 0..win {
+                        order.push(((wy + dy + roll) % h) * w + (wx + dx + roll) % w);
+                    }
+                }
+            }
+        }
+        order
+    }
+
     /// Partitions a `[h*w, C]` grid into per-window token matrices.
     pub fn partition(&self, x: &Tensor) -> Result<Vec<Tensor>> {
         let c = self.attn.width();
@@ -307,22 +274,12 @@ impl WindowAttention {
                 got: x.dims().to_vec(),
             });
         }
-        let roll = self.roll();
-        let (h, w, win) = (self.grid_h, self.grid_w, self.window);
+        let slots = self.window * self.window;
         let mut windows = Vec::with_capacity(self.num_windows());
-        for wy in (0..h).step_by(win) {
-            for wx in (0..w).step_by(win) {
-                let mut data = Vec::with_capacity(win * win * c);
-                for dy in 0..win {
-                    for dx in 0..win {
-                        let sy = (wy + dy + roll) % h;
-                        let sx = (wx + dx + roll) % w;
-                        let src = (sy * w + sx) * c;
-                        data.extend_from_slice(&x.data()[src..src + c]);
-                    }
-                }
-                windows.push(Tensor::from_vec([win * win, c], data)?);
-            }
+        for toks in self.window_order().chunks(slots) {
+            let mut data = Vec::with_capacity(slots * c);
+            gather_rows(x.data(), toks, c, &mut data);
+            windows.push(Tensor::from_vec([slots, c], data)?);
         }
         Ok(windows)
     }
@@ -338,26 +295,68 @@ impl WindowAttention {
                 windows.len()
             )));
         }
-        let roll = self.roll();
-        let (h, w, win) = (self.grid_h, self.grid_w, self.window);
-        let mut out = vec![0.0f32; h * w * c];
-        let mut idx = 0usize;
-        for wy in (0..h).step_by(win) {
-            for wx in (0..w).step_by(win) {
-                let wdata = windows[idx].data();
-                for dy in 0..win {
-                    for dx in 0..win {
-                        let sy = (wy + dy + roll) % h;
-                        let sx = (wx + dx + roll) % w;
-                        let dst = (sy * w + sx) * c;
-                        let src = (dy * win + dx) * c;
-                        out[dst..dst + c].copy_from_slice(&wdata[src..src + c]);
-                    }
-                }
-                idx += 1;
-            }
+        let mut out = vec![0.0f32; self.grid_h * self.grid_w * c];
+        let order = self.window_order();
+        for (toks, win) in order.chunks(self.window * self.window).zip(windows) {
+            scatter_rows(win.data(), toks, c, &mut out);
         }
-        Ok(Tensor::from_vec([h * w, c], out)?)
+        Ok(Tensor::from_vec([self.grid_h * self.grid_w, c], out)?)
+    }
+
+    /// Window cores over already-projected `[h*w, C]` Q/K/V grids (`N`
+    /// stacked grids when `stacked`): every window of every grid is one
+    /// sample of [`Attention::core_n`] — partition, one stacked core,
+    /// merge.
+    pub(crate) fn core_n(
+        &self,
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        stacked: bool,
+    ) -> Result<Tensor> {
+        let (n, [t, c]) = split_sample("window_attention_core", q, stacked)?;
+        if [t, c] != [self.grid_h * self.grid_w, self.attn.width()]
+            || q.dims() != k.dims()
+            || q.dims() != v.dims()
+        {
+            return Err(NnError::BadActivation {
+                op: "window_attention_core",
+                expected: format!("matching [{}, {}] grids", self.grid_h * self.grid_w, c),
+                got: q.dims().to_vec(),
+            });
+        }
+        let order = self.window_order();
+        let per = t * c;
+        let windows = |x: &Tensor| {
+            let mut data = Vec::with_capacity(x.numel());
+            for s in 0..n {
+                gather_rows(&x.data()[s * per..(s + 1) * per], &order, c, &mut data);
+            }
+            Tensor::from_vec([n * self.num_windows(), self.window * self.window, c], data)
+        };
+        let core = self
+            .attn
+            .core_n(&windows(q)?, &windows(k)?, &windows(v)?, true, None)?;
+        let mut out = vec![0.0f32; n * per];
+        for s in 0..n {
+            let grid = s * per..(s + 1) * per;
+            scatter_rows(&core.data()[grid.clone()], &order, c, &mut out[grid]);
+        }
+        Ok(Tensor::from_vec(q.dims().to_vec(), out)?)
+    }
+}
+
+/// Appends rows `toks` of a row-major `[_, c]` matrix, in that order.
+fn gather_rows(x: &[f32], toks: &[usize], c: usize, rows: &mut Vec<f32>) {
+    for &t in toks {
+        rows.extend_from_slice(&x[t * c..(t + 1) * c]);
+    }
+}
+
+/// Inverse of [`gather_rows`]: row `i` of `rows` lands at row `toks[i]`.
+fn scatter_rows(rows: &[f32], toks: &[usize], c: usize, out: &mut [f32]) {
+    for (i, &t) in toks.iter().enumerate() {
+        out[t * c..(t + 1) * c].copy_from_slice(&rows[i * c..(i + 1) * c]);
     }
 }
 
@@ -533,6 +532,15 @@ mod tests {
                 0
             )
             .is_err());
+    }
+
+    #[test]
+    fn rank0_projections_are_a_typed_error_not_a_panic() {
+        let attn = toy_attention(4, 2, false, 207);
+        let s = Tensor::scalar(1.0);
+        for r in [attn.core(&s, &s, &s), attn.core_masked(&s, &s, &s, 1)] {
+            assert!(matches!(r, Err(NnError::BadActivation { .. })), "{r:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! 2-D convolution with optional channel groups (depthwise support).
 
-use flexiq_tensor::im2col::{im2col_batch_into, im2col_into, Conv2dGeometry};
+use flexiq_tensor::im2col::{im2col_batch_into, Conv2dGeometry};
 use flexiq_tensor::{gemm, scratch, Tensor};
 
 use crate::error::NnError;
@@ -117,42 +117,13 @@ impl Conv2d {
         Ok((dims[0], dims[1], dims[2]))
     }
 
-    /// Reference f32 forward pass.
+    /// Reference f32 forward pass: [`Conv2d::forward_batch`]'s body at
+    /// `N = 1`, on the unstacked `[C_in, H, W]` activation.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor> {
         let (_, h, w) = self.check_input(x)?;
         let g = self.group_geometry(h, w);
-        let (oh, ow) = (g.out_h(), g.out_w());
-        let c_out = self.c_out();
-        let c_out_g = c_out / self.groups;
-        let c_in_g = self.weight.dims()[1];
-        let k = g.rows();
-        let cols = g.cols();
-        let mut out = vec![0.0f32; c_out * cols];
-        // The lowering matrix comes from the thread's scratch pool: after
-        // a warm-up pass, repeated forwards allocate only their output.
-        let mut cols_mat = scratch::take_f32();
-        for grp in 0..self.groups {
-            let x_slice = &x.data()[grp * c_in_g * h * w..(grp + 1) * c_in_g * h * w];
-            im2col_into(x_slice, &g, &mut cols_mat);
-            let w_slice = &self.weight.data()[grp * c_out_g * k..(grp + 1) * c_out_g * k];
-            gemm::gemm_f32(
-                c_out_g,
-                cols,
-                k,
-                w_slice,
-                &cols_mat,
-                &mut out[grp * c_out_g * cols..(grp + 1) * c_out_g * cols],
-            );
-        }
-        scratch::put_f32(cols_mat);
-        if let Some(bias) = &self.bias {
-            for (co, &b) in bias.iter().enumerate() {
-                for v in &mut out[co * cols..(co + 1) * cols] {
-                    *v += b;
-                }
-            }
-        }
-        Ok(Tensor::from_vec([c_out, oh, ow], out)?)
+        let out = self.forward_stack(x.data(), 1, h, w);
+        Ok(Tensor::from_vec([self.c_out(), g.out_h(), g.out_w()], out)?)
     }
 
     /// Validates a stacked batch activation and returns `(N, H, W)`.
@@ -181,7 +152,17 @@ impl Conv2d {
     pub fn forward_batch(&self, x: &Tensor) -> Result<Tensor> {
         let (n, h, w) = self.check_input_batch(x)?;
         let g = self.group_geometry(h, w);
-        let (oh, ow) = (g.out_h(), g.out_w());
+        let out = self.forward_stack(x.data(), n, h, w);
+        Ok(Tensor::from_vec(
+            [n, self.c_out(), g.out_h(), g.out_w()],
+            out,
+        )?)
+    }
+
+    /// The one convolution body: `n` stacked `[C_in, h, w]` samples in,
+    /// sample-major `[n, C_out, OH*OW]` out.
+    fn forward_stack(&self, x: &[f32], n: usize, h: usize, w: usize) -> Vec<f32> {
+        let g = self.group_geometry(h, w);
         let cols = g.cols();
         let k = g.rows();
         let c_out = self.c_out();
@@ -194,7 +175,7 @@ impl Conv2d {
         // single copy of the per-group algorithm, shared by the parallel
         // and serial paths (which differ only in buffer lifetime).
         let group_gemm = |grp: usize, cols_mat: &mut Vec<f32>, big: &mut Vec<f32>| {
-            im2col_batch_into(&x.data()[grp * c_in_g * h * w..], n, chw, &g, cols_mat);
+            im2col_batch_into(&x[grp * c_in_g * h * w..], n, chw, &g, cols_mat);
             big.clear();
             big.resize(c_out_g * ncols, 0.0);
             gemm::gemm_f32(
@@ -258,7 +239,7 @@ impl Conv2d {
                 }
             }
         }
-        Ok(Tensor::from_vec([n, c_out, oh, ow], out)?)
+        out
     }
 }
 

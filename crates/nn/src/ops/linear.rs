@@ -1,8 +1,9 @@
 //! Fully connected layer and token embedding.
 
-use flexiq_tensor::{gemm, Tensor};
+use flexiq_tensor::{gemm, SeqMask, Tensor};
 
 use crate::error::NnError;
+use crate::ops::{check_mask, split_sample, stack_dims};
 use crate::Result;
 
 /// A fully connected (dense) layer.
@@ -84,10 +85,16 @@ impl Linear {
     /// keep their in-order reduction over `C_in` — so the output is
     /// bit-exact with the naive per-token loop at any thread count.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        let (t, c_in) = self.check_input(x)?;
-        let c_out = self.c_out();
-        let mut out = vec![0.0f32; t * c_out];
-        gemm::gemm_f32_wt(t, c_out, c_in, x.data(), self.weight.data(), &mut out);
+        let (t, _) = self.check_input(x)?;
+        self.forward_rows(x, t)
+    }
+
+    /// The one body: `rows` token rows of `C_in` in, the same dims with
+    /// the last replaced by `C_out` out.
+    fn forward_rows(&self, x: &Tensor, rows: usize) -> Result<Tensor> {
+        let (c_in, c_out) = (self.c_in(), self.c_out());
+        let mut out = vec![0.0f32; rows * c_out];
+        gemm::gemm_f32_wt(rows, c_out, c_in, x.data(), self.weight.data(), &mut out);
         if let Some(bias) = &self.bias {
             for orow in out.chunks_exact_mut(c_out) {
                 for (o, &b) in bias.iter().enumerate() {
@@ -95,11 +102,9 @@ impl Linear {
                 }
             }
         }
-        if x.dims().len() == 1 {
-            Ok(Tensor::from_vec([c_out], out)?)
-        } else {
-            Ok(Tensor::from_vec([t, c_out], out)?)
-        }
+        let mut dims = x.dims().to_vec();
+        *dims.last_mut().expect("rank checked by the caller") = c_out;
+        Ok(Tensor::from_vec(dims, out)?)
     }
 
     /// Interprets a stacked batch activation as `(N, tokens, features)`.
@@ -133,14 +138,8 @@ impl Linear {
     /// row-matrix transform (`[N*T, C_in] → [N*T, C_out]`), bit-exact per
     /// sample with [`Linear::forward`].
     pub fn forward_batch(&self, x: &Tensor) -> Result<Tensor> {
-        let (n, t, c) = self.check_input_batch(x)?;
-        let flat = x.reshape([n * t, c])?;
-        let y = self.forward(&flat)?;
-        if x.dims().len() == 2 {
-            Ok(y.reshape([n, self.c_out()])?)
-        } else {
-            Ok(y.reshape([n, t, self.c_out()])?)
-        }
+        let (n, t, _) = self.check_input_batch(x)?;
+        self.forward_rows(x, n * t)
     }
 
     /// [`Linear::forward_batch`] over a padded batch: token rows flagged
@@ -245,26 +244,7 @@ impl Embedding {
 
     /// Looks up a sequence of token ids.
     pub fn forward(&self, ids: &Tensor) -> Result<Tensor> {
-        if ids.shape().rank() != 1 {
-            return Err(NnError::BadActivation {
-                op: "embedding",
-                expected: "rank-1 id tensor [T]".into(),
-                got: ids.dims().to_vec(),
-            });
-        }
-        let (t, c) = (ids.numel(), self.dim());
-        let mut out = vec![0.0f32; t * c];
-        for (ti, &idf) in ids.data().iter().enumerate() {
-            let id = idf as usize;
-            if idf < 0.0 || id >= self.vocab() || idf.fract() != 0.0 {
-                return Err(NnError::Invalid(format!(
-                    "token id {idf} invalid for vocab {}",
-                    self.vocab()
-                )));
-            }
-            out[ti * c..(ti + 1) * c].copy_from_slice(&self.table.data()[id * c..(id + 1) * c]);
-        }
-        Ok(Tensor::from_vec([t, c], out)?)
+        self.forward_n(ids, false, None)
     }
 
     /// Looks up a right-padded id sequence: the first `len` ids are real
@@ -274,32 +254,36 @@ impl Embedding {
     /// The valid prefix is bit-exact with [`Embedding::forward`] on the
     /// unpadded `[len]` ids.
     pub fn forward_masked(&self, ids: &Tensor, len: usize) -> Result<Tensor> {
-        if ids.shape().rank() != 1 {
-            return Err(NnError::BadActivation {
-                op: "embedding",
-                expected: "rank-1 id tensor [T]".into(),
-                got: ids.dims().to_vec(),
-            });
-        }
-        let t = ids.numel();
-        if len == 0 || len > t {
-            return Err(NnError::Invalid(format!(
-                "embedding mask length {len} outside 1..={t}"
-            )));
-        }
+        let t = ids.dims().first().copied().unwrap_or(len);
+        self.forward_n(ids, false, Some(&SeqMask::new(vec![len], t)?))
+    }
+
+    /// The one body: `N` id sequences (one when not `stacked`), each
+    /// looking up its valid prefix (all `T` ids without a mask).
+    pub(crate) fn forward_n(
+        &self,
+        ids: &Tensor,
+        stacked: bool,
+        mask: Option<&SeqMask>,
+    ) -> Result<Tensor> {
+        let (n, [t]) = split_sample("embedding", ids, stacked)?;
+        check_mask("embedding", mask, n, t)?;
         let c = self.dim();
-        let mut out = vec![0.0f32; t * c];
-        for (ti, &idf) in ids.data().iter().enumerate().take(len) {
-            let id = idf as usize;
-            if idf < 0.0 || id >= self.vocab() || idf.fract() != 0.0 {
-                return Err(NnError::Invalid(format!(
-                    "token id {idf} invalid for vocab {}",
-                    self.vocab()
-                )));
+        let mut out = vec![0.0f32; n * t * c];
+        for s in 0..n {
+            for ti in s * t..s * t + mask.map_or(t, |m| m.len_of(s)) {
+                let idf = ids.data()[ti];
+                let id = idf as usize;
+                if idf < 0.0 || id >= self.vocab() || idf.fract() != 0.0 {
+                    return Err(NnError::Invalid(format!(
+                        "token id {idf} invalid for vocab {}",
+                        self.vocab()
+                    )));
+                }
+                out[ti * c..(ti + 1) * c].copy_from_slice(&self.table.data()[id * c..(id + 1) * c]);
             }
-            out[ti * c..(ti + 1) * c].copy_from_slice(&self.table.data()[id * c..(id + 1) * c]);
         }
-        Ok(Tensor::from_vec([t, c], out)?)
+        Ok(Tensor::from_vec(stack_dims(stacked, n, &[t, c]), out)?)
     }
 }
 

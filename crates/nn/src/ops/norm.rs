@@ -3,6 +3,7 @@
 use flexiq_tensor::Tensor;
 
 use crate::error::NnError;
+use crate::ops::{split_sample, split_stack};
 use crate::Result;
 
 /// Batch normalization over `[C, H, W]` activations, inference mode.
@@ -71,38 +72,27 @@ impl BatchNorm2d {
 
     /// Forward pass over a `[C, H, W]` activation.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        let dims = x.dims();
-        if dims.len() != 3 || dims[0] != self.channels() {
-            return Err(NnError::BadActivation {
-                op: "batch_norm",
-                expected: format!("[{}, H, W]", self.channels()),
-                got: dims.to_vec(),
-            });
-        }
-        let hw = dims[1] * dims[2];
-        let mut out = x.data().to_vec();
-        for c in 0..self.channels() {
-            let inv = self.gamma[c] / (self.var[c] + self.eps).sqrt();
-            let shift = self.beta[c] - self.mean[c] * inv;
-            for v in &mut out[c * hw..(c + 1) * hw] {
-                *v = *v * inv + shift;
-            }
-        }
-        Ok(Tensor::from_vec(dims.to_vec(), out)?)
+        self.forward_n(x, false)
     }
 
     /// Batched forward pass over a stacked `[N, C, H, W]` activation;
     /// bit-exact per sample with [`BatchNorm2d::forward`].
     pub fn forward_batch(&self, x: &Tensor) -> Result<Tensor> {
-        let dims = x.dims();
-        if dims.len() != 4 || dims[1] != self.channels() {
+        self.forward_n(x, true)
+    }
+
+    /// The one body: every `[H, W]` plane of every sample scales and
+    /// shifts by its channel's frozen statistics.
+    pub(crate) fn forward_n(&self, x: &Tensor, stacked: bool) -> Result<Tensor> {
+        let (n, [c, h, w]) = split_sample("batch_norm", x, stacked)?;
+        if c != self.channels() {
             return Err(NnError::BadActivation {
                 op: "batch_norm",
-                expected: format!("[N, {}, H, W]", self.channels()),
-                got: dims.to_vec(),
+                expected: format!("{} channels", self.channels()),
+                got: x.dims().to_vec(),
             });
         }
-        let (n, c, hw) = (dims[0], dims[1], dims[2] * dims[3]);
+        let hw = h * w;
         let mut out = x.data().to_vec();
         for s in 0..n {
             for ch in 0..c {
@@ -113,7 +103,7 @@ impl BatchNorm2d {
                 }
             }
         }
-        Ok(Tensor::from_vec(dims.to_vec(), out)?)
+        Ok(Tensor::from_vec(x.dims().to_vec(), out)?)
     }
 
     /// Applies a permutation to the channel dimension (layout pass, §5).
@@ -164,29 +154,35 @@ impl LayerNorm {
         self.gamma.len()
     }
 
-    /// Forward pass; normalizes each token's feature vector.
+    /// Forward pass over `[T, C]` (or `[C]`); normalizes each token's
+    /// feature vector.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        let dims = x.dims();
-        let (t, c) = match dims.len() {
-            1 => (1usize, dims[0]),
-            2 => (dims[0], dims[1]),
+        self.forward_n(x, false)
+    }
+
+    /// Batched forward pass over `[N, T, C]` or `[N, C]`; every token row
+    /// normalizes independently, bit-exact with [`LayerNorm::forward`].
+    pub fn forward_batch(&self, x: &Tensor) -> Result<Tensor> {
+        self.forward_n(x, true)
+    }
+
+    /// The one body: every row of `C` features, whatever sample or token
+    /// it belongs to, normalizes on its own.
+    pub(crate) fn forward_n(&self, x: &Tensor, stacked: bool) -> Result<Tensor> {
+        let c = self.features();
+        let rows = match split_stack("layer_norm", x, stacked)? {
+            (n, &[last]) if last == c => n,
+            (n, &[t, last]) if last == c => n * t,
             _ => {
                 return Err(NnError::BadActivation {
                     op: "layer_norm",
-                    expected: "rank-1 or rank-2 activation".into(),
-                    got: dims.to_vec(),
+                    expected: format!("[{c}] or [T, {c}] per sample"),
+                    got: x.dims().to_vec(),
                 })
             }
         };
-        if c != self.features() {
-            return Err(NnError::BadActivation {
-                op: "layer_norm",
-                expected: format!("last dim {}", self.features()),
-                got: dims.to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; t * c];
-        for ti in 0..t {
+        let mut out = vec![0.0f32; rows * c];
+        for ti in 0..rows {
             let row = &x.data()[ti * c..(ti + 1) * c];
             let mean = row.iter().sum::<f32>() / c as f32;
             let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / c as f32;
@@ -195,26 +191,7 @@ impl LayerNorm {
                 out[ti * c + i] = (row[i] - mean) * inv * self.gamma[i] + self.beta[i];
             }
         }
-        Ok(Tensor::from_vec(dims.to_vec(), out)?)
-    }
-
-    /// Batched forward pass over `[N, T, C]` or `[N, C]`; every token row
-    /// normalizes independently, bit-exact with [`LayerNorm::forward`].
-    pub fn forward_batch(&self, x: &Tensor) -> Result<Tensor> {
-        let dims = x.dims();
-        let (rows, c) = match dims.len() {
-            2 => (dims[0], dims[1]),
-            3 => (dims[0] * dims[1], dims[2]),
-            _ => {
-                return Err(NnError::BadActivation {
-                    op: "layer_norm",
-                    expected: "rank-2 or rank-3 batched activation".into(),
-                    got: dims.to_vec(),
-                })
-            }
-        };
-        let y = self.forward(&x.reshape([rows, c])?)?;
-        Ok(y.reshape(dims.to_vec())?)
+        Ok(Tensor::from_vec(x.dims().to_vec(), out)?)
     }
 
     /// Applies a permutation to the feature dimension (layout pass, §5).

@@ -1,55 +1,68 @@
 //! Spatial pooling operators.
+//!
+//! Pooling treats channels independently, so a stacked `[N, C, H, W]`
+//! batch is just `N * C` planes: each operator has one body over planes,
+//! and the `_batch` entry points are bit-exact per sample with the
+//! single-sample ones by construction.
 
 use flexiq_tensor::im2col::conv_out_size;
 use flexiq_tensor::Tensor;
 
 use crate::error::NnError;
+use crate::ops::{split_sample, stack_dims};
 use crate::Result;
-
-fn check_chw<'a>(op: &'static str, x: &'a Tensor) -> Result<(&'a [usize], usize, usize, usize)> {
-    let dims = x.dims();
-    if dims.len() != 3 {
-        return Err(NnError::BadActivation {
-            op,
-            expected: "[C, H, W]".into(),
-            got: dims.to_vec(),
-        });
-    }
-    Ok((dims, dims[0], dims[1], dims[2]))
-}
 
 /// Max pooling with a `k`×`k` window and the given stride.
 pub fn max_pool2d(x: &Tensor, k: usize, stride: usize) -> Result<Tensor> {
-    let (_, c, h, w) = check_chw("max_pool2d", x)?;
-    if k == 0 || stride == 0 || k > h || k > w {
-        return Err(NnError::Invalid(format!(
-            "bad pool window k={k} stride={stride} for {h}x{w}"
-        )));
-    }
-    let (oh, ow) = (
-        conv_out_size(h, k, stride, 0),
-        conv_out_size(w, k, stride, 0),
-    );
-    let mut out = vec![f32::NEG_INFINITY; c * oh * ow];
-    for ci in 0..c {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut m = f32::NEG_INFINITY;
-                for dy in 0..k {
-                    for dx in 0..k {
-                        m = m.max(x.data()[(ci * h + oy * stride + dy) * w + ox * stride + dx]);
-                    }
-                }
-                out[(ci * oh + oy) * ow + ox] = m;
-            }
-        }
-    }
-    Ok(Tensor::from_vec([c, oh, ow], out)?)
+    window_pool(Window::Max, x, k, stride, false)
+}
+
+/// Batched [`max_pool2d`] over `[N, C, H, W]`.
+pub fn max_pool2d_batch(x: &Tensor, k: usize, stride: usize) -> Result<Tensor> {
+    window_pool(Window::Max, x, k, stride, true)
 }
 
 /// Average pooling with a `k`×`k` window and the given stride.
 pub fn avg_pool2d(x: &Tensor, k: usize, stride: usize) -> Result<Tensor> {
-    let (_, c, h, w) = check_chw("avg_pool2d", x)?;
+    window_pool(Window::Avg, x, k, stride, false)
+}
+
+/// Batched [`avg_pool2d`] over `[N, C, H, W]`.
+pub fn avg_pool2d_batch(x: &Tensor, k: usize, stride: usize) -> Result<Tensor> {
+    window_pool(Window::Avg, x, k, stride, true)
+}
+
+/// Global average pooling: `[C, H, W]` → `[C]`.
+pub fn global_avg_pool(x: &Tensor) -> Result<Tensor> {
+    global_pool(x, false)
+}
+
+/// Batched [`global_avg_pool`]: `[N, C, H, W]` → `[N, C]`.
+pub fn global_avg_pool_batch(x: &Tensor) -> Result<Tensor> {
+    global_pool(x, true)
+}
+
+/// What a pooling window reduces its taps to.
+#[derive(Clone, Copy)]
+pub(crate) enum Window {
+    Max,
+    Avg,
+}
+
+/// The one windowed body: every `k`×`k` window of every plane reduces
+/// its taps in row-major order.
+pub(crate) fn window_pool(
+    kind: Window,
+    x: &Tensor,
+    k: usize,
+    stride: usize,
+    stacked: bool,
+) -> Result<Tensor> {
+    let (op, init, scale) = match kind {
+        Window::Max => ("max_pool2d", f32::NEG_INFINITY, 1.0),
+        Window::Avg => ("avg_pool2d", 0.0, 1.0 / (k * k) as f32),
+    };
+    let (n, [c, h, w]) = split_sample(op, x, stacked)?;
     if k == 0 || stride == 0 || k > h || k > w {
         return Err(NnError::Invalid(format!(
             "bad pool window k={k} stride={stride} for {h}x{w}"
@@ -59,71 +72,35 @@ pub fn avg_pool2d(x: &Tensor, k: usize, stride: usize) -> Result<Tensor> {
         conv_out_size(h, k, stride, 0),
         conv_out_size(w, k, stride, 0),
     );
-    let norm = 1.0 / (k * k) as f32;
-    let mut out = vec![0.0f32; c * oh * ow];
-    for ci in 0..c {
+    let mut out = vec![0.0f32; n * c * oh * ow];
+    for ci in 0..n * c {
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut s = 0.0f32;
+                let mut acc = init;
                 for dy in 0..k {
                     for dx in 0..k {
-                        s += x.data()[(ci * h + oy * stride + dy) * w + ox * stride + dx];
+                        let tap = x.data()[(ci * h + oy * stride + dy) * w + ox * stride + dx];
+                        acc = match kind {
+                            Window::Max => acc.max(tap),
+                            Window::Avg => acc + tap,
+                        };
                     }
                 }
-                out[(ci * oh + oy) * ow + ox] = s * norm;
+                out[(ci * oh + oy) * ow + ox] = acc * scale;
             }
         }
     }
-    Ok(Tensor::from_vec([c, oh, ow], out)?)
+    Ok(Tensor::from_vec(stack_dims(stacked, n, &[c, oh, ow]), out)?)
 }
 
-/// Global average pooling: `[C, H, W]` → `[C]`.
-pub fn global_avg_pool(x: &Tensor) -> Result<Tensor> {
-    let (_, c, h, w) = check_chw("global_avg_pool", x)?;
+pub(crate) fn global_pool(x: &Tensor, stacked: bool) -> Result<Tensor> {
+    let (n, [c, h, w]) = split_sample("global_avg_pool", x, stacked)?;
     let hw = (h * w).max(1);
-    let mut out = vec![0.0f32; c];
-    for ci in 0..c {
+    let mut out = vec![0.0f32; n * c];
+    for ci in 0..n * c {
         out[ci] = x.data()[ci * h * w..(ci + 1) * h * w].iter().sum::<f32>() / hw as f32;
     }
-    Ok(Tensor::from_vec([c], out)?)
-}
-
-fn check_nchw(op: &'static str, x: &Tensor) -> Result<(usize, usize, usize, usize)> {
-    let dims = x.dims();
-    if dims.len() != 4 {
-        return Err(NnError::BadActivation {
-            op,
-            expected: "[N, C, H, W]".into(),
-            got: dims.to_vec(),
-        });
-    }
-    Ok((dims[0], dims[1], dims[2], dims[3]))
-}
-
-/// Batched [`max_pool2d`] over `[N, C, H, W]`.
-///
-/// Pooling treats channels independently, so the batch folds into the
-/// channel axis; bit-exact per sample with the single-sample op.
-pub fn max_pool2d_batch(x: &Tensor, k: usize, stride: usize) -> Result<Tensor> {
-    let (n, c, h, w) = check_nchw("max_pool2d", x)?;
-    let y = max_pool2d(&x.reshape([n * c, h, w])?, k, stride)?;
-    let (oh, ow) = (y.dims()[1], y.dims()[2]);
-    Ok(y.reshape([n, c, oh, ow])?)
-}
-
-/// Batched [`avg_pool2d`] over `[N, C, H, W]`.
-pub fn avg_pool2d_batch(x: &Tensor, k: usize, stride: usize) -> Result<Tensor> {
-    let (n, c, h, w) = check_nchw("avg_pool2d", x)?;
-    let y = avg_pool2d(&x.reshape([n * c, h, w])?, k, stride)?;
-    let (oh, ow) = (y.dims()[1], y.dims()[2]);
-    Ok(y.reshape([n, c, oh, ow])?)
-}
-
-/// Batched [`global_avg_pool`]: `[N, C, H, W]` → `[N, C]`.
-pub fn global_avg_pool_batch(x: &Tensor) -> Result<Tensor> {
-    let (n, c, h, w) = check_nchw("global_avg_pool", x)?;
-    let y = global_avg_pool(&x.reshape([n * c, h, w])?)?;
-    Ok(y.reshape([n, c])?)
+    Ok(Tensor::from_vec(stack_dims(stacked, n, &[c]), out)?)
 }
 
 #[cfg(test)]

@@ -3,58 +3,23 @@
 use flexiq_tensor::{SeqMask, Tensor};
 
 use crate::error::NnError;
+use crate::ops::{check_mask, split_sample, split_stack, stack_dims};
 use crate::Result;
 
 /// Converts a CNN activation `[C, H, W]` into a token matrix `[H*W, C]`.
 pub fn to_tokens(x: &Tensor) -> Result<Tensor> {
-    let dims = x.dims();
-    if dims.len() != 3 {
-        return Err(NnError::BadActivation {
-            op: "to_tokens",
-            expected: "[C, H, W]".into(),
-            got: dims.to_vec(),
-        });
-    }
-    // [C, H, W] -> [H, W, C] -> [H*W, C].
-    let p = x.permute(&[1, 2, 0])?;
-    Ok(p.reshape([dims[1] * dims[2], dims[0]])?)
-}
-
-/// Mean over tokens: `[T, C]` → `[C]` (the zoo's pooling head).
-pub fn mean_tokens(x: &Tensor) -> Result<Tensor> {
-    let dims = x.dims();
-    if dims.len() != 2 || dims[0] == 0 {
-        return Err(NnError::BadActivation {
-            op: "mean_tokens",
-            expected: "non-empty [T, C]".into(),
-            got: dims.to_vec(),
-        });
-    }
-    let (t, c) = (dims[0], dims[1]);
-    let mut out = vec![0.0f32; c];
-    for ti in 0..t {
-        for ci in 0..c {
-            out[ci] += x.data()[ti * c + ci];
-        }
-    }
-    for v in &mut out {
-        *v /= t as f32;
-    }
-    Ok(Tensor::from_vec([c], out)?)
+    to_tokens_n(x, false)
 }
 
 /// Batched [`to_tokens`]: `[N, C, H, W]` → `[N, H*W, C]` (pure data
 /// movement, bit-exact per sample).
 pub fn to_tokens_batch(x: &Tensor) -> Result<Tensor> {
-    let dims = x.dims();
-    if dims.len() != 4 {
-        return Err(NnError::BadActivation {
-            op: "to_tokens",
-            expected: "[N, C, H, W]".into(),
-            got: dims.to_vec(),
-        });
-    }
-    let (n, c, hw) = (dims[0], dims[1], dims[2] * dims[3]);
+    to_tokens_n(x, true)
+}
+
+pub(crate) fn to_tokens_n(x: &Tensor, stacked: bool) -> Result<Tensor> {
+    let (n, [c, h, w]) = split_sample("to_tokens", x, stacked)?;
+    let hw = h * w;
     let mut out = vec![0.0f32; n * hw * c];
     for s in 0..n {
         for ch in 0..c {
@@ -63,33 +28,18 @@ pub fn to_tokens_batch(x: &Tensor) -> Result<Tensor> {
             }
         }
     }
-    Ok(Tensor::from_vec([n, hw, c], out)?)
+    Ok(Tensor::from_vec(stack_dims(stacked, n, &[hw, c]), out)?)
+}
+
+/// Mean over tokens: `[T, C]` → `[C]` (the zoo's pooling head).
+pub fn mean_tokens(x: &Tensor) -> Result<Tensor> {
+    mean_tokens_n(x, false, None)
 }
 
 /// Batched [`mean_tokens`]: `[N, T, C]` → `[N, C]`, summing tokens in the
 /// same order as the single-sample op (bit-exact per sample).
 pub fn mean_tokens_batch(x: &Tensor) -> Result<Tensor> {
-    let dims = x.dims();
-    if dims.len() != 3 || dims[1] == 0 {
-        return Err(NnError::BadActivation {
-            op: "mean_tokens",
-            expected: "non-empty [N, T, C]".into(),
-            got: dims.to_vec(),
-        });
-    }
-    let (n, t, c) = (dims[0], dims[1], dims[2]);
-    let mut out = vec![0.0f32; n * c];
-    for s in 0..n {
-        for ti in 0..t {
-            for ci in 0..c {
-                out[s * c + ci] += x.data()[(s * t + ti) * c + ci];
-            }
-        }
-        for v in &mut out[s * c..(s + 1) * c] {
-            *v /= t as f32;
-        }
-    }
-    Ok(Tensor::from_vec([n, c], out)?)
+    mean_tokens_n(x, true, None)
 }
 
 /// Length-masked [`mean_tokens`]: mean over the first `len` tokens of a
@@ -97,79 +47,41 @@ pub fn mean_tokens_batch(x: &Tensor) -> Result<Tensor> {
 /// `[len, C]` prefix (pad rows are never read, so their values cannot
 /// shift the sum or the divisor).
 pub fn mean_tokens_masked(x: &Tensor, len: usize) -> Result<Tensor> {
-    let dims = x.dims();
-    if dims.len() != 2 || dims[0] == 0 {
-        return Err(NnError::BadActivation {
-            op: "mean_tokens",
-            expected: "non-empty [T, C]".into(),
-            got: dims.to_vec(),
-        });
-    }
-    if len == 0 || len > dims[0] {
-        return Err(NnError::Invalid(format!(
-            "mean_tokens mask length {len} outside 1..={}",
-            dims[0]
-        )));
-    }
-    mean_tokens(&x.slice_axis0(len)?)
+    let t = x.dims().first().copied().unwrap_or(len);
+    mean_tokens_n(x, false, Some(&SeqMask::new(vec![len], t)?))
 }
 
 /// Length-masked [`mean_tokens_batch`]: each sample pools over its own
 /// valid prefix. With `mask = None` this is [`mean_tokens_batch`].
 pub fn mean_tokens_batch_masked(x: &Tensor, mask: Option<&SeqMask>) -> Result<Tensor> {
-    let Some(m) = mask else {
-        return mean_tokens_batch(x);
-    };
-    let dims = x.dims();
-    if dims.len() != 3 || !m.matches(dims[0], dims[1]) {
+    mean_tokens_n(x, true, mask)
+}
+
+/// The one body: each sample averages its valid prefix (all `T` token
+/// rows without a mask), in ascending token order.
+pub(crate) fn mean_tokens_n(x: &Tensor, stacked: bool, mask: Option<&SeqMask>) -> Result<Tensor> {
+    let (n, [t, c]) = split_sample("mean_tokens", x, stacked)?;
+    if t == 0 {
         return Err(NnError::BadActivation {
             op: "mean_tokens",
-            expected: format!("[{}, {}, C] masked batch", m.n(), m.bucket()),
-            got: dims.to_vec(),
+            expected: "non-empty [T, C] per sample".into(),
+            got: x.dims().to_vec(),
         });
     }
-    let mut outs = Vec::with_capacity(dims[0]);
-    for s in 0..dims[0] {
-        outs.push(mean_tokens_masked(&x.index_axis0(s)?, m.len_of(s))?);
+    check_mask("mean_tokens", mask, n, t)?;
+    let mut out = vec![0.0f32; n * c];
+    for s in 0..n {
+        let len = mask.map_or(t, |m| m.len_of(s));
+        for ti in 0..len {
+            for ci in 0..c {
+                out[s * c + ci] += x.data()[(s * t + ti) * c + ci];
+            }
+        }
+        for v in &mut out[s * c..(s + 1) * c] {
+            *v /= len as f32;
+        }
     }
-    Ok(Tensor::stack(&outs)?)
-}
-
-/// Batched [`patch_merge`]: applies the 2×2 merge to every sample of an
-/// `[N, h*w, C]` stack.
-pub fn patch_merge_batch(x: &Tensor, h: usize, w: usize) -> Result<Tensor> {
-    let dims = x.dims();
-    if dims.len() != 3 {
-        return Err(NnError::BadActivation {
-            op: "patch_merge",
-            expected: "[N, T, C] batch".into(),
-            got: dims.to_vec(),
-        });
-    }
-    let mut outs = Vec::with_capacity(dims[0]);
-    for s in 0..dims[0] {
-        outs.push(patch_merge(&x.index_axis0(s)?, h, w)?);
-    }
-    Ok(Tensor::stack(&outs)?)
-}
-
-/// Batched [`reorder_channels`]: applies the permutation to every sample
-/// of a stacked activation (the sample rank decides the channel axis,
-/// exactly as in the single-sample op).
-pub fn reorder_channels_batch(x: &Tensor, perm: &[usize]) -> Result<Tensor> {
-    let dims = x.dims();
-    if dims.len() < 2 {
-        return Err(NnError::BadActivation {
-            op: "reorder",
-            expected: "batched activation of rank >= 2".into(),
-            got: dims.to_vec(),
-        });
-    }
-    let mut outs = Vec::with_capacity(dims[0]);
-    for s in 0..dims[0] {
-        outs.push(reorder_channels(&x.index_axis0(s)?, perm)?);
-    }
-    Ok(Tensor::stack(&outs)?)
+    Ok(Tensor::from_vec(stack_dims(stacked, n, &[c]), out)?)
 }
 
 /// Swin-style patch merging: a `[h*w, C]` token grid becomes
@@ -177,12 +89,22 @@ pub fn reorder_channels_batch(x: &Tensor, perm: &[usize]) -> Result<Tensor> {
 ///
 /// A linear `4C → 2C` reduction follows as a separate (quantizable) node.
 pub fn patch_merge(x: &Tensor, h: usize, w: usize) -> Result<Tensor> {
-    let dims = x.dims();
-    if dims.len() != 2 || dims[0] != h * w {
+    patch_merge_n(x, h, w, false)
+}
+
+/// Batched [`patch_merge`]: applies the 2×2 merge to every sample of an
+/// `[N, h*w, C]` stack.
+pub fn patch_merge_batch(x: &Tensor, h: usize, w: usize) -> Result<Tensor> {
+    patch_merge_n(x, h, w, true)
+}
+
+pub(crate) fn patch_merge_n(x: &Tensor, h: usize, w: usize, stacked: bool) -> Result<Tensor> {
+    let (n, [t, c]) = split_sample("patch_merge", x, stacked)?;
+    if t != h * w {
         return Err(NnError::BadActivation {
             op: "patch_merge",
-            expected: format!("[{} tokens, C]", h * w),
-            got: dims.to_vec(),
+            expected: format!("[{} tokens, C] per sample", h * w),
+            got: x.dims().to_vec(),
         });
     }
     if h % 2 != 0 || w % 2 != 0 {
@@ -190,21 +112,26 @@ pub fn patch_merge(x: &Tensor, h: usize, w: usize) -> Result<Tensor> {
             "patch_merge needs even grid, got {h}x{w}"
         )));
     }
-    let c = dims[1];
     let (oh, ow) = (h / 2, w / 2);
-    let mut out = vec![0.0f32; oh * ow * 4 * c];
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let dst = (oy * ow + ox) * 4 * c;
-            // Order: (0,0), (1,0), (0,1), (1,1) — matches Swin's reference.
-            let quad = [(0, 0), (1, 0), (0, 1), (1, 1)];
-            for (qi, (dy, dx)) in quad.iter().enumerate() {
-                let src = ((2 * oy + dy) * w + 2 * ox + dx) * c;
-                out[dst + qi * c..dst + (qi + 1) * c].copy_from_slice(&x.data()[src..src + c]);
+    let mut out = vec![0.0f32; n * oh * ow * 4 * c];
+    for s in 0..n {
+        let xs = &x.data()[s * t * c..(s + 1) * t * c];
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let dst = ((s * oh + oy) * ow + ox) * 4 * c;
+                // Order: (0,0), (1,0), (0,1), (1,1) — matches Swin's reference.
+                let quad = [(0, 0), (1, 0), (0, 1), (1, 1)];
+                for (qi, (dy, dx)) in quad.iter().enumerate() {
+                    let src = ((2 * oy + dy) * w + 2 * ox + dx) * c;
+                    out[dst + qi * c..dst + (qi + 1) * c].copy_from_slice(&xs[src..src + c]);
+                }
             }
         }
     }
-    Ok(Tensor::from_vec([oh * ow, 4 * c], out)?)
+    Ok(Tensor::from_vec(
+        stack_dims(stacked, n, &[oh * ow, 4 * c]),
+        out,
+    )?)
 }
 
 /// Permutes the channel dimension of an activation (layout pass, §5).
@@ -213,41 +140,41 @@ pub fn patch_merge(x: &Tensor, h: usize, w: usize) -> Result<Tensor> {
 /// channel axis is inferred from the layout conventions: axis 0 for
 /// `[C, H, W]` and `[C]`, axis 1 for `[T, C]`.
 pub fn reorder_channels(x: &Tensor, perm: &[usize]) -> Result<Tensor> {
-    let dims = x.dims();
-    match dims.len() {
-        3 => {
-            let (c, h, w) = (dims[0], dims[1], dims[2]);
-            check_perm(perm, c)?;
-            let hw = h * w;
-            let mut out = vec![0.0f32; c * hw];
-            for (i, &j) in perm.iter().enumerate() {
-                out[i * hw..(i + 1) * hw].copy_from_slice(&x.data()[j * hw..(j + 1) * hw]);
-            }
-            Ok(Tensor::from_vec(dims.to_vec(), out)?)
+    reorder_channels_n(x, perm, false)
+}
+
+/// Batched [`reorder_channels`]: applies the permutation to every sample
+/// of a stacked activation (the sample rank decides the channel axis,
+/// exactly as in the single-sample op).
+pub fn reorder_channels_batch(x: &Tensor, perm: &[usize]) -> Result<Tensor> {
+    reorder_channels_n(x, perm, true)
+}
+
+pub(crate) fn reorder_channels_n(x: &Tensor, perm: &[usize], stacked: bool) -> Result<Tensor> {
+    // Every layout is `outer` blocks of `C` runs of `inner` elements:
+    // `[C, H, W]` moves whole planes, `[T, C]` and `[C]` single values.
+    let (outer, c, inner) = match split_stack("reorder", x, stacked)? {
+        (n, &[c, h, w]) => (n, c, h * w),
+        (n, &[t, c]) => (n * t, c, 1),
+        (n, &[c]) => (n, c, 1),
+        _ => {
+            return Err(NnError::BadActivation {
+                op: "reorder",
+                expected: "rank 1..=3 activation per sample".into(),
+                got: x.dims().to_vec(),
+            })
         }
-        2 => {
-            let (t, c) = (dims[0], dims[1]);
-            check_perm(perm, c)?;
-            let mut out = vec![0.0f32; t * c];
-            for ti in 0..t {
-                for (i, &j) in perm.iter().enumerate() {
-                    out[ti * c + i] = x.data()[ti * c + j];
-                }
-            }
-            Ok(Tensor::from_vec(dims.to_vec(), out)?)
+    };
+    check_perm(perm, c)?;
+    let block = c * inner;
+    let mut out = vec![0.0f32; x.numel()];
+    for b in 0..outer {
+        for (i, &j) in perm.iter().enumerate() {
+            let (dst, src) = (b * block + i * inner, b * block + j * inner);
+            out[dst..dst + inner].copy_from_slice(&x.data()[src..src + inner]);
         }
-        1 => {
-            let c = dims[0];
-            check_perm(perm, c)?;
-            let out = perm.iter().map(|&j| x.data()[j]).collect();
-            Ok(Tensor::from_vec(dims.to_vec(), out)?)
-        }
-        _ => Err(NnError::BadActivation {
-            op: "reorder",
-            expected: "rank 1..=3 activation".into(),
-            got: dims.to_vec(),
-        }),
     }
+    Ok(Tensor::from_vec(x.dims().to_vec(), out)?)
 }
 
 fn check_perm(perm: &[usize], c: usize) -> Result<()> {

@@ -38,13 +38,10 @@
 //! ([`global`]), which is sized from `FLEXIQ_THREADS` or, absent that,
 //! the machine's available parallelism. `threads = 1` is the graceful
 //! serial fallback: no helper threads exist and every job runs inline.
-//! [`PoolConfig`] adds two embedder knobs: core pinning (helper `i` is
-//! pinned to core `i % machine_threads()`; `FLEXIQ_PIN=1` turns it on
-//! for pools built with [`ThreadPool::new`]) and an `on_thread_start`
-//! hook that runs on each helper before it parks — the serve stack uses
-//! it for first-touch initialization of per-thread kernel scratch, so
-//! pinned helpers fault their scratch pages on the core (and NUMA node)
-//! that will reuse them.
+//! [`PoolConfig`] adds one embedder knob: an `on_thread_start` hook that
+//! runs on each helper before it parks — the serve stack uses it for
+//! first-touch initialization of per-thread kernel scratch, so helpers
+//! fault their scratch pages on the thread that will reuse them.
 //!
 //! # Steady-state allocation
 //!
@@ -66,7 +63,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
@@ -189,14 +186,9 @@ const JOB_FREELIST_CAP: usize = 8;
 /// Embedder knobs for [`ThreadPool::with_config`].
 #[derive(Clone, Default)]
 pub struct PoolConfig {
-    /// Pin pool threads to distinct cores: helper `i` (1-based; the
-    /// caller thread is participant 0) goes to core
-    /// `i % machine_threads()`. Best-effort — unsupported platforms and
-    /// failed syscalls are ignored.
-    pub pin: bool,
-    /// Runs once on each helper thread (with its index `1..threads`)
-    /// after pinning, before the helper parks for work. Used for
-    /// first-touch initialization of per-thread scratch.
+    /// Runs once on each helper thread (with its index `1..threads`;
+    /// the caller thread is participant 0) before the helper parks for
+    /// work. Used for first-touch initialization of per-thread scratch.
     pub on_thread_start: Option<Arc<dyn Fn(usize) + Send + Sync>>,
 }
 
@@ -207,34 +199,15 @@ pub struct ThreadPool {
     threads: usize,
     /// Exhausted job headers parked for reuse (refcount-guarded).
     jobs: Mutex<Vec<Arc<Job>>>,
-    pinned: bool,
 }
 
 impl ThreadPool {
     /// Creates a pool that runs jobs on `threads` threads (the caller
     /// plus `threads - 1` persistent helpers). `threads` is clamped to
     /// at least 1; a 1-thread pool executes every job inline (the
-    /// serial fallback). Pinning follows `FLEXIQ_PIN` ([`pin_enabled`]).
+    /// serial fallback).
     pub fn new(threads: usize) -> Arc<ThreadPool> {
-        ThreadPool::with_config(
-            threads,
-            PoolConfig {
-                pin: pin_enabled(),
-                on_thread_start: None,
-            },
-        )
-    }
-
-    /// [`ThreadPool::new`] with pinning forced on regardless of
-    /// `FLEXIQ_PIN`.
-    pub fn new_pinned(threads: usize) -> Arc<ThreadPool> {
-        ThreadPool::with_config(
-            threads,
-            PoolConfig {
-                pin: true,
-                on_thread_start: None,
-            },
-        )
+        ThreadPool::with_config(threads, PoolConfig::default())
     }
 
     /// Creates a pool with explicit [`PoolConfig`] knobs.
@@ -252,9 +225,6 @@ impl ThreadPool {
                 std::thread::Builder::new()
                     .name(format!("flexiq-pool-{i}"))
                     .spawn(move || {
-                        if cfg.pin {
-                            pin_to_core(i % machine_threads());
-                        }
                         if let Some(hook) = &cfg.on_thread_start {
                             hook(i);
                         }
@@ -268,7 +238,6 @@ impl ThreadPool {
             helpers,
             threads,
             jobs: Mutex::new(Vec::new()),
-            pinned: cfg.pin,
         })
     }
 
@@ -286,11 +255,6 @@ impl ThreadPool {
         let t0 = std::time::Instant::now();
         self.run(self.threads, |_| {});
         t0.elapsed()
-    }
-
-    /// Whether this pool pins its helper threads to cores.
-    pub fn pinned(&self) -> bool {
-        self.pinned
     }
 
     /// Runs `f(0), …, f(n_tasks - 1)` across the pool and returns when
@@ -771,54 +735,6 @@ pub fn put_ranges(mut v: Vec<Range<usize>>) {
     });
 }
 
-/// Best-effort: pins the calling thread to CPU `core` (Linux
-/// `sched_setaffinity` on the calling thread; no-op returning `false`
-/// elsewhere). Returns whether the affinity call succeeded.
-pub fn pin_to_core(core: usize) -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        // Declared directly (libc is not a dependency): glibc's wrapper
-        // takes (pid_t, size_t, const cpu_set_t*); pid 0 means the
-        // calling thread. A [u64; 16] mask covers 1024 CPUs.
-        extern "C" {
-            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-        }
-        let mut mask = [0u64; 16];
-        let bit = core % (64 * mask.len());
-        mask[bit / 64] = 1u64 << (bit % 64);
-        // SAFETY: the mask outlives the call and the size matches it.
-        unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) == 0 }
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = core;
-        false
-    }
-}
-
-/// Whether `FLEXIQ_PIN` asks for core pinning (truthy values: `1`,
-/// `true`, `yes`, `on`). Read once per process; [`ThreadPool::new`]
-/// consults this, and the serve config treats it as the default for its
-/// own pinning knob.
-pub fn pin_enabled() -> bool {
-    // Tri-state: 0 unread, 1 off, 2 on.
-    static PIN_ENV: AtomicU8 = AtomicU8::new(0);
-    match PIN_ENV.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let on = parse_pin(std::env::var("FLEXIQ_PIN").ok().as_deref());
-            PIN_ENV.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// `FLEXIQ_PIN` value parsing, split out for tests.
-fn parse_pin(v: Option<&str>) -> bool {
-    matches!(v.map(str::trim), Some("1" | "true" | "yes" | "on"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1140,43 +1056,12 @@ mod tests {
     }
 
     #[test]
-    fn pin_parse_accepts_the_usual_truthy_spellings() {
-        for v in ["1", "true", "yes", "on", " 1 ", "yes\n"] {
-            assert!(parse_pin(Some(v)), "{v:?}");
-        }
-        for v in [Some("0"), Some("false"), Some(""), Some("2"), None] {
-            assert!(!parse_pin(v), "{v:?}");
-        }
-    }
-
-    #[test]
-    fn pinning_is_best_effort_and_reported() {
-        let pool = ThreadPool::new_pinned(2);
-        assert!(pool.pinned());
-        let free = ThreadPool::with_config(2, PoolConfig::default());
-        assert!(!free.pinned());
-        // Pinning succeeds on Linux; use a throwaway thread so the test
-        // thread's affinity is untouched.
-        if cfg!(target_os = "linux") {
-            let ok = std::thread::spawn(|| pin_to_core(0)).join().unwrap();
-            assert!(ok, "sched_setaffinity failed");
-        }
-        // A pinned pool still computes correctly.
-        let sum = AtomicU64::new(0);
-        pool.run(100, |i| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 4950);
-    }
-
-    #[test]
     fn on_thread_start_hook_runs_on_each_helper() {
         let started = Arc::new(Mutex::new(Vec::new()));
         let hook_started = Arc::clone(&started);
         let pool = ThreadPool::with_config(
             3,
             PoolConfig {
-                pin: false,
                 on_thread_start: Some(Arc::new(move |i| {
                     hook_started.lock().unwrap().push(i);
                 })),

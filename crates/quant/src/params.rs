@@ -161,7 +161,7 @@ impl QParams {
     /// supported bitwidth fits).
     ///
     /// Dispatches on [`flexiq_tensor::simd::active`]: 32 values per step
-    /// on AVX2, 16 on NEON, the scalar formula for the tail and
+    /// on AVX2, the scalar formula for the tail and
     /// everywhere else (`FLEXIQ_NO_SIMD=1` included).
     pub fn quantize_slice(&self, xs: &[f32], out: &mut [i8]) {
         assert_eq!(xs.len(), out.len(), "quantize_slice length mismatch");
@@ -169,9 +169,6 @@ impl QParams {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `active() == Avx2` only after runtime detection.
             Isa::Avx2 => unsafe { x86::quantize_avx2(self, xs, out) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: `active() == Neon` only after runtime detection.
-            Isa::Neon => unsafe { arm::quantize_neon(self, xs, out) },
             _ => 0,
         };
         for (q, &x) in out[done..].iter_mut().zip(&xs[done..]) {
@@ -259,54 +256,6 @@ mod x86 {
             _mm256_storeu_si256(out.as_mut_ptr().add(32 * b).cast(), bytes);
         }
         blocks * 32
-    }
-}
-
-/// NEON body of [`QParams::quantize_slice`].
-#[cfg(target_arch = "aarch64")]
-mod arm {
-    use super::{QParams, HALF_BELOW};
-    use std::arch::aarch64::*;
-
-    /// Quantizes the leading whole blocks of 16 values and returns how
-    /// many elements that was; lane for lane the arithmetic of
-    /// [`QParams::quantize`] (`fmax`/`fmin` propagate NaN and `fcvtzs`
-    /// maps it to 0, as `clamp` and `as` do).
-    ///
-    /// # Safety
-    /// NEON must be supported by the executing CPU.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn quantize_neon(p: &QParams, xs: &[f32], out: &mut [i8]) -> usize {
-        assert_eq!(xs.len(), out.len());
-        let (lo, hi) = (p.bits.qmin(), p.bits.qmax());
-        let scale = vdupq_n_f32(p.scale);
-        let flo = vdupq_n_f32((lo - 1) as f32);
-        let fhi = vdupq_n_f32((hi + 1) as f32);
-        let half = vdupq_n_f32(HALF_BELOW);
-        let sign = vdupq_n_u32(0x8000_0000);
-        let (ilo, ihi) = (vdupq_n_s8(lo as i8), vdupq_n_s8(hi as i8));
-        let blocks = xs.len() / 16;
-        for b in 0..blocks {
-            // SAFETY: `b < blocks`, so elements `[16b, 16b + 16)` are in
-            // bounds of both slices (equal lengths asserted above).
-            let src = xs.as_ptr().add(16 * b);
-            let mut q = [vdupq_n_s32(0); 4];
-            for (i, lanes) in q.iter_mut().enumerate() {
-                let r = vdivq_f32(vld1q_f32(src.add(4 * i)), scale);
-                let r = vminq_f32(vmaxq_f32(r, flo), fhi);
-                // copysign: the sign bit from `r`, the rest from `half`.
-                let t = vaddq_f32(r, vbslq_f32(sign, r, half));
-                *lanes = vcvtq_s32_f32(t);
-            }
-            // The saturating narrows clip only what the integer clamp
-            // below would (every lane is within one step of its range).
-            let lo16 = vcombine_s16(vqmovn_s32(q[0]), vqmovn_s32(q[1]));
-            let hi16 = vcombine_s16(vqmovn_s32(q[2]), vqmovn_s32(q[3]));
-            let bytes = vcombine_s8(vqmovn_s16(lo16), vqmovn_s16(hi16));
-            let bytes = vminq_s8(ihi, vmaxq_s8(ilo, bytes));
-            vst1q_s8(out.as_mut_ptr().add(16 * b), bytes);
-        }
-        blocks * 16
     }
 }
 

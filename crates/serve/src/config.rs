@@ -32,18 +32,6 @@ pub struct ServeConfig {
     /// never runs more than its size in tasks at once, and nested
     /// submits run inline.)
     pub pool_threads: Option<usize>,
-    /// Pin compute threads to distinct cores.
-    ///
-    /// When on, shared-pool helper `i` pins to core
-    /// `i % machine_threads()` and serve worker `j` to core
-    /// `(pool_threads + j) % machine_threads()`, so the intra-batch
-    /// threads and the batching workers land on disjoint cores (when
-    /// the machine has enough) and per-thread kernel scratch — first-
-    /// touch warmed on each thread at startup — stays local to the core
-    /// that reuses it. `None` defers to the `FLEXIQ_PIN` environment
-    /// variable; pinning is best-effort (unsupported platforms ignore
-    /// it).
-    pub pin: Option<bool>,
     /// Default per-request deadline measured from admission; `None`
     /// means requests never expire. Individual submissions can override
     /// it.
@@ -100,7 +88,6 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             workers: 2,
             pool_threads: None,
-            pin: None,
             default_deadline: None,
             max_padding_waste: 0.5,
             trace_sample_rate: 0.0,
@@ -161,12 +148,6 @@ impl ServeConfig {
                 (flexiq_parallel::machine_threads() / self.workers.max(1)).max(1)
             }),
         }
-    }
-
-    /// Whether the server will pin its compute threads (see
-    /// [`ServeConfig::pin`]): the explicit setting, else `FLEXIQ_PIN`.
-    pub fn resolved_pin(&self) -> bool {
-        self.pin.unwrap_or_else(flexiq_parallel::pin_enabled)
     }
 }
 
@@ -245,24 +226,6 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         assert!(ServeConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn explicit_pin_setting_wins_over_the_environment() {
-        let on = ServeConfig {
-            pin: Some(true),
-            ..Default::default()
-        };
-        assert!(on.resolved_pin());
-        let off = ServeConfig {
-            pin: Some(false),
-            ..Default::default()
-        };
-        assert!(!off.resolved_pin());
-        // `None` defers to FLEXIQ_PIN (process-cached; just check it
-        // agrees with the parallel crate's view).
-        let auto = ServeConfig::default();
-        assert_eq!(auto.resolved_pin(), flexiq_parallel::pin_enabled());
     }
 
     #[test]

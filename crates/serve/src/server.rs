@@ -157,14 +157,11 @@ impl Server {
         let queue = Arc::new(AdmissionQueue::new(cfg.queue_capacity));
         // One shared intra-batch pool for the whole worker fleet (see
         // `ServeConfig::pool_threads` for the sizing rule). Helpers
-        // first-touch their kernel scratch at startup and, when pinning
-        // is on, do so after landing on their core — so the pages are
+        // first-touch their kernel scratch at startup, so the pages are
         // local to the thread that reuses them every dispatch.
-        let pin = cfg.resolved_pin();
         let pool = flexiq_parallel::ThreadPool::with_config(
             cfg.resolved_pool_threads(),
             flexiq_parallel::PoolConfig {
-                pin,
                 on_thread_start: Some(Arc::new(|_| flexiq_tensor::scratch::warm_defaults())),
             },
         );
@@ -182,7 +179,6 @@ impl Server {
             batch_timeout: cfg.batch_timeout,
             pool: Arc::clone(&pool),
             policy: crate::worker::DispatchPolicy::from_config(&cfg),
-            pin,
         };
         let workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>> = Arc::new(Mutex::new(
             spawn_workers(&ctx, cfg.workers)

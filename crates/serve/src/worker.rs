@@ -357,32 +357,22 @@ pub struct WorkerContext {
     pub pool: Arc<ThreadPool>,
     /// Dispatch policy.
     pub policy: DispatchPolicy,
-    /// Pin workers to cores after the pool's helpers.
-    pub pin: bool,
 }
 
 impl WorkerContext {
     /// Spawns worker `i`: drains the queue until it is closed and empty.
-    /// With `pin` on, worker `i` goes to core
-    /// `(pool.threads() + i) % machine_threads()` — after the shared
-    /// pool's helpers, so batching workers and intra-batch threads land
-    /// on disjoint cores when the machine has enough. Every worker
-    /// first-touch warms its kernel scratch at startup (the caller
-    /// thread of a pool dispatch runs kernels too).
+    /// Every worker first-touch warms its kernel scratch at startup (the
+    /// caller thread of a pool dispatch runs kernels too).
     pub fn spawn(&self, i: usize) -> JoinHandle<()> {
         let queue = Arc::clone(&self.queue);
         let runtime = Arc::clone(&self.runtime);
         let metrics = Arc::clone(&self.metrics);
         let pool = Arc::clone(&self.pool);
         let (max_batch, batch_timeout) = (self.max_batch, self.batch_timeout);
-        let (policy, pin) = (self.policy, self.pin);
+        let policy = self.policy;
         std::thread::Builder::new()
             .name(format!("flexiq-worker-{i}"))
             .spawn(move || {
-                if pin {
-                    let core = pool.threads() + i;
-                    flexiq_parallel::pin_to_core(core % flexiq_parallel::machine_threads());
-                }
                 flexiq_tensor::scratch::warm_defaults();
                 loop {
                     // Injected consumer stall: the queue backs up, which

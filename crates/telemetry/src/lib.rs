@@ -465,8 +465,6 @@ pub enum Counter {
     GemmPackedBytes,
     /// GEMM calls dispatched to the AVX2 tiles.
     GemmIsaAvx2,
-    /// GEMM calls dispatched to the NEON tiles.
-    GemmIsaNeon,
     /// GEMM calls dispatched to the scalar tiles.
     GemmIsaScalar,
     /// Prepacked-weight cache lookups that found a ready entry.
@@ -518,7 +516,6 @@ pub struct CountersSnapshot {
     pub gemm_madds: u64,
     pub gemm_packed_bytes: u64,
     pub gemm_isa_avx2: u64,
-    pub gemm_isa_neon: u64,
     pub gemm_isa_scalar: u64,
     pub pack_cache_hits: u64,
     pub pack_cache_misses: u64,
@@ -546,7 +543,6 @@ pub fn counters() -> CountersSnapshot {
         gemm_madds: get(Counter::GemmMadds),
         gemm_packed_bytes: get(Counter::GemmPackedBytes),
         gemm_isa_avx2: get(Counter::GemmIsaAvx2),
-        gemm_isa_neon: get(Counter::GemmIsaNeon),
         gemm_isa_scalar: get(Counter::GemmIsaScalar),
         pack_cache_hits: get(Counter::PackCacheHits),
         pack_cache_misses: get(Counter::PackCacheMisses),

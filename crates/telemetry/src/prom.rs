@@ -91,11 +91,7 @@ pub fn render(c: &CountersSnapshot) -> String {
         "# HELP flexiq_gemm_isa_calls_total GEMM calls by dispatched kernel ISA."
     );
     let _ = writeln!(out, "# TYPE flexiq_gemm_isa_calls_total counter");
-    for (isa, v) in [
-        ("avx2", c.gemm_isa_avx2),
-        ("neon", c.gemm_isa_neon),
-        ("scalar", c.gemm_isa_scalar),
-    ] {
+    for (isa, v) in [("avx2", c.gemm_isa_avx2), ("scalar", c.gemm_isa_scalar)] {
         let _ = writeln!(out, "flexiq_gemm_isa_calls_total{{isa=\"{isa}\"}} {v}");
     }
     // One labeled family for prepacked-weight cache traffic: hits serve

@@ -83,7 +83,7 @@
 //!
 //! Full `MR × NR` / `MR × NR_I8` tiles dispatch to explicit SIMD
 //! kernels in [`crate::simd`] when the running CPU supports them
-//! (AVX2 on x86-64, NEON on aarch64; detected once per process,
+//! (AVX2 on x86-64; detected once per process,
 //! `FLEXIQ_NO_SIMD=1` forces the scalar tiles). Edge tiles and
 //! sub-threshold problems always run the scalar/reference code. The
 //! AVX2 integer path packs its rhs into a dedicated `pmaddwd` *pair*
@@ -644,7 +644,7 @@ trait Kernel: Copy + Sync {
     );
 }
 
-/// The f32 family: [`NR`]-lane f32 panels, scalar/AVX2/NEON tiles.
+/// The f32 family: [`NR`]-lane f32 panels, scalar/AVX2 tiles.
 #[derive(Clone, Copy)]
 struct F32Kernel {
     isa: Isa,
@@ -750,9 +750,6 @@ impl Kernel for F32Kernel {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: `isa == Avx2` only after runtime detection.
                 Isa::Avx2 => unsafe { simd::x86::f32_tile_avx2(kc, ap, bp, &mut acc) },
-                #[cfg(target_arch = "aarch64")]
-                // SAFETY: `isa == Neon` only after runtime detection.
-                Isa::Neon => unsafe { simd::arm::f32_tile_neon(kc, ap, bp, &mut acc) },
                 _ => {
                     // Full scalar tile: fixed-size loops the compiler
                     // unrolls and keeps in registers. No zero-skip — f32
@@ -830,12 +827,11 @@ impl Kernel for F32Kernel {
     }
 }
 
-/// The plain-panel integer family: [`NR_I8`]-lane i8 panels, scalar and
-/// NEON tiles. The AVX2 path never reaches this kernel — it uses the
+/// The plain-panel integer family: [`NR_I8`]-lane i8 panels, scalar
+/// tiles. The AVX2 path never reaches this kernel — it uses the
 /// pair panel via [`I8Pairs`].
 #[derive(Clone, Copy)]
 struct I8Plain<'a> {
-    isa: Isa,
     epi: Epilogue<'a>,
 }
 
@@ -847,7 +843,7 @@ impl Kernel for I8Plain<'_> {
 
     fn block(self, rows: Range<usize>, cols: Range<usize>) -> Self {
         let epi = self.epi.block(rows, cols);
-        I8Plain { epi, ..self }
+        I8Plain { epi }
     }
 
     fn pack_b(rhs: Rhs<'_, i8>, k0: usize, k1: usize, cols: Range<usize>, buf: &mut Vec<i8>) {
@@ -857,8 +853,7 @@ impl Kernel for I8Plain<'_> {
     /// Zero lhs lanes are skipped in the scalar tile — exact in integer
     /// arithmetic, and the bit-lowered 4-bit operands the
     /// mixed-precision engines feed in here are sparse enough for the
-    /// branch to pay. Full NEON tiles run branch-free instead (exact
-    /// either way; see [`crate::simd`]).
+    /// branch to pay.
     #[inline]
     fn tile(
         self,
@@ -875,32 +870,25 @@ impl Kernel for I8Plain<'_> {
         let ap = &ap[..kc * MR];
         let bp = &bp[..kc * NR_I8];
         if mr == MR && nrw == NR_I8 {
-            match self.isa {
-                #[cfg(target_arch = "aarch64")]
-                // SAFETY: `isa == Neon` only after runtime detection.
-                Isa::Neon => unsafe { simd::arm::i8_tile_neon(kc, ap, bp, &mut acc) },
-                _ => {
-                    for p in 0..kc {
-                        let ar = &ap[p * MR..p * MR + MR];
-                        if ar.iter().all(|&v| v == 0) {
-                            continue;
-                        }
-                        let br = &bp[p * NR_I8..p * NR_I8 + NR_I8];
-                        for (r, accr) in acc.iter_mut().enumerate() {
-                            let av = ar[r] as i32;
-                            // The per-row zero branch doubles as the
-                            // vectorization boundary: LLVM keeps the lane
-                            // loop in vector code when the row body is
-                            // guarded (measured ~4× over the unguarded
-                            // form), and bit-lowered operands are sparse
-                            // enough for the skip itself to pay.
-                            if av == 0 {
-                                continue;
-                            }
-                            for j in 0..NR_I8 {
-                                accr[j] += av * br[j] as i32;
-                            }
-                        }
+            for p in 0..kc {
+                let ar = &ap[p * MR..p * MR + MR];
+                if ar.iter().all(|&v| v == 0) {
+                    continue;
+                }
+                let br = &bp[p * NR_I8..p * NR_I8 + NR_I8];
+                for (r, accr) in acc.iter_mut().enumerate() {
+                    let av = ar[r] as i32;
+                    // The per-row zero branch doubles as the
+                    // vectorization boundary: LLVM keeps the lane
+                    // loop in vector code when the row body is
+                    // guarded (measured ~4× over the unguarded
+                    // form), and bit-lowered operands are sparse
+                    // enough for the skip itself to pay.
+                    if av == 0 {
+                        continue;
+                    }
+                    for j in 0..NR_I8 {
+                        accr[j] += av * br[j] as i32;
                     }
                 }
             }
@@ -1375,7 +1363,6 @@ fn gemm_traced(
     tel::count(
         match isa {
             Isa::Avx2 => tel::Counter::GemmIsaAvx2,
-            Isa::Neon => tel::Counter::GemmIsaNeon,
             Isa::Scalar => tel::Counter::GemmIsaScalar,
         },
         1,
@@ -1473,7 +1460,7 @@ fn gemm_i8_general(
         Some(PanelsI8::Plain(buf)) => Some(&buf[..]),
         _ => None,
     };
-    run_kernel(I8Plain { isa, epi }, ops, m, n, pre, c)
+    run_kernel(I8Plain { epi }, ops, m, n, pre, c)
 }
 
 /// [`gemm_i8_general`] as one traced call under the active ISA — the
@@ -2389,8 +2376,7 @@ mod tests {
     #[test]
     fn gemm_counts_the_dispatched_isa() {
         use flexiq_telemetry as tel;
-        let total =
-            |c: &tel::CountersSnapshot| c.gemm_isa_avx2 + c.gemm_isa_neon + c.gemm_isa_scalar;
+        let total = |c: &tel::CountersSnapshot| c.gemm_isa_avx2 + c.gemm_isa_scalar;
         let before = total(&tel::counters());
         let a = vec![1i8; 4];
         let b = vec![1i8; 4];

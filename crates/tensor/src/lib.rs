@@ -24,7 +24,7 @@
 //!
 //! The only `unsafe` in the crate is the explicit SIMD in [`simd`]:
 //! `std::arch` register tiles behind once-per-process runtime feature
-//! detection (AVX2 / NEON, `FLEXIQ_NO_SIMD=1` escape hatch), each a
+//! detection (AVX2, `FLEXIQ_NO_SIMD=1` escape hatch), each a
 //! bit-identical drop-in for the scalar tile it replaces. Everything
 //! else gets its throughput from cache blocking, operand packing and
 //! register tiling (see [`gemm`]), not from pointer tricks, and the

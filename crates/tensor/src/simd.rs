@@ -14,8 +14,7 @@
 //!    suites over the scalar tiles.
 //! 2. [`set_scalar`] — programmatic override for tests, subordinate to
 //!    the env knob.
-//! 3. Hardware detection: AVX2 on `x86_64`, NEON on `aarch64`, scalar
-//!    otherwise.
+//! 3. Hardware detection: AVX2 on `x86_64`, scalar otherwise.
 //!
 //! # Exactness contract
 //!
@@ -26,8 +25,7 @@
 //! * **f32** tiles vectorize across the `n` (lane) axis only and keep
 //!   k-accumulation in ascending scalar order per output element. They
 //!   deliberately use unfused multiply-then-add
-//!   (`_mm256_add_ps(_mm256_mul_ps(..))` / `vaddq_f32(vmulq_f32(..))`),
-//!   **never** fused FMA: a fused multiply-add skips the intermediate
+//!   (`_mm256_add_ps(_mm256_mul_ps(..))`), **never** fused FMA: a fused multiply-add skips the intermediate
 //!   rounding step and would produce different (better, but different)
 //!   bits than the scalar `a * b + c`.
 //! * **i8** tiles accumulate in `i32`, where every intermediate is
@@ -63,15 +61,12 @@
 //! Both packers (`x86::quads_pack_avx2` for the rhs, the lhs packer
 //! in [`crate::gemm`]) verify the `[-8, 7]` precondition on every byte
 //! they touch and the driver panics on a violation rather than return a
-//! saturated sum. Scalar and NEON builds run the ordinary i8 tiles on
+//! saturated sum. Scalar builds run the ordinary i8 tiles on
 //! the same lowered operands — exact as ever, just not cheaper.
 //!
 //! The AVX2 i8 tile consumes a dedicated *pair* panel layout (packed
 //! by `gemm`'s `I8Pairs` kernel) holding two adjacent reduction steps as
 //! an i16 pair per lane, feeding `pmaddwd` (`_mm256_madd_epi16`) directly.
-//! The NEON i8 tile widens the ordinary i8 panel on the fly
-//! (`vmovl_s8` + `vmlal_s16`), so `aarch64` needs no second panel
-//! format.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -82,8 +77,6 @@ use std::sync::OnceLock;
 pub enum Isa {
     /// x86-64 AVX2 tiles (`pmaddwd` i8 path, 8-lane f32 path).
     Avx2,
-    /// aarch64 NEON tiles (`smlal` i8 path, 4-lane f32 path).
-    Neon,
     /// The portable scalar register tiles.
     Scalar,
 }
@@ -94,7 +87,6 @@ impl Isa {
     pub fn name(self) -> &'static str {
         match self {
             Isa::Avx2 => "avx2",
-            Isa::Neon => "neon",
             Isa::Scalar => "scalar",
         }
     }
@@ -109,12 +101,6 @@ pub fn detect() -> Isa {
         {
             if std::arch::is_x86_feature_detected!("avx2") {
                 return Isa::Avx2;
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            if std::arch::is_aarch64_feature_detected!("neon") {
-                return Isa::Neon;
             }
         }
         Isa::Scalar
@@ -431,100 +417,6 @@ pub(crate) mod x86 {
     }
 }
 
-/// NEON register tiles — the aarch64 twins of [`x86`]. Same exactness
-/// contract: f32 unfused (`vaddq_f32(vmulq_f32(..))`, never `vfmaq`),
-/// i8 exact in i32 via `vmull_s8`/`vmlal_s16`.
-#[cfg(target_arch = "aarch64")]
-pub(crate) mod arm {
-    use crate::gemm::{MR, NR, NR_I8};
-    use std::arch::aarch64::*;
-
-    const _: () = assert!(MR == 4 && NR == 8 && NR_I8 == 32);
-
-    /// Full `MR × NR` f32 tile (two `float32x4` per row), k ascending,
-    /// unfused multiply-then-add — bit-identical to the scalar tile.
-    ///
-    /// # Safety
-    /// NEON must be supported by the executing CPU.
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn f32_tile_neon(
-        kc: usize,
-        ap: &[f32],
-        bp: &[f32],
-        acc: &mut [[f32; NR]; MR],
-    ) {
-        assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-        let a = ap.as_ptr();
-        let b = bp.as_ptr();
-        let mut accv = [[vdupq_n_f32(0.0); 2]; MR];
-        for (r, regs) in accv.iter_mut().enumerate() {
-            regs[0] = vld1q_f32(acc[r].as_ptr());
-            regs[1] = vld1q_f32(acc[r].as_ptr().add(4));
-        }
-        for p in 0..kc {
-            let b0 = vld1q_f32(b.add(p * NR));
-            let b1 = vld1q_f32(b.add(p * NR + 4));
-            let ar = a.add(p * MR);
-            for (r, regs) in accv.iter_mut().enumerate() {
-                let av = vdupq_n_f32(*ar.add(r));
-                // Unfused on purpose — never vfmaq_f32 here.
-                regs[0] = vaddq_f32(regs[0], vmulq_f32(av, b0));
-                regs[1] = vaddq_f32(regs[1], vmulq_f32(av, b1));
-            }
-        }
-        for (r, regs) in accv.iter().enumerate() {
-            vst1q_f32(acc[r].as_mut_ptr(), regs[0]);
-            vst1q_f32(acc[r].as_mut_ptr().add(4), regs[1]);
-        }
-    }
-
-    /// Full `MR × NR_I8` i8 tile over the **ordinary** i8 panel: per
-    /// reduction step the 16-lane rhs halves widen to i16
-    /// (`vmovl_s8`) and multiply-accumulate into i32 quads
-    /// (`vmlal_s16`). Exact in i32 (`|a·b| ≤ 16384`).
-    ///
-    /// # Safety
-    /// NEON must be supported by the executing CPU.
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn i8_tile_neon(
-        kc: usize,
-        ap: &[i8],
-        bp: &[i8],
-        acc: &mut [[i32; NR_I8]; MR],
-    ) {
-        assert!(ap.len() >= kc * MR && bp.len() >= kc * NR_I8);
-        let a = ap.as_ptr();
-        let b = bp.as_ptr();
-        for half in 0..2 {
-            let off = half * (NR_I8 / 2);
-            let mut accv = [[vdupq_n_s32(0); 4]; MR];
-            for (r, regs) in accv.iter_mut().enumerate() {
-                for (g, reg) in regs.iter_mut().enumerate() {
-                    *reg = vld1q_s32(acc[r].as_ptr().add(off + 4 * g));
-                }
-            }
-            for p in 0..kc {
-                let bv = vld1q_s8(b.add(p * NR_I8 + off));
-                let b_lo = vmovl_s8(vget_low_s8(bv));
-                let b_hi = vmovl_s8(vget_high_s8(bv));
-                let ar = a.add(p * MR);
-                for (r, regs) in accv.iter_mut().enumerate() {
-                    let av = vdup_n_s16(*ar.add(r) as i16);
-                    regs[0] = vmlal_s16(regs[0], vget_low_s16(b_lo), av);
-                    regs[1] = vmlal_s16(regs[1], vget_high_s16(b_lo), av);
-                    regs[2] = vmlal_s16(regs[2], vget_low_s16(b_hi), av);
-                    regs[3] = vmlal_s16(regs[3], vget_high_s16(b_hi), av);
-                }
-            }
-            for (r, regs) in accv.iter().enumerate() {
-                for (g, reg) in regs.iter().enumerate() {
-                    vst1q_s32(acc[r].as_mut_ptr().add(off + 4 * g), *reg);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,7 +424,6 @@ mod tests {
     #[test]
     fn isa_names_are_stable() {
         assert_eq!(Isa::Avx2.name(), "avx2");
-        assert_eq!(Isa::Neon.name(), "neon");
         assert_eq!(Isa::Scalar.name(), "scalar");
     }
 

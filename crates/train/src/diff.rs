@@ -1,8 +1,10 @@
 //! Tape-based reverse-mode differentiation over the inference graph.
 //!
-//! [`forward`] walks the same [`Graph`] the inference engine executes,
-//! applying fake quantization to every quantizable layer, and records a
-//! [`Tape`] (node outputs plus per-node auxiliary state). [`backward`]
+//! [`forward`] runs the same [`Graph`] on the inference engine's own walk
+//! and op-dispatch table ([`flexiq_nn::exec::walk`] /
+//! [`flexiq_nn::exec::apply_node`]), intercepting only the quantizable
+//! operators to apply fake quantization, and records a [`Tape`] (node
+//! outputs plus per-node auxiliary state). [`backward`]
 //! replays the tape in reverse, producing weight/bias gradients per
 //! [`LayerId`] with straight-through-estimator semantics for the
 //! quantizers.
@@ -15,6 +17,7 @@ use flexiq_quant::GroupSpec;
 use flexiq_tensor::im2col::{col2im, im2col};
 use flexiq_tensor::{gemm, Tensor};
 
+use flexiq_nn::exec;
 use flexiq_nn::graph::{Graph, LayerId, NodeId, Op};
 use flexiq_nn::ops::tokens::invert_perm;
 use flexiq_nn::ops::{Attention, Conv2d, Linear, WindowAttention};
@@ -128,8 +131,6 @@ pub struct Tape {
     pub values: Vec<Option<Tensor>>,
     aux: Vec<NodeAux>,
     topo: Vec<NodeId>,
-    mode: QuantMode,
-    exempt: Vec<bool>,
 }
 
 impl Tape {
@@ -203,174 +204,90 @@ pub fn forward(
             exempt[l] = true;
         }
     }
-    let mut tape = Tape {
-        values: vec![None; n],
-        aux: (0..n).map(|_| NodeAux::None).collect(),
-        topo: Vec::with_capacity(n),
-        mode,
-        exempt,
+    let mut aux: Vec<NodeAux> = (0..n).map(|_| NodeAux::None).collect();
+    let mut topo = Vec::with_capacity(n);
+    fn first(inputs: &[Tensor], nid: NodeId) -> Result<&Tensor> {
+        inputs
+            .first()
+            .ok_or_else(|| NnError::Invalid(format!("missing input 0 of node {nid}")))
+    }
+    let attn_modes = |layers: &[LayerId]| -> Result<[QuantMode; 4]> {
+        let layers = <[LayerId; 4]>::try_from(layers)
+            .map_err(|_| NnError::Invalid("attention node needs 4 registered layers".into()))?;
+        Ok(layers.map(|l| layer_mode(mode, &exempt, l)))
     };
     let output = graph.output()?;
-
-    // Iterative post-order DFS, recording completion order.
-    let mut stack: Vec<(NodeId, bool)> = vec![(output, false)];
-    while let Some((nid, expanded)) = stack.pop() {
-        if tape.values[nid].is_some() {
-            continue;
-        }
-        let node = graph.node(nid)?;
-        if !expanded {
-            stack.push((nid, true));
-            for &inp in &node.inputs {
-                if tape.values[inp].is_none() {
-                    stack.push((inp, false));
-                }
-            }
-            continue;
-        }
-        let val = |slot: usize, tape: &Tape| -> Result<Tensor> {
-            tape.values[node.inputs[slot]]
-                .clone()
-                .ok_or_else(|| NnError::Invalid(format!("missing input {slot} of node {nid}")))
-        };
-        let (out, aux) = match &node.op {
-            Op::Input => (input.clone(), NodeAux::None),
+    // The executor's walk, retaining every activation as the tape; its
+    // completion order is the topological order `backward` replays.
+    let values = exec::walk(graph, output, true, |nid, node, inputs| {
+        let (out, node_aux) = match &node.op {
             Op::Linear(lin) => {
-                let m = layer_mode(tape.mode, &tape.exempt, node.layers[0]);
-                let (y, aux) = quantized_linear(lin, &val(0, &tape)?, m)?;
+                let m = layer_mode(mode, &exempt, node.layers[0]);
+                let (y, aux) = quantized_linear(lin, first(inputs, nid)?, m)?;
                 (y, NodeAux::Lin(aux))
             }
             Op::Conv2d(conv) => {
-                let m = layer_mode(tape.mode, &tape.exempt, node.layers[0]);
-                let (y, aux) = quantized_conv(conv, &val(0, &tape)?, m)?;
+                let m = layer_mode(mode, &exempt, node.layers[0]);
+                let (y, aux) = quantized_conv(conv, first(inputs, nid)?, m)?;
                 (y, NodeAux::Conv(aux))
             }
             Op::Attention(attn) => {
-                let x = val(0, &tape)?;
-                let (y, aux) = attention_forward(attn, &node.layers, &x, &tape)?;
+                let modes = attn_modes(&node.layers)?;
+                let (y, aux) = attention_forward(attn, None, modes, first(inputs, nid)?)?;
                 (y, NodeAux::Attn(Box::new(aux)))
             }
             Op::WindowAttention(wa) => {
-                let x = val(0, &tape)?;
-                let (y, aux) = window_attention_forward(wa, &node.layers, &x, &tape)?;
+                let modes = attn_modes(&node.layers)?;
+                let (y, aux) = attention_forward(&wa.attn, Some(wa), modes, first(inputs, nid)?)?;
                 (y, NodeAux::Attn(Box::new(aux)))
             }
-            Op::BatchNorm(bn) => (bn.forward(&val(0, &tape)?)?, NodeAux::None),
-            Op::LayerNorm(ln) => (ln.forward(&val(0, &tape)?)?, NodeAux::None),
-            Op::Relu => (flexiq_nn::ops::act::relu(&val(0, &tape)?), NodeAux::None),
-            Op::Gelu => (flexiq_nn::ops::act::gelu(&val(0, &tape)?), NodeAux::None),
-            Op::Add => (val(0, &tape)?.add(&val(1, &tape)?)?, NodeAux::None),
-            Op::MaxPool { k, stride } => (
-                flexiq_nn::ops::pool::max_pool2d(&val(0, &tape)?, *k, *stride)?,
+            // Everything unquantized is the inference executor's arm.
+            _ => (
+                exec::apply_node(node, inputs, input, None, None, &mut exec::F32Compute)?,
                 NodeAux::None,
             ),
-            Op::AvgPool { k, stride } => (
-                flexiq_nn::ops::pool::avg_pool2d(&val(0, &tape)?, *k, *stride)?,
-                NodeAux::None,
-            ),
-            Op::GlobalAvgPool => (
-                flexiq_nn::ops::pool::global_avg_pool(&val(0, &tape)?)?,
-                NodeAux::None,
-            ),
-            Op::ToTokens => (
-                flexiq_nn::ops::tokens::to_tokens(&val(0, &tape)?)?,
-                NodeAux::None,
-            ),
-            Op::MeanTokens => (
-                flexiq_nn::ops::tokens::mean_tokens(&val(0, &tape)?)?,
-                NodeAux::None,
-            ),
-            Op::PatchMerge { h, w } => (
-                flexiq_nn::ops::tokens::patch_merge(&val(0, &tape)?, *h, *w)?,
-                NodeAux::None,
-            ),
-            Op::Reorder(perm) => (
-                flexiq_nn::ops::tokens::reorder_channels(&val(0, &tape)?, perm)?,
-                NodeAux::None,
-            ),
-            Op::AddParam(p) => (val(0, &tape)?.add(p)?, NodeAux::None),
-            Op::Embedding(emb) => (emb.forward(&val(0, &tape)?)?, NodeAux::None),
         };
-        tape.values[nid] = Some(out);
-        tape.aux[nid] = aux;
-        tape.topo.push(nid);
-    }
-    let out = tape.values[output]
+        aux[nid] = node_aux;
+        topo.push(nid);
+        Ok(out)
+    })?;
+    let out = values[output]
         .clone()
         .ok_or_else(|| NnError::Invalid("output not computed".into()))?;
-    Ok((out, tape))
+    Ok((out, Tape { values, aux, topo }))
 }
 
+/// Fake-quantized attention forward: the four projections quantize under
+/// their own layer modes (`modes`, in Q/K/V/O order); the core runs in
+/// f32 — over the whole sequence, or per window when `wa` is given.
 fn attention_forward(
     attn: &Attention,
-    layers: &[LayerId],
+    wa: Option<&WindowAttention>,
+    [mq, mk, mv, mo]: [QuantMode; 4],
     x: &Tensor,
-    tape: &Tape,
 ) -> Result<(Tensor, AttnAux)> {
-    let mq = layer_mode(tape.mode, &tape.exempt, layers[0]);
     let xf = fake_act(x, mq, TRAIN_GROUP, attn.q.c_in());
-    let proj =
-        |lin: &Linear, l: LayerId, x_eff: &Tensor, tape: &Tape| -> Result<(Tensor, FakeQuant)> {
-            let m = layer_mode(tape.mode, &tape.exempt, l);
-            let wf = fake_weight(&lin.weight, m, TRAIN_GROUP, lin.c_in());
-            let eff = Linear::new(wf.value.clone(), lin.bias.clone())?;
-            Ok((eff.forward(x_eff)?, wf))
-        };
-    let (q, wq) = proj(&attn.q, layers[0], &xf.value, tape)?;
-    let (k, wk) = proj(&attn.k, layers[1], &xf.value, tape)?;
-    let (v, wv) = proj(&attn.v, layers[2], &xf.value, tape)?;
-    let core = attn.core(&q, &k, &v)?;
-    let mo = layer_mode(tape.mode, &tape.exempt, layers[3]);
+    let proj = |lin: &Linear, m: QuantMode, x_eff: &Tensor| -> Result<(Tensor, FakeQuant)> {
+        let wf = fake_weight(&lin.weight, m, TRAIN_GROUP, lin.c_in());
+        let eff = Linear::new(wf.value.clone(), lin.bias.clone())?;
+        Ok((eff.forward(x_eff)?, wf))
+    };
+    let (q, wq) = proj(&attn.q, mq, &xf.value)?;
+    let (k, wk) = proj(&attn.k, mk, &xf.value)?;
+    let (v, wv) = proj(&attn.v, mv, &xf.value)?;
+    let core = match wa {
+        None => attn.core(&q, &k, &v)?,
+        Some(wa) => {
+            let (qw, kw, vw) = (wa.partition(&q)?, wa.partition(&k)?, wa.partition(&v)?);
+            let mut outs = Vec::with_capacity(qw.len());
+            for ((qi, ki), vi) in qw.iter().zip(kw.iter()).zip(vw.iter()) {
+                outs.push(attn.core(qi, ki, vi)?);
+            }
+            wa.merge(&outs)?
+        }
+    };
     let cf = fake_act(&core, mo, TRAIN_GROUP, attn.o.c_in());
-    let wo = fake_weight(&attn.o.weight, mo, TRAIN_GROUP, attn.o.c_in());
-    let eff_o = Linear::new(wo.value.clone(), attn.o.bias.clone())?;
-    let y = eff_o.forward(&cf.value)?;
-    Ok((
-        y,
-        AttnAux {
-            x_eff: xf.value,
-            wq,
-            wk,
-            wv,
-            wo,
-            q,
-            k,
-            v,
-            core_eff: cf.value,
-        },
-    ))
-}
-
-fn window_attention_forward(
-    wa: &WindowAttention,
-    layers: &[LayerId],
-    x: &Tensor,
-    tape: &Tape,
-) -> Result<(Tensor, AttnAux)> {
-    let attn = &wa.attn;
-    let mq = layer_mode(tape.mode, &tape.exempt, layers[0]);
-    let xf = fake_act(x, mq, TRAIN_GROUP, attn.q.c_in());
-    let proj =
-        |lin: &Linear, l: LayerId, x_eff: &Tensor, tape: &Tape| -> Result<(Tensor, FakeQuant)> {
-            let m = layer_mode(tape.mode, &tape.exempt, l);
-            let wf = fake_weight(&lin.weight, m, TRAIN_GROUP, lin.c_in());
-            let eff = Linear::new(wf.value.clone(), lin.bias.clone())?;
-            Ok((eff.forward(x_eff)?, wf))
-        };
-    let (q, wq) = proj(&attn.q, layers[0], &xf.value, tape)?;
-    let (k, wk) = proj(&attn.k, layers[1], &xf.value, tape)?;
-    let (v, wv) = proj(&attn.v, layers[2], &xf.value, tape)?;
-    let (qw, kw, vw) = (wa.partition(&q)?, wa.partition(&k)?, wa.partition(&v)?);
-    let mut outs = Vec::with_capacity(qw.len());
-    for ((qi, ki), vi) in qw.iter().zip(kw.iter()).zip(vw.iter()) {
-        outs.push(attn.core(qi, ki, vi)?);
-    }
-    let core = wa.merge(&outs)?;
-    let mo = layer_mode(tape.mode, &tape.exempt, layers[3]);
-    let cf = fake_act(&core, mo, TRAIN_GROUP, attn.o.c_in());
-    let wo = fake_weight(&attn.o.weight, mo, TRAIN_GROUP, attn.o.c_in());
-    let eff_o = Linear::new(wo.value.clone(), attn.o.bias.clone())?;
-    let y = eff_o.forward(&cf.value)?;
+    let (y, wo) = proj(&attn.o, mo, &cf.value)?;
     Ok((
         y,
         AttnAux {
@@ -1110,6 +1027,10 @@ mod tests {
         let emb =
             flexiq_nn::ops::Embedding::new(Tensor::randn([6, 4], 0.0, 1.0, &mut rng)).unwrap();
         let e = g.add_node(Op::Embedding(emb), vec![x]).unwrap();
+        // A 6-position table under a 4-token prompt: the positional
+        // prefix rule (first 4 rows apply), as on a short LM prompt.
+        let pos = Tensor::randn([6, 4], 0.0, 0.5, &mut seeded(266));
+        let e = g.add_node(Op::AddParam(pos), vec![e]).unwrap();
         let mk = |rng: &mut _| Linear::new(Tensor::randn([4, 4], 0.0, 0.4, rng), None).unwrap();
         let attn = Attention::new(
             mk(&mut rng),
@@ -1130,6 +1051,29 @@ mod tests {
         g.set_output(head).unwrap();
         let ids = Tensor::from_vec([4], vec![0.0, 1.0, 2.0, 3.0]).unwrap();
         grad_check(&mut g, &ids, 0.08);
+    }
+
+    #[test]
+    fn short_prompt_forward_matches_the_executor_bit_for_bit() {
+        // TinyLm's positional table covers the full context (8 at
+        // `Scale::Test`); a 3-token prompt adds its first 3 rows. The
+        // training forward shares the executor's arm for that operator,
+        // so it accepts the prompt and lands on the same bits.
+        use flexiq_nn::zoo::{ModelId, Scale};
+        let g = ModelId::TinyLm.build(Scale::Test).unwrap();
+        let prompt = Tensor::from_vec([3], vec![2.0, 9.0, 4.0]).unwrap();
+        let want = exec::run_f32(&g, &prompt).unwrap();
+        let (got, tape) = forward(&g, &prompt, QuantMode::Fp32, &[]).unwrap();
+        assert_eq!(got.dims(), want.dims());
+        for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "logit {i}");
+        }
+        let grads = backward(&g, &tape, got).unwrap();
+        assert!(
+            grads.w.iter().all(Option::is_some),
+            "a layer got no gradient"
+        );
+        assert!(grads.l2_norm().is_finite() && grads.l2_norm() > 0.0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! reproduce the naive loop's rounding exactly.
 //!
 //! The SIMD-vs-scalar properties additionally pin the explicit vector
-//! tiles (AVX2/NEON, runtime-dispatched) bit-identical to the scalar
+//! tiles (AVX2, runtime-dispatched) bit-identical to the scalar
 //! tiles they replace, by running every kernel twice — once as
 //! dispatched, once under the forced-scalar override.
 
