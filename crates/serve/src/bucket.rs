@@ -5,8 +5,8 @@
 //! traffic (almost every request has its own length). Bucketing instead
 //! assigns token sequences to **power-of-two** length classes and merges
 //! underfilled classes upward while the merged group's padded-position
-//! fraction stays under a configurable waste cap
-//! ([`crate::ServeConfig::max_padding_waste`]). Each group executes as
+//! fraction stays under the worker's waste cap (`MAX_PADDING_WASTE` in
+//! [`crate::worker`]). Each group executes as
 //! one padded stacked pass via
 //! [`flexiq_core::FlexiRuntime::infer_batch_varlen_traced`], padded
 //! **tightly** — to the group's longest member, not the class bound —

@@ -2,9 +2,9 @@
 
 use std::time::Duration;
 
-use crate::brownout::BrownoutConfig;
 use crate::error::{Result, ServeError};
 use crate::fault::FaultConfig;
+use crate::policy::BrownoutConfig;
 
 /// Dynamic-batching and admission parameters of a [`crate::Server`].
 #[derive(Debug, Clone)]
@@ -36,17 +36,6 @@ pub struct ServeConfig {
     /// means requests never expire. Individual submissions can override
     /// it.
     pub default_deadline: Option<Duration>,
-    /// Padding-waste cap for bucket merging, in `[0, 1)`.
-    ///
-    /// Rank-1 token-id (LM) inputs in a dispatched batch are planned
-    /// into power-of-two length buckets, padded tightly and executed as
-    /// masked stacked passes, bit-exact with unpadded inference (see
-    /// [`crate::worker`]). Underfilled buckets merge into the next
-    /// larger one while the merged group's fraction of padded positions
-    /// stays at or below this cap (see [`crate::bucket::plan_buckets`]).
-    /// `0.0` never merges; the default `0.5` merges whenever the group
-    /// still computes more real than pad positions.
-    pub max_padding_waste: f64,
     /// Fraction of requests traced end to end (admission → bucket plan
     /// → dispatch → completion), in `[0, 1]`.
     ///
@@ -58,17 +47,9 @@ pub struct ServeConfig {
     /// reproducible. `0.0` (default) never samples; `1.0` traces every
     /// request.
     pub trace_sample_rate: f64,
-    /// Reject requests whose input contains a non-finite value (NaN /
-    /// Inf) with [`ServeError::PoisonedInput`] before batching.
-    ///
-    /// Stacked batches share activation-quantization statistics, so one
-    /// poisoned sample would corrupt its batch siblings' outputs — the
-    /// scan (one pass over the input, far cheaper than the model pass)
-    /// keeps the bit-exactness invariant under garbage clients. On by
-    /// default; turn off only if inputs are validated upstream.
-    pub validate_inputs: bool,
     /// How often the supervisor thread checks worker liveness and ticks
-    /// the brownout state machine.
+    /// the control [`crate::Policy`] (the brownout ladder moves on every
+    /// tick, the level every [`ControlConfig::tick`]).
     pub supervise_tick: Duration,
     /// Brownout (graceful-degradation) ladder parameters.
     pub brownout: BrownoutConfig,
@@ -89,9 +70,7 @@ impl Default for ServeConfig {
             workers: 2,
             pool_threads: None,
             default_deadline: None,
-            max_padding_waste: 0.5,
             trace_sample_rate: 0.0,
-            validate_inputs: true,
             supervise_tick: Duration::from_millis(2),
             brownout: BrownoutConfig::default(),
             fault: None,
@@ -116,12 +95,6 @@ impl ServeConfig {
             return Err(ServeError::Config(
                 "pool_threads must be positive when set".into(),
             ));
-        }
-        if !(0.0..1.0).contains(&self.max_padding_waste) {
-            return Err(ServeError::Config(format!(
-                "max_padding_waste {} outside [0, 1)",
-                self.max_padding_waste
-            )));
         }
         if !(0.0..=1.0).contains(&self.trace_sample_rate) || !self.trace_sample_rate.is_finite() {
             return Err(ServeError::Config(format!(
@@ -151,7 +124,7 @@ impl ServeConfig {
     }
 }
 
-/// Parameters of the measured-latency feedback controller.
+/// Parameters of the measured-latency ratchet in [`crate::Policy`].
 #[derive(Debug, Clone)]
 pub struct ControlConfig {
     /// Latency target: the controller raises the 4-bit ratio while the
@@ -168,7 +141,7 @@ pub struct ControlConfig {
     /// Minimum completed requests in the window before the controller
     /// acts (avoids deciding on noise after idle periods).
     pub min_samples: usize,
-    /// How often the control loop re-evaluates the level.
+    /// How often the policy re-evaluates the level.
     pub tick: Duration,
     /// Minimum time between level changes (cooldown), so one burst does
     /// not thrash the level up and down within a single window.
@@ -210,8 +183,8 @@ impl ControlConfig {
         if self.window.is_zero() {
             return Err(ServeError::Config("window must be positive".into()));
         }
-        // `spawn_control_loop` sleeps `tick` between evaluations: zero
-        // would spin a core.
+        // Zero would decide the level (and select a window percentile)
+        // on every supervisor tick.
         if self.tick.is_zero() {
             return Err(ServeError::Config("control tick must be positive".into()));
         }
@@ -245,16 +218,6 @@ mod tests {
                 down_margin: 1.0,
                 ..Default::default()
             },
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ServeConfig {
-            max_padding_waste: 1.0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ServeConfig {
-            max_padding_waste: -0.1,
             ..Default::default()
         };
         assert!(c.validate().is_err());
@@ -296,10 +259,6 @@ mod tests {
         assert!(matches!(c.validate(), Err(ServeError::Config(_))));
         // NaN in any fractional field is a typed error, never a panic.
         for c in [
-            ServeConfig {
-                max_padding_waste: f64::NAN,
-                ..Default::default()
-            },
             ServeConfig {
                 trace_sample_rate: f64::NAN,
                 ..Default::default()

@@ -316,11 +316,8 @@ impl DecodeServer {
 
     /// Stops admission, drains in-flight generations, joins the
     /// scheduler.
-    pub fn shutdown(mut self) {
-        self.queue.close();
-        if let Some(h) = self.scheduler.take() {
-            let _ = h.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 

@@ -33,7 +33,7 @@ pub enum ServeError {
     /// corrupt a stacked batch's shared activation quantization.
     PoisonedInput,
     /// The server is shedding load (brownout state machine at
-    /// [`Shedding`](crate::brownout::ServeState::Shedding)); retry with
+    /// [`Shedding`](crate::ServeState::Shedding)); retry with
     /// backoff.
     Shedding,
     /// The server is draining and no longer admits requests.

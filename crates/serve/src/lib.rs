@@ -5,10 +5,13 @@
 //! with a discrete-event model and a latency table, this crate runs it:
 //! real requests carry real tensors through a bounded admission queue,
 //! a dynamic batcher, and a worker pool executing quantized forward
-//! passes on one shared set of 8-bit master weights — while a feedback
-//! controller adapts the 4-bit ratio from *measured* sliding-window
-//! latency percentiles and flips it with the runtime's one-atomic-store
-//! [`flexiq_core::FlexiRuntime::set_level`] switch.
+//! passes on one shared set of 8-bit master weights — while one
+//! supervisor thread ticks one pure [`Policy`] that adapts the 4-bit
+//! ratio from *measured* sliding-window latency percentiles and flips it
+//! with the runtime's one-atomic-store
+//! [`flexiq_core::FlexiRuntime::set_level`] switch. Levels are spoken
+//! in the runtime's encoding everywhere
+//! ([`flexiq_core::runtime::LEVEL_INT8`] or a schedule index).
 //!
 //! | module | contents |
 //! |---|---|
@@ -17,12 +20,11 @@
 //! | [`request`] | request/response/ticket types, per-request deadlines |
 //! | [`worker`] | worker pool running real `FlexiRuntime` inference |
 //! | [`decode`] | continuous-batching autoregressive generation ([`DecodeServer`]) |
-//! | [`controller`] | measured-latency feedback controller (extends the `flexiq-serving` [`Controller`] trait) |
+//! | [`policy`] | the control plane as one pure state machine: latency ratchet + Ready → Degraded → Shedding → Draining brownout ladder |
 //! | [`metrics`] | latency histograms, p50/p95/p99, throughput, queue depth, level-switch trace |
 //! | [`server`] | the assembled [`Server`], its supervisor, and health/drain APIs |
 //! | [`loadgen`] | open-loop trace replay and closed-loop capacity probes |
 //! | [`fault`] | deterministic seeded fault injection (`FLEXIQ_FAULT`), one relaxed load when disarmed |
-//! | [`brownout`] | Ready → Degraded → Shedding → Draining graceful-degradation ladder |
 //! | [`retry`] | shared bounded retry/backoff with deterministic jitter |
 //!
 //! # Quickstart
@@ -48,33 +50,27 @@
 //! See `examples/live_serving.rs` for the full bursty-trace demo with
 //! the level trace and percentile report.
 
-pub mod brownout;
 pub mod bucket;
 pub mod config;
-pub mod controller;
 pub mod decode;
 pub mod error;
 pub mod fault;
 pub mod loadgen;
 pub mod metrics;
+pub mod policy;
 pub mod queue;
 pub mod request;
 pub mod retry;
 pub mod server;
 pub mod worker;
 
-pub use brownout::{Brownout, BrownoutConfig, Pressure, ServeState};
 pub use config::{ControlConfig, ServeConfig};
-pub use controller::{BrownoutGuard, FeedbackController, MeasuredController};
 pub use decode::{DecodeConfig, DecodeServer, GenResponse, GenTicket};
 pub use error::{Result, ServeError};
 pub use fault::{FaultConfig, FaultSite};
 pub use loadgen::{closed_loop, open_loop, LoadReport};
 pub use metrics::{LatencyHistogram, LevelSwitch, MetricsHub, Snapshot};
+pub use policy::{BrownoutConfig, Decision, Observation, Policy, ServeState};
 pub use request::{InferResponse, RequestId, Ticket};
 pub use retry::{admission_retryable, retry_with, Backoff, BackoffPolicy, RetryStats};
-pub use server::{to_runtime_level, Health, Server};
-
-// Re-exported so downstream code can name the controller trait without
-// depending on flexiq-serving directly.
-pub use flexiq_serving::Controller;
+pub use server::{Health, Server};

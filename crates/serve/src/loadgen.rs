@@ -3,7 +3,7 @@
 //! Two classic shapes:
 //!
 //! * **Open loop** — arrivals follow a fixed timestamp trace (reuse the
-//!   simulator's generators in [`flexiq_serving::arrivals`]), regardless
+//!   simulator's generators in `flexiq_serving::arrivals`), regardless
 //!   of how the server is doing. This is the §8.3 serving experiment:
 //!   offered load is exogenous, overload shows up as queueing, deadline
 //!   misses and backpressure.
@@ -62,7 +62,7 @@ impl LoadReport {
 }
 
 /// Replays `arrivals` (seconds, ascending — e.g. from
-/// [`flexiq_serving::arrivals::piecewise_poisson`]) against `server`,
+/// `flexiq_serving::arrivals::piecewise_poisson`) against `server`,
 /// submitting `inputs` round-robin. `time_scale` stretches (`> 1`) or
 /// compresses (`< 1`) the trace's clock.
 ///

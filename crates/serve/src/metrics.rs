@@ -4,8 +4,8 @@
 //! The histogram is log-bucketed (≈8% resolution from 1 µs to ~20 min),
 //! lock-free on the record path, and supports percentile queries by
 //! cumulative scan — the live counterpart of the simulator's exact
-//! [`flexiq_serving::stats`] helpers. A separate bounded sliding window
-//! keeps exact recent samples for the feedback controller, which needs
+//! `flexiq_serving::stats` helpers. A separate bounded sliding window
+//! keeps exact recent samples for the control policy, which needs
 //! percentiles *of the last second*, not of all time.
 
 use std::collections::VecDeque;
@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::brownout::ServeState;
+use crate::policy::{Decision, ServeState};
 use crate::queue::lock_clean;
 
 /// Lower edge of the first histogram bucket.
@@ -155,7 +155,7 @@ impl LatencyWindow {
     pub fn percentile_s(&self, now: Instant, p: f64) -> Option<(usize, f64)> {
         // Copy the live samples out, then release the lock before the
         // O(n log n) selection: workers record completions under the
-        // same mutex, and the control loop must not stall the latencies
+        // same mutex, and the supervisor must not stall the latencies
         // it is measuring.
         let mut vals: Vec<f64> = {
             let w = lock_clean(&self.samples);
@@ -176,13 +176,22 @@ impl LatencyWindow {
     }
 }
 
-/// One entry of the level-switch trace.
+/// One entry of the level-switch trace: the switch and the observation
+/// that caused it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelSwitch {
     /// Seconds since server start.
     pub at_s: f64,
-    /// The level switched to (`usize::MAX` = pure INT8).
+    /// The runtime level switched to
+    /// ([`flexiq_core::runtime::LEVEL_INT8`] or a schedule index).
     pub level: usize,
+    /// Completions in the latency window the policy read (0 = empty).
+    pub samples: usize,
+    /// The window's tracked percentile, seconds (0.0 when empty).
+    pub percentile_s: f64,
+    /// The serve state in force at the decision — anything but `Ready`
+    /// means the brownout ladder forced the level.
+    pub state: ServeState,
 }
 
 /// All counters and instruments of one server.
@@ -352,10 +361,18 @@ impl MetricsHub {
         self.queue_depth.store(depth, Ordering::Relaxed);
     }
 
-    /// Appends to the level-switch trace.
-    pub fn on_level_switch(&self, level: usize) {
-        let at_s = self.uptime_s();
-        lock_clean(&self.level_trace).push(LevelSwitch { at_s, level });
+    /// Appends the level switch `decision` made (none: no entry) to the
+    /// level-switch trace.
+    pub fn on_level_switch(&self, decision: &Decision) {
+        let Some(level) = decision.level else { return };
+        let (samples, percentile_s) = decision.observed.window.unwrap_or((0, 0.0));
+        lock_clean(&self.level_trace).push(LevelSwitch {
+            at_s: self.uptime_s(),
+            level,
+            samples,
+            percentile_s,
+            state: decision.state.unwrap_or(decision.observed.state),
+        });
     }
 
     /// The level-switch trace so far.
@@ -403,10 +420,10 @@ impl MetricsHub {
     /// how much graph-node execution time ran at each ratio level.
     ///
     /// Each `Node`-category span is attributed to the level active at
-    /// its start instant (`initial_level` before the first recorded
-    /// switch — pass [`flexiq_core::runtime::LEVEL_INT8`]'s runtime
-    /// encoding or the configured start level). Returns one entry per
-    /// level seen, in first-seen order.
+    /// its start instant (`initial_level`, in the runtime encoding the
+    /// trace uses, before the first recorded switch —
+    /// [`flexiq_core::runtime::LEVEL_INT8`] unless the caller preset
+    /// one). Returns one entry per level seen, in first-seen order.
     pub fn level_attribution(
         &self,
         threads: &[flexiq_telemetry::ThreadSpans],
@@ -622,7 +639,8 @@ impl MetricsHub {
 /// [`MetricsHub::level_attribution`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LevelAttribution {
-    /// Runtime ratio level (`usize::MAX` = pure INT8).
+    /// Runtime level ([`flexiq_core::runtime::LEVEL_INT8`] or a
+    /// schedule index).
     pub level: usize,
     /// Summed graph-node span time at this level, nanoseconds.
     pub node_ns: u64,
@@ -683,6 +701,22 @@ pub struct Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Observation;
+    use flexiq_core::runtime::LEVEL_INT8;
+
+    /// A level decision made on an over-target window while `Degraded`.
+    fn decision(level: usize) -> Decision {
+        Decision {
+            level: Some(level),
+            state: Some(ServeState::Degraded),
+            observed: Observation {
+                window: Some((32, 0.25)),
+                depth_frac: 0.9,
+                expired_delta: 0,
+                state: ServeState::Ready,
+            },
+        }
+    }
 
     #[test]
     fn histogram_percentiles_bracket_known_distribution() {
@@ -770,7 +804,7 @@ mod tests {
         m.on_batch(4);
         let now = Instant::now();
         m.on_completed(now, Duration::from_millis(5), Duration::from_millis(1));
-        m.on_level_switch(2);
+        m.on_level_switch(&decision(2));
         m.set_queue_depth(7);
         let s = m.snapshot();
         assert_eq!(s.submitted, 2);
@@ -781,7 +815,9 @@ mod tests {
         assert_eq!(s.mean_batch, 4.0);
         assert_eq!(s.queue_depth, 7);
         assert_eq!(s.level_switches, 1);
-        assert_eq!(m.level_trace()[0].level, 2);
+        let sw = m.level_trace()[0];
+        assert_eq!((sw.level, sw.samples, sw.percentile_s), (2, 32, 0.25));
+        assert_eq!(sw.state, ServeState::Degraded, "the post-ladder state");
         assert!(s.p50_s > 0.0);
     }
 
@@ -791,7 +827,7 @@ mod tests {
         let m = MetricsHub::new(Duration::from_secs(1));
         let t0 = m.started_tel_ns;
         std::thread::sleep(Duration::from_millis(2));
-        m.on_level_switch(3);
+        m.on_level_switch(&decision(LEVEL_INT8));
         let switch_ns = t0 + (m.level_trace()[0].at_s * 1e9) as u64;
         let node = |start_ns: u64, dur_ns: u64| tel::SpanEvent {
             name: "node",
@@ -817,9 +853,9 @@ mod tests {
         let attr = m.level_attribution(&threads, 7);
         assert_eq!(attr.len(), 2);
         let at7 = attr.iter().find(|a| a.level == 7).unwrap();
-        let at3 = attr.iter().find(|a| a.level == 3).unwrap();
+        let int8 = attr.iter().find(|a| a.level == LEVEL_INT8).unwrap();
         assert_eq!((at7.node_ns, at7.spans), (150, 2));
-        assert_eq!((at3.node_ns, at3.spans), (500, 2));
+        assert_eq!((int8.node_ns, int8.spans), (500, 2), "runtime encoding");
     }
 
     #[test]
@@ -881,7 +917,7 @@ mod tests {
             panic!("die holding the trace lock");
         });
         assert!(t.join().is_err());
-        m.on_level_switch(1);
+        m.on_level_switch(&decision(1));
         assert_eq!(m.level_trace().len(), 1);
     }
 

@@ -64,6 +64,25 @@ fn len_class(len: usize) -> u32 {
     usize::BITS - len.max(1).leading_zeros()
 }
 
+/// Moves the requests `admit(anchor, candidate)` lets join the batch
+/// anchored by `batch[0]` out of `deque`, in queue order, until the
+/// batch holds `max_batch`; the rest stay queued in order.
+fn fill<T>(
+    batch: &mut Vec<T>,
+    deque: &mut VecDeque<T>,
+    max_batch: usize,
+    admit: impl Fn(&T, &T) -> bool,
+) {
+    let mut i = 0;
+    while batch.len() < max_batch && i < deque.len() {
+        if admit(&batch[0], &deque[i]) {
+            batch.push(deque.remove(i).expect("indexed request"));
+        } else {
+            i += 1;
+        }
+    }
+}
+
 impl<T> AdmissionQueue<T> {
     /// Creates a queue holding at most `capacity` requests.
     pub fn new(capacity: usize) -> Self {
@@ -145,21 +164,14 @@ impl<T> AdmissionQueue<T> {
         max_batch: usize,
         len_of: impl Fn(&T) -> Option<usize>,
     ) -> (Vec<T>, usize) {
-        let class = |r: &T| len_of(r).map(len_class);
         let mut inner = lock_clean(&self.inner);
         let mut batch = Vec::new();
         if max_batch > 0 {
             if let Some(first) = inner.deque.pop_front() {
                 batch.push(first);
-                let mut i = 0;
-                while batch.len() < max_batch && i < inner.deque.len() {
-                    if class(&batch[0]) == class(&inner.deque[i]) {
-                        let r = inner.deque.remove(i).expect("indexed request");
-                        batch.push(r);
-                    } else {
-                        i += 1;
-                    }
-                }
+                fill(&mut batch, &mut inner.deque, max_batch, |anchor, cand| {
+                    len_of(anchor).map(len_class) == len_of(cand).map(len_class)
+                });
             }
         }
         let depth = inner.deque.len();
@@ -180,20 +192,10 @@ impl<T> AdmissionQueue<T> {
             if let Some(first) = inner.deque.pop_front() {
                 let mut batch = Vec::with_capacity(max_batch);
                 batch.push(first);
-                // Phase 2: fill until full or the batching window closes,
-                // taking admissible requests in queue order and leaving
-                // the rest queued in order.
+                // Phase 2: fill until full or the batching window closes.
                 let t0 = Instant::now();
                 loop {
-                    let mut i = 0;
-                    while batch.len() < max_batch && i < inner.deque.len() {
-                        if admit(&batch[0], &inner.deque[i]) {
-                            let r = inner.deque.remove(i).expect("indexed request");
-                            batch.push(r);
-                        } else {
-                            i += 1;
-                        }
-                    }
+                    fill(&mut batch, &mut inner.deque, max_batch, &admit);
                     if batch.len() >= max_batch || inner.closed {
                         return Some((batch, inner.deque.len()));
                     }

@@ -6,28 +6,21 @@
 //!     │                                                ▼
 //!     ◄───────────── Ticket ◄──────────────── reply channels
 //!
-//!  control loop:  MetricsHub.window ──► Controller ──► set_level
-//!  supervisor:    reap dead workers ──► respawn; queue pressure ──► brownout ladder
+//!  supervisor:  reap dead workers ──► respawn
+//!               MetricsHub + queue depth ──► Policy::tick ──► set_level / serve state
 //! ```
 //!
-//! The control loop is the live realization of §8.3: instead of flipping
-//! the level from an offline latency profile, it reads the measured
-//! sliding-window percentile and calls [`FlexiRuntime::set_level`] —
-//! exactly the one-atomic-store switch the runtime was designed around —
-//! while inference threads keep executing.
-//!
-//! # Supervision & degradation
-//!
-//! A dedicated `flexiq-supervise` thread ticks every
-//! [`ServeConfig::supervise_tick`]: it reaps worker threads that died
-//! (an escaped panic, or the injected
+//! One `flexiq-supervise` thread is the whole control plane. Every
+//! [`ServeConfig::supervise_tick`] it reaps worker threads that died (an
+//! escaped panic, or the injected
 //! [`crate::fault::FaultSite::WorkerDeath`]) and respawns identical
-//! replacements from a kept [`WorkerContext`], and it drives the
-//! [`Brownout`] ladder from queue pressure — forcing the precision
-//! controller to the cheapest level (via
-//! [`crate::controller::BrownoutGuard`]) before shedding load with fast
-//! typed rejections. [`Server::health`], [`Server::drain`] and
-//! [`Server::resume`] expose the operator surface.
+//! replacements from a kept [`WorkerContext`], samples the hub into an
+//! [`Observation`], ticks the pure [`Policy`] (see [`crate::policy`] for
+//! what it decides and why) and applies the outcome:
+//! [`FlexiRuntime::set_level`] — the one-atomic-store switch the runtime
+//! was designed around, flipped while inference threads keep executing
+//! — and the serve state the submit path gates on. [`Server::health`],
+//! [`Server::drain`] and [`Server::resume`] expose the operator surface.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -36,37 +29,16 @@ use std::time::{Duration, Instant};
 
 use flexiq_core::runtime::LEVEL_INT8;
 use flexiq_core::FlexiRuntime;
-use flexiq_serving::Controller;
 use flexiq_tensor::Tensor;
 
-use crate::brownout::{Brownout, BrownoutConfig, Pressure, ServeState};
 use crate::config::ServeConfig;
-use crate::controller::{BrownoutGuard, MeasuredController};
 use crate::error::{Result, ServeError};
 use crate::fault;
 use crate::metrics::{MetricsHub, Snapshot};
+use crate::policy::{Observation, Policy, ServeState};
 use crate::queue::{lock_clean, AdmissionQueue};
 use crate::request::{QueuedRequest, Ticket};
-use crate::worker::{spawn_workers, WorkerContext};
-
-/// Maps a controller-space level (0 = pure INT8, `k` = schedule level
-/// `k-1`) onto the runtime's level encoding.
-pub fn to_runtime_level(controller_level: usize) -> usize {
-    if controller_level == 0 {
-        LEVEL_INT8
-    } else {
-        controller_level - 1
-    }
-}
-
-/// Inverse of [`to_runtime_level`].
-pub fn from_runtime_level(runtime_level: usize) -> usize {
-    if runtime_level == LEVEL_INT8 {
-        0
-    } else {
-        runtime_level + 1
-    }
-}
+use crate::worker::WorkerContext;
 
 /// A point-in-time liveness/readiness report (see [`Server::health`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -86,12 +58,16 @@ pub struct Health {
     pub worker_respawns: u64,
     /// Total brownout sheds so far.
     pub shed: u64,
-    /// Current precision level (controller space: 0 = INT8).
+    /// Current precision level, runtime encoding ([`LEVEL_INT8`] or a
+    /// schedule index).
     pub level: usize,
     /// Round-trip of a trivial job through the shared intra-batch pool
     /// (a liveness probe for the compute substrate).
     pub pool_ping: Duration,
 }
+
+/// Worker join handles by slot; the supervisor reaps and refills them.
+type WorkerSlots = Arc<Mutex<Vec<Option<JoinHandle<()>>>>>;
 
 /// A running threaded batching inference server.
 pub struct Server {
@@ -99,61 +75,37 @@ pub struct Server {
     queue: Arc<AdmissionQueue>,
     metrics: Arc<MetricsHub>,
     runtime: Arc<FlexiRuntime>,
-    workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
+    workers: WorkerSlots,
     supervisor: Option<JoinHandle<()>>,
-    control: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     next_id: AtomicU64,
     pool: Arc<flexiq_parallel::ThreadPool>,
 }
 
 impl Server {
-    /// Starts a server with the hub-backed measured-latency controller.
+    /// Starts a server whose [`Policy`] adapts the level to the
+    /// measured latency window ([`ServeConfig::control`]).
     pub fn start_adaptive(runtime: Arc<FlexiRuntime>, cfg: ServeConfig) -> Result<Server> {
-        cfg.validate()?;
-        let metrics = Arc::new(MetricsHub::new(cfg.control.window));
-        let controller =
-            MeasuredController::new(Arc::clone(&metrics), &cfg.control, runtime.num_levels());
-        Self::start_inner(runtime, cfg, metrics, Some(Box::new(controller)))
+        Self::start(runtime, cfg, true)
     }
 
-    /// Starts a server driven by any [`Controller`] — e.g. the
-    /// simulator's [`flexiq_serving::FixedLevel`] baseline or its
-    /// profile-driven adaptive policy. The controller's level space is
-    /// `0 = INT8, k = schedule level k-1`; outputs are clamped to the
-    /// runtime's schedule.
-    pub fn start_with_controller(
-        runtime: Arc<FlexiRuntime>,
-        cfg: ServeConfig,
-        controller: Box<dyn Controller + Send>,
-    ) -> Result<Server> {
-        cfg.validate()?;
-        let metrics = Arc::new(MetricsHub::new(cfg.control.window));
-        Self::start_inner(runtime, cfg, metrics, Some(controller))
-    }
-
-    /// Starts a server with no control loop: the level is whatever the
-    /// caller sets on the runtime (useful for fixed-level baselines and
-    /// benches with zero controller overhead).
+    /// Starts a server that never decides a level: it is whatever the
+    /// caller sets on the runtime (fixed-level baselines and benches).
+    /// Supervision and the brownout ladder's states still run.
     pub fn start_fixed(runtime: Arc<FlexiRuntime>, cfg: ServeConfig) -> Result<Server> {
-        cfg.validate()?;
-        let metrics = Arc::new(MetricsHub::new(cfg.control.window));
-        Self::start_inner(runtime, cfg, metrics, None)
+        Self::start(runtime, cfg, false)
     }
 
-    fn start_inner(
-        runtime: Arc<FlexiRuntime>,
-        cfg: ServeConfig,
-        metrics: Arc<MetricsHub>,
-        controller: Option<Box<dyn Controller + Send>>,
-    ) -> Result<Server> {
+    fn start(runtime: Arc<FlexiRuntime>, cfg: ServeConfig, adaptive: bool) -> Result<Server> {
+        cfg.validate()?;
+        let metrics = Arc::new(MetricsHub::new(cfg.control.window));
         // Prepack every controller-reachable level's weight bands before
         // any worker accepts a request: the adaptive controller can then
         // switch levels without a packing latency spike, and the first
         // request runs the same steady-state path as the thousandth.
         runtime
             .prewarm_levels()
-            .map_err(|e| crate::error::ServeError::Config(e.to_string()))?;
+            .map_err(|e| ServeError::Config(e.to_string()))?;
         let queue = Arc::new(AdmissionQueue::new(cfg.queue_capacity));
         // One shared intra-batch pool for the whole worker fleet (see
         // `ServeConfig::pool_threads` for the sizing rule). Helpers
@@ -178,49 +130,29 @@ impl Server {
             max_batch: cfg.max_batch,
             batch_timeout: cfg.batch_timeout,
             pool: Arc::clone(&pool),
-            policy: crate::worker::DispatchPolicy::from_config(&cfg),
         };
-        let workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>> = Arc::new(Mutex::new(
-            spawn_workers(&ctx, cfg.workers)
-                .into_iter()
-                .map(Some)
-                .collect(),
+        let workers: WorkerSlots = Arc::new(Mutex::new(
+            (0..cfg.workers).map(|i| Some(ctx.spawn(i))).collect(),
         ));
         let stop = Arc::new(AtomicBool::new(false));
+        let policy = Policy::new(
+            adaptive.then_some(&cfg.control),
+            cfg.brownout.clone(),
+            runtime.num_levels(),
+            runtime.cheapest_level().unwrap_or(LEVEL_INT8),
+            // The runtime's actual level — the caller may have set one
+            // before starting the server, and assuming INT8 here would
+            // leave it in place, uncorrected, for as long as the policy
+            // keeps wanting INT8.
+            runtime.level(),
+        );
         let supervisor = Some(spawn_supervisor(
             ctx,
+            policy,
             Arc::clone(&workers),
             Arc::clone(&stop),
-            cfg.supervise_tick,
-            cfg.brownout.clone(),
-            cfg.queue_capacity,
+            &cfg,
         ));
-        // Brownout must outrank whatever precision policy is installed:
-        // wrap the controller so a browned-out server runs the cheapest
-        // rung no matter what the inner policy wants.
-        let controller = controller.map(|ctl| {
-            if cfg.brownout.enabled {
-                // The brownout target is the schedule's cheapest rung
-                // (largest 4-bit ratio), expressed in controller space.
-                let cheapest = runtime
-                    .cheapest_level()
-                    .map(from_runtime_level)
-                    .unwrap_or(0);
-                Box::new(BrownoutGuard::new(ctl, Arc::clone(&metrics), cheapest))
-                    as Box<dyn Controller + Send>
-            } else {
-                ctl
-            }
-        });
-        let control = controller.map(|ctl| {
-            spawn_control_loop(
-                ctl,
-                Arc::clone(&runtime),
-                Arc::clone(&metrics),
-                Arc::clone(&stop),
-                cfg.control.tick,
-            )
-        });
         Ok(Server {
             cfg,
             queue,
@@ -228,7 +160,6 @@ impl Server {
             runtime,
             workers,
             supervisor,
-            control,
             stop,
             next_id: AtomicU64::new(0),
             pool,
@@ -345,7 +276,7 @@ impl Server {
             workers_alive,
             worker_respawns: snap.worker_respawns,
             shed: snap.shed,
-            level: from_runtime_level(self.runtime.level()),
+            level: self.runtime.level(),
             pool_ping: self.pool.ping(),
         }
     }
@@ -375,7 +306,18 @@ impl Server {
 
     /// Stops admission, drains queued work, joins every thread, and
     /// returns the final metrics snapshot.
-    pub fn shutdown(mut self) -> Snapshot {
+    pub fn shutdown(self) -> Snapshot {
+        let metrics = Arc::clone(&self.metrics);
+        drop(self);
+        metrics.snapshot()
+    }
+}
+
+/// The stop path: a server dropped without [`Server::shutdown`] (an
+/// early `?`, a panicking test) must not leak workers blocked on the
+/// queue, a ticking supervisor or an armed fault plan.
+impl Drop for Server {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         // Join the supervisor before closing the queue so it cannot
         // respawn a worker that would outlive the drain.
@@ -383,23 +325,16 @@ impl Server {
             let _ = s.join();
         }
         self.queue.close();
-        {
-            let mut slots = lock_clean(&self.workers);
-            for w in slots.iter_mut() {
-                if let Some(h) = w.take() {
-                    let _ = h.join();
-                }
+        for w in lock_clean(&self.workers).iter_mut() {
+            if let Some(h) = w.take() {
+                let _ = h.join();
             }
-        }
-        if let Some(c) = self.control.take() {
-            let _ = c.join();
         }
         // This server armed the global fault plan: disarm on the way
         // out so the process does not keep injecting after shutdown.
         if self.cfg.fault.is_some() {
             fault::disarm();
         }
-        self.metrics.snapshot()
     }
 }
 
@@ -423,69 +358,25 @@ fn trace_id_for(id: u64, rate: f64) -> u64 {
     }
 }
 
-fn spawn_control_loop(
-    controller: Box<dyn Controller + Send>,
-    runtime: Arc<FlexiRuntime>,
-    metrics: Arc<MetricsHub>,
-    stop: Arc<AtomicBool>,
-    tick: Duration,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("flexiq-control".into())
-        .spawn(move || {
-            let mut controller = controller;
-            let mut last_offered = 0u64;
-            let mut last_tick = Instant::now();
-            // Read the runtime's actual level — the caller may have set
-            // one before starting the server, and assuming INT8 here
-            // would leave that level in place, uncorrected, for as long
-            // as the controller keeps returning it.
-            let mut current = from_runtime_level(runtime.level());
-            while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(tick);
-                let now = Instant::now();
-                let dt = now.duration_since(last_tick).as_secs_f64().max(1e-9);
-                last_tick = now;
-                let snap = metrics.snapshot();
-                // Offered rate = admissions + rejections: a rate-driven
-                // controller (e.g. the simulator's profile-based policy)
-                // must see the overload, not just what the bounded queue
-                // let through.
-                let offered = snap.submitted + snap.rejected;
-                let rate = (offered.saturating_sub(last_offered)) as f64 / dt;
-                last_offered = offered;
-                let max = runtime.num_levels();
-                let level = controller.level(metrics.uptime_s(), rate).min(max);
-                if level != current && runtime.set_level(to_runtime_level(level)).is_ok() {
-                    metrics.on_level_switch(level);
-                    current = level;
-                }
-            }
-        })
-        .expect("spawn control thread")
-}
-
-/// The supervision loop: respawn-dead-workers + brownout ladder.
+/// The supervision loop: respawn dead workers, then tick the [`Policy`].
 ///
 /// Worker slots are reaped with `is_finished` (never a blocking join on
-/// a live thread) and replaced from the kept [`WorkerContext`] — the
-/// replacement drains the same queue with the same policy, so a worker
-/// death costs at most one batch (answered as `ReplyDropped` through
-/// the dropped reply channels). Brownout pressure is sampled here too:
-/// queue fullness plus the deadline-miss delta since the last tick.
+/// a live thread); the replacement drains the same queue, so a worker
+/// death costs at most one batch (answered as `ReplyDropped` through the
+/// dropped reply channels).
 fn spawn_supervisor(
     ctx: WorkerContext,
-    workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
+    mut policy: Policy,
+    workers: WorkerSlots,
     stop: Arc<AtomicBool>,
-    tick: Duration,
-    brownout_cfg: BrownoutConfig,
-    queue_capacity: usize,
+    cfg: &ServeConfig,
 ) -> JoinHandle<()> {
+    let (tick, percentile) = (cfg.supervise_tick, cfg.control.percentile);
+    let queue_capacity = cfg.queue_capacity as f64;
     std::thread::Builder::new()
         .name("flexiq-supervise".into())
         .spawn(move || {
-            let metrics = Arc::clone(&ctx.metrics);
-            let mut ladder = Brownout::new(brownout_cfg);
+            let metrics = &ctx.metrics;
             let mut last_expired = metrics.expired();
             while !stop.load(Ordering::Acquire) {
                 std::thread::sleep(tick);
@@ -503,14 +394,24 @@ fn spawn_supervisor(
                         }
                     }
                 }
+                let now_s = metrics.uptime_s();
                 let expired = metrics.expired();
-                let pressure = Pressure {
-                    depth_frac: ctx.queue.depth() as f64 / queue_capacity.max(1) as f64,
+                let window = || metrics.window.percentile_s(Instant::now(), percentile);
+                let obs = Observation {
+                    window: policy.level_due(now_s).then(window).flatten(),
+                    depth_frac: ctx.queue.depth() as f64 / queue_capacity,
                     expired_delta: expired - last_expired,
+                    state: metrics.serve_state(),
                 };
                 last_expired = expired;
-                if let Some(next) = ladder.tick(metrics.serve_state(), pressure) {
+                let decision = policy.tick(now_s, obs);
+                if let Some(next) = decision.state {
                     metrics.set_serve_state(next);
+                }
+                if let Some(level) = decision.level {
+                    if ctx.runtime.set_level(level).is_ok() {
+                        metrics.on_level_switch(&decision);
+                    }
                 }
             }
         })
@@ -521,7 +422,6 @@ fn spawn_supervisor(
 mod tests {
     use super::*;
     use crate::worker::tests::tiny_runtime;
-    use flexiq_serving::FixedLevel;
 
     #[test]
     fn serves_requests_end_to_end_with_real_inference() {
@@ -553,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn fixed_controller_pins_the_level() {
+    fn start_fixed_never_switches_the_level() {
         let (rt, inputs) = tiny_runtime();
         let cfg = ServeConfig {
             workers: 1,
@@ -563,22 +463,49 @@ mod tests {
             },
             ..Default::default()
         };
-        let max = rt.num_levels();
-        let server =
-            Server::start_with_controller(Arc::clone(&rt), cfg, Box::new(FixedLevel(max))).unwrap();
-        // Give the control loop a tick to act, then serve.
+        let top = rt.num_levels() - 1;
+        rt.set_level(top).unwrap();
+        let server = Server::start_fixed(Arc::clone(&rt), cfg).unwrap();
+        // Twenty control ticks in which an adaptive server would have
+        // pulled the idle runtime back to INT8.
         std::thread::sleep(Duration::from_millis(20));
-        let r = server.submit(inputs[0].clone()).unwrap().wait().unwrap();
-        assert_eq!(
-            r.level,
-            max - 1,
-            "batch must run at the pinned top schedule level"
-        );
-        let snap = server.shutdown();
-        assert_eq!(
-            snap.level_switches, 1,
-            "exactly one switch: INT8 → pinned level"
-        );
+        for x in &inputs {
+            let r = server.submit(x.clone()).unwrap().wait().unwrap();
+            assert_eq!(r.level, top, "must run at the level the caller set");
+        }
+        assert_eq!(server.health().level, top);
+        assert_eq!(server.shutdown().level_switches, 0);
+    }
+
+    #[test]
+    fn adaptive_server_speaks_runtime_levels_and_stops_on_drop() {
+        let (rt, _) = tiny_runtime();
+        let cfg = ServeConfig {
+            workers: 2,
+            control: crate::config::ControlConfig {
+                tick: Duration::from_millis(1),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        // The caller left schedule level 0 set; the idle policy wants
+        // INT8 and must say so in the runtime's encoding.
+        rt.set_level(0).unwrap();
+        let server = Server::start_adaptive(Arc::clone(&rt), cfg).unwrap();
+        let t0 = Instant::now();
+        while server.metrics().level_trace().is_empty() && t0.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let trace = server.metrics().level_trace();
+        assert_eq!(trace.len(), 1, "one switch: preset level → INT8");
+        assert_eq!(trace[0].level, LEVEL_INT8);
+        assert_eq!((trace[0].samples, trace[0].state), (0, ServeState::Ready));
+        assert_eq!(server.health().level, LEVEL_INT8);
+        assert_eq!(rt.level(), LEVEL_INT8);
+        // Dropped without shutdown(): workers and supervisor must stop
+        // and release the runtime.
+        drop(server);
+        assert_eq!(Arc::strong_count(&rt), 1, "a service thread outlived drop");
     }
 
     #[test]
@@ -786,7 +713,7 @@ mod tests {
         let cfg = ServeConfig {
             workers: 1,
             // Pin the state for the assertion: no ladder ticks.
-            brownout: crate::brownout::BrownoutConfig {
+            brownout: crate::policy::BrownoutConfig {
                 enabled: false,
                 ..Default::default()
             },

@@ -29,8 +29,8 @@
 //! group, regardless of how many distinct lengths it contains. The mask
 //! invariant guarantees every response is bit-exact with unpadded
 //! inference, so bucketing only buys throughput; the
-//! [`crate::ServeConfig::max_padding_waste`] cap bounds how much padded
-//! compute a merged group may carry. Non-token inputs (CNN/ViT images)
+//! `MAX_PADDING_WASTE` cap bounds how much padded compute a merged group
+//! may carry. Non-token inputs (CNN/ViT images)
 //! keep the exact-shape grouping.
 //!
 //! **Intra-batch parallelism:** every worker installs the server's one
@@ -73,33 +73,19 @@ use flexiq_parallel::ThreadPool;
 use flexiq_telemetry as tel;
 
 use crate::bucket::plan_buckets;
-use crate::config::ServeConfig;
 use crate::error::{Result, ServeError};
 use crate::fault::{self, FaultSite};
 use crate::metrics::MetricsHub;
 use crate::queue::AdmissionQueue;
 use crate::request::{InferResponse, QueuedRequest, RequestId};
 
-/// How a worker maps one dispatched batch onto stacked passes (the
-/// dispatch-relevant slice of [`ServeConfig`]).
-#[derive(Debug, Clone, Copy)]
-pub struct DispatchPolicy {
-    /// Padding-waste cap for bucket merging (see [`crate::bucket`]).
-    pub max_padding_waste: f64,
-    /// Reject non-finite inputs before stacking (see
-    /// [`ServeConfig::validate_inputs`]).
-    pub validate_inputs: bool,
-}
-
-impl DispatchPolicy {
-    /// Extracts the dispatch policy from a server configuration.
-    pub fn from_config(cfg: &ServeConfig) -> Self {
-        DispatchPolicy {
-            max_padding_waste: cfg.max_padding_waste,
-            validate_inputs: cfg.validate_inputs,
-        }
-    }
-}
+/// Padding-waste cap for bucket merging: underfilled length buckets
+/// merge into the next larger one while the merged group's fraction of
+/// padded positions stays at or below this (see
+/// [`crate::bucket::plan_buckets`]) — i.e. while the group still
+/// computes more real than pad positions.
+const MAX_PADDING_WASTE: f64 = 0.5;
+const _: () = assert!(0.0 <= MAX_PADDING_WASTE && MAX_PADDING_WASTE < 1.0);
 
 type ReplyMeta = (RequestId, Instant, mpsc::Sender<Result<InferResponse>>);
 
@@ -194,42 +180,30 @@ fn guarded_pass(
 ///
 /// Expired requests are answered with [`ServeError::DeadlineExpired`]
 /// and counted — never silently dropped — and are filtered out *before*
-/// stacking, so they cost no model time. Token-sequence requests are
-/// dispatched through the length-bucketed padded path when the policy
-/// enables it; everything else is grouped by exact input shape, one
+/// stacking, so they cost no model time — and so are requests whose
+/// input holds a non-finite value ([`ServeError::PoisonedInput`]).
+/// Token-sequence requests are dispatched through the length-bucketed
+/// padded path; everything else is grouped by exact input shape, one
 /// stacked pass per shape class. Every stacked pass reads the ratio
 /// level once, so each response's reported level is authoritative.
-pub fn run_batch(
-    runtime: &FlexiRuntime,
-    metrics: &MetricsHub,
-    batch: Vec<QueuedRequest>,
-    policy: DispatchPolicy,
-) {
+pub fn run_batch(runtime: &FlexiRuntime, metrics: &MetricsHub, batch: Vec<QueuedRequest>) {
     let size = batch.len();
     metrics.on_batch(size);
     let dispatched = Instant::now();
     let mut live: Vec<QueuedRequest> = Vec::with_capacity(size);
-    for req in batch {
-        if req.expired(dispatched) {
-            metrics.on_expired();
-            let _ = req.reply.send(Err(ServeError::DeadlineExpired));
-        } else {
-            live.push(req);
-        }
-    }
     // Stacked passes share activation-quantization statistics, so one
     // NaN/Inf sample would corrupt every co-batched output: reject
     // poisoned inputs with a typed answer before stacking (the scan is
     // one pass over the input — noise next to the model pass).
-    if policy.validate_inputs {
-        let checked = std::mem::take(&mut live);
-        for req in checked {
-            if req.input.data().iter().all(|v| v.is_finite()) {
-                live.push(req);
-            } else {
-                metrics.on_poisoned();
-                let _ = req.reply.send(Err(ServeError::PoisonedInput));
-            }
+    for req in batch {
+        if req.expired(dispatched) {
+            metrics.on_expired();
+            let _ = req.reply.send(Err(ServeError::DeadlineExpired));
+        } else if !req.input.data().iter().all(|v| v.is_finite()) {
+            metrics.on_poisoned();
+            let _ = req.reply.send(Err(ServeError::PoisonedInput));
+        } else {
+            live.push(req);
         }
     }
     // Every request can expire before dispatch (a stalled queue, a tight
@@ -244,7 +218,7 @@ pub fn run_batch(
     // global telemetry is off).
     let trace = live.iter().map(|r| r.trace).find(|&t| t != 0).unwrap_or(0);
     tel::with_trace(trace, || {
-        run_batch_traced(runtime, metrics, live, policy, size, dispatched)
+        run_batch_traced(runtime, metrics, live, size, dispatched)
     });
 }
 
@@ -254,7 +228,6 @@ fn run_batch_traced(
     runtime: &FlexiRuntime,
     metrics: &MetricsHub,
     mut live: Vec<QueuedRequest>,
-    policy: DispatchPolicy,
     size: usize,
     dispatched: Instant,
 ) {
@@ -266,7 +239,7 @@ fn run_batch_traced(
         let lens: Vec<usize> = tokens.iter().map(|r| r.input.numel()).collect();
         let mut slots: Vec<Option<QueuedRequest>> = tokens.into_iter().map(Some).collect();
         let plan_span = tel::span("bucket_plan", tel::Cat::Serve);
-        let groups = plan_buckets(&lens, policy.max_padding_waste);
+        let groups = plan_buckets(&lens, MAX_PADDING_WASTE);
         drop(plan_span);
         for group in groups {
             // Move the inputs out of the requests (no clone on the hot
@@ -355,8 +328,6 @@ pub struct WorkerContext {
     pub batch_timeout: Duration,
     /// The one shared intra-batch thread pool.
     pub pool: Arc<ThreadPool>,
-    /// Dispatch policy.
-    pub policy: DispatchPolicy,
 }
 
 impl WorkerContext {
@@ -369,7 +340,6 @@ impl WorkerContext {
         let metrics = Arc::clone(&self.metrics);
         let pool = Arc::clone(&self.pool);
         let (max_batch, batch_timeout) = (self.max_batch, self.batch_timeout);
-        let policy = self.policy;
         std::thread::Builder::new()
             .name(format!("flexiq-worker-{i}"))
             .spawn(move || {
@@ -391,18 +361,11 @@ impl WorkerContext {
                     // One shared pool across all workers: the
                     // stacked pass underneath parallelizes inside
                     // it (unless the runtime pinned its own pool).
-                    flexiq_parallel::with_pool(&pool, || {
-                        run_batch(&runtime, &metrics, batch, policy)
-                    });
+                    flexiq_parallel::with_pool(&pool, || run_batch(&runtime, &metrics, batch));
                 }
             })
             .expect("spawn worker thread")
     }
-}
-
-/// Spawns `workers` threads via [`WorkerContext::spawn`].
-pub fn spawn_workers(ctx: &WorkerContext, workers: usize) -> Vec<JoinHandle<()>> {
-    (0..workers).map(|i| ctx.spawn(i)).collect()
 }
 
 #[cfg(test)]
@@ -439,10 +402,6 @@ pub(crate) mod tests {
         (Arc::new(prepared.runtime), seqs)
     }
 
-    pub(crate) fn policy() -> DispatchPolicy {
-        DispatchPolicy::from_config(&ServeConfig::default())
-    }
-
     #[test]
     fn batch_execution_answers_every_request() {
         let (rt, inputs) = tiny_runtime();
@@ -463,7 +422,7 @@ pub(crate) mod tests {
             });
             tickets.push(Ticket { id: i as u64, rx });
         }
-        run_batch(&rt, &metrics, batch, policy());
+        run_batch(&rt, &metrics, batch);
         let r0 = tickets.remove(0).wait().unwrap();
         assert_eq!(r0.batch_size, 3);
         assert!(r0.output.data().iter().all(|v| v.is_finite()));
@@ -498,7 +457,7 @@ pub(crate) mod tests {
             });
             tickets.push(Ticket { id: i as u64, rx });
         }
-        run_batch(&rt, &metrics, batch, policy());
+        run_batch(&rt, &metrics, batch);
         for t in tickets {
             assert_eq!(t.wait().unwrap_err(), ServeError::DeadlineExpired);
         }
@@ -532,7 +491,7 @@ pub(crate) mod tests {
             });
             tickets.push(Ticket { id: i as u64, rx });
         }
-        run_batch(&rt, &metrics, batch, policy());
+        run_batch(&rt, &metrics, batch);
         for (i, (t, x)) in tickets.into_iter().zip(inputs.iter()).enumerate() {
             let resp = t.wait().unwrap();
             assert_eq!(resp.level, 0, "batch must report the dispatch level");
@@ -616,7 +575,7 @@ pub(crate) mod tests {
         let (r0, t0) = mk(0, inputs[0].clone());
         let (r1, t1) = mk(1, poisoned);
         let (r2, t2) = mk(2, inputs[2].clone());
-        run_batch(&rt, &metrics, vec![r0, r1, r2], policy());
+        run_batch(&rt, &metrics, vec![r0, r1, r2]);
         assert_eq!(t1.wait().unwrap_err(), ServeError::PoisonedInput);
         for (t, x) in [(t0, &inputs[0]), (t2, &inputs[2])] {
             let resp = t.wait().unwrap();
@@ -628,19 +587,6 @@ pub(crate) mod tests {
         let s = metrics.snapshot();
         assert_eq!((s.poisoned, s.completed), (1, 2));
         assert_eq!(s.inflight, 0, "poisoned answer must deflate in-flight");
-        // With validation off the same batch flows to the model
-        // unchecked (the operator's explicit choice).
-        let off = DispatchPolicy {
-            validate_inputs: false,
-            ..policy()
-        };
-        let mut bad = inputs[1].clone();
-        bad.data_mut()[0] = f32::INFINITY;
-        let (r, t) = mk(3, bad);
-        run_batch(&rt, &metrics, vec![r], off);
-        // The pass itself may produce non-finite output; the point is
-        // the request reaches the model instead of being screened.
-        assert!(!matches!(t.wait(), Err(ServeError::PoisonedInput)));
     }
 
     #[test]
@@ -668,7 +614,7 @@ pub(crate) mod tests {
         let (r0, t0) = mk(0, inputs[0].clone());
         let (r1, t1) = mk(1, flexiq_tensor::Tensor::zeros([1, 2, 2]));
         let (r2, t2) = mk(2, inputs[1].clone());
-        run_batch(&rt, &metrics, vec![r0, r1, r2], policy());
+        run_batch(&rt, &metrics, vec![r0, r1, r2]);
         assert!(t0.wait().is_ok());
         assert!(matches!(t1.wait().unwrap_err(), ServeError::Nn(_)));
         assert!(t2.wait().is_ok());
@@ -704,7 +650,7 @@ pub(crate) mod tests {
             });
             tickets.push(Ticket { id: i as u64, rx });
         }
-        run_batch(&rt, &metrics, batch, policy());
+        run_batch(&rt, &metrics, batch);
         for (i, (t, x)) in tickets.into_iter().zip(inputs.iter()).enumerate() {
             let resp = t.wait().unwrap();
             assert_eq!(resp.level, 0);
@@ -716,7 +662,7 @@ pub(crate) mod tests {
         }
         // With the default 0.5 cap on these lengths the dispatch needs
         // strictly fewer stacked passes than distinct lengths.
-        let groups = plan_buckets(&lens, policy().max_padding_waste);
+        let groups = plan_buckets(&lens, MAX_PADDING_WASTE);
         let distinct: std::collections::BTreeSet<usize> = lens.iter().copied().collect();
         assert!(groups.len() < distinct.len());
     }
@@ -750,7 +696,7 @@ pub(crate) mod tests {
             });
             tickets.push(Ticket { id: i as u64, rx });
         }
-        run_batch(&rt, &metrics, batch, policy());
+        run_batch(&rt, &metrics, batch);
         for (i, (t, x)) in tickets.into_iter().zip(inputs.iter()).enumerate() {
             if i == 1 {
                 assert!(matches!(t.wait().unwrap_err(), ServeError::Nn(_)));

@@ -12,7 +12,7 @@
 //! # Simulated vs. live serving
 //!
 //! This crate and `flexiq-serve` are the two halves of the serving
-//! story and deliberately share the [`Controller`] trait:
+//! story:
 //!
 //! * **`flexiq-serving` (this crate) — simulation.** Time is virtual,
 //!   service times come from a cost model ([`sim::ServiceModel`]), and a
@@ -28,13 +28,12 @@
 //!   and level switches behave as the simulator predicted, on your
 //!   hardware.
 //!
-//! A policy tuned in the simulator drops into the live server unchanged
-//! through `Server::start_with_controller` — the simulator's
-//! [`FixedLevel`] and profile-driven [`AdaptiveController`] both
-//! implement the shared trait. The live crate's measured controller has
-//! no simulator counterpart because its input — measured latency — only
-//! exists there; the end-to-end benchmark's `vit_burst` workload is
-//! where it is measured.
+//! The two crates share no code: [`FixedLevel`] and the profile-driven
+//! [`AdaptiveController`] drive `exp_fig08/09` and
+//! `examples/adaptive_serving.rs`, while the live control plane is
+//! `flexiq_serve::Policy`, whose input — measured latency — only exists
+//! there. The planned link runs from that crate to this one: the
+//! simulator replaying `Policy` under virtual time (ROADMAP item 2a).
 
 pub mod arrivals;
 pub mod controller;

@@ -36,7 +36,7 @@ fn level_name(runtime_level: usize, ratios: &[f64]) -> String {
         "INT8".to_string()
     } else {
         format!(
-            "{:.0}%4b",
+            "{:.0}% 4-bit",
             ratios.get(runtime_level).copied().unwrap_or(f64::NAN) * 100.0
         )
     }
@@ -201,17 +201,16 @@ fn main() {
     let trace = server.metrics().level_trace();
     let metrics = server.metrics_handle();
     let snap = server.shutdown();
-    println!("\nlevel-switch trace (controller space: 0 = INT8, k = schedule level k-1):");
+    println!("\nlevel-switch trace (each switch with the observation that caused it):");
     for s in &trace {
-        let name = if s.level == 0 {
-            "INT8".to_string()
-        } else {
-            format!(
-                "{:.0}% 4-bit",
-                ratios.get(s.level - 1).copied().unwrap_or(f64::NAN) * 100.0
-            )
-        };
-        println!("  t={:6.2}s  → level {} ({name})", s.at_s, s.level);
+        println!(
+            "  t={:6.2}s  → {:<11}  p95(win) {:7.1} ms over {:4} samples  state {}",
+            s.at_s,
+            level_name(s.level, &ratios),
+            s.percentile_s * 1e3,
+            s.samples,
+            s.state.name()
+        );
     }
     if trace.is_empty() {
         println!("  (no switches — burst did not exceed the latency target)");
@@ -238,8 +237,8 @@ fn main() {
         snap.level_switches
     );
 
-    let burst_up = trace.iter().any(|s| s.level > 0);
-    let recovered = trace.last().map(|s| s.level).unwrap_or(0) == 0;
+    let burst_up = trace.iter().any(|s| s.level != LEVEL_INT8);
+    let recovered = trace.last().is_none_or(|s| s.level == LEVEL_INT8);
     println!(
         "\nadaptive behaviour: raised during burst: {burst_up};  recovered to INT8: {recovered}"
     );
@@ -254,23 +253,15 @@ fn main() {
     if dropped > 0 {
         println!("\n({dropped} spans dropped — ring full; attribution covers the retained prefix)");
     }
-    // The server starts at controller level 0 (= INT8) — the same
-    // encoding the level-switch trace uses.
-    let attr = metrics.level_attribution(&threads, 0);
+    // The adaptive server started at INT8 (step 2 set ratio 0).
+    let attr = metrics.level_attribution(&threads, LEVEL_INT8);
     let total_ns: u64 = attr.iter().map(|a| a.node_ns).sum();
     println!("\nper-level attribution (from {spans} sampled spans):");
     println!("  level        node time   spans   share");
     for a in &attr {
-        let name = if a.level == 0 {
-            "INT8".to_string()
-        } else {
-            format!(
-                "{:.0}% 4-bit",
-                ratios.get(a.level - 1).copied().unwrap_or(f64::NAN) * 100.0
-            )
-        };
         println!(
-            "  {name:<11}  {:8.2} ms  {:6}  {:5.1}%",
+            "  {:<11}  {:8.2} ms  {:6}  {:5.1}%",
+            level_name(a.level, &ratios),
             a.node_ns as f64 / 1e6,
             a.spans,
             100.0 * a.node_ns as f64 / total_ns.max(1) as f64
