@@ -81,7 +81,6 @@ fn goodput_cfg(fault: Option<FaultConfig>) -> ServeConfig {
         max_batch: 4,
         batch_timeout: Duration::from_millis(1),
         queue_capacity: 256,
-        supervise_tick: Duration::from_millis(1),
         brownout: BrownoutConfig {
             enabled: false,
             ..Default::default()

@@ -146,11 +146,6 @@ impl<'a> FitnessEval<'a> {
         }
         Ok(total / self.inputs.len().max(1) as f64)
     }
-
-    /// The sample inputs used for fitness.
-    pub fn num_samples(&self) -> usize {
-        self.inputs.len()
-    }
 }
 
 /// Outcome of one evolutionary run.

@@ -195,16 +195,6 @@ impl QuantizedModel {
     pub fn num_layers(&self) -> usize {
         self.layers.len()
     }
-
-    /// Feature groups of each layer.
-    pub fn groups_per_layer(&self) -> Vec<usize> {
-        self.layers.iter().map(|l| l.num_groups()).collect()
-    }
-
-    /// Total weight parameters.
-    pub fn total_params(&self) -> usize {
-        self.layers.iter().map(|l| l.w_q.numel()).sum()
-    }
 }
 
 /// Per-feature-group, per-output-channel maxima of the quantized weights.
@@ -877,11 +867,6 @@ impl<'m> QuantCompute<'m> {
         })
     }
 
-    /// This hook's workspace (growth counters are test hooks).
-    pub fn workspace_mut(&mut self) -> &mut Workspace {
-        &mut self.ws
-    }
-
     /// Per-row validity of an `[N, T, C]` token stack under the installed
     /// sequence mask (`None` when no non-trivial mask applies to this
     /// shape — then every row is live).
@@ -924,8 +909,6 @@ impl<'m> QuantCompute<'m> {
     fn fake_weight(&mut self, l: LayerId) -> Result<&Tensor> {
         if self.fake_weights[l].is_none() {
             let lq = &self.model.layers[l];
-            let per_channel = lq.w_q.numel() / lq.c_in.max(1);
-            let _ = per_channel;
             let dims = lq.w_q.dims().to_vec();
             let mut data = vec![0.0f32; lq.w_q.numel()];
             match dims.len() {

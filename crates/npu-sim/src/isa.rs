@@ -69,19 +69,6 @@ impl InstructionMemory {
     pub fn program(&self) -> &[Instr] {
         &self.program
     }
-
-    /// Number of precision switches in the program.
-    pub fn precision_switches(&self) -> usize {
-        self.program
-            .windows(2)
-            .filter(|w| {
-                matches!(
-                    (w[0], w[1]),
-                    (Instr::SetPrecision(a), Instr::SetPrecision(b)) if a != b
-                ) || matches!((w[0], w[1]), (_, Instr::SetPrecision(_)))
-            })
-            .count()
-    }
 }
 
 #[cfg(test)]

@@ -47,10 +47,6 @@ pub struct ServeConfig {
     /// reproducible. `0.0` (default) never samples; `1.0` traces every
     /// request.
     pub trace_sample_rate: f64,
-    /// How often the supervisor thread checks worker liveness and ticks
-    /// the control [`crate::Policy`] (the brownout ladder moves on every
-    /// tick, the level every [`ControlConfig::tick`]).
-    pub supervise_tick: Duration,
     /// Brownout (graceful-degradation) ladder parameters.
     pub brownout: BrownoutConfig,
     /// Programmatic fault-injection schedule armed at server start
@@ -71,7 +67,6 @@ impl Default for ServeConfig {
             pool_threads: None,
             default_deadline: None,
             trace_sample_rate: 0.0,
-            supervise_tick: Duration::from_millis(2),
             brownout: BrownoutConfig::default(),
             fault: None,
             control: ControlConfig::default(),
@@ -101,9 +96,6 @@ impl ServeConfig {
                 "trace_sample_rate {} outside [0, 1]",
                 self.trace_sample_rate
             )));
-        }
-        if self.supervise_tick.is_zero() {
-            return Err(ServeError::Config("supervise_tick must be positive".into()));
         }
         self.brownout.validate()?;
         if let Some(fault) = &self.fault {
@@ -141,7 +133,8 @@ pub struct ControlConfig {
     /// Minimum completed requests in the window before the controller
     /// acts (avoids deciding on noise after idle periods).
     pub min_samples: usize,
-    /// How often the policy re-evaluates the level.
+    /// How often the policy re-evaluates the level (rounded up to the
+    /// supervisor's fixed 2 ms cadence, which is what ticks the policy).
     pub tick: Duration,
     /// Minimum time between level changes (cooldown), so one burst does
     /// not thrash the level up and down within a single window.
@@ -244,11 +237,6 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_ok());
-        let c = ServeConfig {
-            supervise_tick: Duration::ZERO,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
         let c = ServeConfig {
             control: ControlConfig {
                 tick: Duration::ZERO,

@@ -36,42 +36,35 @@
 //! offline [`FlexiRuntime::decode_step`] loop produces — pinned by this
 //! module's tests.
 //!
-//! # Supervision
+//! # Lifecycle and supervision
 //!
-//! The scheduler thread is the decode stack's single point of failure,
-//! so its loop runs inside `catch_unwind`: a panic (a runtime bug, or
-//! the injected [`crate::fault::FaultSite::SchedulerPanic`]) unwinds the
-//! loop, every in-flight generation is answered with the typed
-//! [`ServeError::SchedulerRestarted`] from a kept registry of reply
-//! handles, and the loop re-enters with fresh state — queued requests
-//! are untouched and decode normally. A crash loop (repeated panics
-//! with no progress between them) gives up instead of spinning: the
-//! queue closes and everything still queued is error-answered, so no
-//! ticket hangs even under a 100% panic schedule.
+//! The server is the serving core (`core.rs`, shared with
+//! [`crate::Server`]) with **one** slot running the scheduler loop under
+//! a fixed-level [`crate::Policy`]: admission gate, metrics hub,
+//! [`DecodeServer::health`] / [`DecodeServer::drain`] /
+//! [`DecodeServer::resume`], respawn, the crash-loop give-up and the
+//! stop path are the code the one-shot server runs. Nothing in the
+//! scheduler catches a panic: a runtime bug (or the injected
+//! [`crate::fault::FaultSite::SchedulerPanic`]) unwinds the loop and
+//! kills the thread. The unwind drops the loop's `Live` set, which
+//! answers every drafted generation — prefilled or not — with the typed
+//! [`ServeError::SchedulerRestarted`]; the core respawns the loop with
+//! fresh state within a tick, and queued requests decode normally.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flexiq_core::{DecodeSession, FlexiRuntime};
 use flexiq_tensor::Tensor;
 
+use crate::config::ServeConfig;
+use crate::core::{Core, Health, Shared};
 use crate::error::{Result, ServeError};
 use crate::fault::{self, FaultSite};
-use crate::queue::{lock_clean, AdmissionQueue};
+use crate::metrics::MetricsHub;
 use crate::request::RequestId;
-
-/// Consecutive no-progress panics after which the scheduler's respawn
-/// loop concludes the fault is deterministic and gives up (closing the
-/// queue and error-answering everything) instead of crash-looping.
-const CRASH_LOOP_LIMIT: u32 = 8;
-
-/// Reply handles of generations currently owned by the scheduler,
-/// kept *outside* the unwindable loop so a panic can answer them.
-type InflightRegistry = Arc<Mutex<HashMap<RequestId, mpsc::Sender<Result<GenResponse>>>>>;
 
 /// Knobs of the [`DecodeServer`].
 #[derive(Debug, Clone)]
@@ -207,17 +200,19 @@ struct Active {
 
 impl Active {
     /// Answers the ticket (idempotent: the first call takes the sender).
-    fn finish(&mut self) {
+    fn finish(&mut self, metrics: &MetricsHub) {
         let Some(reply) = self.reply.take() else {
             return;
         };
+        let decode_time = self.first_token_at.elapsed();
+        metrics.on_completed(Instant::now(), self.ttft + decode_time, self.queue_delay);
         let resp = GenResponse {
             id: self.id,
             tokens: std::mem::take(&mut self.tokens),
             prompt_len: self.session.prompt_len(),
             level: self.level,
             ttft: self.ttft,
-            decode_time: self.first_token_at.elapsed(),
+            decode_time,
             queue_delay: self.queue_delay,
         };
         // A dropped ticket abandons the response; the work is done.
@@ -225,16 +220,40 @@ impl Active {
     }
 }
 
-/// Greedy decoding: index of the largest logit (lowest index on ties).
-fn argmax(row: &Tensor) -> usize {
-    let data = row.data();
-    let mut best = 0usize;
-    for (i, &v) in data.iter().enumerate() {
-        if v > data[best] {
-            best = i;
+/// Every generation the scheduler has drafted and not yet answered —
+/// the in-flight set. It answers on drop: when a panic unwinds the
+/// scheduler loop, whatever is still here — prefilled or only drafted —
+/// gets the typed [`ServeError::SchedulerRestarted`] and leaves the
+/// hub's in-flight gauge, so a dead scheduler never strands a ticket.
+struct Live<'a> {
+    metrics: &'a MetricsHub,
+    /// Drafted from the queue, not yet prefilled.
+    drafted: VecDeque<GenQueued>,
+    /// Prefilled and decoding.
+    active: Vec<Active>,
+}
+
+impl Live<'_> {
+    /// Answers every unanswered generation with `err` and empties the set.
+    fn fail_all(&mut self, err: &ServeError) {
+        let drafted = self.drafted.drain(..).map(|r| r.reply);
+        let active = self.active.drain(..).filter_map(|a| a.reply);
+        for reply in drafted.chain(active) {
+            self.metrics.on_exec_failed();
+            let _ = reply.send(Err(err.clone()));
         }
     }
-    best
+}
+
+impl Drop for Live<'_> {
+    fn drop(&mut self) {
+        self.fail_all(&ServeError::SchedulerRestarted);
+    }
+}
+
+/// Greedy decoding: index of the largest logit (lowest index on ties).
+fn argmax(row: &Tensor) -> usize {
+    row.argmax().unwrap_or(0)
 }
 
 /// The continuous-batching generation server.
@@ -246,32 +265,37 @@ fn argmax(row: &Tensor) -> usize {
 /// [`flexiq_parallel::ThreadPool`]), so the server adds no second
 /// thread pool.
 pub struct DecodeServer {
-    queue: Arc<AdmissionQueue<GenQueued>>,
-    next_id: AtomicU64,
+    core: Core<GenQueued>,
     max_new_tokens: usize,
-    respawns: Arc<AtomicU64>,
-    scheduler: Option<JoinHandle<()>>,
 }
 
 impl DecodeServer {
-    /// Starts the scheduler thread (wrapped in its respawn supervisor).
+    /// Starts the scheduler thread under the core's supervisor. The
+    /// level stays whatever the caller set on `runtime`; the brownout
+    /// ladder runs at its defaults.
     pub fn start(runtime: Arc<FlexiRuntime>, config: DecodeConfig) -> Result<DecodeServer> {
         config.validate()?;
-        let queue = Arc::new(AdmissionQueue::<GenQueued>::new(config.queue_capacity));
-        let q = Arc::clone(&queue);
+        // The core's lifecycle knobs: one slot, the rest at defaults.
+        let lifecycle = ServeConfig {
+            workers: 1,
+            queue_capacity: config.queue_capacity,
+            ..ServeConfig::default()
+        };
         let max_new_tokens = config.max_new_tokens;
-        let respawns = Arc::new(AtomicU64::new(0));
-        let r = Arc::clone(&respawns);
-        let scheduler = std::thread::Builder::new()
-            .name("flexiq-decode-scheduler".into())
-            .spawn(move || supervise_scheduler(&runtime, &q, &config, &r))
-            .expect("spawn decode scheduler");
+        let core = Core::start(
+            runtime,
+            &lifecycle,
+            false,
+            |_| "flexiq-decode-scheduler".into(),
+            flexiq_telemetry::Counter::SchedulerRespawns,
+            |req: GenQueued| {
+                let _ = req.reply.send(Err(ServeError::SchedulerRestarted));
+            },
+            move |shared, _| scheduler_loop(shared, &config),
+        );
         Ok(DecodeServer {
-            queue,
-            next_id: AtomicU64::new(0),
+            core,
             max_new_tokens,
-            respawns,
-            scheduler: Some(scheduler),
         })
     }
 
@@ -292,26 +316,53 @@ impl DecodeServer {
                 "per-request max_new must be positive".into(),
             ));
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        self.queue.try_push(GenQueued {
-            id,
-            prompt,
-            max_new: max_new.min(self.max_new_tokens),
-            enqueued_at: Instant::now(),
-            reply: tx,
+        let (id, _, rx) = self.core.admit(|id| {
+            let (tx, rx) = mpsc::channel();
+            let req = GenQueued {
+                id,
+                prompt,
+                max_new: max_new.min(self.max_new_tokens),
+                enqueued_at: Instant::now(),
+                reply: tx,
+            };
+            (req, rx)
         })?;
         Ok(GenTicket { id, rx })
     }
 
     /// Requests currently queued (not yet prefilling or decoding).
     pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
+        self.core.shared.queue.depth()
     }
 
     /// Times the scheduler loop has been restarted after a panic.
     pub fn respawns(&self) -> u64 {
-        self.respawns.load(Ordering::Relaxed)
+        self.metrics().snapshot().worker_respawns
+    }
+
+    /// The server's metrics hub. A drafted group counts as a batch; a
+    /// generation's latency is admission → last token.
+    pub fn metrics(&self) -> &MetricsHub {
+        &self.core.shared.metrics
+    }
+
+    /// A point-in-time liveness/readiness report (`workers` is the one
+    /// scheduler; `inflight` the generations drafted and unanswered).
+    pub fn health(&self) -> Health {
+        self.core.health(flexiq_parallel::global())
+    }
+
+    /// Enters `Draining` (admission answers [`ServeError::Draining`])
+    /// and waits up to `timeout` for queued and in-flight generations to
+    /// finish. Returns whether the drain completed. The state is sticky:
+    /// call [`DecodeServer::resume`] to serve again, or shut down.
+    pub fn drain(&self, timeout: Duration) -> bool {
+        self.core.drain(timeout)
+    }
+
+    /// Leaves `Draining` (or any browned-out rung) and serves again.
+    pub fn resume(&self) {
+        self.core.resume()
     }
 
     /// Stops admission, drains in-flight generations, joins the
@@ -321,133 +372,40 @@ impl DecodeServer {
     }
 }
 
-impl Drop for DecodeServer {
-    fn drop(&mut self) {
-        self.queue.close();
-        if let Some(h) = self.scheduler.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Pops an admission draft. Blocking when the server is idle (so the
-/// thread sleeps instead of spinning; `None` = closed and drained),
-/// non-blocking when sessions are mid-decode.
-fn pop_draft(
-    queue: &AdmissionQueue<GenQueued>,
-    cfg: &DecodeConfig,
-    slots: usize,
-    idle: bool,
-) -> Option<Vec<GenQueued>> {
-    let len_of = |r: &GenQueued| Some(r.prompt.numel());
-    if idle {
-        queue
-            .pop_batch_bucketed(slots, cfg.batch_timeout, len_of)
-            .map(|(batch, _)| batch)
-    } else {
-        Some(queue.try_pop_batch_bucketed(slots, len_of).0)
-    }
-}
-
-/// Prefills one admitted request into an [`Active`] session; admission
-/// errors (over-long prompt, malformed ids) answer the ticket directly.
-fn admit(runtime: &FlexiRuntime, req: GenQueued) -> Option<Active> {
+/// Prefills one drafted request into an [`Active`] session. The request
+/// is only borrowed — its reply handle stays in the guarded [`Live`]
+/// set, so a prefill that panics still answers it.
+fn prefill(runtime: &FlexiRuntime, req: &GenQueued) -> flexiq_core::Result<Active> {
     let queue_delay = req.enqueued_at.elapsed();
-    match runtime.decode_start(&req.prompt) {
-        Ok((session, first_logits, level)) => {
-            let first = argmax(&first_logits);
-            let ttft = req.enqueued_at.elapsed();
-            // The prefill already yielded token 1; each remaining step
-            // appends one token, bounded by the model context. The
-            // per-request cap was clamped to the server-wide one at
-            // submission.
-            let room = session.context() - session.pos();
-            let steps_left = room.min(req.max_new - 1);
-            Some(Active {
-                id: req.id,
-                session,
-                last: first as f32,
-                tokens: vec![first as u32],
-                steps_left,
-                level,
-                ttft,
-                queue_delay,
-                first_token_at: Instant::now(),
-                reply: Some(req.reply),
-            })
-        }
-        Err(e) => {
-            let _ = req.reply.send(Err(ServeError::Nn(e)));
-            None
-        }
-    }
+    let (session, first_logits, level) = runtime.decode_start(&req.prompt)?;
+    let first = argmax(&first_logits);
+    // The prefill already yielded token 1; each remaining step appends
+    // one token, bounded by the model context. The per-request cap was
+    // clamped to the server-wide one at submission.
+    let room = session.context() - session.pos();
+    Ok(Active {
+        id: req.id,
+        session,
+        last: first as f32,
+        tokens: vec![first as u32],
+        steps_left: room.min(req.max_new - 1),
+        level,
+        ttft: req.enqueued_at.elapsed(),
+        queue_delay,
+        first_token_at: Instant::now(),
+        reply: None,
+    })
 }
 
-/// The scheduler's panic-isolation wrapper: re-enters [`scheduler_loop`]
-/// after a caught panic until the loop exits normally (queue closed and
-/// drained) or a crash loop is detected.
-///
-/// In-flight generations do not survive a panic — their sessions lived
-/// in the unwound stack — but their *reply handles* do, in the shared
-/// registry: each is answered with [`ServeError::SchedulerRestarted`]
-/// so callers see a typed retryable error, never a hang. Progress is a
-/// shared counter bumped by admissions and fused steps; a panic with no
-/// progress since the previous one counts toward [`CRASH_LOOP_LIMIT`],
-/// after which the supervisor closes the queue and error-answers every
-/// queued request rather than burning cycles on a deterministic fault.
-fn supervise_scheduler(
-    runtime: &FlexiRuntime,
-    queue: &AdmissionQueue<GenQueued>,
-    cfg: &DecodeConfig,
-    respawns: &AtomicU64,
-) {
-    let registry: InflightRegistry = Arc::new(Mutex::new(HashMap::new()));
-    let progress = AtomicU64::new(0);
-    let mut last_progress = 0u64;
-    let mut stuck = 0u32;
-    loop {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scheduler_loop(runtime, queue, cfg, &registry, &progress)
-        }));
-        match caught {
-            Ok(()) => return, // closed and drained: normal shutdown
-            Err(_) => {
-                respawns.fetch_add(1, Ordering::Relaxed);
-                flexiq_telemetry::count(flexiq_telemetry::Counter::SchedulerRespawns, 1);
-                // The panicked loop's sessions are gone; their tickets
-                // must not hang on a dead scheduler's word.
-                for (_, reply) in lock_clean(&registry).drain() {
-                    let _ = reply.send(Err(ServeError::SchedulerRestarted));
-                }
-                let seen = progress.load(Ordering::Relaxed);
-                stuck = if seen == last_progress { stuck + 1 } else { 0 };
-                last_progress = seen;
-                if stuck >= CRASH_LOOP_LIMIT {
-                    // Deterministic crash: stop admitting, answer
-                    // everything queued, and exit — no ticket hangs.
-                    queue.close();
-                    while let Some((batch, _)) = queue.pop_batch(cfg.max_active, Duration::ZERO) {
-                        for req in batch {
-                            let _ = req.reply.send(Err(ServeError::SchedulerRestarted));
-                        }
-                    }
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// The scheduler: admit → fused step → retire, until the queue closes
-/// and the last session drains.
-fn scheduler_loop(
-    runtime: &FlexiRuntime,
-    queue: &AdmissionQueue<GenQueued>,
-    cfg: &DecodeConfig,
-    registry: &InflightRegistry,
-    progress: &AtomicU64,
-) {
-    let mut active: Vec<Active> = Vec::with_capacity(cfg.max_active);
+/// The scheduler body: admit → fused step → retire, until the queue
+/// closes and the last session drains.
+fn scheduler_loop(shared: &Shared<GenQueued>, cfg: &DecodeConfig) {
+    let (runtime, queue, metrics) = (&shared.runtime, &shared.queue, &*shared.metrics);
+    let mut live = Live {
+        metrics,
+        drafted: VecDeque::new(),
+        active: Vec::with_capacity(cfg.max_active),
+    };
     loop {
         // Injected scheduler death: fires before any state mutation so
         // a panicked iteration never half-applies a step.
@@ -455,32 +413,40 @@ fn scheduler_loop(
         // Admission. Idle: block for work (exit when closed + drained).
         // Mid-decode: continuous mode refills free slots without
         // waiting; static mode admits only once the batch has drained.
-        let admitted_from = active.len();
-        if active.is_empty() {
-            match pop_draft(queue, cfg, cfg.max_active, true) {
+        let free = cfg.max_active - live.active.len();
+        let len_of = |r: &GenQueued| Some(r.prompt.numel());
+        let (draft, depth_left) = if live.active.is_empty() {
+            match queue.pop_batch_bucketed(free, cfg.batch_timeout, len_of) {
+                Some(popped) => popped,
                 None => return,
-                Some(batch) => {
-                    active.extend(batch.into_iter().filter_map(|r| admit(runtime, r)));
-                }
             }
-        } else if cfg.continuous && active.len() < cfg.max_active {
-            let slots = cfg.max_active - active.len();
-            if let Some(batch) = pop_draft(queue, cfg, slots, false) {
-                active.extend(batch.into_iter().filter_map(|r| admit(runtime, r)));
-            }
+        } else if cfg.continuous && free > 0 {
+            queue.try_pop_batch_bucketed(free, len_of)
+        } else {
+            (Vec::new(), 0)
+        };
+        if !draft.is_empty() {
+            // In flight from here: every drafted request leaves through
+            // an answer, `Live`'s drop included.
+            metrics.on_batch(draft.len());
+            metrics.set_queue_depth(depth_left);
+            live.drafted.extend(draft);
         }
-        if active.len() > admitted_from {
-            // Register the newcomers' reply handles with the supervisor
-            // (cloned: [`Active::finish`] still owns the primary) and
-            // record admission progress for crash-loop detection.
-            let mut reg = lock_clean(registry);
-            for a in &active[admitted_from..] {
-                if let Some(reply) = &a.reply {
-                    reg.insert(a.id, reply.clone());
+        // Admission errors (over-long prompt, malformed ids) answer the
+        // ticket directly.
+        while let Some(req) = live.drafted.front() {
+            let prefilled = prefill(runtime, req);
+            let reply = live.drafted.pop_front().expect("front is Some").reply;
+            match prefilled {
+                Ok(a) => live.active.push(Active {
+                    reply: Some(reply),
+                    ..a
+                }),
+                Err(e) => {
+                    metrics.on_exec_failed();
+                    let _ = reply.send(Err(ServeError::Nn(e)));
                 }
             }
-            drop(reg);
-            progress.fetch_add((active.len() - admitted_from) as u64, Ordering::Relaxed);
         }
         // Finished sessions answer their tickets immediately. What
         // happens to their slot is the scheduler policy under test:
@@ -490,33 +456,24 @@ fn scheduler_loop(
         // drains, so the batch holds its admission width to the end.
         // A pad row still appends to its KV cache, so a session whose
         // context fills retires regardless.
-        let all_done = active.iter().all(|a| a.steps_left == 0);
-        let mut i = 0;
-        while i < active.len() {
-            let a = &mut active[i];
+        let all_done = live.active.iter().all(|a| a.steps_left == 0);
+        live.active.retain_mut(|a| {
             if a.steps_left > 0 {
-                i += 1;
-                continue;
+                return true;
             }
-            a.finish();
-            lock_clean(registry).remove(&a.id);
-            let can_pad = !cfg.continuous && !all_done && a.session.pos() < a.session.context();
-            if can_pad {
-                i += 1;
-            } else {
-                active.swap_remove(i);
-            }
-        }
-        if active.is_empty() {
+            a.finish(metrics);
+            !cfg.continuous && !all_done && a.session.pos() < a.session.context()
+        });
+        if live.active.is_empty() {
             continue;
         }
         // One fused step for the whole active set (pad rows included).
-        let tokens: Vec<f32> = active.iter().map(|a| a.last).collect();
-        let mut refs: Vec<&mut DecodeSession> = active.iter_mut().map(|a| &mut a.session).collect();
+        let tokens: Vec<f32> = live.active.iter().map(|a| a.last).collect();
+        let mut refs: Vec<&mut DecodeSession> =
+            live.active.iter_mut().map(|a| &mut a.session).collect();
         match runtime.decode_step_batch(&mut refs, &tokens) {
             Ok((rows, level)) => {
-                progress.fetch_add(1, Ordering::Relaxed);
-                for (a, row) in active.iter_mut().zip(rows.iter()) {
+                for (a, row) in live.active.iter_mut().zip(rows.iter()) {
                     if a.steps_left == 0 {
                         // Pad row: the step ran (that waste is the
                         // point of the static baseline), the output is
@@ -530,17 +487,9 @@ fn scheduler_loop(
                     a.level = level;
                 }
             }
-            Err(e) => {
-                // A fused-step failure poisons the whole step; every
-                // in-flight request learns about it.
-                let mut reg = lock_clean(registry);
-                for mut a in active.drain(..) {
-                    reg.remove(&a.id);
-                    if let Some(reply) = a.reply.take() {
-                        let _ = reply.send(Err(ServeError::Nn(e.clone())));
-                    }
-                }
-            }
+            // A fused-step failure poisons the whole step; every
+            // in-flight request learns about it.
+            Err(e) => live.fail_all(&ServeError::Nn(e)),
         }
     }
 }
@@ -768,6 +717,98 @@ mod tests {
             .unwrap();
         assert_eq!(resp.tokens.len(), 2);
         assert_eq!(server.respawns(), 0, "no panics on the happy path");
+        server.shutdown();
+    }
+
+    #[test]
+    fn unwinding_scheduler_answers_prefilled_and_drafted_generations() {
+        // What the scheduler holds when `decode_start` panics on the
+        // second prompt of a draft: one prefilled session and one
+        // request that is drafted (counted in flight) but not prefilled.
+        // Both must read the typed error, and the gauge must deflate.
+        let (rt, seqs) = tiny_lm_runtime();
+        rt.set_level(0).unwrap();
+        let server = DecodeServer::start(Arc::clone(&rt), DecodeConfig::default()).unwrap();
+        let queued = |id: RequestId| {
+            let (tx, rx) = mpsc::channel();
+            let req = GenQueued {
+                id,
+                prompt: seqs[0].slice_axis0(3).unwrap(),
+                max_new: 4,
+                enqueued_at: Instant::now(),
+                reply: tx,
+            };
+            (req, GenTicket { id, rx })
+        };
+        let ((first, t0), (second, t1)) = (queued(0), queued(1));
+        server.metrics().on_batch(2);
+        assert_eq!(server.health().inflight, 2);
+        let prefilled = Active {
+            reply: Some(first.reply.clone()),
+            ..prefill(&rt, &first).unwrap()
+        };
+        drop(first);
+        // As in production, the panic kills the thread it unwinds.
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _live = Live {
+                    metrics: server.metrics(),
+                    drafted: VecDeque::from([second]),
+                    active: vec![prefilled],
+                };
+                panic!("decode_start exploded mid-draft");
+            })
+            .join()
+        });
+        assert!(died.is_err());
+        for t in [t0, t1] {
+            assert!(matches!(
+                t.wait_timeout(Duration::from_secs(5)),
+                Err(ServeError::SchedulerRestarted)
+            ));
+        }
+        let h = server.health();
+        assert_eq!(h.inflight, 0, "answered-on-drop must deflate in-flight");
+        assert_eq!((h.workers_alive, h.worker_respawns), (1, 0));
+        server.shutdown();
+    }
+
+    #[test]
+    fn drain_finishes_generations_then_rejects_until_resume() {
+        let (rt, seqs) = tiny_lm_runtime();
+        rt.set_level(0).unwrap();
+        let cfg = DecodeConfig {
+            max_active: 2, // 5 requests through 2 slots: some wait queued
+            max_new_tokens: 4,
+            ..DecodeConfig::default()
+        };
+        let inputs = prompts(&seqs, &[3, 5, 2, 6, 4]);
+        let want: Vec<Vec<u32>> = inputs.iter().map(|p| offline_greedy(&rt, p, 4)).collect();
+        let server = DecodeServer::start(Arc::clone(&rt), cfg).unwrap();
+        let tickets: Vec<GenTicket> = inputs
+            .iter()
+            .map(|p| server.submit(p.clone()).unwrap())
+            .collect();
+        assert!(
+            server.drain(Duration::from_secs(60)),
+            "queued and in-flight generations must finish within the drain"
+        );
+        for (i, t) in tickets.into_iter().enumerate() {
+            let resp = t.wait_timeout(Duration::from_secs(60)).unwrap();
+            assert_eq!(resp.tokens, want[i], "drained stream {i} diverged");
+        }
+        let h = server.health();
+        assert_eq!(h.state, crate::ServeState::Draining);
+        assert_eq!((h.queue_depth, h.inflight), (0, 0));
+        assert!(matches!(
+            server.submit(inputs[0].clone()).map(|t| t.id()),
+            Err(ServeError::Draining)
+        ));
+        server.resume();
+        let resp = server.submit(inputs[0].clone()).unwrap().wait().unwrap();
+        assert_eq!(resp.tokens, want[0]);
+        let s = server.metrics().snapshot();
+        assert_eq!((s.completed, s.exec_failed), (6, 0));
         server.shutdown();
     }
 

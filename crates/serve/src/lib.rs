@@ -13,16 +13,23 @@
 //! in the runtime's encoding everywhere
 //! ([`flexiq_core::runtime::LEVEL_INT8`] or a schedule index).
 //!
+//! Both serving modes are one supervised core (the private `core`
+//! module: queue → service threads → supervisor → [`Policy`] → metrics,
+//! with the admission gate, `health` / `drain` / `resume` and the stop
+//! path) running a different *body* on its threads: [`Server`] runs
+//! `pop_batch → run_batch` on `workers` threads, [`DecodeServer`] runs
+//! the continuous-batching scheduler loop on one.
+//!
 //! | module | contents |
 //! |---|---|
 //! | [`config`] | [`ServeConfig`] / [`ControlConfig`] knobs |
 //! | [`queue`] | bounded admission queue: backpressure + dynamic batching policy |
 //! | [`request`] | request/response/ticket types, per-request deadlines |
-//! | [`worker`] | worker pool running real `FlexiRuntime` inference |
-//! | [`decode`] | continuous-batching autoregressive generation ([`DecodeServer`]) |
+//! | [`worker`] | `run_batch`: one dispatched batch as stacked, panic-isolated `FlexiRuntime` passes |
+//! | [`decode`] | continuous-batching autoregressive generation: [`DecodeServer`], the core plus the scheduler body |
 //! | [`policy`] | the control plane as one pure state machine: latency ratchet + Ready → Degraded → Shedding → Draining brownout ladder |
 //! | [`metrics`] | latency histograms, p50/p95/p99, throughput, queue depth, level-switch trace |
-//! | [`server`] | the assembled [`Server`], its supervisor, and health/drain APIs |
+//! | [`server`] | the one-shot [`Server`] (the core plus the worker body) and the shared [`Health`] report |
 //! | [`loadgen`] | open-loop trace replay and closed-loop capacity probes |
 //! | [`fault`] | deterministic seeded fault injection (`FLEXIQ_FAULT`), one relaxed load when disarmed |
 //! | [`retry`] | shared bounded retry/backoff with deterministic jitter |
@@ -52,6 +59,7 @@
 
 pub mod bucket;
 pub mod config;
+mod core;
 pub mod decode;
 pub mod error;
 pub mod fault;

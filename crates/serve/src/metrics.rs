@@ -337,6 +337,12 @@ impl MetricsHub {
         self.expired.load(Ordering::Relaxed)
     }
 
+    /// Batches dispatched so far (one relaxed load — the supervisor's
+    /// crash-loop rule reads this as its progress mark).
+    pub fn batches(&self) -> u64 {
+        self.batches.load(Ordering::Relaxed)
+    }
+
     /// Requests dispatched and not yet answered (clamped at zero).
     pub fn inflight(&self) -> u64 {
         self.inflight.load(Ordering::Relaxed).max(0) as u64

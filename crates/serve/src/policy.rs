@@ -3,10 +3,10 @@
 //!
 //! [`Policy`] makes the server's two run-time decisions — which
 //! precision level to run and which [`ServeState`] to be in — and owns
-//! no clock, no `Arc` and no thread: the one `flexiq-supervise` loop in
-//! [`crate::server`] samples the metrics hub, calls [`Policy::tick`] and
-//! applies the [`Decision`]; the tests below tick the same code under a
-//! virtual clock.
+//! no clock, no `Arc` and no thread: the one `flexiq-supervise` loop of
+//! the serving core (`core.rs`, under both servers) samples the metrics
+//! hub, calls [`Policy::tick`] and applies the [`Decision`]; the tests
+//! below tick the same code under a virtual clock.
 //!
 //! **Precision ratchet** (§8.3, live). Every `ControlConfig::tick` the
 //! policy reads a percentile of the end-to-end latency over a sliding
@@ -40,8 +40,8 @@
 //! * **Draining** — operator-initiated: no admissions, in-flight work
 //!   finishes.
 //!
-//! Pressure — queue depth and deadline misses — is sampled every
-//! `ServeConfig::supervise_tick`; escalation and recovery both need a
+//! Pressure — queue depth and deadline misses — is sampled on every
+//! supervisor tick (a fixed 2 ms); escalation and recovery both need a
 //! *streak* of ticks, so a one-tick burst neither browns out nor flaps.
 
 use flexiq_core::runtime::LEVEL_INT8;

@@ -225,6 +225,11 @@ impl<T> AdmissionQueue<T> {
         lock_clean(&self.inner).deque.len()
     }
 
+    /// The configured capacity.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Stops admission and wakes all waiting workers. Queued requests
     /// are still drained by subsequent `pop_batch` calls.
     pub fn close(&self) {

@@ -1,89 +1,37 @@
-//! The assembled server: admission → batching → workers → feedback.
-//!
-//! ```text
-//!  submit() ──► AdmissionQueue ──► worker pool ──► FlexiRuntime.infer
-//!     │   (bounded, rejects)  (dynamic batches)        │
-//!     │                                                ▼
-//!     ◄───────────── Ticket ◄──────────────── reply channels
-//!
-//!  supervisor:  reap dead workers ──► respawn
-//!               MetricsHub + queue depth ──► Policy::tick ──► set_level / serve state
-//! ```
-//!
-//! One `flexiq-supervise` thread is the whole control plane. Every
-//! [`ServeConfig::supervise_tick`] it reaps worker threads that died (an
-//! escaped panic, or the injected
-//! [`crate::fault::FaultSite::WorkerDeath`]) and respawns identical
-//! replacements from a kept [`WorkerContext`], samples the hub into an
-//! [`Observation`], ticks the pure [`Policy`] (see [`crate::policy`] for
-//! what it decides and why) and applies the outcome:
-//! [`FlexiRuntime::set_level`] — the one-atomic-store switch the runtime
-//! was designed around, flipped while inference threads keep executing
-//! — and the serve state the submit path gates on. [`Server::health`],
-//! [`Server::drain`] and [`Server::resume`] expose the operator surface.
+//! The one-shot batching server: the serving core (`core.rs`, whose
+//! module docs draw the whole picture) with `workers` slots each running
+//! the `pop_batch → run_batch` body. The admission gate, supervision,
+//! [`Server::health`] / [`Server::drain`] / [`Server::resume`] and the
+//! stop path are the core's, shared with [`crate::DecodeServer`]; this
+//! module adds what is particular to one-shot inference: the shared
+//! intra-batch pool, per-request deadlines, level prewarming and trace
+//! sampling.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use flexiq_core::runtime::LEVEL_INT8;
 use flexiq_core::FlexiRuntime;
+use flexiq_telemetry as tel;
 use flexiq_tensor::Tensor;
 
 use crate::config::ServeConfig;
+pub use crate::core::Health;
+use crate::core::{Core, Shared};
 use crate::error::{Result, ServeError};
-use crate::fault;
+use crate::fault::{self, FaultSite};
 use crate::metrics::{MetricsHub, Snapshot};
-use crate::policy::{Observation, Policy, ServeState};
-use crate::queue::{lock_clean, AdmissionQueue};
 use crate::request::{QueuedRequest, Ticket};
-use crate::worker::WorkerContext;
-
-/// A point-in-time liveness/readiness report (see [`Server::health`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Health {
-    /// The brownout ladder's current rung.
-    pub state: ServeState,
-    /// Requests waiting in the admission queue.
-    pub queue_depth: usize,
-    /// Requests dispatched and not yet answered.
-    pub inflight: u64,
-    /// Configured worker count.
-    pub workers: usize,
-    /// Workers currently running (the supervisor restores this to
-    /// `workers` within a tick of a death).
-    pub workers_alive: usize,
-    /// Total supervisor respawns so far.
-    pub worker_respawns: u64,
-    /// Total brownout sheds so far.
-    pub shed: u64,
-    /// Current precision level, runtime encoding ([`LEVEL_INT8`] or a
-    /// schedule index).
-    pub level: usize,
-    /// Round-trip of a trivial job through the shared intra-batch pool
-    /// (a liveness probe for the compute substrate).
-    pub pool_ping: Duration,
-}
-
-/// Worker join handles by slot; the supervisor reaps and refills them.
-type WorkerSlots = Arc<Mutex<Vec<Option<JoinHandle<()>>>>>;
+use crate::worker::run_batch;
 
 /// A running threaded batching inference server.
 pub struct Server {
     cfg: ServeConfig,
-    queue: Arc<AdmissionQueue>,
-    metrics: Arc<MetricsHub>,
-    runtime: Arc<FlexiRuntime>,
-    workers: WorkerSlots,
-    supervisor: Option<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
-    next_id: AtomicU64,
+    core: Core<QueuedRequest>,
     pool: Arc<flexiq_parallel::ThreadPool>,
 }
 
 impl Server {
-    /// Starts a server whose [`Policy`] adapts the level to the
+    /// Starts a server whose [`crate::Policy`] adapts the level to the
     /// measured latency window ([`ServeConfig::control`]).
     pub fn start_adaptive(runtime: Arc<FlexiRuntime>, cfg: ServeConfig) -> Result<Server> {
         Self::start(runtime, cfg, true)
@@ -98,7 +46,6 @@ impl Server {
 
     fn start(runtime: Arc<FlexiRuntime>, cfg: ServeConfig, adaptive: bool) -> Result<Server> {
         cfg.validate()?;
-        let metrics = Arc::new(MetricsHub::new(cfg.control.window));
         // Prepack every controller-reachable level's weight bands before
         // any worker accepts a request: the adaptive controller can then
         // switch levels without a packing latency spike, and the first
@@ -106,7 +53,6 @@ impl Server {
         runtime
             .prewarm_levels()
             .map_err(|e| ServeError::Config(e.to_string()))?;
-        let queue = Arc::new(AdmissionQueue::new(cfg.queue_capacity));
         // One shared intra-batch pool for the whole worker fleet (see
         // `ServeConfig::pool_threads` for the sizing rule). Helpers
         // first-touch their kernel scratch at startup, so the pages are
@@ -117,53 +63,47 @@ impl Server {
                 on_thread_start: Some(Arc::new(|_| flexiq_tensor::scratch::warm_defaults())),
             },
         );
-        // Arm the process-global fault plan before any worker can hit a
-        // failure point (env `FLEXIQ_FAULT` is the other entry; an
-        // explicit config wins over it).
-        if let Some(f) = &cfg.fault {
-            fault::arm(f.clone());
-        }
-        let ctx = WorkerContext {
-            queue: Arc::clone(&queue),
-            runtime: Arc::clone(&runtime),
-            metrics: Arc::clone(&metrics),
-            max_batch: cfg.max_batch,
-            batch_timeout: cfg.batch_timeout,
-            pool: Arc::clone(&pool),
+        let (p, max_batch, batch_timeout) = (Arc::clone(&pool), cfg.max_batch, cfg.batch_timeout);
+        // The body: drain the queue in dynamic batches until it is
+        // closed and empty.
+        let body = move |shared: &Shared<QueuedRequest>, _| {
+            // The caller thread of a pool dispatch runs kernels too:
+            // first-touch its kernel scratch before the first request.
+            flexiq_tensor::scratch::warm_defaults();
+            loop {
+                // Injected consumer stall: the queue backs up, which is
+                // what drives the brownout ladder in chaos runs.
+                fault::fire(FaultSite::QueueStall);
+                let Some((batch, depth_left)) = shared.queue.pop_batch(max_batch, batch_timeout)
+                else {
+                    break;
+                };
+                // Injected worker death: fires *outside* the pass catch
+                // on purpose — the unwind drops the batch (tickets
+                // resolve as ReplyDropped) and kills this thread,
+                // exercising the core's respawn path.
+                fault::fire(FaultSite::WorkerDeath);
+                shared.metrics.set_queue_depth(depth_left);
+                // One shared pool across all workers: the stacked pass
+                // underneath parallelizes inside it (unless the runtime
+                // pinned its own pool).
+                flexiq_parallel::with_pool(&p, || {
+                    run_batch(&shared.runtime, &shared.metrics, batch)
+                });
+            }
         };
-        let workers: WorkerSlots = Arc::new(Mutex::new(
-            (0..cfg.workers).map(|i| Some(ctx.spawn(i))).collect(),
-        ));
-        let stop = Arc::new(AtomicBool::new(false));
-        let policy = Policy::new(
-            adaptive.then_some(&cfg.control),
-            cfg.brownout.clone(),
-            runtime.num_levels(),
-            runtime.cheapest_level().unwrap_or(LEVEL_INT8),
-            // The runtime's actual level — the caller may have set one
-            // before starting the server, and assuming INT8 here would
-            // leave it in place, uncorrected, for as long as the policy
-            // keeps wanting INT8.
-            runtime.level(),
-        );
-        let supervisor = Some(spawn_supervisor(
-            ctx,
-            policy,
-            Arc::clone(&workers),
-            Arc::clone(&stop),
-            &cfg,
-        ));
-        Ok(Server {
-            cfg,
-            queue,
-            metrics,
+        let core = Core::start(
             runtime,
-            workers,
-            supervisor,
-            stop,
-            next_id: AtomicU64::new(0),
-            pool,
-        })
+            &cfg,
+            adaptive,
+            |i| format!("flexiq-worker-{i}"),
+            tel::Counter::WorkerRespawns,
+            |req: QueuedRequest| {
+                let _ = req.reply.send(Err(ServeError::ShuttingDown));
+            },
+            body,
+        );
+        Ok(Server { cfg, core, pool })
     }
 
     /// Intra-batch threads of the shared worker pool.
@@ -181,70 +121,42 @@ impl Server {
     /// [`Ticket`] means the request is queued.
     pub fn submit_with_deadline(
         &self,
-        input: Tensor,
+        mut input: Tensor,
         deadline: Option<Duration>,
     ) -> Result<Ticket> {
-        // Brownout admission gate: one relaxed load on the happy path.
-        match self.metrics.serve_state() {
-            ServeState::Shedding => {
-                self.metrics.on_shed();
-                return Err(ServeError::Shedding);
-            }
-            ServeState::Draining => return Err(ServeError::Draining),
-            ServeState::Ready | ServeState::Degraded => {}
+        let (id, depth, (rx, trace)) = self.core.admit(|id| {
+            fault::maybe_poison(&mut input);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let now = Instant::now();
+            let trace = trace_id_for(id, self.cfg.trace_sample_rate);
+            let req = QueuedRequest {
+                id,
+                input,
+                enqueued_at: now,
+                deadline: deadline.map(|d| now + d),
+                trace,
+                reply: tx,
+            };
+            (req, (rx, trace))
+        })?;
+        if trace != 0 {
+            // Admission marker for the sampled request's trace.
+            tel::with_trace(trace, || {
+                tel::event("admit", tel::Cat::Serve, id as u32, [depth as u64, 0, 0, 0]);
+            });
         }
-        let mut input = input;
-        fault::maybe_poison(&mut input);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let now = Instant::now();
-        let trace = trace_id_for(id, self.cfg.trace_sample_rate);
-        let req = QueuedRequest {
-            id,
-            input,
-            enqueued_at: now,
-            deadline: deadline.map(|d| now + d),
-            trace,
-            reply: tx,
-        };
-        match self.queue.try_push(req) {
-            Ok(depth) => {
-                self.metrics.on_submitted();
-                self.metrics.set_queue_depth(depth);
-                if trace != 0 {
-                    // Admission marker for the sampled request's trace.
-                    flexiq_telemetry::with_trace(trace, || {
-                        flexiq_telemetry::event(
-                            "admit",
-                            flexiq_telemetry::Cat::Serve,
-                            id as u32,
-                            [depth as u64, 0, 0, 0],
-                        );
-                    });
-                }
-                Ok(Ticket { id, rx })
-            }
-            Err(e) => {
-                self.metrics.on_rejected();
-                Err(e)
-            }
-        }
+        Ok(Ticket { id, rx })
     }
 
     /// The server's metrics hub.
     pub fn metrics(&self) -> &MetricsHub {
-        &self.metrics
+        &self.core.shared.metrics
     }
 
     /// A shared handle to the metrics hub, e.g. for a monitoring thread
     /// that outlives individual borrows of the server.
     pub fn metrics_handle(&self) -> Arc<MetricsHub> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// The shared runtime (e.g. to pin a level on a fixed server).
-    pub fn runtime(&self) -> &FlexiRuntime {
-        &self.runtime
+        Arc::clone(&self.core.shared.metrics)
     }
 
     /// The server configuration.
@@ -252,33 +164,9 @@ impl Server {
         &self.cfg
     }
 
-    /// The brownout ladder's current rung.
-    pub fn state(&self) -> ServeState {
-        self.metrics.serve_state()
-    }
-
     /// A point-in-time liveness/readiness report.
     pub fn health(&self) -> Health {
-        let (workers, workers_alive) = {
-            let slots = lock_clean(&self.workers);
-            let alive = slots
-                .iter()
-                .filter(|s| s.as_ref().is_some_and(|h| !h.is_finished()))
-                .count();
-            (slots.len(), alive)
-        };
-        let snap = self.metrics.snapshot();
-        Health {
-            state: self.metrics.serve_state(),
-            queue_depth: self.queue.depth(),
-            inflight: self.metrics.inflight(),
-            workers,
-            workers_alive,
-            worker_respawns: snap.worker_respawns,
-            shed: snap.shed,
-            level: self.runtime.level(),
-            pool_ping: self.pool.ping(),
-        }
+        self.core.health(&self.pool)
     }
 
     /// Enters `Draining` (admission answers [`ServeError::Draining`])
@@ -286,142 +174,42 @@ impl Server {
     /// empty. Returns whether the drain completed. The state is sticky:
     /// call [`Server::resume`] to serve again, or shut down.
     pub fn drain(&self, timeout: Duration) -> bool {
-        self.metrics.set_serve_state(ServeState::Draining);
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.queue.depth() == 0 && self.metrics.inflight() == 0 {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        self.core.drain(timeout)
     }
 
     /// Leaves `Draining` (or any browned-out rung) and serves again.
     pub fn resume(&self) {
-        self.metrics.set_serve_state(ServeState::Ready);
+        self.core.resume()
     }
 
     /// Stops admission, drains queued work, joins every thread, and
     /// returns the final metrics snapshot.
     pub fn shutdown(self) -> Snapshot {
-        let metrics = Arc::clone(&self.metrics);
+        let metrics = self.metrics_handle();
         drop(self);
         metrics.snapshot()
     }
 }
 
-/// The stop path: a server dropped without [`Server::shutdown`] (an
-/// early `?`, a panicking test) must not leak workers blocked on the
-/// queue, a ticking supervisor or an armed fault plan.
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Join the supervisor before closing the queue so it cannot
-        // respawn a worker that would outlive the drain.
-        if let Some(s) = self.supervisor.take() {
-            let _ = s.join();
-        }
-        self.queue.close();
-        for w in lock_clean(&self.workers).iter_mut() {
-            if let Some(h) = w.take() {
-                let _ = h.join();
-            }
-        }
-        // This server armed the global fault plan: disarm on the way
-        // out so the process does not keep injecting after shutdown.
-        if self.cfg.fault.is_some() {
-            fault::disarm();
-        }
-    }
-}
-
 /// Deterministic trace sampling: request `id` is traced iff the count
 /// of sampled admissions `floor(id·rate)` increments at this id — every
-/// `1/rate`-th request, no RNG, reproducible across runs. The trace id
-/// is `id + 1` so that 0 always means "unsampled".
+/// `1/rate`-th request, no RNG, reproducible across runs (`rate` is
+/// validated into `[0, 1]`: 0 never increments, 1 always does). The
+/// trace id is `id + 1` so that 0 always means "unsampled".
 fn trace_id_for(id: u64, rate: f64) -> u64 {
-    if rate <= 0.0 {
-        return 0;
-    }
-    if rate >= 1.0 {
-        return id + 1;
-    }
-    let before = (id as f64 * rate).floor();
-    let after = ((id + 1) as f64 * rate).floor();
-    if after > before {
+    if ((id + 1) as f64 * rate).floor() > (id as f64 * rate).floor() {
         id + 1
     } else {
         0
     }
 }
 
-/// The supervision loop: respawn dead workers, then tick the [`Policy`].
-///
-/// Worker slots are reaped with `is_finished` (never a blocking join on
-/// a live thread); the replacement drains the same queue, so a worker
-/// death costs at most one batch (answered as `ReplyDropped` through the
-/// dropped reply channels).
-fn spawn_supervisor(
-    ctx: WorkerContext,
-    mut policy: Policy,
-    workers: WorkerSlots,
-    stop: Arc<AtomicBool>,
-    cfg: &ServeConfig,
-) -> JoinHandle<()> {
-    let (tick, percentile) = (cfg.supervise_tick, cfg.control.percentile);
-    let queue_capacity = cfg.queue_capacity as f64;
-    std::thread::Builder::new()
-        .name("flexiq-supervise".into())
-        .spawn(move || {
-            let metrics = &ctx.metrics;
-            let mut last_expired = metrics.expired();
-            while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(tick);
-                {
-                    let mut slots = lock_clean(&workers);
-                    for (i, slot) in slots.iter_mut().enumerate() {
-                        let dead = slot.as_ref().is_none_or(|h| h.is_finished());
-                        if dead && !stop.load(Ordering::Acquire) {
-                            if let Some(h) = slot.take() {
-                                let _ = h.join();
-                            }
-                            *slot = Some(ctx.spawn(i));
-                            metrics.on_worker_respawn();
-                            flexiq_telemetry::count(flexiq_telemetry::Counter::WorkerRespawns, 1);
-                        }
-                    }
-                }
-                let now_s = metrics.uptime_s();
-                let expired = metrics.expired();
-                let window = || metrics.window.percentile_s(Instant::now(), percentile);
-                let obs = Observation {
-                    window: policy.level_due(now_s).then(window).flatten(),
-                    depth_frac: ctx.queue.depth() as f64 / queue_capacity,
-                    expired_delta: expired - last_expired,
-                    state: metrics.serve_state(),
-                };
-                last_expired = expired;
-                let decision = policy.tick(now_s, obs);
-                if let Some(next) = decision.state {
-                    metrics.set_serve_state(next);
-                }
-                if let Some(level) = decision.level {
-                    if ctx.runtime.set_level(level).is_ok() {
-                        metrics.on_level_switch(&decision);
-                    }
-                }
-            }
-        })
-        .expect("spawn supervisor thread")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::ServeState;
     use crate::worker::tests::tiny_runtime;
+    use flexiq_core::runtime::LEVEL_INT8;
 
     #[test]
     fn serves_requests_end_to_end_with_real_inference() {
@@ -651,7 +439,6 @@ mod tests {
         let (rt, inputs) = tiny_runtime();
         let cfg = ServeConfig {
             workers: 1,
-            supervise_tick: Duration::from_millis(1),
             batch_timeout: Duration::from_millis(1),
             ..Default::default()
         };
@@ -662,7 +449,7 @@ mod tests {
         // (The displaced real worker keeps draining the shared queue
         // until shutdown closes it — harmless here.)
         {
-            let mut slots = lock_clean(&server.workers);
+            let mut slots = crate::queue::lock_clean(&server.core.shared.slots);
             let decoy = std::thread::spawn(|| {});
             drop(slots[0].replace(decoy));
         }
@@ -693,14 +480,14 @@ mod tests {
             server.drain(Duration::from_secs(5)),
             "an idle server must drain immediately"
         );
-        assert_eq!(server.state(), ServeState::Draining);
+        assert_eq!(server.health().state, ServeState::Draining);
         match server.submit(inputs[0].clone()) {
             Err(ServeError::Draining) => {}
             Err(e) => panic!("draining server must reject with Draining, got {e}"),
             Ok(_) => panic!("draining server must reject"),
         }
         server.resume();
-        assert_eq!(server.state(), ServeState::Ready);
+        assert_eq!(server.health().state, ServeState::Ready);
         let r = server.submit(inputs[0].clone()).unwrap().wait().unwrap();
         assert!(r.output.data().iter().all(|v| v.is_finite()));
         let s = server.shutdown();

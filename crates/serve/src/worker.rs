@@ -2,8 +2,9 @@
 //!
 //! Each worker thread owns nothing but an `Arc` of the shared runtime —
 //! the paper's point is precisely that one set of 8-bit master weights
-//! serves every ratio, so workers never copy weights. Workers assemble
-//! their own batches straight from the admission queue (see
+//! serves every ratio, so workers never copy weights. Workers (the body
+//! [`crate::Server`] hands the serving core) assemble their own batches
+//! straight from the admission queue (see
 //! [`crate::queue::AdmissionQueue::pop_batch`]), which lets batch
 //! assembly overlap with execution across workers without a dedicated
 //! batcher thread in the hot path.
@@ -52,8 +53,8 @@
 //! injected [`crate::fault::FaultSite::WorkerDeath`] site, which fires
 //! outside the catch on purpose) kills the worker thread; its in-hand
 //! batch resolves through dropped reply channels
-//! ([`ServeError::ReplyDropped`]) and the server's supervisor respawns
-//! the thread. Either way no ticket is left hanging.
+//! ([`ServeError::ReplyDropped`]) and the serving core's supervisor
+//! respawns the thread. Either way no ticket is left hanging.
 //!
 //! **Steady-state allocation:** worker threads are long-lived, so the
 //! per-thread scratch the execution stack uses underneath — the
@@ -64,19 +65,15 @@
 //! scratch grows to the largest dispatched shape and stays).
 
 use std::sync::mpsc;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use flexiq_core::FlexiRuntime;
-use flexiq_parallel::ThreadPool;
 use flexiq_telemetry as tel;
 
 use crate::bucket::plan_buckets;
 use crate::error::{Result, ServeError};
 use crate::fault::{self, FaultSite};
 use crate::metrics::MetricsHub;
-use crate::queue::AdmissionQueue;
 use crate::request::{InferResponse, QueuedRequest, RequestId};
 
 /// Padding-waste cap for bucket merging: underfilled length buckets
@@ -231,8 +228,52 @@ fn run_batch_traced(
     size: usize,
     dispatched: Instant,
 ) {
+    // One stacked pass for `group`, answering every member. `pad` marks
+    // a bucket group: `Some(len)` runs the masked varlen pass padded to
+    // `len`, `None` the exact-shape pass.
+    let dispatch = |group: Vec<QueuedRequest>, pad: Option<usize>| {
+        // Move the inputs out of the requests (no clone on the hot
+        // path); the stack inside the runtime is the copy.
+        let (inputs, metas): (Vec<_>, Vec<ReplyMeta>) = group
+            .into_iter()
+            .map(|r| (r.input, (r.id, r.enqueued_at, r.reply)))
+            .unzip();
+        let dispatch_span = tel::span_full(
+            "dispatch",
+            tel::Cat::Serve,
+            metas.len() as u32,
+            [
+                size as u64,
+                pad.unwrap_or(0) as u64,
+                pad.is_some() as u64,
+                0,
+            ],
+        );
+        let result = guarded_pass(metrics, || match pad {
+            Some(_) => runtime.infer_batch_varlen_traced(&inputs, pad),
+            None => runtime.infer_batch_traced(&inputs),
+        });
+        drop(dispatch_span);
+        if result.is_err() && pad.is_some() && metas.len() > 1 {
+            // Bucketing widens a group beyond one exact shape, so one
+            // malformed request (empty ids, out-of-vocab token) must
+            // not poison its co-bucketed neighbours: retry each member
+            // alone, isolating the failure exactly as per-shape grouping
+            // does. Error path only — a healthy dispatch never pays this.
+            for (input, meta) in inputs.into_iter().zip(metas) {
+                let single = guarded_pass(metrics, || {
+                    runtime.infer_batch_varlen_traced(std::slice::from_ref(&input), None)
+                });
+                answer(metrics, size, dispatched, vec![meta], single);
+            }
+        } else {
+            answer(metrics, size, dispatched, metas, result);
+        }
+    };
     // Token-sequence (LM) requests: one padded stacked pass per bucket
-    // group, mixed lengths welcome.
+    // group, mixed lengths welcome. Groups pad tightly — to the longest
+    // member, not the power-of-two class — so uniform-length groups keep
+    // the unpadded fast path.
     let tokens: Vec<QueuedRequest>;
     (tokens, live) = live.into_iter().partition(|r| r.input.dims().len() == 1);
     if !tokens.is_empty() {
@@ -242,129 +283,20 @@ fn run_batch_traced(
         let groups = plan_buckets(&lens, MAX_PADDING_WASTE);
         drop(plan_span);
         for group in groups {
-            // Move the inputs out of the requests (no clone on the hot
-            // path); the padded stack inside the runtime is the copy.
-            // Groups pad tightly — to the longest member, not the
-            // power-of-two class — so uniform-length groups keep the
-            // unpadded fast path.
-            let mut inputs = Vec::with_capacity(group.members.len());
-            let mut metas = Vec::with_capacity(group.members.len());
-            for &i in &group.members {
-                let req = slots[i]
+            let members = group.members.iter().map(|&i| {
+                slots[i]
                     .take()
-                    .expect("request in exactly one bucket group");
-                inputs.push(req.input);
-                metas.push((req.id, req.enqueued_at, req.reply));
-            }
-            let pad = group.pad_len(&lens);
-            let dispatch_span = tel::span_full(
-                "dispatch",
-                tel::Cat::Serve,
-                metas.len() as u32,
-                [size as u64, pad as u64, 1, 0],
-            );
-            let result = guarded_pass(metrics, || {
-                runtime.infer_batch_varlen_traced(&inputs, Some(pad))
+                    .expect("request in exactly one bucket group")
             });
-            drop(dispatch_span);
-            match result {
-                ok @ Ok(_) => answer(metrics, size, dispatched, metas, ok),
-                // Bucketing widens a group beyond one exact shape, so one
-                // malformed request (empty ids, out-of-vocab token) must
-                // not poison its co-bucketed neighbours: retry each
-                // member alone, isolating the failure exactly as the old
-                // per-shape grouping did. Error path only — a healthy
-                // dispatch never pays this.
-                Err(_) if metas.len() > 1 => {
-                    for (input, meta) in inputs.into_iter().zip(metas) {
-                        let single = guarded_pass(metrics, || {
-                            runtime.infer_batch_varlen_traced(std::slice::from_ref(&input), None)
-                        });
-                        answer(metrics, size, dispatched, vec![meta], single);
-                    }
-                }
-                err => answer(metrics, size, dispatched, metas, err),
-            }
+            dispatch(members.collect(), Some(group.pad_len(&lens)));
         }
     }
     // One stacked pass per input-shape class (normally exactly one).
     while !live.is_empty() {
         let dims = live[0].input.dims().to_vec();
-        let (group, rest): (Vec<_>, Vec<_>) =
-            live.into_iter().partition(|r| r.input.dims() == dims);
-        live = rest;
-        let mut inputs = Vec::with_capacity(group.len());
-        let mut metas = Vec::with_capacity(group.len());
-        for req in group {
-            inputs.push(req.input);
-            metas.push((req.id, req.enqueued_at, req.reply));
-        }
-        let dispatch_span = tel::span_full(
-            "dispatch",
-            tel::Cat::Serve,
-            metas.len() as u32,
-            [size as u64, 0, 0, 0],
-        );
-        let result = guarded_pass(metrics, || runtime.infer_batch_traced(&inputs));
-        drop(dispatch_span);
-        answer(metrics, size, dispatched, metas, result);
-    }
-}
-
-/// Everything needed to (re)spawn one worker thread. The server's
-/// supervisor keeps a copy so a dead worker (escaped panic, injected
-/// [`FaultSite::WorkerDeath`]) can be replaced by an identical one.
-#[derive(Clone)]
-pub struct WorkerContext {
-    /// The shared admission queue workers drain.
-    pub queue: Arc<AdmissionQueue>,
-    /// The shared runtime (one set of 8-bit master weights).
-    pub runtime: Arc<FlexiRuntime>,
-    /// The server's metrics hub.
-    pub metrics: Arc<MetricsHub>,
-    /// Maximum requests per dispatched batch.
-    pub max_batch: usize,
-    /// Dynamic-batching window.
-    pub batch_timeout: Duration,
-    /// The one shared intra-batch thread pool.
-    pub pool: Arc<ThreadPool>,
-}
-
-impl WorkerContext {
-    /// Spawns worker `i`: drains the queue until it is closed and empty.
-    /// Every worker first-touch warms its kernel scratch at startup (the
-    /// caller thread of a pool dispatch runs kernels too).
-    pub fn spawn(&self, i: usize) -> JoinHandle<()> {
-        let queue = Arc::clone(&self.queue);
-        let runtime = Arc::clone(&self.runtime);
-        let metrics = Arc::clone(&self.metrics);
-        let pool = Arc::clone(&self.pool);
-        let (max_batch, batch_timeout) = (self.max_batch, self.batch_timeout);
-        std::thread::Builder::new()
-            .name(format!("flexiq-worker-{i}"))
-            .spawn(move || {
-                flexiq_tensor::scratch::warm_defaults();
-                loop {
-                    // Injected consumer stall: the queue backs up, which
-                    // is what drives the brownout ladder in chaos runs.
-                    fault::fire(FaultSite::QueueStall);
-                    let Some((batch, depth_left)) = queue.pop_batch(max_batch, batch_timeout)
-                    else {
-                        break;
-                    };
-                    // Injected worker death: fires *outside* the pass
-                    // catch on purpose — the unwind drops the batch
-                    // (tickets resolve as ReplyDropped) and kills this
-                    // thread, exercising the supervisor's respawn path.
-                    fault::fire(FaultSite::WorkerDeath);
-                    metrics.set_queue_depth(depth_left);
-                    // One shared pool across all workers: the
-                    // stacked pass underneath parallelizes inside
-                    // it (unless the runtime pinned its own pool).
-                    flexiq_parallel::with_pool(&pool, || run_batch(&runtime, &metrics, batch));
-                }
-            })
-            .expect("spawn worker thread")
+        let group: Vec<QueuedRequest>;
+        (group, live) = live.into_iter().partition(|r| r.input.dims() == dims);
+        dispatch(group, None);
     }
 }
 
@@ -377,6 +309,8 @@ pub(crate) mod tests {
     use flexiq_nn::data::gen_image_inputs;
     use flexiq_nn::zoo::{ModelId, Scale};
     use std::sync::mpsc;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     /// A tiny real runtime shared by the serving tests.
     pub(crate) fn tiny_runtime() -> (Arc<FlexiRuntime>, Vec<flexiq_tensor::Tensor>) {

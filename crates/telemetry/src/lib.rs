@@ -348,11 +348,6 @@ impl SpanGuard {
             depth,
         }
     }
-
-    /// Replaces the span's payload (e.g. counts known only at the end).
-    pub fn set_args(&mut self, args: [u64; 4]) {
-        self.args = args;
-    }
 }
 
 impl Drop for SpanGuard {

@@ -238,11 +238,6 @@ impl Tensor {
         self.map(|x| x * s)
     }
 
-    /// Adds a scalar to every element.
-    pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|x| x + s)
-    }
-
     /// In-place `self += other`.
     pub fn add_assign(&mut self, other: &Tensor) -> Result<()> {
         if !self.shape.same_as(&other.shape) {

@@ -12,8 +12,14 @@
 //!    the solo greedy decode loop for the decode server): faults may
 //!    kill work, never corrupt it.
 //! 3. **Recovery.** Once the schedule is disarmed the server returns to
-//!    `Ready` with a whole worker fleet, and clean probes serve
-//!    normally.
+//!    `Ready` with a whole worker fleet and nothing in flight, and clean
+//!    probes serve normally.
+//!
+//! Both servers run on one supervised core, so one helper
+//! ([`assert_invariants`]) asserts all three over either of them through
+//! the shared `health()`. A deterministic crash loop — a 100 % death
+//! schedule — must make the core give up with typed answers instead of
+//! spinning, again for both.
 //!
 //! The fault plan is process-global, so every test serializes on one
 //! mutex and disarms before releasing it. `FLEXIQ_CHAOS_SEED` varies
@@ -28,7 +34,9 @@ use flexiq::core::FlexiRuntime;
 use flexiq::nn::data::{gen_image_inputs, gen_token_stream, lm_sequences};
 use flexiq::nn::zoo::{ModelId, Scale, TinyLmCfg};
 use flexiq::serve::fault::{self, FaultConfig};
-use flexiq::serve::{DecodeConfig, DecodeServer, ServeConfig, ServeError, ServeState, Server};
+use flexiq::serve::{
+    DecodeConfig, DecodeServer, Health, ServeConfig, ServeError, ServeState, Server,
+};
 use flexiq::tensor::Tensor;
 
 /// One test at a time: the fault plan is process-global state.
@@ -90,6 +98,72 @@ fn assert_bit_equal(got: &Tensor, want: &Tensor, what: &str) {
     }
 }
 
+/// The three serving invariants, for either server. `answers` are the
+/// resolved tickets as `(oracle index, answer)`, `None` meaning the wait
+/// timed out — a hung ticket. `Ok` answers go to `exact`; errors must be
+/// one of the schedule's `typed` fault answers. Then the plan is
+/// disarmed and `health` must heal. Returns `(ok, failed)` counts.
+fn assert_invariants<T>(
+    seed: u64,
+    answers: impl IntoIterator<Item = (usize, Option<Result<T, ServeError>>)>,
+    exact: impl Fn(usize, &T),
+    typed: impl Fn(&ServeError) -> bool,
+    health: impl Fn() -> Health,
+) -> (u64, u64) {
+    let (mut ok, mut failed) = (0, 0);
+    for (src, answer) in answers {
+        match answer {
+            None => panic!("hung ticket: no answer within 60s (seed {seed})"),
+            Some(Ok(resp)) => {
+                exact(src, &resp);
+                ok += 1;
+            }
+            Some(Err(e)) => {
+                assert!(typed(&e), "unexpected terminal error: {e} (seed {seed})");
+                failed += 1;
+            }
+        }
+    }
+    fault::disarm();
+    let t0 = Instant::now();
+    loop {
+        let h = health();
+        if h.state == ServeState::Ready && h.workers_alive == h.workers && h.inflight == 0 {
+            return (ok, failed);
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "no recovery to Ready within 30s: {h:?} (seed {seed})"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Names (`comm`, so cut at 15 bytes) of this process's live threads
+/// that start with `flexiq-` and are not intra-batch pool helpers.
+#[cfg(target_os = "linux")]
+fn service_threads() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .map(|n| n.trim().to_string())
+        .filter(|n| n.starts_with("flexiq-") && !n.starts_with("flexiq-pool-"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// Asserts the census settles on `want` (a thread names itself only
+/// once it runs, and a joined one lingers briefly in `/proc`).
+#[cfg(target_os = "linux")]
+fn assert_service_threads(want: &[&str]) {
+    let t0 = Instant::now();
+    while service_threads() != want && t0.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(service_threads(), want);
+}
+
 #[test]
 fn server_survives_arbitrary_fault_schedules() {
     let _g = chaos_lock().lock().unwrap_or_else(|e| e.into_inner());
@@ -104,7 +178,6 @@ fn server_survives_arbitrary_fault_schedules() {
             max_batch: 4,
             batch_timeout: Duration::from_millis(1),
             queue_capacity: 64,
-            supervise_tick: Duration::from_millis(1),
             fault: Some(FaultConfig {
                 seed,
                 worker_panic: 0.15,
@@ -136,38 +209,25 @@ fn server_survives_arbitrary_fault_schedules() {
                 Err(e) => panic!("admission failed beyond retry budget: {e}"),
             }
         }
-        // Invariant 1 + 2: everything resolves; Ok answers are exact.
-        for (src, t) in tickets {
-            match t.wait_timeout(Duration::from_secs(60)) {
-                Ok(Some(resp)) => {
-                    assert_bit_equal(&resp.output, &oracle[src], "chaos survivor");
-                    ok_total += 1;
-                }
-                Ok(None) => panic!("hung ticket: no answer within 60s (seed {seed})"),
-                Err(
+        let (ok, _) = assert_invariants(
+            seed,
+            tickets
+                .into_iter()
+                .map(|(src, t)| (src, t.wait_timeout(Duration::from_secs(60)).transpose())),
+            |src, resp| assert_bit_equal(&resp.output, &oracle[src], "chaos survivor"),
+            |e| {
+                matches!(
+                    e,
                     ServeError::WorkerPanic { .. }
-                    | ServeError::PoisonedInput
-                    | ServeError::ReplyDropped
-                    | ServeError::Nn(_),
-                ) => {} // typed fault answers: the invariant held
-                Err(e) => panic!("unexpected terminal error: {e} (seed {seed})"),
-            }
-        }
-        // Invariant 3: disarm, then the server heals to Ready with a
-        // whole fleet and clean probes serve bit-exact.
-        fault::disarm();
-        let t0 = Instant::now();
-        loop {
-            let h = server.health();
-            if h.state == ServeState::Ready && h.workers_alive == h.workers && h.inflight == 0 {
-                break;
-            }
-            assert!(
-                t0.elapsed() < Duration::from_secs(30),
-                "no recovery to Ready within 30s: {h:?} (seed {seed})"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
+                        | ServeError::PoisonedInput
+                        | ServeError::ReplyDropped
+                        | ServeError::Nn(_)
+                )
+            },
+            || server.health(),
+        );
+        ok_total += ok;
+        // Healed: clean probes serve bit-exact.
         for (i, x) in inputs.iter().enumerate() {
             let resp = server
                 .submit_with_deadline(x.clone(), None)
@@ -188,6 +248,72 @@ fn server_survives_arbitrary_fault_schedules() {
         fault::injected_total() > 0,
         "the schedules must actually have fired"
     );
+}
+
+#[test]
+fn crash_looping_workers_give_up_without_hanging_tickets() {
+    let _g = chaos_lock().lock().unwrap_or_else(|e| e.into_inner());
+    let (rt, inputs) = image_fixture();
+    // Rate 1.0: every worker dies on every batch it pops, so nothing is
+    // ever dispatched. The core must conclude it is crash-looping, close
+    // the queue and refuse what is queued — the decode give-up rule,
+    // from the same code.
+    let cfg = ServeConfig {
+        workers: 2,
+        max_batch: 1,
+        batch_timeout: Duration::from_millis(1),
+        queue_capacity: 64,
+        fault: Some(FaultConfig {
+            seed: chaos_seed(),
+            worker_death: 1.0,
+            ..FaultConfig::off()
+        }),
+        ..Default::default()
+    };
+    let server = Server::start_fixed(Arc::clone(&rt), cfg).unwrap();
+    // Keep the queue fed until admission closes: each death eats one
+    // request, and the give-up must find some still queued.
+    let mut tickets = Vec::new();
+    let t0 = Instant::now();
+    loop {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "the core never gave up: {:?}",
+            server.health()
+        );
+        match server.submit_with_deadline(inputs[0].clone(), None) {
+            Ok(t) => tickets.push(t),
+            Err(ServeError::ShuttingDown) => break,
+            Err(ServeError::QueueFull { .. } | ServeError::Shedding) => {
+                std::thread::sleep(Duration::from_millis(1))
+            }
+            Err(e) => panic!("unexpected admission error: {e}"),
+        }
+    }
+    let mut refused = 0u64;
+    for (i, t) in tickets.into_iter().enumerate() {
+        match t.wait_timeout(Duration::from_secs(60)) {
+            Err(ServeError::ReplyDropped) => {} // died in a worker's hand
+            Err(ServeError::ShuttingDown) => refused += 1,
+            Ok(None) => panic!("hung ticket {i} under rate-1.0 worker deaths"),
+            other => panic!(
+                "rate-1.0 deaths cannot serve, got {:?} for ticket {i}",
+                other.map(|r| r.map(|r| r.id))
+            ),
+        }
+    }
+    assert!(refused > 0, "queued tickets must be refused, not dropped");
+    let h = server.health();
+    assert!(
+        h.worker_respawns >= 1,
+        "give-up is reached through respawns"
+    );
+    assert_eq!((h.queue_depth, h.inflight), (0, 0));
+    assert!(matches!(
+        server.submit(inputs[0].clone()),
+        Err(ServeError::ShuttingDown)
+    ));
+    server.shutdown();
 }
 
 #[test]
@@ -221,20 +347,19 @@ fn decode_scheduler_death_answers_everything_and_recovers() {
         .iter()
         .map(|p| server.submit(p.clone()).unwrap())
         .collect();
-    let mut ok = 0u64;
-    let mut restarted = 0u64;
-    for (i, t) in tickets.into_iter().enumerate() {
-        match t.wait_timeout(Duration::from_secs(60)) {
-            Ok(resp) => {
-                assert_eq!(resp.tokens, oracle[i], "surviving stream {i} diverged");
-                ok += 1;
-            }
-            Err(ServeError::SchedulerRestarted) => restarted += 1,
+    let (ok, restarted) = assert_invariants(
+        seed,
+        tickets.into_iter().enumerate().map(|(i, t)| {
             // A hung ticket surfaces as the wait's own timeout.
-            Err(ServeError::DeadlineExpired) => panic!("hung decode ticket {i} (seed {seed})"),
-            Err(e) => panic!("unexpected terminal error: {e} (seed {seed})"),
-        }
-    }
+            match t.wait_timeout(Duration::from_secs(60)) {
+                Err(ServeError::DeadlineExpired) => (i, None),
+                answer => (i, Some(answer)),
+            }
+        }),
+        |i, resp| assert_eq!(resp.tokens, oracle[i], "surviving stream {i} diverged"),
+        |e| *e == ServeError::SchedulerRestarted,
+        || server.health(),
+    );
     assert_eq!(
         ok + restarted,
         lens.len() as u64,
@@ -245,7 +370,6 @@ fn decode_scheduler_death_answers_everything_and_recovers() {
         "a 30% panic schedule must have killed the scheduler at least once"
     );
     // Recovery: disarmed, a fresh submission decodes exactly.
-    fault::disarm();
     let probe = server
         .submit(prompts[0].clone())
         .unwrap()
@@ -299,4 +423,33 @@ fn crash_looping_scheduler_gives_up_without_hanging_tickets() {
     );
     fault::disarm();
     server.shutdown();
+}
+
+/// Every service thread of both servers is spawned by the one core: an
+/// adaptive `Server` runs its workers plus the supervisor, a
+/// `DecodeServer` its scheduler plus the supervisor, and a stopped
+/// server leaves none behind. (This binary runs one test at a time, so
+/// the census sees only this test's servers.)
+#[cfg(target_os = "linux")]
+#[test]
+fn each_server_runs_its_bodies_plus_one_supervisor() {
+    let _g = chaos_lock().lock().unwrap_or_else(|e| e.into_inner());
+    let (rt, _) = image_fixture();
+    let cfg = ServeConfig {
+        workers: 3,
+        ..Default::default()
+    };
+    let server = Server::start_adaptive(rt, cfg).unwrap();
+    assert_service_threads(&[
+        "flexiq-supervis",
+        "flexiq-worker-0",
+        "flexiq-worker-1",
+        "flexiq-worker-2",
+    ]);
+    server.shutdown();
+    let (rt, _) = lm_fixture();
+    let server = DecodeServer::start(rt, DecodeConfig::default()).unwrap();
+    assert_service_threads(&["flexiq-decode-s", "flexiq-supervis"]);
+    server.shutdown();
+    assert_service_threads(&[]);
 }
