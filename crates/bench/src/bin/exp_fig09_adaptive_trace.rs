@@ -1,69 +1,43 @@
 //! Fig. 9: median latency under a fluctuating Azure-like request trace —
-//! FlexiQ's adaptive ratio controller vs fixed INT8 / INT4.
+//! FlexiQ's adaptive ratio control vs fixed INT8 / INT4.
+//!
+//! The adaptive run is the live server's own control plane
+//! (`flexiq_serve::Policy`) ticked under virtual time: it raises the
+//! 4-bit ratio one step while the 1 s windowed median latency exceeds
+//! 150 ms and lowers it once it falls below half that.
 //!
 //! Expected shape (paper §8.3): as the rate swings between ~500 and
 //! ~1500 rps, INT8's median latency blows up at the peaks; the adaptive
 //! policy tracks INT4's latency at peak load while serving mostly-8-bit
 //! (higher accuracy) in the valleys.
 
-use flexiq_bench::{f2, ResultTable};
-use flexiq_gpu_sim::cost::{KernelKind, LatencyModel};
-use flexiq_gpu_sim::models::{vit_base, TransformerWorkload};
-use flexiq_gpu_sim::profiles::GpuProfile;
-use flexiq_serving::controller::{profile_offline, AdaptiveController};
-use flexiq_serving::sim::{simulate, ServiceModel, SimConfig};
+use std::time::Duration;
+
+use flexiq_bench::{f2, gpu_serve_config, GpuService, ResultTable};
+use flexiq_core::runtime::LEVEL_INT8;
+use flexiq_gpu_sim::models::vit_base;
+use flexiq_serve::policy::rung;
+use flexiq_serve::{ControlConfig, ServeConfig};
 use flexiq_serving::stats::{median, windowed_median};
-use flexiq_serving::{azure_like_trace, FixedLevel};
-
-struct GpuService {
-    workload: TransformerWorkload,
-    model: LatencyModel,
-}
-
-impl ServiceModel for GpuService {
-    fn service_s(&self, batch: usize, level: usize) -> f64 {
-        let kind = match level {
-            0 => KernelKind::UniformInt8,
-            l => KernelKind::FlexiQ {
-                low_fraction: 0.25 * l as f64,
-                dynamic_extract: false,
-            },
-        };
-        self.workload
-            .model_latency_us(&self.model, batch.max(1), kind)
-            / 1e6
-    }
-
-    fn levels(&self) -> usize {
-        5
-    }
-}
+use flexiq_serving::{azure_like_trace, simulate};
 
 fn main() {
-    let svc = GpuService {
-        workload: vit_base(),
-        model: LatencyModel::new(GpuProfile::A6000),
-    };
-    let cfg = SimConfig {
-        max_batch: 32,
-        ..Default::default()
+    let svc = GpuService::a6000(vit_base());
+    let cfg = ServeConfig {
+        control: ControlConfig {
+            // 150 ms — the paper's stable band is 100–150 ms.
+            target: Duration::from_millis(150),
+            percentile: 0.5,
+            window: Duration::from_secs(1),
+            ..ControlConfig::default()
+        },
+        ..gpu_serve_config()
     };
     let (arrivals, segments) = azure_like_trace(500.0, 2.0, 15, 901);
 
-    // Offline profile (Fig. 8) drives the controller.
-    let profile = profile_offline(
-        &svc,
-        &[200.0, 500.0, 800.0, 1000.0, 1200.0, 1400.0, 1600.0],
-        3.0,
-        cfg,
-        902,
-    );
-    let threshold = 0.15; // 150 ms — the paper's stable band is 100–150 ms
-    let mut adaptive = AdaptiveController::new(profile, threshold);
-
-    let res_adapt = simulate(&arrivals, &svc, &mut adaptive, cfg);
-    let res_int8 = simulate(&arrivals, &svc, &mut FixedLevel(0), cfg);
-    let res_int4 = simulate(&arrivals, &svc, &mut FixedLevel(4), cfg);
+    let res_adapt = simulate(&arrivals, &svc, LEVEL_INT8, &cfg, true);
+    let res_int8 = simulate(&arrivals, &svc, LEVEL_INT8, &cfg, false);
+    let res_int4 = simulate(&arrivals, &svc, 3, &cfg, false);
 
     let mut table = ResultTable::new(
         "Fig. 9 — ViT-B under a fluctuating trace: windowed median latency (ms)",
@@ -86,8 +60,7 @@ fn main() {
             .iter()
             .rev()
             .find(|(tt, _)| *tt <= t)
-            .map(|(_, l)| *l)
-            .unwrap_or(0)
+            .map_or(LEVEL_INT8, |(_, l)| *l)
     };
     for (i, &(t, v8)) in m8.iter().enumerate() {
         let rate = segments.get((t / 2.0) as usize).map(|s| s.1).unwrap_or(0.0);
@@ -99,7 +72,7 @@ fn main() {
             f2(v8 * 1e3),
             f2(va * 1e3),
             f2(v4 * 1e3),
-            lvl_at(t).to_string(),
+            rung(lvl_at(t)).to_string(),
         ]);
     }
     table.emit("fig09_adaptive_trace");
@@ -108,7 +81,7 @@ fn main() {
         median(&res_int8.latencies()) * 1e3,
         median(&res_adapt.latencies()) * 1e3,
         median(&res_int4.latencies()) * 1e3,
-        res_adapt.mean_level()
+        res_adapt.mean_rung()
     );
     println!(
         "accuracy note: the adaptive policy serves level 0–1 in the valleys, so its\n\

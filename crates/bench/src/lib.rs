@@ -19,13 +19,20 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
+use std::time::Duration;
 
 use flexiq_core::evolution::EvolutionConfig;
 use flexiq_core::pipeline::{prepare, FlexiQConfig, Prepared};
+use flexiq_core::runtime::LEVEL_INT8;
 use flexiq_core::selection::Strategy;
+use flexiq_gpu_sim::cost::{KernelKind, LatencyModel};
+use flexiq_gpu_sim::models::TransformerWorkload;
+use flexiq_gpu_sim::profiles::GpuProfile;
 use flexiq_nn::data::{gen_image_inputs, teacher_dataset_filtered, Dataset};
 use flexiq_nn::graph::Graph;
 use flexiq_nn::zoo::{ModelId, Scale};
+use flexiq_serve::{BrownoutConfig, ServeConfig};
+use flexiq_serving::ServiceModel;
 use flexiq_tensor::Tensor;
 
 /// Experiment-scale knobs (env-var overridable).
@@ -100,6 +107,66 @@ impl Fixture {
             parents: 4,
             ..Default::default()
         }
+    }
+}
+
+/// A transformer served on the A6000 cost model, as the serving
+/// simulator sees it (Figs. 8 and 9). Levels are the runtime's: INT8 is
+/// [`LEVEL_INT8`], schedule level `k` runs `25·(k+1)` % of its channels
+/// in 4 bits.
+pub struct GpuService {
+    /// The model's GEMM shapes and float-side work.
+    pub workload: TransformerWorkload,
+    /// The GPU latency model.
+    pub model: LatencyModel,
+    /// Run every level on uniform INT4 kernels (Fig. 8's INT4 baseline).
+    pub uniform_int4: bool,
+}
+
+impl GpuService {
+    /// `workload` on an A6000 with FlexiQ kernels.
+    pub fn a6000(workload: TransformerWorkload) -> Self {
+        GpuService {
+            workload,
+            model: LatencyModel::new(GpuProfile::A6000),
+            uniform_int4: false,
+        }
+    }
+}
+
+impl ServiceModel for GpuService {
+    fn service_s(&self, batch: usize, level: usize) -> f64 {
+        let kind = match level {
+            _ if self.uniform_int4 => KernelKind::UniformInt4,
+            LEVEL_INT8 => KernelKind::UniformInt8,
+            l => KernelKind::FlexiQ {
+                low_fraction: 0.25 * (l + 1) as f64,
+                dynamic_extract: false,
+            },
+        };
+        self.workload
+            .model_latency_us(&self.model, batch.max(1), kind)
+            / 1e6
+    }
+
+    fn levels(&self) -> usize {
+        4
+    }
+}
+
+/// The paper's §8.3 serving setup: one GPU worker dispatching up to 32
+/// queued requests the moment it is free, an unbounded queue, no
+/// deadlines and no brownout.
+pub fn gpu_serve_config() -> ServeConfig {
+    ServeConfig {
+        max_batch: 32,
+        batch_timeout: Duration::ZERO,
+        queue_capacity: usize::MAX,
+        brownout: BrownoutConfig {
+            enabled: false,
+            ..BrownoutConfig::default()
+        },
+        ..ServeConfig::default()
     }
 }
 

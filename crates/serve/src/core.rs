@@ -55,8 +55,9 @@ use crate::request::RequestId;
 
 /// How often the supervisor reaps dead slots and ticks the [`Policy`]
 /// (the brownout ladder moves on every tick, the level every
-/// [`crate::ControlConfig::tick`]).
-pub(crate) const SUPERVISE_TICK: Duration = Duration::from_millis(2);
+/// [`crate::ControlConfig::tick`]). The serving simulator ticks its
+/// virtual-clock `Policy` at the same cadence.
+pub const SUPERVISE_TICK: Duration = Duration::from_millis(2);
 
 /// Consecutive no-progress deaths after which the supervisor concludes
 /// the fault is deterministic and gives up instead of crash-looping.
@@ -133,8 +134,8 @@ impl<Q: Send + 'static> Core<Q> {
             fault::arm(f.clone());
         }
         let policy = Policy::new(
-            adaptive.then_some(&cfg.control),
-            cfg.brownout.clone(),
+            cfg,
+            adaptive,
             runtime.num_levels(),
             runtime.cheapest_level().unwrap_or(LEVEL_INT8),
             // The runtime's actual level — the caller may have set one

@@ -1,10 +1,11 @@
 //! Live threaded batching inference serving on top of
 //! [`flexiq_core::FlexiRuntime`] (§8.3, executed for real).
 //!
-//! Where `flexiq-serving` *simulates* the paper's serving experiment
-//! with a discrete-event model and a latency table, this crate runs it:
-//! real requests carry real tensors through a bounded admission queue,
-//! a dynamic batcher, and a worker pool executing quantized forward
+//! Where `flexiq-serving` *simulates* the paper's serving experiment —
+//! this crate's [`Policy`] ticked under a virtual clock over a latency
+//! table — this crate runs it: real requests carry real tensors through
+//! a bounded admission queue, a dynamic batcher, and a worker pool
+//! executing quantized forward
 //! passes on one shared set of 8-bit master weights — while one
 //! supervisor thread ticks one pure [`Policy`] that adapts the 4-bit
 //! ratio from *measured* sliding-window latency percentiles and flips it
@@ -72,6 +73,7 @@ pub mod retry;
 pub mod server;
 pub mod worker;
 
+pub use self::core::SUPERVISE_TICK;
 pub use config::{ControlConfig, ServeConfig};
 pub use decode::{DecodeConfig, DecodeServer, GenResponse, GenTicket};
 pub use error::{Result, ServeError};

@@ -5,8 +5,9 @@
 //! precision level to run and which [`ServeState`] to be in — and owns
 //! no clock, no `Arc` and no thread: the one `flexiq-supervise` loop of
 //! the serving core (`core.rs`, under both servers) samples the metrics
-//! hub, calls [`Policy::tick`] and applies the [`Decision`]; the tests
-//! below tick the same code under a virtual clock.
+//! hub, calls [`Policy::tick`] and applies the [`Decision`]; the serving
+//! simulator (`flexiq_serving::sim::simulate`) ticks the same code, at
+//! the same [`crate::SUPERVISE_TICK`], under a virtual clock.
 //!
 //! **Precision ratchet** (§8.3, live). Every `ControlConfig::tick` the
 //! policy reads a percentile of the end-to-end latency over a sliding
@@ -41,12 +42,13 @@
 //!   finishes.
 //!
 //! Pressure — queue depth and deadline misses — is sampled on every
-//! supervisor tick (a fixed 2 ms); escalation and recovery both need a
-//! *streak* of ticks, so a one-tick burst neither browns out nor flaps.
+//! supervisor tick ([`crate::SUPERVISE_TICK`]); escalation and recovery
+//! both need a *streak* of ticks, so a one-tick burst neither browns out
+//! nor flaps.
 
-use flexiq_core::runtime::LEVEL_INT8;
+pub use flexiq_core::runtime::LEVEL_INT8;
 
-use crate::config::ControlConfig;
+use crate::config::{ControlConfig, ServeConfig};
 use crate::error::{Result, ServeError};
 
 /// Server lifecycle / degradation state, ordered by severity.
@@ -179,6 +181,16 @@ fn runtime_level(rung: usize) -> usize {
     rung.checked_sub(1).unwrap_or(LEVEL_INT8)
 }
 
+/// Ratchet rung of a runtime level, the inverse of the mapping above:
+/// [`LEVEL_INT8`] is rung 0, schedule level `k` is rung `k + 1`.
+pub fn rung(level: usize) -> usize {
+    if level == LEVEL_INT8 {
+        0
+    } else {
+        level + 1
+    }
+}
+
 /// The latency ratchet: a rung position plus the clocks that pace it.
 #[derive(Clone, Debug)]
 struct Ratchet {
@@ -190,12 +202,12 @@ struct Ratchet {
 }
 
 impl Ratchet {
-    /// Starts at rung 0; the first decision is due one `tick` in.
-    fn new(cfg: &ControlConfig, max_rung: usize) -> Self {
+    /// Starts at `rung`; the first decision is due one `tick` in.
+    fn new(cfg: &ControlConfig, max_rung: usize, rung: usize) -> Self {
         Ratchet {
             cfg: cfg.clone(),
             max_rung,
-            rung: 0,
+            rung: rung.min(max_rung),
             last_change_s: f64::NEG_INFINITY,
             next_due_s: cfg.tick.as_secs_f64(),
         }
@@ -309,21 +321,24 @@ pub struct Policy {
 }
 
 impl Policy {
-    /// A policy for a runtime with `num_levels` schedule levels whose
+    /// The policy of a server configured by `cfg` (its `control` and
+    /// `brownout`) over a runtime with `num_levels` schedule levels whose
     /// cheapest configuration is runtime level `cheapest`, currently
-    /// running `level`. `control: None` never decides a level (the
-    /// ladder still runs).
+    /// running `level`. Built the same way by the live core and by the
+    /// virtual-clock simulator. `adaptive: false` never decides a level
+    /// (the ladder still runs); an adaptive one ratchets from `level`'s
+    /// rung.
     pub fn new(
-        control: Option<&ControlConfig>,
-        brownout: BrownoutConfig,
+        cfg: &ServeConfig,
+        adaptive: bool,
         num_levels: usize,
         cheapest: usize,
         level: usize,
     ) -> Self {
         Policy {
-            ratchet: control.map(|c| Ratchet::new(c, num_levels)),
+            ratchet: adaptive.then(|| Ratchet::new(&cfg.control, num_levels, rung(level))),
             ladder: Ladder {
-                cfg: brownout,
+                cfg: cfg.brownout.clone(),
                 hot: 0,
                 calm: 0,
             },
@@ -367,7 +382,6 @@ impl Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
     use std::time::Duration;
 
     fn control() -> ControlConfig {
@@ -407,13 +421,23 @@ mod tests {
         obs(state, 0.0, 0)
     }
 
+    /// A policy over four schedule levels (cheapest: 3) running `level`.
+    fn policy(brownout: BrownoutConfig, adaptive: bool, level: usize) -> Policy {
+        let cfg = ServeConfig {
+            control: control(),
+            brownout,
+            ..ServeConfig::default()
+        };
+        Policy::new(&cfg, adaptive, 4, 3, level)
+    }
+
     fn ladder(cfg: BrownoutConfig) -> Ladder {
-        Policy::new(None, cfg, 4, 3, LEVEL_INT8).ladder
+        policy(cfg, false, LEVEL_INT8).ladder
     }
 
     #[test]
     fn converges_up_under_a_load_step_and_recovers() {
-        let mut c = Ratchet::new(&control(), 4);
+        let mut c = Ratchet::new(&control(), 4, 0);
         // Comfortable latency: stays at INT8.
         for i in 0..10 {
             assert_eq!(c.decide(i as f64, Some((32, 0.030))), 0);
@@ -448,7 +472,7 @@ mod tests {
 
     #[test]
     fn holds_level_without_enough_samples() {
-        let mut c = Ratchet::new(&control(), 4);
+        let mut c = Ratchet::new(&control(), 4, 0);
         assert_eq!(c.decide(0.0, Some((3, 9.9))), 0, "below min_samples");
         assert_eq!(c.decide(1.0, None), 0, "empty window");
         assert_eq!(c.decide(2.0, Some((4, 9.9))), 1, "enough samples now");
@@ -464,7 +488,7 @@ mod tests {
 
     #[test]
     fn idle_window_decays_back_to_int8() {
-        let mut c = Ratchet::new(&control(), 4);
+        let mut c = Ratchet::new(&control(), 4, 0);
         // Drive to the top.
         let mut t = 0.0;
         while c.rung < 4 {
@@ -483,7 +507,7 @@ mod tests {
 
     #[test]
     fn cooldown_limits_switch_rate() {
-        let mut c = Ratchet::new(&control(), 4);
+        let mut c = Ratchet::new(&control(), 4, 0);
         assert_eq!(c.decide(0.0, Some((8, 1.0))), 1);
         // 10ms later: within the 50ms hold, no further change.
         assert_eq!(c.decide(0.010, Some((8, 1.0))), 1);
@@ -614,7 +638,7 @@ mod tests {
             window,
             ..calm(ServeState::Ready)
         };
-        let mut p = Policy::new(Some(&control()), brownout(), 4, 3, LEVEL_INT8);
+        let mut p = policy(brownout(), true, LEVEL_INT8);
         // Not due before one control tick has passed: the window is not
         // even looked at.
         assert!(!p.level_due(0.005));
@@ -629,8 +653,12 @@ mod tests {
             p.tick(0.070, calm(ServeState::Ready)).level,
             Some(LEVEL_INT8)
         );
+        // Started at a preset level, the ratchet climbs from that level's
+        // rung: over target at schedule level 2 means more 4-bit, level 3.
+        let mut preset = policy(brownout(), true, 2);
+        assert_eq!(preset.tick(0.010, sample).level, Some(3));
         // A policy without a ratchet never decides a level.
-        let mut fixed = Policy::new(None, brownout(), 4, 3, 2);
+        let mut fixed = policy(brownout(), false, 2);
         assert!(!fixed.level_due(1e9));
         assert_eq!(fixed.tick(1e9, sample).level, None);
     }
@@ -646,143 +674,22 @@ mod tests {
             window: Some((8, 0.08)),
             ..obs(state, 0.5, 0)
         };
-        let mut p = Policy::new(Some(&control()), brownout(), 4, 3, LEVEL_INT8);
+        let mut p = policy(brownout(), true, LEVEL_INT8);
         assert_eq!(p.tick(0.01, over(ServeState::Ready)).level, Some(0));
         // Degraded: forced to cheapest. Shedding: still cheapest, nothing
-        // to switch. Recovered: the ratchet's rung again.
+        // to switch. Recovered: the ratchet's rung again. Draining is
+        // browned out too.
         assert_eq!(p.tick(0.02, hold(ServeState::Degraded)).level, Some(3));
         assert_eq!(p.tick(0.03, hold(ServeState::Shedding)).level, None);
         assert_eq!(p.tick(0.04, hold(ServeState::Ready)).level, Some(0));
+        assert_eq!(p.tick(0.05, hold(ServeState::Draining)).level, Some(3));
+        assert_eq!(p.tick(0.1, hold(ServeState::Ready)).level, Some(0));
         // A disabled ladder never overrides, whatever the operator set.
         let off = BrownoutConfig {
             enabled: false,
             ..brownout()
         };
-        let mut p = Policy::new(Some(&control()), off, 4, 3, LEVEL_INT8);
+        let mut p = policy(off, true, LEVEL_INT8);
         assert_eq!(p.tick(0.01, over(ServeState::Shedding)).level, Some(0));
-    }
-
-    /// A calm → burst → overload → calm → trickle → silence cycle
-    /// through a table queue model, ticked at 2 ms of *virtual* time: no
-    /// threads, no sleeps, exact traces.
-    #[test]
-    fn virtual_clock_replay_pins_the_level_and_state_traces() {
-        const TICK_MS: u32 = 2;
-        const CAPACITY: usize = 48;
-        const MAX_BATCH: usize = 8;
-        const DEADLINE_MS: u32 = 90;
-        const WINDOW_MS: u32 = 100;
-        // One worker; a batch of up to MAX_BATCH costs 12 ms at INT8 and
-        // 10, 8, 6, 4 ms at schedule levels 0..=3.
-        let cost_ms = |level| {
-            if level == LEVEL_INT8 {
-                12
-            } else {
-                10 - 2 * level as u32
-            }
-        };
-        // (segment end in ms, arrivals per 100 ticks).
-        let script = [
-            (200, 50),  // calm
-            (340, 180), // burst: over INT8 capacity, under level 2's
-            (380, 900), // overload: over every level's capacity
-            (500, 50),  // calm
-            (1000, 3),  // trickle: fewer than min_samples per window
-            (1400, 0),  // silence
-        ];
-        let control = ControlConfig {
-            target: Duration::from_millis(30),
-            window: Duration::from_millis(WINDOW_MS as u64),
-            down_margin: 0.6,
-            tick: Duration::from_millis(20),
-            ..control() // p95, min_samples 4, hold 50 ms
-        };
-        let ladder = BrownoutConfig {
-            escalate_ticks: 5,
-            recover_ticks: 10,
-            ..BrownoutConfig::default()
-        };
-        let mut policy = Policy::new(Some(&control), ladder, 4, 3, LEVEL_INT8);
-        let (mut level, mut state) = (LEVEL_INT8, ServeState::Ready);
-
-        let mut queue: VecDeque<u32> = VecDeque::new(); // arrival times
-        let mut serving: Vec<u32> = Vec::new();
-        let mut busy_until = 0;
-        let mut done: VecDeque<(u32, u32)> = VecDeque::new(); // (at, latency)
-        let (mut credit, mut expired) = (0, 0u64);
-        let mut levels: Vec<(u32, usize)> = Vec::new();
-        let mut states: Vec<(u32, ServeState)> = Vec::new();
-
-        let end = script.last().unwrap().0;
-        for t in (0..=end + 200).step_by(TICK_MS as usize) {
-            // The operator drains at the end of the script, under a
-            // queue that a final blast keeps full.
-            if t == end {
-                state = ServeState::Draining;
-                queue.extend(std::iter::repeat_n(t, CAPACITY));
-            }
-            credit += script.iter().find(|s| t < s.0).map_or(0, |s| s.1);
-            while credit >= 100 {
-                credit -= 100;
-                if state < ServeState::Shedding && queue.len() < CAPACITY {
-                    queue.push_back(t);
-                }
-            }
-            if busy_until <= t {
-                done.extend(serving.drain(..).map(|a| (t, t - a)));
-                let n = queue.len().min(MAX_BATCH);
-                serving.extend(queue.drain(..n).filter(|a| t - a <= DEADLINE_MS));
-                expired += (n - serving.len()) as u64;
-                if n > 0 {
-                    busy_until = t + cost_ms(level);
-                }
-            }
-            while done.front().is_some_and(|d| d.0 + WINDOW_MS < t) {
-                done.pop_front();
-            }
-            let now_s = t as f64 / 1e3;
-            let window = (policy.level_due(now_s) && !done.is_empty()).then(|| {
-                let mut l: Vec<u32> = done.iter().map(|d| d.1).collect();
-                l.sort_unstable();
-                let rank = ((l.len() - 1) as f64 * control.percentile).round() as usize;
-                (l.len(), l[rank] as f64 / 1e3)
-            });
-            let observed = Observation {
-                window,
-                depth_frac: queue.len() as f64 / CAPACITY as f64,
-                expired_delta: std::mem::take(&mut expired),
-                state,
-            };
-            let d = policy.tick(now_s, observed);
-            if let Some(l) = d.level {
-                level = l;
-                levels.push((t, l));
-            }
-            if let Some(s) = d.state {
-                state = s;
-                states.push((t, s));
-            }
-        }
-        assert_eq!(
-            levels,
-            [
-                (280, 0), // burst: p95 over target, one rung per hold
-                (340, 1),
-                (362, 3), // Degraded: cheapest forced at the next level tick
-                (422, 2), // Ready again: the ratchet's own rung — it kept
-                (462, 3), // stepping (1 → 2 at 400) under the override
-                (522, 2), // calm: back down under the hysteresis margin
-                (582, 1),
-                (1082, 0), // the trickle held level 1; the empty window decays
-                (1142, LEVEL_INT8),
-                (1402, 3), // Draining is browned out too
-            ]
-        );
-        assert_eq!(
-            states,
-            [(350, ServeState::Degraded), (412, ServeState::Ready)],
-            "one brownout, and Draining is never left"
-        );
-        assert_eq!(state, ServeState::Draining);
     }
 }
