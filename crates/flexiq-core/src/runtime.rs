@@ -15,17 +15,13 @@
 //! forward pass (one level read, one quantization and bit-lowering per
 //! layer per batch) — the serving worker's dispatch unit.
 //!
-//! A dispatch is also internally parallel: the execution stack fans
-//! per-sample attention cores, conv channel groups, and GEMM output
-//! bands (row bands, or column bands for wide-but-short shapes) across a
-//! [`flexiq_parallel::ThreadPool`]. By default the runtime uses the
-//! ambient pool (a [`flexiq_parallel::with_pool`] scope installed by the
-//! embedder — e.g. the serve worker — or else the global
-//! `FLEXIQ_THREADS`-sized pool); [`FlexiRuntime::with_pool`] pins an
-//! explicit pool instead, which then takes precedence over the ambient
-//! one for every inference entry point. Parallel execution is bit-exact
-//! with serial at every level and thread count (outputs partition along
-//! independent ranges only).
+//! The runtime owns no threads and picks no pool. The one intra-batch
+//! fan-out is inside the GEMM kernels, which split large problems into
+//! output row bands on the ambient pool: the `flexiq_parallel::with_pool`
+//! scope the caller installed (the serve worker installs one per
+//! dispatch), else the global `FLEXIQ_THREADS`-sized pool. Row bands
+//! keep every output element's reduction order, so inference is
+//! bit-exact with serial at every level and thread count.
 //!
 //! Inference entry points are also **allocation-steady**: the quantized
 //! engines draw their per-layer scratch (activation quantization, im2col
@@ -48,7 +44,6 @@ use flexiq_nn::graph::Graph;
 use flexiq_nn::kv::KvSpec;
 use flexiq_nn::qexec::{MixedPlan, PackCache, QuantCompute, QuantExecOptions, QuantizedModel};
 use flexiq_nn::NnError;
-use flexiq_parallel::ThreadPool;
 use flexiq_telemetry as tel;
 use flexiq_tensor::{SeqMask, Tensor};
 
@@ -67,8 +62,6 @@ pub struct FlexiRuntime {
     /// all-8-bit configuration.
     level: AtomicUsize,
     opts: QuantExecOptions,
-    /// Explicit intra-batch pool; `None` uses the ambient pool.
-    pool: Option<Arc<ThreadPool>>,
     /// Shared prepacked-weight cache: quantized + bit-lowered + NR-lane
     /// packed weight bands, built lazily on first use (or eagerly via
     /// [`FlexiRuntime::prewarm_levels`]) and consumed by every Int-mode
@@ -155,7 +148,6 @@ impl FlexiRuntime {
             max_low_group,
             level: AtomicUsize::new(LEVEL_INT8),
             opts,
-            pool: None,
             pack_cache: Arc::new(PackCache::new()),
             kv_spec: KvSpec::f32(),
         })
@@ -183,20 +175,6 @@ impl FlexiRuntime {
         &self.pack_cache
     }
 
-    /// Pins an explicit intra-batch thread pool: every inference entry
-    /// point then runs inside it, regardless of the ambient pool. Without
-    /// this, the runtime inherits whatever pool the calling scope
-    /// installed (see the module docs).
-    pub fn with_pool(mut self, pool: Arc<ThreadPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// The explicitly pinned pool, if any.
-    pub fn pool(&self) -> Option<&Arc<ThreadPool>> {
-        self.pool.as_ref()
-    }
-
     /// Replaces the quantized execution options — e.g. to run the exact
     /// integer path (`ExecMode::Int`) on a pipeline-prepared runtime,
     /// which defaults to the fast Fake mode.
@@ -218,14 +196,6 @@ impl FlexiRuntime {
     /// The installed K/V-cache precision spec.
     pub fn kv_spec(&self) -> &KvSpec {
         &self.kv_spec
-    }
-
-    /// Runs `f` under the pinned pool (or unchanged when none is set).
-    fn scoped<R>(&self, f: impl FnOnce() -> R) -> R {
-        match &self.pool {
-            Some(pool) => flexiq_parallel::with_pool(pool, f),
-            None => f(),
-        }
     }
 
     /// The layout-optimized graph.
@@ -346,10 +316,7 @@ impl FlexiRuntime {
     pub fn infer_traced(&self, input: &Tensor) -> Result<(Tensor, usize)> {
         let level = self.level();
         let mut hook = self.hook(self.plan_at(level))?;
-        Ok((
-            self.scoped(|| exec::run(&self.graph, input, &mut hook))?,
-            level,
-        ))
+        Ok((exec::run(&self.graph, input, &mut hook)?, level))
     }
 
     /// Runs a batch of same-shaped inputs as **one** stacked forward pass.
@@ -381,7 +348,7 @@ impl FlexiRuntime {
         }
         let stacked = Tensor::stack(inputs).map_err(NnError::from)?;
         let mut hook = self.hook(self.plan_at(level))?;
-        let y = self.scoped(|| exec::run_batch(&self.graph, &stacked, &mut hook))?;
+        let y = exec::run_batch(&self.graph, &stacked, &mut hook)?;
         let mut outs = Vec::with_capacity(inputs.len());
         for i in 0..inputs.len() {
             outs.push(y.index_axis0(i).map_err(NnError::from)?);
@@ -450,8 +417,7 @@ impl FlexiRuntime {
         let mask = SeqMask::new(lens.clone(), bucket).map_err(NnError::from)?;
         let stacked = Tensor::pad_stack(inputs, bucket, 0.0).map_err(NnError::from)?;
         let mut hook = self.hook(self.plan_at(level))?;
-        let y =
-            self.scoped(|| exec::run_batch_masked(&self.graph, &stacked, Some(&mask), &mut hook))?;
+        let y = exec::run_batch_masked(&self.graph, &stacked, Some(&mask), &mut hook)?;
         let mut outs = Vec::with_capacity(inputs.len());
         for (i, &len) in lens.iter().enumerate() {
             let yi = y.index_axis0(i).map_err(NnError::from)?;
@@ -481,8 +447,7 @@ impl FlexiRuntime {
         let mut state = DecodeState::new(&self.graph, self.kv_spec)?;
         let t = prompt.dims().first().copied().unwrap_or(0);
         let _span = tel::span_full("prefill", tel::Cat::Phase, 0, [t as u64, 1, 0, 0]);
-        let logits =
-            self.scoped(|| flexiq_nn::decode::prefill(&self.graph, &mut state, prompt, &mut hook))?;
+        let logits = flexiq_nn::decode::prefill(&self.graph, &mut state, prompt, &mut hook)?;
         let last = logits
             .index_axis0(t.saturating_sub(1))
             .map_err(NnError::from)?;
@@ -513,9 +478,7 @@ impl FlexiRuntime {
         let mut hook = self.hook(self.plan_at(level))?;
         let before = session.state.kv_bytes();
         let _span = tel::span_full("decode_step", tel::Cat::Phase, 0, [1, 1, 0, 0]);
-        let y = self.scoped(|| {
-            flexiq_nn::decode::step(&self.graph, &mut session.state, token, &mut hook)
-        })?;
+        let y = flexiq_nn::decode::step(&self.graph, &mut session.state, token, &mut hook)?;
         let row = y.index_axis0(0).map_err(NnError::from)?;
         tel::count(tel::Counter::DecodeSteps, 1);
         tel::count(tel::Counter::DecodeTokens, 1);
@@ -547,11 +510,8 @@ impl FlexiRuntime {
             0,
             [tokens.len() as u64, sessions.len() as u64, 0, 0],
         );
-        let y = self.scoped(|| {
-            let mut states: Vec<&mut DecodeState> =
-                sessions.iter_mut().map(|s| &mut s.state).collect();
-            flexiq_nn::decode::step_batch(&self.graph, &mut states, tokens, &mut hook)
-        })?;
+        let mut states: Vec<&mut DecodeState> = sessions.iter_mut().map(|s| &mut s.state).collect();
+        let y = flexiq_nn::decode::step_batch(&self.graph, &mut states, tokens, &mut hook)?;
         let mut rows = Vec::with_capacity(sessions.len());
         for i in 0..sessions.len() {
             rows.push(y.index_axis0(i).map_err(NnError::from)?);
@@ -571,7 +531,7 @@ impl FlexiRuntime {
     pub fn accuracy(&self, data: &Dataset) -> Result<f64> {
         let plan = self.current_plan();
         let mut hook = self.hook(plan)?;
-        self.scoped(|| flexiq_nn::data::accuracy(&self.graph, &mut hook, data))
+        flexiq_nn::data::accuracy(&self.graph, &mut hook, data)
     }
 }
 
@@ -694,24 +654,18 @@ mod tests {
 
     #[test]
     fn pinned_pool_keeps_inference_bit_exact() {
+        // The caller pins the pool with an ambient scope; the runtime
+        // itself holds none.
+        use flexiq_parallel::{with_pool, ThreadPool};
         let (rt, data) = runtime();
         let inputs = &data.inputs[..4];
-        let par = FlexiRuntime::new(
-            rt.graph().clone(),
-            rt.model().clone(),
-            rt.schedule().clone(),
-            Default::default(),
-        )
-        .unwrap()
-        .with_pool(flexiq_parallel::ThreadPool::new(3));
-        assert_eq!(par.pool().unwrap().threads(), 3);
+        let (one, three) = (ThreadPool::new(1), ThreadPool::new(3));
         let mut levels = vec![LEVEL_INT8];
         levels.extend(0..rt.num_levels());
         for level in levels {
             rt.set_level(level).unwrap();
-            par.set_level(level).unwrap();
-            let serial = rt.infer_batch(inputs).unwrap();
-            let parallel = par.infer_batch(inputs).unwrap();
+            let serial = with_pool(&one, || rt.infer_batch(inputs)).unwrap();
+            let parallel = with_pool(&three, || rt.infer_batch(inputs)).unwrap();
             for (i, (a, b)) in serial.iter().zip(parallel.iter()).enumerate() {
                 for (x, y) in a.data().iter().zip(b.data().iter()) {
                     assert_eq!(x.to_bits(), y.to_bits(), "level {level} sample {i}");

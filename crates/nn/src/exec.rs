@@ -30,12 +30,11 @@
 //! output element's reduction order — which is what lets the serving
 //! stack batch freely without perturbing the mixed-precision arithmetic.
 //!
-//! A stacked pass also parallelizes **within** a dispatch: per-sample
-//! attention cores and window cores fan across the ambient
-//! [`flexiq_parallel`] pool, and the kernels underneath (GEMM row bands,
-//! conv channel groups) band their own disjoint output
-//! ranges. No float reduction is reordered anywhere, so parallel output
-//! is bit-exact with serial at every thread count.
+//! The walk, the operators and the attention cores run on the calling
+//! thread. The one place a pass fans out is inside the GEMM kernels,
+//! which split large problems into output row bands on the ambient pool
+//! (`flexiq_tensor::gemm`). No float reduction is reordered there, so
+//! output is bit-exact with serial at every thread count.
 //!
 //! # Variable-length (padded) batches
 //!

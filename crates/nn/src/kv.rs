@@ -51,7 +51,7 @@ use flexiq_tensor::{gemm, Tensor};
 
 use crate::error::NnError;
 use crate::ops::act::softmax_row;
-use crate::ops::{check_mask, per_sample, split_sample, Attention};
+use crate::ops::{check_mask, split_sample, Attention};
 use crate::Result;
 
 /// How a decode session's K/V cache stores and reads its rows.
@@ -417,8 +417,8 @@ pub fn core_kv_masked(
 /// The one cached-core body, behind the two entry points above and the
 /// executor's attention arm: `N` samples (one when not `stacked`), each
 /// appending and attending its valid prefix (all `T` rows without a
-/// mask) through a fresh cache of its own, fanned across the ambient pool
-/// like [`Attention::core_batch_masked`]'s (bit-exact with serial).
+/// mask) through a fresh cache of its own, in sample order like
+/// [`Attention::core_batch_masked`]'s.
 pub(crate) fn core_kv_n(
     attn: &Attention,
     spec: &KvSpec,
@@ -442,16 +442,16 @@ pub(crate) fn core_kv_n(
             "kv-cached attention requires a causal core".into(),
         ));
     }
-    let out = per_sample(n, t * c, |s, out| {
+    let mut out = vec![0.0f32; n * t * c];
+    for s in 0..n {
         let len = mask.map_or(t, |m| m.len_of(s));
         let mut cache = KvLayerCache::new(c, attn.heads, *spec, len)?;
         for i in s * t..s * t + len {
             let row = i * c..(i + 1) * c;
             cache.append(&k.data()[row.clone()], &v.data()[row.clone()])?;
-            cache.attend(&q.data()[row], &mut out[(i - s * t) * c..][..c])?;
+            cache.attend(&q.data()[row.clone()], &mut out[row])?;
         }
-        Ok(())
-    })?;
+    }
     Ok(Tensor::from_vec(q.dims().to_vec(), out)?)
 }
 

@@ -11,7 +11,7 @@ use flexiq_tensor::{SeqMask, Tensor};
 use crate::error::NnError;
 use crate::ops::act::softmax_row;
 use crate::ops::linear::Linear;
-use crate::ops::{check_mask, per_sample, split_sample};
+use crate::ops::{check_mask, split_sample};
 use crate::Result;
 
 /// Multi-head self-attention over `[T, C]` tokens.
@@ -97,12 +97,9 @@ impl Attention {
     /// path).
     ///
     /// Attention mixes tokens only **within** a sample, so the core runs
-    /// per sample (softmax rows never cross samples) — which also makes
-    /// samples embarrassingly parallel: the cores fan out across the
-    /// ambient thread pool, and because each sample's arithmetic is
-    /// untouched the result is bit-exact with serial execution. One
-    /// stacked dispatch serves mixed sequence lengths while every
-    /// sample's valid rows stay bit-exact with its unpadded
+    /// once per sample, in sample order (softmax rows never cross
+    /// samples). One stacked dispatch serves mixed sequence lengths while
+    /// every sample's valid rows stay bit-exact with its unpadded
     /// [`Attention::core`] run.
     pub fn core_batch_masked(
         &self,
@@ -135,18 +132,18 @@ impl Attention {
         }
         check_mask("attention_core", mask, n, t)?;
         let per = t * c;
-        let out = per_sample(n, per, |s, out| {
+        let mut out = vec![0.0f32; n * per];
+        for s in 0..n {
             let rows = s * per..(s + 1) * per;
             let len = mask.map_or(t, |m| m.len_of(s));
             self.core_rows(
                 &q.data()[rows.clone()],
                 &k.data()[rows.clone()],
-                &v.data()[rows],
+                &v.data()[rows.clone()],
                 len,
-                out,
+                &mut out[rows],
             );
-            Ok(())
-        })?;
+        }
         Ok(Tensor::from_vec(q.dims().to_vec(), out)?)
     }
 

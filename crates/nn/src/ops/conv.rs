@@ -144,11 +144,9 @@ impl Conv2d {
     /// Each channel group is lowered once for the whole batch
     /// (`im2col_batch`) and multiplied in one GEMM over the samples
     /// stacked along `n`, so the weight rows stream across all `N`
-    /// samples. Channel groups are independent, so grouped/depthwise
-    /// convolutions fan their groups across the ambient thread pool
-    /// (single-group convolutions parallelize inside the GEMM instead);
-    /// per-sample results are bit-exact with [`Conv2d::forward`] at any
-    /// thread count.
+    /// samples. Groups run one after another; the only parallelism is the
+    /// GEMM's own row bands, so per-sample results are bit-exact with
+    /// [`Conv2d::forward`] at any thread count.
     pub fn forward_batch(&self, x: &Tensor) -> Result<Tensor> {
         let (n, h, w) = self.check_input_batch(x)?;
         let g = self.group_geometry(h, w);
@@ -171,11 +169,14 @@ impl Conv2d {
         let chw = self.c_in() * h * w;
         let ncols = n * cols;
         let mut out = vec![0.0f32; n * c_out * cols];
-        // Lower + multiply one group into `big` ([c_out_g, N*cols]); the
-        // single copy of the per-group algorithm, shared by the parallel
-        // and serial paths (which differ only in buffer lifetime).
-        let group_gemm = |grp: usize, cols_mat: &mut Vec<f32>, big: &mut Vec<f32>| {
-            im2col_batch_into(&x[grp * c_in_g * h * w..], n, chw, &g, cols_mat);
+        // One group's buffers alive at a time, drawn from the thread's
+        // scratch pool so steady-state passes do not re-allocate the
+        // lowering or the GEMM output.
+        let mut cols_mat = scratch::take_f32();
+        let mut big = scratch::take_f32();
+        for grp in 0..self.groups {
+            // Lower + multiply one group into `big` ([c_out_g, N*cols]).
+            im2col_batch_into(&x[grp * c_in_g * h * w..], n, chw, &g, &mut cols_mat);
             big.clear();
             big.resize(c_out_g * ncols, 0.0);
             gemm::gemm_f32(
@@ -183,12 +184,10 @@ impl Conv2d {
                 ncols,
                 k,
                 &self.weight.data()[grp * c_out_g * k..(grp + 1) * c_out_g * k],
-                cols_mat,
-                big,
+                &cols_mat,
+                &mut big,
             );
-        };
-        // Scatter [c_out_g, N*cols] back to sample-major [N, C_out, OH*OW].
-        let scatter = |grp: usize, big: &[f32], out: &mut [f32]| {
+            // Scatter [c_out_g, N*cols] back to sample-major [N, C_out, OH*OW].
             for ol in 0..c_out_g {
                 let o = grp * c_out_g + ol;
                 for s in 0..n {
@@ -197,39 +196,9 @@ impl Conv2d {
                     out[dst..dst + cols].copy_from_slice(&big[src..src + cols]);
                 }
             }
-        };
-        let pool = (self.groups >= 2 && !flexiq_parallel::in_task())
-            .then(flexiq_parallel::current)
-            .filter(|p| p.threads() >= 2);
-        match pool {
-            Some(pool) => {
-                // Each task's lowering buffer comes from its executing
-                // thread's scratch pool; the GEMM output is returned.
-                let run = |grp: usize| -> Vec<f32> {
-                    let mut cols_mat = scratch::take_f32();
-                    let mut big = Vec::new();
-                    group_gemm(grp, &mut cols_mat, &mut big);
-                    scratch::put_f32(cols_mat);
-                    big
-                };
-                for (grp, big) in pool.map(self.groups, run).iter().enumerate() {
-                    scatter(grp, big, &mut out);
-                }
-            }
-            // Serial: one group's buffers alive at a time, drawn from the
-            // thread's scratch pool so steady-state passes do not
-            // re-allocate the lowering or the GEMM output.
-            None => {
-                let mut cols_mat = scratch::take_f32();
-                let mut big = scratch::take_f32();
-                for grp in 0..self.groups {
-                    group_gemm(grp, &mut cols_mat, &mut big);
-                    scatter(grp, &big, &mut out);
-                }
-                scratch::put_f32(big);
-                scratch::put_f32(cols_mat);
-            }
         }
+        scratch::put_f32(big);
+        scratch::put_f32(cols_mat);
         if let Some(bias) = &self.bias {
             for s in 0..n {
                 for (co, &b) in bias.iter().enumerate() {

@@ -160,45 +160,22 @@ impl Linear {
         }
         let c_out = self.c_out();
         let mut out = vec![0.0f32; rows * c_out];
-        let token_rows = |band: std::ops::Range<usize>, chunk: &mut [f32]| {
-            let t0 = band.start;
-            for ti in band {
-                if !valid[ti] {
-                    continue;
+        for ti in (0..rows).filter(|&ti| valid[ti]) {
+            let xrow = &x.data()[ti * c_in..(ti + 1) * c_in];
+            let orow = &mut out[ti * c_out..(ti + 1) * c_out];
+            for o in 0..c_out {
+                let wrow = &self.weight.data()[o * c_in..(o + 1) * c_in];
+                let mut acc = 0.0f32;
+                for c in 0..c_in {
+                    acc += xrow[c] * wrow[c];
                 }
-                let xrow = &x.data()[ti * c_in..(ti + 1) * c_in];
-                let orow = &mut chunk[(ti - t0) * c_out..(ti - t0 + 1) * c_out];
-                for o in 0..c_out {
-                    let wrow = &self.weight.data()[o * c_in..(o + 1) * c_in];
-                    let mut acc = 0.0f32;
-                    for c in 0..c_in {
-                        acc += xrow[c] * wrow[c];
-                    }
-                    orow[o] = acc;
-                }
-                if let Some(bias) = &self.bias {
-                    for (o, &b) in bias.iter().enumerate() {
-                        orow[o] += b;
-                    }
+                orow[o] = acc;
+            }
+            if let Some(bias) = &self.bias {
+                for (o, &b) in bias.iter().enumerate() {
+                    orow[o] += b;
                 }
             }
-        };
-        let work: usize = valid.iter().filter(|&&v| v).count() * c_out * c_in;
-        let worth_it = !flexiq_parallel::in_task() && rows >= 2 && work >= gemm::PAR_MIN_WORK;
-        let pool = worth_it.then(flexiq_parallel::current);
-        match pool {
-            Some(pool) if pool.threads() >= 2 => {
-                let mut bands = flexiq_parallel::take_ranges();
-                flexiq_parallel::chunk_ranges_into(rows, pool.threads() * 4, &mut bands);
-                let mut elems = flexiq_parallel::take_ranges();
-                elems.extend(bands.iter().map(|r| r.start * c_out..r.end * c_out));
-                pool.run_disjoint_mut(&mut out, &elems, |bi, chunk| {
-                    token_rows(bands[bi].clone(), chunk)
-                });
-                flexiq_parallel::put_ranges(elems);
-                flexiq_parallel::put_ranges(bands);
-            }
-            _ => token_rows(0..rows, &mut out),
         }
         if x.dims().len() == 2 {
             Ok(Tensor::from_vec([n, c_out], out)?)

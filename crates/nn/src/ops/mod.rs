@@ -95,34 +95,6 @@ pub(crate) fn stack_dims(stacked: bool, n: usize, sample: &[usize]) -> Vec<usize
     dims
 }
 
-/// Runs `body(s, out_s)` for each of `n` samples into one `[n * per]`
-/// buffer, fanned across the ambient pool. Samples are independent and
-/// each writes only its own chunk, so parallel output is bit-exact with
-/// the serial loop; the lowest-index failure is the one reported.
-pub(crate) fn per_sample(
-    n: usize,
-    per: usize,
-    body: impl Fn(usize, &mut [f32]) -> Result<()> + Sync,
-) -> Result<Vec<f32>> {
-    let mut out = vec![0.0f32; n * per];
-    let mut chunks = flexiq_parallel::take_ranges();
-    chunks.extend((0..n).map(|s| s * per..(s + 1) * per));
-    let failed = std::sync::Mutex::new(None::<(usize, NnError)>);
-    flexiq_parallel::current().run_disjoint_mut(&mut out, &chunks, |s, chunk| {
-        if let Err(e) = body(s, chunk) {
-            let mut slot = failed.lock().expect("per-sample error slot");
-            if slot.as_ref().is_none_or(|(first, _)| s < *first) {
-                *slot = Some((s, e));
-            }
-        }
-    });
-    flexiq_parallel::put_ranges(chunks);
-    match failed.into_inner().expect("per-sample error slot") {
-        Some((_, e)) => Err(e),
-        None => Ok(out),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

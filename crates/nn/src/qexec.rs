@@ -70,12 +70,12 @@
 //! [`crate::exec::Compute::set_seq_mask`] and derives from real rows
 //! only.
 //!
-//! Batched quantized layers are also internally parallel: activation
-//! quantization chunks, the 8-bit linear bands, the band GEMMs, and —
-//! for grouped/depthwise convolutions — whole conv groups fan across
-//! the ambient [`flexiq_parallel`] pool. Work is partitioned strictly
-//! along independent output ranges, so the parallel integer path stays
-//! bit-exact with serial execution at every thread count.
+//! Everything in this module runs on the calling thread. The one
+//! parallel stage is inside the band GEMMs, which split large problems
+//! into output row bands on the ambient pool (`flexiq_tensor::gemm`).
+//! Row bands keep every accumulator element's reduction order, so the
+//! integer path is bit-exact with serial execution at every thread
+//! count.
 
 use std::ops::Range;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -1201,8 +1201,8 @@ impl<'m> QuantCompute<'m> {
     /// Accumulates one conv group's feature-group bands into `acc`
     /// (`[c_out_g, ncols]`, zeroed by the caller), reading the group's
     /// im2col matrix `cols_q` (`[k, ncols]`) in place. This is the single
-    /// copy of the band algorithm — the single-sample, batched and
-    /// pool-fanned paths all call it.
+    /// copy of the band algorithm — the single-sample and batched paths
+    /// both call it.
     ///
     /// Adjacent bands of one precision run as **one call**: a run of
     /// 8-bit bands is one plain band GEMM over their joint rows (the
@@ -1369,12 +1369,9 @@ impl<'m> QuantCompute<'m> {
     /// [`QuantCompute::conv_group_bands`] against the layer's cached
     /// lowered weights.
     ///
-    /// Conv groups are independent (each reads its own channel slice and
-    /// produces its own output channels), so grouped/depthwise layers fan
-    /// their groups across the ambient thread pool; single-group layers
-    /// parallelize inside the band GEMMs instead. Either way each
-    /// accumulator element keeps its serial reduction order — bit-exact
-    /// at any thread count.
+    /// Conv groups run one after another; the only parallelism is the
+    /// band GEMMs' own row bands, which keep each accumulator element's
+    /// serial reduction order — bit-exact at any thread count.
     fn conv_int_stack(
         &mut self,
         l: LayerId,
@@ -1401,81 +1398,39 @@ impl<'m> QuantCompute<'m> {
         let lq = &self.model.layers[l];
         let pack = self.cache.conv(self.model, &self.opts, l);
         let mut out = vec![0.0f32; n * c_out * cols];
-        // One conv group through workspace `tls`: im2col, then the band
-        // GEMMs into the i32 accumulator slab `tls.acc`.
-        let run_group = |cg: usize, xq: &[i8], tls: &mut Workspace| {
+        // One group at a time through this hook's workspace, so peak
+        // scratch stays one group's accumulator (matters for depthwise
+        // layers, where groups == C_in).
+        for cg in 0..conv.groups {
             let im2col_span = tel::span("im2col", tel::Cat::Phase);
-            let cols_q = tls.cols_q.prep_dirty(k * ncols);
-            im2col_i8_batch_fill(&xq[cg * c_in_g * h * w..], n, chw, &geom, cols_q);
+            let cols_q = ws.cols_q.prep_dirty(k * ncols);
+            im2col_i8_batch_fill(&ws.act_q[cg * c_in_g * h * w..], n, chw, &geom, cols_q);
             drop(im2col_span);
-            let acc = tls.acc.prep(c_out_g * ncols);
+            let acc = ws.acc.prep(c_out_g * ncols);
             let gb = &pack.groups[cg];
-            self.conv_group_bands(l, conv, cg, gb, cols_q, &mut tls.live_shifts, acc);
-        };
-        // Requantizes sample `smp` of a finished group into `row`, the
-        // group's `c_out_g * cols` output columns of that sample.
-        let requant = |cg: usize, acc: &[i32], smp: usize, row: &mut [f32]| {
-            for (ol, dst) in row.chunks_exact_mut(cols).enumerate() {
-                let o = cg * c_out_g + ol;
-                let s = lq.act_scale * lq.w_scales[o];
-                let sums = &acc[ol * ncols + smp * cols..][..cols];
-                match &conv.bias {
-                    Some(b) => {
-                        for (v, &sum) in dst.iter_mut().zip(sums) {
-                            *v = sum as f32 * s + b[o];
+            self.conv_group_bands(l, conv, cg, gb, cols_q, &mut ws.live_shifts, acc);
+            // Requantize the group's `c_out_g * cols` output columns of
+            // every sample.
+            let _requant = tel::span("requant", tel::Cat::Phase);
+            for smp in 0..n {
+                let row = &mut out[(smp * c_out + cg * c_out_g) * cols..][..c_out_g * cols];
+                for (ol, dst) in row.chunks_exact_mut(cols).enumerate() {
+                    let o = cg * c_out_g + ol;
+                    let s = lq.act_scale * lq.w_scales[o];
+                    let sums = &acc[ol * ncols + smp * cols..][..cols];
+                    match &conv.bias {
+                        Some(b) => {
+                            for (v, &sum) in dst.iter_mut().zip(sums) {
+                                *v = sum as f32 * s + b[o];
+                            }
                         }
-                    }
-                    None => {
-                        for (v, &sum) in dst.iter_mut().zip(sums) {
-                            *v = sum as f32 * s;
+                        None => {
+                            for (v, &sum) in dst.iter_mut().zip(sums) {
+                                *v = sum as f32 * s;
+                            }
                         }
                     }
                 }
-            }
-        };
-        let group_cols = |cg: usize| cg * c_out_g * cols..(cg + 1) * c_out_g * cols;
-        let pool = (conv.groups >= 2 && !flexiq_parallel::in_task())
-            .then(flexiq_parallel::current)
-            .filter(|p| p.threads() >= 2);
-        match pool {
-            Some(pool) => {
-                // Parallel conv-group fan-out over disjoint **column
-                // bands** of the batched output: band `cg` is that
-                // group's output columns of every sample row. Each
-                // executing thread checks its own parked workspace out
-                // (helpers are long-lived pool threads, so their
-                // workspaces warm up and stick like the submitter's) and
-                // requantizes its band in task — steady state allocates
-                // nothing here.
-                let xq: &[i8] = &ws.act_q;
-                let mut bands = flexiq_parallel::take_ranges();
-                bands.extend((0..conv.groups).map(group_cols));
-                pool.run_col_bands_mut(&mut out, n, c_out * cols, &bands, |cg, band| {
-                    let mut tls = workspace::take();
-                    run_group(cg, xq, &mut tls);
-                    let requant_span = tel::span("requant", tel::Cat::Phase);
-                    for smp in 0..n {
-                        requant(cg, &tls.acc, smp, band.row(smp));
-                    }
-                    drop(requant_span);
-                    workspace::put(tls);
-                });
-                flexiq_parallel::put_ranges(bands);
-            }
-            // Serial: one group at a time through this hook's workspace,
-            // so peak scratch stays one group's accumulator (matters for
-            // depthwise layers, where groups == C_in).
-            None => {
-                let act_q = std::mem::take(&mut ws.act_q);
-                for cg in 0..conv.groups {
-                    run_group(cg, &act_q, &mut ws);
-                    let _requant = tel::span("requant", tel::Cat::Phase);
-                    for smp in 0..n {
-                        let row = &mut out[smp * c_out * cols..][group_cols(cg)];
-                        requant(cg, &ws.acc, smp, row);
-                    }
-                }
-                ws.act_q = act_q;
             }
         }
         self.ws = ws;

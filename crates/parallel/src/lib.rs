@@ -1,12 +1,13 @@
 //! Vendored scoped thread pool for intra-batch data parallelism.
 //!
-//! The execution stack partitions work **only along independent output
-//! ranges** (GEMM row bands, per-sample attention
-//! cores, per-channel-group conv GEMMs), so every task writes a disjoint
-//! region and the parallel result is bit-exact with serial execution —
-//! no float reduction is ever reordered. This crate provides the pool
-//! those callers share; it is vendored because the build environment has
-//! no registry access (rayon cannot be a dependency).
+//! A forward pass fans out in exactly one place: the GEMM driver in
+//! `flexiq-tensor` splits a large problem into contiguous **output row
+//! bands**, so every task writes a disjoint region and the parallel
+//! result is bit-exact with serial execution — no float reduction is
+//! ever reordered. In the library that driver is the only code that
+//! submits work; the serve crate owns the pools (sizing, the
+//! per-dispatch [`with_pool`] scope, the health ping). Vendored: the
+//! build has no registry access (rayon cannot be a dependency).
 //!
 //! # Architecture
 //!
@@ -24,12 +25,11 @@
 //! # Nesting and oversubscription
 //!
 //! A task that submits a nested job runs it **inline on its own thread**
-//! (serially): kernels deep in the stack can call the pool
-//! unconditionally while an outer fan-out (per-sample cores, conv
-//! groups, serve workers) already owns the threads. One shared pool
-//! therefore composes across layers without oversubscription, and the
-//! serve worker pool simply installs the shared pool around each
-//! dispatch (see [`with_pool`]).
+//! (serially), so a job can never wait on a pool it is running in.
+//! Several serve workers may submit to one shared pool at once; their
+//! jobs queue and share its threads rather than spawning more, and
+//! each worker installs the shared pool around its dispatch (see
+//! [`with_pool`]).
 //!
 //! # Configuration
 //!
@@ -260,9 +260,8 @@ impl ThreadPool {
     /// Runs `f(0), …, f(n_tasks - 1)` across the pool and returns when
     /// every call finished. Tasks may run in any order and on any pool
     /// thread, so they must only touch disjoint data (or data safe to
-    /// share); the helpers below ([`ThreadPool::run_disjoint_mut`],
-    /// [`ThreadPool::map`]) encode the disjoint-output patterns the
-    /// execution stack uses.
+    /// share); [`ThreadPool::run_disjoint_mut`] encodes the
+    /// disjoint-output pattern the GEMM row bands use.
     ///
     /// Runs inline (serially, in index order) when the pool has one
     /// thread, when `n_tasks <= 1`, or when called from inside another
@@ -277,6 +276,12 @@ impl ThreadPool {
             }
             return;
         }
+        /// Calls the job's type-erased closure.
+        ///
+        /// # Safety
+        ///
+        /// `data` must point to a live `F`: `f` on this `run`'s stack,
+        /// which returns only once every task has completed.
         unsafe fn trampoline<F: Fn(usize) + Sync>(data: *const (), i: usize) {
             (*data.cast::<F>())(i)
         }
@@ -376,7 +381,7 @@ impl ThreadPool {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        validate_disjoint(ranges, data.len(), "range", "outside data");
+        validate_disjoint(ranges, data.len());
         let base = SendPtr(data.as_mut_ptr());
         self.run(ranges.len(), |i| {
             let r = &ranges[i];
@@ -386,76 +391,16 @@ impl ThreadPool {
             f(i, chunk);
         });
     }
-
-    /// Runs `f(i, band_i)` in parallel over disjoint **column bands** of a
-    /// row-major `[rows, row_stride]` matrix stored in `data`. Band `i`
-    /// covers columns `bands[i]` of every row; the closure receives a
-    /// [`ColBandMut`] view whose `row(r)` accessor yields that row's band
-    /// columns. This is the sample-axis (column-band) counterpart of
-    /// [`ThreadPool::run_disjoint_mut`], used by wide-but-short GEMMs
-    /// (`m` small, `nb·n` large) where row banding has nothing to split.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two bands overlap, a band exceeds `row_stride`, or
-    /// `rows * row_stride` exceeds `data.len()`.
-    pub fn run_col_bands_mut<T, F>(
-        &self,
-        data: &mut [T],
-        rows: usize,
-        row_stride: usize,
-        bands: &[Range<usize>],
-        f: F,
-    ) where
-        T: Send,
-        F: Fn(usize, &mut ColBandMut<'_, T>) + Sync,
-    {
-        assert!(
-            rows * row_stride <= data.len(),
-            "matrix [{rows}, {row_stride}] outside data"
-        );
-        validate_disjoint(bands, row_stride, "band", "outside row stride");
-        let base = SendPtr(data.as_mut_ptr());
-        self.run(bands.len(), |i| {
-            // SAFETY: bands are in-bounds and pairwise disjoint (validated
-            // above), so each task's view touches a unique column set of
-            // every row; `run` keeps `data` borrowed until all tasks end.
-            let mut band =
-                unsafe { ColBandMut::from_raw(base.get(), rows, row_stride, bands[i].clone()) };
-            f(i, &mut band);
-        });
-    }
-
-    /// Parallel map: returns `[f(0), …, f(n - 1)]` in index order.
-    pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut ranges = take_ranges();
-        ranges.extend((0..n).map(|i| i..i + 1));
-        self.run_disjoint_mut(&mut slots, &ranges, |i, slot| {
-            slot[0] = Some(f(i));
-        });
-        put_ranges(ranges);
-        slots
-            .into_iter()
-            .map(|s| s.expect("every map task completed"))
-            .collect()
-    }
 }
 
 /// Asserts that `ranges` are pairwise disjoint and end within `limit`.
-/// Already-sorted inputs — the only shape the band planners produce —
+/// Already-sorted inputs — the only shape the band planner produces —
 /// validate in place; anything else pays a sort into scratch first.
-/// `kind`/`outside` parameterize the panic messages so row-range and
-/// column-band callers keep their historical wording.
-fn validate_disjoint(ranges: &[Range<usize>], limit: usize, kind: &str, outside: &str) {
+fn validate_disjoint(ranges: &[Range<usize>], limit: usize) {
     if ranges.windows(2).all(|w| w[0].end <= w[1].start) {
         for r in ranges {
-            assert!(r.start <= r.end, "{kind}s overlap");
-            assert!(r.end <= limit, "{kind} {r:?} {outside}");
+            assert!(r.start <= r.end, "ranges overlap");
+            assert!(r.end <= limit, "range {r:?} outside data");
         }
         return;
     }
@@ -463,8 +408,8 @@ fn validate_disjoint(ranges: &[Range<usize>], limit: usize, kind: &str, outside:
     sorted.sort_by_key(|r| r.start);
     let mut prev_end = 0usize;
     for r in sorted {
-        assert!(r.start >= prev_end && r.start <= r.end, "{kind}s overlap");
-        assert!(r.end <= limit, "{kind} {r:?} {outside}");
+        assert!(r.start >= prev_end && r.start <= r.end, "ranges overlap");
+        assert!(r.end <= limit, "range {r:?} outside data");
         prev_end = r.end.max(prev_end);
     }
 }
@@ -523,79 +468,17 @@ fn helper_loop(shared: &Shared) {
     }
 }
 
-/// A mutable view of one column band of a row-major `[rows, stride]`
-/// matrix: columns `cols` of every row. Rows are accessed one at a time
-/// through [`ColBandMut::row`], which is what keeps the API safe — two
-/// live `&mut` rows from one view are impossible, and two views from
-/// [`ThreadPool::run_col_bands_mut`] cover disjoint columns.
-pub struct ColBandMut<'a, T> {
-    base: *mut T,
-    rows: usize,
-    stride: usize,
-    cols: Range<usize>,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: the view is an exclusive borrow of its (disjoint) column set;
-// moving it across threads moves that exclusivity with it.
-unsafe impl<T: Send> Send for ColBandMut<'_, T> {}
-
-impl<'a, T> ColBandMut<'a, T> {
-    /// A full-width (or sub-column) view over an exclusively borrowed
-    /// buffer — the safe constructor for serial callers that want the
-    /// same row-accessor shape the parallel bands get.
-    pub fn new(data: &'a mut [T], rows: usize, stride: usize, cols: Range<usize>) -> Self {
-        assert!(cols.start <= cols.end && cols.end <= stride, "bad columns");
-        assert!(rows * stride <= data.len(), "matrix outside data");
-        // SAFETY: bounds validated; `data` is exclusively borrowed for 'a.
-        unsafe { ColBandMut::from_raw(data.as_mut_ptr(), rows, stride, cols) }
-    }
-
-    /// # Safety
-    ///
-    /// `base` must point to a live allocation covering `rows * stride`
-    /// elements that no other code mutates for `'a`, except through
-    /// sibling views whose `cols` are disjoint from this one's.
-    unsafe fn from_raw(base: *mut T, rows: usize, stride: usize, cols: Range<usize>) -> Self {
-        ColBandMut {
-            base,
-            rows,
-            stride,
-            cols,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Rows in the view.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Columns in the view (band width).
-    pub fn width(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// The band's columns of row `r`, as a mutable slice of `width()`
-    /// elements.
-    pub fn row(&mut self, r: usize) -> &mut [T] {
-        assert!(r < self.rows, "row {r} outside view of {} rows", self.rows);
-        // SAFETY: in-bounds by the constructor contract; exclusivity of
-        // the band columns by the view's invariant; no aliasing with
-        // other rows because the returned borrow ties up `&mut self`.
-        unsafe {
-            std::slice::from_raw_parts_mut(
-                self.base.add(r * self.stride + self.cols.start),
-                self.cols.len(),
-            )
-        }
-    }
-}
-
 /// Raw pointer wrapper that is Send/Sync so banded closures can carve
 /// disjoint `&mut` chunks out of one buffer.
 struct SendPtr<T>(*mut T);
+// SAFETY: the pointer is only ever turned into `&mut` chunks of
+// pairwise-disjoint ranges (`run_disjoint_mut` validates them), each
+// handed to exactly one task, so moving it to another thread moves
+// access to `T: Send` values no other thread touches.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: sharing the wrapper shares only the address; every
+// dereference goes through the same disjoint-chunk discipline, so no
+// two threads ever reach the same `T`.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
@@ -827,61 +710,6 @@ mod tests {
         let pool = ThreadPool::new(2);
         let mut data = vec![0u8; 10];
         pool.run_disjoint_mut(&mut data, &[0..6, 5..10], |_, _| {});
-    }
-
-    #[test]
-    fn col_bands_fill_disjoint_strided_regions() {
-        let pool = ThreadPool::new(3);
-        let (rows, stride) = (5usize, 13usize);
-        let mut data = vec![0usize; rows * stride];
-        let bands = chunk_ranges(stride, 4);
-        pool.run_col_bands_mut(&mut data, rows, stride, &bands, |i, band| {
-            assert_eq!(band.rows(), rows);
-            assert_eq!(band.width(), bands[i].len());
-            for r in 0..rows {
-                for v in band.row(r).iter_mut() {
-                    *v = i + 1;
-                }
-            }
-        });
-        for r in 0..rows {
-            for (i, b) in bands.iter().enumerate() {
-                assert!(data[r * stride..][b.clone()].iter().all(|&v| v == i + 1));
-            }
-        }
-    }
-
-    #[test]
-    fn col_band_view_over_borrowed_slice() {
-        let mut data = vec![0u8; 12]; // [3, 4] matrix
-        let mut band = ColBandMut::new(&mut data, 3, 4, 1..3);
-        for r in 0..3 {
-            band.row(r).fill(7);
-        }
-        assert_eq!(data, [0, 7, 7, 0, 0, 7, 7, 0, 0, 7, 7, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "bands overlap")]
-    fn overlapping_col_bands_are_rejected() {
-        let pool = ThreadPool::new(2);
-        let mut data = vec![0u8; 20];
-        pool.run_col_bands_mut(&mut data, 2, 10, &[0..6, 5..10], |_, _| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "outside row stride")]
-    fn col_band_outside_stride_is_rejected() {
-        let pool = ThreadPool::new(2);
-        let mut data = vec![0u8; 20];
-        pool.run_col_bands_mut(&mut data, 2, 10, std::slice::from_ref(&(0..11)), |_, _| {});
-    }
-
-    #[test]
-    fn map_preserves_index_order() {
-        let pool = ThreadPool::new(4);
-        let out = pool.map(100, |i| i * i);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]

@@ -22,15 +22,16 @@ pub struct ServeConfig {
     /// execution overlap across workers.
     pub workers: usize,
     /// Intra-batch threads of the **one shared**
-    /// [`flexiq_parallel::ThreadPool`] the workers submit their stacked
-    /// passes to. `None` resolves to `FLEXIQ_THREADS` if set, else
+    /// [`flexiq_parallel::ThreadPool`] the workers install around their
+    /// stacked passes. Its only use inside a pass is the GEMM driver's
+    /// output row bands; everything else in the pass runs on the worker
+    /// thread. `None` resolves to `FLEXIQ_THREADS` if set, else
     /// `max(1, cores / workers)` — the documented default that keeps
     /// `workers × intra-batch threads ≤ cores`, so worker-level and
     /// intra-batch parallelism compose without oversubscription. (The
     /// pool is shared and a worker mid-dispatch occupies one of its
     /// slots itself, so even `Some(cores)` degrades gracefully: the pool
-    /// never runs more than its size in tasks at once, and nested
-    /// submits run inline.)
+    /// never runs more than its size in tasks at once.)
     pub pool_threads: Option<usize>,
     /// Default per-request deadline measured from admission; `None`
     /// means requests never expire. Individual submissions can override

@@ -35,14 +35,13 @@
 //! keep the exact-shape grouping.
 //!
 //! **Intra-batch parallelism:** every worker installs the server's one
-//! shared [`flexiq_parallel::ThreadPool`] around its dispatch, so a
-//! stacked pass additionally fans per-sample cores and GEMM output
-//! bands across `pool_threads` threads. Workers submitting concurrently
-//! share the same pool (the pool never runs more than its size in tasks
-//! at once, and a task that fans out again runs inline), which is how
-//! worker-level and intra-batch parallelism compose without
-//! oversubscription — see [`crate::ServeConfig::pool_threads`] for the
-//! sizing rule.
+//! shared [`flexiq_parallel::ThreadPool`] around its dispatch, so the
+//! large GEMMs of a stacked pass split their output row bands across
+//! `pool_threads` threads — the pass's only fan-out. Workers submitting
+//! concurrently share the same pool (the pool never runs more than its
+//! size in tasks at once), which is how worker-level and intra-batch
+//! parallelism compose without oversubscription — see
+//! [`crate::ServeConfig::pool_threads`] for the sizing rule.
 //!
 //! **Panic isolation:** every stacked pass runs inside
 //! `catch_unwind`, so a panicking model pass (a kernel bug, or an

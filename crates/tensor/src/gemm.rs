@@ -68,16 +68,14 @@
 //!
 //! # Parallelism
 //!
-//! Large GEMMs fan across the ambient [`flexiq_parallel`] pool along
-//! whichever independent output axis can feed it: contiguous **row
-//! bands** when `m` is tall enough, else contiguous **column bands**
-//! (the sample axis of wide-but-short stacked GEMMs, where row banding
-//! has nothing to split — e.g. depthwise convolutions with one output
-//! row per group). Bands partition only independent output elements:
-//! every element keeps its exact serial reduction order over `p`, so
-//! parallel results are bit-exact with serial ones at any thread count
-//! (f32 included — no float sum is reordered). Small GEMMs (below
-//! [`PAR_MIN_WORK`] multiply-adds) stay serial.
+//! Large GEMMs fan across the ambient [`flexiq_parallel`] pool in
+//! contiguous **row bands** of whole `MR`-row tiles — the one place a
+//! forward pass fans out. Each band writes its own contiguous rows of
+//! `c`, and every element keeps its exact serial reduction order over
+//! `p`, so parallel results are bit-exact with serial ones at any
+//! thread count (f32 included — no float sum is reordered). GEMMs below
+//! `PAR_MIN_WORK` multiply-adds, or with fewer than two row tiles,
+//! stay serial.
 //!
 //! # ISA dispatch
 //!
@@ -127,15 +125,13 @@
 //! would produce, and [`gemm_i8_band_wt_prepacked`] feeds them straight
 //! to the driver (as [`LowBandRhs`] and [`LowBandLhs`] do for the
 //! lowered bands). Whether a panel is consumed is decided by the call's
-//! inputs, never by a setting: it is used exactly where the per-call
-//! path would have packed the full rhs once (the serial and row-banded
-//! plans of a blocked problem), and the per-call code runs everywhere
-//! else — column-banded plans (whose bands pack lane-interleaved column
-//! *slices* that cannot be cut out of a full-width panel at arbitrary
-//! boundaries), sub-threshold shapes that run the reference loops, and
-//! panels or lhs tiles built in another ISA's format than the one
-//! dispatching now. Prepacked results are therefore bit-identical to
-//! the per-call entry points by construction.
+//! inputs, never by a setting: it is used wherever the problem blocks
+//! (the per-call path would have packed the same full-width rhs once),
+//! and the per-call code runs everywhere else — sub-threshold shapes
+//! that run the reference loops, and panels or lhs tiles built in
+//! another ISA's format than the one dispatching now. Prepacked results
+//! are therefore bit-identical to the per-call entry points by
+//! construction.
 //!
 //! # One driver, many kernels
 //!
@@ -145,9 +141,9 @@
 //! rhs packer, where a k-block sits inside a panel, the `MR × NR` tile
 //! with its write-back, and the reference-order loop for sub-threshold
 //! shapes — and the generic `blocked` walk plus the `run_plan`
-//! dispatcher (band planning, pack-once-or-per-column-band,
-//! prepacked-panel substitution, packed-byte accounting) are written
-//! once over it. The ISA picks the kernel at the top of a call, so the
+//! dispatcher (row-band planning, the one rhs pack, prepacked-panel
+//! substitution, packed-byte accounting) are written once over it. The
+//! ISA picks the kernel at the top of a call, so the
 //! generics monomorphise: no `dyn`, no function pointer inside the
 //! nest. Adding a tile or a panel format means one more `Kernel` impl
 //! (a packer and a tile) and one arm where the entry points pick a
@@ -161,14 +157,14 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use flexiq_parallel::{chunk_ranges_into, put_ranges, take_ranges, ColBandMut, ThreadPool};
+use flexiq_parallel::{chunk_ranges_into, put_ranges, take_ranges, ThreadPool};
 
 use crate::scratch::Pooled;
 use crate::simd::{self, Isa};
 
 /// Minimum multiply-add count (`m*n*k`) before a GEMM fans its output
-/// bands across the thread pool.
-pub const PAR_MIN_WORK: usize = 64 * 1024;
+/// row bands across the thread pool.
+const PAR_MIN_WORK: usize = 64 * 1024;
 
 /// Minimum multiply-add count before packing + blocking pays for itself;
 /// smaller problems run the `reference` loops directly.
@@ -238,62 +234,34 @@ impl<'a, T> Operands<'a, T> {
     }
 }
 
-/// How a call partitions its output across the pool.
-enum Plan {
-    Serial,
-    Rows(Arc<ThreadPool>, Vec<Range<usize>>),
-    Cols(Arc<ThreadPool>, Vec<Range<usize>>),
-}
-
-/// Picks the parallel partitioning for an `[m, n]` output with a `kb`-step
-/// reduction: row bands when the row axis can feed every thread, else
-/// column bands (the sample axis of wide-but-short stacked GEMMs), else
-/// serial. Oversplits ~4× the thread count so dynamic claiming balances
-/// bands of uneven cost.
-fn plan_bands(m: usize, n: usize, kb: usize) -> Plan {
-    // Inside a pool task a nested run would inline anyway: skip the pool
-    // lookup (which may lazily spawn the global pool) and band planning.
-    if flexiq_parallel::in_task() || m * n * kb < PAR_MIN_WORK {
-        return Plan::Serial;
+/// The pool and row bands an `[m, n]` output with a `kb`-step reduction
+/// fans out over, or `None` to run serially: below [`PAR_MIN_WORK`], on
+/// a 1-thread pool, inside a pool task (a nested run would inline
+/// anyway, so the pool lookup — which may lazily spawn the global pool
+/// — is skipped), or with fewer than two row tiles to split.
+///
+/// Bands are whole `MR`-row register tiles (the last may be ragged): a
+/// band that splits a tile makes both halves pack and compute a full,
+/// half-empty one, and prepacked lhs tiles can only be consumed whole.
+/// It oversplits ~4× the thread count so dynamic claiming balances
+/// bands of uneven cost. The band vector comes from the thread-local
+/// range pool (the dispatcher returns it), so planning is
+/// allocation-free in steady state.
+fn row_bands(m: usize, n: usize, kb: usize) -> Option<(Arc<ThreadPool>, Vec<Range<usize>>)> {
+    if flexiq_parallel::in_task() || m * n * kb < PAR_MIN_WORK || m <= MR {
+        return None;
     }
     let pool = flexiq_parallel::current();
     let t = pool.threads();
     if t < 2 {
-        return Plan::Serial;
+        return None;
     }
-    if m >= 2 * t * MR {
-        Plan::Rows(pool, tile_bands(m, t * 4))
-    } else if n >= 2 * t {
-        // Wide but short: too few rows to feed the pool, so split the
-        // column (sample) axis instead. Column bands of a row-major
-        // output are strided, which is exactly what
-        // `run_col_bands_mut` partitions safely.
-        Plan::Cols(pool, banded(n, t * 4))
-    } else if m >= 2 {
-        Plan::Rows(pool, tile_bands(m, t * 4))
-    } else {
-        Plan::Serial
-    }
-}
-
-/// Row bands of whole `MR`-row register tiles (the last may be ragged):
-/// a band that splits a tile makes both halves pack and compute a full,
-/// half-empty one, and prepacked lhs tiles can only be consumed whole.
-fn tile_bands(m: usize, max_parts: usize) -> Vec<Range<usize>> {
-    let mut bands = banded(m.div_ceil(MR), max_parts);
+    let mut bands = take_ranges();
+    chunk_ranges_into(m.div_ceil(MR), t * 4, &mut bands);
     for band in &mut bands {
         *band = band.start * MR..(band.end * MR).min(m);
     }
-    bands
-}
-
-/// `chunk_ranges` drawing its vector from the thread-local range pool
-/// (the dispatcher returns it), so band planning is allocation-free in
-/// steady state.
-fn banded(total: usize, max_parts: usize) -> Vec<Range<usize>> {
-    let mut bands = take_ranges();
-    chunk_ranges_into(total, max_parts, &mut bands);
-    bands
+    Some((pool, bands))
 }
 
 /// Whether a problem is worth packing + blocking (vs the reference
@@ -305,26 +273,25 @@ fn worth_blocking(m: usize, n: usize, kb: usize, nr: usize, min_rhs: usize) -> b
 
 // ─── Packing ────────────────────────────────────────────────────────────
 
-/// Packs rhs columns `cols` of the reduction band `[k0, k1)` into
+/// Packs the `ncols` rhs columns of the reduction band `[k0, k1)` into
 /// `NR_`-lane column panels: `buf[(jp*kb + p)*NR_ + lane]`, with tail
 /// lanes zero-filled.
 fn pack_b_panels<T: Copy + Default, const NR_: usize>(
     rhs: Rhs<'_, T>,
     k0: usize,
     k1: usize,
-    cols: Range<usize>,
+    ncols: usize,
     buf: &mut Vec<T>,
 ) {
     let kb = k1 - k0;
-    let ncols = cols.len();
     let npan = ncols.div_ceil(NR_);
     buf.clear();
     buf.resize(npan * kb * NR_, T::default());
     match rhs {
         Rhs::Rows { b, n } => {
             for jp in 0..npan {
-                let j0 = cols.start + jp * NR_;
-                let w = (cols.end - j0).min(NR_);
+                let j0 = jp * NR_;
+                let w = (ncols - j0).min(NR_);
                 let base = jp * kb * NR_;
                 for p in 0..kb {
                     buf[base + p * NR_..base + p * NR_ + w]
@@ -334,8 +301,8 @@ fn pack_b_panels<T: Copy + Default, const NR_: usize>(
         }
         Rhs::WeightT { w, k } => {
             for jp in 0..npan {
-                let j0 = cols.start + jp * NR_;
-                let lanes = (cols.end - j0).min(NR_);
+                let j0 = jp * NR_;
+                let lanes = (ncols - j0).min(NR_);
                 let base = jp * kb * NR_;
                 for lane in 0..lanes {
                     let wrow = &w[(j0 + lane) * k..(j0 + lane) * k + k];
@@ -428,12 +395,12 @@ fn prepack_i8_rhs(isa: Isa, rhs: Rhs<'_, i8>, n: usize, k0: usize, k1: usize) ->
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => {
             let mut buf = Vec::new();
-            I8Pairs::pack_b(rhs, k0, k1, 0..n, &mut buf);
+            I8Pairs::pack_b(rhs, k0, k1, n, &mut buf);
             PanelsI8::Pairs(buf)
         }
         _ => {
             let mut buf = Vec::new();
-            I8Plain::pack_b(rhs, k0, k1, 0..n, &mut buf);
+            I8Plain::pack_b(rhs, k0, k1, n, &mut buf);
             PanelsI8::Plain(buf)
         }
     };
@@ -482,19 +449,15 @@ enum Epilogue<'a> {
 }
 
 impl<'a> Epilogue<'a> {
-    /// The epilogue of an output sub-block, re-based so a view over
-    /// `rows × cols` of the output indexes it from zero.
-    fn block(self, rows: Range<usize>, cols: Range<usize>) -> Epilogue<'a> {
+    /// The epilogue of output row band `rows`, re-based so the band's
+    /// rows index it from zero (columns are never split).
+    fn block(self, rows: Range<usize>) -> Epilogue<'a> {
         match self {
-            Epilogue::Add => Epilogue::Add,
             Epilogue::ShlRows { act, weight } => Epilogue::ShlRows {
                 act,
                 weight: &weight[rows],
             },
-            Epilogue::ShlCols { act, weight } => Epilogue::ShlCols {
-                act,
-                weight: &weight[cols],
-            },
+            epi => epi,
         }
     }
 
@@ -523,7 +486,8 @@ impl<'a> Epilogue<'a> {
 #[inline]
 fn tile_init(
     epi: Epilogue<'_>,
-    c: &mut ColBandMut<'_, i32>,
+    c: &[i32],
+    n: usize,
     r0: usize,
     col0: usize,
     mr: usize,
@@ -532,7 +496,7 @@ fn tile_init(
     let mut acc = [[0i32; NR_I8]; MR];
     if let Epilogue::Add = epi {
         for r in 0..mr {
-            acc[r][..nrw].copy_from_slice(&c.row(r0 + r)[col0..col0 + nrw]);
+            acc[r][..nrw].copy_from_slice(&c[(r0 + r) * n + col0..][..nrw]);
         }
     }
     acc
@@ -543,14 +507,15 @@ fn tile_init(
 fn tile_write_back(
     epi: Epilogue<'_>,
     acc: &[[i32; NR_I8]; MR],
-    c: &mut ColBandMut<'_, i32>,
+    c: &mut [i32],
+    n: usize,
     r0: usize,
     col0: usize,
     mr: usize,
     nrw: usize,
 ) {
     for r in 0..mr {
-        let crow = &mut c.row(r0 + r)[col0..col0 + nrw];
+        let crow = &mut c[(r0 + r) * n + col0..][..nrw];
         let sums = &acc[r][..nrw];
         match epi {
             Epilogue::Add => crow.copy_from_slice(sums),
@@ -594,19 +559,19 @@ trait Kernel: Copy + Sync {
         0
     }
 
-    /// This kernel with its write-back re-based onto output block
-    /// `rows × cols`, so a view over the block indexes it from zero.
-    fn block(self, _rows: Range<usize>, _cols: Range<usize>) -> Self {
+    /// This kernel with its write-back re-based onto output row band
+    /// `rows`, so the band's rows index it from zero.
+    fn block(self, _rows: Range<usize>) -> Self {
         self
     }
 
-    /// Packs rhs columns `cols` of the reduction band `[k0, k1)` into
-    /// [`Kernel::NR`]-lane column panels.
+    /// Packs the `ncols` rhs columns of the reduction band `[k0, k1)`
+    /// into [`Kernel::NR`]-lane column panels.
     fn pack_b(
         rhs: Rhs<'_, Self::Elem>,
         k0: usize,
         k1: usize,
-        cols: Range<usize>,
+        ncols: usize,
         buf: &mut Vec<Self::Panel>,
     );
 
@@ -619,8 +584,9 @@ trait Kernel: Copy + Sync {
         (jp * kb + p0) * Self::NR..(jp * kb + p1) * Self::NR
     }
 
-    /// One `mr × nrw` output tile at `(r0, col0)` of `c`: streams `kc`
-    /// packed steps and writes the result back.
+    /// One `mr × nrw` output tile at `(r0, col0)` of the row-major
+    /// output `c` of row stride `n`: streams `kc` packed steps and writes
+    /// the result back.
     fn tile(
         self,
         kc: usize,
@@ -628,19 +594,21 @@ trait Kernel: Copy + Sync {
         bp: &[Self::Panel],
         mr: usize,
         nrw: usize,
-        c: &mut ColBandMut<'_, Self::Acc>,
+        c: &mut [Self::Acc],
+        n: usize,
         r0: usize,
         col0: usize,
     );
 
-    /// The reference-order loop over output block `rows × cols`, for
-    /// shapes below the blocking threshold.
+    /// The reference-order loop over lhs rows `rows` into `c`, that row
+    /// band of the output (row stride `n`), for shapes below the
+    /// blocking threshold.
     fn naive(
         self,
         ops: Operands<'_, Self::Elem>,
         rows: Range<usize>,
-        cols: Range<usize>,
-        c: &mut ColBandMut<'_, Self::Acc>,
+        c: &mut [Self::Acc],
+        n: usize,
     );
 }
 
@@ -678,18 +646,18 @@ impl Kernel for F32Kernel {
     /// *order* differs — the packed layout, and therefore every
     /// consumer, is unchanged, and edge tiles (lane or k tails) keep
     /// the generic walk.
-    fn pack_b(rhs: Rhs<'_, f32>, k0: usize, k1: usize, cols: Range<usize>, buf: &mut Vec<f32>) {
+    fn pack_b(rhs: Rhs<'_, f32>, k0: usize, k1: usize, ncols: usize, buf: &mut Vec<f32>) {
         let (w, k) = match rhs {
-            Rhs::Rows { .. } => return pack_b_panels::<f32, NR>(rhs, k0, k1, cols, buf),
+            Rhs::Rows { .. } => return pack_b_panels::<f32, NR>(rhs, k0, k1, ncols, buf),
             Rhs::WeightT { w, k } => (w, k),
         };
         let kb = k1 - k0;
-        let npan = cols.len().div_ceil(NR);
+        let npan = ncols.div_ceil(NR);
         buf.clear();
         buf.resize(npan * kb * NR, 0.0);
         for jp in 0..npan {
-            let j0 = cols.start + jp * NR;
-            let lanes = (cols.end - j0).min(NR);
+            let j0 = jp * NR;
+            let lanes = (ncols - j0).min(NR);
             let base = jp * kb * NR;
             let mut p0 = 0;
             while p0 < kb {
@@ -733,13 +701,14 @@ impl Kernel for F32Kernel {
         bp: &[f32],
         mr: usize,
         nrw: usize,
-        c: &mut ColBandMut<'_, f32>,
+        c: &mut [f32],
+        n: usize,
         r0: usize,
         col0: usize,
     ) {
         let mut acc = [[0.0f32; NR]; MR];
         for r in 0..mr {
-            acc[r][..nrw].copy_from_slice(&c.row(r0 + r)[col0..col0 + nrw]);
+            acc[r][..nrw].copy_from_slice(&c[(r0 + r) * n + col0..][..nrw]);
         }
         // Pre-slice to the exact step extent so the inner loops carry no
         // bounds checks.
@@ -779,47 +748,38 @@ impl Kernel for F32Kernel {
             }
         }
         for r in 0..mr {
-            c.row(r0 + r)[col0..col0 + nrw].copy_from_slice(&acc[r][..nrw]);
+            c[(r0 + r) * n + col0..][..nrw].copy_from_slice(&acc[r][..nrw]);
         }
     }
 
     /// Per element, terms are added in ascending `p` order to the
     /// running value — exactly the blocked kernel's (and the old
     /// `i-p-j` loop's) order.
-    fn naive(
-        self,
-        ops: Operands<'_, f32>,
-        rows: Range<usize>,
-        cols: Range<usize>,
-        c: &mut ColBandMut<'_, f32>,
-    ) {
+    fn naive(self, ops: Operands<'_, f32>, rows: Range<usize>, c: &mut [f32], n: usize) {
         let (a, lda, rhs, k0, k1) = (ops.a, ops.lda, ops.rhs, ops.k0, ops.k1);
         match rhs {
-            Rhs::Rows { b, n } => {
-                for (ri, i) in rows.enumerate() {
-                    let crow = c.row(ri);
+            Rhs::Rows { b, n: ldb } => {
+                for (crow, i) in c.chunks_exact_mut(n).zip(rows) {
                     for p in k0..k1 {
                         // No zero-skip: f32 must propagate NaN/Inf from `b`
                         // (see the module docs); skipping is integer-only.
                         let av = a[i * lda + p];
-                        let brow = &b[p * n + cols.start..p * n + cols.end];
-                        for (cj, &bv) in crow.iter_mut().zip(brow) {
+                        for (cj, &bv) in crow.iter_mut().zip(&b[p * ldb..p * ldb + n]) {
                             *cj += av * bv;
                         }
                     }
                 }
             }
             Rhs::WeightT { w, k } => {
-                for (ri, i) in rows.enumerate() {
+                for (crow, i) in c.chunks_exact_mut(n).zip(rows) {
                     let arow = &a[i * lda + k0..i * lda + k1];
-                    let crow = c.row(ri);
-                    for (ji, j) in cols.clone().enumerate() {
+                    for (j, cj) in crow.iter_mut().enumerate() {
                         let wrow = &w[j * k + k0..j * k + k1];
-                        let mut acc = crow[ji];
+                        let mut acc = *cj;
                         for (av, wv) in arow.iter().zip(wrow.iter()) {
                             acc += av * wv;
                         }
-                        crow[ji] = acc;
+                        *cj = acc;
                     }
                 }
             }
@@ -841,13 +801,13 @@ impl Kernel for I8Plain<'_> {
     type Panel = i8;
     const NR: usize = NR_I8;
 
-    fn block(self, rows: Range<usize>, cols: Range<usize>) -> Self {
-        let epi = self.epi.block(rows, cols);
+    fn block(self, rows: Range<usize>) -> Self {
+        let epi = self.epi.block(rows);
         I8Plain { epi }
     }
 
-    fn pack_b(rhs: Rhs<'_, i8>, k0: usize, k1: usize, cols: Range<usize>, buf: &mut Vec<i8>) {
-        pack_b_panels::<i8, NR_I8>(rhs, k0, k1, cols, buf)
+    fn pack_b(rhs: Rhs<'_, i8>, k0: usize, k1: usize, ncols: usize, buf: &mut Vec<i8>) {
+        pack_b_panels::<i8, NR_I8>(rhs, k0, k1, ncols, buf)
     }
 
     /// Zero lhs lanes are skipped in the scalar tile — exact in integer
@@ -862,11 +822,12 @@ impl Kernel for I8Plain<'_> {
         bp: &[i8],
         mr: usize,
         nrw: usize,
-        c: &mut ColBandMut<'_, i32>,
+        c: &mut [i32],
+        n: usize,
         r0: usize,
         col0: usize,
     ) {
-        let mut acc = tile_init(self.epi, c, r0, col0, mr, nrw);
+        let mut acc = tile_init(self.epi, c, n, r0, col0, mr, nrw);
         let ap = &ap[..kc * MR];
         let bp = &bp[..kc * NR_I8];
         if mr == MR && nrw == NR_I8 {
@@ -907,17 +868,11 @@ impl Kernel for I8Plain<'_> {
                 }
             }
         }
-        tile_write_back(self.epi, &acc, c, r0, col0, mr, nrw);
+        tile_write_back(self.epi, &acc, c, n, r0, col0, mr, nrw);
     }
 
-    fn naive(
-        self,
-        ops: Operands<'_, i8>,
-        rows: Range<usize>,
-        cols: Range<usize>,
-        c: &mut ColBandMut<'_, i32>,
-    ) {
-        naive_i8_view(ops, rows, cols, c, self.epi)
+    fn naive(self, ops: Operands<'_, i8>, rows: Range<usize>, c: &mut [i32], n: usize) {
+        naive_i8(ops, rows, c, n, self.epi)
     }
 }
 
@@ -936,8 +891,8 @@ impl Kernel for I8Pairs<'_> {
     type Panel = i32;
     const NR: usize = NR_I8;
 
-    fn block(self, rows: Range<usize>, cols: Range<usize>) -> Self {
-        let epi = self.epi.block(rows, cols);
+    fn block(self, rows: Range<usize>) -> Self {
+        let epi = self.epi.block(rows);
         I8Pairs { epi }
     }
 
@@ -947,22 +902,21 @@ impl Kernel for I8Pairs<'_> {
     /// the final pair's high halves zero; tail lanes of a partial panel
     /// are zero like the plain packer. Stored as `i32` so the pair
     /// panel reuses the i32 scratch pool.
-    fn pack_b(rhs: Rhs<'_, i8>, k0: usize, k1: usize, cols: Range<usize>, buf: &mut Vec<i32>) {
+    fn pack_b(rhs: Rhs<'_, i8>, k0: usize, k1: usize, ncols: usize, buf: &mut Vec<i32>) {
         #[inline]
         fn pair(b0: i8, b1: i8) -> i32 {
             ((b0 as i16 as u16 as u32) | ((b1 as i16 as u16 as u32) << 16)) as i32
         }
         let kb = k1 - k0;
         let kpairs = kb.div_ceil(2);
-        let ncols = cols.len();
         let npan = ncols.div_ceil(NR_I8);
         buf.clear();
         buf.resize(npan * kpairs * NR_I8, 0);
         match rhs {
             Rhs::Rows { b, n } => {
                 for jp in 0..npan {
-                    let j0 = cols.start + jp * NR_I8;
-                    let w = (cols.end - j0).min(NR_I8);
+                    let j0 = jp * NR_I8;
+                    let w = (ncols - j0).min(NR_I8);
                     let base = jp * kpairs * NR_I8;
                     for pp in 0..kpairs {
                         let p0 = k0 + 2 * pp;
@@ -983,8 +937,8 @@ impl Kernel for I8Pairs<'_> {
             }
             Rhs::WeightT { w, k } => {
                 for jp in 0..npan {
-                    let j0 = cols.start + jp * NR_I8;
-                    let lanes = (cols.end - j0).min(NR_I8);
+                    let j0 = jp * NR_I8;
+                    let lanes = (ncols - j0).min(NR_I8);
                     let base = jp * kpairs * NR_I8;
                     for lane in 0..lanes {
                         let wrow = &w[(j0 + lane) * k..(j0 + lane) * k + k];
@@ -1021,12 +975,13 @@ impl Kernel for I8Pairs<'_> {
         bp: &[i32],
         mr: usize,
         nrw: usize,
-        c: &mut ColBandMut<'_, i32>,
+        c: &mut [i32],
+        n: usize,
         r0: usize,
         col0: usize,
     ) {
         let kpairs = kc.div_ceil(2);
-        let mut acc = tile_init(self.epi, c, r0, col0, mr, nrw);
+        let mut acc = tile_init(self.epi, c, n, r0, col0, mr, nrw);
         let ap = &ap[..kc * MR];
         let bp = &bp[..kpairs * NR_I8];
         if mr == MR && nrw == NR_I8 {
@@ -1057,37 +1012,25 @@ impl Kernel for I8Pairs<'_> {
                 }
             }
         }
-        tile_write_back(self.epi, &acc, c, r0, col0, mr, nrw);
+        tile_write_back(self.epi, &acc, c, n, r0, col0, mr, nrw);
     }
 
-    fn naive(
-        self,
-        ops: Operands<'_, i8>,
-        rows: Range<usize>,
-        cols: Range<usize>,
-        c: &mut ColBandMut<'_, i32>,
-    ) {
-        naive_i8_view(ops, rows, cols, c, self.epi)
+    fn naive(self, ops: Operands<'_, i8>, rows: Range<usize>, c: &mut [i32], n: usize) {
+        naive_i8(ops, rows, c, n, self.epi)
     }
 }
 
-/// Naive integer kernel over a view, with the lhs zero-skip. `epi` is
-/// indexed view-relative (see [`Epilogue::block`]). The `Rows` arm
-/// folds a row shift into the lhs scalar — `(a << s)·b == (a·b) << s`,
-/// and [`MAX_EPILOGUE_SHIFT`] keeps the shifted product inside `i32` —
-/// so its inner loop is the unshifted one.
-fn naive_i8_view(
-    ops: Operands<'_, i8>,
-    rows: Range<usize>,
-    cols: Range<usize>,
-    c: &mut ColBandMut<'_, i32>,
-    epi: Epilogue<'_>,
-) {
+/// Naive integer kernel over lhs rows `rows` into `c`, that row band of
+/// the output (row stride `n`), with the lhs zero-skip. `epi` is indexed
+/// band-relative (see [`Epilogue::block`]). The `Rows` arm folds a row
+/// shift into the lhs scalar — `(a << s)·b == (a·b) << s`, and
+/// [`MAX_EPILOGUE_SHIFT`] keeps the shifted product inside `i32` — so
+/// its inner loop is the unshifted one.
+fn naive_i8(ops: Operands<'_, i8>, rows: Range<usize>, c: &mut [i32], n: usize, epi: Epilogue<'_>) {
     let (a, lda, rhs, k0, k1) = (ops.a, ops.lda, ops.rhs, ops.k0, ops.k1);
     match rhs {
-        Rhs::Rows { b, n } => {
-            for (ri, i) in rows.enumerate() {
-                let crow = c.row(ri);
+        Rhs::Rows { b, n: ldb } => {
+            for (ri, (crow, i)) in c.chunks_exact_mut(n).zip(rows).enumerate() {
                 let arow = &a[i * lda + k0..i * lda + k1];
                 if let Epilogue::ShlCols { act, weight } = epi {
                     // Per-column shifts: sum the band into a lane block
@@ -1097,7 +1040,7 @@ fn naive_i8_view(
                         let width = (crow.len() - j0).min(NR_I8);
                         let mut sums = [0i32; NR_I8];
                         for (p, &av) in arow.iter().enumerate().filter(|(_, &av)| av != 0) {
-                            let at = (k0 + p) * n + cols.start + j0;
+                            let at = (k0 + p) * ldb + j0;
                             for (sum, &bv) in sums.iter_mut().zip(&b[at..at + width]) {
                                 *sum += av as i32 * bv as i32;
                             }
@@ -1118,7 +1061,7 @@ fn naive_i8_view(
                     if av == 0 {
                         continue;
                     }
-                    let brow = &b[(k0 + p) * n + cols.start..(k0 + p) * n + cols.end];
+                    let brow = &b[(k0 + p) * ldb..(k0 + p) * ldb + n];
                     for (cj, &bv) in crow.iter_mut().zip(brow) {
                         *cj += av * bv as i32;
                     }
@@ -1126,19 +1069,18 @@ fn naive_i8_view(
             }
         }
         Rhs::WeightT { w, k } => {
-            for (ri, i) in rows.enumerate() {
+            for (ri, (crow, i)) in c.chunks_exact_mut(n).zip(rows).enumerate() {
                 let arow = &a[i * lda + k0..i * lda + k1];
-                let crow = c.row(ri);
-                for (ji, j) in cols.clone().enumerate() {
+                for (j, cj) in crow.iter_mut().enumerate() {
                     let wrow = &w[j * k + k0..j * k + k1];
                     let mut sum = 0i32;
                     for (av, wv) in arow.iter().zip(wrow.iter()) {
                         sum += *av as i32 * *wv as i32;
                     }
-                    crow[ji] += match epi {
+                    *cj += match epi {
                         Epilogue::Add => sum,
                         Epilogue::ShlRows { act, weight } => sum << (act + weight[ri]) as u32,
-                        Epilogue::ShlCols { act, weight } => sum << (act + weight[ji]) as u32,
+                        Epilogue::ShlCols { act, weight } => sum << (act + weight[j]) as u32,
                     };
                 }
             }
@@ -1148,21 +1090,22 @@ fn naive_i8_view(
 
 // ─── The blocked driver ─────────────────────────────────────────────────
 
-/// The one KC/MC block walk: a blocked pass over lhs/output rows `rows`
-/// against packed rhs panels covering the view's columns. k-blocks run
-/// in ascending order (load-bearing for f32 bit-exactness). Returns the
-/// bytes of lhs tiles it packed.
+/// The one KC/MC block walk: a blocked pass over lhs rows `rows` into
+/// `c`, that row band of the output (row stride `n`), against packed rhs
+/// panels covering all `n` columns. k-blocks run in ascending order
+/// (load-bearing for f32 bit-exactness). Returns the bytes of lhs tiles
+/// it packed.
 fn blocked<K: Kernel>(
     kern: K,
     ops: Operands<'_, K::Elem>,
     rows: Range<usize>,
     bpack: &[K::Panel],
-    c: &mut ColBandMut<'_, K::Acc>,
+    c: &mut [K::Acc],
+    n: usize,
 ) -> u64 {
     let Operands { a, lda, k0, k1, .. } = ops;
     let kb = k1 - k0;
-    let ncols = c.width();
-    let npan = ncols.div_ceil(K::NR);
+    let npan = n.div_ceil(K::NR);
     let mut apack = K::Elem::take();
     let mut packed = 0;
     let mut pc0 = k0;
@@ -1177,13 +1120,13 @@ fn blocked<K: Kernel>(
             let ntiles = (ic1 - ic0).div_ceil(MR);
             for jp in 0..npan {
                 let col0 = jp * K::NR;
-                let nrw = (ncols - col0).min(K::NR);
+                let nrw = (n - col0).min(K::NR);
                 let bseg = &bpack[K::panel_seg(kb, jp, pc0 - k0, pc1 - k0)];
                 for it in 0..ntiles {
                     let tr0 = ic0 - rows.start + it * MR;
                     let mr = (ic1 - ic0 - it * MR).min(MR);
                     let aseg = &apack[it * kcb * MR..(it + 1) * kcb * MR];
-                    kern.tile(kcb, aseg, bseg, mr, nrw, c, tr0, col0);
+                    kern.tile(kcb, aseg, bseg, mr, nrw, c, n, tr0, col0);
                 }
             }
             ic0 = ic1;
@@ -1194,94 +1137,72 @@ fn blocked<K: Kernel>(
     (packed * size_of::<K::Elem>()) as u64
 }
 
-/// The one plan dispatcher: partitions an `[m, n]` output with a
-/// `kb`-step reduction across the pool and produces each band blocked
-/// or in reference order. The problem is described by three closures:
-/// `blocks(ncols)` — whether an `m × ncols` slice of the output is worth
-/// packing and blocking; `pack_b(cols, buf)` — pack the rhs panels of
-/// columns `cols`; and `run(rows, cols, bpack, view)` — produce output
-/// block `rows × cols` into `view`, by a blocked pass against `bpack`
-/// (panels covering `cols`) or the reference-order loop without,
+/// The one plan dispatcher: produces an `[m, n]` output with a
+/// `kb`-step reduction, fanned across the pool in row bands where
+/// [`row_bands`] says so. `blocks` says whether the problem is worth
+/// packing and blocking; `pack_b(buf)` packs the rhs panels of all `n`
+/// columns; `run(rows, bpack, c_rows)` produces output rows `rows` into
+/// `c_rows` (those whole rows of `c`, row stride `n`) by a blocked pass
+/// against `bpack`, or by the reference-order loop without it,
 /// returning the lhs bytes it packed.
 ///
-/// Serial and row-banded plans share **one** full-width rhs pack — the
-/// caller's `pre` (an ahead-of-time packed panel covering columns `0..n`
-/// in the problem's panel format) or one packed here; column bands each
-/// pack their own slice and decide blocking for themselves, so `pre` is
-/// not consulted there, nor below the blocking threshold. Bands
-/// partition only independent output elements, so every plan is
+/// The rhs is packed once per call and shared by every row band — or
+/// not at all when the caller's `pre` (an ahead-of-time packed panel in
+/// the problem's panel format) is given and the problem blocks. Bands
+/// partition only independent output rows, so every plan is
 /// bit-identical.
 ///
 /// Returns the bytes this call staged through packed buffers, counted
-/// where they are packed: rhs panels once per call or per column band,
-/// lhs tiles per block, and nothing for a consumed `pre` — its bytes
-/// were booked under the pack-cache counters when the cache built it,
-/// so charging them per call would double-count.
+/// where they are packed: rhs panels once per call, lhs tiles per
+/// block, and nothing for a consumed `pre` — its bytes were booked under
+/// the pack-cache counters when the cache built it, so charging them per
+/// call would double-count.
 fn run_plan<C: Send, P: Pooled>(
     [m, n, kb]: [usize; 3],
     pre: Option<&[P]>,
     c: &mut [C],
-    blocks: impl Fn(usize) -> bool + Sync,
-    pack_b: impl Fn(Range<usize>, &mut Vec<P>) + Sync,
-    run: impl Fn(Range<usize>, Range<usize>, Option<&[P]>, &mut ColBandMut<'_, C>) -> u64 + Sync,
+    blocks: bool,
+    pack_b: impl FnOnce(&mut Vec<P>),
+    run: impl Fn(Range<usize>, Option<&[P]>, &mut [C]) -> u64 + Sync,
 ) -> u64 {
     if m == 0 || n == 0 || kb == 0 {
         return 0;
     }
-    // A statistic, summed from whichever threads pack: Relaxed.
-    let packed = AtomicU64::new(0);
-    // The panels of `cols` from the scratch pool, when `m × cols` blocks.
-    let pack = |cols: Range<usize>| {
-        blocks(cols.len()).then(|| {
-            let mut buf = P::take();
-            pack_b(cols, &mut buf);
-            packed.fetch_add((buf.len() * size_of::<P>()) as u64, Ordering::Relaxed);
-            buf
-        })
-    };
-    let run = |rows, cols, bpack: Option<&[P]>, view: &mut ColBandMut<'_, C>| {
-        packed.fetch_add(run(rows, cols, bpack, view), Ordering::Relaxed);
-    };
-    match plan_bands(m, n, kb) {
-        Plan::Cols(pool, bands) => {
-            pool.run_col_bands_mut(&mut c[..m * n], m, n, &bands, |bi, view| {
-                let owned = pack(bands[bi].clone());
-                run(0..m, bands[bi].clone(), owned.as_deref(), view);
-                if let Some(buf) = owned {
-                    P::put(buf);
-                }
+    let pre = pre.filter(|_| blocks);
+    let owned = (blocks && pre.is_none()).then(|| {
+        let mut buf = P::take();
+        pack_b(&mut buf);
+        buf
+    });
+    let bpack = pre.or(owned.as_deref());
+    let mut packed = owned
+        .as_ref()
+        .map_or(0, |buf| (buf.len() * size_of::<P>()) as u64);
+    let c = &mut c[..m * n];
+    match row_bands(m, n, kb) {
+        Some((pool, bands)) => {
+            // A statistic, summed from whichever threads pack: Relaxed.
+            let lhs = AtomicU64::new(0);
+            let mut elems = take_ranges();
+            elems.extend(bands.iter().map(|r| r.start * n..r.end * n));
+            pool.run_disjoint_mut(c, &elems, |bi, c_rows| {
+                lhs.fetch_add(run(bands[bi].clone(), bpack, c_rows), Ordering::Relaxed);
             });
+            put_ranges(elems);
             put_ranges(bands);
+            packed += lhs.into_inner();
         }
-        plan => {
-            let pre = pre.filter(|_| blocks(n));
-            let owned = if pre.is_none() { pack(0..n) } else { None };
-            let bpack = pre.or(owned.as_deref());
-            if let Plan::Rows(pool, bands) = plan {
-                let mut elems = take_ranges();
-                elems.extend(bands.iter().map(|r| r.start * n..r.end * n));
-                pool.run_disjoint_mut(&mut c[..m * n], &elems, |bi, chunk| {
-                    let rows = bands[bi].clone();
-                    let mut view = ColBandMut::new(chunk, rows.len(), n, 0..n);
-                    run(rows, 0..n, bpack, &mut view);
-                });
-                put_ranges(elems);
-                put_ranges(bands);
-            } else {
-                let mut view = ColBandMut::new(&mut c[..m * n], m, n, 0..n);
-                run(0..m, 0..n, bpack, &mut view);
-            }
-            if let Some(buf) = owned {
-                P::put(buf);
-            }
-        }
+        None => packed += run(0..m, bpack, c),
     }
-    packed.into_inner()
+    if let Some(buf) = owned {
+        P::put(buf);
+    }
+    packed
 }
 
 /// One call of kernel `kern` over `ops` through the plan: the blocked
-/// walk where a band blocks, the kernel's reference-order loop where it
-/// does not, the write-back re-based onto each band.
+/// walk where the problem blocks, the kernel's reference-order loop
+/// where it does not, the write-back re-based onto each row band.
 fn run_kernel<K: Kernel>(
     kern: K,
     ops: Operands<'_, K::Elem>,
@@ -1295,14 +1216,14 @@ fn run_kernel<K: Kernel>(
         [m, n, kb],
         pre,
         c,
-        |ncols| worth_blocking(m, ncols, kb, K::NR, kern.min_rhs()),
-        |cols, buf| K::pack_b(ops.rhs, ops.k0, ops.k1, cols, buf),
-        |rows, cols, bpack, view| {
-            let kern = kern.block(rows.clone(), cols.clone());
+        worth_blocking(m, n, kb, K::NR, kern.min_rhs()),
+        |buf| K::pack_b(ops.rhs, ops.k0, ops.k1, n, buf),
+        |rows, bpack, c_rows| {
+            let kern = kern.block(rows.clone());
             match bpack {
-                Some(bpack) => blocked(kern, ops, rows, bpack, view),
+                Some(bpack) => blocked(kern, ops, rows, bpack, c_rows, n),
                 None => {
-                    kern.naive(ops, rows, cols, view);
+                    kern.naive(ops, rows, c_rows, n);
                     0
                 }
             }
@@ -1546,8 +1467,8 @@ pub fn gemm_i8_band_wt(
 /// linear layers' 8-bit band with the per-pass weight pack amortized to
 /// zero. Bit-identical to [`gemm_i8_band_wt`] — the owned panels are
 /// byte-for-byte what the per-call pack would build, and every case
-/// they do not serve (column-banded plan, sub-threshold shape, panel
-/// built under another ISA) runs the per-call code; see the module docs.
+/// they do not serve (sub-threshold shape, panel built under another
+/// ISA) runs the per-call code; see the module docs.
 ///
 /// # Panics
 ///
@@ -1832,30 +1753,24 @@ pub fn gemm_i8_low_bands(call: LowBands<'_>, c: &mut [i32]) {
     }
 }
 
-/// Packs rhs columns `cols` of a run's rows into dense quad panels:
-/// `buf[((jp*kq + q0_s + q)*NR_I8 + lane)*4 + t]` holds column `cols.start
-/// + jp*NR_I8 + lane` of band `s`'s reduction step `4q + t`, **offset by
+/// Packs all `n` columns of a run's rows into dense quad panels:
+/// `buf[((jp*kq + q0_s + q)*NR_I8 + lane)*4 + t]` holds column
+/// `jp*NR_I8 + lane` of band `s`'s reduction step `4q + t`, **offset by
 /// +8**, where `kq = Σ_s ⌈kb_s/4⌉` and `q0_s` is band `s`'s first quad —
 /// every band starts on a quad boundary, so each can be fed to the tile
 /// on its own. Steps past a band's end and lanes past the matrix edge
 /// stay zero (the lhs tiles are zero there, so the value is moot).
 /// Returns whether every packed value lay in `[-8, 7]`.
 #[cfg(target_arch = "x86_64")]
-fn pack_b_i8_quads(
-    b: &[i8],
-    n: usize,
-    cols: Range<usize>,
-    bands: &[LowBandLhs],
-    buf: &mut Vec<i8>,
-) -> bool {
+fn pack_b_i8_quads(b: &[i8], n: usize, bands: &[LowBandLhs], buf: &mut Vec<i8>) -> bool {
     let kq: usize = bands.iter().map(|s| s.kb.div_ceil(4)).sum();
-    let npan = cols.len().div_ceil(NR_I8);
+    let npan = n.div_ceil(NR_I8);
     buf.clear();
     buf.resize(npan * kq * NR_I8 * 4, 0);
     let mut seen = 0u8;
     for jp in 0..npan {
-        let j0 = cols.start + jp * NR_I8;
-        let lanes = (cols.end - j0).min(NR_I8);
+        let j0 = jp * NR_I8;
+        let lanes = (n - j0).min(NR_I8);
         let (mut row0, mut q0) = (0, jp * kq);
         for band in bands {
             let full = if lanes == NR_I8 { band.kb / 4 } else { 0 };
@@ -1878,11 +1793,12 @@ fn pack_b_i8_quads(
     seen <= 15
 }
 
-/// Dense low-range pass over lhs tiles `tiles` of every band against
-/// quad panels `bq` covering the view's columns: each output tile sums
-/// all bands' shifted contributions in registers and touches `c` once.
-/// `local` holds per-call lhs tiles, one per band, or is empty when the
-/// bands' own prepacked tiles serve.
+/// Dense low-range pass over lhs tiles `tiles` of every band into `c`,
+/// those tiles' rows of the output (row stride `n`), against quad panels
+/// `bq` covering all `n` columns: each output tile sums all bands'
+/// shifted contributions in registers and touches `c` once. `local`
+/// holds per-call lhs tiles, one per band, or is empty when the bands'
+/// own prepacked tiles serve.
 #[cfg(target_arch = "x86_64")]
 fn dense_block(
     m: usize,
@@ -1891,13 +1807,13 @@ fn dense_block(
     a_shifts: &[u8],
     local: &[DenseLhs],
     bq: &[i8],
-    c: &mut ColBandMut<'_, i32>,
+    c: &mut [i32],
+    n: usize,
 ) {
     let kq: usize = bands.iter().map(|s| s.kb.div_ceil(4)).sum();
-    let ncols = c.width();
-    for jp in 0..ncols.div_ceil(NR_I8) {
+    for jp in 0..n.div_ceil(NR_I8) {
         let col0 = jp * NR_I8;
-        let nrw = (ncols - col0).min(NR_I8);
+        let nrw = (n - col0).min(NR_I8);
         for it in tiles.clone() {
             let mr = (m - it * MR).min(MR);
             let mut total = [[0i32; NR_I8]; MR];
@@ -1923,7 +1839,7 @@ fn dense_block(
             }
             let r0 = (it - tiles.start) * MR;
             for r in 0..mr {
-                let crow = &mut c.row(r0 + r)[col0..col0 + nrw];
+                let crow = &mut c[(r0 + r) * n + col0..][..nrw];
                 for (cj, &v) in crow.iter_mut().zip(&total[r][..nrw]) {
                     *cj += v;
                 }
@@ -1935,9 +1851,8 @@ fn dense_block(
 /// Dense path of [`LowBands::WeightLhs`] (AVX2, all operands in
 /// `[-8, 7]`, blocked shape) through [`run_plan`]. Lhs tiles come
 /// prepacked from the bands, or are packed here when a band was built
-/// under another ISA; the rhs quad panels are packed once per call (per
-/// column band under a column plan). Parallel plans split whole lhs
-/// tiles or output columns — either way each output element's integer
+/// under another ISA; the rhs quad panels are packed once per call.
+/// Row bands split whole lhs tiles, so each output element's integer
 /// sum is untouched. Returns the bytes packed.
 #[cfg(target_arch = "x86_64")]
 fn low_run_dense(
@@ -1962,19 +1877,18 @@ fn low_run_dense(
         [m, n, kb],
         None,
         c,
-        // The caller checked the whole problem against the blocking
-        // threshold; column bands of a dense run stay dense.
-        |_| true,
-        |cols, bq| {
-            let in_range = pack_b_i8_quads(b, n, cols, bands, bq);
+        // The caller checked the problem against the blocking threshold.
+        true,
+        |bq| {
+            let in_range = pack_b_i8_quads(b, n, bands, bq);
             assert!(in_range, "low-band activation outside [-8, 7]");
         },
-        |rows, _, bq, view| {
+        |rows, bq, c_rows| {
             let bq = bq.expect("a dense run always blocks");
-            // Row bands are tile-aligned (`tile_bands`), and the lhs
+            // Row bands are tile-aligned (`row_bands`), and the lhs
             // tiles were packed ahead of the plan: nothing staged here.
             let tiles = rows.start / MR..rows.end.div_ceil(MR);
-            dense_block(m, tiles, bands, a_shifts, &local, bq, view);
+            dense_block(m, tiles, bands, a_shifts, &local, bq, c_rows, n);
             0
         },
     );
@@ -2335,9 +2249,9 @@ mod tests {
         let (k0, k1) = (2usize, 19usize); // odd-length band
         let b = rand_i8(k * n, &mut rng);
         let mut plain = Vec::new();
-        I8Plain::pack_b(Rhs::Rows { b: &b, n }, k0, k1, 0..n, &mut plain);
+        I8Plain::pack_b(Rhs::Rows { b: &b, n }, k0, k1, n, &mut plain);
         let mut pairs = Vec::new();
-        I8Pairs::pack_b(Rhs::Rows { b: &b, n }, k0, k1, 0..n, &mut pairs);
+        I8Pairs::pack_b(Rhs::Rows { b: &b, n }, k0, k1, n, &mut pairs);
         let kb = k1 - k0;
         let kpairs = kb.div_ceil(2);
         let npan = n.div_ceil(NR_I8);
@@ -2367,9 +2281,9 @@ mod tests {
             }
         }
         let mut from_wt = Vec::new();
-        I8Pairs::pack_b(Rhs::WeightT { w: &w, k }, k0, k1, 0..n, &mut from_wt);
+        I8Pairs::pack_b(Rhs::WeightT { w: &w, k }, k0, k1, n, &mut from_wt);
         let mut from_rows = Vec::new();
-        I8Pairs::pack_b(Rhs::Rows { b: &bt, n }, k0, k1, 0..n, &mut from_rows);
+        I8Pairs::pack_b(Rhs::Rows { b: &bt, n }, k0, k1, n, &mut from_rows);
         assert_eq!(from_wt, from_rows);
     }
 
@@ -2390,60 +2304,38 @@ mod tests {
 
     #[test]
     fn parallel_gemm_is_bit_exact_with_serial_at_any_thread_count() {
-        // Sized above PAR_MIN_WORK so the banded path actually engages.
+        // Tall shapes split into row bands; wide-but-short ones (small
+        // `m`, wide `n`, down to the depthwise `m = 1`) have at most one
+        // row tile and stay serial. Every shape is above PAR_MIN_WORK,
+        // and all must match the 1-thread result bit for bit.
         let mut rng = seeded(26);
-        let (m, n, k) = (24usize, 96usize, 48usize);
-        let a = rand_f32(m * k, &mut rng);
-        let b = rand_f32(k * n, &mut rng);
-        let ai = rand_i8(m * k, &mut rng);
-        let bi = rand_i8(k * n, &mut rng);
-        let serial_pool = flexiq_parallel::ThreadPool::new(1);
-        let (mut c_ref, mut ci_ref) = (vec![0.0f32; m * n], vec![0i32; m * n]);
-        flexiq_parallel::with_pool(&serial_pool, || {
-            gemm_f32(m, n, k, &a, &b, &mut c_ref);
-            gemm_i8_band(m, n, k, 3, k - 5, &ai, &bi, &mut ci_ref);
-        });
-        for threads in [2usize, 3, 4] {
-            let pool = flexiq_parallel::ThreadPool::new(threads);
-            let (mut c, mut ci) = (vec![0.0f32; m * n], vec![0i32; m * n]);
-            flexiq_parallel::with_pool(&pool, || {
-                gemm_f32(m, n, k, &a, &b, &mut c);
-                gemm_i8_band(m, n, k, 3, k - 5, &ai, &bi, &mut ci);
-            });
-            for (x, y) in c.iter().zip(c_ref.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{threads} threads diverged");
-            }
-            assert_eq!(ci, ci_ref, "{threads} threads diverged (i8)");
-        }
-    }
-
-    #[test]
-    fn wide_but_short_gemm_column_bands_bit_exactly() {
-        // m too small to feed the pool, n wide: the column-band (sample
-        // axis) path engages and must stay bit-exact with serial — the
-        // depthwise colbatch shape (m = 1) included.
-        let mut rng = seeded(30);
-        for &(m, n, k) in &[(1usize, 4096usize, 64usize), (3, 2048, 32), (2, 600, 80)] {
+        for &(m, n, k) in &[
+            (24usize, 96usize, 48usize),
+            (2 * MC + 3, 40, 70),
+            (1, 4096, 64),
+            (3, 2048, 32),
+            (2, 600, 80),
+        ] {
             let a = rand_f32(m * k, &mut rng);
             let b = rand_f32(k * n, &mut rng);
             let ai = rand_i8(m * k, &mut rng);
             let bi = rand_i8(k * n, &mut rng);
-            let serial_pool = flexiq_parallel::ThreadPool::new(1);
-            let (mut c_ref, mut ci_ref) = (vec![0.0f32; m * n], vec![0i32; m * n]);
-            flexiq_parallel::with_pool(&serial_pool, || {
-                gemm_f32(m, n, k, &a, &b, &mut c_ref);
-                gemm_i8(m, n, k, &ai, &bi, &mut ci_ref);
-            });
-            let pool = flexiq_parallel::ThreadPool::new(4);
-            let (mut c, mut ci) = (vec![0.0f32; m * n], vec![0i32; m * n]);
-            flexiq_parallel::with_pool(&pool, || {
-                gemm_f32(m, n, k, &a, &b, &mut c);
-                gemm_i8(m, n, k, &ai, &bi, &mut ci);
-            });
-            for (x, y) in c.iter().zip(c_ref.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "({m},{n},{k}) diverged");
+            let run = |pool: &Arc<ThreadPool>| {
+                let (mut c, mut ci) = (vec![0.0f32; m * n], vec![0i32; m * n]);
+                flexiq_parallel::with_pool(pool, || {
+                    gemm_f32(m, n, k, &a, &b, &mut c);
+                    gemm_i8_band(m, n, k, 3, k - 5, &ai, &bi, &mut ci);
+                });
+                (c, ci)
+            };
+            let (c_ref, ci_ref) = run(&ThreadPool::new(1));
+            for threads in [2usize, 3, 4] {
+                let (c, ci) = run(&ThreadPool::new(threads));
+                for (x, y) in c.iter().zip(c_ref.iter()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "({m},{n},{k}) {threads} threads");
+                }
+                assert_eq!(ci, ci_ref, "({m},{n},{k}) {threads} threads (i8)");
             }
-            assert_eq!(ci, ci_ref, "({m},{n},{k}) diverged (i8)");
         }
     }
 
@@ -2471,9 +2363,9 @@ mod tests {
         ] {
             let w = rand_f32(n * k, &mut rng);
             let mut tiled = Vec::new();
-            F32Kernel::pack_b(Rhs::WeightT { w: &w, k }, k0, k1, 0..n, &mut tiled);
+            F32Kernel::pack_b(Rhs::WeightT { w: &w, k }, k0, k1, n, &mut tiled);
             let mut generic = Vec::new();
-            pack_b_panels::<f32, NR>(Rhs::WeightT { w: &w, k }, k0, k1, 0..n, &mut generic);
+            pack_b_panels::<f32, NR>(Rhs::WeightT { w: &w, k }, k0, k1, n, &mut generic);
             assert_eq!(tiled.len(), generic.len(), "({n},{k},{k0},{k1})");
             for (i, (x, y)) in tiled.iter().zip(generic.iter()).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "({n},{k},{k0},{k1}) elem {i}");
@@ -2700,8 +2592,8 @@ mod tests {
         for threads in [2usize, 4] {
             let pool = flexiq_parallel::ThreadPool::new(threads);
             flexiq_parallel::with_pool(&pool, || {
-                // Tall (row plan), wide-but-short (column plan) and a
-                // ragged last tile.
+                // Tall (row bands), wide-but-short (serial: one row
+                // tile) and a ragged last tile.
                 check_low_run(64, 512, &[36, 36], -8, 7, 900);
                 check_low_run(3, 4096, &[36, 9], -8, 7, 901);
                 check_low_run(19, 1024, &[40], -8, 7, 902);

@@ -22,20 +22,21 @@
 //!   packing and lowering scratch, so the steady-state hot path performs
 //!   zero heap allocations here.
 //!
-//! The only `unsafe` in the crate is the explicit SIMD in [`simd`]:
-//! `std::arch` register tiles behind once-per-process runtime feature
+//! The `unsafe` in the crate is the explicit SIMD: the `std::arch`
+//! register tiles in [`simd`], behind once-per-process runtime feature
 //! detection (AVX2, `FLEXIQ_NO_SIMD=1` escape hatch), each a
-//! bit-identical drop-in for the scalar tile it replaces. Everything
-//! else gets its throughput from cache blocking, operand packing and
-//! register tiling (see [`gemm`]), not from pointer tricks, and the
-//! kernels are still structured the way the paper's CUDA kernel is
-//! (tiles over feature-channel groups) so that the Criterion benches
-//! expose the same relative costs. Large GEMMs fan disjoint
-//! output bands — row bands, or column bands for wide-but-short shapes —
-//! across the shared `flexiq-parallel` pool (the banding keeps every
-//! element's reduction order unchanged, so parallel results are bit-exact
-//! with serial); the pointer plumbing that makes banded writes possible
-//! lives entirely in that crate.
+//! bit-identical drop-in for the scalar tile it replaces, and the four
+//! call sites in [`gemm`] that dispatch to them once detection said
+//! yes. Everything else gets its throughput from cache blocking, operand
+//! packing and register tiling (see [`gemm`]), not from pointer tricks,
+//! and the kernels are still structured the way the paper's CUDA kernel
+//! is (tiles over feature-channel groups). Large GEMMs fan disjoint
+//! output row bands across the shared `flexiq-parallel` pool — the one
+//! intra-batch fan-out of a forward pass. Each band is whole contiguous
+//! rows of the output, written through safe slices, and keeps every
+//! element's reduction order, so parallel results are bit-exact with
+//! serial; the pointer plumbing that splits the output lives entirely in
+//! that crate.
 
 pub mod error;
 pub mod gemm;

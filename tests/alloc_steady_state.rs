@@ -294,8 +294,8 @@ fn warm_pack_cache_adds_zero_allocations_across_level_flips() {
 }
 
 /// Builds an Int-mode runtime over a **grouped-conv** model (MobileNetV2:
-/// depthwise layers, `groups == c_in`), the shape that engages the
-/// parallel conv-group fan-out.
+/// depthwise layers, `groups == c_in`): many small per-group GEMMs
+/// beside the pointwise ones large enough to split into row bands.
 fn grouped_int_runtime() -> (flexiq::core::FlexiRuntime, Vec<flexiq::tensor::Tensor>) {
     let id = ModelId::MNetV2;
     let graph = id.build(Scale::Test).unwrap();
@@ -326,13 +326,13 @@ fn parallel_grouped_conv_allocates_exactly_like_serial() {
         assert_eq!(a, b, "serial grouped steady state still drifting");
         a
     });
-    // Parallel: same model and batch on a 2-thread pool — the depthwise
-    // layers fan conv groups across both threads. Task claiming is racy,
-    // so the helper's workspace/scratch warm-up can straggle across the
-    // first few passes; the invariant is that the count **converges to
-    // exactly the serial count** — the fan-out itself (job dispatch,
-    // band ranges, accumulator slabs, requant scatter) adds zero heap
-    // allocations once warm.
+    // Parallel: same model and batch on a 2-thread pool — the GEMMs
+    // large enough to split run their row bands on both threads. Task
+    // claiming is racy, so the helper's packing-scratch warm-up can
+    // straggle across the first few passes; the invariant is that the
+    // count **converges to exactly the serial count** — the row-band
+    // fan-out itself (job dispatch, band ranges, per-thread packing
+    // scratch) adds zero heap allocations once warm.
     let pool = ThreadPool::new(2);
     flexiq::parallel::with_pool(&pool, || {
         let _ = rt.infer_batch(&inputs[..2]).unwrap();

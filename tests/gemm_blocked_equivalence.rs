@@ -6,8 +6,8 @@
 //! (straddling the packing/blocking thresholds and tile edges), random
 //! reduction bands `[k0, k1)`, both rhs layouts (row-major and
 //! weight-transposed), column-batched stacking, sparse lhs operands (the
-//! zero-skip case), and thread counts 1/2/4 (exercising serial, row-band
-//! and column-band partitioning).
+//! zero-skip case), and thread counts 1/2/4 (exercising the serial and
+//! row-band plans).
 //!
 //! f32 comparisons are on exact bits, not tolerances: the blocked kernel
 //! keeps every output element's in-order k-accumulation, so it must
@@ -180,7 +180,7 @@ proptest! {
 
     /// Column-batched layouts (the stacked-batch rhs) stay bit-exact with
     /// per-sample reference calls — f32 and i8 — including the
-    /// wide-but-short shapes that engage column-band partitioning.
+    /// wide-but-short shapes (at most one row tile) that stay serial.
     #[test]
     fn colbatch_matches_per_sample_reference(
         nb in 1usize..6,
