@@ -2302,20 +2302,12 @@ mod tests {
         assert_eq!(simd::last_dispatch(), Some(simd::active()));
     }
 
-    #[test]
-    fn parallel_gemm_is_bit_exact_with_serial_at_any_thread_count() {
-        // Tall shapes split into row bands; wide-but-short ones (small
-        // `m`, wide `n`, down to the depthwise `m = 1`) have at most one
-        // row tile and stay serial. Every shape is above PAR_MIN_WORK,
-        // and all must match the 1-thread result bit for bit.
-        let mut rng = seeded(26);
-        for &(m, n, k) in &[
-            (24usize, 96usize, 48usize),
-            (2 * MC + 3, 40, 70),
-            (1, 4096, 64),
-            (3, 2048, 32),
-            (2, 600, 80),
-        ] {
+    /// Runs `gemm_f32` and a banded `gemm_i8_band` on each `(m, n, k)`
+    /// under pools of 2, 3 and 4 threads and asserts every result matches
+    /// the 1-thread pool bit for bit.
+    fn assert_bit_exact_across_pools(shapes: &[(usize, usize, usize)], seed: u64) {
+        let mut rng = seeded(seed);
+        for &(m, n, k) in shapes {
             let a = rand_f32(m * k, &mut rng);
             let b = rand_f32(k * n, &mut rng);
             let ai = rand_i8(m * k, &mut rng);
@@ -2337,6 +2329,21 @@ mod tests {
                 assert_eq!(ci, ci_ref, "({m},{n},{k}) {threads} threads (i8)");
             }
         }
+    }
+
+    #[test]
+    fn parallel_gemm_is_bit_exact_with_serial_at_any_thread_count() {
+        // Tall shapes above PAR_MIN_WORK split into row bands.
+        assert_bit_exact_across_pools(&[(24, 96, 48), (2 * MC + 3, 40, 70)], 26);
+    }
+
+    #[test]
+    fn wide_but_short_gemm_column_bands_bit_exactly() {
+        // Small `m`, wide `n`, down to the depthwise `m = 1`: above
+        // PAR_MIN_WORK but at most one row tile, so there is no band to
+        // split off (no column-band plan exists) and every pool size must
+        // give the serial result.
+        assert_bit_exact_across_pools(&[(1, 4096, 64), (3, 2048, 32), (2, 600, 80)], 29);
     }
 
     #[test]
