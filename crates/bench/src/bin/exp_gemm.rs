@@ -15,9 +15,10 @@
 //! nibble run takes the dense `vpmaddubsw` tile and must beat the pair
 //! tile by ≥ [`LOW_BAND_MIN_SPEEDUP`] on every conv row; other ISAs run
 //! one tile for both operand ranges, so the sweep cannot discriminate
-//! and the floor is skipped. A decode-shape linear row (m = 8) rides
-//! along ungated. The binary prints its table (CSV under `results/`)
-//! and exits 1 on a miss — CI reads the exit code.
+//! and the floor is skipped. Linear layers issue no low-band call (their
+//! shifts fold into the operands of one plain GEMM), so every row is a
+//! conv shape. The binary prints its table (CSV under `results/`) and
+//! exits 1 on a miss — CI reads the exit code.
 //!
 //! Blocked-kernel throughput and panel reuse are not timed here: the
 //! end-to-end benchmark reads them off the served engine
@@ -64,30 +65,19 @@ fn reps_for(auto: usize, cap: usize) -> usize {
 }
 
 /// One row of the low-band sweep: a run of `bands` feature-group bands
-/// of `kb` reduction steps each. `conv` rows put the weights on the lhs
-/// (`[m, kb]` per band against `[bands·kb, n]` im2col rows), the linear
-/// row puts them on the rhs (`[m, kb]` strided activations against a
-/// `[kb, n]` block).
+/// of `kb` reduction steps each, the weights on the lhs (`[m, kb]` per
+/// band against `[bands·kb, n]` im2col rows).
 struct LowShape {
     name: &'static str,
-    conv: bool,
     m: usize,
     n: usize,
     kb: usize,
     bands: usize,
 }
 
-const fn low(
-    name: &'static str,
-    conv: bool,
-    m: usize,
-    n: usize,
-    kb: usize,
-    bands: usize,
-) -> LowShape {
+const fn low(name: &'static str, m: usize, n: usize, kb: usize, bands: usize) -> LowShape {
     LowShape {
         name,
-        conv,
         m,
         n,
         kb,
@@ -97,16 +87,14 @@ const fn low(
 
 /// RNet20's conv layers at batch 8 (`c_out` × `8·H·W`), as single
 /// 4-channel 3×3 bands (kb = 36) and as the coalesced runs a fully
-/// 4-bit layer issues (all of a layer's bands in one call), plus the
-/// decode-step linear band.
-const LOW_SHAPES: [LowShape; 7] = [
-    low("rnet20_s1_band", true, 16, 2048, 36, 1),
-    low("rnet20_s1_run", true, 16, 2048, 36, 4),
-    low("rnet20_s2_band", true, 24, 512, 36, 1),
-    low("rnet20_s2_run", true, 24, 512, 36, 6),
-    low("rnet20_s3_band", true, 32, 128, 36, 1),
-    low("rnet20_s3_run", true, 32, 128, 36, 8),
-    low("tinylm_linear_decode_band", false, 8, 128, 16, 1),
+/// 4-bit layer issues (all of a layer's bands in one call).
+const LOW_SHAPES: [LowShape; 6] = [
+    low("rnet20_s1_band", 16, 2048, 36, 1),
+    low("rnet20_s1_run", 16, 2048, 36, 4),
+    low("rnet20_s2_band", 24, 512, 36, 1),
+    low("rnet20_s2_run", 24, 512, 36, 6),
+    low("rnet20_s3_band", 32, 128, 36, 1),
+    low("rnet20_s3_run", 32, 128, 36, 8),
 ];
 
 /// Times one low-band shape on operands drawn from `[-hi - 1, hi]`,
@@ -121,84 +109,52 @@ fn measure_low(s: &LowShape, hi: i16, reps: usize, rng: &mut impl Rng) -> f64 {
     let (m, n, kb) = (s.m, s.n, s.kb);
     let mut c = vec![0i32; m * n];
     let mut expect = vec![0i32; m * n];
-    if s.conv {
-        let blocks: Vec<Vec<i8>> = (0..s.bands).map(|_| draw(m * kb)).collect();
-        let shifts: Vec<u8> = (0..m).map(|i| (i % 3) as u8).collect();
-        let a_shifts: Vec<u8> = (0..s.bands).map(|b| (b % 4) as u8).collect();
-        let b = draw(s.bands * kb * n);
-        let bands: Vec<gemm::LowBandLhs> = blocks
-            .iter()
-            .map(|w| gemm::LowBandLhs::new(m, kb, w.clone(), shifts.clone()))
-            .collect();
-        let call = gemm::LowBands::WeightLhs {
-            n,
-            bands: &bands,
-            a_shifts: &a_shifts,
-            b: &b,
-        };
-        for (bi, w) in blocks.iter().enumerate() {
-            let mut scratch = vec![0i32; m * n];
-            reference::gemm_i8(m, n, kb, w, &b[bi * kb * n..], &mut scratch);
-            for (i, (e, v)) in expect.iter_mut().zip(&scratch).enumerate() {
-                *e += v << (a_shifts[bi] + shifts[i / n]);
-            }
+    let blocks: Vec<Vec<i8>> = (0..s.bands).map(|_| draw(m * kb)).collect();
+    let shifts: Vec<u8> = (0..m).map(|i| (i % 3) as u8).collect();
+    let a_shifts: Vec<u8> = (0..s.bands).map(|b| (b % 4) as u8).collect();
+    let b = draw(s.bands * kb * n);
+    let bands: Vec<gemm::LowBandLhs> = blocks
+        .iter()
+        .map(|w| gemm::LowBandLhs::new(m, kb, w.clone(), shifts.clone()))
+        .collect();
+    let call = gemm::LowBands {
+        n,
+        bands: &bands,
+        a_shifts: &a_shifts,
+        b: &b,
+    };
+    for (bi, w) in blocks.iter().enumerate() {
+        let mut scratch = vec![0i32; m * n];
+        reference::gemm_i8(m, n, kb, w, &b[bi * kb * n..], &mut scratch);
+        for (i, (e, v)) in expect.iter_mut().zip(&scratch).enumerate() {
+            *e += v << (a_shifts[bi] + shifts[i / n]);
         }
-        gemm::gemm_i8_low_bands(call, &mut c);
-        assert_eq!(c, expect, "low-band run diverged ({})", s.name);
-        time_best(reps, || {
-            c.fill(0);
-            gemm::gemm_i8_low_bands(call, &mut c);
-            std::hint::black_box(&c);
-        })
-    } else {
-        let lda = 4 * kb;
-        let a = draw(m * lda);
-        let w = draw(kb * n);
-        let shifts: Vec<u8> = (0..n).map(|j| (j % 3) as u8).collect();
-        let band = gemm::LowBandRhs::new(n, kb, w.clone(), shifts.clone());
-        let call = gemm::LowBands::WeightRhs {
-            m,
-            a: &a[kb..],
-            lda,
-            a_shift: 2,
-            w: &band,
-        };
-        for i in 0..m {
-            for j in 0..n {
-                let dot: i32 = (0..kb)
-                    .map(|p| a[i * lda + kb + p] as i32 * w[p * n + j] as i32)
-                    .sum();
-                expect[i * n + j] = dot << (2 + shifts[j]);
-            }
-        }
-        gemm::gemm_i8_low_bands(call, &mut c);
-        assert_eq!(c, expect, "low-band linear diverged ({})", s.name);
-        time_best(reps, || {
-            c.fill(0);
-            gemm::gemm_i8_low_bands(call, &mut c);
-            std::hint::black_box(&c);
-        })
     }
+    gemm::gemm_i8_low_bands(call, &mut c);
+    assert_eq!(c, expect, "low-band run diverged ({})", s.name);
+    time_best(reps, || {
+        c.fill(0);
+        gemm::gemm_i8_low_bands(call, &mut c);
+        std::hint::black_box(&c);
+    })
 }
 
 /// One measured row: nibble-range speedup over full-range i8.
 struct Row {
     name: &'static str,
-    conv: bool,
     speedup: f64,
 }
 
-/// The floor, stated once: with a dense tile (`dense`, AVX2) every conv
-/// row must reach [`LOW_BAND_MIN_SPEEDUP`]; the linear row is
-/// informational, and without a dense tile nothing can be gated.
-/// Returns one message per miss — empty means pass.
+/// The floor, stated once: with a dense tile (`dense`, AVX2) every row
+/// must reach [`LOW_BAND_MIN_SPEEDUP`]; without a dense tile nothing can
+/// be gated. Returns one message per miss — empty means pass.
 fn floors(dense: bool, rows: &[Row]) -> Vec<String> {
     if !dense {
         return Vec::new();
     }
     let mut misses: Vec<String> = rows
         .iter()
-        .filter(|r| r.conv && r.speedup < LOW_BAND_MIN_SPEEDUP)
+        .filter(|r| r.speedup < LOW_BAND_MIN_SPEEDUP)
         .map(|r| {
             format!(
                 "{}: low-band tile {:.2}x the i8 tile, floor {LOW_BAND_MIN_SPEEDUP}x",
@@ -206,8 +162,8 @@ fn floors(dense: bool, rows: &[Row]) -> Vec<String> {
             )
         })
         .collect();
-    if !rows.iter().any(|r| r.conv) {
-        misses.push("no conv band row was measured — the floor vouches for nothing".into());
+    if rows.is_empty() {
+        misses.push("no band row was measured — the floor vouches for nothing".into());
     }
     misses
 }
@@ -247,7 +203,6 @@ fn main() {
         ]);
         rows.push(Row {
             name: s.name,
-            conv: s.conv,
             speedup,
         });
     }
@@ -261,7 +216,7 @@ fn main() {
         std::process::exit(1);
     }
     if dense {
-        println!("low-band sweep PASS (conv rows >= {LOW_BAND_MIN_SPEEDUP}x)");
+        println!("low-band sweep PASS (every row >= {LOW_BAND_MIN_SPEEDUP}x)");
     } else {
         println!(
             "low-band floor skipped: isa {} has no dense tile",
@@ -275,21 +230,13 @@ mod tests {
     use super::*;
 
     fn rows(band: f64) -> Vec<Row> {
-        let row = |name, conv, speedup| Row {
-            name,
-            conv,
-            speedup,
-        };
-        vec![
-            row("rnet20_s1_band", true, band),
-            row("rnet20_s1_run", true, 2.8),
-            row("tinylm_linear_decode_band", false, 1.0),
-        ]
+        let row = |name, speedup| Row { name, speedup };
+        vec![row("rnet20_s1_band", band), row("rnet20_s1_run", 2.8)]
     }
 
     #[test]
     fn low_band_floor_is_avx2_only_and_fails_a_doctored_regression() {
-        // Healthy AVX2 sweep; the flat linear row is informational.
+        // Healthy AVX2 sweep.
         assert!(floors(true, &rows(1.5)).is_empty());
         assert!(floors(true, &rows(LOW_BAND_MIN_SPEEDUP)).is_empty());
         // The dense tile losing its edge on one band shape fails, and
@@ -299,7 +246,7 @@ mod tests {
         assert!(misses[0].starts_with("rnet20_s1_band"), "{misses:?}");
         // Every other ISA shares one tile: nothing to gate.
         assert!(floors(false, &rows(1.0)).is_empty());
-        // A sweep whose conv rows vanished cannot pass by vacuity.
+        // A sweep whose rows vanished cannot pass by vacuity.
         assert_eq!(floors(true, &rows(1.5)[2..]).len(), 1);
     }
 }

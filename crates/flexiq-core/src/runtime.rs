@@ -63,9 +63,9 @@ pub struct FlexiRuntime {
     level: AtomicUsize,
     opts: QuantExecOptions,
     /// Shared prepacked-weight cache: quantized + bit-lowered + NR-lane
-    /// packed weight bands, built lazily on first use (or eagerly via
+    /// packed weights, built lazily on first use (or eagerly via
     /// [`FlexiRuntime::prewarm_levels`]) and consumed by every Int-mode
-    /// inference. Entries are level-independent, so
+    /// inference. Each level reads its own entries, so
     /// [`FlexiRuntime::set_level`] stays a single atomic store — no
     /// invalidation on a precision switch.
     pack_cache: Arc<PackCache>,
@@ -153,19 +153,24 @@ impl FlexiRuntime {
         })
     }
 
-    /// Eagerly builds every prepacked-weight cache entry any schedule
-    /// level could touch, so no serving request — and no level switch —
-    /// ever pays lazy packing latency. Safe to call more than once
-    /// (warm entries are hits).
+    /// Eagerly builds every prepacked-weight cache entry a level reads —
+    /// the INT8 level and every schedule level — so no serving request,
+    /// and no level switch, ever pays lazy packing latency. Builds
+    /// nothing under the Fake engine, which reads no packed weights. Safe
+    /// to call more than once (warm entries are hits).
     pub fn prewarm_levels(&self) -> Result<()> {
+        let int8 = MixedPlan::all_high(&self.model);
+        let plans = std::iter::once(&int8).chain(&self.schedule.plans);
         self.pack_cache
-            .prewarm(&self.graph, &self.model, self.opts)?;
+            .prewarm(&self.graph, &self.model, self.opts, plans)?;
         Ok(())
     }
 
     /// Drops every prepacked-weight cache entry. Required after mutating
-    /// master weights in place; **not** needed for level switches
-    /// (entries don't depend on the plan).
+    /// master weights in place; **not** needed for level switches: each
+    /// level reads its own entries (a linear layer's are keyed by the
+    /// level's low-group mask), so a switch only reads other entries and
+    /// never makes one stale.
     pub fn invalidate_pack_cache(&self) {
         self.pack_cache.invalidate();
     }

@@ -3,24 +3,24 @@
 //!
 //! The decode loop attends each new token against every cached key/value
 //! row. This module stores those rows in the **same effective-bit
-//! representation the paper uses for weights**: an 8-bit master cache
-//! with a 4-bit band carved from the live values through the existing
-//! static lowering rules ([`BitLowering::for_max_abs`]). Where the
-//! weight path derives its extraction windows from calibrated maxima,
-//! the cache derives them from the row being appended — the values *are*
-//! live — so each `(row, head, channel-group)` gets its own window, and
-//! the band is **pre-lowered at append time** the way PR 8 prepacks
-//! weight bands: reads never re-derive or re-shift anything.
+//! representation the paper uses for weights**: 8-bit keys with a 4-bit
+//! band carved from the live values through the existing static lowering
+//! rules ([`BitLowering::for_max_abs`]). Where the weight path derives
+//! its extraction windows from calibrated maxima, the cache derives them
+//! from the row being appended — the values *are* live — so each
+//! `(row, head, channel-group)` gets its own window, and the band is
+//! **carved at append time** the way the quantized engines prepack
+//! weights: reads never re-derive or re-shift anything.
 //!
 //! Layout: rows are appended row-major as `[rows, C]`, which is exactly
-//! the `[n, k]` weight layout of [`gemm::gemm_i8_band_wt`] — the score
-//! pass for one head's channel band is a single band GEMM (`m = 1`)
-//! against the cache, reusing the `gemm_i8_band`-family kernels (and
-//! their AVX2 dispatch) unchanged. The carved low band stores
-//! *reconstructed* values (`lower` then `reconstruct`, still `i8`-ranged
-//! since a 4-bit window over an 8-bit source shifts by at most 4), so a
-//! low read is the same straight band GEMM over a second buffer — no
-//! per-element shifts in the hot loop.
+//! the `[n, k]` weight layout of [`gemm::gemm_i8_band_wt`]. Keys live in
+//! **one effective buffer**: each head's leading low groups hold their
+//! carved values *reconstructed* (`lower` then `<< shift`, still
+//! `i8`-ranged — see [`BitLowering::round_trip_in_place`]), every other
+//! channel its 8-bit value. So one head's scores are a single band GEMM
+//! (`m = 1`) over the head's channels, reusing the `gemm_i8_band`-family
+//! kernels (and their AVX2 dispatch) unchanged, with no per-element
+//! shifts in the hot loop.
 //!
 //! # Precision modes
 //!
@@ -35,7 +35,7 @@
 //! * `int8` — rows quantized per-row symmetric to 8 bits
 //!   (`scale = |row|_max / 127`), scores via integer band GEMMs.
 //! * `mixed` — as `int8`, with the leading fraction of each head's
-//!   channel groups read from the carved 4-bit band instead — the
+//!   channel groups stored as the carved 4-bit band instead — the
 //!   §4.1 abit-ratio knob applied along the temporal axis.
 //!
 //! The full-context executor routes attention through the *same* cache
@@ -64,8 +64,8 @@ pub struct KvSpec {
     /// divide the head dimension. Ignored for f32 caches.
     pub group: usize,
     /// Fraction of each head's **leading** channel groups whose key
-    /// band is read at `low_bits` effective precision (0.0 = pure
-    /// int8, 1.0 = every group reads the carved band).
+    /// band is stored at `low_bits` effective precision (0.0 = pure
+    /// int8, 1.0 = every group holds the carved band).
     pub low_frac: f64,
     /// Width of the carved band (4 in the paper).
     pub low_bits: QuantBits,
@@ -99,7 +99,7 @@ impl KvSpec {
     }
 
     /// 8-bit cache with the leading `low_frac` of each head's groups
-    /// read from the carved 4-bit band.
+    /// stored as the carved 4-bit band.
     pub fn mixed(group: usize, low_frac: f64) -> Self {
         KvSpec {
             quantized: true,
@@ -145,7 +145,7 @@ impl KvSpec {
 /// Per-layer quantized K/V cache of one decode session.
 ///
 /// Rows are appended once per generated position and never mutated;
-/// every representation (8-bit master, carved low band, scales) is
+/// every representation (effective keys, 8-bit values, scales) is
 /// derived at append time so reads are straight band GEMMs.
 #[derive(Debug, Clone)]
 pub struct KvLayerCache {
@@ -159,11 +159,11 @@ pub struct KvLayerCache {
     v_f: Vec<f32>,
     // Quantized storage: [rows, C] row-major == the band GEMM's [n, k]
     // weight layout.
+    /// Effective keys: 8-bit values, with each head's leading
+    /// `spec.low_groups` groups replaced by their `round_trip` under the
+    /// per-(row, head, group) live lowering rule — effective `low_bits +
+    /// shift` bits, stored reconstructed so reads reuse the i8 kernels.
     k_q: Vec<i8>,
-    /// Carved band: `round_trip` of `k_q` under the per-(row, head,
-    /// group) live lowering rule — effective `low_bits + shift` bits,
-    /// stored reconstructed so low reads reuse the same i8 kernels.
-    k_low: Vec<i8>,
     k_scale: Vec<f32>,
     v_q: Vec<i8>,
     v_scale: Vec<f32>,
@@ -209,7 +209,6 @@ impl KvLayerCache {
             k_f: Vec::with_capacity(f_cap),
             v_f: Vec::with_capacity(f_cap),
             k_q: Vec::with_capacity(q_cap),
-            k_low: Vec::with_capacity(q_cap),
             k_scale: Vec::with_capacity(if spec.is_f32() { 0 } else { capacity }),
             v_q: Vec::with_capacity(q_cap),
             v_scale: Vec::with_capacity(if spec.is_f32() { 0 } else { capacity }),
@@ -239,7 +238,6 @@ impl KvLayerCache {
         self.k_f.len() * 4
             + self.v_f.len() * 4
             + self.k_q.len()
-            + self.k_low.len()
             + self.v_q.len()
             + (self.k_scale.len() + self.v_scale.len()) * 4
     }
@@ -270,23 +268,18 @@ impl KvLayerCache {
         kp.quantize_slice(k_row, &mut self.k_q[base..]);
         self.v_q.resize(base + self.c, 0);
         vp.quantize_slice(v_row, &mut self.v_q[base..]);
-        // Carve the low band: one live lowering rule per (head, group),
-        // derived from this row's 8-bit maxima exactly as the weight
-        // path derives its static rules from calibrated maxima.
+        // Carve the low band in place: one live lowering rule per (head,
+        // leading low group), derived from this row's 8-bit maxima
+        // exactly as the weight path derives its static rules from
+        // calibrated maxima.
         let g = self.spec.group;
+        let low_width = self.spec.low_groups(self.dh) * g;
         for h in 0..self.heads {
-            for g0 in (0..self.dh).step_by(g) {
-                let off = base + h * self.dh + g0;
-                let span = &self.k_q[off..off + g];
-                let max_abs = span
-                    .iter()
-                    .map(|&q| q.unsigned_abs() as u32)
-                    .max()
-                    .unwrap_or(0);
-                let rule = BitLowering::for_max_abs(max_abs, self.spec.low_bits);
-                for i in 0..g {
-                    self.k_low.push(rule.round_trip(self.k_q[off + i]) as i8);
-                }
+            let head = base + h * self.dh;
+            for span in self.k_q[head..head + low_width].chunks_exact_mut(g) {
+                let max_abs = span.iter().map(|&q| q.unsigned_abs() as u32).max();
+                BitLowering::for_max_abs(max_abs.unwrap_or(0), self.spec.low_bits)
+                    .round_trip_in_place(span);
             }
         }
         self.rows += 1;
@@ -343,25 +336,14 @@ impl KvLayerCache {
         let q_scale = qp.scale();
         self.q_q.resize(c, 0);
         qp.quantize_slice(q_row, &mut self.q_q);
-        let low_groups = self.spec.low_groups(dh);
-        let gw = self.spec.group;
         for h in 0..self.heads {
             self.acc.clear();
             self.acc.resize(t, 0);
-            // Band GEMMs (m = 1) against the cache's [rows, C] weight
-            // layout: carved band for the leading low groups, 8-bit
-            // master for the rest. Integer accumulation is order-free,
-            // so band order never affects the result.
-            for gi in 0..dh / gw {
-                let k0 = h * dh + gi * gw;
-                let k1 = k0 + gw;
-                let band = if gi < low_groups {
-                    &self.k_low
-                } else {
-                    &self.k_q
-                };
-                gemm::gemm_i8_band_wt(1, t, c, k0, k1, &self.q_q, band, &mut self.acc);
-            }
+            // One band GEMM (m = 1) over the head's channels against the
+            // cache's [rows, C] weight layout: the effective keys already
+            // hold the carved band in the leading low groups.
+            let (k0, k1) = (h * dh, (h + 1) * dh);
+            gemm::gemm_i8_band_wt(1, t, c, k0, k1, &self.q_q, &self.k_q, &mut self.acc);
             for j in 0..t {
                 self.scores[j] = self.acc[j] as f32 * q_scale * self.k_scale[j] * inv;
             }
@@ -579,11 +561,58 @@ mod tests {
         // Every carved value must be representable as q_low << shift with
         // q_low in the 4-bit range — i.e. round-tripping it through its
         // own naive rule at the stored magnitude is the identity.
-        for &v in &cache.k_low {
+        for &v in &cache.k_q {
             let mag = (8 - v.unsigned_abs().leading_zeros().min(8)) as i32;
             assert!(mag <= 7, "carved value {v} out of i8 magnitude");
         }
-        assert_eq!(cache.k_low.len(), c);
+        assert_eq!(cache.k_q.len(), c);
+    }
+
+    #[test]
+    fn effective_key_buffer_scores_like_the_master_plus_carved_band_read() {
+        // The two-buffer layout this cache replaced: 8-bit master keys
+        // plus a fully carved copy, each head read one group at a time
+        // from whichever buffer its group lives in. One effective buffer
+        // read by one GEMM per head must give the same integer scores,
+        // and hold one `C` row fewer per position.
+        let (t, c, heads, group) = (9usize, 16usize, 2usize, 2usize);
+        let dh = c / heads;
+        let (q, k) = (tokens(t, c, 30), tokens(t, c, 31));
+        for low_frac in [0.0, 0.25, 0.5, 1.0] {
+            let spec = KvSpec::mixed(group, low_frac);
+            let low_groups = spec.low_groups(dh);
+            let mut cache = KvLayerCache::new(c, heads, spec, t).unwrap();
+            let (mut master, mut carved) = (Vec::new(), Vec::new());
+            for i in 0..t {
+                let row = &k.data()[i * c..(i + 1) * c];
+                cache.append(row, row).unwrap();
+                let mut kq = vec![0i8; c];
+                row_params(row).unwrap().quantize_slice(row, &mut kq);
+                for span in kq.chunks_exact(group) {
+                    let max_abs = span.iter().map(|&v| v.unsigned_abs() as u32).max();
+                    let rule = BitLowering::for_max_abs(max_abs.unwrap(), spec.low_bits);
+                    carved.extend(span.iter().map(|&v| rule.round_trip(v) as i8));
+                }
+                master.extend(kq);
+            }
+            let q_row = &q.data()[(t - 1) * c..];
+            let mut qq = vec![0i8; c];
+            row_params(q_row).unwrap().quantize_slice(q_row, &mut qq);
+            for h in 0..heads {
+                let mut two = vec![0i32; t];
+                for gi in 0..dh / group {
+                    let k0 = h * dh + gi * group;
+                    let band = if gi < low_groups { &carved } else { &master };
+                    gemm::gemm_i8_band_wt(1, t, c, k0, k0 + group, &qq, band, &mut two);
+                }
+                let mut one = vec![0i32; t];
+                gemm::gemm_i8_band_wt(1, t, c, h * dh, (h + 1) * dh, &qq, &cache.k_q, &mut one);
+                assert_eq!(one, two, "low_frac {low_frac} head {h}");
+            }
+            // Keys, values and two f32 scales per row; the two-buffer
+            // layout held a third `C` bytes of carved keys.
+            assert_eq!(cache.resident_bytes(), t * (2 * c + 8));
+        }
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //!
 //! Two execution paths are provided:
 //!
-//! * [`ExecMode::Int`] — the integer path: real `i8` GEMM bands per
-//!   feature group, bit-extracted 4-bit operands, and bit-shifted `i32`
-//!   accumulation, exactly as the paper's GPU kernel and NPU datapath
-//!   operate. The arithmetic the simulators cross-validate against, and
-//!   the engine whose cost falls as the 4-bit ratio rises.
+//! * [`ExecMode::Int`] — the integer path: real `i8` GEMMs,
+//!   bit-extracted 4-bit operands, and bit-shifted `i32` accumulation,
+//!   bit for bit what the paper's GPU kernel and NPU datapath compute.
+//!   The arithmetic the simulators cross-validate against.
 //! * [`ExecMode::Fake`] — the fast path: weights and activations are
 //!   replaced by their reconstruction (`dequantize(lower(quantize(x)))`)
 //!   and the layer runs in f32. Produces the same results up to f32
@@ -22,35 +21,46 @@
 //!
 //! # Integer data flow
 //!
-//! An Int-mode layer runs `quantize + lower → im2col → band GEMMs →
-//! requantize`, arranged so a 4-bit band costs **less** than an 8-bit
-//! one:
+//! A 4-bit feature group's sum enters the layer accumulator as
+//! `Σ (a_low·w_low) << (s_a + s_w[o])` — the paper's *bit-shifted
+//! accumulation*. The two layer kinds realise it differently:
 //!
-//! * Activation quantization leaves the buffer *band-ready*: under
-//!   static or naive extraction the channels of every 4-bit feature
-//!   group are bit-lowered in place, in the same sweep (lowering is
-//!   per channel and `lower(0) == 0`, so it commutes with im2col's
-//!   copy-and-zero-pad). im2col runs once over the lowered data and
-//!   the band GEMMs read their rows of it where they lie.
-//! * Adjacent bands of one precision run as one GEMM call, and a 4-bit
-//!   run's *bit-shifted accumulation* is the call's write-back
-//!   ([`gemm::gemm_i8_low_bands`]): each band's sum enters the layer
-//!   accumulator as `sum << (s_a + s_w[o])` straight from the kernel's
-//!   registers. Where the ISA has one, nibble-range operands take a
-//!   denser tile (see `flexiq_tensor::simd`).
-//! * Lowered weights, their shifts and their packed forms come from a
-//!   [`PackCache`] — the runtime's shared one or a private one — built
-//!   from calibration and options only, never from the plan.
+//! * **Linear** layers run `quantize + round-trip → one GEMM →
+//!   requantize`. The shift moves into the operands, exactly:
+//!   `(a_low << s_a)·(w_low << s_w) = (a_low·w_low) << (s_a + s_w)` in
+//!   integers, and both round-tripped operands still fit `i8` (see
+//!   `BitLowering::round_trip_in_place`). Activation quantization
+//!   round-trips the 4-bit groups' columns in the same sweep, and a
+//!   [`PackCache`] entry per (layer, low-group mask) holds the **effective
+//!   weights** — the master with those groups' columns round-tripped —
+//!   prepacked. So a linear layer is one band GEMM over its whole
+//!   reduction at every level, per run of valid rows.
+//! * **Convolution** layers run `quantize + lower → im2col → band GEMMs
+//!   → requantize`, arranged so a 4-bit band costs **less** than an
+//!   8-bit one. Activation quantization bit-lowers the 4-bit groups'
+//!   channel planes in place, in the same sweep (lowering is per channel
+//!   and `lower(0) == 0`, so it commutes with im2col's
+//!   copy-and-zero-pad); im2col runs once over the lowered data and the
+//!   band GEMMs read their rows of it where they lie. Adjacent bands of
+//!   one precision run as one GEMM call, and a 4-bit run's shifts are
+//!   the call's write-back ([`gemm::gemm_i8_low_bands`]), applied
+//!   straight from the kernel's registers. Where the ISA has one,
+//!   nibble-range operands take a denser tile (see
+//!   `flexiq_tensor::simd`) — which is why conv bands stay lowered
+//!   rather than round-tripped. Lowered weights, their shifts and their
+//!   packed forms come from the [`PackCache`], built from calibration
+//!   and options only, never from the plan.
 //!
 //! Dynamic extraction ([`QuantExecOptions::dynamic_extract`]) derives
-//! each band's rule from the values the band's GEMM reads, so it lowers
-//! in the band loop instead — in place, through the same calls.
+//! each group's rule from the values its GEMM reads, so it rewrites them
+//! inside the layer instead — after quantization for a linear, in the
+//! band loop for a convolution — in place, through the same calls.
 //!
 //! # Batched execution
 //!
 //! Both paths implement the batched [`Compute`] hooks: a stacked
 //! `[N, …]` activation is quantized (and lowered) **once per layer per
-//! batch** and the band GEMMs run over all samples stacked along `n`;
+//! batch** and the GEMMs run over all samples stacked together;
 //! the single-sample hooks are the same code at `N = 1`. With
 //! calibrated (static) extraction positions the batched
 //! integer path is **bit-exact** per sample with the single-sample path —
@@ -382,8 +392,8 @@ impl QuantExecOptions {
 /// Static weight extraction rule for `(layer, group, out-channel)`.
 /// Depends on the model's calibrated maxima and the exec options only —
 /// **not** on the [`MixedPlan`] — which is what makes cached lowered
-/// weights level-independent: switching levels re-selects which bands
-/// run low, never what a low band's lowering looks like.
+/// conv weights level-independent: switching levels re-selects which
+/// bands run low, never what a low band's lowering looks like.
 fn static_w_rule(
     model: &QuantizedModel,
     opts: &QuantExecOptions,
@@ -400,11 +410,22 @@ fn static_w_rule(
 
 // ───────────────────────── prepacked-weight cache ─────────────────────────
 
-/// Cached state of one high (8-bit) linear band: the NR-lane rhs panels
-/// of the `[C_out, C_in]` master weights over the group's feature range,
-/// consumed by [`gemm::gemm_i8_band_wt_prepacked`].
-struct HighPack {
+/// Cached state of one linear layer under one low-group mask: the
+/// layer's **effective weights** — the `[C_out, C_in]` master with each
+/// low group's columns replaced by their static round trip (`lower`,
+/// then `<< s_w`, see [`BitLowering::round_trip_in_place`]) — and their
+/// rhs panel prepacked over the whole reduction, so the layer is one
+/// [`gemm::gemm_i8_band_wt_prepacked`] call at any level.
+struct LinearPack {
+    mask: Vec<bool>,
+    w: Vec<i8>,
     panel: gemm::PackedRhsI8,
+}
+
+impl LinearPack {
+    fn bytes(&self) -> usize {
+        self.mask.len() + self.w.len() + self.panel.bytes()
+    }
 }
 
 /// One feature-group band of a conv group: the feature group it
@@ -461,30 +482,30 @@ fn static_a_rule(
     }
 }
 
-/// Lowers linear layer `l`'s weights over feature group `g` into the
-/// `[bw, C_out]` rhs block of a low band, with per-column shifts.
-fn build_linear_low(
+/// Builds linear layer `l`'s effective weights under low-group mask
+/// `mask` and prepacks them. The mask need not be contiguous: each low
+/// group's columns are folded on their own.
+fn build_linear_pack(
     model: &QuantizedModel,
     opts: &QuantExecOptions,
     l: LayerId,
-    g: usize,
-) -> gemm::LowBandRhs {
+    mask: &[bool],
+) -> LinearPack {
     let lq = &model.layers[l];
-    let wq = lq.w_q.data();
     let (c_in, c_out) = (lq.c_in, lq.c_out);
-    let range = model.groups.channel_range(g, c_in);
-    let bw = range.len();
-    let rules: Vec<BitLowering> = (0..c_out)
-        .map(|o| static_w_rule(model, opts, l, g, o))
-        .collect();
-    let mut wg = vec![0i8; bw * c_out];
-    for (bi, c) in range.enumerate() {
-        for o in 0..c_out {
-            wg[bi * c_out + o] = rules[o].lower(wq[o * c_in + c]);
+    let mut w = lq.w_q.data().to_vec();
+    for (g, _) in mask.iter().enumerate().filter(|(_, &low)| low) {
+        let range = model.groups.channel_range(g, c_in);
+        for (o, row) in w.chunks_exact_mut(c_in).enumerate() {
+            static_w_rule(model, opts, l, g, o).round_trip_in_place(&mut row[range.clone()]);
         }
     }
-    let shifts = rules.iter().map(BitLowering::shift).collect();
-    gemm::LowBandRhs::new(c_out, bw, wg, shifts)
+    let panel = gemm::prepack_i8_wt_band(c_out, c_in, 0, c_in, &w);
+    LinearPack {
+        mask: mask.to_vec(),
+        w,
+        panel,
+    }
 }
 
 /// Lowers every feature-group band of conv layer `l`. The geometry
@@ -548,29 +569,30 @@ struct CacheKey {
     isa: simd::Isa,
 }
 
-/// Indexed slot tables, sized to the model on first use: `high` and
-/// `low` per `[layer][feature group]` (linear layers), `conv` per
-/// layer.
+/// Per-layer tables, sized to the model on first use: `linear[l]` is a
+/// short list of layer `l`'s effective-weight entries, one per low-group
+/// mask a plan has run it under (a schedule has a handful of levels, so
+/// a lookup is a linear scan — no hashing, no allocation on a hit);
+/// `conv[l]` is conv layer `l`'s one level-independent entry.
 #[derive(Default)]
 struct CacheInner {
     key: Option<CacheKey>,
-    high: Vec<Vec<Option<Arc<HighPack>>>>,
-    low: Vec<Vec<Option<Arc<gemm::LowBandRhs>>>>,
+    linear: Vec<Vec<Arc<LinearPack>>>,
     conv: Vec<Option<Arc<ConvPack>>>,
 }
 
 /// Ahead-of-time prepacked-weight cache (the tentpole of PR 8).
 ///
 /// Holds the quantized + bit-lowered + packed weight state that
-/// [`QuantCompute`] consumes: per `(linear layer, feature group)` the
-/// high-band wt panels and the low band's lowered block with its
-/// panels and shifts; per conv layer every band's lowered block with
-/// its shifts and dense lhs tiles. Entries are **level-independent**
-/// (see `static_w_rule`) — a level switch needs no invalidation;
-/// [`PackCache::invalidate`] exists for weight mutation. Lookups clone
-/// an `Arc` out of an indexed slot under a read lock (no hashing, no
-/// allocation — one lookup per linear band, one per conv layer);
-/// builds run outside the lock.
+/// [`QuantCompute`] consumes: per `(linear layer, low-group mask)` the
+/// effective weights with their prepacked panel; per conv layer every
+/// band's lowered block with its shifts and dense lhs tiles. Conv
+/// entries are level-independent (see `static_w_rule`); a linear entry
+/// is keyed by the plan's mask for that layer, so a level switch reads
+/// another entry and invalidates nothing — [`PackCache::invalidate`]
+/// exists for weight mutation. Lookups clone an `Arc` out of the tables
+/// under a read lock (one lookup per layer per pass); builds run outside
+/// the lock.
 ///
 /// Populated lazily on first use, or eagerly via [`PackCache::prewarm`].
 /// A hook created without a shared cache builds the same entries into a
@@ -610,26 +632,13 @@ impl PackCache {
         *self.write() = CacheInner::default();
     }
 
-    /// Total bytes held by cache entries (panels, lowered blocks,
-    /// shifts and dense tiles).
+    /// Total bytes held by cache entries (effective weights, panels,
+    /// lowered blocks, shifts and dense tiles).
     pub fn resident_bytes(&self) -> usize {
         let inner = self.read();
-        let hi: usize = inner
-            .high
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|p| p.panel.bytes())
-            .sum();
-        let lo: usize = inner
-            .low
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|p| p.bytes())
-            .sum();
+        let lin: usize = inner.linear.iter().flatten().map(|p| p.bytes()).sum();
         let cv: usize = inner.conv.iter().flatten().map(|p| p.bytes()).sum();
-        hi + lo + cv
+        lin + cv
     }
 
     fn read(&self) -> RwLockReadGuard<'_, CacheInner> {
@@ -648,14 +657,12 @@ impl PackCache {
         }
     }
 
-    /// Flushes and resizes the slot tables when the key doesn't match.
+    /// Flushes and resizes the tables when the key doesn't match.
     fn align(inner: &mut CacheInner, key: CacheKey, model: &QuantizedModel) {
         if inner.key != Some(key) {
-            let groups = || model.layers.iter().map(LayerQuant::num_groups);
             *inner = CacheInner {
                 key: Some(key),
-                high: groups().map(|n| vec![None; n]).collect(),
-                low: groups().map(|n| vec![None; n]).collect(),
+                linear: vec![Vec::new(); model.num_layers()],
                 conv: vec![None; model.num_layers()],
             };
         }
@@ -674,25 +681,24 @@ impl PackCache {
     }
 
     /// Installs an entry built outside the lock (so concurrent hits
-    /// keep flowing) into the slot `slot` picks. A lost build race
-    /// keeps the resident entry — identical content — so bytes aren't
-    /// double-booked.
+    /// keep flowing): `install` returns the resident entry and whether
+    /// it is the one just built. A lost build race keeps the resident
+    /// entry — identical content — so bytes aren't double-booked.
     fn insert<T>(
         &self,
         key: CacheKey,
         model: &QuantizedModel,
-        entry: T,
         bytes: usize,
-        slot: impl FnOnce(&mut CacheInner) -> &mut Option<Arc<T>>,
+        install: impl FnOnce(&mut CacheInner) -> (Arc<T>, bool),
     ) -> Arc<T> {
         self.count(tel::Counter::PackCacheMisses, 1);
         let mut inner = self.write();
         Self::align(&mut inner, key, model);
-        let slot = slot(&mut inner);
-        if slot.is_none() {
+        let (entry, fresh) = install(&mut inner);
+        if fresh {
             self.count(tel::Counter::PackCacheBytes, bytes as u64);
         }
-        slot.get_or_insert_with(|| Arc::new(entry)).clone()
+        entry
     }
 
     fn count(&self, counter: tel::Counter, by: u64) {
@@ -701,41 +707,28 @@ impl PackCache {
         }
     }
 
-    /// High-band panels for linear layer `l`, feature group `g`.
-    fn high(
+    /// Effective weights of linear layer `l` under low-group mask `mask`.
+    fn linear(
         &self,
         model: &QuantizedModel,
         opts: &QuantExecOptions,
         l: LayerId,
-        g: usize,
-    ) -> Arc<HighPack> {
+        mask: &[bool],
+    ) -> Arc<LinearPack> {
         let key = Self::key_for(opts);
-        if let Some(p) = self.lookup(key, |i| i.high.get(l)?.get(g)?.as_ref()) {
+        if let Some(p) = self.lookup(key, |i| i.linear.get(l)?.iter().find(|p| p.mask == mask)) {
             return p;
         }
-        let lq = &model.layers[l];
-        let range = model.groups.channel_range(g, lq.c_in);
-        let panel =
-            gemm::prepack_i8_wt_band(lq.c_out, lq.c_in, range.start, range.end, lq.w_q.data());
-        let bytes = panel.bytes();
-        self.insert(key, model, HighPack { panel }, bytes, |i| &mut i.high[l][g])
-    }
-
-    /// Lowered low-band block for linear layer `l`, feature group `g`.
-    fn low(
-        &self,
-        model: &QuantizedModel,
-        opts: &QuantExecOptions,
-        l: LayerId,
-        g: usize,
-    ) -> Arc<gemm::LowBandRhs> {
-        let key = Self::key_for(opts);
-        if let Some(p) = self.lookup(key, |i| i.low.get(l)?.get(g)?.as_ref()) {
-            return p;
-        }
-        let entry = build_linear_low(model, opts, l, g);
-        let bytes = entry.bytes();
-        self.insert(key, model, entry, bytes, |i| &mut i.low[l][g])
+        let entry = Arc::new(build_linear_pack(model, opts, l, mask));
+        self.insert(key, model, entry.bytes(), |i| {
+            match i.linear[l].iter().find(|p| p.mask == mask) {
+                Some(resident) => (resident.clone(), false),
+                None => {
+                    i.linear[l].push(entry.clone());
+                    (entry, true)
+                }
+            }
+        })
     }
 
     /// Lowered bands of conv layer `l`.
@@ -746,29 +739,40 @@ impl PackCache {
         }
         let entry = build_conv_pack(model, opts, l);
         let bytes = entry.bytes();
-        self.insert(key, model, entry, bytes, |i| &mut i.conv[l])
+        self.insert(key, model, bytes, |i| {
+            let fresh = i.conv[l].is_none();
+            (
+                i.conv[l].get_or_insert_with(|| Arc::new(entry)).clone(),
+                fresh,
+            )
+        })
     }
 
-    /// Eagerly builds every entry any plan could touch. Entries are
-    /// level-independent, so warming once covers all levels — this is
-    /// what the serve crate runs at server startup so the adaptive
-    /// controller's first level switch pays no packing latency.
-    pub fn prewarm(
+    /// Eagerly builds every entry the given plans read: one effective
+    /// linear entry per distinct (layer, mask) and every conv layer's
+    /// bands — what the serve crate runs at server startup over the
+    /// schedule's levels, so no level switch ever pays packing latency.
+    /// Only the integer engine reads the cache, so under
+    /// [`ExecMode::Fake`] this builds nothing.
+    pub fn prewarm<'p>(
         &self,
         graph: &Graph,
         model: &QuantizedModel,
         opts: QuantExecOptions,
+        plans: impl IntoIterator<Item = &'p MixedPlan>,
     ) -> Result<()> {
+        if opts.mode == ExecMode::Fake {
+            return Ok(());
+        }
+        let plans: Vec<&MixedPlan> = plans.into_iter().collect();
+        for plan in &plans {
+            plan.validate(model)?;
+        }
         for l in 0..model.num_layers() {
-            let lq = &model.layers[l];
             match graph.layer(l)? {
                 LayerView::Linear(_) => {
-                    for g in 0..lq.num_groups() {
-                        if model.groups.channel_range(g, lq.c_in).is_empty() {
-                            continue;
-                        }
-                        self.high(model, &opts, l, g);
-                        self.low(model, &opts, l, g);
+                    for plan in &plans {
+                        self.linear(model, &opts, l, &plan.low_groups[l]);
                     }
                 }
                 LayerView::Conv(_) => {
@@ -794,8 +798,12 @@ enum ActLayout {
 
 /// The quantized compute hook.
 ///
-/// Create one per (model, plan) pair; reconstructed weights are cached
-/// across calls, so evaluating many samples under one plan is cheap.
+/// A hook runs one plan. The Int engine reads its weights from the
+/// [`PackCache`] it was given (or a private one), so a hook is cheap to
+/// build. The Fake engine's reconstructed f32 weights are cached in the
+/// hook itself, for its lifetime only: reusing one hook across many
+/// samples reuses them, but a caller that builds a hook per batch (as
+/// the serving runtime does) re-derives them on every pass.
 ///
 /// Construction checks the calling thread's parked [`Workspace`] out and
 /// drop parks it again, so consecutive hooks on one thread (a serve
@@ -818,8 +826,8 @@ pub struct QuantCompute<'m> {
     /// out of `self` (`std::mem::take`) for the duration of each layer
     /// call so its fields can be borrowed alongside `&self` helpers.
     ws: Workspace,
-    /// The prepacked-weight cache every Int-mode band reads its lowered
-    /// weights from: the shared one handed to
+    /// The prepacked-weight cache every Int-mode layer reads its
+    /// effective or lowered weights from: the shared one handed to
     /// [`QuantCompute::with_cache`], or a private one filled lazily for
     /// this hook's lifetime.
     cache: Arc<PackCache>,
@@ -843,8 +851,8 @@ impl<'m> QuantCompute<'m> {
     }
 
     /// Like [`QuantCompute::new`], with a shared prepacked-weight cache.
-    /// Int-mode linear and conv bands read their lowered, packed weights
-    /// from it instead of building them into a private cache per hook;
+    /// Int-mode linear and conv layers read their packed weights from it
+    /// instead of building them into a private cache per hook;
     /// outputs are bit-identical either way (both hold what the same
     /// builders produce).
     pub fn with_cache(
@@ -967,15 +975,19 @@ impl<'m> QuantCompute<'m> {
     /// activation a bundled model quantizes at batch 8.
     ///
     /// With a `layout` (the integer engines pass one) the buffer leaves
-    /// **band-ready**: under static or naive extraction, the channels of
-    /// every feature group the plan runs at low precision are bit-lowered
+    /// **GEMM-ready**: under static or naive extraction, the channels of
+    /// every feature group the plan runs at low precision are rewritten
     /// in place by the group's rule, right here on the activation — one
-    /// branch-free sweep over data that is still cache-hot, instead of a
-    /// pass over each band of the (`KH·KW`× larger) im2col matrix.
-    /// Lowering is per channel and `lower(0) == 0`, so it commutes with
-    /// im2col's copy-and-zero-pad. Dynamic extraction derives its rules
-    /// from the values a band's GEMM will actually read, so it lowers
-    /// later, in the band loop.
+    /// branch-free sweep over data that is still cache-hot. Convolution
+    /// planes are bit-lowered (the low bands' GEMMs shift their sums in
+    /// at write-back, and the dense low-range tile needs lowered
+    /// values); lowering is per channel and `lower(0) == 0`, so it
+    /// commutes with im2col's copy-and-zero-pad and saves a pass over
+    /// each band of the (`KH·KW`× larger) im2col matrix. Linear rows are
+    /// round-tripped (`lower`, then `<< s_a`), the activation half of the
+    /// effective operands a linear layer's one GEMM reads. Dynamic
+    /// extraction derives its rules from the values the GEMM will
+    /// actually read, so it rewrites them later, inside the layer.
     fn quantize_act_into(
         &self,
         l: LayerId,
@@ -1005,8 +1017,12 @@ impl<'m> QuantCompute<'m> {
         for slab in out.chunks_exact_mut(c_in * plane) {
             for (g, _) in low.iter().enumerate().filter(|(_, &is_low)| is_low) {
                 let range = self.model.groups.channel_range(g, c_in);
-                static_a_rule(self.model, &self.opts, l, g)
-                    .lower_in_place(&mut slab[range.start * plane..range.end * plane]);
+                let rule = static_a_rule(self.model, &self.opts, l, g);
+                let group = &mut slab[range.start * plane..range.end * plane];
+                match layout {
+                    ActLayout::Planes { .. } => rule.lower_in_place(group),
+                    ActLayout::Rows { .. } => rule.round_trip_in_place(group),
+                }
             }
         }
     }
@@ -1079,14 +1095,18 @@ impl<'m> QuantCompute<'m> {
     }
 
     /// Integer linear over `rows` stacked token rows — the single copy
-    /// of the linear band algorithm, shared by the single-sample and
-    /// batched hooks. One activation quantization (low groups lowered in
-    /// the same sweep), then one band GEMM per feature group reading its
-    /// columns of `act_q` in place: 8-bit bands accumulate plain sums,
-    /// 4-bit bands shift theirs in at write-back.
+    /// of the linear algorithm, shared by the single-sample and batched
+    /// hooks. One activation quantization (low groups round-tripped in
+    /// the same sweep), then **one** band GEMM over the whole reduction
+    /// against the layer's effective weights for the plan's mask. The
+    /// 4-bit groups' bit-shifted accumulation rides in the operands:
+    /// `(a_low << s_a)·(w_low << s_w) = (a_low·w_low) << (s_a + s_w)`
+    /// exactly, and both round-tripped operands stay in `i8` (see
+    /// [`BitLowering::round_trip_in_place`]), so the sum equals the
+    /// per-group shifted sums bit for bit at every level.
     ///
     /// `runs`, when given, lists the contiguous runs of valid rows of a
-    /// masked batch. Each band then issues one GEMM per run, so pad rows
+    /// masked batch. The GEMM is then issued once per run, so pad rows
     /// never enter a kernel (their accumulator stays zero) and every
     /// valid row keeps its reduction order — bit-exact with the unmasked
     /// call.
@@ -1105,67 +1125,41 @@ impl<'m> QuantCompute<'m> {
         // layer so its fields can be borrowed alongside `&self` helpers.
         let mut ws = std::mem::take(&mut self.ws);
         self.quantize_act_into(l, x, Some(ActLayout::Rows { c_in }), &mut ws.act_q);
-        let lq = &self.model.layers[l];
-        let wq = lq.w_q.data();
-        ws.acc.prep(rows * c_out);
-        for g in 0..lq.num_groups() {
-            let range = self.model.groups.channel_range(g, c_in);
-            if range.is_empty() {
-                continue;
-            }
-            if !self.plan.low_groups[l][g] {
-                // 8-bit band: acc[t,o] += sum_{c in band} xq[t,c] wq[o,c],
-                // one blocked band GEMM straight off the [C_out, C_in]
-                // master weights (no transposed copy) against the band's
-                // prepacked rhs panels. Token rows are independent, so
-                // the kernel bands them across the pool internally.
-                let _band = tel::span("band_gemm", tel::Cat::Phase);
-                let hp = self.cache.high(self.model, &self.opts, l, g);
-                for run in runs {
-                    gemm::gemm_i8_band_wt_prepacked(
-                        run.len(),
-                        c_out,
-                        c_in,
-                        range.start,
-                        range.end,
-                        &ws.act_q[run.start * c_in..],
-                        wq,
-                        &hp.panel,
-                        &mut ws.acc[run.start * c_out..],
-                    );
-                }
-                continue;
-            }
-            // 4-bit band. Static extraction lowered it during activation
-            // quantization; dynamic extraction derives its rule from the
-            // valid rows' live values now (pad rows carry no information
-            // about the real activations) and lowers the band in place.
-            let a_shift = if self.needs_live() {
-                let _lower = tel::span("bit_lower", tel::Cat::Phase);
+        let low = &self.plan.low_groups[l];
+        if self.needs_live() && low.contains(&true) {
+            // Dynamic extraction: each low group's rule derives from the
+            // valid rows' live values (pad rows carry no information
+            // about the real activations), then those rows round-trip.
+            let _lower = tel::span("bit_lower", tel::Cat::Phase);
+            for (g, _) in low.iter().enumerate().filter(|(_, &is_low)| is_low) {
+                let range = self.model.groups.channel_range(g, c_in);
                 let band = |ti: usize| ti * c_in + range.start..ti * c_in + range.end;
                 let valid = || runs.iter().flat_map(|run| run.clone());
                 let or = valid().fold(0, |or, ti| or | or_magnitude(&ws.act_q[band(ti)]));
                 let rule = lowering_for_or(or, self.opts.low_bits);
                 for ti in valid() {
-                    rule.lower_in_place(&mut ws.act_q[band(ti)]);
+                    rule.round_trip_in_place(&mut ws.act_q[band(ti)]);
                 }
-                rule.shift()
-            } else {
-                static_a_rule(self.model, &self.opts, l, g).shift()
-            };
-            let _band = tel::span("band_gemm", tel::Cat::Phase);
-            let lp = self.cache.low(self.model, &self.opts, l, g);
-            for run in runs {
-                let call = gemm::LowBands::WeightRhs {
-                    m: run.len(),
-                    a: &ws.act_q[run.start * c_in + range.start..],
-                    lda: c_in,
-                    a_shift,
-                    w: &lp,
-                };
-                gemm::gemm_i8_low_bands(call, &mut ws.acc[run.start * c_out..]);
             }
         }
+        let lq = &self.model.layers[l];
+        let pack = self.cache.linear(self.model, &self.opts, l, low);
+        ws.acc.prep(rows * c_out);
+        let band_span = tel::span("band_gemm", tel::Cat::Phase);
+        for run in runs {
+            gemm::gemm_i8_band_wt_prepacked(
+                run.len(),
+                c_out,
+                c_in,
+                0,
+                c_in,
+                &ws.act_q[run.start * c_in..],
+                &pack.w,
+                &pack.panel,
+                &mut ws.acc[run.start * c_out..],
+            );
+        }
+        drop(band_span);
         let requant_span = tel::span("requant", tel::Cat::Phase);
         let mut out = vec![0.0f32; rows * c_out];
         for ti in 0..rows {
@@ -1251,7 +1245,7 @@ impl<'m> QuantCompute<'m> {
                     &gb.a_shifts[i..j]
                 };
                 let _band = tel::span("band_gemm", tel::Cat::Phase);
-                let call = gemm::LowBands::WeightLhs {
+                let call = gemm::LowBands {
                     n: ncols,
                     bands: &gb.lhs[i..j],
                     a_shifts,
@@ -1338,8 +1332,8 @@ impl<'m> QuantCompute<'m> {
         Ok(Tensor::from_vec(dims, y.into_vec())?)
     }
 
-    /// Batched integer linear: one quantization and one band GEMM per
-    /// group for the whole `[N(,T), C]` stack.
+    /// Batched integer linear: one quantization and one GEMM per run of
+    /// valid rows for the whole `[N(,T), C]` stack.
     fn linear_int_batch(&mut self, l: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
         let (n, t, _c_in) = lin.check_input_batch(x)?;
         let runs = self.row_runs(n, t);
@@ -1902,14 +1896,19 @@ mod tests {
             mode: ExecMode::Int,
             ..Default::default()
         };
+        let plans = [MixedPlan::all_high(&model), MixedPlan::all_low(&model)];
+        // The Fake engine reads no packed weights: nothing to warm.
+        let fake = QuantExecOptions::default();
         let cache = Arc::new(PackCache::new());
-        cache.prewarm(&g, &model, opts).unwrap();
+        cache.prewarm(&g, &model, fake, &plans).unwrap();
+        assert_eq!(cache.resident_bytes(), 0, "prewarm built panels for Fake");
+        cache.prewarm(&g, &model, opts, &plans).unwrap();
         let warm_bytes = cache.resident_bytes();
         assert!(warm_bytes > 0, "prewarm built nothing");
-        // No plan at any level may trigger a build after prewarm.
+        // No prewarmed plan may trigger a build afterwards.
         let before = tel::counters();
-        for plan in [MixedPlan::all_high(&model), MixedPlan::all_low(&model)] {
-            let _ = run_cached(&g, &model, &plan, opts, Some(cache.clone()), &samples[0]);
+        for plan in &plans {
+            let _ = run_cached(&g, &model, plan, opts, Some(cache.clone()), &samples[0]);
         }
         let after = tel::counters();
         assert_eq!(
@@ -1955,6 +1954,141 @@ mod tests {
                 b.to_bits(),
                 "stale entries served after opts change"
             );
+        }
+    }
+
+    /// The folded linear against the arithmetic it replaced, written the
+    /// slow way: per low feature group, `Σ a_low·w_low` in `i64`, shifted
+    /// left by `s_a + s_w[o]`; plain `Σ a·w` elsewhere.
+    fn per_group_shifted_linear(
+        model: &QuantizedModel,
+        low: &[bool],
+        opts: QuantExecOptions,
+        x: &[f32],
+        valid: &[bool],
+    ) -> Vec<f32> {
+        let lq = &model.layers[0];
+        let (c_in, c_out) = (lq.c_in, lq.c_out);
+        let p = QParams::new(lq.act_scale, QuantBits::B8).unwrap();
+        let xq: Vec<i8> = x.iter().map(|&v| p.quantize(v) as i8).collect();
+        let rows = valid.len();
+        let mut acc = vec![0i64; rows * c_out];
+        for g in 0..lq.num_groups() {
+            let range = model.groups.channel_range(g, c_in);
+            let a_rule = if opts.naive_lowering {
+                BitLowering::naive(QuantBits::B8, opts.low_bits)
+            } else if opts.dynamic_extract {
+                let live: Vec<i8> = (0..rows)
+                    .filter(|&r| valid[r])
+                    .flat_map(|r| xq[r * c_in + range.start..r * c_in + range.end].to_vec())
+                    .collect();
+                dynamic_lowering(&live, opts.low_bits)
+            } else {
+                lq.act_lowering(g, opts.low_bits)
+            };
+            for r in (0..rows).filter(|&r| valid[r]) {
+                for o in 0..c_out {
+                    let w_rule = static_w_rule(model, &opts, 0, g, o);
+                    let mut sum = 0i64;
+                    for c in range.clone() {
+                        let (a, w) = (xq[r * c_in + c], lq.w_q.data()[o * c_in + c]);
+                        sum += if low[g] {
+                            a_rule.lower(a) as i64 * w_rule.lower(w) as i64
+                        } else {
+                            a as i64 * w as i64
+                        };
+                    }
+                    acc[r * c_out + o] += if low[g] {
+                        sum << (a_rule.shift() + w_rule.shift())
+                    } else {
+                        sum
+                    };
+                }
+            }
+        }
+        acc.iter()
+            .enumerate()
+            .map(|(i, &v)| i32::try_from(v).unwrap() as f32 * lq.act_scale * lq.w_scales[i % c_out])
+            .collect()
+    }
+
+    #[test]
+    fn folded_linear_matches_per_group_shifted_sums() {
+        use rand::Rng;
+        let mut rng = seeded(0xF01D);
+        let (c_in, c_out, n, t) = (26usize, 40usize, 3usize, 5usize);
+        let groups = GroupSpec::new(4);
+        let n_groups = groups.num_groups(c_in);
+        let mask = SeqMask::new(vec![t, 1, t - 2], t).unwrap();
+        let valid: Vec<bool> = (0..n * t).map(|r| mask.valid(r / t, r % t)).collect();
+        for trial in 0..16 {
+            // Weight magnitudes capped per (output, group), so the static
+            // shifts differ across a group's output channels.
+            let caps: Vec<i16> = (0..c_out * n_groups)
+                .map(|_| [3i16, 12, 40, 127][rng.gen_range(0..4)])
+                .collect();
+            let w: Vec<i8> = (0..c_out * c_in)
+                .map(|i| {
+                    let cap = caps[i / c_in * n_groups + groups.group_of(i % c_in)];
+                    rng.gen_range(-cap..=cap) as i8
+                })
+                .collect();
+            let mut w_group_max_q = vec![vec![0u32; c_out]; n_groups];
+            for (i, &v) in w.iter().enumerate() {
+                let (o, g) = (i / c_in, groups.group_of(i % c_in));
+                w_group_max_q[g][o] = w_group_max_q[g][o].max(v.unsigned_abs() as u32);
+            }
+            let model = QuantizedModel {
+                layers: vec![LayerQuant {
+                    c_in,
+                    c_out,
+                    w_q: I8Tensor::from_vec(vec![c_out, c_in], w).unwrap(),
+                    w_scales: (0..c_out).map(|_| rng.gen_range(0.001f32..0.02)).collect(),
+                    act_scale: 0.05,
+                    act_group_max_q: (0..n_groups)
+                        .map(|_| [7u32, 31, 127][rng.gen_range(0..3)])
+                        .collect(),
+                    w_group_max_q,
+                }],
+                groups,
+            };
+            // Random masks: mostly non-contiguous, now and then empty.
+            let low: Vec<bool> = (0..n_groups).map(|_| rng.gen_bool(0.5)).collect();
+            let x: Vec<f32> = (0..n * t * c_in)
+                .map(|_| rng.gen_range(-7.0f32..7.0))
+                .collect();
+            let x = Tensor::from_vec([n, t, c_in], x).unwrap();
+            let lin = Linear::new(Tensor::zeros([c_out, c_in]), None).unwrap();
+            let plan = MixedPlan {
+                low_groups: vec![low.clone()],
+            };
+            for bits in [2u8, 3, 4] {
+                for (dynamic_extract, naive_lowering) in
+                    [(false, false), (true, false), (false, true)]
+                {
+                    let opts = QuantExecOptions {
+                        mode: ExecMode::Int,
+                        dynamic_extract,
+                        low_bits: QuantBits::new(bits).unwrap(),
+                        naive_lowering,
+                    };
+                    let what = format!("trial {trial} B{bits} {opts:?} low={low:?}");
+                    let mut hook = QuantCompute::new(&model, plan.clone(), opts).unwrap();
+                    for masked in [false, true] {
+                        let live = if masked {
+                            valid.clone()
+                        } else {
+                            vec![true; n * t]
+                        };
+                        hook.set_seq_mask(masked.then_some(&mask));
+                        let got = hook.linear_batch(0, &lin, &x, n).unwrap();
+                        let want = per_group_shifted_linear(&model, &low, opts, x.data(), &live);
+                        for (i, (a, b)) in want.iter().zip(got.data()).enumerate() {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{what} masked={masked} elem {i}");
+                        }
+                    }
+                }
+            }
         }
     }
 

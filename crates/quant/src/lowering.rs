@@ -161,9 +161,41 @@ impl BitLowering {
     /// to `qmax` (`qmax + 1` on the negative side, i.e. `-qmin`), and the
     /// sign is restored with the same mask. No data-dependent branch, and
     /// the shift count is uniform across the slice, so the loop
-    /// vectorizes in 16-bit lanes. This is what the quantized engines
-    /// run over the activation planes of 4-bit feature groups.
+    /// vectorizes in 16-bit lanes. This is what the convolution engine
+    /// runs over the activation planes of its 4-bit feature groups.
     pub fn lower_in_place(&self, qs: &mut [i8]) {
+        self.lower_shl_in_place(qs, 0);
+    }
+
+    /// Round-trips a slice of values in place — the slice twin of
+    /// [`BitLowering::round_trip`]: [`BitLowering::lower_in_place`], then
+    /// `<< shift`, stored back as `i8`.
+    ///
+    /// This is what lets a mixed-precision linear run as one GEMM: the
+    /// bit-shifted accumulation `(a_low·w_low) << (s_a + s_w)` equals
+    /// `(a_low << s_a)·(w_low << s_w)` exactly in integers, so the shift
+    /// can move into the operands. The stored value fits `i8` whenever
+    /// `shift ≤ 8 − low_bits`: the lowered value lies in
+    /// `[−2^(b−1), 2^(b−1) − 1]`, so the result lies in `[−128, 128 −
+    /// 2^shift]`. Every rule the engines build meets that bound —
+    /// [`BitLowering::for_max_abs`] over a symmetric 8-bit magnitude
+    /// (`≤ 127`, 7 bits, shift `≤ 8 − b`), the dynamic rules (an
+    /// [`crate::dynamic::or_magnitude`] is at most 127) and
+    /// [`BitLowering::naive`] (shift `8 − b`); the tests check each over
+    /// all 256 inputs.
+    pub fn round_trip_in_place(&self, qs: &mut [i8]) {
+        debug_assert!(
+            self.shift + self.low_bits.bits() <= 8,
+            "a round trip at shift {} over {} leaves i8",
+            self.shift,
+            self.low_bits
+        );
+        self.lower_shl_in_place(qs, self.shift as u32);
+    }
+
+    /// The one branch-free sweep behind both slice primitives: lower
+    /// each value, then shift it left by `shl` (0 or the rule's shift).
+    fn lower_shl_in_place(&self, qs: &mut [i8], shl: u32) {
         let shift = self.shift as u32;
         let bias: i16 = if shift == 0 { 0 } else { 1 << (shift - 1) };
         let qmax = self.low_bits.qmax() as i16;
@@ -172,7 +204,7 @@ impl BitLowering {
             let neg = v >> 15;
             let mag = (v ^ neg) - neg;
             let low = ((mag + bias) >> shift).min(qmax - neg);
-            *q = ((low ^ neg) - neg) as i8;
+            *q = (((low ^ neg) - neg) << shl) as i8;
         }
     }
 
@@ -348,6 +380,42 @@ mod tests {
                 let mut tail = all[3..10].to_vec();
                 l.lower_in_place(&mut tail);
                 assert_eq!(tail, got[3..10]);
+            }
+        }
+    }
+
+    #[test]
+    fn round_trip_in_place_is_exact_and_fits_i8_under_every_reachable_rule() {
+        use crate::dynamic::{lowering_for_or, or_magnitude};
+        use crate::params::QParams;
+        let all: Vec<i8> = (i8::MIN..=i8::MAX).collect();
+        // The domains the constructors are fed. Static maxima are the
+        // magnitudes of symmetric 8-bit values — a quantizer scaled to
+        // `abs_max / 127` never yields −128 — and a dynamic rule's input
+        // is an `or_magnitude`, at most 127 for any i8 values.
+        for abs_max in [1e-8f32, 0.3, 1.0, 7.77, 1e6] {
+            let p = QParams::from_abs_max(abs_max, QuantBits::B8).unwrap();
+            assert!(p.quantize(-abs_max) >= -127 && p.quantize(abs_max) <= 127);
+        }
+        assert!(all.iter().all(|&q| or_magnitude(&[q]) <= 127));
+        for low_bits in (2..=8).map(|b| QuantBits::new(b).unwrap()) {
+            let mut rules: Vec<BitLowering> = (0..=127u32)
+                .map(|m| BitLowering::for_max_abs(m, low_bits))
+                .chain((0..=127u8).map(|or| lowering_for_or(or, low_bits)))
+                .collect();
+            rules.push(BitLowering::naive(QuantBits::B8, low_bits));
+            rules.sort_by_key(BitLowering::shift);
+            rules.dedup();
+            assert_eq!(rules.len() as u8, 9 - low_bits.bits(), "{low_bits}");
+            for rule in rules {
+                assert!(rule.shift() <= 8 - low_bits.bits(), "{rule:?}");
+                let mut got = all.clone();
+                rule.round_trip_in_place(&mut got);
+                for (&q, &g) in all.iter().zip(&got) {
+                    let want = rule.round_trip(q);
+                    assert!(i8::try_from(want).is_ok(), "{rule:?} q={q} -> {want}");
+                    assert_eq!(g as i32, want, "{rule:?} q={q}");
+                }
             }
         }
     }

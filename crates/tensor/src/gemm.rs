@@ -98,24 +98,23 @@
 //!
 //! # Low-precision bands
 //!
-//! A bit-lowered band of a mixed-precision layer does not end at its
-//! sum: the sum re-enters the 8-bit accumulator scale by a left shift
-//! of the band's extraction positions (the paper's *bit-shifted
+//! A bit-lowered band of a mixed-precision convolution does not end at
+//! its sum: the sum re-enters the 8-bit accumulator scale by a left
+//! shift of the band's extraction positions (the paper's *bit-shifted
 //! accumulation*). [`gemm_i8_low_bands`] takes that shift as the
 //! **write-back** of the integer kernels — every tile and reference
-//! loop adds `sum << (act + weight[channel])` straight into `c`, with
-//! the per-channel vector indexed by output row when the weights are
-//! the lhs (convolution, [`LowBandLhs`]) or by output column when they
-//! are the rhs (linear, [`LowBandRhs`]) — so a band needs no scratch
-//! matrix and no second pass, and a run of consecutive convolution
-//! bands is one call that packs the activations once and visits each
-//! output tile once. Operands lowered to four bits or fewer lie in
-//! `[-8, 7]`; where the ISA has a dense low-range tile (AVX2's
-//! `vpmaddubsw` tile over byte-quad panels, exactness argued in
-//! [`crate::simd`]) such a run takes it, with the lowered weights
-//! prepacked as lhs tiles inside [`LowBandLhs`]. Everything else runs
-//! the ordinary i8 kernels with the same write-back; all of it is
-//! exact in `i32`.
+//! loop adds `sum << (act + weight[row])` straight into `c`, one weight
+//! shift per output row ([`LowBandLhs`]) — so a band needs no scratch
+//! matrix and no second pass, and a run of consecutive bands is one
+//! call that packs the activations once and visits each output tile
+//! once. Operands lowered to four bits or fewer lie in `[-8, 7]`; where
+//! the ISA has a dense low-range tile (AVX2's `vpmaddubsw` tile over
+//! byte-quad panels, exactness argued in [`crate::simd`]) such a run
+//! takes it, with the lowered weights prepacked as lhs tiles inside
+//! [`LowBandLhs`]. Everything else runs the ordinary i8 kernels with
+//! the same write-back; all of it is exact in `i32`. (A linear layer
+//! needs none of this: its shifts fold into round-tripped operands, and
+//! it runs as one plain prepacked GEMM.)
 //!
 //! # Prepacked weights
 //!
@@ -123,8 +122,8 @@
 //! stage can run **once ahead of time**: [`prepack_i8_wt_band`] builds
 //! an owned [`PackedRhsI8`] holding exactly the panels a per-call pack
 //! would produce, and [`gemm_i8_band_wt_prepacked`] feeds them straight
-//! to the driver (as [`LowBandRhs`] and [`LowBandLhs`] do for the
-//! lowered bands). Whether a panel is consumed is decided by the call's
+//! to the driver (as [`LowBandLhs`] does for the lowered bands'
+//! dense tiles). Whether a panel is consumed is decided by the call's
 //! inputs, never by a setting: it is used wherever the problem blocks
 //! (the per-call path would have packed the same full-width rhs once),
 //! and the per-call code runs everywhere else — sub-threshold shapes
@@ -410,8 +409,7 @@ fn prepack_i8_rhs(isa: Isa, rhs: Rhs<'_, i8>, n: usize, k0: usize, k1: usize) ->
 /// Prepacks the reduction band `[k0, k1)` of a weight-layout i8 rhs
 /// `w [n, k]` for [`gemm_i8_band_wt_prepacked`] over the same band.
 /// The driver indexes panels relative to the band start, so a panel
-/// serves exactly the band it was packed for — one panel per
-/// feature-group band, as the mixed-precision engines consume them.
+/// serves exactly the band it was packed for.
 pub fn prepack_i8_wt_band(n: usize, k: usize, k0: usize, k1: usize, w: &[i8]) -> PackedRhsI8 {
     assert!(k0 <= k1 && k1 <= k, "invalid band [{k0}, {k1}) for k={k}");
     assert!(w.len() >= n * k, "rhs buffer too small");
@@ -430,13 +428,12 @@ pub const MAX_EPILOGUE_SHIFT: u8 = 16;
 /// How an integer band's reduction sums reach `c` — the write-back
 /// epilogue of the integer tiles and the reference-order loops.
 ///
-/// The shifted forms are the paper's *bit-shifted accumulation*: a
-/// 4-bit band's partial sum re-enters the 8-bit accumulator scale by a
-/// left shift of `act + weight[channel]`, where `act` is the band's
+/// The shifted form is the paper's *bit-shifted accumulation*: a 4-bit
+/// convolution band's partial sum re-enters the 8-bit accumulator scale
+/// by a left shift of `act + weight[row]`, where `act` is the band's
 /// activation extraction shift and `weight` holds one extraction shift
-/// per weight output channel — the output **rows** when the weights are
-/// the lhs (convolution), the output **columns** when they are the rhs
-/// (linear). Shifts distribute over integer addition, so applying the
+/// per weight output channel — the output rows, since the weights are
+/// the lhs. Shifts distribute over integer addition, so applying the
 /// epilogue per k-block equals applying it to the whole band's sum.
 #[derive(Clone, Copy)]
 enum Epilogue<'a> {
@@ -444,8 +441,6 @@ enum Epilogue<'a> {
     Add,
     /// `c[i][j] += sum << (act + weight[i])`.
     ShlRows { act: u8, weight: &'a [u8] },
-    /// `c[i][j] += sum << (act + weight[j])`.
-    ShlCols { act: u8, weight: &'a [u8] },
 }
 
 impl<'a> Epilogue<'a> {
@@ -463,11 +458,10 @@ impl<'a> Epilogue<'a> {
 
     /// Checks the shift vector against the output extent it indexes
     /// and the [`MAX_EPILOGUE_SHIFT`] bound.
-    fn validate(self, m: usize, n: usize) {
+    fn validate(self, m: usize) {
         let (act, weight, extent) = match self {
             Epilogue::Add => return,
             Epilogue::ShlRows { act, weight } => (act, weight, m),
-            Epilogue::ShlCols { act, weight } => (act, weight, n),
         };
         assert!(weight.len() >= extent, "shift vector too short");
         assert!(
@@ -523,12 +517,6 @@ fn tile_write_back(
                 let sh = (act + weight[r0 + r]) as u32;
                 for (cj, &v) in crow.iter_mut().zip(sums) {
                     *cj += v << sh;
-                }
-            }
-            Epilogue::ShlCols { act, weight } => {
-                let shifts = &weight[col0..col0 + nrw];
-                for ((cj, &v), &w) in crow.iter_mut().zip(sums).zip(shifts) {
-                    *cj += v << (act + w) as u32;
                 }
             }
         }
@@ -1032,26 +1020,6 @@ fn naive_i8(ops: Operands<'_, i8>, rows: Range<usize>, c: &mut [i32], n: usize, 
         Rhs::Rows { b, n: ldb } => {
             for (ri, (crow, i)) in c.chunks_exact_mut(n).zip(rows).enumerate() {
                 let arow = &a[i * lda + k0..i * lda + k1];
-                if let Epilogue::ShlCols { act, weight } = epi {
-                    // Per-column shifts: sum the band into a lane block
-                    // first (the plain, vectorizable inner loop), then
-                    // shift each column's sum in once.
-                    for j0 in (0..crow.len()).step_by(NR_I8) {
-                        let width = (crow.len() - j0).min(NR_I8);
-                        let mut sums = [0i32; NR_I8];
-                        for (p, &av) in arow.iter().enumerate().filter(|(_, &av)| av != 0) {
-                            let at = (k0 + p) * ldb + j0;
-                            for (sum, &bv) in sums.iter_mut().zip(&b[at..at + width]) {
-                                *sum += av as i32 * bv as i32;
-                            }
-                        }
-                        let lanes = crow[j0..j0 + width].iter_mut().zip(&weight[j0..]);
-                        for ((cj, &w), &sum) in lanes.zip(&sums) {
-                            *cj += sum << (act + w) as u32;
-                        }
-                    }
-                    continue;
-                }
                 let row_shift = match epi {
                     Epilogue::ShlRows { act, weight } => (act + weight[ri]) as u32,
                     _ => 0,
@@ -1080,7 +1048,6 @@ fn naive_i8(ops: Operands<'_, i8>, rows: Range<usize>, c: &mut [i32], n: usize, 
                     *cj += match epi {
                         Epilogue::Add => sum,
                         Epilogue::ShlRows { act, weight } => sum << (act + weight[ri]) as u32,
-                        Epilogue::ShlCols { act, weight } => sum << (act + weight[j]) as u32,
                     };
                 }
             }
@@ -1416,9 +1383,9 @@ pub fn gemm_i8(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) 
 /// Partial integer GEMM over a contiguous band of the reduction dimension.
 ///
 /// Computes `c[m,n] += a[m, k0..k1] * b[k0..k1, n]` where `a` is `[m,k]`
-/// and `b` is `[k,n]`. The mixed-precision engines call this once per
-/// feature-channel group so that each group's partial sum can be
-/// bit-shifted before accumulation (paper §7, "bit-shifted accumulation").
+/// and `b` is `[k,n]`. The convolution engine calls this once per run
+/// of adjacent 8-bit feature-group bands (its 4-bit runs go through
+/// [`gemm_i8_low_bands`], which shifts each band's sum in).
 pub fn gemm_i8_band(
     m: usize,
     n: usize,
@@ -1439,9 +1406,9 @@ pub fn gemm_i8_band(
 }
 
 /// [`gemm_i8_band`] with the rhs in weight layout `[n, k]` row-major:
-/// `c[i,j] += sum_{p in [k0,k1)} a[i,p] * w[j,p]`. This is the 8-bit
-/// feature-group band of a quantized linear layer (`a` the quantized
-/// activation rows, `w` the `[C_out, C_in]` master weights), run without
+/// `c[i,j] += sum_{p in [k0,k1)} a[i,p] * w[j,p]`: `a` the quantized
+/// activation rows, `w` a `[C_out, C_in]` weight matrix (or a K/V
+/// cache's `[rows, C]` keys, one head's channels per band), run without
 /// materializing a transposed weight block.
 pub fn gemm_i8_band_wt(
     m: usize,
@@ -1463,9 +1430,9 @@ pub fn gemm_i8_band_wt(
 }
 
 /// [`gemm_i8_band_wt`] consuming an ahead-of-time packed weight band
-/// ([`prepack_i8_wt_band`] over the same `[k0, k1)`): the quantized
-/// linear layers' 8-bit band with the per-pass weight pack amortized to
-/// zero. Bit-identical to [`gemm_i8_band_wt`] — the owned panels are
+/// ([`prepack_i8_wt_band`] over the same `[k0, k1)`): a quantized
+/// linear layer's one GEMM against its effective weights, with the
+/// per-pass weight pack amortized to zero. Bit-identical to [`gemm_i8_band_wt`] — the owned panels are
 /// byte-for-byte what the per-call pack would build, and every case
 /// they do not serve (sub-threshold shape, panel built under another
 /// ISA) runs the per-call code; see the module docs.
@@ -1538,7 +1505,7 @@ impl DenseLhs {
 /// per output row, and — when built under an ISA with a dense
 /// low-range tile and lowered to four bits or fewer — the block's
 /// prepacked dense lhs tiles. The owned operand of
-/// [`LowBands::WeightLhs`]; the quantized engines cache one per
+/// [`LowBands`]; the quantized engines cache one per
 /// (layer, conv group, feature group).
 #[derive(Debug, Clone)]
 pub struct LowBandLhs {
@@ -1580,97 +1547,38 @@ impl LowBandLhs {
     }
 }
 
-/// A bit-lowered weight band in **linear orientation** (weights are the
-/// GEMM rhs): the lowered `[kb, n]` block, one extraction shift per
-/// output column, and the block's prepacked rhs panels. The owned
-/// operand of [`LowBands::WeightRhs`].
-#[derive(Debug, Clone)]
-pub struct LowBandRhs {
-    kb: usize,
-    n: usize,
-    rows: Vec<i8>,
-    shifts: Vec<u8>,
-    panel: PackedRhsI8,
-}
-
-impl LowBandRhs {
-    /// Wraps a lowered row-major `[kb, n]` weight block and its `n`
-    /// per-column extraction shifts, prepacking for the active ISA.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a slice does not match its extent.
-    pub fn new(n: usize, kb: usize, rows: Vec<i8>, shifts: Vec<u8>) -> Self {
-        assert_eq!(rows.len(), kb * n, "lowered block must be [kb, n]");
-        assert_eq!(shifts.len(), n, "one shift per output column");
-        let panel = prepack_i8_rhs(simd::active(), Rhs::Rows { b: &rows, n }, n, 0, kb);
-        LowBandRhs {
-            kb,
-            n,
-            rows,
-            shifts,
-            panel,
-        }
-    }
-
-    /// Bytes held (lowered block, shifts and panels).
-    pub fn bytes(&self) -> usize {
-        self.rows.len() + self.shifts.len() + self.panel.bytes()
-    }
-}
-
-/// The operands of one fused low-band call ([`gemm_i8_low_bands`]):
-/// bit-lowered bands whose partial sums are shifted into the 8-bit
-/// accumulator scale **at write-back**, with no intermediate buffer.
+/// The operands of one fused low-band call ([`gemm_i8_low_bands`]): a
+/// run of consecutive bit-lowered convolution weight bands as the lhs,
+/// whose partial sums are shifted into the 8-bit accumulator scale **at
+/// write-back**, with no intermediate buffer. With `sh(s, i) =
+/// a_shifts[s] + bands[s].shift[i]`: `c[i, j] += Σ_s (bands[s] · b_s)[i,
+/// j] << sh(s, i)`, where `b` is row-major `[Σ kb, n]` and `b_s` its rows
+/// belonging to band `s` (bands are consecutive in the reduction
+/// dimension, e.g. rows of one im2col matrix).
 #[derive(Clone, Copy)]
-pub enum LowBands<'a> {
-    /// Convolution orientation — a run of consecutive lowered weight
-    /// bands as the lhs. With `sh(s, i) = a_shifts[s] + bands[s].shift[i]`:
-    /// `c[i, j] += Σ_s (bands[s] · b_s)[i, j] << sh(s, i)`, where `b` is
-    /// row-major `[Σ kb, n]` and `b_s` its rows belonging to band `s`
-    /// (bands are consecutive in the reduction dimension, e.g. rows of
-    /// one im2col matrix).
-    WeightLhs {
-        /// Output columns.
-        n: usize,
-        /// The run's lowered weight bands, all `m` rows tall.
-        bands: &'a [LowBandLhs],
-        /// Activation extraction shift of each band.
-        a_shifts: &'a [u8],
-        /// The lowered activations, `[Σ kb, n]` row-major.
-        b: &'a [i8],
-    },
-    /// Linear orientation — one lowered weight band as the rhs:
-    /// `c[m, n] += (a · w) << (a_shift + w.shift[j])`, reading the
-    /// lowered activation band in place: row `i` is `a[i*lda..i*lda +
-    /// kb]`.
-    WeightRhs {
-        /// Output rows.
-        m: usize,
-        /// The lowered activation band, strided.
-        a: &'a [i8],
-        /// Row stride of `a`.
-        lda: usize,
-        /// Activation extraction shift of the band.
-        a_shift: u8,
-        /// The lowered weight band.
-        w: &'a LowBandRhs,
-    },
+pub struct LowBands<'a> {
+    /// Output columns.
+    pub n: usize,
+    /// The run's lowered weight bands, all `m` rows tall.
+    pub bands: &'a [LowBandLhs],
+    /// Activation extraction shift of each band.
+    pub a_shifts: &'a [u8],
+    /// The lowered activations, `[Σ kb, n]` row-major.
+    pub b: &'a [i8],
 }
 
 /// Fused low-band GEMM: bit-lowered operands in, **shifted
 /// accumulation applied at write-back** — the paper's low-precision
-/// band in one call, accumulating straight into `c`.
+/// convolution band in one call, accumulating straight into `c`.
 ///
-/// A convolution run ([`LowBands::WeightLhs`]) whose operands all lie
-/// in `[-8, 7]` runs the dense low-range tile where the ISA has one
-/// (AVX2 — see [`crate::simd`]): the rhs is packed once for the whole
-/// run, and each output tile is visited once however many bands the run
-/// has. Everything else — other ISAs, sub-threshold shapes, wider
-/// operands, the linear orientation — runs the ordinary i8 kernels with
-/// the same fused write-back. Every path is exact in `i32`, so results
-/// are bit-identical to per-band GEMMs into a scratch buffer followed
-/// by `c += scratch << shift`.
+/// A run whose operands all lie in `[-8, 7]` runs the dense low-range
+/// tile where the ISA has one (AVX2 — see [`crate::simd`]): the rhs is
+/// packed once for the whole run, and each output tile is visited once
+/// however many bands the run has. Everything else — other ISAs,
+/// sub-threshold shapes, wider operands — runs the ordinary i8 kernels
+/// with the same fused write-back. Every path is exact in `i32`, so
+/// results are bit-identical to per-band GEMMs into a scratch buffer
+/// followed by `c += scratch << shift`.
 ///
 /// # Panics
 ///
@@ -1679,78 +1587,52 @@ pub enum LowBands<'a> {
 /// [`MAX_EPILOGUE_SHIFT`], or if the dense path meets an activation
 /// outside `[-8, 7]` under bands that promised that range.
 pub fn gemm_i8_low_bands(call: LowBands<'_>, c: &mut [i32]) {
-    match call {
-        LowBands::WeightRhs {
-            m,
-            a,
-            lda,
-            a_shift,
-            w,
-        } => {
-            let (n, kb) = (w.n, w.kb);
-            assert!(lda >= kb, "lhs stride below band width");
-            assert!(
-                m == 0 || a.len() >= (m - 1) * lda + kb,
-                "lhs buffer too small"
-            );
-            assert!(c.len() >= m * n, "out buffer too small");
-            let epi = Epilogue::ShlCols {
-                act: a_shift,
-                weight: &w.shifts,
-            };
-            epi.validate(m, n);
-            let rhs = Rhs::Rows { b: &w.rows, n };
-            let ops = Operands::new(a, lda, rhs, 0, kb);
-            gemm_i8_traced("gemm_i8_low_bands", m, n, ops, Some(&w.panel), epi, c);
-        }
-        LowBands::WeightLhs {
-            n,
-            bands,
-            a_shifts,
-            b,
-        } => {
-            let Some(first) = bands.first() else { return };
-            let m = first.m;
-            let kb: usize = bands.iter().map(|s| s.kb).sum();
-            assert!(bands.iter().all(|s| s.m == m), "bands differ in height");
-            assert_eq!(a_shifts.len(), bands.len(), "one activation shift per band");
-            assert!(b.len() >= kb * n, "rhs buffer too small");
-            assert!(c.len() >= m * n, "out buffer too small");
+    let LowBands {
+        n,
+        bands,
+        a_shifts,
+        b,
+    } = call;
+    let Some(first) = bands.first() else { return };
+    let m = first.m;
+    let kb: usize = bands.iter().map(|s| s.kb).sum();
+    assert!(bands.iter().all(|s| s.m == m), "bands differ in height");
+    assert_eq!(a_shifts.len(), bands.len(), "one activation shift per band");
+    assert!(b.len() >= kb * n, "rhs buffer too small");
+    assert!(c.len() >= m * n, "out buffer too small");
+    for (band, &act) in bands.iter().zip(a_shifts) {
+        let weight = &band.shifts[..];
+        Epilogue::ShlRows { act, weight }.validate(m);
+    }
+    let isa = simd::active();
+    gemm_traced(
+        "gemm_i8_low_bands",
+        [m, n, kb],
+        isa,
+        || 0,
+        || {
+            #[cfg(target_arch = "x86_64")]
+            if isa == Isa::Avx2
+                && worth_blocking(m, n, kb, NR_I8, 0)
+                && bands.iter().all(|s| s.low_range)
+            {
+                return low_run_dense(m, n, bands, a_shifts, b, c);
+            }
+            let (mut row0, mut packed) = (0, 0);
             for (band, &act) in bands.iter().zip(a_shifts) {
                 let weight = &band.shifts[..];
-                Epilogue::ShlRows { act, weight }.validate(m, n);
+                let epi = Epilogue::ShlRows { act, weight };
+                let rhs = Rhs::Rows {
+                    b: &b[row0 * n..],
+                    n,
+                };
+                let ops = Operands::new(&band.rows, band.kb, rhs, 0, band.kb);
+                packed += gemm_i8_general(m, n, ops, None, epi, c, isa);
+                row0 += band.kb;
             }
-            let isa = simd::active();
-            gemm_traced(
-                "gemm_i8_low_bands",
-                [m, n, kb],
-                isa,
-                || 0,
-                || {
-                    #[cfg(target_arch = "x86_64")]
-                    if isa == Isa::Avx2
-                        && worth_blocking(m, n, kb, NR_I8, 0)
-                        && bands.iter().all(|s| s.low_range)
-                    {
-                        return low_run_dense(m, n, bands, a_shifts, b, c);
-                    }
-                    let (mut row0, mut packed) = (0, 0);
-                    for (band, &act) in bands.iter().zip(a_shifts) {
-                        let weight = &band.shifts[..];
-                        let epi = Epilogue::ShlRows { act, weight };
-                        let rhs = Rhs::Rows {
-                            b: &b[row0 * n..],
-                            n,
-                        };
-                        let ops = Operands::new(&band.rows, band.kb, rhs, 0, band.kb);
-                        packed += gemm_i8_general(m, n, ops, None, epi, c, isa);
-                        row0 += band.kb;
-                    }
-                    packed
-                },
-            );
-        }
-    }
+            packed
+        },
+    );
 }
 
 /// Packs all `n` columns of a run's rows into dense quad panels:
@@ -1848,7 +1730,7 @@ fn dense_block(
     }
 }
 
-/// Dense path of [`LowBands::WeightLhs`] (AVX2, all operands in
+/// Dense path of [`gemm_i8_low_bands`] (AVX2, all operands in
 /// `[-8, 7]`, blocked shape) through [`run_plan`]. Lhs tiles come
 /// prepacked from the bands, or are packed here when a band was built
 /// under another ISA; the rhs quad panels are packed once per call.
@@ -2435,7 +2317,7 @@ mod tests {
     }
 
     /// `c += Σ_s (w_s · b_s) << (a_shifts[s] + shifts_s[i])`, one term at
-    /// a time — the semantics [`LowBands::WeightLhs`] must reproduce.
+    /// a time — the semantics [`gemm_i8_low_bands`] must reproduce.
     fn low_run_oracle(
         m: usize,
         n: usize,
@@ -2480,7 +2362,7 @@ mod tests {
         let mut want = start.clone();
         low_run_oracle(m, n, &blocks, &a_shifts, &b, &mut want);
         let mut got = start;
-        let call = LowBands::WeightLhs {
+        let call = LowBands {
             n,
             bands: &bands,
             a_shifts: &a_shifts,
@@ -2525,7 +2407,7 @@ mod tests {
                 let band = LowBandLhs::new(m, kb, vec![wv; m * kb], vec![1; m]);
                 let b = vec![bv; kb * n];
                 let mut c = vec![3i32; m * n];
-                let call = LowBands::WeightLhs {
+                let call = LowBands {
                     n,
                     bands: std::slice::from_ref(&band),
                     a_shifts: &[2],
@@ -2548,50 +2430,13 @@ mod tests {
         let band = LowBandLhs::new(m, kb, vec![1; m * kb], vec![0; m]);
         let mut b = vec![0i8; kb * n];
         b[5 * n + 40] = 8;
-        let call = LowBands::WeightLhs {
+        let call = LowBands {
             n,
             bands: std::slice::from_ref(&band),
             a_shifts: &[0],
             b: &b,
         };
         gemm_i8_low_bands(call, &mut vec![0i32; m * n]);
-    }
-
-    #[test]
-    fn low_band_rhs_reads_a_strided_lhs_and_shifts_per_column() {
-        let mut rng = seeded(78);
-        for &(m, n, kb, lda, off) in &[
-            (8usize, 96usize, 32usize, 128usize, 32usize),
-            (1, 10, 4, 12, 8),
-            (40, 64, 16, 64, 0),
-            (3, 33, 7, 7, 0),
-        ] {
-            let a = rand_low(m * lda, -8, 7, &mut rng);
-            let w = rand_low(kb * n, -8, 7, &mut rng);
-            let shifts: Vec<u8> = (0..n).map(|_| rng.gen_range(0u8..=4)).collect();
-            let band = LowBandRhs::new(n, kb, w.clone(), shifts.clone());
-            let start: Vec<i32> = (0..m * n).map(|_| rng.gen_range(-99..99)).collect();
-            let mut want = start.clone();
-            for i in 0..m {
-                for j in 0..n {
-                    let mut sum = 0i32;
-                    for p in 0..kb {
-                        sum += a[i * lda + off + p] as i32 * w[p * n + j] as i32;
-                    }
-                    want[i * n + j] += sum << (3 + shifts[j]);
-                }
-            }
-            let mut got = start;
-            let call = LowBands::WeightRhs {
-                m,
-                a: &a[off..],
-                lda,
-                a_shift: 3,
-                w: &band,
-            };
-            gemm_i8_low_bands(call, &mut got);
-            assert_eq!(want, got, "({m},{n},{kb}) lda={lda}");
-        }
     }
 
     #[test]

@@ -114,7 +114,7 @@ fn fused_low_band_kernel_agrees_with_gpu_and_npu_in_4bit_mode() {
     // where the ISA has one) against the two simulated datapaths, on the
     // extraction rules the GPU descriptor derives: three 4-bit tiles,
     // per-tile activation rules, per-(tile, output) weight rules.
-    use flexiq::tensor::gemm::{gemm_i8_low_bands, LowBandLhs, LowBandRhs, LowBands};
+    use flexiq::tensor::gemm::{gemm_i8_band_wt, gemm_i8_low_bands, LowBandLhs, LowBands};
 
     let mut rng = seeded(9104);
     let (m, n, k) = (40usize, 12usize, 3 * TILE_K);
@@ -163,7 +163,7 @@ fn fused_low_band_kernel_agrees_with_gpu_and_npu_in_4bit_mode() {
         .collect();
     let a_low_t: Vec<i8> = (0..k * m).map(|i| a_low[(i % m) * k + i / m]).collect();
     let mut conv_out = vec![0i32; n * m];
-    let call = LowBands::WeightLhs {
+    let call = LowBands {
         n: m,
         bands: &bands,
         a_shifts: &a_shifts,
@@ -171,29 +171,20 @@ fn fused_low_band_kernel_agrees_with_gpu_and_npu_in_4bit_mode() {
     };
     gemm_i8_low_bands(call, &mut conv_out);
 
-    // Linear orientation: weights are the rhs, the lowered activation
-    // band read in place at stride k, one call per tile.
+    // Linear orientation: the shifts fold into the operands —
+    // `(a_low << s_a)·(w_low << s_w)` per tile — and the layer is one
+    // plain weight-layout GEMM over the whole reduction.
+    let a_eff: Vec<i8> = (0..m * k)
+        .map(|i| tile(i % k).act.round_trip(a[i]) as i8)
+        .collect();
+    let w_eff: Vec<i8> = (0..n * k)
+        .map(|i| kern.rules[i % k / TILE_K].weight[i / k].round_trip(w[i]) as i8)
+        .collect();
     let mut lin_out = vec![0i32; m * n];
-    for t in 0..k / TILE_K {
-        let block = (0..TILE_K * n)
-            .map(|i| {
-                let (c, o) = (t * TILE_K + i / n, i % n);
-                kern.rules[t].weight[o].lower(w[o * k + c])
-            })
-            .collect();
-        let band = LowBandRhs::new(n, TILE_K, block, w_shifts(t));
-        let call = LowBands::WeightRhs {
-            m,
-            a: &a_low[t * TILE_K..],
-            lda: k,
-            a_shift: a_shifts[t],
-            w: &band,
-        };
-        gemm_i8_low_bands(call, &mut lin_out);
-    }
+    gemm_i8_band_wt(m, n, k, 0, k, &a_eff, &w_eff, &mut lin_out);
     assert_eq!(
         lin_out, gpu,
-        "linear-orientation low bands diverge from the GPU kernel"
+        "folded linear operands diverge from the GPU kernel"
     );
 
     // NPU: one weight-stationary 4-bit tile per feature tile, summed.

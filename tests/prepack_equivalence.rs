@@ -180,7 +180,7 @@ fn low_band_tiles_are_optional_bitwise() {
     };
     let run = |bands: &[gemm::LowBandLhs]| {
         let mut c = vec![0i32; m * n];
-        let call = gemm::LowBands::WeightLhs {
+        let call = gemm::LowBands {
             n,
             bands,
             a_shifts: &[1, 3, 0],
