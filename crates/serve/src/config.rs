@@ -37,8 +37,8 @@ pub struct ServeConfig {
     /// means requests never expire. Individual submissions can override
     /// it.
     pub default_deadline: Option<Duration>,
-    /// Fraction of requests traced end to end (admission → bucket plan
-    /// → dispatch → completion), in `[0, 1]`.
+    /// Fraction of requests traced end to end (admission → dispatch →
+    /// completion), in `[0, 1]`.
     ///
     /// Sampled requests get a nonzero trace id at admission; the worker
     /// that dispatches a batch containing one records telemetry spans

@@ -24,7 +24,7 @@
 //! knob: a request's tokens never depend on who it shared a batch with.
 //!
 //! Admission reuses the generic [`crate::queue::AdmissionQueue`] with
-//! the bucket-aware policy
+//! the length-class policy
 //! ([`crate::queue::AdmissionQueue::pop_batch_bucketed`]): drafted
 //! groups prefer prompts whose power-of-two length class matches, so
 //! requests admitted together carry similar prefill cost and their

@@ -184,6 +184,7 @@ impl FaultConfig {
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, val) = part
                 .split_once('=')
+                .map(|(k, v)| (k.trim(), v.trim()))
                 .ok_or_else(|| ServeError::Config(format!("fault spec `{part}`: expected k=v")))?;
             let bad = |what: &str| ServeError::Config(format!("fault spec {key}={val}: {what}"));
             let f = || val.parse::<f64>().map_err(|_| bad("not a number"));
@@ -192,7 +193,7 @@ impl FaultConfig {
                     .map(Duration::from_millis)
                     .map_err(|_| bad("not a millisecond count"))
             };
-            match key.trim() {
+            match key {
                 "seed" => cfg.seed = val.parse().map_err(|_| bad("not a u64"))?,
                 "panic" => cfg.worker_panic = f()?,
                 "death" => cfg.worker_death = f()?,
@@ -400,6 +401,51 @@ mod tests {
         assert_eq!(cfg.queue_stall, 0.5);
         assert_eq!(cfg.stall, Duration::from_millis(5));
         assert_eq!(cfg.scheduler_panic, 0.02);
+        // Blanks around either side of `=` are insignificant.
+        for spec in ["panic=0.5 , nan= 0.1", "panic =0.5,nan =0.1"] {
+            let cfg = FaultConfig::parse(spec).unwrap();
+            assert_eq!((cfg.worker_panic, cfg.poison_input), (0.5, 0.1), "{spec}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Any string parses to a typed answer: no panic, and every
+        /// accepted schedule passes `validate`. Specs are drawn near the
+        /// grammar (keys, rates in and out of range, stray blanks,
+        /// missing `=`) and then salted with arbitrary characters.
+        #[test]
+        fn parse_is_total(
+            parts in proptest::collection::vec(0u32..u32::MAX, 0..6),
+            noise in proptest::collection::vec(0u32..0x11_0000, 0..4),
+        ) {
+            const KEYS: [&str; 11] = [
+                "seed", "panic", "death", "slow", "slow_ms", "nan", "stall", "stall_ms",
+                "sched", "bogus", "",
+            ];
+            const VALS: [&str; 12] =
+                ["0", "0.1", "0.5", "1", "7", "1.5", "-1", "1e400", "NaN", "inf", "", "x"];
+            let spec = parts
+                .iter()
+                .map(|&p| {
+                    let pad = if p & 1 == 1 { " " } else { "" };
+                    let key = KEYS[(p >> 1) as usize % KEYS.len()];
+                    let val = VALS[(p >> 5) as usize % VALS.len()];
+                    let eq = if (p >> 9) % 8 == 0 { "" } else { "=" };
+                    format!("{pad}{key}{pad}{eq}{pad}{val}{pad}")
+                })
+                .collect::<Vec<_>>()
+                .join(",");
+            let mut chars: Vec<char> = spec.chars().collect();
+            for &c in &noise {
+                if let Some(ch) = char::from_u32(c) {
+                    chars.insert(c as usize % (chars.len() + 1), ch);
+                }
+            }
+            let spec: String = chars.into_iter().collect();
+            if let Ok(cfg) = FaultConfig::parse(&spec) {
+                proptest::prop_assert!(cfg.validate().is_ok(), "{spec:?}");
+            }
+        }
     }
 
     #[test]

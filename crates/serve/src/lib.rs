@@ -31,7 +31,6 @@
 //! | [`policy`] | the control plane as one pure state machine: latency ratchet + Ready → Degraded → Shedding → Draining brownout ladder |
 //! | [`metrics`] | latency histograms, p50/p95/p99, throughput, queue depth, level-switch trace |
 //! | [`server`] | the one-shot [`Server`] (the core plus the worker body) and the shared [`Health`] report |
-//! | [`loadgen`] | open-loop trace replay and closed-loop capacity probes |
 //! | [`fault`] | deterministic seeded fault injection (`FLEXIQ_FAULT`), one relaxed load when disarmed |
 //! | [`retry`] | shared bounded retry/backoff with deterministic jitter |
 //!
@@ -55,16 +54,15 @@
 //! server.shutdown();
 //! ```
 //!
-//! See `examples/live_serving.rs` for the full bursty-trace demo with
-//! the level trace and percentile report.
+//! The end-to-end benchmark (`benchmark/`, workload `vit_burst`) drives
+//! an adaptive [`Server`] through open-loop bursts and reports the level
+//! trace and the latency percentiles.
 
-pub mod bucket;
 pub mod config;
 mod core;
 pub mod decode;
 pub mod error;
 pub mod fault;
-pub mod loadgen;
 pub mod metrics;
 pub mod policy;
 pub mod queue;
@@ -78,7 +76,6 @@ pub use config::{ControlConfig, ServeConfig};
 pub use decode::{DecodeConfig, DecodeServer, GenResponse, GenTicket};
 pub use error::{Result, ServeError};
 pub use fault::{FaultConfig, FaultSite};
-pub use loadgen::{closed_loop, open_loop, LoadReport};
 pub use metrics::{LatencyHistogram, LevelSwitch, MetricsHub, Snapshot};
 pub use policy::{BrownoutConfig, Decision, Observation, Policy, ServeState};
 pub use request::{InferResponse, RequestId, Ticket};

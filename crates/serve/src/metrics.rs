@@ -197,11 +197,6 @@ pub struct LevelSwitch {
 /// All counters and instruments of one server.
 pub struct MetricsHub {
     started_at: Instant,
-    /// `started_at` in the telemetry clock domain
-    /// ([`flexiq_telemetry::now_ns`]), so the level-switch trace (stored
-    /// as seconds since start) can be joined against drained span
-    /// timestamps.
-    started_tel_ns: u64,
     /// End-to-end latency of every completed request.
     pub latency: LatencyHistogram,
     /// Queueing delay (admission → dispatch) of every completed request.
@@ -235,7 +230,6 @@ impl MetricsHub {
     pub fn new(window: Duration) -> Self {
         MetricsHub {
             started_at: Instant::now(),
-            started_tel_ns: flexiq_telemetry::now_ns(),
             latency: LatencyHistogram::new(),
             queue_delay: LatencyHistogram::new(),
             window: LatencyWindow::new(window, 65_536),
@@ -261,11 +255,6 @@ impl MetricsHub {
     /// Seconds since the hub (server) was created.
     pub fn uptime_s(&self) -> f64 {
         self.started_at.elapsed().as_secs_f64()
-    }
-
-    /// Instant the hub was created (the trace's time origin).
-    pub fn started_at(&self) -> Instant {
-        self.started_at
     }
 
     /// Counts one admission.
@@ -420,53 +409,6 @@ impl MetricsHub {
             inflight: self.inflight(),
             state: self.serve_state(),
         }
-    }
-
-    /// Joins the level-switch trace against drained telemetry spans:
-    /// how much graph-node execution time ran at each ratio level.
-    ///
-    /// Each `Node`-category span is attributed to the level active at
-    /// its start instant (`initial_level`, in the runtime encoding the
-    /// trace uses, before the first recorded switch —
-    /// [`flexiq_core::runtime::LEVEL_INT8`] unless the caller preset
-    /// one). Returns one entry per level seen, in first-seen order.
-    pub fn level_attribution(
-        &self,
-        threads: &[flexiq_telemetry::ThreadSpans],
-        initial_level: usize,
-    ) -> Vec<LevelAttribution> {
-        // Interval boundaries in the telemetry clock domain.
-        let mut bounds: Vec<(u64, usize)> = vec![(0, initial_level)];
-        for sw in lock_clean(&self.level_trace).iter() {
-            let at_ns = self.started_tel_ns.saturating_add((sw.at_s * 1e9) as u64);
-            bounds.push((at_ns, sw.level));
-        }
-        let mut out: Vec<LevelAttribution> = Vec::new();
-        for t in threads {
-            for ev in t
-                .spans
-                .iter()
-                .filter(|e| e.cat == flexiq_telemetry::Cat::Node)
-            {
-                let level = bounds
-                    .iter()
-                    .rev()
-                    .find(|&&(at, _)| ev.start_ns >= at)
-                    .map_or(initial_level, |&(_, l)| l);
-                match out.iter_mut().find(|a| a.level == level) {
-                    Some(a) => {
-                        a.node_ns += ev.dur_ns;
-                        a.spans += 1;
-                    }
-                    None => out.push(LevelAttribution {
-                        level,
-                        node_ns: ev.dur_ns,
-                        spans: 1,
-                    }),
-                }
-            }
-        }
-        out
     }
 
     /// Prometheus text exposition: every [`Snapshot`] field plus the
@@ -641,19 +583,6 @@ impl MetricsHub {
     }
 }
 
-/// Node-execution time attributed to one ratio level (see
-/// [`MetricsHub::level_attribution`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelAttribution {
-    /// Runtime level ([`flexiq_core::runtime::LEVEL_INT8`] or a
-    /// schedule index).
-    pub level: usize,
-    /// Summed graph-node span time at this level, nanoseconds.
-    pub node_ns: u64,
-    /// Node spans attributed to this level.
-    pub spans: usize,
-}
-
 /// A point-in-time metrics summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
@@ -708,7 +637,6 @@ pub struct Snapshot {
 mod tests {
     use super::*;
     use crate::policy::Observation;
-    use flexiq_core::runtime::LEVEL_INT8;
 
     /// A level decision made on an over-target window while `Degraded`.
     fn decision(level: usize) -> Decision {
@@ -825,43 +753,6 @@ mod tests {
         assert_eq!((sw.level, sw.samples, sw.percentile_s), (2, 32, 0.25));
         assert_eq!(sw.state, ServeState::Degraded, "the post-ladder state");
         assert!(s.p50_s > 0.0);
-    }
-
-    #[test]
-    fn level_attribution_joins_switches_with_node_spans() {
-        use flexiq_telemetry as tel;
-        let m = MetricsHub::new(Duration::from_secs(1));
-        let t0 = m.started_tel_ns;
-        std::thread::sleep(Duration::from_millis(2));
-        m.on_level_switch(&decision(LEVEL_INT8));
-        let switch_ns = t0 + (m.level_trace()[0].at_s * 1e9) as u64;
-        let node = |start_ns: u64, dur_ns: u64| tel::SpanEvent {
-            name: "node",
-            cat: tel::Cat::Node,
-            start_ns,
-            dur_ns,
-            id: 0,
-            trace_id: 0,
-            depth: 0,
-            args: [0; 4],
-        };
-        let threads = vec![tel::ThreadSpans {
-            tid: 1,
-            thread: "t".into(),
-            spans: vec![
-                node(t0, 100),                         // before the switch
-                node(switch_ns.saturating_sub(1), 50), // still before
-                node(switch_ns + 1, 200),              // after
-                node(switch_ns + 10, 300),             // after
-            ],
-            dropped: 0,
-        }];
-        let attr = m.level_attribution(&threads, 7);
-        assert_eq!(attr.len(), 2);
-        let at7 = attr.iter().find(|a| a.level == 7).unwrap();
-        let int8 = attr.iter().find(|a| a.level == LEVEL_INT8).unwrap();
-        assert_eq!((at7.node_ns, at7.spans), (150, 2));
-        assert_eq!((int8.node_ns, int8.spans), (500, 2), "runtime encoding");
     }
 
     #[test]

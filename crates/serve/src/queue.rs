@@ -9,13 +9,13 @@
 //! `batch_timeout` has elapsed since the batch's first request was
 //! picked up — whichever comes first.
 //!
-//! [`AdmissionQueue::pop_batch_bucketed`] layers bucket-aware admission
-//! on top for variable-length work: the FIFO head still anchors every
-//! batch (no starvation), but the fill phase prefers queued requests
-//! whose power-of-two length class matches the anchor's, so dispatched
-//! batches co-bucket and the padded-stack waste the bucket planner would
-//! otherwise absorb never enters the batch at all. Non-matching requests
-//! are left queued in order; the oldest one anchors the next batch.
+//! [`AdmissionQueue::pop_batch_bucketed`] layers length-class admission
+//! on top for the decode scheduler's variable-length prompts: the FIFO
+//! head still anchors every batch (no starvation), but the fill phase
+//! prefers queued requests whose power-of-two length class matches the
+//! anchor's, so a drafted group carries similar prefill cost.
+//! Non-matching requests are left queued in order; the oldest one
+//! anchors the next batch.
 //!
 //! The queue is generic over its item (`QueuedRequest` by default): the
 //! continuous-batching decode scheduler reuses the same admission policy
@@ -58,8 +58,7 @@ pub struct AdmissionQueue<T = QueuedRequest> {
     capacity: usize,
 }
 
-/// Power-of-two length class: lengths in `[2^k, 2^{k+1})` share a class
-/// (the same classes [`crate::bucket::plan_buckets`] pads within).
+/// Power-of-two length class: lengths in `[2^k, 2^{k+1})` share a class.
 fn len_class(len: usize) -> u32 {
     usize::BITS - len.max(1).leading_zeros()
 }
@@ -132,12 +131,11 @@ impl<T> AdmissionQueue<T> {
         self.pop_batch_with(max_batch, batch_timeout, |_, _| true)
     }
 
-    /// [`AdmissionQueue::pop_batch`] with bucket-aware admission: the
+    /// [`AdmissionQueue::pop_batch`] with length-class admission: the
     /// FIFO head anchors the batch as usual (so nothing starves), but
     /// the fill phase admits only requests whose power-of-two length
-    /// class (per `len_of`) matches the anchor's — the classes the
-    /// bucket planner pads within, so a dispatched batch never carries
-    /// cross-bucket padding waste. Requests `len_of` declines to
+    /// class (per `len_of`) matches the anchor's, so a drafted batch
+    /// holds lengths within 2× of each other. Requests `len_of` declines to
     /// classify (`None`) group with each other, not with classified
     /// ones. Skipped requests keep their queue order; the oldest
     /// anchors the next batch.

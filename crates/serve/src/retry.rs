@@ -1,8 +1,8 @@
 //! Bounded retry with exponential backoff and deterministic jitter.
 //!
 //! One shared policy for every "the queue pushed back, try again"
-//! site: the closed-loop load generator, the chaos suite's probes, and
-//! external callers hitting [`ServeError::QueueFull`] or
+//! site: the chaos suite's probes, the fault-tolerance sweep's clients,
+//! and external callers hitting [`ServeError::QueueFull`] or
 //! [`ServeError::Shedding`]. The
 //! jitter is *deterministic* (splitmix64 over `seed ^ attempt`) so two
 //! runs with the same seed back off identically — load tests stay
@@ -148,8 +148,7 @@ pub fn retry_with<T, E>(
     }
 }
 
-/// The admission-retry classifier shared by loadgen and external
-/// clients: queue backpressure and brownout shedding are worth waiting
+/// The admission-retry classifier for clients of either server: queue backpressure and brownout shedding are worth waiting
 /// out; everything else is terminal.
 pub fn admission_retryable(e: &ServeError) -> bool {
     matches!(e, ServeError::QueueFull { .. } | ServeError::Shedding)

@@ -153,12 +153,6 @@ impl Server {
         &self.core.shared.metrics
     }
 
-    /// A shared handle to the metrics hub, e.g. for a monitoring thread
-    /// that outlives individual borrows of the server.
-    pub fn metrics_handle(&self) -> Arc<MetricsHub> {
-        Arc::clone(&self.core.shared.metrics)
-    }
-
     /// The server configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
@@ -185,7 +179,7 @@ impl Server {
     /// Stops admission, drains queued work, joins every thread, and
     /// returns the final metrics snapshot.
     pub fn shutdown(self) -> Snapshot {
-        let metrics = self.metrics_handle();
+        let metrics = Arc::clone(&self.core.shared.metrics);
         drop(self);
         metrics.snapshot()
     }
@@ -359,9 +353,9 @@ mod tests {
 
     #[test]
     fn server_serves_mixed_length_lm_requests_end_to_end() {
-        // The full admission → bucketed dispatch → reply path on a live
-        // server: mixed-length token requests must come back bit-exact
-        // with unpadded single-sample inference.
+        // The full admission → dispatch → reply path on a live server:
+        // mixed-length token requests must come back bit-exact with
+        // single-sample inference.
         let (rt, seqs) = crate::worker::tests::tiny_lm_runtime();
         rt.set_level(0).unwrap();
         let cfg = ServeConfig {

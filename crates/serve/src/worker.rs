@@ -21,18 +21,13 @@
 //! a genuine throughput/latency knob: a longer wait buys larger stacked
 //! GEMMs, not just amortized dispatch.
 //!
-//! **Variable-length LM dispatch:** token-sequence requests (rank-1 id
-//! inputs) of *different* lengths are not split into exact-shape
-//! groups, which would collapse batching under real LM traffic: they
-//! are planned into power-of-two length buckets ([`crate::bucket`]),
-//! padded, and executed as masked stacked passes via
-//! [`FlexiRuntime::infer_batch_varlen_traced`] — one pass per bucket
-//! group, regardless of how many distinct lengths it contains. The mask
-//! invariant guarantees every response is bit-exact with unpadded
-//! inference, so bucketing only buys throughput; the
-//! `MAX_PADDING_WASTE` cap bounds how much padded compute a merged group
-//! may carry. Non-token inputs (CNN/ViT images)
-//! keep the exact-shape grouping.
+//! **Grouping:** a dispatched batch splits into one stacked pass per
+//! exact input shape — normally exactly one. Token-sequence requests
+//! (rank-1 id inputs) group by length like images group by shape, so a
+//! uniform-length LM batch is one unpadded stacked pass. A multi-member
+//! pass that fails with a model error (an out-of-vocab id, say) retries
+//! each member alone, so one malformed request answers its error without
+//! taking its co-grouped neighbours down.
 //!
 //! **Intra-batch parallelism:** every worker installs the server's one
 //! shared [`flexiq_parallel::ThreadPool`] around its dispatch, so the
@@ -69,19 +64,10 @@ use std::time::Instant;
 use flexiq_core::FlexiRuntime;
 use flexiq_telemetry as tel;
 
-use crate::bucket::plan_buckets;
 use crate::error::{Result, ServeError};
 use crate::fault::{self, FaultSite};
 use crate::metrics::MetricsHub;
 use crate::request::{InferResponse, QueuedRequest, RequestId};
-
-/// Padding-waste cap for bucket merging: underfilled length buckets
-/// merge into the next larger one while the merged group's fraction of
-/// padded positions stays at or below this (see
-/// [`crate::bucket::plan_buckets`]) — i.e. while the group still
-/// computes more real than pad positions.
-const MAX_PADDING_WASTE: f64 = 0.5;
-const _: () = assert!(0.0 <= MAX_PADDING_WASTE && MAX_PADDING_WASTE < 1.0);
 
 type ReplyMeta = (RequestId, Instant, mpsc::Sender<Result<InferResponse>>);
 
@@ -178,10 +164,9 @@ fn guarded_pass(
 /// and counted — never silently dropped — and are filtered out *before*
 /// stacking, so they cost no model time — and so are requests whose
 /// input holds a non-finite value ([`ServeError::PoisonedInput`]).
-/// Token-sequence requests are dispatched through the length-bucketed
-/// padded path; everything else is grouped by exact input shape, one
-/// stacked pass per shape class. Every stacked pass reads the ratio
-/// level once, so each response's reported level is authoritative.
+/// The survivors are grouped by exact input shape, one stacked pass per
+/// shape class. Every stacked pass reads the ratio level once, so each
+/// response's reported level is authoritative.
 pub fn run_batch(runtime: &FlexiRuntime, metrics: &MetricsHub, batch: Vec<QueuedRequest>) {
     let size = batch.len();
     metrics.on_batch(size);
@@ -218,8 +203,8 @@ pub fn run_batch(runtime: &FlexiRuntime, metrics: &MetricsHub, batch: Vec<Queued
     });
 }
 
-/// The traced body of [`run_batch`]: bucket planning plus every stacked
-/// pass of one dispatched batch, executed under the batch's trace id.
+/// The traced body of [`run_batch`]: one stacked pass per input-shape
+/// class, executed under the batch's trace id.
 fn run_batch_traced(
     runtime: &FlexiRuntime,
     metrics: &MetricsHub,
@@ -227,10 +212,8 @@ fn run_batch_traced(
     size: usize,
     dispatched: Instant,
 ) {
-    // One stacked pass for `group`, answering every member. `pad` marks
-    // a bucket group: `Some(len)` runs the masked varlen pass padded to
-    // `len`, `None` the exact-shape pass.
-    let dispatch = |group: Vec<QueuedRequest>, pad: Option<usize>| {
+    // One stacked pass for a same-shape `group`, answering every member.
+    let dispatch = |group: Vec<QueuedRequest>| {
         // Move the inputs out of the requests (no clone on the hot
         // path); the stack inside the runtime is the copy.
         let (inputs, metas): (Vec<_>, Vec<ReplyMeta>) = group
@@ -241,27 +224,19 @@ fn run_batch_traced(
             "dispatch",
             tel::Cat::Serve,
             metas.len() as u32,
-            [
-                size as u64,
-                pad.unwrap_or(0) as u64,
-                pad.is_some() as u64,
-                0,
-            ],
+            [size as u64, 0, 0, 0],
         );
-        let result = guarded_pass(metrics, || match pad {
-            Some(_) => runtime.infer_batch_varlen_traced(&inputs, pad),
-            None => runtime.infer_batch_traced(&inputs),
-        });
+        let result = guarded_pass(metrics, || runtime.infer_batch_traced(&inputs));
         drop(dispatch_span);
-        if result.is_err() && pad.is_some() && metas.len() > 1 {
-            // Bucketing widens a group beyond one exact shape, so one
-            // malformed request (empty ids, out-of-vocab token) must
-            // not poison its co-bucketed neighbours: retry each member
-            // alone, isolating the failure exactly as per-shape grouping
-            // does. Error path only — a healthy dispatch never pays this.
+        if matches!(result, Err(ServeError::Nn(_))) && metas.len() > 1 {
+            // One malformed request (an out-of-vocab token) fails the
+            // whole stacked pass: retry each member alone so the error
+            // reaches only its own ticket. Error path only — a healthy
+            // dispatch never pays this, and a caught panic still answers
+            // the whole group.
             for (input, meta) in inputs.into_iter().zip(metas) {
                 let single = guarded_pass(metrics, || {
-                    runtime.infer_batch_varlen_traced(std::slice::from_ref(&input), None)
+                    runtime.infer_batch_traced(std::slice::from_ref(&input))
                 });
                 answer(metrics, size, dispatched, vec![meta], single);
             }
@@ -269,33 +244,12 @@ fn run_batch_traced(
             answer(metrics, size, dispatched, metas, result);
         }
     };
-    // Token-sequence (LM) requests: one padded stacked pass per bucket
-    // group, mixed lengths welcome. Groups pad tightly — to the longest
-    // member, not the power-of-two class — so uniform-length groups keep
-    // the unpadded fast path.
-    let tokens: Vec<QueuedRequest>;
-    (tokens, live) = live.into_iter().partition(|r| r.input.dims().len() == 1);
-    if !tokens.is_empty() {
-        let lens: Vec<usize> = tokens.iter().map(|r| r.input.numel()).collect();
-        let mut slots: Vec<Option<QueuedRequest>> = tokens.into_iter().map(Some).collect();
-        let plan_span = tel::span("bucket_plan", tel::Cat::Serve);
-        let groups = plan_buckets(&lens, MAX_PADDING_WASTE);
-        drop(plan_span);
-        for group in groups {
-            let members = group.members.iter().map(|&i| {
-                slots[i]
-                    .take()
-                    .expect("request in exactly one bucket group")
-            });
-            dispatch(members.collect(), Some(group.pad_len(&lens)));
-        }
-    }
     // One stacked pass per input-shape class (normally exactly one).
     while !live.is_empty() {
         let dims = live[0].input.dims().to_vec();
         let group: Vec<QueuedRequest>;
         (group, live) = live.into_iter().partition(|r| r.input.dims() == dims);
-        dispatch(group, None);
+        dispatch(group);
     }
 }
 
@@ -553,86 +507,83 @@ pub(crate) mod tests {
         assert!(t2.wait().is_ok());
     }
 
+    /// Queues `inputs` as one dispatched batch (no deadlines, untraced).
+    fn queued(inputs: &[flexiq_tensor::Tensor]) -> (Vec<QueuedRequest>, Vec<Ticket>) {
+        let now = Instant::now();
+        inputs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| {
+                let (tx, rx) = mpsc::channel();
+                let id = i as u64;
+                let req = QueuedRequest {
+                    id,
+                    input: x.clone(),
+                    enqueued_at: now,
+                    deadline: None,
+                    trace: 0,
+                    reply: tx,
+                };
+                (req, Ticket { id, rx })
+            })
+            .unzip()
+    }
+
     #[test]
-    fn mixed_length_lm_batch_is_bucketed_and_bit_exact() {
-        // A dispatch with many distinct sequence lengths must answer
-        // every request with output byte-identical to unpadded
-        // single-request inference — the bucketed padded path may change
-        // the grouping, never the arithmetic.
+    fn mixed_length_lm_batch_groups_by_length_bit_exact() {
+        // A dispatch with many distinct sequence lengths (and repeats)
+        // must answer every request with output byte-identical to
+        // single-request inference: grouping by length changes the
+        // stacking, never the arithmetic.
         let (rt, seqs) = tiny_lm_runtime();
         rt.set_level(0).unwrap();
         let metrics = MetricsHub::new(Duration::from_secs(1));
-        let now = Instant::now();
         let lens = [1usize, 3, 8, 5, 2, 8, 7];
         let inputs: Vec<flexiq_tensor::Tensor> = lens
             .iter()
             .enumerate()
             .map(|(i, &l)| seqs[i % seqs.len()].slice_axis0(l).unwrap())
             .collect();
-        let mut tickets = Vec::new();
-        let mut batch = Vec::new();
-        for (i, x) in inputs.iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            batch.push(QueuedRequest {
-                id: i as u64,
-                input: x.clone(),
-                enqueued_at: now,
-                deadline: None,
-                trace: 0,
-                reply: tx,
-            });
-            tickets.push(Ticket { id: i as u64, rx });
-        }
+        let (batch, tickets) = queued(&inputs);
         run_batch(&rt, &metrics, batch);
         for (i, (t, x)) in tickets.into_iter().zip(inputs.iter()).enumerate() {
             let resp = t.wait().unwrap();
             assert_eq!(resp.level, 0);
+            assert_eq!(resp.batch_size, lens.len());
             let expect = rt.infer(x).unwrap();
             assert_eq!(resp.output.dims(), expect.dims(), "request {i} shape");
             for (a, b) in resp.output.data().iter().zip(expect.data().iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "request {i} diverged");
             }
         }
-        // With the default 0.5 cap on these lengths the dispatch needs
-        // strictly fewer stacked passes than distinct lengths.
-        let groups = plan_buckets(&lens, MAX_PADDING_WASTE);
-        let distinct: std::collections::BTreeSet<usize> = lens.iter().copied().collect();
-        assert!(groups.len() < distinct.len());
     }
 
     #[test]
-    fn malformed_request_does_not_poison_its_bucket_group() {
-        // An empty id tensor co-buckets with valid length-1 requests;
-        // the group pass fails, but the per-request retry isolates the
-        // error to the malformed submission alone.
+    fn malformed_request_does_not_poison_its_shape_group() {
+        use flexiq_nn::zoo::TinyLmCfg;
         let (rt, seqs) = tiny_lm_runtime();
         rt.set_level(0).unwrap();
         let metrics = MetricsHub::new(Duration::from_secs(1));
-        let now = Instant::now();
+        // One out-of-vocab id among three valid length-2 requests: the
+        // stacked pass of their shape group fails, and the per-member
+        // retry isolates the error to the malformed request alone.
+        let mut oov = seqs[3].slice_axis0(2).unwrap();
+        oov.data_mut()[1] = TinyLmCfg::at(Scale::Test).vocab as f32;
+        // An empty id tensor is a shape group of its own.
         let inputs = [
-            seqs[0].slice_axis0(1).unwrap(),
-            flexiq_tensor::Tensor::zeros([0]), // malformed: empty ids
-            seqs[1].slice_axis0(1).unwrap(),
+            seqs[0].slice_axis0(2).unwrap(),
+            flexiq_tensor::Tensor::zeros([0]),
+            seqs[1].slice_axis0(2).unwrap(),
+            oov,
             seqs[2].slice_axis0(2).unwrap(),
+            seqs[4].slice_axis0(1).unwrap(),
         ];
-        let mut tickets = Vec::new();
-        let mut batch = Vec::new();
-        for (i, x) in inputs.iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            batch.push(QueuedRequest {
-                id: i as u64,
-                input: x.clone(),
-                enqueued_at: now,
-                deadline: None,
-                trace: 0,
-                reply: tx,
-            });
-            tickets.push(Ticket { id: i as u64, rx });
-        }
+        let (batch, tickets) = queued(&inputs);
         run_batch(&rt, &metrics, batch);
         for (i, (t, x)) in tickets.into_iter().zip(inputs.iter()).enumerate() {
-            if i == 1 {
-                assert!(matches!(t.wait().unwrap_err(), ServeError::Nn(_)));
+            if i == 1 || i == 3 {
+                let err = t.wait().unwrap_err();
+                assert!(matches!(err, ServeError::Nn(_)), "request {i}: {err:?}");
                 continue;
             }
             let resp = t.wait().unwrap();
@@ -641,5 +592,8 @@ pub(crate) mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "healthy request {i} poisoned");
             }
         }
+        let s = metrics.snapshot();
+        assert_eq!((s.completed, s.exec_failed, s.worker_panics), (4, 2, 0));
+        assert_eq!(s.inflight, 0);
     }
 }

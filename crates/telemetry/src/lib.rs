@@ -134,7 +134,7 @@ pub enum Cat {
     Gemm,
     /// Thread-pool work: per-thread job participation.
     Pool,
-    /// Serving lifecycle: admit → bucket plan → dispatch → complete.
+    /// Serving lifecycle: admit → dispatch → complete.
     Serve,
 }
 

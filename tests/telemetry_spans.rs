@@ -1,7 +1,7 @@
 //! Telemetry span correctness on the real inference path (ISSUE 6).
 //!
 //! Pins the structural guarantees the Chrome-trace exporter and the
-//! serving attribution rely on, over the **Int-mode** engine (the path
+//! serve trace sampling rely on, over the **Int-mode** engine (the path
 //! the server runs):
 //!
 //! 1. spans recorded on a thread are well-nested — any two either
@@ -10,7 +10,10 @@
 //!    once, and the node set is identical across passes;
 //! 3. the quantized engine's per-GEMM events are present;
 //! 4. traced and untraced passes produce bit-identical outputs;
-//! 5. disabled telemetry records no spans at all.
+//! 5. disabled telemetry records no spans at all;
+//! 6. with telemetry off, a server sampling every request records its
+//!    admit → dispatch → complete spans and its graph-node spans under
+//!    the request's trace id, and a server sampling none records nothing.
 //!
 //! Telemetry state (the enabled flag, the span rings) is process-global,
 //! so every test here serializes on the one fixture mutex, and all
@@ -18,7 +21,7 @@
 //! measuring thread.
 
 use std::collections::BTreeSet;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use flexiq::core::pipeline::{prepare, FlexiQConfig};
 use flexiq::core::runtime::LEVEL_INT8;
@@ -28,11 +31,12 @@ use flexiq::nn::data::gen_image_inputs;
 use flexiq::nn::qexec::{ExecMode, QuantExecOptions};
 use flexiq::nn::zoo::{ModelId, Scale};
 use flexiq::parallel::ThreadPool;
+use flexiq::serve::{ServeConfig, Server};
 use flexiq::telemetry as tel;
 use flexiq::tensor::Tensor;
 use proptest::prelude::*;
 
-type Fixture = (FlexiRuntime, Vec<Tensor>);
+type Fixture = (Arc<FlexiRuntime>, Vec<Tensor>);
 
 /// The shared Int-mode fixture; the mutex also serializes the tests'
 /// use of the process-global telemetry state.
@@ -48,7 +52,7 @@ fn fixture() -> MutexGuard<'static, Fixture> {
             ..Default::default()
         });
         let inputs = gen_image_inputs(3, &id.input_dims(Scale::Test), 0x7E57E2);
-        Mutex::new((rt, inputs))
+        Mutex::new((Arc::new(rt), inputs))
     })
     .lock()
     .unwrap_or_else(|e| e.into_inner())
@@ -165,4 +169,55 @@ fn disabled_telemetry_records_nothing() {
     let _ = flexiq::parallel::with_pool(&pool, || rt.infer_batch(&inputs[..2]).unwrap());
     let recorded: usize = tel::drain().iter().map(|t| t.spans.len()).sum();
     assert_eq!(recorded, 0, "disabled telemetry must record no spans");
+}
+
+/// Serves one request on a fixed-level server sampling at `rate`, with
+/// global telemetry off, and returns the trace id the request would
+/// carry if sampled plus every span recorded meanwhile.
+fn served_spans(rt: &Arc<FlexiRuntime>, input: &Tensor, rate: f64) -> (u64, Vec<tel::SpanEvent>) {
+    rt.set_level(LEVEL_INT8).unwrap();
+    tel::set_enabled(false);
+    tel::reset();
+    let cfg = ServeConfig {
+        workers: 1,
+        pool_threads: Some(1),
+        trace_sample_rate: rate,
+        ..Default::default()
+    };
+    let server = Server::start_fixed(Arc::clone(rt), cfg).unwrap();
+    let resp = server.submit(input.clone()).unwrap().wait().unwrap();
+    server.shutdown();
+    let spans = tel::drain().into_iter().flat_map(|t| t.spans).collect();
+    (resp.id + 1, spans)
+}
+
+#[test]
+fn sampled_request_is_traced_end_to_end() {
+    let guard = fixture();
+    let (rt, inputs) = &*guard;
+    let (trace, spans) = served_spans(rt, &inputs[0], 1.0);
+    for e in &spans {
+        assert_eq!(
+            e.trace_id, trace,
+            "span {:?} lost the request's trace id",
+            e.name
+        );
+    }
+    let serve: BTreeSet<&str> = spans
+        .iter()
+        .filter(|e| e.cat == tel::Cat::Serve)
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(serve, BTreeSet::from(["admit", "complete", "dispatch"]));
+    assert!(
+        spans.iter().any(|e| e.cat == tel::Cat::Node),
+        "a sampled request must record its graph-node spans"
+    );
+
+    let (_, spans) = served_spans(rt, &inputs[0], 0.0);
+    assert!(
+        spans.is_empty(),
+        "an unsampled request recorded {} spans",
+        spans.len()
+    );
 }
