@@ -40,7 +40,6 @@ use flexiq_core::selection::Strategy;
 use flexiq_core::FlexiRuntime;
 use flexiq_nn::data::{gen_token_stream, lm_sequences};
 use flexiq_nn::kv::KvSpec;
-use flexiq_nn::qexec::{ExecMode, QuantExecOptions};
 use flexiq_nn::zoo::{ModelId, Scale, TinyLmCfg};
 use flexiq_serve::{DecodeConfig, DecodeServer};
 use flexiq_tensor::rng::seeded;
@@ -169,13 +168,7 @@ fn main() {
         cfg.context,
     );
     let prepared = prepare(&graph, &seqs[..8], &FlexiQConfig::new(4, Strategy::Greedy)).unwrap();
-    let rt = prepared
-        .runtime
-        .with_exec_options(QuantExecOptions {
-            mode: ExecMode::Int,
-            ..Default::default()
-        })
-        .with_kv_spec(KvSpec::mixed(2, 0.5));
+    let rt = prepared.runtime.with_kv_spec(KvSpec::mixed(2, 0.5));
     rt.set_level(rt.num_levels() - 1).unwrap();
     rt.prewarm_levels().unwrap();
     let rt = Arc::new(rt);

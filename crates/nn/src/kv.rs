@@ -9,7 +9,7 @@
 //! its extraction windows from calibrated maxima, the cache derives them
 //! from the row being appended — the values *are* live — so each
 //! `(row, head, channel-group)` gets its own window, and the band is
-//! **carved at append time** the way the quantized engines prepack
+//! **carved at append time** the way the quantized engine prepacks
 //! weights: reads never re-derive or re-shift anything.
 //!
 //! Layout: rows are appended row-major as `[rows, C]`, which is exactly

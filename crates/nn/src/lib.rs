@@ -17,10 +17,9 @@
 //!   batched hook methods — per-sample bit-exact with [`exec::run`].
 //! * [`qexec`] — mixed-precision execution: 8-bit master weights,
 //!   per-output-channel scales, per-tensor activation scales and
-//!   per-feature-group bit-lowering, with both an exact integer path and a
-//!   numerically equivalent (but faster) float simulation; both implement
-//!   the batched hooks (one quantization + weight lowering per layer per
-//!   batch).
+//!   per-feature-group bit-lowering, executed by one exact integer
+//!   engine that implements the batched hooks (one quantization + weight
+//!   lowering per layer per batch).
 //! * [`calibrate`] — runs calibration batches and records the per-layer,
 //!   per-feature-channel ranges every downstream component needs.
 //! * [`zoo`] — scaled-down, architecture-faithful builds of ResNet-20/18/

@@ -141,48 +141,6 @@ impl Linear {
         let (n, t, _) = self.check_input_batch(x)?;
         self.forward_rows(x, n * t)
     }
-
-    /// [`Linear::forward_batch`] over a padded batch: token rows flagged
-    /// invalid in `valid` (length `N*T`, row-major over the stack) are
-    /// **skipped** — their output rows are exact zeros and cost no
-    /// arithmetic. Valid rows keep the reduction order of
-    /// [`Linear::forward`], so they are bit-exact with the unmasked call;
-    /// this is where padded variable-length batching stops paying compute
-    /// for pad positions.
-    pub fn forward_batch_masked(&self, x: &Tensor, valid: &[bool]) -> Result<Tensor> {
-        let (n, t, c_in) = self.check_input_batch(x)?;
-        let rows = n * t;
-        if valid.len() != rows {
-            return Err(NnError::Invalid(format!(
-                "row mask covers {} rows, batch has {rows}",
-                valid.len()
-            )));
-        }
-        let c_out = self.c_out();
-        let mut out = vec![0.0f32; rows * c_out];
-        for ti in (0..rows).filter(|&ti| valid[ti]) {
-            let xrow = &x.data()[ti * c_in..(ti + 1) * c_in];
-            let orow = &mut out[ti * c_out..(ti + 1) * c_out];
-            for o in 0..c_out {
-                let wrow = &self.weight.data()[o * c_in..(o + 1) * c_in];
-                let mut acc = 0.0f32;
-                for c in 0..c_in {
-                    acc += xrow[c] * wrow[c];
-                }
-                orow[o] = acc;
-            }
-            if let Some(bias) = &self.bias {
-                for (o, &b) in bias.iter().enumerate() {
-                    orow[o] += b;
-                }
-            }
-        }
-        if x.dims().len() == 2 {
-            Ok(Tensor::from_vec([n, c_out], out)?)
-        } else {
-            Ok(Tensor::from_vec([n, t, c_out], out)?)
-        }
-    }
 }
 
 /// A token-embedding table for the language-model case study (§8.10).
@@ -334,39 +292,6 @@ mod tests {
         }
         assert!(lin.forward_batch(&Tensor::zeros([4])).is_err());
         assert!(lin.forward_batch(&Tensor::zeros([0, 4])).is_err());
-    }
-
-    #[test]
-    fn masked_batched_forward_skips_pad_rows_bit_exactly() {
-        let mut rng = seeded(93);
-        let lin = Linear::new(
-            Tensor::randn([3, 4], 0.0, 0.5, &mut rng),
-            Some(vec![0.1, -0.2, 0.3]),
-        )
-        .unwrap();
-        // [2, 3, 4] stack with the last row of each sample padded; pads
-        // hold NaN to prove they are never read.
-        let mut x = Tensor::randn([2, 3, 4], 0.0, 1.0, &mut rng);
-        for s in 0..2 {
-            for v in &mut x.data_mut()[(s * 3 + 2) * 4..(s * 3 + 3) * 4] {
-                *v = f32::NAN;
-            }
-        }
-        let valid = [true, true, false, true, true, false];
-        let y = lin.forward_batch_masked(&x, &valid).unwrap();
-        let y_full = lin.forward_batch(&x).unwrap();
-        for (r, &ok) in valid.iter().enumerate() {
-            let row = &y.data()[r * 3..(r + 1) * 3];
-            if ok {
-                for (a, b) in row.iter().zip(&y_full.data()[r * 3..(r + 1) * 3]) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "valid row {r} diverged");
-                }
-            } else {
-                assert!(row.iter().all(|&v| v == 0.0), "pad row {r} not zeroed");
-            }
-        }
-        // Mask length must match the row count.
-        assert!(lin.forward_batch_masked(&x, &valid[..4]).is_err());
     }
 
     #[test]

@@ -7,17 +7,15 @@
 //! which feature groups run at 4 bits; the plan is the *only* thing that
 //! changes when the serving runtime adjusts its low-bitwidth ratio.
 //!
-//! Two execution paths are provided:
-//!
-//! * [`ExecMode::Int`] — the integer path: real `i8` GEMMs,
-//!   bit-extracted 4-bit operands, and bit-shifted `i32` accumulation,
-//!   bit for bit what the paper's GPU kernel and NPU datapath compute.
-//!   The arithmetic the simulators cross-validate against.
-//! * [`ExecMode::Fake`] — the fast path: weights and activations are
-//!   replaced by their reconstruction (`dequantize(lower(quantize(x)))`)
-//!   and the layer runs in f32. Produces the same results up to f32
-//!   summation order; used for accuracy experiments and fitness
-//!   evaluation in the channel-selection loop.
+//! There is one engine: the integer path — real `i8` GEMMs,
+//! bit-extracted 4-bit operands and bit-shifted `i32` accumulation, bit
+//! for bit what the paper's GPU kernel and NPU datapath compute, and the
+//! arithmetic the simulators cross-validate against. Serving, fitness
+//! evaluation, layer-error profiling, the ablation and the layout
+//! search all run it. Its float reconstruction
+//! (`dequantize(round_trip(quantize(x)))` on weights and activations,
+//! then the f32 op) lives only in this module's tests, as the oracle the
+//! integer engine's divergence is bounded against at every level.
 //!
 //! # Integer data flow
 //!
@@ -58,7 +56,7 @@
 //!
 //! # Batched execution
 //!
-//! Both paths implement the batched [`Compute`] hooks: a stacked
+//! The engine implements the batched [`Compute`] hooks: a stacked
 //! `[N, …]` activation is quantized (and lowered) **once per layer per
 //! batch** and the GEMMs run over all samples stacked together;
 //! the single-sample hooks are the same code at `N = 1`. With
@@ -341,19 +339,21 @@ impl MixedPlan {
     }
 }
 
-/// Which arithmetic the quantized executor uses.
+/// Which arithmetic the quantized executor uses. The integer engine is
+/// the only one; the enum stays because the end-to-end benchmark
+/// (`benchmark/`, a separately versioned package) names it, and goes
+/// with the next change to that package.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Exact integer path (band GEMMs + shifted accumulation).
     Int,
-    /// Float simulation of the same arithmetic (fast).
-    Fake,
 }
 
 /// Options for quantized execution.
 #[derive(Debug, Clone, Copy)]
 pub struct QuantExecOptions {
-    /// Arithmetic path.
+    /// Arithmetic path. Always [`ExecMode::Int`]; kept only because the
+    /// end-to-end benchmark spells it out (see [`ExecMode`]).
     pub mode: ExecMode,
     /// Recompute activation extraction positions per call via bitwise OR
     /// (§4.1 dynamic mode) instead of using calibrated positions.
@@ -368,7 +368,7 @@ pub struct QuantExecOptions {
 impl Default for QuantExecOptions {
     fn default() -> Self {
         QuantExecOptions {
-            mode: ExecMode::Fake,
+            mode: ExecMode::Int,
             dynamic_extract: false,
             low_bits: QuantBits::B4,
             naive_lowering: false,
@@ -752,8 +752,6 @@ impl PackCache {
     /// linear entry per distinct (layer, mask) and every conv layer's
     /// bands — what the serve crate runs at server startup over the
     /// schedule's levels, so no level switch ever pays packing latency.
-    /// Only the integer engine reads the cache, so under
-    /// [`ExecMode::Fake`] this builds nothing.
     pub fn prewarm<'p>(
         &self,
         graph: &Graph,
@@ -761,9 +759,6 @@ impl PackCache {
         opts: QuantExecOptions,
         plans: impl IntoIterator<Item = &'p MixedPlan>,
     ) -> Result<()> {
-        if opts.mode == ExecMode::Fake {
-            return Ok(());
-        }
         let plans: Vec<&MixedPlan> = plans.into_iter().collect();
         for plan in &plans {
             plan.validate(model)?;
@@ -798,12 +793,8 @@ enum ActLayout {
 
 /// The quantized compute hook.
 ///
-/// A hook runs one plan. The Int engine reads its weights from the
-/// [`PackCache`] it was given (or a private one), so a hook is cheap to
-/// build. The Fake engine's reconstructed f32 weights are cached in the
-/// hook itself, for its lifetime only: reusing one hook across many
-/// samples reuses them, but a caller that builds a hook per batch (as
-/// the serving runtime does) re-derives them on every pass.
+/// A hook runs one plan. It reads its weights from the [`PackCache`] it
+/// was given (or a private one), so a hook is cheap to build.
 ///
 /// Construction checks the calling thread's parked [`Workspace`] out and
 /// drop parks it again, so consecutive hooks on one thread (a serve
@@ -814,8 +805,6 @@ pub struct QuantCompute<'m> {
     model: &'m QuantizedModel,
     plan: MixedPlan,
     opts: QuantExecOptions,
-    /// Cached effective f32 weights per layer (Fake mode).
-    fake_weights: Vec<Option<Tensor>>,
     /// Sequence mask of the current padded batch, installed by the
     /// masked executor. Per-tensor activation scales are calibrated, so
     /// pad rows never pollute them; the mask matters only for **live**
@@ -826,7 +815,7 @@ pub struct QuantCompute<'m> {
     /// out of `self` (`std::mem::take`) for the duration of each layer
     /// call so its fields can be borrowed alongside `&self` helpers.
     ws: Workspace,
-    /// The prepacked-weight cache every Int-mode layer reads its
+    /// The prepacked-weight cache every layer reads its
     /// effective or lowered weights from: the shared one handed to
     /// [`QuantCompute::with_cache`], or a private one filled lazily for
     /// this hook's lifetime.
@@ -851,7 +840,7 @@ impl<'m> QuantCompute<'m> {
     }
 
     /// Like [`QuantCompute::new`], with a shared prepacked-weight cache.
-    /// Int-mode linear and conv layers read their packed weights from it
+    /// Linear and conv layers read their packed weights from it
     /// instead of building them into a private cache per hook;
     /// outputs are bit-identical either way (both hold what the same
     /// builders produce).
@@ -862,34 +851,15 @@ impl<'m> QuantCompute<'m> {
         cache: Option<Arc<PackCache>>,
     ) -> Result<Self> {
         plan.validate(model)?;
-        let n = model.num_layers();
         Ok(QuantCompute {
             model,
             plan,
             opts,
-            fake_weights: vec![None; n],
             seq_mask: None,
             ws: workspace::take(),
             cache: cache.unwrap_or_else(|| Arc::new(PackCache::private())),
             kv: crate::kv::KvSpec::f32(),
         })
-    }
-
-    /// Per-row validity of an `[N, T, C]` token stack under the installed
-    /// sequence mask (`None` when no non-trivial mask applies to this
-    /// shape — then every row is live).
-    fn row_mask(&self, n: usize, t: usize) -> Option<Vec<bool>> {
-        let m = self.seq_mask.as_ref()?;
-        if !m.matches(n, t) || m.is_trivial() {
-            return None;
-        }
-        let mut valid = Vec::with_capacity(n * t);
-        for s in 0..n {
-            for ti in 0..t {
-                valid.push(ti < m.len_of(s));
-            }
-        }
-        Some(valid)
     }
 
     /// The contiguous runs of valid rows of an `[N, T, C]` token stack
@@ -913,60 +883,6 @@ impl<'m> QuantCompute<'m> {
         &self.plan
     }
 
-    /// Effective (reconstructed) f32 weights of a layer under the plan.
-    fn fake_weight(&mut self, l: LayerId) -> Result<&Tensor> {
-        if self.fake_weights[l].is_none() {
-            let lq = &self.model.layers[l];
-            let dims = lq.w_q.dims().to_vec();
-            let mut data = vec![0.0f32; lq.w_q.numel()];
-            match dims.len() {
-                2 => {
-                    // Linear [C_out, C_in].
-                    let c_in = dims[1];
-                    for o in 0..dims[0] {
-                        for c in 0..c_in {
-                            let g = self.model.groups.group_of(c);
-                            let q = lq.w_q.data()[o * c_in + c];
-                            let v = if self.plan.low_groups[l][g] {
-                                self.w_rule(l, g, o).round_trip(q)
-                            } else {
-                                q as i32
-                            };
-                            data[o * c_in + c] = v as f32 * lq.w_scales[o];
-                        }
-                    }
-                }
-                4 => {
-                    // Conv [C_out, C_in/groups, KH, KW].
-                    let (c_out, c_in_g) = (dims[0], dims[1]);
-                    let khkw = dims[2] * dims[3];
-                    let conv_groups = lq.c_in / c_in_g;
-                    let c_out_g = c_out / conv_groups.max(1);
-                    for o in 0..c_out {
-                        let cg = o / c_out_g.max(1);
-                        for cl in 0..c_in_g {
-                            let c = cg * c_in_g + cl;
-                            let g = self.model.groups.group_of(c);
-                            for k in 0..khkw {
-                                let idx = (o * c_in_g + cl) * khkw + k;
-                                let q = lq.w_q.data()[idx];
-                                let v = if self.plan.low_groups[l][g] {
-                                    self.w_rule(l, g, o).round_trip(q)
-                                } else {
-                                    q as i32
-                                };
-                                data[idx] = v as f32 * lq.w_scales[o];
-                            }
-                        }
-                    }
-                }
-                _ => return Err(NnError::BadLayer(l)),
-            }
-            self.fake_weights[l] = Some(Tensor::from_vec(dims, data)?);
-        }
-        Ok(self.fake_weights[l].as_ref().expect("just inserted"))
-    }
-
     /// Quantizes an activation tensor to `i8` with the layer's per-tensor
     /// scale, into a workspace buffer (no steady-state allocation): one
     /// [`QParams::quantize_slice`] sweep. Serial on purpose — at 0.25 ns
@@ -974,10 +890,10 @@ impl<'m> QuantCompute<'m> {
     /// (16 k: 4 → 14 µs across two threads), sixteen times the largest
     /// activation a bundled model quantizes at batch 8.
     ///
-    /// With a `layout` (the integer engines pass one) the buffer leaves
-    /// **GEMM-ready**: under static or naive extraction, the channels of
-    /// every feature group the plan runs at low precision are rewritten
-    /// in place by the group's rule, right here on the activation — one
+    /// The buffer leaves **GEMM-ready**: under static or naive
+    /// extraction, the channels of every feature group the plan runs at
+    /// low precision are rewritten in place by the group's rule, right
+    /// here on the activation — one
     /// branch-free sweep over data that is still cache-hot. Convolution
     /// planes are bit-lowered (the low bands' GEMMs shift their sums in
     /// at write-back, and the dense low-range tile needs lowered
@@ -988,13 +904,7 @@ impl<'m> QuantCompute<'m> {
     /// effective operands a linear layer's one GEMM reads. Dynamic
     /// extraction derives its rules from the values the GEMM will
     /// actually read, so it rewrites them later, inside the layer.
-    fn quantize_act_into(
-        &self,
-        l: LayerId,
-        x: &Tensor,
-        layout: Option<ActLayout>,
-        buf: &mut Buf<i8>,
-    ) {
+    fn quantize_act_into(&self, l: LayerId, x: &Tensor, layout: ActLayout, buf: &mut Buf<i8>) {
         let quant_span = tel::span("act_quant", tel::Cat::Phase);
         let p = QParams::new(self.model.layers[l].act_scale, QuantBits::B8)
             .expect("scale validated at prepare");
@@ -1002,7 +912,6 @@ impl<'m> QuantCompute<'m> {
         let out = buf.prep_dirty(data.len());
         p.quantize_slice(data, out);
         drop(quant_span);
-        let Some(layout) = layout else { return };
         let low = &self.plan.low_groups[l];
         if self.needs_live() || !low.contains(&true) {
             return;
@@ -1025,63 +934,6 @@ impl<'m> QuantCompute<'m> {
                 }
             }
         }
-    }
-
-    /// Activation extraction rule for one group: static position from
-    /// calibration, or dynamic from the live values.
-    fn act_rule(&self, l: LayerId, g: usize, live: &[i8]) -> BitLowering {
-        if self.needs_live() {
-            dynamic_lowering(live, self.opts.low_bits)
-        } else {
-            static_a_rule(self.model, &self.opts, l, g)
-        }
-    }
-
-    /// Weight extraction rule for `(group, out-channel)`.
-    fn w_rule(&self, l: LayerId, g: usize, o: usize) -> BitLowering {
-        static_w_rule(self.model, &self.opts, l, g, o)
-    }
-
-    /// Fake-mode effective activation: per-channel lower + reconstruct.
-    ///
-    /// `gather(c)` yields the indices of `xq` belonging to channel `c`.
-    /// `live_ok(i)` says whether index `i` may contribute to **live**
-    /// extraction statistics (dynamic mode); pad rows of a masked batch
-    /// are excluded there, though their elements are still round-tripped
-    /// (a per-element operation that cannot affect valid rows).
-    fn fake_effective_act(
-        &self,
-        l: LayerId,
-        xq: &[i8],
-        c_in: usize,
-        gather: impl Fn(usize) -> Vec<usize>,
-        live_ok: impl Fn(usize) -> bool,
-    ) -> Vec<f32> {
-        let lq = &self.model.layers[l];
-        let mut out: Vec<f32> = xq.iter().map(|&q| q as f32 * lq.act_scale).collect();
-        for g in 0..lq.num_groups() {
-            if !self.plan.low_groups[l][g] {
-                continue;
-            }
-            let range = self.model.groups.channel_range(g, c_in);
-            let mut idxs: Vec<usize> = Vec::new();
-            for c in range {
-                idxs.extend(gather(c));
-            }
-            let live: Vec<i8> = if self.needs_live() {
-                idxs.iter()
-                    .filter(|&&i| live_ok(i))
-                    .map(|&i| xq[i])
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let rule = self.act_rule(l, g, &live);
-            for &i in &idxs {
-                out[i] = rule.round_trip(xq[i]) as f32 * lq.act_scale;
-            }
-        }
-        out
     }
 
     fn linear_int(&mut self, l: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
@@ -1124,7 +976,7 @@ impl<'m> QuantCompute<'m> {
         // The workspace is taken out of `self` for the duration of the
         // layer so its fields can be borrowed alongside `&self` helpers.
         let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, Some(ActLayout::Rows { c_in }), &mut ws.act_q);
+        self.quantize_act_into(l, x, ActLayout::Rows { c_in }, &mut ws.act_q);
         let low = &self.plan.low_groups[l];
         if self.needs_live() && low.contains(&true) {
             // Dynamic extraction: each low group's rule derives from the
@@ -1257,81 +1109,6 @@ impl<'m> QuantCompute<'m> {
         }
     }
 
-    /// Fake-mode linear over `n` stacked samples of `t` token rows each
-    /// (`n == 1` for the single-sample hook): `x` is any tensor holding
-    /// those `n·t` rows of `C_in`, and the result has its shape with the
-    /// last dim replaced by `C_out`.
-    fn linear_fake_batch(
-        &mut self,
-        l: LayerId,
-        lin: &Linear,
-        x: &Tensor,
-        n: usize,
-        t: usize,
-    ) -> Result<Tensor> {
-        let (rows, c_in) = (n * t, lin.c_in());
-        let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, None, &mut ws.act_q);
-        let row_live = self.row_mask(n, t);
-        let x_eff = self.fake_effective_act(
-            l,
-            &ws.act_q,
-            c_in,
-            |c| (0..rows).map(|r| r * c_in + c).collect(),
-            |i| row_live.as_ref().is_none_or(|v| v[i / c_in]),
-        );
-        self.ws = ws;
-        let x_eff = Tensor::from_vec([n, t, c_in], x_eff)?;
-        let w_eff = self.fake_weight(l)?.clone();
-        let eff = Linear::new(w_eff, lin.bias.clone())?;
-        let y = match &row_live {
-            // Masked batch: pad rows are skipped outright — the padded
-            // pass pays GEMM compute for real tokens only.
-            Some(valid) => eff.forward_batch_masked(&x_eff, valid),
-            None => eff.forward_batch(&x_eff),
-        }?;
-        let mut dims = x.dims().to_vec();
-        *dims.last_mut().expect("input rank checked by the caller") = lin.c_out();
-        Ok(Tensor::from_vec(dims, y.into_vec())?)
-    }
-
-    /// Fake-mode convolution over `n` stacked `[C, h, w]` samples
-    /// (`n == 1`, and no leading axis on `x` or the result, for the
-    /// single-sample hook).
-    fn conv_fake_batch(
-        &mut self,
-        l: LayerId,
-        conv: &Conv2d,
-        x: &Tensor,
-        n: usize,
-        h: usize,
-        w: usize,
-    ) -> Result<Tensor> {
-        let c_in = conv.c_in();
-        let hw = h * w;
-        let chw = c_in * hw;
-        let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, None, &mut ws.act_q);
-        let x_eff = self.fake_effective_act(
-            l,
-            &ws.act_q,
-            c_in,
-            |c| {
-                (0..n)
-                    .flat_map(|s| s * chw + c * hw..s * chw + (c + 1) * hw)
-                    .collect()
-            },
-            |_| true,
-        );
-        self.ws = ws;
-        let x_eff = Tensor::from_vec([n, c_in, h, w], x_eff)?;
-        let w_eff = self.fake_weight(l)?.clone();
-        let eff = Conv2d::new(w_eff, conv.bias.clone(), conv.stride, conv.pad, conv.groups)?;
-        let y = eff.forward_batch(&x_eff)?;
-        let dims = y.dims()[4 - x.dims().len()..].to_vec();
-        Ok(Tensor::from_vec(dims, y.into_vec())?)
-    }
-
     /// Batched integer linear: one quantization and one GEMM per run of
     /// valid rows for the whole `[N(,T), C]` stack.
     fn linear_int_batch(&mut self, l: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
@@ -1388,7 +1165,7 @@ impl<'m> QuantCompute<'m> {
             c_in: conv.c_in(),
             hw: h * w,
         };
-        self.quantize_act_into(l, x, Some(layout), &mut ws.act_q);
+        self.quantize_act_into(l, x, layout, &mut ws.act_q);
         let lq = &self.model.layers[l];
         let pack = self.cache.conv(self.model, &self.opts, l);
         let mut out = vec![0.0f32; n * c_out * cols];
@@ -1434,23 +1211,11 @@ impl<'m> QuantCompute<'m> {
 
 impl Compute for QuantCompute<'_> {
     fn conv2d(&mut self, layer: LayerId, conv: &Conv2d, x: &Tensor) -> Result<Tensor> {
-        match self.opts.mode {
-            ExecMode::Fake => {
-                let (_, h, w) = conv.check_input(x)?;
-                self.conv_fake_batch(layer, conv, x, 1, h, w)
-            }
-            ExecMode::Int => self.conv_int(layer, conv, x),
-        }
+        self.conv_int(layer, conv, x)
     }
 
     fn linear(&mut self, layer: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
-        match self.opts.mode {
-            ExecMode::Fake => {
-                let (t, _) = lin.check_input(x)?;
-                self.linear_fake_batch(layer, lin, x, 1, t)
-            }
-            ExecMode::Int => self.linear_int(layer, lin, x),
-        }
+        self.linear_int(layer, lin, x)
     }
 
     fn conv2d_batch(
@@ -1460,13 +1225,7 @@ impl Compute for QuantCompute<'_> {
         x: &Tensor,
         _n: usize,
     ) -> Result<Tensor> {
-        match self.opts.mode {
-            ExecMode::Fake => {
-                let (n, h, w) = conv.check_input_batch(x)?;
-                self.conv_fake_batch(layer, conv, x, n, h, w)
-            }
-            ExecMode::Int => self.conv_int_batch(layer, conv, x),
-        }
+        self.conv_int_batch(layer, conv, x)
     }
 
     fn linear_batch(
@@ -1476,13 +1235,7 @@ impl Compute for QuantCompute<'_> {
         x: &Tensor,
         _n: usize,
     ) -> Result<Tensor> {
-        match self.opts.mode {
-            ExecMode::Fake => {
-                let (n, t, _) = lin.check_input_batch(x)?;
-                self.linear_fake_batch(layer, lin, x, n, t)
-            }
-            ExecMode::Int => self.linear_int_batch(layer, lin, x),
-        }
+        self.linear_int_batch(layer, lin, x)
     }
 
     fn batch_invariant(&self) -> bool {
@@ -1586,35 +1339,151 @@ mod tests {
         assert!(rel < 0.05, "INT8 relative error {rel}");
     }
 
+    /// The float reconstruction of the integer engine, the oracle its
+    /// divergence is bounded against: weights and activations go through
+    /// `dequantize(round_trip(quantize(·)))` under the plan's low groups,
+    /// then the f32 op runs. A dynamic rule derives from the whole input
+    /// of a feature group, which is what the engine's bands read when a
+    /// conv's groups do not split a feature group and every input pixel
+    /// reaches im2col.
+    struct FloatOracle<'m> {
+        model: &'m QuantizedModel,
+        plan: MixedPlan,
+        opts: QuantExecOptions,
+    }
+
+    impl FloatOracle<'_> {
+        /// Layer `l`'s reconstructed f32 weights (linear `[C_out, C_in]`
+        /// or conv `[C_out, C_in/groups, KH, KW]`).
+        fn weight(&self, l: LayerId) -> Tensor {
+            let lq = &self.model.layers[l];
+            let dims = lq.w_q.dims();
+            let per_o = lq.w_q.numel() / lq.c_out;
+            let c_in_g = dims[1];
+            let khkw = per_o / c_in_g;
+            let c_out_g = lq.c_out / (lq.c_in / c_in_g);
+            let data = (lq.w_q.data().iter().enumerate())
+                .map(|(i, &q)| {
+                    let o = i / per_o;
+                    let c = o / c_out_g * c_in_g + i % per_o / khkw;
+                    let g = self.model.groups.group_of(c);
+                    let v = if self.plan.low_groups[l][g] {
+                        static_w_rule(self.model, &self.opts, l, g, o).round_trip(q)
+                    } else {
+                        q as i32
+                    };
+                    v as f32 * lq.w_scales[o]
+                })
+                .collect();
+            Tensor::from_vec(dims.to_vec(), data).unwrap()
+        }
+
+        /// Layer `l`'s reconstructed input; `channel(i)` is the feature
+        /// channel of element `i`.
+        fn act(&self, l: LayerId, x: &Tensor, channel: impl Fn(usize) -> usize) -> Tensor {
+            let lq = &self.model.layers[l];
+            let p = QParams::new(lq.act_scale, QuantBits::B8).unwrap();
+            let xq: Vec<i8> = x.data().iter().map(|&v| p.quantize(v) as i8).collect();
+            let group = |i: usize| self.model.groups.group_of(channel(i));
+            let rules: Vec<Option<BitLowering>> = (0..lq.num_groups())
+                .map(|g| {
+                    self.plan.low_groups[l][g].then(|| {
+                        if self.opts.batch_invariant() {
+                            return static_a_rule(self.model, &self.opts, l, g);
+                        }
+                        let live: Vec<i8> = (xq.iter().enumerate())
+                            .filter_map(|(i, &q)| (group(i) == g).then_some(q))
+                            .collect();
+                        dynamic_lowering(&live, self.opts.low_bits)
+                    })
+                })
+                .collect();
+            let data = (xq.iter().enumerate())
+                .map(|(i, &q)| rules[group(i)].map_or(q as i32, |r| r.round_trip(q)) as f32)
+                .map(|v| v * lq.act_scale)
+                .collect();
+            Tensor::from_vec(x.dims().to_vec(), data).unwrap()
+        }
+    }
+
+    impl Compute for FloatOracle<'_> {
+        fn conv2d(&mut self, l: LayerId, conv: &Conv2d, x: &Tensor) -> Result<Tensor> {
+            let (c_in, h, w) = conv.check_input(x)?;
+            let x = self.act(l, x, |i| i / (h * w) % c_in);
+            let w = self.weight(l);
+            Conv2d::new(w, conv.bias.clone(), conv.stride, conv.pad, conv.groups)?.forward(&x)
+        }
+
+        fn linear(&mut self, l: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
+            let c_in = lin.c_in();
+            let x = self.act(l, x, |i| i % c_in);
+            Linear::new(self.weight(l), lin.bias.clone())?.forward(&x)
+        }
+    }
+
+    /// Relative L2 distance of the integer engine from the float oracle
+    /// on one input.
+    fn oracle_divergence(
+        g: &Graph,
+        model: &QuantizedModel,
+        plan: &MixedPlan,
+        opts: QuantExecOptions,
+        x: &Tensor,
+    ) -> f32 {
+        let int = run_quantized(g, model, plan, opts, x).unwrap();
+        let mut oracle = FloatOracle {
+            model,
+            plan: plan.clone(),
+            opts,
+        };
+        let float = crate::exec::run(g, x, &mut oracle).unwrap();
+        stats::l2_distance(float.data(), int.data()) / stats::l2_norm(int.data()).max(1e-6)
+    }
+
+    /// Nested plans with the leading `pct` % of every layer's groups low.
+    fn nested_plan(model: &QuantizedModel, pct: usize) -> MixedPlan {
+        let mut plan = MixedPlan::all_high(model);
+        for groups in &mut plan.low_groups {
+            let low = (groups.len() * pct).div_ceil(100);
+            groups[..low].fill(true);
+        }
+        plan
+    }
+
     #[test]
     fn int_and_fake_paths_agree() {
         let (g, model, samples) = prepared(132, 2);
-        for plan in [MixedPlan::all_high(&model), MixedPlan::all_low(&model)] {
-            let fake = run_quantized(
-                &g,
-                &model,
-                &plan,
-                QuantExecOptions {
-                    mode: ExecMode::Fake,
-                    ..Default::default()
-                },
-                &samples[1],
-            )
-            .unwrap();
-            let int = run_quantized(
-                &g,
-                &model,
-                &plan,
-                QuantExecOptions {
-                    mode: ExecMode::Int,
-                    ..Default::default()
-                },
-                &samples[1],
-            )
-            .unwrap();
-            let rel =
-                stats::l2_distance(fake.data(), int.data()) / stats::l2_norm(int.data()).max(1e-6);
-            assert!(rel < 1e-4, "paths disagree: {rel}");
+        let vit = crate::zoo::ModelId::ViTS;
+        let vit_graph = vit.build(crate::zoo::Scale::Test).unwrap();
+        let dims = vit.input_dims(crate::zoo::Scale::Test);
+        let vit_samples = crate::data::gen_image_inputs(4, &dims, 132);
+        let calib = calibrate_default(&vit_graph, &vit_samples).unwrap();
+        let vit_model = QuantizedModel::prepare(&vit_graph, &calib, GroupSpec::new(4)).unwrap();
+        let inputs = [
+            ("qtest", &g, &model, &samples[1]),
+            ("ViT-S", &vit_graph, &vit_model, &vit_samples[1]),
+        ];
+        for (name, g, model, x) in inputs {
+            for low_bits in [QuantBits::B4, QuantBits::B2] {
+                for (dynamic_extract, naive_lowering) in
+                    [(false, false), (true, false), (false, true)]
+                {
+                    let opts = QuantExecOptions {
+                        low_bits,
+                        dynamic_extract,
+                        naive_lowering,
+                        ..Default::default()
+                    };
+                    for pct in [0, 25, 50, 75, 100] {
+                        let rel = oracle_divergence(g, model, &nested_plan(model, pct), opts, x);
+                        println!(
+                            "{name} {low_bits:?} dynamic={dynamic_extract} naive={naive_lowering} \
+                             {pct:>3}% low: rel L2 {rel:.2e}"
+                        );
+                        assert!(rel < 1e-4, "{name} {opts:?} at {pct}%: Int vs oracle {rel}");
+                    }
+                }
+            }
         }
     }
 
@@ -1704,31 +1573,9 @@ mod tests {
         let calib = calibrate_default(&g, &samples).unwrap();
         let model = QuantizedModel::prepare(&g, &calib, GroupSpec::new(2)).unwrap();
         for plan in [MixedPlan::all_high(&model), MixedPlan::all_low(&model)] {
-            let fake = run_quantized(
-                &g,
-                &model,
-                &plan,
-                QuantExecOptions {
-                    mode: ExecMode::Fake,
-                    ..Default::default()
-                },
-                &samples[0],
-            )
-            .unwrap();
-            let int = run_quantized(
-                &g,
-                &model,
-                &plan,
-                QuantExecOptions {
-                    mode: ExecMode::Int,
-                    ..Default::default()
-                },
-                &samples[0],
-            )
-            .unwrap();
-            let rel =
-                stats::l2_distance(fake.data(), int.data()) / stats::l2_norm(int.data()).max(1e-6);
-            assert!(rel < 1e-4, "depthwise paths disagree: {rel}");
+            let opts = QuantExecOptions::default();
+            let rel = oracle_divergence(&g, &model, &plan, opts, &samples[0]);
+            assert!(rel < 1e-4, "depthwise Int vs oracle: {rel}");
         }
     }
 
@@ -1744,23 +1591,14 @@ mod tests {
             MixedPlan::all_low(&model),
             mixed,
         ] {
-            for mode in [ExecMode::Fake, ExecMode::Int] {
-                let opts = QuantExecOptions {
-                    mode,
-                    ..Default::default()
-                };
-                let yb = run_quantized_batch(&g, &model, &plan, opts, &stacked).unwrap();
-                for (i, s) in samples[..4].iter().enumerate() {
-                    let yi = run_quantized(&g, &model, &plan, opts, s).unwrap();
-                    let ybi = yb.index_axis0(i).unwrap();
-                    assert_eq!(ybi.dims(), yi.dims());
-                    for (a, b) in ybi.data().iter().zip(yi.data().iter()) {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{mode:?} batched diverged at sample {i}"
-                        );
-                    }
+            let opts = QuantExecOptions::default();
+            let yb = run_quantized_batch(&g, &model, &plan, opts, &stacked).unwrap();
+            for (i, s) in samples[..4].iter().enumerate() {
+                let yi = run_quantized(&g, &model, &plan, opts, s).unwrap();
+                let ybi = yb.index_axis0(i).unwrap();
+                assert_eq!(ybi.dims(), yi.dims());
+                for (a, b) in ybi.data().iter().zip(yi.data().iter()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "batched diverged at sample {i}");
                 }
             }
         }
@@ -1781,17 +1619,12 @@ mod tests {
         let model = QuantizedModel::prepare(&g, &calib, GroupSpec::new(2)).unwrap();
         let stacked = Tensor::stack(&samples).unwrap();
         for plan in [MixedPlan::all_high(&model), MixedPlan::all_low(&model)] {
-            for mode in [ExecMode::Fake, ExecMode::Int] {
-                let opts = QuantExecOptions {
-                    mode,
-                    ..Default::default()
-                };
-                let yb = run_quantized_batch(&g, &model, &plan, opts, &stacked).unwrap();
-                for (i, s) in samples.iter().enumerate() {
-                    let yi = run_quantized(&g, &model, &plan, opts, s).unwrap();
-                    for (a, b) in yb.index_axis0(i).unwrap().data().iter().zip(yi.data()) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{mode:?} depthwise sample {i}");
-                    }
+            let opts = QuantExecOptions::default();
+            let yb = run_quantized_batch(&g, &model, &plan, opts, &stacked).unwrap();
+            for (i, s) in samples.iter().enumerate() {
+                let yi = run_quantized(&g, &model, &plan, opts, s).unwrap();
+                for (a, b) in yb.index_axis0(i).unwrap().data().iter().zip(yi.data()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "depthwise sample {i}");
                 }
             }
         }
@@ -1821,10 +1654,7 @@ mod tests {
     fn pack_cache_is_bit_exact_with_uncached_and_hits_on_reuse() {
         let _gate = cache_test_lock();
         let (g, model, samples) = prepared(141, 2);
-        let opts = QuantExecOptions {
-            mode: ExecMode::Int,
-            ..Default::default()
-        };
+        let opts = QuantExecOptions::default();
         let mut mixed = MixedPlan::all_high(&model);
         mixed.low_groups[0][1] = true;
         mixed.low_groups[1][0] = true;
@@ -1869,10 +1699,7 @@ mod tests {
         let _gate = cache_test_lock();
         let (g, model, samples) = prepared(142, 2);
         let stacked = Tensor::stack(&samples[..4]).unwrap();
-        let opts = QuantExecOptions {
-            mode: ExecMode::Int,
-            ..Default::default()
-        };
+        let opts = QuantExecOptions::default();
         let cache = Arc::new(PackCache::new());
         let mut mixed = MixedPlan::all_high(&model);
         mixed.low_groups[0][0] = true;
@@ -1892,16 +1719,9 @@ mod tests {
     fn pack_cache_prewarm_covers_every_band() {
         let _gate = cache_test_lock();
         let (g, model, samples) = prepared(143, 2);
-        let opts = QuantExecOptions {
-            mode: ExecMode::Int,
-            ..Default::default()
-        };
+        let opts = QuantExecOptions::default();
         let plans = [MixedPlan::all_high(&model), MixedPlan::all_low(&model)];
-        // The Fake engine reads no packed weights: nothing to warm.
-        let fake = QuantExecOptions::default();
         let cache = Arc::new(PackCache::new());
-        cache.prewarm(&g, &model, fake, &plans).unwrap();
-        assert_eq!(cache.resident_bytes(), 0, "prewarm built panels for Fake");
         cache.prewarm(&g, &model, opts, &plans).unwrap();
         let warm_bytes = cache.resident_bytes();
         assert!(warm_bytes > 0, "prewarm built nothing");
@@ -1926,10 +1746,7 @@ mod tests {
     fn pack_cache_invalidate_and_option_change_rebuild() {
         let _gate = cache_test_lock();
         let (g, model, samples) = prepared(144, 2);
-        let opts = QuantExecOptions {
-            mode: ExecMode::Int,
-            ..Default::default()
-        };
+        let opts = QuantExecOptions::default();
         let plan = MixedPlan::all_low(&model);
         let cache = Arc::new(PackCache::new());
         let y0 = run_cached(&g, &model, &plan, opts, Some(cache.clone()), &samples[0]);
@@ -1942,7 +1759,6 @@ mod tests {
         // Changing the lowering options must flush stale entries (the
         // fingerprint, not the caller, owns this) and still be exact.
         let opts2 = QuantExecOptions {
-            mode: ExecMode::Int,
             low_bits: QuantBits::B2,
             ..Default::default()
         };
@@ -2067,10 +1883,10 @@ mod tests {
                     [(false, false), (true, false), (false, true)]
                 {
                     let opts = QuantExecOptions {
-                        mode: ExecMode::Int,
                         dynamic_extract,
                         low_bits: QuantBits::new(bits).unwrap(),
                         naive_lowering,
+                        ..Default::default()
                     };
                     let what = format!("trial {trial} B{bits} {opts:?} low={low:?}");
                     let mut hook = QuantCompute::new(&model, plan.clone(), opts).unwrap();

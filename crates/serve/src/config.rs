@@ -286,4 +286,120 @@ mod tests {
         };
         assert!(c.validate().is_err());
     }
+
+    /// Draws field values from tables of extremes, one index per field.
+    struct Draw(std::vec::IntoIter<usize>);
+
+    impl Draw {
+        fn pick<T: Copy>(&mut self, table: &[T]) -> T {
+            table[self.0.next().expect("enough draws") % table.len()]
+        }
+    }
+
+    const F64S: [f64; 12] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        1e-300,
+        0.25,
+        0.5,
+        0.75,
+        1.0 - f64::EPSILON,
+        1.0,
+        1.0 + f64::EPSILON,
+    ];
+    const DURATIONS: [Duration; 4] = [
+        Duration::ZERO,
+        Duration::from_nanos(1),
+        Duration::from_millis(2),
+        Duration::MAX,
+    ];
+    const USIZES: [usize; 3] = [0, 1, usize::MAX];
+    const U32S: [u32; 3] = [0, 1, u32::MAX];
+    const U64S: [u64; 3] = [0, 1, u64::MAX];
+
+    proptest::proptest! {
+        /// Every config's `validate` is total over extreme values: it
+        /// returns `Ok` or a typed error, never panics, and an `Ok` holds
+        /// finite fractions inside their ranges. Nothing is started.
+        #[test]
+        fn validate_never_panics(draws in proptest::collection::vec(0usize..1 << 16, 48)) {
+            let mut d = Draw(draws.into_iter());
+            let frac = |v: f64| v.is_finite() && (0.0..=1.0).contains(&v);
+            let fault = FaultConfig {
+                seed: d.pick(&U64S),
+                worker_panic: d.pick(&F64S),
+                worker_death: d.pick(&F64S),
+                slow_pass: d.pick(&F64S),
+                slow: d.pick(&DURATIONS),
+                poison_input: d.pick(&F64S),
+                queue_stall: d.pick(&F64S),
+                stall: d.pick(&DURATIONS),
+                scheduler_panic: d.pick(&F64S),
+            };
+            let serve = ServeConfig {
+                max_batch: d.pick(&USIZES),
+                batch_timeout: d.pick(&DURATIONS),
+                queue_capacity: d.pick(&USIZES),
+                workers: d.pick(&USIZES),
+                pool_threads: d.pick(&[None, Some(0), Some(1), Some(usize::MAX)]),
+                default_deadline: d.pick(&[None, Some(Duration::ZERO), Some(Duration::MAX)]),
+                trace_sample_rate: d.pick(&F64S),
+                brownout: BrownoutConfig {
+                    enabled: d.pick(&[false, true]),
+                    degrade_frac: d.pick(&F64S),
+                    shed_frac: d.pick(&F64S),
+                    recover_frac: d.pick(&F64S),
+                    miss_threshold: d.pick(&U64S),
+                    escalate_ticks: d.pick(&U32S),
+                    recover_ticks: d.pick(&U32S),
+                },
+                fault: d.pick(&[None, Some(())]).map(|()| fault),
+                control: ControlConfig {
+                    target: d.pick(&DURATIONS),
+                    percentile: d.pick(&F64S),
+                    window: d.pick(&DURATIONS),
+                    down_margin: d.pick(&F64S),
+                    min_samples: d.pick(&USIZES),
+                    tick: d.pick(&DURATIONS),
+                    hold: d.pick(&DURATIONS),
+                },
+            };
+            if serve.validate().is_ok() {
+                let (b, c) = (&serve.brownout, &serve.control);
+                assert!(frac(serve.trace_sample_rate), "{serve:?}");
+                assert!(frac(c.percentile) && frac(c.down_margin) && c.down_margin < 1.0);
+                assert!(frac(b.recover_frac) && frac(b.degrade_frac) && frac(b.shed_frac));
+                assert!(b.recover_frac < b.degrade_frac && b.degrade_frac <= b.shed_frac);
+                if let Some(f) = &serve.fault {
+                    let rates = [f.worker_panic, f.worker_death, f.slow_pass];
+                    let more = [f.poison_input, f.queue_stall, f.scheduler_panic];
+                    assert!(rates.into_iter().chain(more).all(frac), "{f:?}");
+                }
+            }
+            let decode = crate::DecodeConfig {
+                max_active: d.pick(&USIZES),
+                max_new_tokens: d.pick(&USIZES),
+                continuous: d.pick(&[false, true]),
+                queue_capacity: d.pick(&USIZES),
+                batch_timeout: d.pick(&DURATIONS),
+            };
+            if decode.validate().is_ok() {
+                assert!(decode.max_active > 0 && decode.queue_capacity > 0, "{decode:?}");
+            }
+            let backoff = crate::BackoffPolicy {
+                base: d.pick(&DURATIONS),
+                cap: d.pick(&DURATIONS),
+                factor: d.pick(&F64S),
+                jitter: d.pick(&F64S),
+                max_retries: d.pick(&U32S),
+            };
+            if backoff.validate().is_ok() {
+                assert!(backoff.factor.is_finite() && backoff.factor >= 1.0, "{backoff:?}");
+                assert!(frac(backoff.jitter) && backoff.base <= backoff.cap, "{backoff:?}");
+            }
+        }
+    }
 }

@@ -404,7 +404,8 @@ fn scheduler_loop(shared: &Shared<GenQueued>, cfg: &DecodeConfig) {
     let mut live = Live {
         metrics,
         drafted: VecDeque::new(),
-        active: Vec::with_capacity(cfg.max_active),
+        // Grows with the sessions admitted: `max_active` is a bound.
+        active: Vec::new(),
     };
     loop {
         // Injected scheduler death: fires before any state mutation so
@@ -542,6 +543,26 @@ mod tests {
         assert_eq!(resp.prompt_len, 3);
         assert_eq!(resp.level, 0);
         assert!(resp.ttft <= resp.ttft + resp.decode_time);
+    }
+
+    /// Caps at `usize::MAX` pass `validate`, so they must serve: the
+    /// scheduler's slots and the queue allocate by occupancy.
+    #[test]
+    fn caps_at_usize_max_complete_a_generation() {
+        let (rt, seqs) = tiny_lm_runtime();
+        rt.set_level(0).unwrap();
+        let prompt = seqs[0].slice_axis0(3).unwrap();
+        let want = offline_greedy(&rt, &prompt, 4);
+        let cfg = DecodeConfig {
+            max_active: usize::MAX,
+            queue_capacity: usize::MAX,
+            max_new_tokens: 4,
+            ..DecodeConfig::default()
+        };
+        let server = DecodeServer::start(Arc::clone(&rt), cfg).unwrap();
+        let resp = server.submit(prompt).unwrap().wait().unwrap();
+        server.shutdown();
+        assert_eq!(resp.tokens, want);
     }
 
     #[test]

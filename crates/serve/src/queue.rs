@@ -83,11 +83,13 @@ fn fill<T>(
 }
 
 impl<T> AdmissionQueue<T> {
-    /// Creates a queue holding at most `capacity` requests.
+    /// Creates a queue holding at most `capacity` requests. Storage
+    /// grows with occupancy, so any `capacity` up to `usize::MAX` is a
+    /// bound, not an allocation.
     pub fn new(capacity: usize) -> Self {
         AdmissionQueue {
             inner: Mutex::new(Inner {
-                deque: VecDeque::with_capacity(capacity),
+                deque: VecDeque::new(),
                 closed: false,
             }),
             arrived: Condvar::new(),
@@ -188,7 +190,9 @@ impl<T> AdmissionQueue<T> {
         // Phase 1: wait for the first request.
         loop {
             if let Some(first) = inner.deque.pop_front() {
-                let mut batch = Vec::with_capacity(max_batch);
+                // Sized by what is queued, not by the cap, which may be
+                // `usize::MAX`.
+                let mut batch = Vec::with_capacity(max_batch.min(1 + inner.deque.len()));
                 batch.push(first);
                 // Phase 2: fill until full or the batching window closes.
                 let t0 = Instant::now();
@@ -273,6 +277,22 @@ mod tests {
             "full batch waited for timeout"
         );
         assert_eq!(q.depth(), 0);
+    }
+
+    /// `usize::MAX` is a valid cap for both the queue and the batch:
+    /// nothing is sized by it up front.
+    #[test]
+    fn caps_at_usize_max_allocate_by_occupancy() {
+        let q = AdmissionQueue::new(usize::MAX);
+        assert_eq!(q.capacity(), usize::MAX);
+        for i in 0..3 {
+            q.try_push(req(i)).unwrap();
+        }
+        let (batch, depth_left) = q.pop_batch(usize::MAX, Duration::ZERO).unwrap();
+        assert_eq!((batch.len(), depth_left), (3, 0));
+        q.try_push(req(3)).unwrap();
+        let (batch, _) = q.try_pop_batch_bucketed(usize::MAX, |_| Some(1));
+        assert_eq!(batch.len(), 1);
     }
 
     #[test]

@@ -234,6 +234,28 @@ mod tests {
         assert!(s.p50_s > 0.0 && s.p50_s <= s.p95_s && s.p95_s <= s.p99_s);
     }
 
+    /// Caps at `usize::MAX` pass `validate`, so they must serve: the
+    /// queue and the batch allocate by occupancy, never by the cap.
+    #[test]
+    fn caps_at_usize_max_serve_bit_exact() {
+        let (rt, inputs) = tiny_runtime();
+        let cfg = ServeConfig {
+            workers: 1,
+            pool_threads: Some(1),
+            max_batch: usize::MAX,
+            queue_capacity: usize::MAX,
+            batch_timeout: Duration::ZERO,
+            ..Default::default()
+        };
+        let server = Server::start_fixed(Arc::clone(&rt), cfg).unwrap();
+        let r = server.submit(inputs[0].clone()).unwrap().wait().unwrap();
+        let want = rt.infer(&inputs[0]).unwrap();
+        for (a, b) in r.output.data().iter().zip(want.data()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(server.shutdown().completed, 1);
+    }
+
     #[test]
     fn start_fixed_never_switches_the_level() {
         let (rt, inputs) = tiny_runtime();

@@ -52,7 +52,7 @@
 //!
 //! **Steady-state allocation:** worker threads are long-lived, so the
 //! per-thread scratch the execution stack uses underneath — the
-//! quantized engines' `flexiq_nn::workspace::Workspace` and the blocked
+//! quantized engine's `flexiq_nn::workspace::Workspace` and the blocked
 //! GEMM kernels' packing pools — warms up on a worker's first dispatch
 //! and is reused for every dispatch after it. Under sustained load the
 //! linear/conv hot path stops touching the allocator entirely (the

@@ -1505,7 +1505,7 @@ impl DenseLhs {
 /// per output row, and — when built under an ISA with a dense
 /// low-range tile and lowered to four bits or fewer — the block's
 /// prepacked dense lhs tiles. The owned operand of
-/// [`LowBands`]; the quantized engines cache one per
+/// [`LowBands`]; the quantized engine caches one per
 /// (layer, conv group, feature group).
 #[derive(Debug, Clone)]
 pub struct LowBandLhs {

@@ -4,7 +4,7 @@
 //! common bucket length `T`, how many leading positions of each sample are
 //! real. The mask is the contract that makes padded batching *inert*:
 //! every consumer (masked softmax, masked pooling, masked live-value
-//! gathering in the quantized engines) promises that positions at or
+//! gathering in the quantized engine) promises that positions at or
 //! beyond a sample's length never influence that sample's — or any other
 //! sample's — valid outputs.
 //!

@@ -31,7 +31,6 @@ use flexiq::core::pipeline::{prepare, FlexiQConfig};
 use flexiq::core::runtime::LEVEL_INT8;
 use flexiq::core::selection::Strategy;
 use flexiq::nn::data::gen_image_inputs;
-use flexiq::nn::qexec::{ExecMode, QuantExecOptions};
 use flexiq::nn::zoo::{ModelId, Scale};
 use flexiq::parallel::ThreadPool;
 use flexiq::tensor::gemm;
@@ -141,12 +140,8 @@ fn int_runtime() -> (flexiq::core::FlexiRuntime, Vec<flexiq::tensor::Tensor>) {
     let graph = id.build(Scale::Test).unwrap();
     let calib = gen_image_inputs(6, &id.input_dims(Scale::Test), 0xA110C2);
     let prepared = prepare(&graph, &calib, &FlexiQConfig::new(4, Strategy::Greedy)).unwrap();
-    let rt = prepared.runtime.with_exec_options(QuantExecOptions {
-        mode: ExecMode::Int,
-        ..Default::default()
-    });
     let inputs = gen_image_inputs(4, &id.input_dims(Scale::Test), 0xA110C3);
-    (rt, inputs)
+    (prepared.runtime, inputs)
 }
 
 #[test]
@@ -301,12 +296,8 @@ fn grouped_int_runtime() -> (flexiq::core::FlexiRuntime, Vec<flexiq::tensor::Ten
     let graph = id.build(Scale::Test).unwrap();
     let calib = gen_image_inputs(6, &id.input_dims(Scale::Test), 0xA110C4);
     let prepared = prepare(&graph, &calib, &FlexiQConfig::new(4, Strategy::Greedy)).unwrap();
-    let rt = prepared.runtime.with_exec_options(QuantExecOptions {
-        mode: ExecMode::Int,
-        ..Default::default()
-    });
     let inputs = gen_image_inputs(4, &id.input_dims(Scale::Test), 0xA110C5);
-    (rt, inputs)
+    (prepared.runtime, inputs)
 }
 
 #[test]

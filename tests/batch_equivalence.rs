@@ -16,7 +16,6 @@ use flexiq::core::runtime::LEVEL_INT8;
 use flexiq::core::selection::Strategy;
 use flexiq::core::FlexiRuntime;
 use flexiq::nn::data::gen_image_inputs;
-use flexiq::nn::qexec::{ExecMode, QuantExecOptions};
 use flexiq::nn::zoo::{ModelId, Scale};
 use flexiq::tensor::Tensor;
 use proptest::prelude::*;
@@ -130,24 +129,14 @@ fn int_mode_batched_bit_exact_at_every_level() {
     for fixture in [conv_fixture(), attn_fixture()] {
         let guard = fixture.lock().unwrap();
         let (rt, inputs) = &*guard;
-        let int_rt = FlexiRuntime::new(
-            rt.graph().clone(),
-            rt.model().clone(),
-            rt.schedule().clone(),
-            QuantExecOptions {
-                mode: ExecMode::Int,
-                ..Default::default()
-            },
-        )
-        .unwrap();
         let mut levels = vec![LEVEL_INT8];
-        levels.extend(0..int_rt.num_levels());
+        levels.extend(0..rt.num_levels());
         for level in levels {
-            int_rt.set_level(level).unwrap();
-            let (ys, ran_at) = int_rt.infer_batch_traced(&inputs[..3]).unwrap();
+            rt.set_level(level).unwrap();
+            let (ys, ran_at) = rt.infer_batch_traced(&inputs[..3]).unwrap();
             assert_eq!(ran_at, level);
             for (i, x) in inputs[..3].iter().enumerate() {
-                let yi = int_rt.infer(x).unwrap();
+                let yi = rt.infer(x).unwrap();
                 for (a, b) in ys[i].data().iter().zip(yi.data().iter()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "int level {level} sample {i}");
                 }

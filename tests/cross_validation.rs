@@ -243,10 +243,7 @@ fn quantized_executor_int_path_matches_gpu_kernel_for_a_linear_layer() {
 
     // Execute through the integer engine at 100% 4-bit.
     let plan = MixedPlan::all_low(&model);
-    let opts = QuantExecOptions {
-        mode: flexiq::nn::qexec::ExecMode::Int,
-        ..Default::default()
-    };
+    let opts = QuantExecOptions::default();
     let y_engine = run_quantized(&g, &model, &plan, opts, &samples[0]).unwrap();
 
     // Execute through the GPU functional kernel on the same quantized

@@ -2,11 +2,10 @@
 //!
 //! The tentpole invariant: **N incremental decode steps are
 //! bit-identical to one full-context forward over the same prefix** —
-//! at every ratio level (including pure 8-bit), in Fake and Int
-//! execution, under 1/2/4 intra-op threads, for every KV-cache spec
-//! (f32, int8, and the paper's mixed effective-bit representation with
-//! 4-bit bands carved from the live 8-bit values), with the
-//! prepacked-weight cache on or forced off.
+//! at every ratio level (including pure 8-bit), under 1/2/4 intra-op
+//! threads, for every KV-cache spec (f32, int8, and the paper's mixed
+//! effective-bit representation with 4-bit bands carved from the live
+//! 8-bit values).
 //!
 //! The identity is *by construction*: when a non-f32
 //! [`KvSpec`] is installed, full-context attention routes through the
@@ -31,7 +30,6 @@ use flexiq::core::selection::Strategy;
 use flexiq::core::{DecodeSession, FlexiRuntime};
 use flexiq::nn::data::{gen_token_stream, lm_sequences};
 use flexiq::nn::kv::KvSpec;
-use flexiq::nn::qexec::{ExecMode, QuantExecOptions};
 use flexiq::nn::zoo::{ModelId, Scale, TinyLmCfg};
 use flexiq::parallel::ThreadPool;
 use flexiq::tensor::Tensor;
@@ -67,7 +65,7 @@ fn base() -> &'static (FlexiRuntime, Vec<Tensor>) {
     })
 }
 
-fn runtime(mode: ExecMode, spec: KvSpec) -> FlexiRuntime {
+fn runtime(spec: KvSpec) -> FlexiRuntime {
     let (b, _) = base();
     FlexiRuntime::new(
         b.graph().clone(),
@@ -76,10 +74,6 @@ fn runtime(mode: ExecMode, spec: KvSpec) -> FlexiRuntime {
         Default::default(),
     )
     .unwrap()
-    .with_exec_options(QuantExecOptions {
-        mode,
-        ..Default::default()
-    })
     .with_kv_spec(spec)
 }
 
@@ -117,25 +111,18 @@ fn check_decode_matches_full(rt: &FlexiRuntime, seq: &Tensor, prompt_len: usize,
     }
 }
 
-/// Every mode × KV spec × level, single-threaded: the exhaustive sweep
-/// of the bit-exactness matrix (thread counts get their own sweep).
+/// Every KV spec × level, single-threaded: the exhaustive sweep of the
+/// bit-exactness matrix (thread counts get their own sweep).
 #[test]
 fn decode_matches_full_forward_at_every_level_and_spec() {
     let (_, seqs) = base();
-    for mode in [ExecMode::Fake, ExecMode::Int] {
-        for spec in specs() {
-            let rt = runtime(mode, spec);
-            let mut levels = vec![LEVEL_INT8];
-            levels.extend(0..rt.num_levels());
-            for level in levels {
-                rt.set_level(level).unwrap();
-                check_decode_matches_full(
-                    &rt,
-                    &seqs[5],
-                    3,
-                    &format!("{mode:?} {spec:?} level {level}"),
-                );
-            }
+    for spec in specs() {
+        let rt = runtime(spec);
+        let mut levels = vec![LEVEL_INT8];
+        levels.extend(0..rt.num_levels());
+        for level in levels {
+            rt.set_level(level).unwrap();
+            check_decode_matches_full(&rt, &seqs[5], 3, &format!("{spec:?} level {level}"));
         }
     }
 }
@@ -146,7 +133,7 @@ fn decode_matches_full_forward_at_every_level_and_spec() {
 #[test]
 fn decode_matches_full_forward_under_every_thread_count() {
     let (_, seqs) = base();
-    let rt = runtime(ExecMode::Int, KvSpec::mixed(2, 0.5));
+    let rt = runtime(KvSpec::mixed(2, 0.5));
     rt.set_level(0).unwrap();
     let mut single: Option<Vec<u32>> = None;
     for threads in THREADS {
@@ -174,7 +161,7 @@ fn decode_matches_full_forward_under_every_thread_count() {
 #[test]
 fn fused_steps_match_per_session_steps_across_threads() {
     let (_, seqs) = base();
-    let rt = runtime(ExecMode::Int, KvSpec::mixed(2, 1.0));
+    let rt = runtime(KvSpec::mixed(2, 1.0));
     rt.set_level(1).unwrap();
     for threads in THREADS {
         let pool = ThreadPool::new(threads);
@@ -204,7 +191,7 @@ fn fused_steps_match_per_session_steps_across_threads() {
 fn mid_decode_level_flips_are_prefix_stable_and_deterministic() {
     let (_, seqs) = base();
     for spec in [KvSpec::f32(), KvSpec::mixed(2, 0.5)] {
-        let rt = runtime(ExecMode::Int, spec);
+        let rt = runtime(spec);
         let seq = &seqs[5];
         let prompt = seq.slice_axis0(3).unwrap();
         let flip_at = 6; // step index where the level changes
@@ -250,20 +237,18 @@ fn mid_decode_level_flips_are_prefix_stable_and_deterministic() {
 
 proptest! {
     /// Randomized sweep of the same theorem: any prompt length, any
-    /// level, either mode, any KV spec, any pool size.
+    /// level, any KV spec, any pool size.
     #[test]
     fn decode_matches_full_forward_randomized(
         seq_idx in 4usize..8,
         prompt_len in 1usize..8,
         level_idx in 0usize..8,
-        mode_int in 0usize..2,
         spec_idx in 0usize..4,
         threads_idx in 0usize..3,
     ) {
         let (_, seqs) = base();
-        let mode = if mode_int == 1 { ExecMode::Int } else { ExecMode::Fake };
         let spec = specs()[spec_idx];
-        let rt = runtime(mode, spec);
+        let rt = runtime(spec);
         let mut levels = vec![LEVEL_INT8];
         levels.extend(0..rt.num_levels());
         let level = levels[level_idx % levels.len()];
@@ -275,7 +260,7 @@ proptest! {
                 &rt,
                 &seqs[seq_idx],
                 prompt_len,
-                &format!("prop {mode:?} {spec:?} level {level}"),
+                &format!("prop {spec:?} level {level}"),
             );
         });
     }

@@ -29,7 +29,7 @@ use flexiq::nn::exec::{self, Compute};
 use flexiq::nn::graph::LayerId;
 use flexiq::nn::ops::{Conv2d, Linear};
 use flexiq::nn::qexec::{
-    ExecMode, LayerQuant, MixedPlan, PackCache, QuantCompute, QuantExecOptions, QuantizedModel,
+    LayerQuant, MixedPlan, PackCache, QuantCompute, QuantExecOptions, QuantizedModel,
 };
 use flexiq::nn::zoo::{ModelId, Scale};
 use flexiq::quant::dynamic::dynamic_lowering;
@@ -318,10 +318,10 @@ fn modes() -> Vec<QuantExecOptions> {
     for low_bits in [QuantBits::B4, QuantBits::B2] {
         for (dynamic_extract, naive_lowering) in [(false, false), (false, true), (true, false)] {
             out.push(QuantExecOptions {
-                mode: ExecMode::Int,
                 dynamic_extract,
                 low_bits,
                 naive_lowering,
+                ..Default::default()
             });
         }
     }
@@ -601,12 +601,7 @@ fn linear_matches_the_oracle_in_every_mode() {
 fn network_matches_the_oracle(id: ModelId) {
     let graph = id.build(Scale::Test).unwrap();
     let inputs = gen_image_inputs(10, &id.input_dims(Scale::Test), 0x10BA ^ id as u64);
-    let opts = QuantExecOptions {
-        mode: ExecMode::Int,
-        ..Default::default()
-    };
-    let mut cfg = FlexiQConfig::new(4, Strategy::Greedy);
-    cfg.exec = opts;
+    let cfg = FlexiQConfig::new(4, Strategy::Greedy);
     let rt = prepare(&graph, &inputs[..8], &cfg).unwrap().runtime;
     rt.prewarm_levels().unwrap();
     let probe = &inputs[8..];
@@ -615,7 +610,7 @@ fn network_matches_the_oracle(id: ModelId) {
         let mut oracle = OracleHook {
             model: rt.model(),
             plan: rt.current_plan(),
-            opts,
+            opts: QuantExecOptions::default(),
         };
         let batch = rt.infer_batch(probe).unwrap();
         for (x, from_batch) in probe.iter().zip(&batch) {

@@ -5,7 +5,7 @@
 //! serial reduction order. Running under a multi-thread
 //! `flexiq-parallel` pool must therefore be **bit-exact** with the
 //! 1-thread serial fallback — per sample, at every ratio level, at
-//! every thread count, for both execution modes. Verified on three
+//! every thread count. Verified on three
 //! networks prepared through the full pipeline, i.e. the graphs the
 //! serving stack actually executes: a convolutional network
 //! (ResNet-20), an attention network (ViT-S) and a depthwise network
@@ -18,7 +18,6 @@ use flexiq::core::runtime::LEVEL_INT8;
 use flexiq::core::selection::Strategy;
 use flexiq::core::FlexiRuntime;
 use flexiq::nn::data::gen_image_inputs;
-use flexiq::nn::qexec::{ExecMode, QuantExecOptions};
 use flexiq::nn::zoo::{ModelId, Scale};
 use flexiq::parallel::ThreadPool;
 use flexiq::tensor::Tensor;
@@ -115,25 +114,4 @@ fn depthwise_net_parallel_is_bit_exact_across_levels_and_threads() {
     let guard = depthwise_fixture().lock().unwrap();
     let (rt, inputs) = &*guard;
     assert_parallel_serial_bit_exact(rt, &inputs[..4]);
-}
-
-/// The exact integer path (band GEMMs, bit-extracted operands, shifted
-/// accumulation) is also thread-count invariant at every level.
-#[test]
-fn int_mode_parallel_is_bit_exact_across_levels_and_threads() {
-    for fixture in [conv_fixture(), attn_fixture(), depthwise_fixture()] {
-        let guard = fixture.lock().unwrap();
-        let (rt, inputs) = &*guard;
-        let int_rt = FlexiRuntime::new(
-            rt.graph().clone(),
-            rt.model().clone(),
-            rt.schedule().clone(),
-            QuantExecOptions {
-                mode: ExecMode::Int,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_parallel_serial_bit_exact(&int_rt, &inputs[..2]);
-    }
 }

@@ -18,7 +18,7 @@ use flexiq::core::pipeline::{prepare, FlexiQConfig};
 use flexiq::core::runtime::LEVEL_INT8;
 use flexiq::core::selection::Strategy;
 use flexiq::nn::data::gen_image_inputs;
-use flexiq::nn::qexec::{run_quantized, ExecMode, QuantExecOptions};
+use flexiq::nn::qexec::{run_quantized, QuantExecOptions};
 use flexiq::nn::zoo::{ModelId, Scale};
 use flexiq::parallel::ThreadPool;
 use flexiq::tensor::gemm;
@@ -208,12 +208,8 @@ fn int_runtime() -> (flexiq::core::FlexiRuntime, Vec<flexiq::tensor::Tensor>) {
     let graph = id.build(Scale::Test).unwrap();
     let calib = gen_image_inputs(6, &id.input_dims(Scale::Test), 0x9AC7);
     let prepared = prepare(&graph, &calib, &FlexiQConfig::new(4, Strategy::Greedy)).unwrap();
-    let rt = prepared.runtime.with_exec_options(QuantExecOptions {
-        mode: ExecMode::Int,
-        ..Default::default()
-    });
     let inputs = gen_image_inputs(6, &id.input_dims(Scale::Test), 0x9AC8);
-    (rt, inputs)
+    (prepared.runtime, inputs)
 }
 
 /// Level switches mid-stream over a prewarmed cache: every output must
@@ -225,10 +221,7 @@ fn level_flips_mid_stream_match_uncached_oracle() {
     let _gate = toggle_lock();
     let (rt, inputs) = int_runtime();
     rt.prewarm_levels().unwrap();
-    let opts = QuantExecOptions {
-        mode: ExecMode::Int,
-        ..Default::default()
-    };
+    let opts = QuantExecOptions::default();
     let mut levels = vec![LEVEL_INT8];
     levels.extend(0..rt.num_levels());
     for (i, x) in inputs.iter().enumerate() {

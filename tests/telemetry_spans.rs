@@ -28,7 +28,6 @@ use flexiq::core::runtime::LEVEL_INT8;
 use flexiq::core::selection::Strategy;
 use flexiq::core::FlexiRuntime;
 use flexiq::nn::data::gen_image_inputs;
-use flexiq::nn::qexec::{ExecMode, QuantExecOptions};
 use flexiq::nn::zoo::{ModelId, Scale};
 use flexiq::parallel::ThreadPool;
 use flexiq::serve::{ServeConfig, Server};
@@ -47,12 +46,8 @@ fn fixture() -> MutexGuard<'static, Fixture> {
         let graph = id.build(Scale::Test).unwrap();
         let calib = gen_image_inputs(6, &id.input_dims(Scale::Test), 0x7E57E1);
         let prepared = prepare(&graph, &calib, &FlexiQConfig::new(4, Strategy::Greedy)).unwrap();
-        let rt = prepared.runtime.with_exec_options(QuantExecOptions {
-            mode: ExecMode::Int,
-            ..Default::default()
-        });
         let inputs = gen_image_inputs(3, &id.input_dims(Scale::Test), 0x7E57E2);
-        Mutex::new((Arc::new(rt), inputs))
+        Mutex::new((Arc::new(prepared.runtime), inputs))
     })
     .lock()
     .unwrap_or_else(|e| e.into_inner())

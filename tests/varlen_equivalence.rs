@@ -6,9 +6,8 @@
 //! whole stack (embedding → masked-softmax attention cores → quantized
 //! engines). These properties pin the tentpole invariant: the padded
 //! batch must be **bit-exact**, per sample, with running each unpadded
-//! sequence alone — across ratio levels, bucket sizes, both execution
-//! engines (Fake and exact Int), and `set_level` flips between
-//! dispatches.
+//! sequence alone — across ratio levels, bucket sizes, and `set_level`
+//! flips between dispatches.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -17,7 +16,6 @@ use flexiq::core::runtime::LEVEL_INT8;
 use flexiq::core::selection::Strategy;
 use flexiq::core::FlexiRuntime;
 use flexiq::nn::data::{gen_token_stream, lm_sequences};
-use flexiq::nn::qexec::{ExecMode, QuantExecOptions};
 use flexiq::nn::zoo::{ModelId, Scale, TinyLmCfg};
 use flexiq::tensor::Tensor;
 use proptest::prelude::*;
@@ -42,7 +40,7 @@ fn build_fixture() -> Fixture {
     (prepared.runtime, seqs)
 }
 
-/// Shared fixture (Fake engine); the mutex serializes level mutation
+/// Shared fixture; the mutex serializes level mutation
 /// across concurrently running test functions.
 fn lm_fixture() -> &'static Mutex<Fixture> {
     static LM: OnceLock<Mutex<Fixture>> = OnceLock::new();
@@ -166,27 +164,17 @@ proptest! {
 fn int_mode_varlen_bit_exact_at_every_level() {
     let guard = lm_fixture().lock().unwrap();
     let (rt, seqs) = &*guard;
-    let int_rt = FlexiRuntime::new(
-        rt.graph().clone(),
-        rt.model().clone(),
-        rt.schedule().clone(),
-        QuantExecOptions {
-            mode: ExecMode::Int,
-            ..Default::default()
-        },
-    )
-    .unwrap();
     let lens = [1usize, 5, 8, 3];
     let inputs = cut_inputs(seqs, &lens);
     let mut levels = vec![LEVEL_INT8];
-    levels.extend(0..int_rt.num_levels());
+    levels.extend(0..rt.num_levels());
     for level in levels {
-        int_rt.set_level(level).unwrap();
+        rt.set_level(level).unwrap();
         for bucket in [None, Some(context())] {
-            let (ys, ran_at) = int_rt.infer_batch_varlen_traced(&inputs, bucket).unwrap();
+            let (ys, ran_at) = rt.infer_batch_varlen_traced(&inputs, bucket).unwrap();
             assert_eq!(ran_at, level);
             for (i, x) in inputs.iter().enumerate() {
-                let yi = int_rt.infer(x).unwrap();
+                let yi = rt.infer(x).unwrap();
                 assert_eq!(ys[i].dims(), yi.dims());
                 for (a, b) in ys[i].data().iter().zip(yi.data().iter()) {
                     assert_eq!(
