@@ -45,7 +45,7 @@ use flexiq_nn::kv::KvSpec;
 use flexiq_nn::qexec::{MixedPlan, PackCache, QuantCompute, QuantExecOptions, QuantizedModel};
 use flexiq_nn::NnError;
 use flexiq_telemetry as tel;
-use flexiq_tensor::{SeqMask, Tensor};
+use flexiq_tensor::Tensor;
 
 use crate::schedule::RatioSchedule;
 use crate::Result;
@@ -352,81 +352,6 @@ impl FlexiRuntime {
         Ok((outs, level))
     }
 
-    /// Runs a batch of **variable-length** token sequences as one padded
-    /// stacked pass. See [`FlexiRuntime::infer_batch_varlen_traced`];
-    /// this drops the level.
-    pub fn infer_batch_varlen(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.infer_batch_varlen_traced(inputs, None)
-            .map(|(ys, _)| ys)
-    }
-
-    /// Runs a batch of rank-1 token-id sequences of (possibly) differing
-    /// lengths as **one** padded `[N, bucket]` stacked pass, and reports
-    /// the level the whole batch executed at.
-    ///
-    /// Inputs are right-padded to `bucket` (default: the longest sequence
-    /// in the batch) and a [`SeqMask`] of valid prefixes travels with the
-    /// stack: embeddings zero their pad rows, attention runs a masked
-    /// softmax, and the quantized engine excludes pad rows from live
-    /// extraction statistics. Each returned output is sliced back to its
-    /// sample's real length, and — with static extraction positions — is
-    /// **bit-exact** with a standalone [`FlexiRuntime::infer`] call on
-    /// the unpadded sequence at the same level (the varlen analogue of
-    /// the [`FlexiRuntime::infer_batch_traced`] guarantee, pinned by
-    /// `tests/varlen_equivalence.rs`).
-    ///
-    /// Outputs are assumed token-major: a rank-2 `[bucket, C]` sample
-    /// output is sliced to `[len, C]`; any other output shape is returned
-    /// whole. An empty batch returns no outputs.
-    pub fn infer_batch_varlen_traced(
-        &self,
-        inputs: &[Tensor],
-        bucket: Option<usize>,
-    ) -> Result<(Vec<Tensor>, usize)> {
-        if inputs.is_empty() {
-            return Ok((Vec::new(), self.level()));
-        }
-        let mut lens = Vec::with_capacity(inputs.len());
-        for x in inputs {
-            if x.dims().len() != 1 || x.numel() == 0 {
-                return Err(NnError::BadActivation {
-                    op: "infer_batch_varlen",
-                    expected: "non-empty rank-1 token-id inputs [T]".into(),
-                    got: x.dims().to_vec(),
-                });
-            }
-            lens.push(x.numel());
-        }
-        let max_len = *lens.iter().max().expect("non-empty batch");
-        let bucket = bucket.unwrap_or(max_len);
-        if bucket < max_len {
-            return Err(NnError::Invalid(format!(
-                "bucket length {bucket} shorter than longest sequence {max_len}"
-            )));
-        }
-        if lens.iter().all(|&l| l == bucket) {
-            // Uniform lengths fill the bucket exactly: the plain stacked
-            // path applies, with zero padding overhead.
-            return self.infer_batch_traced(inputs);
-        }
-        let level = self.level();
-        let mask = SeqMask::new(lens.clone(), bucket).map_err(NnError::from)?;
-        let stacked = Tensor::pad_stack(inputs, bucket, 0.0).map_err(NnError::from)?;
-        let mut hook = self.hook(self.plan_at(level))?;
-        let y = exec::run_batch_masked(&self.graph, &stacked, Some(&mask), &mut hook)?;
-        let mut outs = Vec::with_capacity(inputs.len());
-        for (i, &len) in lens.iter().enumerate() {
-            let yi = y.index_axis0(i).map_err(NnError::from)?;
-            let yi = if yi.dims().len() == 2 && yi.dims()[0] == bucket && len < bucket {
-                yi.slice_axis0(len).map_err(NnError::from)?
-            } else {
-                yi
-            };
-            outs.push(yi);
-        }
-        Ok((outs, level))
-    }
-
     /// Starts an autoregressive decode session: runs the `[T]` prompt
     /// through the incremental walker (filling the session's quantized
     /// K/V caches) and returns the session, the last position's
@@ -668,75 +593,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn varlen_batch_is_bit_exact_with_unpadded_per_sample() {
-        use crate::pipeline::{prepare, FlexiQConfig};
-        use flexiq_nn::data::{gen_token_stream, lm_sequences};
-        use flexiq_nn::zoo::TinyLmCfg;
-        let id = ModelId::TinyLm;
-        let graph = id.build(Scale::Test).unwrap();
-        let cfg = TinyLmCfg::at(Scale::Test);
-        let seqs = lm_sequences(
-            &gen_token_stream(cfg.vocab, 8 * cfg.context, 991),
-            cfg.context,
-        );
-        let prepared =
-            prepare(&graph, &seqs[..4], &FlexiQConfig::new(4, Strategy::Greedy)).unwrap();
-        let rt = prepared.runtime;
-        // Mixed lengths: prefixes of the calibration-shaped sequences.
-        let lens = [1usize, cfg.context, 3, 5];
-        let inputs: Vec<Tensor> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| seqs[4 + i].slice_axis0(l).unwrap())
-            .collect();
-        let mut levels = vec![LEVEL_INT8];
-        levels.extend(0..rt.num_levels());
-        for level in levels {
-            rt.set_level(level).unwrap();
-            // Default bucket (max len) and an explicit larger bucket must
-            // both reproduce per-sample unpadded inference bit-for-bit.
-            for bucket in [None, Some(cfg.context)] {
-                let (ys, ran_at) = rt.infer_batch_varlen_traced(&inputs, bucket).unwrap();
-                assert_eq!(ran_at, level);
-                for (i, x) in inputs.iter().enumerate() {
-                    let yi = rt.infer(x).unwrap();
-                    assert_eq!(ys[i].dims(), yi.dims());
-                    for (a, b) in ys[i].data().iter().zip(yi.data().iter()) {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "level {level} bucket {bucket:?} sample {i}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn varlen_batch_validates_inputs() {
-        use crate::pipeline::{prepare, FlexiQConfig};
-        use flexiq_nn::data::{gen_token_stream, lm_sequences};
-        use flexiq_nn::zoo::TinyLmCfg;
-        let id = ModelId::TinyLm;
-        let graph = id.build(Scale::Test).unwrap();
-        let cfg = TinyLmCfg::at(Scale::Test);
-        let seqs = lm_sequences(
-            &gen_token_stream(cfg.vocab, 6 * cfg.context, 992),
-            cfg.context,
-        );
-        let prepared =
-            prepare(&graph, &seqs[..4], &FlexiQConfig::new(4, Strategy::Greedy)).unwrap();
-        let rt = prepared.runtime;
-        let (ys, _) = rt.infer_batch_varlen_traced(&[], None).unwrap();
-        assert!(ys.is_empty());
-        // Rank-2 inputs and too-small buckets are rejected.
-        assert!(rt.infer_batch_varlen(&[Tensor::zeros([2, 2])]).is_err());
-        let a = seqs[4].slice_axis0(4).unwrap();
-        assert!(rt.infer_batch_varlen_traced(&[a], Some(2)).is_err());
     }
 
     #[test]

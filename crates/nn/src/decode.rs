@@ -287,7 +287,7 @@ fn run_rows(
     let output = graph.output()?;
     let mut memo = exec::walk(graph, output, false, |nid, node, resolved| match &node.op {
         Op::AddParam(_) | Op::Attention(_) => attend_rows(node, nid, resolved, compute, states),
-        _ => exec::apply_node(node, resolved, input, None, None, compute),
+        _ => exec::apply_node(node, resolved, input, None, compute),
     })?;
     memo[output]
         .take()

@@ -29,30 +29,15 @@
 //! outputs are bit-exact with [`run`] — the batched kernels preserve each
 //! output element's reduction order — which is what lets the serving
 //! stack batch freely without perturbing the mixed-precision arithmetic.
+//! A stack is exact-shape: every sample has the same dims, so no pass
+//! carries padding. Token requests of different lengths run in separate
+//! stacks (the serving worker groups them by exact shape).
 //!
 //! The walk, the operators and the attention cores run on the calling
 //! thread. The one place a pass fans out is inside the GEMM kernels,
 //! which split large problems into output row bands on the ambient pool
 //! (`flexiq_tensor::gemm`). No float reduction is reordered there, so
 //! output is bit-exact with serial at every thread count.
-//!
-//! # Variable-length (padded) batches
-//!
-//! [`run_batch_masked`] walks a stacked batch whose samples are
-//! right-padded to a common bucket length, carrying a
-//! [`flexiq_tensor::SeqMask`] of per-sample valid prefixes. The mask
-//! reaches every operator that could otherwise leak padding into valid
-//! outputs: embeddings zero their pad rows without reading them,
-//! attention cores run a masked softmax restricted to valid keys (pad
-//! positions are *skipped*, never multiplied by a zero probability, so
-//! the float arithmetic of valid rows is untouched), token pooling
-//! averages each sample's valid prefix, and `AddParam` positional tables
-//! apply their leading rows. Compute hooks receive the mask through
-//! [`Compute::set_seq_mask`] so engines that inspect live batch values
-//! (dynamic extraction) can exclude pad rows. Everything else is
-//! per-token, which is what makes the invariant hold end to end: a
-//! padded batch's valid region is **bit-exact** with running each
-//! unpadded sample alone (pinned by `tests/varlen_equivalence.rs`).
 
 use flexiq_tensor::{SeqMask, Tensor};
 
@@ -109,12 +94,9 @@ pub trait Compute {
         true
     }
 
-    /// Installs the sequence mask of the current padded batch (`None`
-    /// between masked dispatches). [`run_batch_masked`] calls this around
-    /// its walk; hooks whose arithmetic inspects **live** batch values —
-    /// the quantized engine's dynamic extraction — use it to exclude pad
-    /// rows from those statistics. The default ignores the mask, which is
-    /// correct for every per-element hook.
+    /// A no-op that no executor calls: it stays only because the
+    /// end-to-end benchmark (`benchmark/`) forwards it, and goes with the
+    /// benchmark's next revision (ROADMAP item 3).
     fn set_seq_mask(&mut self, _mask: Option<&SeqMask>) {}
 
     /// The K/V precision spec attention cores run under. The f32 default
@@ -191,7 +173,7 @@ impl Compute for F32Compute {
 
 /// Runs the graph on one input through the given compute hook.
 pub fn run(graph: &Graph, input: &Tensor, compute: &mut dyn Compute) -> Result<Tensor> {
-    take_output(graph, eval(graph, input, compute, None, None, false)?)
+    take_output(graph, eval(graph, input, compute, None, false)?)
 }
 
 /// Runs the graph at full f32 precision.
@@ -206,35 +188,8 @@ pub fn run_f32(graph: &Graph, input: &Tensor) -> Result<Tensor> {
 /// batch rather than once per sample. The output keeps the leading batch
 /// axis; slice it with [`Tensor::index_axis0`].
 pub fn run_batch(graph: &Graph, input: &Tensor, compute: &mut dyn Compute) -> Result<Tensor> {
-    run_batch_masked(graph, input, None, compute)
-}
-
-/// Runs a **padded** stacked `[N, T, …]` batch in one pass, carrying a
-/// per-sample valid-length mask (see the module docs).
-///
-/// `mask = None` is exactly [`run_batch`]. With a mask, every sample's
-/// valid region of the output is bit-exact with running that sample
-/// unpadded through [`run`]; pad positions hold well-defined (zero or
-/// per-token-computed) values that no valid position ever reads.
-pub fn run_batch_masked(
-    graph: &Graph,
-    input: &Tensor,
-    mask: Option<&SeqMask>,
-    compute: &mut dyn Compute,
-) -> Result<Tensor> {
     let n = split_stack("batch", input, true)?.0;
-    if let Some(m) = mask {
-        if m.n() != n {
-            return Err(NnError::Invalid(format!(
-                "sequence mask covers {} samples, batch has {n}",
-                m.n()
-            )));
-        }
-    }
-    compute.set_seq_mask(mask);
-    let walked = eval(graph, input, compute, Some(n), mask, false);
-    compute.set_seq_mask(None);
-    take_output(graph, walked?)
+    take_output(graph, eval(graph, input, compute, Some(n), false)?)
 }
 
 /// Runs a stacked batch at full f32 precision.
@@ -253,7 +208,7 @@ pub fn run_traced(
     input: &Tensor,
     compute: &mut dyn Compute,
 ) -> Result<Vec<Option<Tensor>>> {
-    eval(graph, input, compute, None, None, true)
+    eval(graph, input, compute, None, true)
 }
 
 /// Batched [`run_traced`]: every node's stacked `[N, …]` output.
@@ -263,7 +218,7 @@ pub fn run_batch_traced(
     compute: &mut dyn Compute,
 ) -> Result<Vec<Option<Tensor>>> {
     let n = split_stack("batch", input, true)?.0;
-    eval(graph, input, compute, Some(n), None, true)
+    eval(graph, input, compute, Some(n), true)
 }
 
 /// Moves the output node's activation out of a finished walk.
@@ -280,7 +235,6 @@ fn eval(
     input: &Tensor,
     compute: &mut dyn Compute,
     n: Option<usize>,
-    mask: Option<&SeqMask>,
     retain_all: bool,
 ) -> Result<Vec<Option<Tensor>>> {
     walk(graph, graph.output()?, retain_all, |nid, node, resolved| {
@@ -291,7 +245,7 @@ fn eval(
             nid as u32,
             [n.unwrap_or(0) as u64, 0, 0, 0],
         );
-        apply_node(node, resolved, input, n, mask, compute)
+        apply_node(node, resolved, input, n, compute)
     })
 }
 
@@ -390,18 +344,11 @@ fn project(
 /// axis is present. Token-mixing cores (attention, window attention) run
 /// per sample inside that body, since attention never mixes tokens across
 /// samples.
-///
-/// `mask` (stacked passes only) is the per-sample valid-length mask of a
-/// padded variable-length batch (module docs). It applies to an operator
-/// exactly when the activation is token-shaped for it — `[N, bucket]`
-/// ids or `[N, bucket, C]` tokens matching the mask — so CNN-side
-/// operators in the same graph are untouched.
 pub fn apply_node(
     node: &Node,
     inputs: &[Tensor],
     graph_input: &Tensor,
     n: Option<usize>,
-    mask: Option<&SeqMask>,
     compute: &mut dyn Compute,
 ) -> Result<Tensor> {
     let get = |slot: usize| -> Result<&Tensor> {
@@ -410,22 +357,6 @@ pub fn apply_node(
             .ok_or_else(|| NnError::Invalid(format!("missing input {slot}")))
     };
     let stacked = n.is_some();
-    // The mask engages only where the activation is token-shaped for the
-    // operator at hand.
-    let mask_for = |dims: &[usize]| -> Option<&SeqMask> {
-        mask.filter(|m| dims.len() >= 2 && m.matches(dims[0], dims[1]))
-    };
-    // Operators that mix tokens across positions with no mask support:
-    // silently running one on a padded batch would leak pad rows into
-    // valid outputs, so a matching mask is a hard error, not a latent
-    // corruption.
-    let unmasked = |x: &Tensor| match mask_for(x.dims()) {
-        Some(_) => Err(NnError::Invalid(format!(
-            "{} is not mask-aware; cannot run it over a padded batch",
-            node.op.name()
-        ))),
-        None => Ok(()),
-    };
     Ok(match &node.op {
         Op::Input => graph_input.clone(),
         Op::Conv2d(conv) => match n {
@@ -442,27 +373,22 @@ pub fn apply_node(
         Op::AvgPool { k, stride } => pool::window_pool(Window::Avg, get(0)?, *k, *stride, stacked)?,
         Op::GlobalAvgPool => pool::global_pool(get(0)?, stacked)?,
         Op::ToTokens => tokens::to_tokens_n(get(0)?, stacked)?,
-        Op::MeanTokens => tokens::mean_tokens_n(get(0)?, stacked, mask_for(get(0)?.dims()))?,
-        Op::PatchMerge { h, w } => {
-            unmasked(get(0)?)?;
-            tokens::patch_merge_n(get(0)?, *h, *w, stacked)?
-        }
+        Op::MeanTokens => tokens::mean_tokens_n(get(0)?, stacked)?,
+        Op::PatchMerge { h, w } => tokens::patch_merge_n(get(0)?, *h, *w, stacked)?,
         Op::Attention(attn) => {
             let lids = node.layers_array()?;
             let q = project(compute, n, lids[0], &attn.q, get(0)?)?;
             let k = project(compute, n, lids[1], &attn.k, get(0)?)?;
             let v = project(compute, n, lids[2], &attn.v, get(0)?)?;
             let spec = compute.kv_spec();
-            let mask = mask_for(q.dims());
             let core = if spec.is_f32() {
-                attn.core_n(&q, &k, &v, stacked, mask)?
+                attn.core_n(&q, &k, &v, stacked)?
             } else {
-                crate::kv::core_kv_n(attn, &spec, &q, &k, &v, stacked, mask)?
+                crate::kv::core_kv_n(attn, &spec, &q, &k, &v, stacked)?
             };
             project(compute, n, lids[3], &attn.o, &core)?
         }
         Op::WindowAttention(wa) => {
-            unmasked(get(0)?)?;
             let lids = node.layers_array()?;
             // Projections are per-token, so they commute with the window
             // partition: project once on the full grid (the whole stack
@@ -476,7 +402,7 @@ pub fn apply_node(
         }
         Op::Reorder(perm) => tokens::reorder_channels_n(get(0)?, perm, stacked)?,
         Op::AddParam(p) => add_param(get(0)?, p, stacked)?,
-        Op::Embedding(emb) => emb.forward_n(get(0)?, stacked, mask_for(get(0)?.dims()))?,
+        Op::Embedding(emb) => emb.forward_n(get(0)?, stacked)?,
     })
 }
 
@@ -562,7 +488,7 @@ pub fn run_stepwise(
                 .iter()
                 .map(|&inp| computed(memo, nid, inp).cloned())
                 .collect::<Result<Vec<_>>>()?;
-            memo[nid] = Some(apply_node(node, &resolved, input, n, None, compute)?);
+            memo[nid] = Some(apply_node(node, &resolved, input, n, compute)?);
         }
     }
     Ok(())

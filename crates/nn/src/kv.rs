@@ -51,7 +51,7 @@ use flexiq_tensor::{gemm, Tensor};
 
 use crate::error::NnError;
 use crate::ops::act::softmax_row;
-use crate::ops::{check_mask, split_sample, Attention};
+use crate::ops::{split_sample, Attention};
 use crate::Result;
 
 /// How a decode session's K/V cache stores and reads its rows.
@@ -378,29 +378,13 @@ pub fn core_kv(
     k: &Tensor,
     v: &Tensor,
 ) -> Result<Tensor> {
-    core_kv_n(attn, spec, q, k, v, false, None)
+    core_kv_n(attn, spec, q, k, v, false)
 }
 
-/// [`core_kv`] over the first `len` rows of padded `[T, C]` projections;
-/// pad rows stay exactly zero (the masked-core contract).
-pub fn core_kv_masked(
-    attn: &Attention,
-    spec: &KvSpec,
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    len: usize,
-) -> Result<Tensor> {
-    let t = q.dims().first().copied().unwrap_or(len);
-    let mask = flexiq_tensor::SeqMask::new(vec![len], t)?;
-    core_kv_n(attn, spec, q, k, v, false, Some(&mask))
-}
-
-/// The one cached-core body, behind the two entry points above and the
-/// executor's attention arm: `N` samples (one when not `stacked`), each
-/// appending and attending its valid prefix (all `T` rows without a
-/// mask) through a fresh cache of its own, in sample order like
-/// [`Attention::core_batch_masked`]'s.
+/// The one cached-core body, behind [`core_kv`] and the executor's
+/// attention arm: `N` samples (one when not `stacked`), each appending
+/// and attending its `T` rows through a fresh cache of its own, in
+/// sample order as the f32 core runs them.
 pub(crate) fn core_kv_n(
     attn: &Attention,
     spec: &KvSpec,
@@ -408,7 +392,6 @@ pub(crate) fn core_kv_n(
     k: &Tensor,
     v: &Tensor,
     stacked: bool,
-    mask: Option<&flexiq_tensor::SeqMask>,
 ) -> Result<Tensor> {
     let (n, [t, c]) = split_sample("attention_core_kv", q, stacked)?;
     if c != attn.width() || t == 0 || q.dims() != k.dims() || q.dims() != v.dims() {
@@ -418,7 +401,6 @@ pub(crate) fn core_kv_n(
             got: q.dims().to_vec(),
         });
     }
-    check_mask("attention_core_kv", mask, n, t)?;
     if !attn.causal {
         return Err(NnError::Invalid(
             "kv-cached attention requires a causal core".into(),
@@ -426,9 +408,8 @@ pub(crate) fn core_kv_n(
     }
     let mut out = vec![0.0f32; n * t * c];
     for s in 0..n {
-        let len = mask.map_or(t, |m| m.len_of(s));
-        let mut cache = KvLayerCache::new(c, attn.heads, *spec, len)?;
-        for i in s * t..s * t + len {
+        let mut cache = KvLayerCache::new(c, attn.heads, *spec, t)?;
+        for i in s * t..(s + 1) * t {
             let row = i * c..(i + 1) * c;
             cache.append(&k.data()[row.clone()], &v.data()[row.clone()])?;
             cache.attend(&q.data()[row.clone()], &mut out[row])?;
@@ -472,28 +453,6 @@ mod tests {
             assert_eq!(full.dims(), inc.dims());
             for (i, (x, y)) in full.data().iter().zip(inc.data().iter()).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "t={t} elem {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn masked_kv_core_matches_unpadded_prefix_and_zeroes_pads() {
-        let (t, len, c, heads) = (8usize, 5usize, 8usize, 2usize);
-        let a = attn(c, heads, true, 11);
-        let (q, k, v) = (tokens(t, c, 4), tokens(t, c, 5), tokens(t, c, 6));
-        for spec in [KvSpec::f32(), KvSpec::int8(2), KvSpec::mixed(2, 0.5)] {
-            let padded = core_kv_masked(&a, &spec, &q, &k, &v, len).unwrap();
-            let (qs, ks, vs) = (
-                q.slice_axis0(len).unwrap(),
-                k.slice_axis0(len).unwrap(),
-                v.slice_axis0(len).unwrap(),
-            );
-            let exact = core_kv(&a, &spec, &qs, &ks, &vs).unwrap();
-            for i in 0..len * c {
-                assert_eq!(padded.data()[i].to_bits(), exact.data()[i].to_bits());
-            }
-            for i in len * c..t * c {
-                assert_eq!(padded.data()[i], 0.0, "pad row not zero");
             }
         }
     }

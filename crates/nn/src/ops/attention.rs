@@ -6,12 +6,12 @@
 //! weighted sum) runs in floating point, matching the paper's convention
 //! that only convolutions and linear operations use integer arithmetic.
 
-use flexiq_tensor::{SeqMask, Tensor};
+use flexiq_tensor::Tensor;
 
 use crate::error::NnError;
 use crate::ops::act::softmax_row;
 use crate::ops::linear::Linear;
-use crate::ops::{check_mask, split_sample};
+use crate::ops::split_sample;
 use crate::Result;
 
 /// Multi-head self-attention over `[T, C]` tokens.
@@ -73,54 +73,19 @@ impl Attention {
     /// Split out from the projections so the executor can route Q/K/V/O
     /// through the quantized compute hook while the core stays in f32.
     pub fn core(&self, q: &Tensor, k: &Tensor, v: &Tensor) -> Result<Tensor> {
-        self.core_n(q, k, v, false, None)
-    }
-
-    /// Length-masked attention core over `[T, C]` projections padded to
-    /// `T` positions, of which only the first `len` are real.
-    ///
-    /// The masked softmax restricts every score row to the valid keys
-    /// `j < len` (on top of the causal constraint, if any), and pad query
-    /// rows `i >= len` are written as zeros without touching the
-    /// arithmetic of valid rows. The valid region is **bit-exact** with
-    /// [`Attention::core`] on the unpadded `[len, C]` slices — it is the
-    /// same loop, bounded by `len` — and pad positions are skipped
-    /// outright (never multiplied by a zero probability), so no pad value
-    /// — however extreme — can perturb a valid output.
-    pub fn core_masked(&self, q: &Tensor, k: &Tensor, v: &Tensor, len: usize) -> Result<Tensor> {
-        let t = q.dims().first().copied().unwrap_or(len);
-        self.core_n(q, k, v, false, Some(&SeqMask::new(vec![len], t)?))
-    }
-
-    /// Batched attention core over stacked `[N, T, C]` projections with
-    /// an optional per-sample length mask (the padded variable-length
-    /// path).
-    ///
-    /// Attention mixes tokens only **within** a sample, so the core runs
-    /// once per sample, in sample order (softmax rows never cross
-    /// samples). One stacked dispatch serves mixed sequence lengths while
-    /// every sample's valid rows stay bit-exact with its unpadded
-    /// [`Attention::core`] run.
-    pub fn core_batch_masked(
-        &self,
-        q: &Tensor,
-        k: &Tensor,
-        v: &Tensor,
-        mask: Option<&SeqMask>,
-    ) -> Result<Tensor> {
-        self.core_n(q, k, v, true, mask)
+        self.core_n(q, k, v, false)
     }
 
     /// The one core entry: `N` samples (one when not `stacked`), each
-    /// attending over its valid prefix (all `T` positions without a
-    /// mask).
+    /// attending over its own `T` positions. Attention mixes tokens only
+    /// **within** a sample, so the core runs once per sample, in sample
+    /// order.
     pub(crate) fn core_n(
         &self,
         q: &Tensor,
         k: &Tensor,
         v: &Tensor,
         stacked: bool,
-        mask: Option<&SeqMask>,
     ) -> Result<Tensor> {
         let (n, [t, c]) = split_sample("attention_core", q, stacked)?;
         if c != self.width() || t == 0 || q.dims() != k.dims() || q.dims() != v.dims() {
@@ -130,52 +95,49 @@ impl Attention {
                 got: q.dims().to_vec(),
             });
         }
-        check_mask("attention_core", mask, n, t)?;
         let per = t * c;
         let mut out = vec![0.0f32; n * per];
         for s in 0..n {
             let rows = s * per..(s + 1) * per;
-            let len = mask.map_or(t, |m| m.len_of(s));
             self.core_rows(
                 &q.data()[rows.clone()],
                 &k.data()[rows.clone()],
                 &v.data()[rows.clone()],
-                len,
                 &mut out[rows],
             );
         }
         Ok(Tensor::from_vec(q.dims().to_vec(), out)?)
     }
 
-    /// The one core body: one sample's row-major `[T, C]` projections,
-    /// attending over the first `len >= 1` positions into the first `len`
-    /// rows of `out`. Rows past `len` are neither read nor written.
-    fn core_rows(&self, q: &[f32], k: &[f32], v: &[f32], len: usize, out: &mut [f32]) {
+    /// The one core body: one sample's row-major `[T, C]` projections
+    /// (`T >= 1`) into `out`.
+    fn core_rows(&self, q: &[f32], k: &[f32], v: &[f32], out: &mut [f32]) {
         let c = self.width();
+        let t = q.len() / c;
         let dh = c / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        // Scores for one head: [len, len], rewritten in full per head.
-        let mut scores = vec![0.0f32; len * len];
+        // Scores for one head: [t, t], rewritten in full per head.
+        let mut scores = vec![0.0f32; t * t];
         for h in 0..self.heads {
-            for i in 0..len {
-                for j in 0..len {
+            for i in 0..t {
+                for j in 0..t {
                     if self.causal && j > i {
-                        scores[i * len + j] = f32::NEG_INFINITY;
+                        scores[i * t + j] = f32::NEG_INFINITY;
                         continue;
                     }
                     let mut acc = 0.0f32;
                     for d in 0..dh {
                         acc += q[i * c + h * dh + d] * k[j * c + h * dh + d];
                     }
-                    scores[i * len + j] = acc * scale;
+                    scores[i * t + j] = acc * scale;
                 }
             }
-            scores.chunks_exact_mut(len).for_each(softmax_row);
-            for i in 0..len {
+            scores.chunks_exact_mut(t).for_each(softmax_row);
+            for i in 0..t {
                 for d in 0..dh {
                     let mut acc = 0.0f32;
-                    for j in 0..len {
-                        acc += scores[i * len + j] * v[j * c + h * dh + d];
+                    for j in 0..t {
+                        acc += scores[i * t + j] * v[j * c + h * dh + d];
                     }
                     out[i * c + h * dh + d] = acc;
                 }
@@ -333,7 +295,7 @@ impl WindowAttention {
         };
         let core = self
             .attn
-            .core_n(&windows(q)?, &windows(k)?, &windows(v)?, true, None)?;
+            .core_n(&windows(q)?, &windows(k)?, &windows(v)?, true)?;
         let mut out = vec![0.0f32; n * per];
         for s in 0..n {
             let grid = s * per..(s + 1) * per;
@@ -428,114 +390,10 @@ mod tests {
     }
 
     #[test]
-    fn masked_core_matches_unpadded_core_bit_exactly() {
-        for causal in [false, true] {
-            let attn = toy_attention(8, 2, causal, 201);
-            let mut rng = seeded(202);
-            let x = Tensor::randn([6, 8], 0.0, 1.0, &mut rng);
-            let project = |x: &Tensor| {
-                (
-                    attn.q.forward(x).unwrap(),
-                    attn.k.forward(x).unwrap(),
-                    attn.v.forward(x).unwrap(),
-                )
-            };
-            for len in 1..=5usize {
-                // Padded: full-context projections + mask.
-                let (q, k, v) = project(&x);
-                let masked = attn.core_masked(&q, &k, &v, len).unwrap();
-                // Unpadded: project and run on the [len, C] prefix alone.
-                let xs = x.slice_axis0(len).unwrap();
-                let (qs, ks, vs) = project(&xs);
-                let plain = attn.core(&qs, &ks, &vs).unwrap();
-                for (i, (a, b)) in masked.data()[..len * 8]
-                    .iter()
-                    .zip(plain.data().iter())
-                    .enumerate()
-                {
-                    assert_eq!(a.to_bits(), b.to_bits(), "causal={causal} len={len} at {i}");
-                }
-                // Pad query rows are exactly zero.
-                assert!(masked.data()[len * 8..].iter().all(|&v| v == 0.0));
-            }
-        }
-    }
-
-    #[test]
-    fn masked_core_ignores_pad_values() {
-        // Poison the pad region with huge values: valid rows must not move.
-        let attn = toy_attention(4, 2, false, 203);
-        let mut rng = seeded(204);
-        let mk = |x: &Tensor| {
-            (
-                attn.q.forward(x).unwrap(),
-                attn.k.forward(x).unwrap(),
-                attn.v.forward(x).unwrap(),
-            )
-        };
-        let x = Tensor::randn([4, 4], 0.0, 1.0, &mut rng);
-        let (q, k, v) = mk(&x);
-        let clean = attn.core_masked(&q, &k, &v, 2).unwrap();
-        let poison = |t: &Tensor| {
-            let mut p = t.clone();
-            for val in &mut p.data_mut()[2 * 4..] {
-                *val = f32::NAN;
-            }
-            p
-        };
-        let dirty = attn
-            .core_masked(&poison(&q), &poison(&k), &poison(&v), 2)
-            .unwrap();
-        for (a, b) in clean.data()[..2 * 4].iter().zip(dirty.data().iter()) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "pad values leaked into valid rows"
-            );
-        }
-    }
-
-    #[test]
-    fn masked_core_batch_handles_mixed_lengths() {
-        use flexiq_tensor::SeqMask;
-        let attn = toy_attention(4, 2, true, 205);
-        let mut rng = seeded(206);
-        let q = Tensor::randn([3, 4, 4], 0.0, 1.0, &mut rng);
-        let k = Tensor::randn([3, 4, 4], 0.0, 1.0, &mut rng);
-        let v = Tensor::randn([3, 4, 4], 0.0, 1.0, &mut rng);
-        let mask = SeqMask::new(vec![1, 4, 2], 4).unwrap();
-        let yb = attn.core_batch_masked(&q, &k, &v, Some(&mask)).unwrap();
-        for s in 0..3 {
-            let yi = attn
-                .core_masked(
-                    &q.index_axis0(s).unwrap(),
-                    &k.index_axis0(s).unwrap(),
-                    &v.index_axis0(s).unwrap(),
-                    mask.len_of(s),
-                )
-                .unwrap();
-            for (a, b) in yb.index_axis0(s).unwrap().data().iter().zip(yi.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "sample {s}");
-            }
-        }
-        // A mask sized for a different batch is rejected.
-        let bad = SeqMask::new(vec![1, 2], 4).unwrap();
-        assert!(attn.core_batch_masked(&q, &k, &v, Some(&bad)).is_err());
-        assert!(attn
-            .core_masked(
-                &q.index_axis0(0).unwrap(),
-                &k.index_axis0(0).unwrap(),
-                &v.index_axis0(0).unwrap(),
-                0
-            )
-            .is_err());
-    }
-
-    #[test]
     fn rank0_projections_are_a_typed_error_not_a_panic() {
         let attn = toy_attention(4, 2, false, 207);
         let s = Tensor::scalar(1.0);
-        for r in [attn.core(&s, &s, &s), attn.core_masked(&s, &s, &s, 1)] {
+        for r in [attn.core(&s, &s, &s), attn.core_n(&s, &s, &s, true)] {
             assert!(matches!(r, Err(NnError::BadActivation { .. })), "{r:?}");
         }
     }

@@ -1,9 +1,9 @@
 //! Fully connected layer and token embedding.
 
-use flexiq_tensor::{gemm, SeqMask, Tensor};
+use flexiq_tensor::{gemm, Tensor};
 
 use crate::error::NnError;
-use crate::ops::{check_mask, split_sample, stack_dims};
+use crate::ops::{split_sample, stack_dims};
 use crate::Result;
 
 /// A fully connected (dense) layer.
@@ -179,44 +179,24 @@ impl Embedding {
 
     /// Looks up a sequence of token ids.
     pub fn forward(&self, ids: &Tensor) -> Result<Tensor> {
-        self.forward_n(ids, false, None)
+        self.forward_n(ids, false)
     }
 
-    /// Looks up a right-padded id sequence: the first `len` ids are real
-    /// and validated; the padded tail embeds to exact zero rows without
-    /// ever reading the table (pad slots may hold any value).
-    ///
-    /// The valid prefix is bit-exact with [`Embedding::forward`] on the
-    /// unpadded `[len]` ids.
-    pub fn forward_masked(&self, ids: &Tensor, len: usize) -> Result<Tensor> {
-        let t = ids.dims().first().copied().unwrap_or(len);
-        self.forward_n(ids, false, Some(&SeqMask::new(vec![len], t)?))
-    }
-
-    /// The one body: `N` id sequences (one when not `stacked`), each
-    /// looking up its valid prefix (all `T` ids without a mask).
-    pub(crate) fn forward_n(
-        &self,
-        ids: &Tensor,
-        stacked: bool,
-        mask: Option<&SeqMask>,
-    ) -> Result<Tensor> {
+    /// The one body: `N` id sequences (one when not `stacked`) of `T`
+    /// ids each.
+    pub(crate) fn forward_n(&self, ids: &Tensor, stacked: bool) -> Result<Tensor> {
         let (n, [t]) = split_sample("embedding", ids, stacked)?;
-        check_mask("embedding", mask, n, t)?;
         let c = self.dim();
         let mut out = vec![0.0f32; n * t * c];
-        for s in 0..n {
-            for ti in s * t..s * t + mask.map_or(t, |m| m.len_of(s)) {
-                let idf = ids.data()[ti];
-                let id = idf as usize;
-                if idf < 0.0 || id >= self.vocab() || idf.fract() != 0.0 {
-                    return Err(NnError::Invalid(format!(
-                        "token id {idf} invalid for vocab {}",
-                        self.vocab()
-                    )));
-                }
-                out[ti * c..(ti + 1) * c].copy_from_slice(&self.table.data()[id * c..(id + 1) * c]);
+        for (ti, &idf) in ids.data().iter().enumerate() {
+            let id = idf as usize;
+            if idf < 0.0 || id >= self.vocab() || idf.fract() != 0.0 {
+                return Err(NnError::Invalid(format!(
+                    "token id {idf} invalid for vocab {}",
+                    self.vocab()
+                )));
             }
+            out[ti * c..(ti + 1) * c].copy_from_slice(&self.table.data()[id * c..(id + 1) * c]);
         }
         Ok(Tensor::from_vec(stack_dims(stacked, n, &[t, c]), out)?)
     }
@@ -310,28 +290,6 @@ mod tests {
         let ids = Tensor::from_vec([3], vec![2.0, 0.0, 1.0]).unwrap();
         let y = emb.forward(&ids).unwrap();
         assert_eq!(y.data(), &[20., 21., 0., 1., 10., 11.]);
-    }
-
-    #[test]
-    fn masked_embedding_zeroes_pad_rows_without_reading_them() {
-        let table = Tensor::from_vec([3, 2], vec![0., 1., 10., 11., 20., 21.]).unwrap();
-        let emb = Embedding::new(table).unwrap();
-        // Pad slots hold an out-of-vocab id: must not error, must embed
-        // to zeros.
-        let ids = Tensor::from_vec([4], vec![2.0, 1.0, 99.0, -5.0]).unwrap();
-        let y = emb.forward_masked(&ids, 2).unwrap();
-        assert_eq!(y.dims(), &[4, 2]);
-        assert_eq!(&y.data()[..4], &[20., 21., 10., 11.]);
-        assert!(y.data()[4..].iter().all(|&v| v == 0.0));
-        // The valid prefix matches the unpadded lookup bit-exactly.
-        let plain = emb
-            .forward(&Tensor::from_vec([2], vec![2.0, 1.0]).unwrap())
-            .unwrap();
-        assert_eq!(&y.data()[..4], plain.data());
-        // Invalid ids inside the valid prefix still error.
-        assert!(emb.forward_masked(&ids, 3).is_err());
-        assert!(emb.forward_masked(&ids, 0).is_err());
-        assert!(emb.forward_masked(&ids, 5).is_err());
     }
 
     #[test]

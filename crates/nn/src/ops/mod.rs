@@ -10,7 +10,7 @@
 //! point is the same body on a stacked `[N, …]` activation. Neither
 //! copies its input to change rank.
 
-use flexiq_tensor::{SeqMask, Tensor};
+use flexiq_tensor::Tensor;
 
 use crate::error::NnError;
 use crate::Result;
@@ -65,25 +65,6 @@ pub(crate) fn split_sample<const R: usize>(
     }
 }
 
-/// Validates the valid-length mask of a padded variable-length pass: it
-/// must describe exactly these `n` samples of `t` positions. (A masked
-/// single sample carries a one-sample mask.)
-pub(crate) fn check_mask(
-    op: &'static str,
-    mask: Option<&SeqMask>,
-    n: usize,
-    t: usize,
-) -> Result<()> {
-    match mask {
-        Some(m) if !m.matches(n, t) => Err(NnError::Invalid(format!(
-            "{op}: sequence mask for {} x {} does not match {n} samples of {t} positions",
-            m.n(),
-            m.bucket()
-        ))),
-        _ => Ok(()),
-    }
-}
-
 /// Output dims of an `N`-sample body: the per-sample dims, behind the
 /// batch axis when the input was stacked.
 pub(crate) fn stack_dims(stacked: bool, n: usize, sample: &[usize]) -> Vec<usize> {
@@ -124,10 +105,7 @@ mod tests {
                 "reorder",
                 tokens::reorder_channels_batch(&toks, &[0, 1, 2, 3]),
             ),
-            (
-                "attention",
-                attn.core_batch_masked(&toks, &toks, &toks, None),
-            ),
+            ("attention", attn.core_n(&toks, &toks, &toks, true)),
             (
                 "attention_kv",
                 crate::kv::core_kv_n(
@@ -137,11 +115,10 @@ mod tests {
                     &toks,
                     &toks,
                     true,
-                    None,
                 ),
             ),
             ("window_attention", wa.core_n(&toks, &toks, &toks, true)),
-            ("embedding", emb.forward_n(&z(&[0, 4]), true, None)),
+            ("embedding", emb.forward_n(&z(&[0, 4]), true)),
         ];
         for (op, got) in table {
             assert!(

@@ -1,9 +1,9 @@
 //! Token-layout operators for transformer models.
 
-use flexiq_tensor::{SeqMask, Tensor};
+use flexiq_tensor::Tensor;
 
 use crate::error::NnError;
-use crate::ops::{check_mask, split_sample, split_stack, stack_dims};
+use crate::ops::{split_sample, split_stack, stack_dims};
 use crate::Result;
 
 /// Converts a CNN activation `[C, H, W]` into a token matrix `[H*W, C]`.
@@ -33,33 +33,18 @@ pub(crate) fn to_tokens_n(x: &Tensor, stacked: bool) -> Result<Tensor> {
 
 /// Mean over tokens: `[T, C]` → `[C]` (the zoo's pooling head).
 pub fn mean_tokens(x: &Tensor) -> Result<Tensor> {
-    mean_tokens_n(x, false, None)
+    mean_tokens_n(x, false)
 }
 
 /// Batched [`mean_tokens`]: `[N, T, C]` → `[N, C]`, summing tokens in the
 /// same order as the single-sample op (bit-exact per sample).
 pub fn mean_tokens_batch(x: &Tensor) -> Result<Tensor> {
-    mean_tokens_n(x, true, None)
+    mean_tokens_n(x, true)
 }
 
-/// Length-masked [`mean_tokens`]: mean over the first `len` tokens of a
-/// padded `[T, C]` matrix, bit-exact with [`mean_tokens`] on the unpadded
-/// `[len, C]` prefix (pad rows are never read, so their values cannot
-/// shift the sum or the divisor).
-pub fn mean_tokens_masked(x: &Tensor, len: usize) -> Result<Tensor> {
-    let t = x.dims().first().copied().unwrap_or(len);
-    mean_tokens_n(x, false, Some(&SeqMask::new(vec![len], t)?))
-}
-
-/// Length-masked [`mean_tokens_batch`]: each sample pools over its own
-/// valid prefix. With `mask = None` this is [`mean_tokens_batch`].
-pub fn mean_tokens_batch_masked(x: &Tensor, mask: Option<&SeqMask>) -> Result<Tensor> {
-    mean_tokens_n(x, true, mask)
-}
-
-/// The one body: each sample averages its valid prefix (all `T` token
-/// rows without a mask), in ascending token order.
-pub(crate) fn mean_tokens_n(x: &Tensor, stacked: bool, mask: Option<&SeqMask>) -> Result<Tensor> {
+/// The one body: each sample averages its `T` token rows, in ascending
+/// token order.
+pub(crate) fn mean_tokens_n(x: &Tensor, stacked: bool) -> Result<Tensor> {
     let (n, [t, c]) = split_sample("mean_tokens", x, stacked)?;
     if t == 0 {
         return Err(NnError::BadActivation {
@@ -68,17 +53,15 @@ pub(crate) fn mean_tokens_n(x: &Tensor, stacked: bool, mask: Option<&SeqMask>) -
             got: x.dims().to_vec(),
         });
     }
-    check_mask("mean_tokens", mask, n, t)?;
     let mut out = vec![0.0f32; n * c];
     for s in 0..n {
-        let len = mask.map_or(t, |m| m.len_of(s));
-        for ti in 0..len {
+        for ti in 0..t {
             for ci in 0..c {
                 out[s * c + ci] += x.data()[(s * t + ti) * c + ci];
             }
         }
         for v in &mut out[s * c..(s + 1) * c] {
-            *v /= len as f32;
+            *v /= t as f32;
         }
     }
     Ok(Tensor::from_vec(stack_dims(stacked, n, &[c]), out)?)
@@ -290,38 +273,6 @@ mod tests {
         assert!(to_tokens_batch(&Tensor::zeros([2, 4, 4])).is_err());
         assert!(mean_tokens_batch(&Tensor::zeros([2, 0, 4])).is_err());
         assert!(reorder_channels_batch(&Tensor::zeros([4]), &[0]).is_err());
-    }
-
-    #[test]
-    fn masked_mean_tokens_pools_valid_prefix_only() {
-        use flexiq_tensor::rng::seeded;
-        let mut rng = seeded(87);
-        let x = Tensor::randn([4, 3], 0.0, 1.0, &mut rng);
-        for len in 1..=4usize {
-            let masked = mean_tokens_masked(&x, len).unwrap();
-            let plain = mean_tokens(&x.slice_axis0(len).unwrap()).unwrap();
-            for (a, b) in masked.data().iter().zip(plain.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "len {len}");
-            }
-        }
-        assert!(mean_tokens_masked(&x, 0).is_err());
-        assert!(mean_tokens_masked(&x, 5).is_err());
-
-        let stack = Tensor::stack(&[x.clone(), x.clone()]).unwrap();
-        let mask = SeqMask::new(vec![2, 4], 4).unwrap();
-        let mb = mean_tokens_batch_masked(&stack, Some(&mask)).unwrap();
-        for (s, len) in [(0usize, 2usize), (1, 4)] {
-            let expect = mean_tokens_masked(&x, len).unwrap();
-            for (a, b) in mb.index_axis0(s).unwrap().data().iter().zip(expect.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "sample {s}");
-            }
-        }
-        // No mask degenerates to the plain batched op.
-        let plain = mean_tokens_batch(&stack).unwrap();
-        let none = mean_tokens_batch_masked(&stack, None).unwrap();
-        assert_eq!(plain.data(), none.data());
-        let bad = SeqMask::new(vec![2], 4).unwrap();
-        assert!(mean_tokens_batch_masked(&stack, Some(&bad)).is_err());
     }
 
     #[test]

@@ -70,14 +70,6 @@
 //! one plan, one scale, and one extraction rule per group — §7's premise
 //! that a batch executes one configuration).
 //!
-//! Padded variable-length batches keep both properties: activation
-//! scales are **calibrated** per tensor, so pad rows cannot pollute
-//! them, and every quantized kernel is per-output-row, so pad rows never
-//! touch a valid row's accumulator. The one live statistic — dynamic
-//! extraction positions — honours the executor-installed
-//! [`crate::exec::Compute::set_seq_mask`] and derives from real rows
-//! only.
-//!
 //! Everything in this module runs on the calling thread. The one
 //! parallel stage is inside the band GEMMs, which split large problems
 //! into output row bands on the ambient pool (`flexiq_tensor::gemm`).
@@ -85,7 +77,6 @@
 //! integer path is bit-exact with serial execution at every thread
 //! count.
 
-use std::ops::Range;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use flexiq_quant::dynamic::{dynamic_lowering, lowering_for_or, or_magnitude};
@@ -94,7 +85,7 @@ use flexiq_quant::quantize::{PerChannelQ, RANGE_EPS};
 use flexiq_quant::{GroupSpec, QParams, QuantBits};
 use flexiq_telemetry as tel;
 use flexiq_tensor::im2col::im2col_i8_batch_fill;
-use flexiq_tensor::{gemm, simd, I8Tensor, SeqMask, Tensor};
+use flexiq_tensor::{gemm, simd, I8Tensor, Tensor};
 
 use crate::calibrate::CalibrationRecord;
 use crate::error::NnError;
@@ -805,12 +796,6 @@ pub struct QuantCompute<'m> {
     model: &'m QuantizedModel,
     plan: MixedPlan,
     opts: QuantExecOptions,
-    /// Sequence mask of the current padded batch, installed by the
-    /// masked executor. Per-tensor activation scales are calibrated, so
-    /// pad rows never pollute them; the mask matters only for **live**
-    /// statistics — dynamic extraction positions — which must derive
-    /// from real rows alone.
-    seq_mask: Option<SeqMask>,
     /// Per-thread scratch, checked out for this hook's lifetime. Taken
     /// out of `self` (`std::mem::take`) for the duration of each layer
     /// call so its fields can be borrowed alongside `&self` helpers.
@@ -855,27 +840,10 @@ impl<'m> QuantCompute<'m> {
             model,
             plan,
             opts,
-            seq_mask: None,
             ws: workspace::take(),
             cache: cache.unwrap_or_else(|| Arc::new(PackCache::private())),
             kv: crate::kv::KvSpec::f32(),
         })
-    }
-
-    /// The contiguous runs of valid rows of an `[N, T, C]` token stack
-    /// under the installed sequence mask — each sample's valid prefix —
-    /// or `None` when every row is live.
-    fn row_runs(&self, n: usize, t: usize) -> Option<Vec<Range<usize>>> {
-        let m = self.seq_mask.as_ref()?;
-        if !m.matches(n, t) || m.is_trivial() {
-            return None;
-        }
-        Some(
-            (0..n)
-                .map(|s| s * t..s * t + m.len_of(s))
-                .filter(|r| !r.is_empty())
-                .collect(),
-        )
     }
 
     /// The active plan.
@@ -938,7 +906,7 @@ impl<'m> QuantCompute<'m> {
 
     fn linear_int(&mut self, l: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
         let (t, _c_in) = lin.check_input(x)?;
-        let out = self.linear_int_rows(l, lin, x, t, None);
+        let out = self.linear_int_rows(l, lin, x, t);
         if x.dims().len() == 1 {
             Ok(Tensor::from_vec([lin.c_out()], out)?)
         } else {
@@ -956,23 +924,8 @@ impl<'m> QuantCompute<'m> {
     /// exactly, and both round-tripped operands stay in `i8` (see
     /// [`BitLowering::round_trip_in_place`]), so the sum equals the
     /// per-group shifted sums bit for bit at every level.
-    ///
-    /// `runs`, when given, lists the contiguous runs of valid rows of a
-    /// masked batch. The GEMM is then issued once per run, so pad rows
-    /// never enter a kernel (their accumulator stays zero) and every
-    /// valid row keeps its reduction order — bit-exact with the unmasked
-    /// call.
-    fn linear_int_rows(
-        &mut self,
-        l: LayerId,
-        lin: &Linear,
-        x: &Tensor,
-        rows: usize,
-        runs: Option<Vec<Range<usize>>>,
-    ) -> Vec<f32> {
+    fn linear_int_rows(&mut self, l: LayerId, lin: &Linear, x: &Tensor, rows: usize) -> Vec<f32> {
         let (c_in, c_out) = (lin.c_in(), lin.c_out());
-        let all_rows = 0..rows;
-        let runs = runs.as_deref().unwrap_or(std::slice::from_ref(&all_rows));
         // The workspace is taken out of `self` for the duration of the
         // layer so its fields can be borrowed alongside `&self` helpers.
         let mut ws = std::mem::take(&mut self.ws);
@@ -980,16 +933,14 @@ impl<'m> QuantCompute<'m> {
         let low = &self.plan.low_groups[l];
         if self.needs_live() && low.contains(&true) {
             // Dynamic extraction: each low group's rule derives from the
-            // valid rows' live values (pad rows carry no information
-            // about the real activations), then those rows round-trip.
+            // live values of every row, then those rows round-trip.
             let _lower = tel::span("bit_lower", tel::Cat::Phase);
             for (g, _) in low.iter().enumerate().filter(|(_, &is_low)| is_low) {
                 let range = self.model.groups.channel_range(g, c_in);
                 let band = |ti: usize| ti * c_in + range.start..ti * c_in + range.end;
-                let valid = || runs.iter().flat_map(|run| run.clone());
-                let or = valid().fold(0, |or, ti| or | or_magnitude(&ws.act_q[band(ti)]));
+                let or = (0..rows).fold(0, |or, ti| or | or_magnitude(&ws.act_q[band(ti)]));
                 let rule = lowering_for_or(or, self.opts.low_bits);
-                for ti in valid() {
+                for ti in 0..rows {
                     rule.round_trip_in_place(&mut ws.act_q[band(ti)]);
                 }
             }
@@ -998,19 +949,17 @@ impl<'m> QuantCompute<'m> {
         let pack = self.cache.linear(self.model, &self.opts, l, low);
         ws.acc.prep(rows * c_out);
         let band_span = tel::span("band_gemm", tel::Cat::Phase);
-        for run in runs {
-            gemm::gemm_i8_band_wt_prepacked(
-                run.len(),
-                c_out,
-                c_in,
-                0,
-                c_in,
-                &ws.act_q[run.start * c_in..],
-                &pack.w,
-                &pack.panel,
-                &mut ws.acc[run.start * c_out..],
-            );
-        }
+        gemm::gemm_i8_band_wt_prepacked(
+            rows,
+            c_out,
+            c_in,
+            0,
+            c_in,
+            &ws.act_q[..],
+            &pack.w,
+            &pack.panel,
+            &mut ws.acc[..],
+        );
         drop(band_span);
         let requant_span = tel::span("requant", tel::Cat::Phase);
         let mut out = vec![0.0f32; rows * c_out];
@@ -1109,12 +1058,11 @@ impl<'m> QuantCompute<'m> {
         }
     }
 
-    /// Batched integer linear: one quantization and one GEMM per run of
-    /// valid rows for the whole `[N(,T), C]` stack.
+    /// Batched integer linear: one quantization and one GEMM for the
+    /// whole `[N(,T), C]` stack.
     fn linear_int_batch(&mut self, l: LayerId, lin: &Linear, x: &Tensor) -> Result<Tensor> {
         let (n, t, _c_in) = lin.check_input_batch(x)?;
-        let runs = self.row_runs(n, t);
-        let out = self.linear_int_rows(l, lin, x, n * t, runs);
+        let out = self.linear_int_rows(l, lin, x, n * t);
         if x.dims().len() == 2 {
             Ok(Tensor::from_vec([n, lin.c_out()], out)?)
         } else {
@@ -1243,10 +1191,6 @@ impl Compute for QuantCompute<'_> {
         // documented intentional divergence in the module docs), so
         // samplewise drivers must not silently stack under it.
         !self.needs_live()
-    }
-
-    fn set_seq_mask(&mut self, mask: Option<&SeqMask>) {
-        self.seq_mask = mask.cloned();
     }
 
     fn kv_spec(&self) -> crate::kv::KvSpec {
@@ -1781,13 +1725,12 @@ mod tests {
         low: &[bool],
         opts: QuantExecOptions,
         x: &[f32],
-        valid: &[bool],
     ) -> Vec<f32> {
         let lq = &model.layers[0];
         let (c_in, c_out) = (lq.c_in, lq.c_out);
         let p = QParams::new(lq.act_scale, QuantBits::B8).unwrap();
         let xq: Vec<i8> = x.iter().map(|&v| p.quantize(v) as i8).collect();
-        let rows = valid.len();
+        let rows = xq.len() / c_in;
         let mut acc = vec![0i64; rows * c_out];
         for g in 0..lq.num_groups() {
             let range = model.groups.channel_range(g, c_in);
@@ -1795,14 +1738,13 @@ mod tests {
                 BitLowering::naive(QuantBits::B8, opts.low_bits)
             } else if opts.dynamic_extract {
                 let live: Vec<i8> = (0..rows)
-                    .filter(|&r| valid[r])
                     .flat_map(|r| xq[r * c_in + range.start..r * c_in + range.end].to_vec())
                     .collect();
                 dynamic_lowering(&live, opts.low_bits)
             } else {
                 lq.act_lowering(g, opts.low_bits)
             };
-            for r in (0..rows).filter(|&r| valid[r]) {
+            for r in 0..rows {
                 for o in 0..c_out {
                     let w_rule = static_w_rule(model, &opts, 0, g, o);
                     let mut sum = 0i64;
@@ -1835,8 +1777,6 @@ mod tests {
         let (c_in, c_out, n, t) = (26usize, 40usize, 3usize, 5usize);
         let groups = GroupSpec::new(4);
         let n_groups = groups.num_groups(c_in);
-        let mask = SeqMask::new(vec![t, 1, t - 2], t).unwrap();
-        let valid: Vec<bool> = (0..n * t).map(|r| mask.valid(r / t, r % t)).collect();
         for trial in 0..16 {
             // Weight magnitudes capped per (output, group), so the static
             // shifts differ across a group's output channels.
@@ -1890,18 +1830,10 @@ mod tests {
                     };
                     let what = format!("trial {trial} B{bits} {opts:?} low={low:?}");
                     let mut hook = QuantCompute::new(&model, plan.clone(), opts).unwrap();
-                    for masked in [false, true] {
-                        let live = if masked {
-                            valid.clone()
-                        } else {
-                            vec![true; n * t]
-                        };
-                        hook.set_seq_mask(masked.then_some(&mask));
-                        let got = hook.linear_batch(0, &lin, &x, n).unwrap();
-                        let want = per_group_shifted_linear(&model, &low, opts, x.data(), &live);
-                        for (i, (a, b)) in want.iter().zip(got.data()).enumerate() {
-                            assert_eq!(a.to_bits(), b.to_bits(), "{what} masked={masked} elem {i}");
-                        }
+                    let got = hook.linear_batch(0, &lin, &x, n).unwrap();
+                    let want = per_group_shifted_linear(&model, &low, opts, x.data());
+                    for (i, (a, b)) in want.iter().zip(got.data()).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{what} elem {i}");
                     }
                 }
             }

@@ -6,6 +6,14 @@ use crate::error::{Result, ServeError};
 use crate::fault::FaultConfig;
 use crate::policy::BrownoutConfig;
 
+/// Upper bound on [`ServeConfig::workers`] and on
+/// [`ServeConfig::pool_threads`]. Each counts OS threads the server
+/// starts (`Core::start` spawns one per worker, the shared pool one per
+/// intra-batch thread), so `validate` rejects a count no process could
+/// start rather than let the spawn loop run into the OS limit. 1024 is
+/// far above any core count the pool can use.
+const MAX_THREADS: usize = 1024;
+
 /// Dynamic-batching and admission parameters of a [`crate::Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -84,13 +92,16 @@ impl ServeConfig {
         if self.queue_capacity == 0 {
             return Err(ServeError::Config("queue_capacity must be positive".into()));
         }
-        if self.workers == 0 {
-            return Err(ServeError::Config("workers must be positive".into()));
+        if !(1..=MAX_THREADS).contains(&self.workers) {
+            return Err(ServeError::Config(format!(
+                "workers must be in 1..={MAX_THREADS}, got {}",
+                self.workers
+            )));
         }
-        if self.pool_threads == Some(0) {
-            return Err(ServeError::Config(
-                "pool_threads must be positive when set".into(),
-            ));
+        if let Some(t) = self.pool_threads.filter(|t| !(1..=MAX_THREADS).contains(t)) {
+            return Err(ServeError::Config(format!(
+                "pool_threads must be in 1..={MAX_THREADS} when set, got {t}"
+            )));
         }
         if !(0.0..=1.0).contains(&self.trace_sample_rate) || !self.trace_sample_rate.is_finite() {
             return Err(ServeError::Config(format!(
@@ -207,6 +218,26 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+        // Thread counts past the bound are refused by `validate` alone,
+        // so no server or pool is ever started with one.
+        for threads in [MAX_THREADS + 1, usize::MAX] {
+            let c = ServeConfig {
+                workers: threads,
+                ..Default::default()
+            };
+            assert!(matches!(c.validate(), Err(ServeError::Config(_))));
+            let c = ServeConfig {
+                pool_threads: Some(threads),
+                ..Default::default()
+            };
+            assert!(matches!(c.validate(), Err(ServeError::Config(_))));
+        }
+        let c = ServeConfig {
+            workers: MAX_THREADS,
+            pool_threads: Some(MAX_THREADS),
+            ..Default::default()
+        };
+        assert!(c.validate().is_ok());
         let c = ServeConfig {
             control: ControlConfig {
                 down_margin: 1.0,
@@ -287,6 +318,24 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
+    /// What `validate` promises of a backoff policy it accepts: finite
+    /// ranges, and every delay the policy hands out, at the first attempt
+    /// and far along the sequence, a `Duration` no longer than `cap`.
+    fn assert_valid_backoff(policy: &crate::BackoffPolicy) {
+        assert!(
+            policy.factor.is_finite() && policy.factor >= 1.0,
+            "{policy:?}"
+        );
+        assert!((0.0..=1.0).contains(&policy.jitter), "{policy:?}");
+        assert!(policy.base <= policy.cap, "{policy:?}");
+        for attempt in [0, 1 << 20, u32::MAX - 1] {
+            let mut b = crate::retry::Backoff::new(policy.clone(), 7).at_attempt(attempt);
+            if let Some(d) = b.next_delay() {
+                assert!(d <= policy.cap, "attempt {attempt}: {d:?}, {policy:?}");
+            }
+        }
+    }
+
     /// Draws field values from tables of extremes, one index per field.
     struct Draw(std::vec::IntoIter<usize>);
 
@@ -323,7 +372,9 @@ mod tests {
     proptest::proptest! {
         /// Every config's `validate` is total over extreme values: it
         /// returns `Ok` or a typed error, never panics, and an `Ok` holds
-        /// finite fractions inside their ranges. Nothing is started.
+        /// finite fractions inside their ranges, thread counts within
+        /// their bound, and (for a backoff policy) delays that never
+        /// panic or pass `cap`. Nothing is started.
         #[test]
         fn validate_never_panics(draws in proptest::collection::vec(0usize..1 << 16, 48)) {
             let mut d = Draw(draws.into_iter());
@@ -369,6 +420,8 @@ mod tests {
             };
             if serve.validate().is_ok() {
                 let (b, c) = (&serve.brownout, &serve.control);
+                assert!(serve.workers <= MAX_THREADS, "{serve:?}");
+                assert!(serve.pool_threads.is_none_or(|t| t <= MAX_THREADS), "{serve:?}");
                 assert!(frac(serve.trace_sample_rate), "{serve:?}");
                 assert!(frac(c.percentile) && frac(c.down_margin) && c.down_margin < 1.0);
                 assert!(frac(b.recover_frac) && frac(b.degrade_frac) && frac(b.shed_frac));
@@ -389,16 +442,24 @@ mod tests {
             if decode.validate().is_ok() {
                 assert!(decode.max_active > 0 && decode.queue_capacity > 0, "{decode:?}");
             }
-            let backoff = crate::BackoffPolicy {
-                base: d.pick(&DURATIONS),
-                cap: d.pick(&DURATIONS),
-                factor: d.pick(&F64S),
-                jitter: d.pick(&F64S),
-                max_retries: d.pick(&U32S),
-            };
-            if backoff.validate().is_ok() {
-                assert!(backoff.factor.is_finite() && backoff.factor >= 1.0, "{backoff:?}");
-                assert!(frac(backoff.jitter) && backoff.base <= backoff.cap, "{backoff:?}");
+            // Backoff policies: the whole product of the tables, not a
+            // sample of it (`base = cap = Duration::MAX` with no jitter is
+            // one corner).
+            for (base, cap) in DURATIONS.into_iter().flat_map(|b| DURATIONS.map(|c| (b, c))) {
+                for (factor, jitter) in F64S.into_iter().flat_map(|f| F64S.map(|j| (f, j))) {
+                    for max_retries in U32S {
+                        let policy = crate::BackoffPolicy {
+                            base,
+                            cap,
+                            factor,
+                            jitter,
+                            max_retries,
+                        };
+                        if policy.validate().is_ok() {
+                            assert_valid_backoff(&policy);
+                        }
+                    }
+                }
             }
         }
     }

@@ -260,10 +260,10 @@ fn argmax(row: &Tensor) -> usize {
 ///
 /// One scheduler thread owns every [`DecodeSession`]; callers submit
 /// rank-1 token-id prompts and block on a [`GenTicket`]. Intra-step
-/// parallelism comes from the runtime itself (its executor fans fused
-/// sessions and GEMM bands across the ambient
-/// [`flexiq_parallel::ThreadPool`]), so the server adds no second
-/// thread pool.
+/// parallelism is the GEMM driver's alone: it splits each large step
+/// GEMM into output row bands on the ambient
+/// [`flexiq_parallel::ThreadPool`], while the fused sessions' attention
+/// runs on the scheduler thread. The server adds no second thread pool.
 pub struct DecodeServer {
     core: Core<GenQueued>,
     max_new_tokens: usize,

@@ -96,14 +96,25 @@ impl Backoff {
         }
         // base · factor^attempt, capped — computed in f64 seconds so
         // large exponents saturate at the cap instead of overflowing.
-        let raw = self.policy.base.as_secs_f64() * self.policy.factor.powi(self.attempt as i32);
-        let capped = raw.min(self.policy.cap.as_secs_f64());
+        let exp = i32::try_from(self.attempt).unwrap_or(i32::MAX);
+        let raw = self.policy.base.as_secs_f64() * self.policy.factor.powi(exp);
+        let cap = self.policy.cap;
+        let capped = raw.min(cap.as_secs_f64());
         // Deterministic jitter in [1 - jitter, 1].
         let u =
             (splitmix64(self.seed ^ u64::from(self.attempt)) >> 11) as f64 / (1u64 << 53) as f64;
         let scale = 1.0 - self.policy.jitter * u;
         self.attempt += 1;
-        Some(Duration::from_secs_f64(capped * scale))
+        // The f64 round trip can land past `cap`, or past what a
+        // `Duration` holds (`Duration::MAX` rounds up to 2^64 s).
+        Some(Duration::try_from_secs_f64(capped * scale).map_or(cap, |d| d.min(cap)))
+    }
+
+    /// The sequence as it stands after `attempt` delays.
+    #[cfg(test)]
+    pub(crate) fn at_attempt(mut self, attempt: u32) -> Self {
+        self.attempt = attempt;
+        self
     }
 
     /// Resets the sequence (e.g. after a successful admission).

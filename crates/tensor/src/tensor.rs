@@ -477,7 +477,7 @@ impl Tensor {
     /// The leading `len` slices along axis 0, as an owned tensor.
     ///
     /// This is the inverse of padding: `[T, …]` → `[len, …]` with
-    /// `len <= T` (used to strip pad rows off a padded batch's outputs).
+    /// `len <= T` (a prompt prefix of a token sequence, say).
     pub fn slice_axis0(&self, len: usize) -> Result<Tensor> {
         if self.shape.rank() == 0 {
             return Err(TensorError::Invalid("cannot slice a scalar".into()));

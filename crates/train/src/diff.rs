@@ -243,7 +243,7 @@ pub fn forward(
             }
             // Everything unquantized is the inference executor's arm.
             _ => (
-                exec::apply_node(node, inputs, input, None, None, &mut exec::F32Compute)?,
+                exec::apply_node(node, inputs, input, None, &mut exec::F32Compute)?,
                 NodeAux::None,
             ),
         };

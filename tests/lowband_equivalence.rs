@@ -35,7 +35,7 @@ use flexiq::nn::zoo::{ModelId, Scale};
 use flexiq::quant::dynamic::dynamic_lowering;
 use flexiq::quant::{BitLowering, GroupSpec, QParams, QuantBits};
 use flexiq::tensor::rng::seeded;
-use flexiq::tensor::{I8Tensor, SeqMask, Tensor};
+use flexiq::tensor::{I8Tensor, Tensor};
 use rand::Rng;
 
 // ───────────────────────────── the oracle ─────────────────────────────
@@ -168,10 +168,8 @@ fn oracle_conv(cx: &Ctx, conv: &Conv2d, x: &Tensor, n: usize, h: usize, w: usize
     out
 }
 
-/// Reference integer linear over `rows` token rows; `valid` marks the
-/// rows a masked batch computes (the rest keep a zero accumulator and
-/// stay out of dynamic statistics).
-fn oracle_linear(cx: &Ctx, lin: &Linear, x: &Tensor, rows: usize, valid: &[bool]) -> Vec<f32> {
+/// Reference integer linear over `rows` token rows.
+fn oracle_linear(cx: &Ctx, lin: &Linear, x: &Tensor, rows: usize) -> Vec<f32> {
     let (lq, c_in, c_out) = (cx.lq, lin.c_in(), lin.c_out());
     let xq = cx.quantize(x.data());
     let wq = lq.w_q.data();
@@ -179,10 +177,9 @@ fn oracle_linear(cx: &Ctx, lin: &Linear, x: &Tensor, rows: usize, valid: &[bool]
     for g in 0..lq.num_groups() {
         let range = cx.groups.channel_range(g, c_in);
         let live: Vec<i8> = (0..rows)
-            .filter(|&t| valid[t])
             .flat_map(|t| xq[t * c_in + range.start..t * c_in + range.end].to_vec())
             .collect();
-        for t in (0..rows).filter(|&t| valid[t]) {
+        for t in 0..rows {
             let a = &xq[t * c_in + range.start..t * c_in + range.end];
             let weight = |o: usize, p: usize| wq[o * c_in + range.start + p];
             cx.band(g, 0..c_out, weight, a, &live, &mut acc[t]);
@@ -231,7 +228,7 @@ impl Compute for OracleHook<'_> {
 
     fn linear(&mut self, l: LayerId, lin: &Linear, x: &Tensor) -> flexiq::nn::Result<Tensor> {
         let (t, _) = lin.check_input(x)?;
-        let out = oracle_linear(&self.ctx(l), lin, x, t, &vec![true; t]);
+        let out = oracle_linear(&self.ctx(l), lin, x, t);
         let mut dims = x.dims().to_vec();
         *dims.last_mut().unwrap() = lin.c_out();
         Ok(Tensor::from_vec(dims, out)?)
@@ -537,8 +534,6 @@ fn linear_matches_the_oracle_in_every_mode() {
         let x = random_act(&[n, t, c_in], 1, c_in, &mut rng);
         let flat = Tensor::from_vec([n * t, c_in], x.data().to_vec()).unwrap();
         let singles: Vec<Tensor> = (0..n).map(|s| x.index_axis0(s).unwrap()).collect();
-        let mask = SeqMask::new(vec![t, 1, t - 2], t).unwrap();
-        let valid: Vec<bool> = (0..n * t).map(|r| mask.valid(r / t, r % t)).collect();
         for opts in modes() {
             let cache = Arc::new(PackCache::new());
             for low in plans(model.layers[0].num_groups()) {
@@ -557,7 +552,7 @@ fn linear_matches_the_oracle_in_every_mode() {
                         QuantCompute::with_cache(&model, plan.clone(), opts, cached.clone())
                             .unwrap();
                     // [N, T, C] and [N·T, C] stacks share one oracle call.
-                    let want = oracle_linear(&cx, &lin, &x, n * t, &vec![true; n * t]);
+                    let want = oracle_linear(&cx, &lin, &x, n * t);
                     assert_bits(
                         &want,
                         &hook.linear_batch(0, &lin, &x, n).unwrap(),
@@ -569,23 +564,13 @@ fn linear_matches_the_oracle_in_every_mode() {
                         &format!("{what} [N,C]"),
                     );
                     for (s, xs) in singles.iter().enumerate() {
-                        let want = oracle_linear(&cx, &lin, xs, t, &vec![true; t]);
+                        let want = oracle_linear(&cx, &lin, xs, t);
                         assert_bits(
                             &want,
                             &hook.linear(0, &lin, xs).unwrap(),
                             &format!("{what} sample {s}"),
                         );
                     }
-                    // Masked batch: pad rows stay out of the kernels and
-                    // out of the live statistics.
-                    hook.set_seq_mask(Some(&mask));
-                    let want = oracle_linear(&cx, &lin, &x, n * t, &valid);
-                    assert_bits(
-                        &want,
-                        &hook.linear_batch(0, &lin, &x, n).unwrap(),
-                        &format!("{what} masked"),
-                    );
-                    hook.set_seq_mask(None);
                 }
             }
         }
