@@ -13,12 +13,17 @@
 //!
 //! **Floor** ([`floors`], the only place it is stated): on AVX2 the
 //! nibble run takes the dense `vpmaddubsw` tile and must beat the pair
-//! tile by ≥ [`LOW_BAND_MIN_SPEEDUP`] on every conv row; other ISAs run
-//! one tile for both operand ranges, so the sweep cannot discriminate
-//! and the floor is skipped. Linear layers issue no low-band call (their
-//! shifts fold into the operands of one plain GEMM), so every row is a
-//! conv shape. The binary prints its table (CSV under `results/`) and
-//! exits 1 on a miss — CI reads the exit code.
+//! tile by ≥ [`LOW_BAND_MIN_SPEEDUP`] on every conv row. The sweep caps
+//! dispatch at AVX2 (`simd::set_cap`), so an AVX-VNNI host gates the
+//! same two tiles; scalar dispatch runs one tile for both operand
+//! ranges, so the sweep cannot discriminate and the floor is skipped.
+//! Where the host has AVX-VNNI, both runs are timed once more uncapped
+//! (`vnni_i8_ms`, `vnni_low_ms`): there both ranges take the one
+//! `vpdpbusd` tile (`+128` and `+8` panels), so those columns report
+//! without a floor what the precision knob still buys on that tier. Linear layers issue no low-band
+//! call (their shifts fold into the operands of one plain GEMM), so
+//! every row is a conv shape. The binary prints its table (CSV under
+//! `results/`) and exits 1 on a miss — CI reads the exit code.
 //!
 //! Blocked-kernel throughput and panel reuse are not timed here: the
 //! end-to-end benchmark reads them off the served engine
@@ -31,11 +36,11 @@ use std::time::Instant;
 use flexiq_bench::{f2, ResultTable};
 use flexiq_tensor::gemm::{self, reference};
 use flexiq_tensor::rng::seeded;
-use flexiq_tensor::simd;
+use flexiq_tensor::simd::{self, Isa};
 use rand::Rng;
 
 /// Floor for the dense low-range tile over the i8 pair tile on the conv
-/// band shapes (AVX2 only — no other ISA has a dense tile).
+/// band shapes (AVX2 tiles only).
 const LOW_BAND_MIN_SPEEDUP: f64 = 1.3;
 
 /// Best-of-3 wall time of `reps` calls to `run`, with one untimed
@@ -145,7 +150,8 @@ struct Row {
     speedup: f64,
 }
 
-/// The floor, stated once: with a dense tile (`dense`, AVX2) every row
+/// The floor, stated once: with a dense tile (`dense`, any ISA with
+/// AVX2, capped at AVX2 by the sweep) every row
 /// must reach [`LOW_BAND_MIN_SPEEDUP`]; without a dense tile nothing can
 /// be gated. Returns one message per miss — empty means pass.
 fn floors(dense: bool, rows: &[Row]) -> Vec<String> {
@@ -170,14 +176,30 @@ fn floors(dense: bool, rows: &[Row]) -> Vec<String> {
 
 fn main() {
     let mut rng = seeded(0x6E77);
+    // The floor compares two AVX2 tiles; a VNNI host runs them too.
+    simd::set_cap(Some(Isa::Avx2));
     let isa = simd::active();
-    let dense = isa == simd::Isa::Avx2;
-    println!("[kernel isa: {}]", isa.name());
+    let dense = isa.has_avx2();
+    let vnni = simd::host_caps().contains(&Isa::AvxVnni);
+    println!(
+        "[kernel isa: {} (host: {})]",
+        isa.name(),
+        simd::detect().name()
+    );
     let pool = flexiq_parallel::ThreadPool::new(1);
     let mut table = ResultTable::new(
         "Low-band GEMM: nibble-range operands vs full-range i8, same shapes (single thread)",
         &[
-            "shape", "m", "n", "kb", "bands", "i8_ms", "low_ms", "speedup",
+            "shape",
+            "m",
+            "n",
+            "kb",
+            "bands",
+            "i8_ms",
+            "low_ms",
+            "speedup",
+            "vnni_i8_ms",
+            "vnni_low_ms",
         ],
     );
     let mut rows = Vec::with_capacity(LOW_SHAPES.len());
@@ -191,6 +213,17 @@ fn main() {
             )
         });
         let speedup = i8_s / low_s;
+        let [vnni_i8, vnni_low] = if vnni {
+            simd::set_cap(None);
+            let t = [127, 7].map(|hi| {
+                let t = flexiq_parallel::with_pool(&pool, || measure_low(s, hi, reps, &mut rng));
+                format!("{:.4}", t * 1e3)
+            });
+            simd::set_cap(Some(Isa::Avx2));
+            t
+        } else {
+            ["-".into(), "-".into()]
+        };
         table.row(vec![
             s.name.into(),
             s.m.to_string(),
@@ -200,6 +233,8 @@ fn main() {
             format!("{:.4}", i8_s * 1e3),
             format!("{:.4}", low_s * 1e3),
             f2(speedup),
+            vnni_i8,
+            vnni_low,
         ]);
         rows.push(Row {
             name: s.name,

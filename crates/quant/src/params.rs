@@ -161,14 +161,14 @@ impl QParams {
     /// supported bitwidth fits).
     ///
     /// Dispatches on [`flexiq_tensor::simd::active`]: 32 values per step
-    /// on AVX2, the scalar formula for the tail and
+    /// on any ISA with AVX2, the scalar formula for the tail and
     /// everywhere else (`FLEXIQ_NO_SIMD=1` included).
     pub fn quantize_slice(&self, xs: &[f32], out: &mut [i8]) {
         assert_eq!(xs.len(), out.len(), "quantize_slice length mismatch");
         let done = match flexiq_tensor::simd::active() {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `active() == Avx2` only after runtime detection.
-            Isa::Avx2 => unsafe { x86::quantize_avx2(self, xs, out) },
+            // SAFETY: an ISA with AVX2 only after runtime detection.
+            Isa::Avx2 | Isa::AvxVnni => unsafe { x86::quantize_avx2(self, xs, out) },
             _ => 0,
         };
         for (q, &x) in out[done..].iter_mut().zip(&xs[done..]) {

@@ -462,6 +462,9 @@ pub enum Counter {
     GemmIsaAvx2,
     /// GEMM calls dispatched to the scalar tiles.
     GemmIsaScalar,
+    /// GEMM calls dispatched to the AVX-VNNI tier (its integer GEMMs run
+    /// the `vpdpbusd` tile, its f32 GEMMs AVX2's).
+    GemmIsaVnni,
     /// Prepacked-weight cache lookups that found a ready entry.
     PackCacheHits,
     /// Prepacked-weight cache lookups that had to build an entry.
@@ -512,6 +515,7 @@ pub struct CountersSnapshot {
     pub gemm_packed_bytes: u64,
     pub gemm_isa_avx2: u64,
     pub gemm_isa_scalar: u64,
+    pub gemm_isa_vnni: u64,
     pub pack_cache_hits: u64,
     pub pack_cache_misses: u64,
     pub pack_cache_bytes: u64,
@@ -539,6 +543,7 @@ pub fn counters() -> CountersSnapshot {
         gemm_packed_bytes: get(Counter::GemmPackedBytes),
         gemm_isa_avx2: get(Counter::GemmIsaAvx2),
         gemm_isa_scalar: get(Counter::GemmIsaScalar),
+        gemm_isa_vnni: get(Counter::GemmIsaVnni),
         pack_cache_hits: get(Counter::PackCacheHits),
         pack_cache_misses: get(Counter::PackCacheMisses),
         pack_cache_bytes: get(Counter::PackCacheBytes),

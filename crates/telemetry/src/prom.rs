@@ -91,7 +91,11 @@ pub fn render(c: &CountersSnapshot) -> String {
         "# HELP flexiq_gemm_isa_calls_total GEMM calls by dispatched kernel ISA."
     );
     let _ = writeln!(out, "# TYPE flexiq_gemm_isa_calls_total counter");
-    for (isa, v) in [("avx2", c.gemm_isa_avx2), ("scalar", c.gemm_isa_scalar)] {
+    for (isa, v) in [
+        ("avx2", c.gemm_isa_avx2),
+        ("avxvnni", c.gemm_isa_vnni),
+        ("scalar", c.gemm_isa_scalar),
+    ] {
         let _ = writeln!(out, "flexiq_gemm_isa_calls_total{{isa=\"{isa}\"}} {v}");
     }
     // One labeled family for prepacked-weight cache traffic: hits serve
@@ -176,6 +180,7 @@ mod tests {
             gemm_calls: 7,
             pool_tasks: 3,
             gemm_isa_avx2: 5,
+            gemm_isa_vnni: 6,
             pack_cache_hits: 11,
             pack_cache_bytes: 4096,
             decode_steps: 9,
@@ -192,6 +197,7 @@ mod tests {
         assert!(text.contains("\nflexiq_gemm_calls_total 7\n"));
         assert!(text.contains("\nflexiq_pool_tasks_total 3\n"));
         assert!(text.contains("\nflexiq_gemm_isa_calls_total{isa=\"avx2\"} 5\n"));
+        assert!(text.contains("\nflexiq_gemm_isa_calls_total{isa=\"avxvnni\"} 6\n"));
         assert!(text.contains("\nflexiq_gemm_isa_calls_total{isa=\"scalar\"} 0\n"));
         assert!(text.contains("\nflexiq_pack_cache_events_total{event=\"hit\"} 11\n"));
         assert!(text.contains("\nflexiq_pack_cache_events_total{event=\"miss\"} 0\n"));

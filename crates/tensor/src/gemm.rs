@@ -80,13 +80,32 @@
 //! # ISA dispatch
 //!
 //! Full `MR × NR` / `MR × NR_I8` tiles dispatch to explicit SIMD
-//! kernels in [`crate::simd`] when the running CPU supports them
-//! (AVX2 on x86-64; detected once per process,
-//! `FLEXIQ_NO_SIMD=1` forces the scalar tiles). Edge tiles and
-//! sub-threshold problems always run the scalar/reference code. The
-//! AVX2 integer path packs its rhs into a dedicated `pmaddwd` *pair*
-//! panel (the `I8Pairs` kernel); every other ISA shares the plain
-//! panels. All paths are bit-identical — the f32 SIMD tiles keep
+//! kernels in [`crate::simd`] when the running CPU supports them. The
+//! ISA is detected once per process and resolved per call, in this
+//! order: `FLEXIQ_NO_SIMD=1` forces scalar, a test cap
+//! ([`simd::set_cap`]) bounds the pick, and otherwise the best tier the
+//! CPU has wins — AVX-VNNI (`avx2` + `avxvnni`), then AVX2, then scalar.
+//! Per tier, the integer kernels are:
+//!
+//! * **AVX-VNNI** — every blocked i8 GEMM is a *byte-quad run*: the lhs
+//!   rows are packed into quad tiles with a per-row correction, the rhs
+//!   into quad panels offset to unsigned bytes, and one non-saturating
+//!   `vpdpbusd` adds four products per i32 lane (`+128` panels for
+//!   full-range operands, `+8` for bit-lowered bands). The rhs stores
+//!   `b + offset` as an unsigned byte, the lhs pack records
+//!   `-offset·Σ_p a[i][p]` per row, and the i32 lanes wrap instead of
+//!   saturating, so the result is exact whenever it fits in `i32` —
+//!   which every `K < 131 072` guarantees (`|a·b| ≤ 16384`); the full
+//!   argument is in [`crate::simd`].
+//! * **AVX2** — full-range operands run the `pmaddwd` *pair* panel (the
+//!   `I8Pairs` kernel); bit-lowered bands in `[-8, 7]` run the
+//!   `vpmaddubsw` byte-quad tile at `+8`.
+//! * **Scalar** — plain panels and the portable tiles.
+//!
+//! Edge tiles of the `Kernel` families and sub-threshold problems run the
+//! scalar/reference code; a byte-quad run covers its edges itself (zero
+//! padded lhs rows and steps, and a partial write-back of the last panel).
+//! All paths are bit-identical — the f32 SIMD tiles keep
 //! per-element k-accumulation in ascending order with unfused
 //! multiply-adds, and integer tiles are exact in `i32` regardless of
 //! lane order (see [`crate::simd`] for the full contract). The SIMD
@@ -107,12 +126,14 @@
 //! shift per output row ([`LowBandLhs`]) — so a band needs no scratch
 //! matrix and no second pass, and a run of consecutive bands is one
 //! call that packs the activations once and visits each output tile
-//! once. Operands lowered to four bits or fewer lie in `[-8, 7]`; where
-//! the ISA has a dense low-range tile (AVX2's `vpmaddubsw` tile over
-//! byte-quad panels, exactness argued in [`crate::simd`]) such a run
-//! takes it, with the lowered weights prepacked as lhs tiles inside
-//! [`LowBandLhs`]. Everything else runs the ordinary i8 kernels with
-//! the same write-back; all of it is exact in `i32`. (A linear layer
+//! once. Operands lowered to four bits or fewer lie in `[-8, 7]`; on
+//! either SIMD tier such a run is a byte-quad run at `+8` (AVX2's
+//! `vpmaddubsw` tile or the VNNI tile, exactness argued in
+//! [`crate::simd`]), with the lowered weights prepacked as lhs tiles
+//! inside [`LowBandLhs`] — one format both tiles read. Under AVX-VNNI a
+//! wider run is a `+128` byte-quad run too; everything else runs the
+//! ordinary i8 kernels with the same write-back; all of it is exact in
+//! `i32`. (A linear layer
 //! needs none of this: its shifts fold into round-tripped operands, and
 //! it runs as one plain prepacked GEMM.)
 //!
@@ -121,7 +142,8 @@
 //! The rhs of a weight GEMM is immutable across calls, so its pack
 //! stage can run **once ahead of time**: [`prepack_i8_wt_band`] builds
 //! an owned [`PackedRhsI8`] holding exactly the panels a per-call pack
-//! would produce, and [`gemm_i8_band_wt_prepacked`] feeds them straight
+//! would produce — plain, pair or `+128` quad panels, by the ISA active
+//! at prepack — and [`gemm_i8_band_wt_prepacked`] feeds them straight
 //! to the driver (as [`LowBandLhs`] does for the lowered bands'
 //! dense tiles). Whether a panel is consumed is decided by the call's
 //! inputs, never by a setting: it is used wherever the problem blocks
@@ -146,10 +168,11 @@
 //! generics monomorphise: no `dyn`, no function pointer inside the
 //! nest. Adding a tile or a panel format means one more `Kernel` impl
 //! (a packer and a tile) and one arm where the entry points pick a
-//! kernel — no new driver, plan match or public function. The dense
-//! low-range run goes through the same dispatcher with its own tile
-//! loop: its lhs tiles are prepacked and span whole bands, not `KC`
-//! blocks.
+//! kernel — no new driver, plan match or public function. A byte-quad
+//! run goes through the same dispatcher with its own tile loop: its lhs
+//! tiles carry per-row corrections and span whole bands, not `KC`
+//! blocks, and its one tile call picks the AVX2 or the VNNI tile (the
+//! two share a signature).
 
 use std::mem::size_of;
 use std::ops::Range;
@@ -356,13 +379,16 @@ const _: () = assert!(KC % 2 == 0);
 // ─── Prepacked rhs operands ─────────────────────────────────────────────
 
 /// Owned i8 panel storage of a [`PackedRhsI8`], in whichever format the
-/// packing ISA's kernel consumes: plain panels everywhere, `pmaddwd`
-/// pair panels under AVX2.
+/// packing ISA's kernel consumes: plain panels under scalar dispatch,
+/// `pmaddwd` pair panels under AVX2, `+128` byte-quad panels under
+/// AVX-VNNI.
 #[derive(Debug, Clone)]
 enum PanelsI8 {
     Plain(Vec<i8>),
     #[cfg(target_arch = "x86_64")]
     Pairs(Vec<i32>),
+    #[cfg(target_arch = "x86_64")]
+    Quads(Vec<i8>),
 }
 
 /// An owned, ahead-of-time packed i8 rhs, in the panel format of the
@@ -384,6 +410,8 @@ impl PackedRhsI8 {
             PanelsI8::Plain(buf) => buf.len(),
             #[cfg(target_arch = "x86_64")]
             PanelsI8::Pairs(buf) => buf.len() * size_of::<i32>(),
+            #[cfg(target_arch = "x86_64")]
+            PanelsI8::Quads(buf) => buf.len(),
         }
     }
 }
@@ -391,6 +419,19 @@ impl PackedRhsI8 {
 /// Packs an i8 rhs into owned panels in `isa`'s format.
 fn prepack_i8_rhs(isa: Isa, rhs: Rhs<'_, i8>, n: usize, k0: usize, k1: usize) -> PackedRhsI8 {
     let panels = match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::AvxVnni => {
+            let mut buf = Vec::new();
+            pack_b_quads(
+                rhs,
+                k0,
+                std::iter::once(k1 - k0),
+                n,
+                FULL_RANGE_OFFSET,
+                &mut buf,
+            );
+            PanelsI8::Quads(buf)
+        }
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => {
             let mut buf = Vec::new();
@@ -705,8 +746,10 @@ impl Kernel for F32Kernel {
         if mr == MR && nrw == NR {
             match self.isa {
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: `isa == Avx2` only after runtime detection.
-                Isa::Avx2 => unsafe { simd::x86::f32_tile_avx2(kc, ap, bp, &mut acc) },
+                // SAFETY: an ISA with AVX2 only after runtime detection.
+                Isa::Avx2 | Isa::AvxVnni => unsafe {
+                    simd::x86::f32_tile_avx2(kc, ap, bp, &mut acc)
+                },
                 _ => {
                     // Full scalar tile: fixed-size loops the compiler
                     // unrolls and keeps in registers. No zero-skip — f32
@@ -776,8 +819,8 @@ impl Kernel for F32Kernel {
 }
 
 /// The plain-panel integer family: [`NR_I8`]-lane i8 panels, scalar
-/// tiles. The AVX2 path never reaches this kernel — it uses the
-/// pair panel via [`I8Pairs`].
+/// tiles. The SIMD tiers never reach this kernel — AVX2 uses the pair
+/// panel via [`I8Pairs`], AVX-VNNI the byte-quad runs.
 #[derive(Clone, Copy)]
 struct I8Plain<'a> {
     epi: Epilogue<'a>,
@@ -865,7 +908,9 @@ impl Kernel for I8Plain<'_> {
 }
 
 /// The AVX2 integer family over `pmaddwd`-ready i16-**pair** panels.
-/// Only constructed after runtime detection reported AVX2.
+/// Only constructed after runtime detection reported AVX2 (under
+/// AVX-VNNI, for sub-threshold shapes only — it then runs the
+/// reference-order loop).
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct I8Pairs<'a> {
@@ -974,7 +1019,7 @@ impl Kernel for I8Pairs<'_> {
         let bp = &bp[..kpairs * NR_I8];
         if mr == MR && nrw == NR_I8 {
             // SAFETY: an `I8Pairs` kernel is only constructed when runtime
-            // detection reported AVX2 (see `gemm_i8_general`).
+            // detection reported an ISA with AVX2 (see `gemm_i8_general`).
             unsafe { simd::x86::i8_tile_avx2(kc, ap, bp, &mut acc) };
         } else {
             // Scalar walk of the pair encoding: low i16 is step 2pp, high
@@ -1250,6 +1295,7 @@ fn gemm_traced(
     tel::count(tel::Counter::GemmMadds, (m * n * kb) as u64);
     tel::count(
         match isa {
+            Isa::AvxVnni => tel::Counter::GemmIsaVnni,
             Isa::Avx2 => tel::Counter::GemmIsaAvx2,
             Isa::Scalar => tel::Counter::GemmIsaScalar,
         },
@@ -1318,8 +1364,9 @@ pub fn gemm_f32_wt(m: usize, n: usize, k: usize, a: &[f32], w: &[f32], c: &mut [
 }
 
 /// One integer GEMM under `isa`: validates nothing (callers assert),
-/// picks the kernel — AVX2 reads pair panels, every other ISA the plain
-/// ones — and runs the plan. `pre` optionally supplies an ahead-of-time
+/// picks the kernel — a blocked shape under AVX-VNNI runs the byte-quad
+/// path ([`quads_general`]), AVX2 reads pair panels, scalar dispatch the
+/// plain ones — and runs the plan. `pre` optionally supplies an ahead-of-time
 /// packed full-width rhs for the operands' band; it is consumed only if
 /// it holds the picked kernel's panel format (see [`run_plan`] for
 /// where), so a panel built under another ISA costs a per-call pack,
@@ -1337,7 +1384,15 @@ fn gemm_i8_general(
 ) -> u64 {
     let panels = pre.map(|p| &p.panels);
     #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 {
+    if isa == Isa::AvxVnni && worth_blocking(m, n, ops.k1 - ops.k0, NR_I8, 0) {
+        let pre = match panels {
+            Some(PanelsI8::Quads(buf)) => Some(&buf[..]),
+            _ => None,
+        };
+        return quads_general(m, n, ops, pre, epi, c);
+    }
+    #[cfg(target_arch = "x86_64")]
+    if isa.has_avx2() {
         let pre = match panels {
             Some(PanelsI8::Pairs(buf)) => Some(&buf[..]),
             _ => None,
@@ -1465,12 +1520,58 @@ pub fn gemm_i8_band_wt_prepacked(
     gemm_i8_traced("gemm_i8_band_wt", m, n, ops, Some(packed), Epilogue::Add, c);
 }
 
-// ─── Low-band operands and the fused low-band entry point ───────────────
+// ─── Byte-quad operands and the quad driver ─────────────────────────────
 
-/// Quad-interleaved lhs tiles of the dense low-range tile with their
-/// per-row offset corrections (see [`crate::simd`]): `tiles[((it*kq +
-/// q)*MR + r)*4 + t]` is row `it*MR + r`, reduction step `4q + t` (zero
-/// past the operand's edges) and `corr[i] = -8·Σ_p a[i][p]`.
+/// Rhs panel offset of full-range byte-quad runs: `b + 128 ∈ [0, 255]`
+/// is the unsigned side of `vpdpbusd` (see [`crate::simd`]).
+#[cfg(target_arch = "x86_64")]
+const FULL_RANGE_OFFSET: i32 = 128;
+
+/// Rhs panel offset of low-range byte-quad runs: `b + 8 ∈ [0, 15]`, the
+/// range the AVX2 dense tile is exact on.
+const LOW_RANGE_OFFSET: i32 = 8;
+
+/// Appends the quad-interleaved lhs tiles of rows `0..m`, reduction band
+/// `[k0, k1)`, of the row-major `a` (row stride `lda`) to `tiles`, and
+/// their per-row offset corrections `-offset·Σ_p a[i][p]` (wrapping, see
+/// [`crate::simd`]) to `corr`: relative to where each buffer started,
+/// `tiles[((it*kq + q)*MR + r)*4 + t]` is row `it*MR + r`, step
+/// `k0 + 4q + t` (zero past the operand's edges), and `corr` gains
+/// `⌈m/MR⌉·MR` entries, zero on padding rows.
+fn pack_quad_lhs(
+    a: &[i8],
+    lda: usize,
+    m: usize,
+    [k0, k1]: [usize; 2],
+    offset: i32,
+    tiles: &mut Vec<i8>,
+    corr: &mut Vec<i32>,
+) {
+    let kq = (k1 - k0).div_ceil(4);
+    let ntiles = m.div_ceil(MR);
+    let (t0, c0) = (tiles.len(), corr.len());
+    tiles.resize(t0 + ntiles * kq * MR * 4, 0);
+    corr.resize(c0 + ntiles * MR, 0);
+    for i in 0..m {
+        let (it, r) = (i / MR, i % MR);
+        let arow = &a[i * lda + k0..i * lda + k1];
+        let dst = &mut tiles[t0 + it * kq * MR * 4..];
+        // Whole quads as fixed 4-byte moves, then the tail.
+        let (quads, tail) = arow.as_chunks::<4>();
+        for (q, quad) in quads.iter().enumerate() {
+            dst[(q * MR + r) * 4..][..4].copy_from_slice(quad);
+        }
+        if !tail.is_empty() {
+            dst[(quads.len() * MR + r) * 4..][..tail.len()].copy_from_slice(tail);
+        }
+        let sum: i32 = arow.iter().map(|&v| v as i32).sum();
+        corr[c0 + i] = sum.wrapping_mul(-offset);
+    }
+}
+
+/// Quad-interleaved lhs tiles of a low-range block with their `+8`
+/// offset corrections ([`pack_quad_lhs`]), owned — the prepacked lhs of
+/// [`LowBandLhs`].
 #[derive(Debug, Clone)]
 struct DenseLhs {
     tiles: Vec<i8>,
@@ -1480,17 +1581,16 @@ struct DenseLhs {
 impl DenseLhs {
     /// Packs a row-major `[m, kb]` block.
     fn pack(m: usize, kb: usize, rows: &[i8]) -> Self {
-        let kq = kb.div_ceil(4);
-        let ntiles = m.div_ceil(MR);
-        let mut tiles = vec![0i8; ntiles * kq * MR * 4];
-        let mut corr = vec![0i32; ntiles * MR];
-        for (i, arow) in rows.chunks_exact(kb.max(1)).take(m).enumerate() {
-            let (it, r) = (i / MR, i % MR);
-            for (p, &v) in arow.iter().enumerate() {
-                tiles[((it * kq + p / 4) * MR + r) * 4 + p % 4] = v;
-            }
-            corr[i] = -8 * arow.iter().map(|&v| v as i32).sum::<i32>();
-        }
+        let (mut tiles, mut corr) = (Vec::new(), Vec::new());
+        pack_quad_lhs(
+            rows,
+            kb,
+            m,
+            [0, kb],
+            LOW_RANGE_OFFSET,
+            &mut tiles,
+            &mut corr,
+        );
         DenseLhs { tiles, corr }
     }
 
@@ -1500,13 +1600,240 @@ impl DenseLhs {
     }
 }
 
+/// One band of a byte-quad run ([`quad_run`]): its reduction extent,
+/// the lhs quad tiles of every row tile of the call with their
+/// corrections, and the write-back of its sums. The epilogue's row
+/// shifts are indexed by absolute output row.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct QuadBand<'a> {
+    kb: usize,
+    tiles: &'a [i8],
+    corr: &'a [i32],
+    epi: Epilogue<'a>,
+}
+
+/// Packs all `n` columns of the consecutive reduction bands `kbs`
+/// (starting at step `k0`) of `rhs` into quad panels:
+/// `buf[((jp*kq + q0_s + q)*NR_I8 + lane)*4 + t]` holds column
+/// `jp*NR_I8 + lane` of band `s`'s step `4q + t`, **offset by
+/// `+offset`** and stored as a wrapping byte, where `kq = Σ_s ⌈kb_s/4⌉`
+/// and `q0_s` is band `s`'s first quad — every band starts on a quad
+/// boundary, so each can be fed to the tile on its own. Steps past a
+/// band's end and lanes past the matrix edge stay zero (the lhs tiles
+/// are zero there, so the value is moot). Returns the OR of every
+/// stored byte: `≤ 15` iff a `+8` pack met only values in `[-8, 7]`.
+#[cfg(target_arch = "x86_64")]
+fn pack_b_quads(
+    rhs: Rhs<'_, i8>,
+    k0: usize,
+    kbs: impl Iterator<Item = usize> + Clone,
+    n: usize,
+    offset: i32,
+    buf: &mut Vec<i8>,
+) -> u8 {
+    let kq: usize = kbs.clone().map(|kb| kb.div_ceil(4)).sum();
+    let npan = n.div_ceil(NR_I8);
+    let offset = offset as i8;
+    let simd_rows = simd::detect().has_avx2();
+    buf.clear();
+    buf.resize(npan * kq * NR_I8 * 4, 0);
+    let mut seen = 0u8;
+    for jp in 0..npan {
+        let j0 = jp * NR_I8;
+        let lanes = (n - j0).min(NR_I8);
+        let (mut p0, mut q0) = (k0, jp * kq);
+        for kb in kbs.clone() {
+            let dst = &mut buf[q0 * NR_I8 * 4..(q0 + kb.div_ceil(4)) * NR_I8 * 4];
+            match rhs {
+                Rhs::Rows { b, n: ldb } => {
+                    let full = if lanes == NR_I8 && simd_rows {
+                        kb / 4
+                    } else {
+                        0
+                    };
+                    if full > 0 {
+                        let src = &b[p0 * ldb + j0..];
+                        // SAFETY: `full > 0` only after runtime detection
+                        // reported AVX2.
+                        seen |= unsafe { simd::x86::quads_pack_avx2(src, ldb, full, offset, dst) };
+                    }
+                    for p in 4 * full..kb {
+                        let src = &b[(p0 + p) * ldb + j0..][..lanes];
+                        for (lane, &v) in src.iter().enumerate() {
+                            let u = v.wrapping_add(offset);
+                            seen |= u as u8;
+                            dst[(p / 4 * NR_I8 + lane) * 4 + p % 4] = u;
+                        }
+                    }
+                }
+                Rhs::WeightT { w, k } => {
+                    // A column's quad is four adjacent bytes of its
+                    // weight row.
+                    for lane in 0..lanes {
+                        let wrow = &w[(j0 + lane) * k + p0..][..kb];
+                        for (q, quad) in wrow.chunks(4).enumerate() {
+                            let d = &mut dst[(q * NR_I8 + lane) * 4..][..quad.len()];
+                            for (d, &v) in d.iter_mut().zip(quad) {
+                                *d = v.wrapping_add(offset);
+                                seen |= *d as u8;
+                            }
+                        }
+                    }
+                }
+            }
+            p0 += kb;
+            q0 += kb.div_ceil(4);
+        }
+    }
+    seen
+}
+
+/// Byte-quad pass over lhs tiles `tiles` of every band into `c`, those
+/// tiles' rows of the output (row stride `n`), against quad panels `bq`
+/// covering all `n` columns: each output tile sums all bands'
+/// contributions in registers and touches `c` once. `vnni` picks the
+/// tile — the AVX-VNNI tile, or the AVX2 dense tile (`+8` panels only).
+#[cfg(target_arch = "x86_64")]
+fn quad_block<'a>(
+    vnni: bool,
+    m: usize,
+    tiles: Range<usize>,
+    bands: impl Iterator<Item = QuadBand<'a>> + Clone,
+    bq: &[i8],
+    c: &mut [i32],
+    n: usize,
+) {
+    let kq: usize = bands.clone().map(|s| s.kb.div_ceil(4)).sum();
+    for jp in 0..n.div_ceil(NR_I8) {
+        let col0 = jp * NR_I8;
+        let nrw = (n - col0).min(NR_I8);
+        for it in tiles.clone() {
+            let mr = (m - it * MR).min(MR);
+            let mut total = [[0i32; NR_I8]; MR];
+            let mut q0 = jp * kq;
+            for band in bands.clone() {
+                let kqs = band.kb.div_ceil(4);
+                let mut corr = [0i32; MR];
+                let mut shl = [0u32; MR];
+                corr.copy_from_slice(&band.corr[it * MR..(it + 1) * MR]);
+                if let Epilogue::ShlRows { act, weight } = band.epi {
+                    for r in 0..mr {
+                        shl[r] = (act + weight[it * MR + r]) as u32;
+                    }
+                }
+                let ap = &band.tiles[it * kqs * MR * 4..(it + 1) * kqs * MR * 4];
+                let bp = &bq[q0 * NR_I8 * 4..(q0 + kqs) * NR_I8 * 4];
+                let out = &mut total;
+                // SAFETY: quad runs dispatch on runtime-detected AVX2, and
+                // `vnni` is set only on runtime-detected AVX-VNNI.
+                unsafe {
+                    if vnni {
+                        simd::x86::i8_tile_quads_vnni(kqs, ap, bp, &corr, &shl, out)
+                    } else {
+                        simd::x86::i8_tile_dense_avx2(kqs, ap, bp, &corr, &shl, out)
+                    }
+                };
+                q0 += kqs;
+            }
+            let r0 = (it - tiles.start) * MR;
+            for r in 0..mr {
+                let crow = &mut c[(r0 + r) * n + col0..][..nrw];
+                for (cj, &v) in crow.iter_mut().zip(&total[r][..nrw]) {
+                    *cj += v;
+                }
+            }
+        }
+    }
+}
+
+/// A run of byte-quad bands through [`run_plan`]: the rhs quad panels
+/// of all `n` columns are `pre` or are packed once per call by
+/// `pack_b`, and [`quad_block`] visits each output tile once. Row bands
+/// split whole lhs tiles, so each output element's integer sum is
+/// untouched. The caller checked the shape against the blocking
+/// threshold. Returns the rhs bytes packed.
+#[cfg(target_arch = "x86_64")]
+fn quad_run<'a>(
+    vnni: bool,
+    [m, n]: [usize; 2],
+    bands: impl Iterator<Item = QuadBand<'a>> + Clone + Sync,
+    pre: Option<&[i8]>,
+    pack_b: impl FnOnce(&mut Vec<i8>),
+    c: &mut [i32],
+) -> u64 {
+    let kb = bands.clone().map(|s| s.kb).sum();
+    run_plan([m, n, kb], pre, c, true, pack_b, |rows, bq, c_rows| {
+        let bq = bq.expect("a quad run always blocks");
+        // Row bands are tile-aligned (`row_bands`), and the lhs tiles
+        // were packed ahead of the plan: nothing staged here.
+        let tiles = rows.start / MR..rows.end.div_ceil(MR);
+        quad_block(vnni, m, tiles, bands.clone(), bq, c_rows, n);
+        0
+    })
+}
+
+/// A blocked full-range i8 GEMM under AVX-VNNI: the lhs rows are packed
+/// into quad tiles with their `-128·Σa` corrections per call (`m·kb`
+/// bytes), the rhs into `+128` quad panels once per call unless `pre`
+/// holds them, and one single-band quad run does the rest. Returns the
+/// bytes packed.
+#[cfg(target_arch = "x86_64")]
+fn quads_general(
+    m: usize,
+    n: usize,
+    ops: Operands<'_, i8>,
+    pre: Option<&[i8]>,
+    epi: Epilogue<'_>,
+    c: &mut [i32],
+) -> u64 {
+    let Operands {
+        a,
+        lda,
+        rhs,
+        k0,
+        k1,
+    } = ops;
+    let (mut tiles, mut corr) = (i8::take(), i32::take());
+    pack_quad_lhs(
+        a,
+        lda,
+        m,
+        [k0, k1],
+        FULL_RANGE_OFFSET,
+        &mut tiles,
+        &mut corr,
+    );
+    let lhs_bytes = tiles.len() + corr.len() * size_of::<i32>();
+    let band = QuadBand {
+        kb: k1 - k0,
+        tiles: &tiles,
+        corr: &corr,
+        epi,
+    };
+    let rhs_bytes = quad_run(
+        true,
+        [m, n],
+        std::iter::once(band),
+        pre,
+        |buf| {
+            pack_b_quads(rhs, k0, std::iter::once(k1 - k0), n, FULL_RANGE_OFFSET, buf);
+        },
+        c,
+    );
+    i8::put(tiles);
+    i32::put(corr);
+    lhs_bytes as u64 + rhs_bytes
+}
+
+// ─── Low-band operands and the fused low-band entry point ───────────────
+
 /// A bit-lowered weight band in **convolution orientation** (weights
 /// are the GEMM lhs): the lowered `[m, kb]` block, one extraction shift
-/// per output row, and — when built under an ISA with a dense
-/// low-range tile and lowered to four bits or fewer — the block's
-/// prepacked dense lhs tiles. The owned operand of
-/// [`LowBands`]; the quantized engine caches one per
-/// (layer, conv group, feature group).
+/// per output row, and — when built under an ISA with AVX2 and lowered
+/// to four bits or fewer — the block's prepacked `+8` lhs quad tiles.
+/// The owned operand of [`LowBands`]; the quantized engine caches one
+/// per (layer, conv group, feature group).
 #[derive(Debug, Clone)]
 pub struct LowBandLhs {
     m: usize,
@@ -1529,8 +1856,7 @@ impl LowBandLhs {
         assert_eq!(shifts.len(), m, "one shift per output row");
         // True of anything lowered to four bits or fewer.
         let low_range = rows.iter().all(|v| (-8..=7).contains(v));
-        let dense =
-            (low_range && simd::active() == Isa::Avx2).then(|| DenseLhs::pack(m, kb, &rows));
+        let dense = (low_range && simd::active().has_avx2()).then(|| DenseLhs::pack(m, kb, &rows));
         LowBandLhs {
             m,
             kb,
@@ -1571,20 +1897,22 @@ pub struct LowBands<'a> {
 /// accumulation applied at write-back** — the paper's low-precision
 /// convolution band in one call, accumulating straight into `c`.
 ///
-/// A run whose operands all lie in `[-8, 7]` runs the dense low-range
-/// tile where the ISA has one (AVX2 — see [`crate::simd`]): the rhs is
-/// packed once for the whole run, and each output tile is visited once
-/// however many bands the run has. Everything else — other ISAs,
-/// sub-threshold shapes, wider operands — runs the ordinary i8 kernels
-/// with the same fused write-back. Every path is exact in `i32`, so
-/// results are bit-identical to per-band GEMMs into a scratch buffer
-/// followed by `c += scratch << shift`.
+/// A blocked run is one byte-quad run ([`crate::simd`]) wherever the
+/// ISA has a tile for its operands: under AVX-VNNI always (`+8` panels
+/// when every operand lies in `[-8, 7]`, `+128` otherwise), under AVX2
+/// when every operand lies in `[-8, 7]` (the dense `vpmaddubsw` tile).
+/// The rhs is then packed once for the whole run, and each output tile
+/// is visited once however many bands the run has. Everything else —
+/// scalar dispatch, sub-threshold shapes, wider operands under AVX2 —
+/// runs the ordinary i8 kernels with the same fused write-back. Every
+/// path is exact in `i32`, so results are bit-identical to per-band
+/// GEMMs into a scratch buffer followed by `c += scratch << shift`.
 ///
 /// # Panics
 ///
 /// Panics if a buffer is smaller than its extent, if band heights or
 /// shift counts disagree, if a total shift exceeds
-/// [`MAX_EPILOGUE_SHIFT`], or if the dense path meets an activation
+/// [`MAX_EPILOGUE_SHIFT`], or if a `+8` run meets an activation
 /// outside `[-8, 7]` under bands that promised that range.
 pub fn gemm_i8_low_bands(call: LowBands<'_>, c: &mut [i32]) {
     let LowBands {
@@ -1612,11 +1940,11 @@ pub fn gemm_i8_low_bands(call: LowBands<'_>, c: &mut [i32]) {
         || 0,
         || {
             #[cfg(target_arch = "x86_64")]
-            if isa == Isa::Avx2
+            if isa.has_avx2()
                 && worth_blocking(m, n, kb, NR_I8, 0)
-                && bands.iter().all(|s| s.low_range)
+                && (isa == Isa::AvxVnni || bands.iter().all(|s| s.low_range))
             {
-                return low_run_dense(m, n, bands, a_shifts, b, c);
+                return low_run_quads(isa, m, n, bands, a_shifts, b, c);
             }
             let (mut row0, mut packed) = (0, 0);
             for (band, &act) in bands.iter().zip(a_shifts) {
@@ -1635,109 +1963,16 @@ pub fn gemm_i8_low_bands(call: LowBands<'_>, c: &mut [i32]) {
     );
 }
 
-/// Packs all `n` columns of a run's rows into dense quad panels:
-/// `buf[((jp*kq + q0_s + q)*NR_I8 + lane)*4 + t]` holds column
-/// `jp*NR_I8 + lane` of band `s`'s reduction step `4q + t`, **offset by
-/// +8**, where `kq = Σ_s ⌈kb_s/4⌉` and `q0_s` is band `s`'s first quad —
-/// every band starts on a quad boundary, so each can be fed to the tile
-/// on its own. Steps past a band's end and lanes past the matrix edge
-/// stay zero (the lhs tiles are zero there, so the value is moot).
-/// Returns whether every packed value lay in `[-8, 7]`.
+/// Byte-quad path of [`gemm_i8_low_bands`] (an ISA with AVX2, blocked
+/// shape, and — without VNNI — all operands in `[-8, 7]`) as one
+/// [`quad_run`]. A low-range run uses `+8` panels and the bands' own
+/// prepacked lhs tiles, or packs them here when a band was built under
+/// scalar dispatch; a wider run (VNNI only) uses `+128` panels and packs
+/// every band's lhs here. The rhs quad panels are packed once per call.
+/// Returns the bytes packed.
 #[cfg(target_arch = "x86_64")]
-fn pack_b_i8_quads(b: &[i8], n: usize, bands: &[LowBandLhs], buf: &mut Vec<i8>) -> bool {
-    let kq: usize = bands.iter().map(|s| s.kb.div_ceil(4)).sum();
-    let npan = n.div_ceil(NR_I8);
-    buf.clear();
-    buf.resize(npan * kq * NR_I8 * 4, 0);
-    let mut seen = 0u8;
-    for jp in 0..npan {
-        let j0 = jp * NR_I8;
-        let lanes = (n - j0).min(NR_I8);
-        let (mut row0, mut q0) = (0, jp * kq);
-        for band in bands {
-            let full = if lanes == NR_I8 { band.kb / 4 } else { 0 };
-            let dst = &mut buf[q0 * NR_I8 * 4..(q0 + band.kb.div_ceil(4)) * NR_I8 * 4];
-            // SAFETY: this packer is only reached from the dense driver,
-            // which dispatches on runtime-detected AVX2.
-            seen |= unsafe { simd::x86::quads_pack_avx2(&b[row0 * n + j0..], n, full, dst) };
-            for p in 4 * full..band.kb {
-                let src = &b[(row0 + p) * n + j0..(row0 + p) * n + j0 + lanes];
-                for (lane, &v) in src.iter().enumerate() {
-                    let u = (v as u8).wrapping_add(8);
-                    seen |= u;
-                    dst[(p / 4 * NR_I8 + lane) * 4 + p % 4] = u as i8;
-                }
-            }
-            row0 += band.kb;
-            q0 += band.kb.div_ceil(4);
-        }
-    }
-    seen <= 15
-}
-
-/// Dense low-range pass over lhs tiles `tiles` of every band into `c`,
-/// those tiles' rows of the output (row stride `n`), against quad panels
-/// `bq` covering all `n` columns: each output tile sums all bands'
-/// shifted contributions in registers and touches `c` once. `local`
-/// holds per-call lhs tiles, one per band, or is empty when the bands'
-/// own prepacked tiles serve.
-#[cfg(target_arch = "x86_64")]
-fn dense_block(
-    m: usize,
-    tiles: Range<usize>,
-    bands: &[LowBandLhs],
-    a_shifts: &[u8],
-    local: &[DenseLhs],
-    bq: &[i8],
-    c: &mut [i32],
-    n: usize,
-) {
-    let kq: usize = bands.iter().map(|s| s.kb.div_ceil(4)).sum();
-    for jp in 0..n.div_ceil(NR_I8) {
-        let col0 = jp * NR_I8;
-        let nrw = (n - col0).min(NR_I8);
-        for it in tiles.clone() {
-            let mr = (m - it * MR).min(MR);
-            let mut total = [[0i32; NR_I8]; MR];
-            let mut q0 = jp * kq;
-            for (s, (band, &act)) in bands.iter().zip(a_shifts).enumerate() {
-                let dense = match local.get(s) {
-                    Some(d) => d,
-                    None => band.dense.as_ref().expect("prepacked or packed per call"),
-                };
-                let kqs = band.kb.div_ceil(4);
-                let mut corr = [0i32; MR];
-                let mut shl = [0u32; MR];
-                corr.copy_from_slice(&dense.corr[it * MR..(it + 1) * MR]);
-                for r in 0..mr {
-                    shl[r] = (act + band.shifts[it * MR + r]) as u32;
-                }
-                let ap = &dense.tiles[it * kqs * MR * 4..(it + 1) * kqs * MR * 4];
-                let bp = &bq[q0 * NR_I8 * 4..(q0 + kqs) * NR_I8 * 4];
-                // SAFETY: the dense driver dispatches on runtime-detected
-                // AVX2.
-                unsafe { simd::x86::i8_tile_dense_avx2(kqs, ap, bp, &corr, &shl, &mut total) };
-                q0 += kqs;
-            }
-            let r0 = (it - tiles.start) * MR;
-            for r in 0..mr {
-                let crow = &mut c[(r0 + r) * n + col0..][..nrw];
-                for (cj, &v) in crow.iter_mut().zip(&total[r][..nrw]) {
-                    *cj += v;
-                }
-            }
-        }
-    }
-}
-
-/// Dense path of [`gemm_i8_low_bands`] (AVX2, all operands in
-/// `[-8, 7]`, blocked shape) through [`run_plan`]. Lhs tiles come
-/// prepacked from the bands, or are packed here when a band was built
-/// under another ISA; the rhs quad panels are packed once per call.
-/// Row bands split whole lhs tiles, so each output element's integer
-/// sum is untouched. Returns the bytes packed.
-#[cfg(target_arch = "x86_64")]
-fn low_run_dense(
+fn low_run_quads(
+    isa: Isa,
     m: usize,
     n: usize,
     bands: &[LowBandLhs],
@@ -1745,35 +1980,60 @@ fn low_run_dense(
     b: &[i8],
     c: &mut [i32],
 ) -> u64 {
-    let kb: usize = bands.iter().map(|s| s.kb).sum();
-    let local: Vec<DenseLhs> = if bands.iter().all(|s| s.dense.is_some()) {
-        Vec::new()
+    let low = bands.iter().all(|s| s.low_range);
+    let offset = if low {
+        LOW_RANGE_OFFSET
     } else {
-        bands
-            .iter()
-            .map(|s| DenseLhs::pack(s.m, s.kb, &s.rows))
-            .collect()
+        FULL_RANGE_OFFSET
     };
-    let lhs_bytes: usize = local.iter().map(DenseLhs::bytes).sum();
-    let rhs_bytes = run_plan(
-        [m, n, kb],
+    let prepacked = low && bands.iter().all(|s| s.dense.is_some());
+    let (mut ltiles, mut lcorr) = (i8::take(), i32::take());
+    if !prepacked {
+        for s in bands {
+            pack_quad_lhs(&s.rows, s.kb, m, [0, s.kb], offset, &mut ltiles, &mut lcorr);
+        }
+    }
+    let lhs_bytes = ltiles.len() + lcorr.len() * size_of::<i32>();
+    let (ltiles_ref, lcorr_ref) = (&ltiles[..], &lcorr[..]);
+    let quads = bands
+        .iter()
+        .zip(a_shifts)
+        .scan((0, 0), move |(t0, c0), (s, &act)| {
+            let (tiles, corr) = match &s.dense {
+                Some(d) if prepacked => (&d.tiles[..], &d.corr[..]),
+                _ => {
+                    let ntiles = m.div_ceil(MR);
+                    let (tl, cl) = (ntiles * s.kb.div_ceil(4) * MR * 4, ntiles * MR);
+                    let own = (&ltiles_ref[*t0..*t0 + tl], &lcorr_ref[*c0..*c0 + cl]);
+                    (*t0, *c0) = (*t0 + tl, *c0 + cl);
+                    own
+                }
+            };
+            let epi = Epilogue::ShlRows {
+                act,
+                weight: &s.shifts,
+            };
+            Some(QuadBand {
+                kb: s.kb,
+                tiles,
+                corr,
+                epi,
+            })
+        });
+    let rhs_bytes = quad_run(
+        isa == Isa::AvxVnni,
+        [m, n],
+        quads,
         None,
-        c,
-        // The caller checked the problem against the blocking threshold.
-        true,
         |bq| {
-            let in_range = pack_b_i8_quads(b, n, bands, bq);
-            assert!(in_range, "low-band activation outside [-8, 7]");
+            let kbs = bands.iter().map(|s| s.kb);
+            let seen = pack_b_quads(Rhs::Rows { b, n }, 0, kbs, n, offset, bq);
+            assert!(!low || seen <= 15, "low-band activation outside [-8, 7]");
         },
-        |rows, bq, c_rows| {
-            let bq = bq.expect("a dense run always blocks");
-            // Row bands are tile-aligned (`row_bands`), and the lhs
-            // tiles were packed ahead of the plan: nothing staged here.
-            let tiles = rows.start / MR..rows.end.div_ceil(MR);
-            dense_block(m, tiles, bands, a_shifts, &local, bq, c_rows, n);
-            0
-        },
+        c,
     );
+    i8::put(ltiles);
+    i32::put(lcorr);
     lhs_bytes as u64 + rhs_bytes
 }
 
@@ -2172,7 +2432,9 @@ mod tests {
     #[test]
     fn gemm_counts_the_dispatched_isa() {
         use flexiq_telemetry as tel;
-        let total = |c: &tel::CountersSnapshot| c.gemm_isa_avx2 + c.gemm_isa_scalar;
+        let _cap = simd::cap_lock();
+        let total =
+            |c: &tel::CountersSnapshot| c.gemm_isa_avx2 + c.gemm_isa_vnni + c.gemm_isa_scalar;
         let before = total(&tel::counters());
         let a = vec![1i8; 4];
         let b = vec![1i8; 4];
@@ -2282,22 +2544,75 @@ mod tests {
 
     #[test]
     fn prepacked_isa_mismatch_falls_back_to_per_call() {
-        // A panel in the format of an ISA other than the dispatching one
-        // must not be consumed — the call still completes (per-call
-        // pack) with identical results.
+        // Under every cap this host has, a panel in each of the three
+        // formats (plain, pair, +128 quad) is consumed where it is the
+        // dispatching ISA's and re-packed per call where it is not —
+        // either way with the reference's results.
+        let _cap = simd::cap_lock();
         let mut rng = seeded(35);
-        let (m, n, k) = (24usize, 2 * NR_I8, 64usize);
+        let (m, n, k) = (24usize, 2 * NR_I8 + 5, 67usize);
         let ai = rand_i8(m * k, &mut rng);
         let wi = rand_i8(n * k, &mut rng);
-        let other = match simd::active() {
-            Isa::Scalar => Isa::Avx2,
-            _ => Isa::Scalar,
-        };
-        let packed = prepack_i8_rhs(other, Rhs::WeightT { w: &wi, k }, n, 0, k);
-        let (mut c0, mut c1) = (vec![0i32; m * n], vec![0i32; m * n]);
-        gemm_i8_band_wt(m, n, k, 0, k, &ai, &wi, &mut c0);
-        gemm_i8_band_wt_prepacked(m, n, k, 0, k, &ai, &wi, &packed, &mut c1);
-        assert_eq!(c0, c1);
+        let mut want = vec![0i32; m * n];
+        reference::gemm_i8_band_wt(m, n, k, 2, k, &ai, &wi, &mut want);
+        for cap in simd::host_caps() {
+            simd::set_cap(Some(cap));
+            for format in Isa::ALL {
+                let packed = prepack_i8_rhs(format, Rhs::WeightT { w: &wi, k }, n, 2, k);
+                let (mut c0, mut c1) = (vec![0i32; m * n], vec![0i32; m * n]);
+                gemm_i8_band_wt(m, n, k, 2, k, &ai, &wi, &mut c0);
+                gemm_i8_band_wt_prepacked(m, n, k, 2, k, &ai, &wi, &packed, &mut c1);
+                assert_eq!(c0, want, "cap {cap:?}");
+                assert_eq!(c1, want, "cap {cap:?}, {format:?} panel");
+            }
+        }
+        simd::set_cap(None);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn quad_panels_hold_the_offset_operands_in_both_layouts() {
+        // Every (step, lane) of a quad panel is the plain panel's byte
+        // plus the offset (wrapping), zero past an odd band tail and a
+        // partial panel's edge; the weight layout packs the same panel
+        // as the materialized transpose through the Rows arm.
+        let mut rng = seeded(36);
+        let (k, n) = (23usize, NR_I8 + 7);
+        let (k0, k1) = (2usize, 19usize);
+        let b = rand_i8(k * n, &mut rng);
+        let w: Vec<i8> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+        let kb = k1 - k0;
+        let kq = kb.div_ceil(4);
+        for offset in [LOW_RANGE_OFFSET, FULL_RANGE_OFFSET] {
+            let band = std::iter::once(kb);
+            let (mut rows, mut wt) = (Vec::new(), Vec::new());
+            pack_b_quads(
+                Rhs::Rows { b: &b, n },
+                k0,
+                band.clone(),
+                n,
+                offset,
+                &mut rows,
+            );
+            pack_b_quads(Rhs::WeightT { w: &w, k }, k0, band, n, offset, &mut wt);
+            assert_eq!(rows, wt, "offset {offset}");
+            for jp in 0..n.div_ceil(NR_I8) {
+                for q in 0..kq {
+                    for lane in 0..NR_I8 {
+                        for t in 0..4 {
+                            let (p, j) = (4 * q + t, jp * NR_I8 + lane);
+                            let want = if p < kb && j < n {
+                                b[(k0 + p) * n + j].wrapping_add(offset as i8)
+                            } else {
+                                0
+                            };
+                            let got = rows[((jp * kq + q) * NR_I8 + lane) * 4 + t];
+                            assert_eq!(got, want, "offset {offset} jp={jp} p={p} lane={lane}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -2423,7 +2738,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside [-8, 7]")]
     fn low_run_rejects_wide_activations_under_low_range_bands() {
-        if simd::active() != Isa::Avx2 {
+        let _cap = simd::cap_lock();
+        if !simd::active().has_avx2() {
             panic!("outside [-8, 7] (dense tile not dispatched on this ISA)");
         }
         let (m, n, kb) = (8usize, 64usize, 32usize);

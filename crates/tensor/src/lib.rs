@@ -24,7 +24,7 @@
 //!
 //! The `unsafe` in the crate is the explicit SIMD: the `std::arch`
 //! register tiles in [`simd`], behind once-per-process runtime feature
-//! detection (AVX2, `FLEXIQ_NO_SIMD=1` escape hatch), each a
+//! detection (AVX-VNNI, AVX2, `FLEXIQ_NO_SIMD=1` escape hatch), each a
 //! bit-identical drop-in for the scalar tile it replaces, and the four
 //! call sites in [`gemm`] that dispatch to them once detection said
 //! yes. Everything else gets its throughput from cache blocking, operand

@@ -4,17 +4,22 @@
 //! (f32) and `MR × NR_I8` (i8) register tiles through this module. The
 //! instruction set is detected **once per process** ([`detect`]) and
 //! resolved per GEMM call ([`active`]), so a binary built for generic
-//! `x86_64` still runs the AVX2 tiles on hardware that has them and
-//! falls back to the portable scalar tiles everywhere else.
+//! `x86_64` still runs the AVX2 (and AVX-VNNI) tiles on hardware that
+//! has them and falls back to the portable scalar tiles everywhere else.
 //!
 //! Dispatch order and escape hatches:
 //!
 //! 1. `FLEXIQ_NO_SIMD=1` (env, read once) — hard override, always
 //!    scalar. This is the knob CI uses to re-run the equivalence
 //!    suites over the scalar tiles.
-//! 2. [`set_scalar`] — programmatic override for tests, subordinate to
-//!    the env knob.
-//! 3. Hardware detection: AVX2 on `x86_64`, scalar otherwise.
+//! 2. [`set_cap`] — a programmatic upper bound for tests, subordinate
+//!    to the env knob: the suites pin `Scalar`, `Avx2` or `AvxVnni`
+//!    ([`host_caps`] lists the ones this host can run).
+//! 3. Hardware detection: [`Isa::AvxVnni`] where the CPU has both
+//!    `avx2` and `avxvnni`, [`Isa::Avx2`] where it has `avx2` alone,
+//!    scalar otherwise. The ISAs are ordered, and every higher tier
+//!    keeps the lower tier's instructions — a site that needs AVX2 asks
+//!    [`Isa::has_avx2`], never for `Avx2` by name.
 //!
 //! # Exactness contract
 //!
@@ -32,74 +37,115 @@
 //!   exact (`|a·b| ≤ 16384`, pair sums ≤ 32768), so any lane order
 //!   yields identical results by construction.
 //!
-//! # The dense low-range tile
+//! # Byte-quad tiles
 //!
-//! A bit-lowered 4-bit band's operands lie in `[-8, 7]` (`[-2, 1]` at
-//! two bits) — a range the pair tile above ignores: it widens every
-//! operand to i16 and spends one `pmaddwd` per two reduction steps. The
-//! dense tile (`x86::i8_tile_dense_avx2`) keeps such operands one
-//! byte wide and issues one `vpmaddubsw` per **four** reduction steps of
-//! eight columns (32 multiply-adds per instruction, half the panel
-//! bytes). It is exact, by three arguments that the tests pin at their
-//! boundaries:
+//! Two i8 tiles keep their operands one byte wide and consume four
+//! reduction steps per instruction. Both read a *quad-interleaved*
+//! lhs tile (`ap[(q*MR + r)*4 + t]` = row `r`, step `4q + t`) and a
+//! *quad panel* (`bp[(q*NR_I8 + lane)*4 + t]` = column `lane`, step
+//! `4q + t`). The x86 multiply-adds on bytes multiply **unsigned** by
+//! signed bytes, so the panel stores `u = b + offset` and the lhs stays
+//! signed: `Σ_p a_p·(b_p + offset) = Σ_p a_p·b_p + offset·Σ_p a_p`. The
+//! surplus depends on the lhs row alone, so whoever packs the lhs
+//! records the correction `-offset·Σ_p a_p` per row, and the tile
+//! starts its accumulators from it. Padding is exact — a padded step
+//! has `a_p = 0`, so whatever the panel holds there contributes nothing
+//! to either sum.
 //!
-//! * **Offset.** `vpmaddubsw` multiplies *unsigned* by signed bytes, so
-//!   the rhs panel stores `b + 8 ∈ [0, 15]` and the lhs stays signed.
-//!   `Σ_p a_p·(b_p + 8) = Σ_p a_p·b_p + 8·Σ_p a_p`: the surplus depends
-//!   on the lhs row alone, and the lhs pack records the correction
-//!   `-8·Σ_p a_p` per row, added back once per band. Padding is exact
-//!   too — a padded reduction step has `a_p = 0`, so whatever the panel
-//!   holds there contributes nothing to either sum.
-//! * **Range.** One instruction lane holds `a₀·u₀ + a₁·u₁` with
-//!   `a ∈ [-8, 7]`, `u ∈ [0, 15]`, so it lies in `[-240, 210]` — far
-//!   from `vpmaddubsw`'s i16 saturation.
+//! **The AVX-VNNI tile** (`x86::i8_tile_quads_vnni`, [`Isa::AvxVnni`])
+//! issues one `vpdpbusd` per four reduction steps of eight columns: it
+//! multiplies the byte quads and adds the four products straight into
+//! an i32 lane, with no i16 stage. Every blocked i8 GEMM runs it:
+//!
+//! * **Offset.** Full-range operands store `b + 128 ∈ [0, 255]`;
+//!   bit-lowered bands (`[-8, 7]`) keep `b + 8` and the lhs tiles they
+//!   prepacked for the AVX2 tile below, whose correction is `-8·Σa`.
+//! * **Wrap.** The instruction is the **non-saturating** form: each
+//!   lane adds modulo 2³², and the whole sum — correction included — is
+//!   formed in that ring. The true result `Σ a·b` is therefore produced
+//!   exactly whenever it fits in `i32`, even if the accumulator wrapped
+//!   on the way (`Σ a·(b + 128)` alone can reach `128·255·K`).
+//!   `|a·b| ≤ 16384` bounds the result by `16384·K`, which fits for
+//!   every `K < 131 072` — the accumulation limit of this tile. The
+//!   saturating `vpdpbusds` would clamp the intermediate instead, and
+//!   must never be used here.
+//!
+//! **The AVX2 dense low-range tile** (`x86::i8_tile_dense_avx2`) runs
+//! bit-lowered bands where AVX2 is the best ISA. It issues one
+//! `vpmaddubsw` per four reduction steps of eight columns, which forms
+//! pair sums in **saturating** i16 lanes, so it is exact only by three
+//! range arguments that the tests pin at their boundaries:
+//!
+//! * **Offset** `+8`, as above: `u ∈ [0, 15]` against `a ∈ [-8, 7]`.
+//! * **Range.** One instruction lane holds `a₀·u₀ + a₁·u₁`, so it lies
+//!   in `[-240, 210]` — far from the i16 saturation.
 //! * **Accumulation limit.** Lanes are summed in i16 for at most
 //!   [`DENSE_I16_STEPS`]` = 136` instructions (`136 · 240 = 32640 ≤
 //!   32767`), then widened to i32 by one `pmaddwd` against ones; longer
 //!   bands repeat the cycle. No intermediate can wrap.
 //!
-//! Both packers (`x86::quads_pack_avx2` for the rhs, the lhs packer
-//! in [`crate::gemm`]) verify the `[-8, 7]` precondition on every byte
-//! they touch and the driver panics on a violation rather than return a
-//! saturated sum. Scalar builds run the ordinary i8 tiles on
-//! the same lowered operands — exact as ever, just not cheaper.
+//! Both packers of a `+8` run (`x86::quads_pack_avx2` for the rhs, the
+//! lhs packer in [`crate::gemm`]) verify the `[-8, 7]` precondition on
+//! every byte they touch and the driver panics on a violation rather
+//! than return a saturated sum. Scalar builds run the ordinary i8 tiles
+//! on the same operands — exact as ever, just not cheaper.
 //!
-//! The AVX2 i8 tile consumes a dedicated *pair* panel layout (packed
-//! by `gemm`'s `I8Pairs` kernel) holding two adjacent reduction steps as
-//! an i16 pair per lane, feeding `pmaddwd` (`_mm256_madd_epi16`) directly.
+//! The AVX2 full-range i8 tile consumes a dedicated *pair* panel layout
+//! (packed by `gemm`'s `I8Pairs` kernel) holding two adjacent reduction
+//! steps as an i16 pair per lane, feeding `pmaddwd`
+//! (`_mm256_madd_epi16`) directly.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Instruction set a GEMM call's micro-kernels dispatch to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Instruction set a GEMM call's micro-kernels dispatch to, ordered
+/// from least to most capable: each tier runs every instruction of the
+/// tiers below it.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Isa {
-    /// x86-64 AVX2 tiles (`pmaddwd` i8 path, 8-lane f32 path).
-    Avx2,
     /// The portable scalar register tiles.
     Scalar,
+    /// x86-64 AVX2 tiles (`pmaddwd` i8 path, `vpmaddubsw` low-range
+    /// path, 8-lane f32 path).
+    Avx2,
+    /// AVX2 plus AVX-VNNI: every blocked i8 GEMM runs the `vpdpbusd`
+    /// byte-quad tile; the f32 path is AVX2's.
+    AvxVnni,
 }
 
 impl Isa {
+    /// Every ISA, in ascending order.
+    pub const ALL: [Isa; 3] = [Isa::Scalar, Isa::Avx2, Isa::AvxVnni];
+
     /// Stable lower-case name, as recorded in telemetry counters and
     /// bench artifact metadata.
     pub fn name(self) -> &'static str {
         match self {
-            Isa::Avx2 => "avx2",
             Isa::Scalar => "scalar",
+            Isa::Avx2 => "avx2",
+            Isa::AvxVnni => "avxvnni",
         }
+    }
+
+    /// Whether this ISA includes the AVX2 instructions — the question
+    /// every AVX2 tile, packer and quantizer asks.
+    pub fn has_avx2(self) -> bool {
+        self >= Isa::Avx2
     }
 }
 
 /// Best ISA the hardware supports, detected once per process. Ignores
-/// the scalar overrides — use [`active`] for the dispatch decision.
+/// the overrides — use [`active`] for the dispatch decision.
 pub fn detect() -> Isa {
     static DETECTED: OnceLock<Isa> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
+                if std::arch::is_x86_feature_detected!("avxvnni") {
+                    return Isa::AvxVnni;
+                }
                 return Isa::Avx2;
             }
         }
@@ -111,15 +157,16 @@ pub fn detect() -> Isa {
 /// 2 = SIMD allowed (same lazy-env pattern as telemetry's `ENABLED`).
 static ENV_NO_SIMD: AtomicU8 = AtomicU8::new(0);
 
-/// Programmatic scalar override ([`set_scalar`]); 1 = forced scalar.
-static FORCE_SCALAR: AtomicU8 = AtomicU8::new(0);
+/// Programmatic cap ([`set_cap`]): 0 = none, otherwise one more than
+/// the capping ISA's index in [`Isa::ALL`].
+static CAP: AtomicU8 = AtomicU8::new(0);
 
 fn parse_no_simd(v: Option<&str>) -> bool {
     matches!(v.map(str::trim), Some("1" | "true" | "yes" | "on"))
 }
 
 /// Whether `FLEXIQ_NO_SIMD` forces the scalar tiles. Read once and
-/// cached; a hard override that [`set_scalar`] cannot undo.
+/// cached; a hard override that [`set_cap`] cannot undo.
 pub fn env_no_simd() -> bool {
     match ENV_NO_SIMD.load(Ordering::Relaxed) {
         0 => {
@@ -131,20 +178,40 @@ pub fn env_no_simd() -> bool {
     }
 }
 
-/// Forces (or releases) the scalar tiles at runtime — the programmatic
-/// twin of `FLEXIQ_NO_SIMD`, used by the dispatch-equivalence tests.
-/// Global; callers toggling it concurrently should serialize.
-pub fn set_scalar(force: bool) {
-    FORCE_SCALAR.store(force as u8, Ordering::Relaxed);
+/// Caps dispatch at `cap` (or releases the cap with `None`): [`active`]
+/// then returns the lesser of the detected ISA and the cap. The
+/// programmatic twin of `FLEXIQ_NO_SIMD`, used by the equivalence
+/// suites to run every tier this host has in one process. Global;
+/// callers toggling it concurrently should serialize.
+pub fn set_cap(cap: Option<Isa>) {
+    CAP.store(cap.map_or(0, |isa| isa as u8 + 1), Ordering::Relaxed);
 }
 
 /// The ISA the next GEMM call will dispatch to on this process.
 pub fn active() -> Isa {
-    if env_no_simd() || FORCE_SCALAR.load(Ordering::Relaxed) == 1 {
-        Isa::Scalar
-    } else {
-        detect()
+    if env_no_simd() {
+        return Isa::Scalar;
     }
+    match CAP.load(Ordering::Relaxed) {
+        0 => detect(),
+        v => detect().min(Isa::ALL[v as usize - 1]),
+    }
+}
+
+/// The caps that select a distinct ISA on this process: every ISA up to
+/// the detected one, or scalar alone under `FLEXIQ_NO_SIMD`. Suites that
+/// pin each tier iterate this.
+pub fn host_caps() -> Vec<Isa> {
+    let top = if env_no_simd() { Isa::Scalar } else { detect() };
+    Isa::ALL.into_iter().filter(|&isa| isa <= top).collect()
+}
+
+/// Serializes this crate's unit tests that move the process-wide cap
+/// or assert which ISA a call dispatched to.
+#[cfg(test)]
+pub(crate) fn cap_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// `vpmaddubsw` steps the dense low-range tile may sum in i16 lanes
@@ -171,9 +238,10 @@ pub fn last_dispatch() -> Option<Isa> {
     LAST_DISPATCH.with(Cell::get)
 }
 
-/// AVX2 register tiles. Each function is `unsafe` only because of
-/// `#[target_feature]`: callers must have confirmed AVX2 support
-/// (i.e. dispatched via [`active`]` == Isa::Avx2`). All slice accesses
+/// AVX2 and AVX-VNNI register tiles. Each function is `unsafe` only because of
+/// `#[target_feature]`: callers must have confirmed the features it
+/// enables (dispatched via [`active`] to an ISA that [`Isa::has_avx2`],
+/// and to [`Isa::AvxVnni`] for the VNNI tile). All slice accesses
 /// are bounds-checked against the asserted panel extents on entry.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
@@ -360,12 +428,71 @@ pub(crate) mod x86 {
         }
     }
 
+    /// Full `MR × NR_I8` **AVX-VNNI byte-quad** tile (see the module
+    /// docs for the exactness argument), with exactly the contract of
+    /// [`i8_tile_dense_avx2`]: `ap` a quad-interleaved lhs tile, `bp` a
+    /// quad panel stored offset by `+offset` as `u8`, `corr[r] =
+    /// -offset·Σ_p a[r][p]`; per row it adds `(corr[r] + band sum) <<
+    /// shl[r]` into `out[r]`. Operands may span the full i8 range — one
+    /// non-saturating `vpdpbusd` per four reduction steps of eight
+    /// columns, accumulating modulo 2³² in i32 lanes.
+    ///
+    /// # Safety
+    /// AVX2 and AVX-VNNI must be supported by the executing CPU.
+    #[target_feature(enable = "avx2,avxvnni")]
+    pub(crate) unsafe fn i8_tile_quads_vnni(
+        kq: usize,
+        ap: &[i8],
+        bp: &[i8],
+        corr: &[i32; MR],
+        shl: &[u32; MR],
+        out: &mut [[i32; NR_I8]; MR],
+    ) {
+        assert!(ap.len() >= kq * MR * 4 && bp.len() >= kq * NR_I8 * 4);
+        let a = ap.as_ptr();
+        let b = bp.as_ptr();
+        // 32 lanes as two halves of 16 columns: 4 rows × 2 i32
+        // accumulators + 2 panel registers + 1 broadcast.
+        for half in 0..2 {
+            let off = half * (NR_I8 / 2);
+            let mut acc = [[_mm256_setzero_si256(); 2]; MR];
+            for (r, regs) in acc.iter_mut().enumerate() {
+                *regs = [_mm256_set1_epi32(corr[r]); 2];
+            }
+            for q in 0..kq {
+                let bb = b.add((q * NR_I8 + off) * 4);
+                let b0 = _mm256_loadu_si256(bb.cast());
+                let b1 = _mm256_loadu_si256(bb.add(32).cast());
+                let ar = a.add(q * MR * 4);
+                for (r, regs) in acc.iter_mut().enumerate() {
+                    // Four lhs steps of row r as one 32-bit broadcast.
+                    let av = _mm256_set1_epi32(ar.add(r * 4).cast::<i32>().read_unaligned());
+                    // Never the saturating `_mm256_dpbusds_avx_epi32`.
+                    regs[0] = _mm256_dpbusd_avx_epi32(regs[0], b0, av);
+                    regs[1] = _mm256_dpbusd_avx_epi32(regs[1], b1, av);
+                }
+            }
+            for (r, regs) in acc.iter().enumerate() {
+                let count = _mm_cvtsi32_si128(shl[r] as i32);
+                let o = out[r].as_mut_ptr().add(off);
+                for (g, &reg) in regs.iter().enumerate() {
+                    let dst = o.add(8 * g).cast::<__m256i>();
+                    let sum =
+                        _mm256_add_epi32(_mm256_loadu_si256(dst), _mm256_sll_epi32(reg, count));
+                    _mm256_storeu_si256(dst, sum);
+                }
+            }
+        }
+    }
+
     /// Packs `nq` full quads (4 rhs rows × 32 columns each) of a
-    /// row-major i8 matrix into dense quad-panel blocks: `dst[(q*32 +
-    /// lane)*4 + t] = src[(4q + t)*n + lane] + 8`. `src` starts at the
-    /// panel's first column of the band's first row; rows are `n`
-    /// apart. Returns the OR of every stored byte, so the caller can
-    /// verify all inputs lay in `[-8, 7]` (stored bytes `≤ 15`).
+    /// row-major i8 matrix into quad-panel blocks: `dst[(q*32 +
+    /// lane)*4 + t] = src[(4q + t)*n + lane] + offset` (wrapping, so an
+    /// `offset` of `-128` stores the `+128` bytes of a full-range
+    /// panel). `src` starts at the panel's first column of the band's
+    /// first row; rows are `n` apart. Returns the OR of every stored
+    /// byte, so a `+8` caller can verify all inputs lay in `[-8, 7]`
+    /// (stored bytes `≤ 15`).
     ///
     /// The byte interleave is two rounds of in-lane unpacks (8- then
     /// 16-bit) and a cross-lane permute that restores column order.
@@ -373,12 +500,18 @@ pub(crate) mod x86 {
     /// # Safety
     /// AVX2 must be supported by the executing CPU.
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn quads_pack_avx2(src: &[i8], n: usize, nq: usize, dst: &mut [i8]) -> u8 {
+    pub(crate) unsafe fn quads_pack_avx2(
+        src: &[i8],
+        n: usize,
+        nq: usize,
+        offset: i8,
+        dst: &mut [i8],
+    ) -> u8 {
         if nq == 0 {
             return 0;
         }
         assert!(src.len() >= (4 * nq - 1) * n + NR_I8 && dst.len() >= nq * NR_I8 * 4);
-        let eight = _mm256_set1_epi8(8);
+        let offset = _mm256_set1_epi8(offset);
         let mut seen = _mm256_setzero_si256();
         let s = src.as_ptr();
         let d = dst.as_mut_ptr();
@@ -406,7 +539,7 @@ pub(crate) mod x86 {
             ];
             let out = d.add(q * NR_I8 * 4);
             for (g, &blk) in blocks.iter().enumerate() {
-                let v = _mm256_add_epi8(blk, eight);
+                let v = _mm256_add_epi8(blk, offset);
                 seen = _mm256_or_si256(seen, v);
                 _mm256_storeu_si256(out.add(32 * g).cast(), v);
             }
@@ -424,7 +557,16 @@ mod tests {
     #[test]
     fn isa_names_are_stable() {
         assert_eq!(Isa::Avx2.name(), "avx2");
+        assert_eq!(Isa::AvxVnni.name(), "avxvnni");
         assert_eq!(Isa::Scalar.name(), "scalar");
+    }
+
+    #[test]
+    fn isa_tiers_are_ordered_and_vnni_implies_avx2() {
+        assert!(Isa::Scalar < Isa::Avx2 && Isa::Avx2 < Isa::AvxVnni);
+        assert_eq!(Isa::ALL.map(Isa::has_avx2), [false, true, true]);
+        assert!(host_caps().windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(host_caps()[0], Isa::Scalar);
     }
 
     #[test]
@@ -446,13 +588,20 @@ mod tests {
 
     #[test]
     fn active_honors_the_overrides() {
-        // Env override wins over everything; without it, set_scalar
-        // decides. Run both branches so the test is meaningful in the
-        // FLEXIQ_NO_SIMD=1 CI leg too. (Shares the process-global
-        // FORCE_SCALAR with nothing else in this crate's unit tests.)
-        set_scalar(true);
-        assert_eq!(active(), Isa::Scalar);
-        set_scalar(false);
+        // Env override wins over everything; without it, the cap bounds
+        // the detected ISA. Run every cap so the test is meaningful in
+        // the FLEXIQ_NO_SIMD=1 CI leg too.
+        let _cap = cap_lock();
+        for cap in Isa::ALL {
+            set_cap(Some(cap));
+            let want = if env_no_simd() {
+                Isa::Scalar
+            } else {
+                detect().min(cap)
+            };
+            assert_eq!(active(), want, "cap {cap:?}");
+        }
+        set_cap(None);
         if env_no_simd() {
             assert_eq!(active(), Isa::Scalar);
         } else {
@@ -479,7 +628,7 @@ mod tests {
 
         #[test]
         fn f32_tile_matches_scalar_bitwise() {
-            if detect() != Isa::Avx2 {
+            if !detect().has_avx2() {
                 return;
             }
             for kc in [0usize, 1, 3, 17, 128] {
@@ -512,7 +661,7 @@ mod tests {
 
         #[test]
         fn i8_pairs_tile_matches_scalar() {
-            if detect() != Isa::Avx2 {
+            if !detect().has_avx2() {
                 return;
             }
             for kc in [1usize, 2, 5, 31, 128] {
@@ -555,30 +704,34 @@ mod tests {
 
         /// Nibble-range pseudo-random values in `[lo, hi]`.
         fn splat_range(seed: u64, len: usize, lo: i8, hi: i8) -> Vec<i8> {
-            let span = (hi as i16 - lo as i16 + 1) as u8;
+            let span = (hi as i16 - lo as i16 + 1) as u16;
             splat_i8(seed, len)
                 .into_iter()
-                .map(|v| lo + (v as u8 % span) as i8)
+                .map(|v| (lo as i16 + (v as u8 as u16 % span) as i16) as i8)
                 .collect()
         }
 
-        /// Runs the dense tile on row-major operands `a [MR, k]` and
-        /// `b [k, NR_I8]` packed by hand (lhs quads zero-padded, rhs
-        /// quads offset by +8) and checks `out = start + (a·b) << shl`.
-        fn check_dense_tile(k: usize, a: &[i8], b: &[i8], shl: [u32; MR]) {
+        /// Runs the byte-quad tile of `tile` (the AVX2 dense tile under
+        /// `Avx2`, the VNNI tile under `AvxVnni`) on row-major operands `a [MR, k]` and
+        /// `b [k, NR_I8]` packed by hand (lhs quads zero-padded with the
+        /// `-offset·Σa` correction, rhs quads offset by `+offset` and
+        /// stored as wrapping bytes) and checks `out = start + (a·b) <<
+        /// shl`.
+        fn check_dense_tile(tile: Isa, offset: i32, k: usize, a: &[i8], b: &[i8], shl: [u32; MR]) {
             let kq = k.div_ceil(4);
             let mut ap = vec![0i8; kq * MR * 4];
             let mut corr = [0i32; MR];
             for r in 0..MR {
                 for p in 0..k {
                     ap[((p / 4) * MR + r) * 4 + p % 4] = a[r * k + p];
-                    corr[r] -= 8 * a[r * k + p] as i32;
+                    corr[r] = corr[r].wrapping_sub(offset * a[r * k + p] as i32);
                 }
             }
             let mut bp = vec![0i8; kq * NR_I8 * 4];
             for p in 0..k {
                 for lane in 0..NR_I8 {
-                    bp[((p / 4) * NR_I8 + lane) * 4 + p % 4] = b[p * NR_I8 + lane] + 8;
+                    bp[((p / 4) * NR_I8 + lane) * 4 + p % 4] =
+                        (b[p * NR_I8 + lane] as i32 + offset) as u8 as i8;
                 }
             }
             let mut want = [[0i32; NR_I8]; MR];
@@ -593,84 +746,130 @@ mod tests {
                     got[r][lane] = start;
                 }
             }
-            unsafe { x86::i8_tile_dense_avx2(kq, &ap, &bp, &corr, &shl, &mut got) };
-            assert_eq!(want, got, "k={k}");
+            let out = &mut got;
+            unsafe {
+                match tile {
+                    Isa::AvxVnni => x86::i8_tile_quads_vnni(kq, &ap, &bp, &corr, &shl, out),
+                    _ => x86::i8_tile_dense_avx2(kq, &ap, &bp, &corr, &shl, out),
+                }
+            };
+            assert_eq!(want, got, "{tile:?} k={k} offset={offset}");
+        }
+
+        /// The byte-quad tiles this host can run, each with the panel
+        /// offsets it is exact under: the AVX2 tile only at `+8` on
+        /// `[-8, 7]` operands, the VNNI tile at `+8` and at `+128`.
+        fn quad_tiles() -> Vec<(Isa, &'static [i32])> {
+            let offsets = |isa| match isa {
+                Isa::AvxVnni => &[8, 128][..],
+                _ => &[8][..],
+            };
+            let host = Isa::ALL
+                .into_iter()
+                .filter(|&isa| isa.has_avx2() && isa <= detect());
+            host.map(|isa| (isa, offsets(isa))).collect()
         }
 
         #[test]
         fn dense_tile_matches_scalar_across_extents_and_tails() {
-            if detect() != Isa::Avx2 {
-                return;
-            }
             // Odd tails (k % 4 != 0), one quad, and extents straddling
-            // the i16 accumulation limit of DENSE_I16_STEPS quads.
+            // the dense tile's i16 accumulation limit of
+            // DENSE_I16_STEPS quads.
             let limit = 4 * DENSE_I16_STEPS;
-            for k in [
-                1usize,
-                3,
-                4,
-                5,
-                36,
-                127,
-                limit - 3,
-                limit,
-                limit + 1,
-                2 * limit + 6,
-            ] {
-                let a = splat_range(0xA ^ k as u64, MR * k, -8, 7);
-                let b = splat_range(0xB ^ k as u64, k * NR_I8, -8, 7);
-                check_dense_tile(k, &a, &b, [0, 1, 4, 8]);
-                let a2 = splat_range(0xC ^ k as u64, MR * k, -2, 1);
-                check_dense_tile(k, &a2, &b, [3, 0, 2, 12]);
+            for (tile, offsets) in quad_tiles() {
+                for k in [
+                    1usize,
+                    3,
+                    4,
+                    5,
+                    27,
+                    36,
+                    127,
+                    limit - 3,
+                    limit,
+                    limit + 1,
+                    2 * limit + 6,
+                ] {
+                    let a = splat_range(0xA ^ k as u64, MR * k, -8, 7);
+                    let b = splat_range(0xB ^ k as u64, k * NR_I8, -8, 7);
+                    let a2 = splat_range(0xC ^ k as u64, MR * k, -2, 1);
+                    for &offset in offsets {
+                        check_dense_tile(tile, offset, k, &a, &b, [0, 1, 4, 8]);
+                        check_dense_tile(tile, offset, k, &a2, &b, [3, 0, 2, 12]);
+                    }
+                    if offsets.contains(&128) {
+                        let a = splat_i8(0xD ^ k as u64, MR * k);
+                        let b = splat_i8(0xE ^ k as u64, k * NR_I8);
+                        check_dense_tile(tile, 128, k, &a, &b, [0, 1, 2, 0]);
+                    }
+                }
             }
         }
 
         #[test]
         fn dense_tile_is_exact_at_the_lane_extremes() {
-            if detect() != Isa::Avx2 {
-                return;
-            }
-            // Constant operands drive every i16 lane monotonically to its
-            // bound: lhs -8 against offset-side 15 (b = 7) is the -240
-            // pair sum the accumulation limit is derived from; +7 against
-            // 15 the positive extreme; offset-side 0 (b = -8) the case
-            // where only the correction carries the answer.
+            // Constant operands drive every lane monotonically to its
+            // bound. At +8, lhs -8 against offset-side 15 (b = 7) is the
+            // -240 pair sum the dense tile's accumulation limit is
+            // derived from; +7 against 15 the positive extreme;
+            // offset-side 0 (b = -8) the case where only the correction
+            // carries the answer. At +128 the four full-range corners run
+            // at K = 70 000, where `Σ a·(b + 128)` wraps the i32
+            // accumulator mid-sum and the final sum must still be exact.
             let limit = 4 * DENSE_I16_STEPS;
-            for k in [limit, limit + 4, 3 * limit] {
-                for (av, bv) in [(-8i8, 7i8), (7, 7), (-8, -8), (7, -8)] {
-                    check_dense_tile(k, &vec![av; MR * k], &vec![bv; k * NR_I8], [0, 0, 1, 2]);
+            for (tile, offsets) in quad_tiles() {
+                for k in [limit, limit + 4, 3 * limit] {
+                    for (av, bv) in [(-8i8, 7i8), (7, 7), (-8, -8), (7, -8)] {
+                        let (a, b) = (vec![av; MR * k], vec![bv; k * NR_I8]);
+                        check_dense_tile(tile, 8, k, &a, &b, [0, 0, 1, 2]);
+                    }
+                }
+                if offsets.contains(&128) {
+                    let k = 70_000;
+                    for (av, bv) in [(-128i8, 127i8), (-128, -128), (127, 127), (127, -128)] {
+                        let (a, b) = (vec![av; MR * k], vec![bv; k * NR_I8]);
+                        check_dense_tile(tile, 128, k, &a, &b, [0; MR]);
+                    }
                 }
             }
         }
 
         #[test]
         fn quads_pack_matches_the_scalar_layout_and_reports_range() {
-            if detect() != Isa::Avx2 {
+            if !detect().has_avx2() {
                 return;
             }
             let (n, nq, j0) = (75usize, 5usize, 11usize);
             let src = splat_range(0xD, 4 * nq * n, -8, 7);
             let mut got = vec![0i8; nq * NR_I8 * 4];
-            let seen = unsafe { x86::quads_pack_avx2(&src[j0..], n, nq, &mut got) };
-            for q in 0..nq {
-                for lane in 0..NR_I8 {
-                    for t in 0..4 {
-                        let want = src[(4 * q + t) * n + j0 + lane] + 8;
-                        assert_eq!(
-                            got[(q * NR_I8 + lane) * 4 + t],
-                            want,
-                            "q={q} lane={lane} t={t}"
-                        );
+            // In-range operands at both offsets, then one value just
+            // outside [-8, 7], on either side, that the +8 range check
+            // must see.
+            let mut cases = vec![(None, 8i8), (None, -128)];
+            cases.extend([8i8, -9, 127, -128].map(|bad| (Some(bad), 8)));
+            for (bad, offset) in cases {
+                let mut src = src.clone();
+                if let Some(bad) = bad {
+                    src[7 * n + j0 + 19] = bad;
+                }
+                let seen = unsafe { x86::quads_pack_avx2(&src[j0..], n, nq, offset, &mut got) };
+                match bad {
+                    Some(bad) => assert!(seen > 15, "{bad} went unnoticed"),
+                    None if offset == 8 => assert!(seen <= 15),
+                    None => {}
+                }
+                for q in 0..nq {
+                    for lane in 0..NR_I8 {
+                        for t in 0..4 {
+                            let want = src[(4 * q + t) * n + j0 + lane].wrapping_add(offset);
+                            assert_eq!(
+                                got[(q * NR_I8 + lane) * 4 + t],
+                                want,
+                                "q={q} lane={lane} t={t} offset={offset}"
+                            );
+                        }
                     }
                 }
-            }
-            assert!(seen <= 15);
-            // One value just outside [-8, 7], on either side, is seen.
-            for bad in [8i8, -9, 127, -128] {
-                let mut wide = src.clone();
-                wide[7 * n + j0 + 19] = bad;
-                let seen = unsafe { x86::quads_pack_avx2(&wide[j0..], n, nq, &mut got) };
-                assert!(seen > 15, "{bad} went unnoticed");
             }
         }
     }

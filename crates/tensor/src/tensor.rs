@@ -431,53 +431,10 @@ impl Tensor {
         })
     }
 
-    /// Stacks tensors along a new leading axis, padding each tensor's
-    /// **axis 0** up to `target` with `pad` first.
-    ///
-    /// All tensors must share their trailing dims and have axis-0 sizes
-    /// in `1..=target`. This is the padded-batch constructor for
-    /// variable-length token sequences: `[T_i]` id vectors (or `[T_i, C]`
-    /// token matrices) become one `[N, target, …]` stack whose padded
-    /// tail positions hold `pad`.
-    pub fn pad_stack(tensors: &[Tensor], target: usize, pad: f32) -> Result<Tensor> {
-        let first = tensors
-            .first()
-            .ok_or_else(|| TensorError::Invalid("pad_stack of zero tensors".into()))?;
-        if first.shape.rank() == 0 {
-            return Err(TensorError::Invalid("pad_stack of scalars".into()));
-        }
-        let tail = &first.dims()[1..];
-        let inner: usize = tail.iter().product::<usize>().max(1);
-        let mut data = Vec::with_capacity(tensors.len() * target * inner);
-        for t in tensors {
-            if t.shape.rank() != first.shape.rank() || &t.dims()[1..] != tail {
-                return Err(TensorError::ShapeMismatch {
-                    op: "pad_stack",
-                    lhs: first.dims().to_vec(),
-                    rhs: t.dims().to_vec(),
-                });
-            }
-            let len = t.dims()[0];
-            if len == 0 || len > target {
-                return Err(TensorError::Invalid(format!(
-                    "pad_stack: axis-0 size {len} outside 1..={target}"
-                )));
-            }
-            data.extend_from_slice(&t.data);
-            data.resize(data.len() + (target - len) * inner, pad);
-        }
-        let mut dims = vec![tensors.len(), target];
-        dims.extend_from_slice(tail);
-        Ok(Tensor {
-            shape: Shape::new(dims),
-            data,
-        })
-    }
-
     /// The leading `len` slices along axis 0, as an owned tensor.
     ///
-    /// This is the inverse of padding: `[T, …]` → `[len, …]` with
-    /// `len <= T` (a prompt prefix of a token sequence, say).
+    /// `[T, …]` → `[len, …]` with `len <= T` (a prompt prefix of a
+    /// token sequence, say).
     pub fn slice_axis0(&self, len: usize) -> Result<Tensor> {
         if self.shape.rank() == 0 {
             return Err(TensorError::Invalid("cannot slice a scalar".into()));
@@ -664,30 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn pad_stack_pads_axis0_to_target() {
-        let a = Tensor::from_vec([2], vec![1.0, 2.0]).unwrap();
-        let b = Tensor::from_vec([3], vec![3.0, 4.0, 5.0]).unwrap();
-        let s = Tensor::pad_stack(&[a, b], 4, -1.0).unwrap();
-        assert_eq!(s.dims(), &[2, 4]);
-        assert_eq!(s.data(), &[1.0, 2.0, -1.0, -1.0, 3.0, 4.0, 5.0, -1.0]);
-        // Token matrices pad whole rows.
-        let c = Tensor::from_vec([1, 2], vec![1.0, 2.0]).unwrap();
-        let s = Tensor::pad_stack(&[c], 2, 0.0).unwrap();
-        assert_eq!(s.dims(), &[1, 2, 2]);
-        assert_eq!(s.data(), &[1.0, 2.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn pad_stack_validates() {
-        assert!(Tensor::pad_stack(&[], 4, 0.0).is_err());
-        assert!(Tensor::pad_stack(&[Tensor::scalar(1.0)], 4, 0.0).is_err());
-        let a = Tensor::zeros([2]);
-        assert!(Tensor::pad_stack(std::slice::from_ref(&a), 1, 0.0).is_err()); // too long
-        assert!(Tensor::pad_stack(&[a.clone(), Tensor::zeros([0])], 4, 0.0).is_err());
-        assert!(Tensor::pad_stack(&[a, Tensor::zeros([2, 2])], 4, 0.0).is_err());
-    }
-
-    #[test]
     fn slice_axis0_takes_prefix() {
         let t = Tensor::from_vec([3, 2], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         let s = t.slice_axis0(2).unwrap();
@@ -695,10 +628,9 @@ mod tests {
         assert_eq!(s.data(), &[1.0, 2.0, 3.0, 4.0]);
         assert!(t.slice_axis0(4).is_err());
         assert!(Tensor::scalar(1.0).slice_axis0(1).is_err());
-        // Padding then slicing round-trips.
-        let v = Tensor::from_vec([2], vec![7.0, 8.0]).unwrap();
-        let padded = Tensor::pad_stack(std::slice::from_ref(&v), 5, 0.0).unwrap();
+        // A padded row's valid prefix comes back.
+        let padded = Tensor::from_vec([1, 5], vec![7.0, 8.0, 0.0, 0.0, 0.0]).unwrap();
         let back = padded.index_axis0(0).unwrap().slice_axis0(2).unwrap();
-        assert_eq!(back.data(), v.data());
+        assert_eq!(back.data(), &[7.0, 8.0]);
     }
 }

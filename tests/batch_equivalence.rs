@@ -7,9 +7,11 @@
 //! (ResNet-20) and an attention network (ViT-S) from the zoo, both run
 //! through the full pipeline (calibrate → select → layout → runtime) so
 //! the graphs contain the reorder nodes and layout the serving stack
-//! actually executes.
+//! actually executes. The exact integer path additionally runs under
+//! every ISA cap the host supports, and each cap must reproduce the
+//! scalar cap's outputs bit for bit.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use flexiq::core::pipeline::{prepare, FlexiQConfig};
 use flexiq::core::runtime::LEVEL_INT8;
@@ -17,8 +19,30 @@ use flexiq::core::selection::Strategy;
 use flexiq::core::FlexiRuntime;
 use flexiq::nn::data::gen_image_inputs;
 use flexiq::nn::zoo::{ModelId, Scale};
+use flexiq::tensor::simd::{self, Isa};
 use flexiq::tensor::Tensor;
 use proptest::prelude::*;
+
+/// Serializes the sections that pin the process-wide ISA cap.
+static CAP_LOCK: Mutex<()> = Mutex::new(());
+
+/// RAII ISA-cap scope: holds the cap lock and caps dispatch at `isa`
+/// until drop.
+struct Cap(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl Cap {
+    fn pin(isa: Isa) -> Cap {
+        let lock = CAP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        simd::set_cap(Some(isa));
+        Cap(lock)
+    }
+}
+
+impl Drop for Cap {
+    fn drop(&mut self) {
+        simd::set_cap(None);
+    }
+}
 
 type Fixture = (FlexiRuntime, Vec<Tensor>);
 
@@ -123,7 +147,8 @@ proptest! {
 
 /// The exact integer path (real band GEMMs, bit-extracted operands,
 /// shifted accumulation) is bit-exact batched vs. single-sample at
-/// **every** quantization level, for both model families.
+/// **every** quantization level, for both model families, under every
+/// ISA cap — and every cap's outputs equal the scalar cap's.
 #[test]
 fn int_mode_batched_bit_exact_at_every_level() {
     for fixture in [conv_fixture(), attn_fixture()] {
@@ -133,12 +158,32 @@ fn int_mode_batched_bit_exact_at_every_level() {
         levels.extend(0..rt.num_levels());
         for level in levels {
             rt.set_level(level).unwrap();
-            let (ys, ran_at) = rt.infer_batch_traced(&inputs[..3]).unwrap();
-            assert_eq!(ran_at, level);
-            for (i, x) in inputs[..3].iter().enumerate() {
-                let yi = rt.infer(x).unwrap();
-                for (a, b) in ys[i].data().iter().zip(yi.data().iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "int level {level} sample {i}");
+            let mut scalar: Option<Vec<Tensor>> = None;
+            for isa in simd::host_caps() {
+                let _cap = Cap::pin(isa);
+                let (ys, ran_at) = rt.infer_batch_traced(&inputs[..3]).unwrap();
+                assert_eq!(ran_at, level);
+                for (i, x) in inputs[..3].iter().enumerate() {
+                    let yi = rt.infer(x).unwrap();
+                    for (a, b) in ys[i].data().iter().zip(yi.data().iter()) {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "int level {level} {isa:?} sample {i}"
+                        );
+                    }
+                }
+                let want = scalar.get_or_insert_with(|| ys.clone());
+                for (i, (a, b)) in want.iter().zip(&ys).enumerate() {
+                    let same = a
+                        .data()
+                        .iter()
+                        .zip(b.data())
+                        .all(|(p, q)| p.to_bits() == q.to_bits());
+                    assert!(
+                        same,
+                        "int level {level}: {isa:?} differs from scalar, sample {i}"
+                    );
                 }
             }
         }

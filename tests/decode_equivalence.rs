@@ -5,7 +5,7 @@
 //! at every ratio level (including pure 8-bit), under 1/2/4 intra-op
 //! threads, for every KV-cache spec (f32, int8, and the paper's mixed
 //! effective-bit representation with 4-bit bands carved from the live
-//! 8-bit values).
+//! 8-bit values), and under every ISA cap the host supports.
 //!
 //! The identity is *by construction*: when a non-f32
 //! [`KvSpec`] is installed, full-context attention routes through the
@@ -22,7 +22,7 @@
 //! deterministic under replay, and (c) each step reports the level it
 //! actually executed at.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use flexiq::core::pipeline::{prepare, FlexiQConfig};
 use flexiq::core::runtime::LEVEL_INT8;
@@ -32,8 +32,30 @@ use flexiq::nn::data::{gen_token_stream, lm_sequences};
 use flexiq::nn::kv::KvSpec;
 use flexiq::nn::zoo::{ModelId, Scale, TinyLmCfg};
 use flexiq::parallel::ThreadPool;
+use flexiq::tensor::simd::{self, Isa};
 use flexiq::tensor::Tensor;
 use proptest::prelude::*;
+
+/// Serializes the sections that pin the process-wide ISA cap.
+static CAP_LOCK: Mutex<()> = Mutex::new(());
+
+/// RAII ISA-cap scope: holds the cap lock and caps dispatch at `isa`
+/// until drop.
+struct Cap(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl Cap {
+    fn pin(isa: Isa) -> Cap {
+        let lock = CAP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        simd::set_cap(Some(isa));
+        Cap(lock)
+    }
+}
+
+impl Drop for Cap {
+    fn drop(&mut self) {
+        simd::set_cap(None);
+    }
+}
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
@@ -111,18 +133,23 @@ fn check_decode_matches_full(rt: &FlexiRuntime, seq: &Tensor, prompt_len: usize,
     }
 }
 
-/// Every KV spec × level, single-threaded: the exhaustive sweep of the
-/// bit-exactness matrix (thread counts get their own sweep).
+/// Every KV spec × level × ISA cap, single-threaded: the exhaustive
+/// sweep of the bit-exactness matrix (thread counts get their own
+/// sweep).
 #[test]
 fn decode_matches_full_forward_at_every_level_and_spec() {
     let (_, seqs) = base();
-    for spec in specs() {
-        let rt = runtime(spec);
-        let mut levels = vec![LEVEL_INT8];
-        levels.extend(0..rt.num_levels());
-        for level in levels {
-            rt.set_level(level).unwrap();
-            check_decode_matches_full(&rt, &seqs[5], 3, &format!("{spec:?} level {level}"));
+    for isa in simd::host_caps() {
+        let _cap = Cap::pin(isa);
+        for spec in specs() {
+            let rt = runtime(spec);
+            let mut levels = vec![LEVEL_INT8];
+            levels.extend(0..rt.num_levels());
+            for level in levels {
+                rt.set_level(level).unwrap();
+                let what = format!("{isa:?} {spec:?} level {level}");
+                check_decode_matches_full(&rt, &seqs[5], 3, &what);
+            }
         }
     }
 }

@@ -14,9 +14,12 @@
 //! reproduce the naive loop's rounding exactly.
 //!
 //! The SIMD-vs-scalar properties additionally pin the explicit vector
-//! tiles (AVX2, runtime-dispatched) bit-identical to the scalar
-//! tiles they replace, by running every kernel twice — once as
-//! dispatched, once under the forced-scalar override.
+//! tiles (AVX2 and AVX-VNNI, runtime-dispatched) bit-identical to the
+//! scalar tiles they replace, by running every kernel once under each
+//! ISA cap the host supports (`simd::host_caps`) — scalar first — and
+//! against the reference. The extreme-operand tests pin the byte-quad
+//! tiles' offset-and-correction arithmetic where the VNNI accumulator
+//! wraps mid-sum.
 
 use std::sync::Mutex;
 
@@ -29,28 +32,27 @@ use rand::Rng;
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
-/// Serializes every test that flips the process-wide forced-scalar
-/// override, so a concurrent SIMD-vs-scalar comparison never observes a
-/// half-toggled state.
-static SCALAR_LOCK: Mutex<()> = Mutex::new(());
+/// Serializes every test that moves the process-wide ISA cap, so a
+/// concurrent cross-ISA comparison never observes a half-toggled state.
+static CAP_LOCK: Mutex<()> = Mutex::new(());
 
-fn scalar_lock() -> std::sync::MutexGuard<'static, ()> {
-    SCALAR_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+fn cap_lock() -> std::sync::MutexGuard<'static, ()> {
+    CAP_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// RAII forced-scalar scope: SIMD dispatch is disabled until drop.
-struct ForceScalar;
+/// RAII ISA-cap scope: dispatch is capped at `isa` until drop.
+struct Cap;
 
-impl ForceScalar {
-    fn on() -> ForceScalar {
-        simd::set_scalar(true);
-        ForceScalar
+impl Cap {
+    fn pin(isa: simd::Isa) -> Cap {
+        simd::set_cap(Some(isa));
+        Cap
     }
 }
 
-impl Drop for ForceScalar {
+impl Drop for Cap {
     fn drop(&mut self) {
-        simd::set_scalar(false);
+        simd::set_cap(None);
     }
 }
 
@@ -232,10 +234,11 @@ proptest! {
         }
     }
 
-    /// SIMD-on f32 == forced-scalar f32 on the same inputs, bit for bit,
-    /// across shapes, both rhs layouts, and thread counts — the tentpole
-    /// exactness contract for the vector tiles. (Under `FLEXIQ_NO_SIMD=1`
-    /// both sides run scalar and the property holds trivially.)
+    /// f32 under every ISA cap == f32 capped at scalar on the same
+    /// inputs, bit for bit, across shapes, both rhs layouts, and thread
+    /// counts — the exactness contract for the vector tiles. (Under
+    /// `FLEXIQ_NO_SIMD=1` only the scalar cap runs and the property
+    /// holds trivially.)
     #[test]
     fn f32_simd_matches_forced_scalar_bitwise(
         m in 1usize..48,
@@ -243,7 +246,7 @@ proptest! {
         k in 1usize..140,
         seed in 0u64..1000,
     ) {
-        let _serial = scalar_lock();
+        let _serial = cap_lock();
         let mut rng = seeded(seed ^ 0x51);
         let a = rand_f32(m * k, &mut rng);
         let b = rand_f32(k * n, &mut rng);
@@ -251,29 +254,34 @@ proptest! {
         let c0 = rand_f32(m * n, &mut rng);
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
-            let (mut c_simd, mut c_scalar) = (c0.clone(), c0.clone());
-            let (mut cw_simd, mut cw_scalar) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-            flexiq::parallel::with_pool(&pool, || {
-                gemm::gemm_f32(m, n, k, &a, &b, &mut c_simd);
-                gemm::gemm_f32_wt(m, n, k, &a, &w, &mut cw_simd);
-                let _scalar = ForceScalar::on();
-                gemm::gemm_f32(m, n, k, &a, &b, &mut c_scalar);
-                gemm::gemm_f32_wt(m, n, k, &a, &w, &mut cw_scalar);
-            });
-            for (i, (x, y)) in c_simd.iter().zip(&c_scalar).enumerate() {
-                prop_assert_eq!(x.to_bits(), y.to_bits(),
-                    "({}, {}, {}) x{} elem {}", m, n, k, threads, i);
-            }
-            for (i, (x, y)) in cw_simd.iter().zip(&cw_scalar).enumerate() {
-                prop_assert_eq!(x.to_bits(), y.to_bits(),
-                    "wt ({}, {}, {}) x{} elem {}", m, n, k, threads, i);
+            let run = |isa| {
+                let (mut c, mut cw) = (c0.clone(), vec![0.0f32; m * n]);
+                flexiq::parallel::with_pool(&pool, || {
+                    let _cap = Cap::pin(isa);
+                    gemm::gemm_f32(m, n, k, &a, &b, &mut c);
+                    gemm::gemm_f32_wt(m, n, k, &a, &w, &mut cw);
+                });
+                (c, cw)
+            };
+            let (c_scalar, cw_scalar) = run(simd::Isa::Scalar);
+            for isa in simd::host_caps() {
+                let (c, cw) = run(isa);
+                for (i, (x, y)) in c.iter().zip(&c_scalar).enumerate() {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(),
+                        "{:?} ({}, {}, {}) x{} elem {}", isa, m, n, k, threads, i);
+                }
+                for (i, (x, y)) in cw.iter().zip(&cw_scalar).enumerate() {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(),
+                        "{:?} wt ({}, {}, {}) x{} elem {}", isa, m, n, k, threads, i);
+                }
             }
         }
     }
 
-    /// SIMD-on i8 == forced-scalar i8 across bands, sparsity, both rhs
-    /// layouts, column batching, and thread counts (exact in i32 either
-    /// way — this pins the pair-panel packing and tail handling).
+    /// i8 under every ISA cap == the reference across bands, sparsity,
+    /// both rhs layouts (prepacked weights too), column batching, and
+    /// thread counts (exact in i32 every way — this pins the pair- and
+    /// quad-panel packing, the quad corrections and tail handling).
     #[test]
     fn i8_simd_matches_forced_scalar(
         nb in 1usize..4,
@@ -283,7 +291,7 @@ proptest! {
         zero_pct in 0u32..70,
         seed in 0u64..1000,
     ) {
-        let _serial = scalar_lock();
+        let _serial = cap_lock();
         let mut rng = seeded(seed ^ 0x6E);
         let k0 = rng.gen_range(0..k);
         let k1 = rng.gen_range(k0..=k);
@@ -291,25 +299,32 @@ proptest! {
         let b = rand_i8(k * n, 0, &mut rng);
         let w = rand_i8(n * k, 0, &mut rng);
         let bcol = rand_i8(k * nb * n, 0, &mut rng);
+        let mut want = vec![0i32; m * n];
+        reference::gemm_i8_band(m, n, k, k0, k1, &a, &b, &mut want);
+        let mut want_w = vec![0i32; m * n];
+        reference::gemm_i8_band_wt(m, n, k, k0, k1, &a, &w, &mut want_w);
+        let mut want_b = vec![0i32; m * nb * n];
+        reference::gemm_i8(m, nb * n, k, &a, &bcol, &mut want_b);
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
-            let (mut c_simd, mut c_scalar) = (vec![0i32; m * n], vec![0i32; m * n]);
-            let (mut cw_simd, mut cw_scalar) = (vec![0i32; m * n], vec![0i32; m * n]);
-            let (mut cb_simd, mut cb_scalar) =
-                (vec![0i32; m * nb * n], vec![0i32; m * nb * n]);
-            flexiq::parallel::with_pool(&pool, || {
-                gemm::gemm_i8_band(m, n, k, k0, k1, &a, &b, &mut c_simd);
-                gemm::gemm_i8_band_wt(m, n, k, k0, k1, &a, &w, &mut cw_simd);
-                gemm::gemm_i8(m, nb * n, k, &a, &bcol, &mut cb_simd);
-                let _scalar = ForceScalar::on();
-                gemm::gemm_i8_band(m, n, k, k0, k1, &a, &b, &mut c_scalar);
-                gemm::gemm_i8_band_wt(m, n, k, k0, k1, &a, &w, &mut cw_scalar);
-                gemm::gemm_i8(m, nb * n, k, &a, &bcol, &mut cb_scalar);
-            });
-            prop_assert_eq!(&c_simd, &c_scalar,
-                "band ({}, {}, {}) [{}, {}) x{}", m, n, k, k0, k1, threads);
-            prop_assert_eq!(&cw_simd, &cw_scalar, "wt x{}", threads);
-            prop_assert_eq!(&cb_simd, &cb_scalar, "colbatch nb={} x{}", nb, threads);
+            for isa in simd::host_caps() {
+                let mut c = vec![0i32; m * n];
+                let (mut cw, mut cp) = (vec![0i32; m * n], vec![0i32; m * n]);
+                let mut cb = vec![0i32; m * nb * n];
+                flexiq::parallel::with_pool(&pool, || {
+                    let _cap = Cap::pin(isa);
+                    gemm::gemm_i8_band(m, n, k, k0, k1, &a, &b, &mut c);
+                    gemm::gemm_i8_band_wt(m, n, k, k0, k1, &a, &w, &mut cw);
+                    let packed = gemm::prepack_i8_wt_band(n, k, k0, k1, &w);
+                    gemm::gemm_i8_band_wt_prepacked(m, n, k, k0, k1, &a, &w, &packed, &mut cp);
+                    gemm::gemm_i8(m, nb * n, k, &a, &bcol, &mut cb);
+                });
+                prop_assert_eq!(&c, &want,
+                    "{:?} band ({}, {}, {}) [{}, {}) x{}", isa, m, n, k, k0, k1, threads);
+                prop_assert_eq!(&cw, &want_w, "{:?} wt x{}", isa, threads);
+                prop_assert_eq!(&cp, &want_w, "{:?} prepacked wt x{}", isa, threads);
+                prop_assert_eq!(&cb, &want_b, "{:?} colbatch nb={} x{}", isa, nb, threads);
+            }
         }
     }
 }
@@ -322,9 +337,10 @@ fn rand_band(len: usize, nibble: bool, rng: &mut impl Rng) -> Vec<i8> {
 
 proptest! {
     /// The fused low-band entry point == per-band naive sums shifted in
-    /// afterwards, for nibble-range operands (the dense tile where the
-    /// ISA has one) and full-range ones (the ordinary tiles), at threads
-    /// 1/2/4 — and the dispatched kernels == the forced-scalar ones.
+    /// afterwards, for nibble-range operands (`+8` byte quads where the
+    /// ISA has a quad tile) and full-range ones (`+128` quads under
+    /// AVX-VNNI, the ordinary tiles elsewhere), at threads 1/2/4, under
+    /// every ISA cap the host supports.
     #[test]
     fn low_bands_match_shifted_reference(
         m in 1usize..40,
@@ -333,7 +349,7 @@ proptest! {
         nibble in 0usize..2,
         seed in 0u64..1000,
     ) {
-        let _serial = scalar_lock();
+        let _serial = cap_lock();
         let nibble = nibble == 1;
         let mut rng = seeded(seed ^ 0x10B);
         let k: usize = kbs.iter().sum();
@@ -360,6 +376,8 @@ proptest! {
         let run = |threads: usize| {
             let pool = ThreadPool::new(threads);
             flexiq::parallel::with_pool(&pool, || {
+                // The bands prepack for the capped ISA, as the engine's
+                // cache does.
                 let bands: Vec<gemm::LowBandLhs> = kbs.iter().zip(&blocks)
                     .map(|(&kb, (w, s))| gemm::LowBandLhs::new(m, kb, w.clone(), s.clone()))
                     .collect();
@@ -370,40 +388,102 @@ proptest! {
             })
         };
         for threads in THREADS {
-            let c = run(threads);
-            prop_assert_eq!(&c, &want, "({}, {}, {:?}) nibble={} x{}", m, n, &kbs, nibble, threads);
-            let _scalar = ForceScalar::on();
-            let c = run(threads);
-            prop_assert_eq!(&c, &want, "scalar x{}", threads);
+            for isa in simd::host_caps() {
+                let _cap = Cap::pin(isa);
+                let c = run(threads);
+                prop_assert_eq!(&c, &want, "{:?} ({}, {}, {:?}) nibble={} x{}",
+                    isa, m, n, &kbs, nibble, threads);
+            }
         }
     }
 }
 
-/// `set_scalar(true)` actually disables the SIMD path: the kernels record
-/// which ISA they dispatched, and forcing scalar must flip it (and
-/// releasing must restore the hardware pick, modulo `FLEXIQ_NO_SIMD`).
+/// The cap really selects the dispatched ISA: the kernels record which
+/// ISA they dispatched, pinning each cap the host supports must show
+/// exactly that ISA (scalar included), and releasing the cap must
+/// restore the hardware pick, modulo `FLEXIQ_NO_SIMD`.
 #[test]
 fn forced_scalar_really_disables_the_simd_path() {
-    let _serial = scalar_lock();
+    let _serial = cap_lock();
     let m = 8;
     let (n, k) = (16, 12);
     let mut rng = seeded(99);
     let a = rand_f32(m * k, &mut rng);
     let b = rand_f32(k * n, &mut rng);
     let mut c = vec![0.0f32; m * n];
-    {
-        let _scalar = ForceScalar::on();
-        assert_eq!(simd::active(), simd::Isa::Scalar);
+    let ai = rand_i8(m * k, 0, &mut rng);
+    let bi = rand_i8(k * n, 0, &mut rng);
+    let mut ci = vec![0i32; m * n];
+    for isa in simd::host_caps() {
+        let _cap = Cap::pin(isa);
+        assert_eq!(simd::active(), isa);
         gemm::gemm_f32(m, n, k, &a, &b, &mut c);
-        assert_eq!(simd::last_dispatch(), Some(simd::Isa::Scalar));
+        assert_eq!(simd::last_dispatch(), Some(isa));
+        gemm::gemm_i8_band(m, n, k, 0, k, &ai, &bi, &mut ci);
+        assert_eq!(simd::last_dispatch(), Some(isa));
     }
     // Released: dispatch returns to whatever the process resolves to
     // (hardware detection, unless FLEXIQ_NO_SIMD pinned it to scalar).
     gemm::gemm_f32(m, n, k, &a, &b, &mut c);
     assert_eq!(simd::last_dispatch(), Some(simd::active()));
-    let mut ci = vec![0i32; m * n];
-    let ai = rand_i8(m * k, 0, &mut rng);
-    let bi = rand_i8(k * n, 0, &mut rng);
     gemm::gemm_i8_band(m, n, k, 0, k, &ai, &bi, &mut ci);
     assert_eq!(simd::last_dispatch(), Some(simd::active()));
+    assert_eq!(simd::active(), *simd::host_caps().last().unwrap());
+}
+
+/// Runs `gemm_i8_band` (conv orientation), `gemm_i8_band_wt` and its
+/// prepacked twin (linear orientation) on one `[m, k] × [k, n]` problem
+/// under every ISA cap the host supports, and asserts each equals
+/// `want`.
+fn check_i8_every_cap(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], want: &[i32]) {
+    let w: Vec<i8> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+    for isa in simd::host_caps() {
+        let _cap = Cap::pin(isa);
+        let packed = gemm::prepack_i8_wt_band(n, k, 0, k, &w);
+        let (mut c, mut cw, mut cp) = (vec![0i32; m * n], vec![0i32; m * n], vec![0i32; m * n]);
+        gemm::gemm_i8_band(m, n, k, 0, k, a, b, &mut c);
+        gemm::gemm_i8_band_wt(m, n, k, 0, k, a, &w, &mut cw);
+        gemm::gemm_i8_band_wt_prepacked(m, n, k, 0, k, a, &w, &packed, &mut cp);
+        assert_eq!(c, want, "{isa:?} band ({m}, {n}, {k})");
+        assert_eq!(cw, want, "{isa:?} wt ({m}, {n}, {k})");
+        assert_eq!(cp, want, "{isa:?} prepacked ({m}, {n}, {k})");
+    }
+}
+
+/// The four corners of the i8 range at K = 70 000: under AVX-VNNI the
+/// `+128`-offset sum `Σ a·(b + 128)` (up to `128·255·K ≈ 2.3·10⁹`)
+/// wraps the i32 accumulator mid-sum, and the `-128·Σa` correction must
+/// still bring every element back to exactly `K·a·b`. A ragged shape
+/// (5 rows, 33 columns) also runs the edge tiles.
+#[test]
+fn extreme_operands_stay_exact_where_the_accumulator_wraps() {
+    let _serial = cap_lock();
+    let (m, n, k) = (5usize, 33usize, 70_000usize);
+    for (av, bv) in [(-128i8, 127i8), (-128, -128), (127, 127), (127, -128)] {
+        let (a, b) = (vec![av; m * k], vec![bv; k * n]);
+        let want = vec![k as i32 * av as i32 * bv as i32; m * n];
+        check_i8_every_cap(m, n, k, &a, &b, &want);
+    }
+}
+
+/// Odd reduction tails (K = 27, the RNet20 stem's 3×3×3 patch, and
+/// K = 4q ± 1 around a quad) and ragged edge tiles in both directions,
+/// against the reference under every cap.
+#[test]
+fn odd_k_tails_and_ragged_tiles_match_the_reference_under_every_cap() {
+    let _serial = cap_lock();
+    let mut rng = seeded(0x27);
+    for (m, n, k) in [
+        (16, 1024, 27),
+        (13, 70, 27),
+        (7, 45, 129),
+        (33, 97, 35),
+        (2, 4096, 3),
+    ] {
+        let a = rand_i8(m * k, 20, &mut rng);
+        let b = rand_i8(k * n, 0, &mut rng);
+        let mut want = vec![0i32; m * n];
+        reference::gemm_i8(m, n, k, &a, &b, &mut want);
+        check_i8_every_cap(m, n, k, &a, &b, &want);
+    }
 }

@@ -15,11 +15,12 @@
 //! the layer geometries that stress the rewrite (strided 1×1 convolutions
 //! whose im2col skips pixels, depthwise and grouped convolutions, channel
 //! counts that do not divide into groups, odd band widths), at 4 and 2
-//! low bits, under static, naive and dynamic extraction — and whole
+//! low bits, under static, naive and dynamic extraction, under every
+//! ISA cap the host supports (scalar, AVX2, AVX-VNNI) — and whole
 //! networks must match it at every level.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use flexiq::core::pipeline::{prepare, FlexiQConfig};
 use flexiq::core::runtime::LEVEL_INT8;
@@ -35,8 +36,30 @@ use flexiq::nn::zoo::{ModelId, Scale};
 use flexiq::quant::dynamic::dynamic_lowering;
 use flexiq::quant::{BitLowering, GroupSpec, QParams, QuantBits};
 use flexiq::tensor::rng::seeded;
+use flexiq::tensor::simd::{self, Isa};
 use flexiq::tensor::{I8Tensor, Tensor};
 use rand::Rng;
+
+/// Serializes the sections that pin the process-wide ISA cap.
+static CAP_LOCK: Mutex<()> = Mutex::new(());
+
+/// RAII ISA-cap scope: holds the cap lock and caps dispatch at `isa`
+/// until drop.
+struct Cap(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl Cap {
+    fn pin(isa: Isa) -> Cap {
+        let lock = CAP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        simd::set_cap(Some(isa));
+        Cap(lock)
+    }
+}
+
+impl Drop for Cap {
+    fn drop(&mut self) {
+        simd::set_cap(None);
+    }
+}
 
 // ───────────────────────────── the oracle ─────────────────────────────
 
@@ -337,6 +360,16 @@ fn plans(n: usize) -> Vec<Vec<bool>> {
     ]
 }
 
+/// Every ISA cap the host supports, each without a cache and with the
+/// shared one (which flushes when the cap moves).
+fn caps_and_caches(cache: &Arc<PackCache>) -> Vec<(Isa, Option<Arc<PackCache>>)> {
+    let caches = [None, Some(cache.clone())];
+    let caps = simd::host_caps();
+    caps.into_iter()
+        .flat_map(|isa| caches.clone().map(|c| (isa, c)))
+        .collect()
+}
+
 fn assert_bits(want: &[f32], got: &Tensor, what: &str) {
     assert_eq!(want.len(), got.data().len(), "{what}: length");
     for (i, (w, g)) in want.iter().zip(got.data()).enumerate() {
@@ -489,20 +522,20 @@ fn conv_matches_the_oracle_in_every_mode() {
                     low_groups: vec![low.clone()],
                 };
                 let want_batch = oracle_conv(&cx, &conv, &x, n, hw, hw);
-                for cached in [None, Some(cache.clone())] {
+                let want_singles: Vec<Vec<f32>> = singles
+                    .iter()
+                    .map(|xs| oracle_conv(&cx, &conv, xs, 1, hw, hw))
+                    .collect();
+                for (isa, cached) in caps_and_caches(&cache) {
+                    let _cap = Cap::pin(isa);
+                    let what = format!("{what} {isa:?} cached={}", cached.is_some());
                     let mut hook =
-                        QuantCompute::with_cache(&model, plan.clone(), opts, cached.clone())
-                            .unwrap();
+                        QuantCompute::with_cache(&model, plan.clone(), opts, cached).unwrap();
                     let got = hook.conv2d_batch(0, &conv, &x, n).unwrap();
-                    assert_bits(
-                        &want_batch,
-                        &got,
-                        &format!("{what} batched cached={}", cached.is_some()),
-                    );
-                    for (s, xs) in singles.iter().enumerate() {
-                        let want = oracle_conv(&cx, &conv, xs, 1, hw, hw);
+                    assert_bits(&want_batch, &got, &format!("{what} batched"));
+                    for (s, (xs, want)) in singles.iter().zip(&want_singles).enumerate() {
                         let got = hook.conv2d(0, &conv, xs).unwrap();
-                        assert_bits(&want, &got, &format!("{what} sample {s}"));
+                        assert_bits(want, &got, &format!("{what} sample {s}"));
                     }
                 }
             }
@@ -547,12 +580,17 @@ fn linear_matches_the_oracle_in_every_mode() {
                 let plan = MixedPlan {
                     low_groups: vec![low.clone()],
                 };
-                for cached in [None, Some(cache.clone())] {
+                // [N, T, C] and [N·T, C] stacks share one oracle call.
+                let want = oracle_linear(&cx, &lin, &x, n * t);
+                let want_singles: Vec<Vec<f32>> = singles
+                    .iter()
+                    .map(|xs| oracle_linear(&cx, &lin, xs, t))
+                    .collect();
+                for (isa, cached) in caps_and_caches(&cache) {
+                    let _cap = Cap::pin(isa);
+                    let what = format!("{what} {isa:?} cached={}", cached.is_some());
                     let mut hook =
-                        QuantCompute::with_cache(&model, plan.clone(), opts, cached.clone())
-                            .unwrap();
-                    // [N, T, C] and [N·T, C] stacks share one oracle call.
-                    let want = oracle_linear(&cx, &lin, &x, n * t);
+                        QuantCompute::with_cache(&model, plan.clone(), opts, cached).unwrap();
                     assert_bits(
                         &want,
                         &hook.linear_batch(0, &lin, &x, n).unwrap(),
@@ -563,10 +601,9 @@ fn linear_matches_the_oracle_in_every_mode() {
                         &hook.linear_batch(0, &lin, &flat, n * t).unwrap(),
                         &format!("{what} [N,C]"),
                     );
-                    for (s, xs) in singles.iter().enumerate() {
-                        let want = oracle_linear(&cx, &lin, xs, t);
+                    for (s, (xs, want)) in singles.iter().zip(&want_singles).enumerate() {
                         assert_bits(
-                            &want,
+                            want,
                             &hook.linear(0, &lin, xs).unwrap(),
                             &format!("{what} sample {s}"),
                         );
@@ -581,8 +618,8 @@ fn linear_matches_the_oracle_in_every_mode() {
 
 /// Every level of a zoo CNN, through the full pipeline (so the graph has
 /// the reorder nodes and layout serving executes): the runtime's cached
-/// engine, single-sample and batched, against the oracle hook walking
-/// the same graph.
+/// engine, single-sample and batched under every ISA cap, against the
+/// oracle hook walking the same graph.
 fn network_matches_the_oracle(id: ModelId) {
     let graph = id.build(Scale::Test).unwrap();
     let inputs = gen_image_inputs(10, &id.input_dims(Scale::Test), 0x10BA ^ id as u64);
@@ -597,19 +634,22 @@ fn network_matches_the_oracle(id: ModelId) {
             plan: rt.current_plan(),
             opts: QuantExecOptions::default(),
         };
-        let batch = rt.infer_batch(probe).unwrap();
-        for (x, from_batch) in probe.iter().zip(&batch) {
-            let want = exec::run(rt.graph(), x, &mut oracle).unwrap();
-            assert_bits(
-                want.data(),
-                &rt.infer(x).unwrap(),
-                &format!("{id:?} level {level} single"),
-            );
-            assert_bits(
-                want.data(),
-                from_batch,
-                &format!("{id:?} level {level} batched"),
-            );
+        let want: Vec<Tensor> = probe
+            .iter()
+            .map(|x| exec::run(rt.graph(), x, &mut oracle).unwrap())
+            .collect();
+        for isa in simd::host_caps() {
+            let _cap = Cap::pin(isa);
+            let what = format!("{id:?} level {level} {isa:?}");
+            let batch = rt.infer_batch(probe).unwrap();
+            for ((x, from_batch), want) in probe.iter().zip(&batch).zip(&want) {
+                assert_bits(
+                    want.data(),
+                    &rt.infer(x).unwrap(),
+                    &format!("{what} single"),
+                );
+                assert_bits(want.data(), from_batch, &format!("{what} batched"));
+            }
         }
     }
 }

@@ -32,9 +32,9 @@ const BITS: [QuantBits; 3] = [QuantBits::B2, QuantBits::B4, QuantBits::B8];
 /// the f32 range.
 const SCALES: [f32; 8] = [0.05, 0.033, 1.0, 0.007_812_5, 3.7, 1.0e-3, 2.5e-30, 6.0e28];
 
-/// `simd::set_scalar` is process-global: the tests of this binary take
-/// turns, so a forced-scalar window never hides the SIMD body from a
-/// test that means to cover it.
+/// `simd::set_cap` is process-global: the tests of this binary take
+/// turns, so a capped window never hides the SIMD body from a test that
+/// means to cover it.
 fn dispatch_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -163,8 +163,8 @@ fn slice_matches_per_element_at_every_length_and_dispatch() {
     // One spare element in front: `[1..]` shifts the data off whatever
     // alignment the allocation has.
     let xs: Vec<f32> = (0..68).map(|_| rng.gen_range(-9.0..9.0)).collect();
-    for force_scalar in [false, true] {
-        simd::set_scalar(force_scalar);
+    for isa in simd::host_caps() {
+        simd::set_cap(Some(isa));
         for bits in BITS {
             let p = QParams::new(0.05, bits).unwrap();
             for len in 0..=67 {
@@ -172,18 +172,14 @@ fn slice_matches_per_element_at_every_length_and_dispatch() {
                     let mut out = vec![0x55i8; len + 2];
                     p.quantize_slice(xs, &mut out[1..1 + len]);
                     let want: Vec<i8> = xs.iter().map(|&x| reference(&p, x) as i8).collect();
-                    assert_eq!(
-                        &out[1..1 + len],
-                        &want[..],
-                        "len {len} scalar {force_scalar}"
-                    );
+                    assert_eq!(&out[1..1 + len], &want[..], "len {len} {isa:?}");
                     // Nothing outside the destination is touched.
                     assert_eq!((out[0], out[len + 1]), (0x55, 0x55), "len {len}");
                 }
             }
         }
     }
-    simd::set_scalar(false);
+    simd::set_cap(None);
 }
 
 #[test]
