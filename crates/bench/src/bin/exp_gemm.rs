@@ -34,9 +34,15 @@
 use std::time::Instant;
 
 use flexiq_bench::{f2, ResultTable};
+use flexiq_nn::exec::{self, Compute};
+use flexiq_nn::ops::{Conv2d, Linear};
+use flexiq_nn::zoo::{ModelId, Scale};
+use flexiq_nn::LayerId;
 use flexiq_tensor::gemm::{self, reference};
+use flexiq_tensor::im2col::{im2col_i8_batch, im2col_i8_batch_fill, Conv2dGeometry};
 use flexiq_tensor::rng::seeded;
 use flexiq_tensor::simd::{self, Isa};
+use flexiq_tensor::Tensor;
 use rand::Rng;
 
 /// Floor for the dense low-range tile over the i8 pair tile on the conv
@@ -69,64 +75,120 @@ fn reps_for(auto: usize, cap: usize) -> usize {
         .unwrap_or_else(|| auto.clamp(3, cap))
 }
 
-/// One row of the low-band sweep: a run of `bands` feature-group bands
-/// of `kb` reduction steps each, the weights on the lhs (`[m, kb]` per
-/// band against `[bands·kb, n]` im2col rows).
+/// One row of the low-band sweep: a run of `bands` 4-channel 3×3
+/// feature-group bands (`kb = 36` reduction steps each) of a stride-1
+/// conv over batch-8 `hw × hw` inputs, the weights on the lhs (`[m, kb]`
+/// per band) against the channel-quad activations.
 struct LowShape {
     name: &'static str,
     m: usize,
-    n: usize,
-    kb: usize,
+    hw: usize,
     bands: usize,
 }
 
-const fn low(name: &'static str, m: usize, n: usize, kb: usize, bands: usize) -> LowShape {
-    LowShape {
-        name,
-        m,
-        n,
-        kb,
-        bands,
-    }
+const fn low(name: &'static str, m: usize, hw: usize, bands: usize) -> LowShape {
+    LowShape { name, m, hw, bands }
 }
+
+/// Batch of every sweep row.
+const NB: usize = 8;
+
+/// Channels of one feature-group band in the sweep.
+const BAND: usize = 4;
 
 /// RNet20's conv layers at batch 8 (`c_out` × `8·H·W`), as single
 /// 4-channel 3×3 bands (kb = 36) and as the coalesced runs a fully
 /// 4-bit layer issues (all of a layer's bands in one call).
 const LOW_SHAPES: [LowShape; 6] = [
-    low("rnet20_s1_band", 16, 2048, 36, 1),
-    low("rnet20_s1_run", 16, 2048, 36, 4),
-    low("rnet20_s2_band", 24, 512, 36, 1),
-    low("rnet20_s2_run", 24, 512, 36, 6),
-    low("rnet20_s3_band", 32, 128, 36, 1),
-    low("rnet20_s3_run", 32, 128, 36, 8),
+    low("rnet20_s1_band", 16, 16, 1),
+    low("rnet20_s1_run", 16, 16, 4),
+    low("rnet20_s2_band", 24, 8, 1),
+    low("rnet20_s2_run", 24, 8, 6),
+    low("rnet20_s3_band", 32, 4, 1),
+    low("rnet20_s3_run", 32, 4, 8),
 ];
 
+/// The 3×3, pad-1, stride-1 geometry of a sweep row.
+fn geom3x3(c_in: usize, hw: usize) -> Conv2dGeometry {
+    Conv2dGeometry {
+        c_in,
+        h: hw,
+        w: hw,
+        kh: 3,
+        kw: 3,
+        stride: 1,
+        pad: 1,
+    }
+}
+
+/// Random `[nb, C, H, W]` i8 planes in `[-hi - 1, hi]`.
+fn draw(len: usize, hi: i16, rng: &mut impl Rng) -> Vec<i8> {
+    (0..len)
+        .map(|_| rng.gen_range(-hi - 1..=hi) as i8)
+        .collect()
+}
+
+/// Channel quads of `planes` (`[nb, Σ widths, H, W]`) cut into bands
+/// of `widths` channels, padded for `g`.
+fn quads_of(planes: &[i8], nb: usize, g: &Conv2dGeometry, widths: &[usize]) -> Vec<i8> {
+    let nq: usize = widths.iter().map(|w| w.div_ceil(4)).sum();
+    let mut quads = vec![0i8; nb * nq * 4 * (g.h + 2 * g.pad) * (g.w + 2 * g.pad)];
+    gemm::channel_quads_fill(planes, nb, [g.h, g.w], g.pad, widths, &mut quads);
+    quads
+}
+
+/// The im2col matrix of `planes` with its rows permuted from `(channel,
+/// tap)` to the conv source's band order `(band, quad, tap, channel)`,
+/// zero rows on the channels that pad a band's last quad: the
+/// `[Σ kb, n]` rhs the conv entry point must reproduce.
+fn band_block(planes: &[i8], nb: usize, g: &Conv2dGeometry, widths: &[usize]) -> Vec<i8> {
+    let cols = im2col_i8_batch(planes, nb, g.c_in * g.h * g.w, g);
+    let (n, khkw) = (nb * g.cols(), g.kh * g.kw);
+    let mut block = Vec::with_capacity(cols.len());
+    let mut c0 = 0;
+    for &w in widths {
+        for p in 0..w.div_ceil(4) * 4 * khkw {
+            let (ch, tap) = (4 * (p / (4 * khkw)) + p % 4, p / 4 % khkw);
+            match ch < w {
+                true => block.extend_from_slice(&cols[((c0 + ch) * khkw + tap) * n..][..n]),
+                false => block.extend(std::iter::repeat_n(0, n)),
+            }
+        }
+        c0 += w;
+    }
+    block
+}
+
 /// Times one low-band shape on operands drawn from `[-hi - 1, hi]`,
-/// after checking the call against per-band reference GEMMs shifted in
-/// by hand.
+/// after checking the call against per-band reference GEMMs over the
+/// permuted im2col matrix, shifted in by hand.
 fn measure_low(s: &LowShape, hi: i16, reps: usize, rng: &mut impl Rng) -> f64 {
-    let mut draw = |len: usize| -> Vec<i8> {
-        (0..len)
-            .map(|_| rng.gen_range(-hi - 1..=hi) as i8)
-            .collect()
-    };
-    let (m, n, kb) = (s.m, s.n, s.kb);
+    let (m, kb) = (s.m, BAND * 9);
+    let g = geom3x3(BAND * s.bands, s.hw);
+    let n = NB * g.cols();
+    let widths = vec![BAND; s.bands];
+    let planes = draw(NB * g.c_in * s.hw * s.hw, hi, rng);
+    let quads = quads_of(&planes, NB, &g, &widths);
+    let b = band_block(&planes, NB, &g, &widths);
     let mut c = vec![0i32; m * n];
     let mut expect = vec![0i32; m * n];
-    let blocks: Vec<Vec<i8>> = (0..s.bands).map(|_| draw(m * kb)).collect();
+    let blocks: Vec<Vec<i8>> = (0..s.bands).map(|_| draw(m * kb, hi, rng)).collect();
     let shifts: Vec<u8> = (0..m).map(|i| (i % 3) as u8).collect();
     let a_shifts: Vec<u8> = (0..s.bands).map(|b| (b % 4) as u8).collect();
-    let b = draw(s.bands * kb * n);
     let bands: Vec<gemm::LowBandLhs> = blocks
         .iter()
         .map(|w| gemm::LowBandLhs::new(m, kb, w.clone(), shifts.clone()))
         .collect();
     let call = gemm::LowBands {
-        n,
         bands: &bands,
         a_shifts: &a_shifts,
-        b: &b,
+        src: gemm::ConvSource {
+            quads: &quads,
+            nb: NB,
+            sample_stride: quads.len() / NB,
+            geom: g,
+            q0: 0,
+        },
     };
     for (bi, w) in blocks.iter().enumerate() {
         let mut scratch = vec![0i32; m * n];
@@ -142,6 +204,152 @@ fn measure_low(s: &LowShape, hi: i16, reps: usize, rng: &mut impl Rng) -> f64 {
         gemm::gemm_i8_low_bands(call, &mut c);
         std::hint::black_box(&c);
     })
+}
+
+/// One conv layer's operand shape as the integer engine meets it.
+struct ConvCall {
+    layer: LayerId,
+    geom: Conv2dGeometry,
+}
+
+/// Records every conv layer's input geometry of an f32 forward pass.
+#[derive(Default)]
+struct ConvShapes(Vec<ConvCall>);
+
+impl Compute for ConvShapes {
+    fn conv2d(&mut self, layer: LayerId, conv: &Conv2d, x: &Tensor) -> flexiq_nn::Result<Tensor> {
+        let (c_in, h, w) = conv.check_input(x)?;
+        self.0.push(ConvCall {
+            layer,
+            geom: Conv2dGeometry {
+                c_in,
+                ..conv.group_geometry(h, w)
+            },
+        });
+        conv.forward(x)
+    }
+
+    fn linear(&mut self, _: LayerId, lin: &Linear, x: &Tensor) -> flexiq_nn::Result<Tensor> {
+        lin.forward(x)
+    }
+}
+
+/// The rhs operand cost of every RNet20 conv layer at batch 8, the two
+/// ways the engine has built it: `im2col_pack_ms` is the lowered matrix
+/// (`im2col_i8_batch_fill`) plus its `+128` quad pack, `quads_ms` the
+/// channel-quad interleave of the activation and `conv_pack_ms` the
+/// same quad panels packed straight from those quads. Before timing,
+/// the straight panels are checked byte-identical to the quad pack of
+/// the permuted im2col matrix. Reported as measured, with no floor.
+fn conv_pack_table() {
+    let graph = ModelId::RNet20.build(Scale::Eval).expect("RNet20 builds");
+    let dims = ModelId::RNet20.input_dims(Scale::Eval);
+    let mut shapes = ConvShapes::default();
+    let x = Tensor::zeros(dims);
+    exec::run(&graph, &x, &mut shapes).expect("RNet20 runs");
+    let mut rng = seeded(0xC0D5);
+    let pool = flexiq_parallel::ThreadPool::new(1);
+    let mut table = ResultTable::new(
+        "Conv rhs panels at batch 8: im2col + quad pack vs straight from channel quads (single thread)",
+        &[
+            "layer",
+            "c_in",
+            "hw",
+            "kernel",
+            "stride",
+            "n",
+            "k",
+            "im2col_pack_ms",
+            "quads_ms",
+            "conv_pack_ms",
+        ],
+    );
+    let (mut old_total, mut new_total) = (0.0, 0.0);
+    for ConvCall { layer, geom: g } in &shapes.0 {
+        let hw = g.h * g.w;
+        let widths: Vec<usize> = (0..g.c_in)
+            .step_by(BAND)
+            .map(|c| BAND.min(g.c_in - c))
+            .collect();
+        let planes = draw(NB * g.c_in * hw, 127, &mut rng);
+        let quads = quads_of(&planes, NB, g, &widths);
+        let src = gemm::ConvSource {
+            quads: &quads,
+            nb: NB,
+            sample_stride: quads.len() / NB,
+            geom: *g,
+            q0: 0,
+        };
+        let (n, k) = (src.n(), g.rows());
+        let kb = widths.iter().map(|w| w.div_ceil(4)).sum::<usize>() * src.quad_steps();
+        let (mut straight, mut permuted) = (Vec::new(), Vec::new());
+        src.pack_quads(kb, 128, &mut straight);
+        gemm::pack_rows_quads(
+            &band_block(&planes, NB, g, &widths),
+            n,
+            kb,
+            128,
+            &mut permuted,
+        );
+        assert_eq!(
+            straight.len(),
+            permuted.len(),
+            "layer {layer}: panel extents differ"
+        );
+        for (i, (a, b)) in straight.iter().zip(&permuted).enumerate() {
+            // Lanes past `n` hold the offset's zero against a raw zero.
+            if i / (kb * gemm::NR_I8) * gemm::NR_I8 + i / 4 % gemm::NR_I8 < n {
+                assert_eq!(a, b, "layer {layer}: panel byte {i} differs");
+            }
+        }
+        let reps = reps_for(400_000_000 / (k * n).max(1), 400);
+        let (old, interleave, new) = flexiq_parallel::with_pool(&pool, || {
+            let mut cols = vec![0i8; k * n];
+            let mut panel = Vec::new();
+            let old = time_best(reps, || {
+                im2col_i8_batch_fill(&planes, NB, g.c_in * hw, g, &mut cols);
+                gemm::pack_rows_quads(&cols, n, k, 128, &mut panel);
+                std::hint::black_box(&panel);
+            });
+            let mut out = quads.clone();
+            let interleave = time_best(reps, || {
+                gemm::channel_quads_fill(&planes, NB, [g.h, g.w], g.pad, &widths, &mut out);
+                std::hint::black_box(&out);
+            });
+            let new = time_best(reps, || {
+                src.pack_quads(kb, 128, &mut panel);
+                std::hint::black_box(&panel);
+            });
+            (old, interleave, new)
+        });
+        old_total += old;
+        new_total += interleave + new;
+        table.row(vec![
+            layer.to_string(),
+            g.c_in.to_string(),
+            format!("{}x{}", g.h, g.w),
+            format!("{}x{}", g.kh, g.kw),
+            g.stride.to_string(),
+            n.to_string(),
+            k.to_string(),
+            format!("{:.4}", old * 1e3),
+            format!("{:.4}", interleave * 1e3),
+            format!("{:.4}", new * 1e3),
+        ]);
+    }
+    table.row(vec![
+        "total".into(),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+        format!("{:.4}", old_total * 1e3),
+        "-".into(),
+        format!("{:.4}", new_total * 1e3),
+    ]);
+    table.emit("gemm_conv_pack");
 }
 
 /// One measured row: nibble-range speedup over full-range i8.
@@ -204,7 +412,7 @@ fn main() {
     );
     let mut rows = Vec::with_capacity(LOW_SHAPES.len());
     for s in &LOW_SHAPES {
-        let madds = s.m * s.n * s.kb * s.bands;
+        let madds = s.m * NB * s.hw * s.hw * BAND * 9 * s.bands;
         let reps = reps_for(80_000_000 / madds, 2000);
         let (i8_s, low_s) = flexiq_parallel::with_pool(&pool, || {
             (
@@ -227,8 +435,8 @@ fn main() {
         table.row(vec![
             s.name.into(),
             s.m.to_string(),
-            s.n.to_string(),
-            s.kb.to_string(),
+            (NB * s.hw * s.hw).to_string(),
+            (BAND * 9).to_string(),
             s.bands.to_string(),
             format!("{:.4}", i8_s * 1e3),
             format!("{:.4}", low_s * 1e3),
@@ -242,6 +450,8 @@ fn main() {
         });
     }
     table.emit("gemm_low_bands");
+    simd::set_cap(None);
+    conv_pack_table();
 
     let misses = floors(dense, &rows);
     for m in &misses {

@@ -24,8 +24,8 @@
 //! bit-exact with serial at every level and thread count.
 //!
 //! Inference entry points are also **allocation-steady**: the quantized
-//! engine draws its per-layer scratch (activation quantization, im2col
-//! lowering, bit-lowered bands, band accumulators) from a per-thread
+//! engine draws its per-layer scratch (activation quantization, its
+//! channel quads, bit-lowered bands, band accumulators) from a per-thread
 //! [`flexiq_nn::workspace::Workspace`] checked out for each pass, and
 //! the blocked GEMM kernels underneath draw their packing panels from
 //! per-thread scratch pools. A thread that calls `infer`/`infer_batch`

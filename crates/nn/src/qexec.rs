@@ -33,26 +33,39 @@
 //!   weights** — the master with those groups' columns round-tripped —
 //!   prepacked. So a linear layer is one band GEMM over its whole
 //!   reduction at every level, per run of valid rows.
-//! * **Convolution** layers run `quantize + lower → im2col → band GEMMs
-//!   → requantize`, arranged so a 4-bit band costs **less** than an
-//!   8-bit one. Activation quantization bit-lowers the 4-bit groups'
-//!   channel planes in place, in the same sweep (lowering is per channel
-//!   and `lower(0) == 0`, so it commutes with im2col's
-//!   copy-and-zero-pad); im2col runs once over the lowered data and the
-//!   band GEMMs read their rows of it where they lie. Adjacent bands of
-//!   one precision run as one GEMM call, and a 4-bit run's shifts are
-//!   the call's write-back ([`gemm::gemm_i8_low_bands`]), applied
-//!   straight from the kernel's registers. Where the ISA has one,
-//!   nibble-range operands take a denser tile (see
-//!   `flexiq_tensor::simd`) — which is why conv bands stay lowered
-//!   rather than round-tripped. Lowered weights, their shifts and their
-//!   packed forms come from the [`PackCache`], built from calibration
-//!   and options only, never from the plan.
+//! * **Convolution** layers run `quantize + lower → channel quads →
+//!   band GEMMs → requantize`, arranged so a 4-bit band costs **less**
+//!   than an 8-bit one. Activation quantization bit-lowers the 4-bit
+//!   groups' channel planes in place, in the same sweep, then
+//!   interleaves the planes into **channel quads**: four adjacent
+//!   channels of one feature-group band per pixel, a band's last quad
+//!   padded with zero channels, each quad plane bordered by the conv's
+//!   zero padding ([`gemm::channel_quads_fill`]). Lowering is per
+//!   channel and `lower(0) == 0`, so it commutes with both paddings.
+//!   Each band then reduces in the order (channel quad, `kh`, `kw`,
+//!   channel), and its GEMM packs its rhs panels straight from the
+//!   quads ([`gemm::ConvSource`]): one reduction quad of one output
+//!   column is four contiguous bytes, so a panel row is a copy of whole
+//!   quads, with the byte-quad tiles' offset fused into the copy. No
+//!   `[K, N·OH·OW]` lowered matrix is built. Adjacent bands of one
+//!   precision run as one call of the one conv entry point
+//!   ([`gemm::gemm_i8_low_bands`]): an 8-bit run adds its plain sum, a
+//!   4-bit run's shifts are the call's write-back, applied straight from
+//!   the kernel's registers. Where the ISA has one, nibble-range
+//!   operands take a denser tile (see `flexiq_tensor::simd`) — which is
+//!   why conv bands stay lowered rather than round-tripped. Both weight
+//!   sets of every band — lowered with their shifts, and full-range —
+//!   sit in the [`PackCache`] in the quad order, with their lhs quad
+//!   tiles prepacked, built from calibration and options only, never
+//!   from the plan; no conv GEMM packs weights per call.
 //!
 //! Dynamic extraction ([`QuantExecOptions::dynamic_extract`]) derives
 //! each group's rule from the values its GEMM reads, so it rewrites them
 //! inside the layer instead — after quantization for a linear, in the
-//! band loop for a convolution — in place, through the same calls.
+//! band loop for a convolution — in place, through the same calls. For
+//! a convolution those are the pixels some kernel tap reaches, not the
+//! whole plane: a stride past the kernel (the 1×1 stride-2 projections)
+//! skips pixels.
 //!
 //! # Batched execution
 //!
@@ -79,12 +92,11 @@
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use flexiq_quant::dynamic::{dynamic_lowering, lowering_for_or, or_magnitude};
+use flexiq_quant::dynamic::{lowering_for_or, or_magnitude};
 use flexiq_quant::lowering::BitLowering;
 use flexiq_quant::quantize::{PerChannelQ, RANGE_EPS};
 use flexiq_quant::{GroupSpec, QParams, QuantBits};
 use flexiq_telemetry as tel;
-use flexiq_tensor::im2col::im2col_i8_batch_fill;
 use flexiq_tensor::{gemm, simd, I8Tensor, Tensor};
 
 use crate::calibrate::CalibrationRecord;
@@ -420,40 +432,48 @@ impl LinearPack {
 }
 
 /// One feature-group band of a conv group: the feature group it
-/// belongs to and its rows `[k0, k1)` of the conv group's im2col matrix.
+/// belongs to and where its channel quads sit in a sample's channel-quad
+/// activations (`nq` quads from quad `q0`).
 struct ConvBand {
     g: usize,
-    k0: usize,
-    k1: usize,
+    q0: usize,
+    nq: usize,
 }
 
 /// Every feature-group band of one conv group, in reduction order:
-/// where each band sits, its lowered weights (the GEMM **lhs**, with
-/// per-output-row extraction shifts and prepacked dense tiles — see
-/// [`gemm::LowBandLhs`]) and its static activation extraction shift.
-/// Indexed alike, so a run of adjacent low bands is one sub-slice of
-/// each vector.
+/// where each band sits, its weights in the quad reduction order of
+/// [`gemm::ConvSource`] twice over — lowered (the 4-bit lhs, with
+/// per-output-row extraction shifts) and full-range (the 8-bit lhs),
+/// each with its prepacked quad tiles (see [`gemm::LowBandLhs`]) — and
+/// its static activation extraction shift. Indexed alike, so a run of
+/// adjacent bands of one precision is one sub-slice of each vector.
+#[derive(Default)]
 struct ConvGroupBands {
     bands: Vec<ConvBand>,
     lhs: Vec<gemm::LowBandLhs>,
+    full: Vec<gemm::LowBandLhs>,
     a_shifts: Vec<u8>,
 }
 
-/// Cached state of one conv layer: the bands of each conv group.
+/// Cached state of one conv layer: the bands of each conv group, and
+/// the channel width of every band in channel order (the split the
+/// activation's channel quads are cut by).
 struct ConvPack {
     groups: Vec<ConvGroupBands>,
+    widths: Vec<usize>,
 }
 
 impl ConvPack {
     fn bytes(&self) -> usize {
-        self.groups
+        let bands: usize = self
+            .groups
             .iter()
             .map(|g| {
-                g.lhs.iter().map(gemm::LowBandLhs::bytes).sum::<usize>()
-                    + g.a_shifts.len()
-                    + std::mem::size_of_val(&g.bands[..])
+                let tiles = g.lhs.iter().chain(&g.full).map(gemm::LowBandLhs::bytes);
+                tiles.sum::<usize>() + g.a_shifts.len() + std::mem::size_of_val(&g.bands[..])
             })
-            .sum()
+            .sum();
+        bands + std::mem::size_of_val(&self.widths[..])
     }
 }
 
@@ -499,10 +519,13 @@ fn build_linear_pack(
     }
 }
 
-/// Lowers every feature-group band of conv layer `l`. The geometry
-/// comes from the master weights (`[C_out, C_in/groups, KH, KW]`); a
-/// band is a maximal run of one conv group's local channels that share
-/// a feature group, so `C_in` need not divide evenly into either.
+/// Builds every feature-group band of conv layer `l`, lowered and
+/// full-range. The geometry comes from the master weights (`[C_out,
+/// C_in/groups, KH, KW]`); a band is a maximal run of one conv group's
+/// local channels that share a feature group, so `C_in` need not divide
+/// evenly into either. A band's weights are laid out in the reduction
+/// order of its channel quads — (quad, tap, channel) — with zero
+/// weights on the channels that pad its last quad.
 fn build_conv_pack(model: &QuantizedModel, opts: &QuantExecOptions, l: LayerId) -> ConvPack {
     let lq = &model.layers[l];
     let wq = lq.w_q.data();
@@ -511,42 +534,52 @@ fn build_conv_pack(model: &QuantizedModel, opts: &QuantExecOptions, l: LayerId) 
     let conv_groups = lq.c_in / c_in_g;
     let c_out_g = lq.c_out / conv_groups;
     let k = c_in_g * khkw;
-    let groups = (0..conv_groups)
-        .map(|cg| {
-            let w_base = cg * c_out_g * k;
-            let mut gb = ConvGroupBands {
-                bands: Vec::new(),
-                lhs: Vec::new(),
-                a_shifts: Vec::new(),
-            };
-            let mut cl = 0usize;
-            while cl < c_in_g {
-                let g = model.groups.group_of(cg * c_in_g + cl);
-                let g_end = model.groups.channel_range(g, lq.c_in).end;
-                let run_end = (g_end - cg * c_in_g).min(c_in_g);
-                let (k0, k1) = (cl * khkw, run_end * khkw);
-                let bw = k1 - k0;
-                let rules: Vec<BitLowering> = (0..c_out_g)
-                    .map(|ol| static_w_rule(model, opts, l, g, cg * c_out_g + ol))
-                    .collect();
-                let mut wb = wq[w_base..w_base + c_out_g * k]
-                    .chunks_exact(k)
-                    .flat_map(|row| &row[k0..k1])
-                    .copied()
-                    .collect::<Vec<i8>>();
-                for (row, rule) in wb.chunks_exact_mut(bw).zip(&rules) {
-                    rule.lower_in_place(row);
-                }
-                let shifts = rules.iter().map(BitLowering::shift).collect();
-                gb.bands.push(ConvBand { g, k0, k1 });
-                gb.lhs.push(gemm::LowBandLhs::new(c_out_g, bw, wb, shifts));
-                gb.a_shifts.push(static_a_rule(model, opts, l, g).shift());
-                cl = run_end;
+    let mut pack = ConvPack {
+        groups: Vec::with_capacity(conv_groups),
+        widths: Vec::new(),
+    };
+    let mut q0 = 0;
+    for cg in 0..conv_groups {
+        let mut gb = ConvGroupBands::default();
+        let mut cl = 0usize;
+        while cl < c_in_g {
+            let g = model.groups.group_of(cg * c_in_g + cl);
+            let g_end = model.groups.channel_range(g, lq.c_in).end;
+            let run_end = (g_end - cg * c_in_g).min(c_in_g);
+            let (width, nq) = (run_end - cl, (run_end - cl).div_ceil(4));
+            let kb = nq * 4 * khkw;
+            let full: Vec<i8> = wq[cg * c_out_g * k..(cg + 1) * c_out_g * k]
+                .chunks_exact(k)
+                .flat_map(|row| {
+                    (0..kb).map(move |p| {
+                        let (ch, tap) = (4 * (p / (4 * khkw)) + p % 4, p / 4 % khkw);
+                        if ch < width {
+                            row[(cl + ch) * khkw + tap]
+                        } else {
+                            0
+                        }
+                    })
+                })
+                .collect();
+            let rules: Vec<BitLowering> = (0..c_out_g)
+                .map(|ol| static_w_rule(model, opts, l, g, cg * c_out_g + ol))
+                .collect();
+            let mut low = full.clone();
+            for (row, rule) in low.chunks_exact_mut(kb).zip(&rules) {
+                rule.lower_in_place(row);
             }
-            gb
-        })
-        .collect();
-    ConvPack { groups }
+            let shifts = rules.iter().map(BitLowering::shift).collect();
+            gb.bands.push(ConvBand { g, q0, nq });
+            gb.lhs.push(gemm::LowBandLhs::new(c_out_g, kb, low, shifts));
+            gb.full.push(gemm::LowBandLhs::full(c_out_g, kb, full));
+            gb.a_shifts.push(static_a_rule(model, opts, l, g).shift());
+            pack.widths.push(width);
+            q0 += nq;
+            cl = run_end;
+        }
+        pack.groups.push(gb);
+    }
+    pack
 }
 
 /// Everything a cache entry's content depends on besides the immutable
@@ -577,7 +610,8 @@ struct CacheInner {
 /// Holds the quantized + bit-lowered + packed weight state that
 /// [`QuantCompute`] consumes: per `(linear layer, low-group mask)` the
 /// effective weights with their prepacked panel; per conv layer every
-/// band's lowered block with its shifts and dense lhs tiles. Conv
+/// band's lowered block with its shifts and its full-range block, each
+/// with its prepacked lhs quad tiles (`+8` and `+128`). Conv
 /// entries are level-independent (see `static_w_rule`); a linear entry
 /// is keyed by the plan's mask for that layer, so a level switch reads
 /// another entry and invalidates nothing — [`PackCache::invalidate`]
@@ -624,7 +658,7 @@ impl PackCache {
     }
 
     /// Total bytes held by cache entries (effective weights, panels,
-    /// lowered blocks, shifts and dense tiles).
+    /// lowered and full-range blocks, shifts and quad tiles).
     pub fn resident_bytes(&self) -> usize {
         let inner = self.read();
         let lin: usize = inner.linear.iter().flatten().map(|p| p.bytes()).sum();
@@ -772,12 +806,18 @@ impl PackCache {
 
 /// How an activation buffer's elements map to feature channels — what
 /// [`QuantCompute::quantize_act_into`] needs to lower the plan's 4-bit
-/// groups in place.
+/// groups in place and leave the activation GEMM-ready.
 #[derive(Clone, Copy)]
-enum ActLayout {
+enum ActLayout<'a> {
     /// Stacked `[N, C, H, W]` convolution input: channel `c` of a sample
-    /// is one contiguous plane of `hw` elements.
-    Planes { c_in: usize, hw: usize },
+    /// is one contiguous plane of `hw` elements. It leaves as channel
+    /// quads of the bands `widths` cuts the channels into.
+    Planes {
+        c_in: usize,
+        hw: [usize; 2],
+        pad: usize,
+        widths: &'a [usize],
+    },
     /// Stacked `[rows, C]` linear input: channel `c` is column `c`.
     Rows { c_in: usize },
 }
@@ -852,55 +892,71 @@ impl<'m> QuantCompute<'m> {
     }
 
     /// Quantizes an activation tensor to `i8` with the layer's per-tensor
-    /// scale, into a workspace buffer (no steady-state allocation): one
-    /// [`QParams::quantize_slice`] sweep. Serial on purpose — at 0.25 ns
-    /// per element a pool dispatch only breaks even at 512 k elements
-    /// (16 k: 4 → 14 µs across two threads), sixteen times the largest
-    /// activation a bundled model quantizes at batch 8.
+    /// scale, into the workspace (no steady-state allocation): one
+    /// [`QParams::quantize_slice`] sweep into `ws.act_q`. Serial on
+    /// purpose — at 0.25 ns per element a pool dispatch only breaks even
+    /// at 512 k elements (16 k: 4 → 14 µs across two threads), sixteen
+    /// times the largest activation a bundled model quantizes at batch 8.
     ///
-    /// The buffer leaves **GEMM-ready**: under static or naive
+    /// The activation leaves **GEMM-ready**: under static or naive
     /// extraction, the channels of every feature group the plan runs at
     /// low precision are rewritten in place by the group's rule, right
-    /// here on the activation — one
-    /// branch-free sweep over data that is still cache-hot. Convolution
-    /// planes are bit-lowered (the low bands' GEMMs shift their sums in
-    /// at write-back, and the dense low-range tile needs lowered
-    /// values); lowering is per channel and `lower(0) == 0`, so it
-    /// commutes with im2col's copy-and-zero-pad and saves a pass over
-    /// each band of the (`KH·KW`× larger) im2col matrix. Linear rows are
-    /// round-tripped (`lower`, then `<< s_a`), the activation half of the
-    /// effective operands a linear layer's one GEMM reads. Dynamic
+    /// here on the activation — one branch-free sweep over data that is
+    /// still cache-hot. Convolution planes are bit-lowered (the low
+    /// bands' GEMMs shift their sums in at write-back, and the dense
+    /// low-range tile needs lowered values) and then interleaved into
+    /// `ws.act_quads`, the channel quads the band GEMMs read their
+    /// panels from ([`gemm::channel_quads_fill`]): lowering is per
+    /// channel and `lower(0) == 0`, so it commutes with the quad padding
+    /// and with the GEMMs' zero padding taps. Linear rows are
+    /// round-tripped (`lower`, then `<< s_a`), the activation half of
+    /// the effective operands a linear layer's one GEMM reads. Dynamic
     /// extraction derives its rules from the values the GEMM will
     /// actually read, so it rewrites them later, inside the layer.
-    fn quantize_act_into(&self, l: LayerId, x: &Tensor, layout: ActLayout, buf: &mut Buf<i8>) {
+    fn quantize_act_into(&self, l: LayerId, x: &Tensor, layout: ActLayout<'_>, ws: &mut Workspace) {
         let quant_span = tel::span("act_quant", tel::Cat::Phase);
         let p = QParams::new(self.model.layers[l].act_scale, QuantBits::B8)
             .expect("scale validated at prepare");
         let data = x.data();
-        let out = buf.prep_dirty(data.len());
+        let out = ws.act_q.prep_dirty(data.len());
         p.quantize_slice(data, out);
         drop(quant_span);
         let low = &self.plan.low_groups[l];
-        if self.needs_live() || !low.contains(&true) {
-            return;
-        }
-        let _span = tel::span("bit_lower", tel::Cat::Phase);
         let (c_in, plane) = match layout {
-            ActLayout::Planes { c_in, hw } => (c_in, hw),
+            ActLayout::Planes { c_in, hw, .. } => (c_in, hw[0] * hw[1]),
             ActLayout::Rows { c_in } => (c_in, 1),
         };
-        // One slab is one sample's `[C, H·W]` planes or one `[C]` row;
-        // a group's channels are contiguous inside it either way.
-        for slab in out.chunks_exact_mut(c_in * plane) {
-            for (g, _) in low.iter().enumerate().filter(|(_, &is_low)| is_low) {
-                let range = self.model.groups.channel_range(g, c_in);
-                let rule = static_a_rule(self.model, &self.opts, l, g);
-                let group = &mut slab[range.start * plane..range.end * plane];
-                match layout {
-                    ActLayout::Planes { .. } => rule.lower_in_place(group),
-                    ActLayout::Rows { .. } => rule.round_trip_in_place(group),
+        if !self.needs_live() && low.contains(&true) {
+            let _span = tel::span("bit_lower", tel::Cat::Phase);
+            // One slab is one sample's `[C, H·W]` planes or one `[C]`
+            // row; a group's channels are contiguous inside it either
+            // way.
+            for slab in out.chunks_exact_mut(c_in * plane) {
+                for (g, _) in low.iter().enumerate().filter(|(_, &is_low)| is_low) {
+                    let range = self.model.groups.channel_range(g, c_in);
+                    let rule = static_a_rule(self.model, &self.opts, l, g);
+                    let group = &mut slab[range.start * plane..range.end * plane];
+                    match layout {
+                        ActLayout::Planes { .. } => rule.lower_in_place(group),
+                        ActLayout::Rows { .. } => rule.round_trip_in_place(group),
+                    }
                 }
             }
+        }
+        if let ActLayout::Planes {
+            hw: [h, w],
+            pad,
+            widths,
+            ..
+        } = layout
+        {
+            let _span = tel::span("act_quads", tel::Cat::Phase);
+            let nb = data.len() / (c_in * plane).max(1);
+            let nq: usize = widths.iter().map(|w| w.div_ceil(4)).sum();
+            let quads = ws
+                .act_quads
+                .prep_dirty(nb * nq * 4 * (h + 2 * pad) * (w + 2 * pad));
+            gemm::channel_quads_fill(&ws.act_q, nb, [h, w], pad, widths, quads);
         }
     }
 
@@ -929,7 +985,7 @@ impl<'m> QuantCompute<'m> {
         // The workspace is taken out of `self` for the duration of the
         // layer so its fields can be borrowed alongside `&self` helpers.
         let mut ws = std::mem::take(&mut self.ws);
-        self.quantize_act_into(l, x, ActLayout::Rows { c_in }, &mut ws.act_q);
+        self.quantize_act_into(l, x, ActLayout::Rows { c_in }, &mut ws);
         let low = &self.plan.low_groups[l];
         if self.needs_live() && low.contains(&true) {
             // Dynamic extraction: each low group's rule derives from the
@@ -994,33 +1050,31 @@ impl<'m> QuantCompute<'m> {
     }
 
     /// Accumulates one conv group's feature-group bands into `acc`
-    /// (`[c_out_g, ncols]`, zeroed by the caller), reading the group's
-    /// im2col matrix `cols_q` (`[k, ncols]`) in place. This is the single
-    /// copy of the band algorithm — the single-sample and batched paths
-    /// both call it.
+    /// (`[c_out_g, n·OH·OW]`, zeroed by the caller), reading the `n`
+    /// samples' channel-quad activations `quads` (`H × W` input) in
+    /// place. This is the single copy of the band algorithm — the
+    /// single-sample and batched paths both call it.
     ///
-    /// Adjacent bands of one precision run as **one call**: a run of
-    /// 8-bit bands is one plain band GEMM over their joint rows (the
-    /// same exact integer sum), a run of 4-bit bands one fused low-band
-    /// call that shifts each band's sum in at write-back. Under static
-    /// extraction the low bands' rows arrive already lowered (see
-    /// [`QuantCompute::quantize_act_into`]); dynamic extraction derives
-    /// each band's rule from exactly the rows its GEMM reads, lowers
-    /// them in place, and hands the live shifts to the same call.
+    /// Adjacent bands of one precision run as **one call** of the one
+    /// conv entry point, [`gemm::gemm_i8_low_bands`]: a run of 8-bit
+    /// bands against their cached full-range tiles (the same exact
+    /// integer sum as one GEMM over their joint reduction), a run of
+    /// 4-bit bands against their lowered tiles, shifting each band's sum
+    /// in at write-back. Under static extraction the low bands' quads
+    /// arrive already lowered (see [`QuantCompute::quantize_act_into`]);
+    /// dynamic extraction derives each band's rule from exactly the
+    /// values its GEMM reads ([`reached_magnitude`]), lowers the band's
+    /// quads in place, and hands the live shifts to the same call.
     fn conv_group_bands(
         &self,
         l: LayerId,
         conv: &Conv2d,
-        cg: usize,
+        nhw: [usize; 3],
         gb: &ConvGroupBands,
-        cols_q: &mut [i8],
+        quads: &mut [i8],
         live_shifts: &mut Buf<u8>,
         acc: &mut [i32],
     ) {
-        let c_out_g = conv.c_out() / conv.groups;
-        let k = conv.weight.dims()[1] * conv.kh() * conv.kw();
-        let ncols = cols_q.len() / k;
-        let wq = &self.model.layers[l].w_q.data()[cg * c_out_g * k..(cg + 1) * c_out_g * k];
         let low = |b: &ConvBand| self.plan.low_groups[l][b.g];
         let mut i = 0;
         while i < gb.bands.len() {
@@ -1029,31 +1083,31 @@ impl<'m> QuantCompute<'m> {
                 .iter()
                 .take_while(|b| low(b) == is_low)
                 .count();
-            let (k0, k1) = (gb.bands[i].k0, gb.bands[j - 1].k1);
-            if !is_low {
-                let _band = tel::span("band_gemm", tel::Cat::Phase);
-                gemm::gemm_i8_band(c_out_g, ncols, k, k0, k1, wq, cols_q, acc);
+            let q0 = gb.bands[i].q0;
+            let (bands, a_shifts): (_, &[u8]) = if !is_low {
+                (&gb.full[i..j], &[])
+            } else if self.needs_live() {
+                let _lower = tel::span("bit_lower", tel::Cat::Phase);
+                let shifts = live_shifts.collect_from(gb.bands[i..j].iter().map(|b| {
+                    let src = conv_source(conv, nhw, quads, b.q0);
+                    let rule = lowering_for_or(reached_magnitude(&src, b.nq), self.opts.low_bits);
+                    let (quad_len, sample) = (src.quad_len(), src.sample_stride);
+                    for smp in quads.chunks_exact_mut(sample) {
+                        rule.lower_in_place(&mut smp[b.q0 * quad_len..(b.q0 + b.nq) * quad_len]);
+                    }
+                    rule.shift()
+                }));
+                (&gb.lhs[i..j], &*shifts)
             } else {
-                let a_shifts: &[u8] = if self.needs_live() {
-                    let _lower = tel::span("bit_lower", tel::Cat::Phase);
-                    live_shifts.collect_from(gb.bands[i..j].iter().map(|b| {
-                        let band = &mut cols_q[b.k0 * ncols..b.k1 * ncols];
-                        let rule = dynamic_lowering(band, self.opts.low_bits);
-                        rule.lower_in_place(band);
-                        rule.shift()
-                    }))
-                } else {
-                    &gb.a_shifts[i..j]
-                };
-                let _band = tel::span("band_gemm", tel::Cat::Phase);
-                let call = gemm::LowBands {
-                    n: ncols,
-                    bands: &gb.lhs[i..j],
-                    a_shifts,
-                    b: &cols_q[k0 * ncols..k1 * ncols],
-                };
-                gemm::gemm_i8_low_bands(call, acc);
-            }
+                (&gb.lhs[i..j], &gb.a_shifts[i..j])
+            };
+            let _band = tel::span("band_gemm", tel::Cat::Phase);
+            let call = gemm::LowBands {
+                bands,
+                a_shifts,
+                src: conv_source(conv, nhw, quads, q0),
+            };
+            gemm::gemm_i8_low_bands(call, acc);
             i = j;
         }
     }
@@ -1083,10 +1137,10 @@ impl<'m> QuantCompute<'m> {
 
     /// Integer convolution of `n` stacked samples (`n == 1` for the
     /// single-sample hook): one activation quantization (low groups
-    /// lowered in the same sweep), then per conv group one batched
-    /// im2col (`[K, N*cols]`) and the run-coalesced band GEMMs of
+    /// lowered in the same sweep, then interleaved into channel quads),
+    /// then per conv group the run-coalesced band GEMMs of
     /// [`QuantCompute::conv_group_bands`] against the layer's cached
-    /// lowered weights.
+    /// weight tiles, each packing its rhs panels straight from the quads.
     ///
     /// Conv groups run one after another; the only parallelism is the
     /// band GEMMs' own row bands, which keep each accumulator element's
@@ -1100,34 +1154,29 @@ impl<'m> QuantCompute<'m> {
         h: usize,
         w: usize,
     ) -> Vec<f32> {
-        let geom = conv.group_geometry(h, w);
-        let cols = geom.cols();
+        let cols = conv.group_geometry(h, w).cols();
         let ncols = n * cols;
-        let k = geom.rows();
-        let c_in_g = conv.weight.dims()[1];
         let c_out = conv.c_out();
         let c_out_g = c_out / conv.groups;
-        let chw = conv.c_in() * h * w;
         let mut ws = std::mem::take(&mut self.ws);
+        let pack = self.cache.conv(self.model, &self.opts, l);
         let layout = ActLayout::Planes {
             c_in: conv.c_in(),
-            hw: h * w,
+            hw: [h, w],
+            pad: conv.pad,
+            widths: &pack.widths,
         };
-        self.quantize_act_into(l, x, layout, &mut ws.act_q);
+        self.quantize_act_into(l, x, layout, &mut ws);
         let lq = &self.model.layers[l];
-        let pack = self.cache.conv(self.model, &self.opts, l);
         let mut out = vec![0.0f32; n * c_out * cols];
         // One group at a time through this hook's workspace, so peak
         // scratch stays one group's accumulator (matters for depthwise
         // layers, where groups == C_in).
         for cg in 0..conv.groups {
-            let im2col_span = tel::span("im2col", tel::Cat::Phase);
-            let cols_q = ws.cols_q.prep_dirty(k * ncols);
-            im2col_i8_batch_fill(&ws.act_q[cg * c_in_g * h * w..], n, chw, &geom, cols_q);
-            drop(im2col_span);
             let acc = ws.acc.prep(c_out_g * ncols);
             let gb = &pack.groups[cg];
-            self.conv_group_bands(l, conv, cg, gb, cols_q, &mut ws.live_shifts, acc);
+            let quads = &mut ws.act_quads[..];
+            self.conv_group_bands(l, conv, [n, h, w], gb, quads, &mut ws.live_shifts, acc);
             // Requantize the group's `c_out_g * cols` output columns of
             // every sample.
             let _requant = tel::span("requant", tel::Cat::Phase);
@@ -1155,6 +1204,64 @@ impl<'m> QuantCompute<'m> {
         self.ws = ws;
         out
     }
+}
+
+/// The rhs of conv `conv`'s band GEMMs over `n` stacked `h × w` samples
+/// of channel-quad activations `quads`, from quad `q0` on.
+fn conv_source<'q>(
+    conv: &Conv2d,
+    [n, h, w]: [usize; 3],
+    quads: &'q [i8],
+    q0: usize,
+) -> gemm::ConvSource<'q> {
+    gemm::ConvSource {
+        quads,
+        nb: n,
+        sample_stride: quads.len() / n,
+        geom: conv.group_geometry(h, w),
+        q0,
+    }
+}
+
+/// The [`or_magnitude`] of the values a band's GEMM reads: every
+/// sample's pixels of quads `src.q0..src.q0 + nq` that some kernel tap
+/// reaches. A pixel is reached along an axis when `i + pad - t` is a
+/// multiple of the stride landing on an output, for some tap `t`. When
+/// the stride exceeds the kernel some pixels are never read — a 1×1
+/// stride-2 projection reads only even rows and columns — and a rule
+/// derived from the whole plane would waste range on values no output
+/// sees.
+fn reached_magnitude(src: &gemm::ConvSource<'_>, nq: usize) -> u8 {
+    let g = &src.geom;
+    let reached = |i: usize, k: usize, out: usize| {
+        (0..k).any(|t| {
+            (i + g.pad)
+                .checked_sub(t)
+                .is_some_and(|v| v % g.stride == 0 && v / g.stride < out)
+        })
+    };
+    let every_col = (0..g.w).all(|ix| reached(ix, g.kw, g.out_w()));
+    // Padded planes: pixel `(iy, ix)` sits `pad` rows and columns in.
+    let (row_len, quad_len) = (4 * (g.w + 2 * g.pad), src.quad_len());
+    let mut or = 0;
+    for smp in src.quads.chunks(src.sample_stride).take(src.nb) {
+        for q in src.q0..src.q0 + nq {
+            for iy in (0..g.h).filter(|&iy| reached(iy, g.kh, g.out_h())) {
+                let at = q * quad_len + (iy + g.pad) * row_len + 4 * g.pad;
+                let row = &smp[at..][..4 * g.w];
+                if every_col {
+                    or |= or_magnitude(row);
+                    continue;
+                }
+                for (ix, px) in row.chunks_exact(4).enumerate() {
+                    if reached(ix, g.kw, g.out_w()) {
+                        or |= or_magnitude(px);
+                    }
+                }
+            }
+        }
+    }
+    or
 }
 
 impl Compute for QuantCompute<'_> {
@@ -1233,6 +1340,7 @@ mod tests {
     use crate::calibrate::calibrate_default;
     use crate::exec::run_f32;
     use crate::graph::Graph;
+    use flexiq_quant::dynamic::dynamic_lowering;
     use flexiq_tensor::rng::seeded;
     use flexiq_tensor::stats;
 
@@ -1669,6 +1777,33 @@ mod tests {
         cache.prewarm(&g, &model, opts, &plans).unwrap();
         let warm_bytes = cache.resident_bytes();
         assert!(warm_bytes > 0, "prewarm built nothing");
+        // Every conv band holds both weight sets — lowered for 4-bit
+        // runs, full-range for 8-bit runs — with the quad tiles the
+        // active ISA consumes, so no conv GEMM packs weights per call;
+        // and the resident bytes count both.
+        let isa = simd::active();
+        let mut band_bytes = 0;
+        for entry in cache.read().conv.iter().flatten() {
+            for gb in &entry.groups {
+                assert_eq!(gb.lhs.len(), gb.bands.len());
+                assert_eq!(gb.full.len(), gb.bands.len());
+                for (low, full) in gb.lhs.iter().zip(&gb.full) {
+                    assert_eq!(
+                        low.has_tiles(),
+                        isa.has_avx2(),
+                        "lowered band tiles under {isa:?}"
+                    );
+                    assert_eq!(
+                        full.has_tiles(),
+                        isa == simd::Isa::AvxVnni,
+                        "8-bit band tiles under {isa:?}"
+                    );
+                    band_bytes += low.bytes() + full.bytes();
+                }
+            }
+        }
+        assert!(band_bytes > 0, "no conv band was prewarmed");
+        assert!(warm_bytes >= band_bytes, "resident bytes miss a tile set");
         // No prewarmed plan may trigger a build afterwards.
         let before = tel::counters();
         for plan in &plans {
@@ -1837,6 +1972,106 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn dynamic_rule_derives_from_the_pixels_a_strided_conv_reads() {
+        // A 1×1 stride-2 conv reads only even rows and columns. The
+        // largest magnitude sits on an odd pixel no output reads, so a
+        // rule derived from the whole plane would shift the read values
+        // away; the engine must derive it from the lowered matrix the
+        // GEMM consumes, as the oracle below does.
+        use flexiq_tensor::gemm::reference;
+        use flexiq_tensor::im2col::im2col_i8;
+        use rand::Rng;
+        let mut rng = seeded(0x1C5);
+        let (c_in, c_out, hw) = (4usize, 3usize, 6usize);
+        let act_scale = 0.05f32;
+        let w: Vec<i8> = (0..c_out * c_in)
+            .map(|_| rng.gen_range(-60i16..=60) as i8)
+            .collect();
+        let w_group_max_q = vec![(0..c_out)
+            .map(|o| {
+                w[o * c_in..(o + 1) * c_in]
+                    .iter()
+                    .map(|v| v.unsigned_abs() as u32)
+                    .max()
+                    .unwrap()
+            })
+            .collect()];
+        let model = QuantizedModel {
+            layers: vec![LayerQuant {
+                c_in,
+                c_out,
+                w_q: I8Tensor::from_vec(vec![c_out, c_in, 1, 1], w.clone()).unwrap(),
+                w_scales: vec![0.01, 0.02, 0.03],
+                act_scale,
+                act_group_max_q: vec![127],
+                w_group_max_q,
+            }],
+            groups: GroupSpec::new(4),
+        };
+        let conv = Conv2d::new(
+            Tensor::zeros([c_out, c_in, 1, 1]),
+            Some(vec![0.1, -0.2, 0.3]),
+            2,
+            0,
+            1,
+        )
+        .unwrap();
+        // Read pixels stay within ±12 quantized; one unread pixel of
+        // channel 2 (row 1, column 3) holds 120.
+        let mut xq: Vec<i8> = (0..c_in * hw * hw)
+            .map(|_| rng.gen_range(-12i16..=12) as i8)
+            .collect();
+        xq[(2 * hw + 1) * hw + 3] = 120;
+        let x = Tensor::from_vec(
+            [c_in, hw, hw],
+            xq.iter().map(|&q| q as f32 * act_scale).collect(),
+        )
+        .unwrap();
+        let opts = QuantExecOptions {
+            dynamic_extract: true,
+            ..Default::default()
+        };
+        let plan = MixedPlan::all_low(&model);
+        let mut hook = QuantCompute::new(&model, plan, opts).unwrap();
+        let got = hook.conv2d(0, &conv, &x).unwrap();
+
+        // The oracle: quantize, im2col, the rule from the column band,
+        // lower both sides, a reference GEMM, shift, requantize.
+        let p = QParams::new(act_scale, QuantBits::B8).unwrap();
+        let xq: Vec<i8> = x.data().iter().map(|&v| p.quantize(v) as i8).collect();
+        let geom = conv.group_geometry(hw, hw);
+        let mut cols = im2col_i8(&xq, &geom);
+        let rule = dynamic_lowering(&cols, opts.low_bits);
+        assert_ne!(
+            dynamic_lowering(&xq, opts.low_bits).shift(),
+            rule.shift(),
+            "the unread pixel must change the whole-plane rule"
+        );
+        rule.lower_in_place(&mut cols);
+        let n = geom.cols();
+        let want: Vec<f32> = (0..c_out)
+            .flat_map(|o| {
+                let w_rule = static_w_rule(&model, &opts, 0, 0, o);
+                let mut wl = w[o * c_in..(o + 1) * c_in].to_vec();
+                w_rule.lower_in_place(&mut wl);
+                let mut sums = vec![0i32; n];
+                reference::gemm_i8(1, n, c_in, &wl, &cols, &mut sums);
+                let (scale, bias) = (
+                    act_scale * model.layers[0].w_scales[o],
+                    conv.bias.as_ref().unwrap()[o],
+                );
+                let sh = rule.shift() + w_rule.shift();
+                sums.into_iter()
+                    .map(move |v| (v << sh) as f32 * scale + bias)
+            })
+            .collect();
+        assert_eq!(got.dims(), &[c_out, geom.out_h(), geom.out_w()]);
+        for (i, (a, b)) in got.data().iter().zip(&want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "output {i}: {a} vs {b}");
         }
     }
 

@@ -1,8 +1,9 @@
 //! Reusable per-thread scratch for the quantized execution hot path.
 //!
 //! Every quantized layer pass needs the same family of scratch buffers:
-//! the quantized activation (lowered in place for 4-bit groups), its
-//! im2col lowering, and the band accumulator the GEMMs write their
+//! the quantized activation (lowered in place for 4-bit groups), a
+//! convolution's channel-quad copy of it (the layout its band GEMMs pack
+//! their panels from), and the band accumulator the GEMMs write their
 //! (shifted) sums straight into. Allocating them per layer per call
 //! (as the engines originally did with `vec![0; …]`) dominates small
 //! layers and churns the allocator under serving load.
@@ -52,8 +53,8 @@ impl<T: Clone + Default> Buf<T> {
     /// Resizes the buffer to `len` elements **keeping whatever it
     /// held** (only elements past the previous length are
     /// default-valued), reusing capacity where possible — for a buffer
-    /// the callee overwrites in full (the quantized activation, the
-    /// im2col matrix), where [`Buf::prep`]'s zero fill would be a second
+    /// the callee overwrites in full (the quantized activation, its
+    /// channel quads), where [`Buf::prep`]'s zero fill would be a second
     /// write of every byte.
     pub fn prep_dirty(&mut self, len: usize) -> &mut [T] {
         if len > self.data.capacity() {
@@ -110,16 +111,19 @@ impl<T> DerefMut for Buf<T> {
 
 /// Reusable scratch buffers for one thread's quantized layer passes.
 ///
-/// Distinct simultaneous roles get distinct fields (the im2col matrix is
-/// built while the quantized activation is still being read), so the
+/// Distinct simultaneous roles get distinct fields (the channel quads
+/// are interleaved from the quantized activation while it is read, and
+/// the band GEMMs read the quads while writing the accumulator), so the
 /// borrow checker can split them field-wise.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Quantized activation of the current layer, band-ready: the
     /// channels of 4-bit feature groups are already bit-lowered.
     pub act_q: Buf<i8>,
-    /// im2col lowering of the quantized activation (conv layers).
-    pub cols_q: Buf<i8>,
+    /// The quantized activation of a conv layer as channel quads
+    /// (`[N][quads][H][W][4]`, each band's last quad zero-padded): the
+    /// rhs its band GEMMs pack their panels straight from.
+    pub act_quads: Buf<i8>,
     /// Integer band accumulator of the current layer.
     pub acc: Buf<i32>,
     /// Live activation extraction shifts of a run of 4-bit bands
@@ -137,13 +141,13 @@ impl Workspace {
     /// [`Workspace::reset_growth`]. A warmed workspace serving a
     /// steady-state pass reports zero.
     pub fn growth_events(&self) -> u64 {
-        self.act_q.grown() + self.cols_q.grown() + self.acc.grown() + self.live_shifts.grown()
+        self.act_q.grown() + self.act_quads.grown() + self.acc.grown() + self.live_shifts.grown()
     }
 
     /// Resets every buffer's growth counter (call after warm-up).
     pub fn reset_growth(&mut self) {
         self.act_q.reset_growth();
-        self.cols_q.reset_growth();
+        self.act_quads.reset_growth();
         self.acc.reset_growth();
         self.live_shifts.reset_growth();
     }

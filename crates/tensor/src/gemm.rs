@@ -66,6 +66,16 @@
 //! materializing a transpose — packing reads the transposed source
 //! directly.
 //!
+//! A convolution's rhs is neither: [`gemm_i8_low_bands`] reads it from a
+//! [`ConvSource`], the layer's quantized activation as **channel quads**
+//! (`[N][quads][H + 2·pad][W + 2·pad][4]`, four adjacent channels of one
+//! band per pixel, each quad plane zero-bordered by the conv's padding).
+//! A band reduces in the order (channel quad, `kh`, `kw`, channel), so
+//! one reduction quad of one output column is four contiguous bytes and
+//! a quad panel row is a copy (or, at stride > 1, a gather) of whole
+//! quads. No `[K, N·OH·OW]` im2col matrix is built for the integer
+//! engine; [`crate::im2col`] serves the f32 path and the test oracles.
+//!
 //! # Parallelism
 //!
 //! Large GEMMs fan across the ambient [`flexiq_parallel`] pool in
@@ -115,27 +125,36 @@
 //! only — the SIMD f32 tile wins from the generic [`BLOCK_MIN_WORK`]
 //! threshold, so small shapes block as soon as a SIMD ISA is active.
 //!
-//! # Low-precision bands
+//! # Convolution bands, both precisions
 //!
-//! A bit-lowered band of a mixed-precision convolution does not end at
-//! its sum: the sum re-enters the 8-bit accumulator scale by a left
-//! shift of the band's extraction positions (the paper's *bit-shifted
-//! accumulation*). [`gemm_i8_low_bands`] takes that shift as the
-//! **write-back** of the integer kernels — every tile and reference
-//! loop adds `sum << (act + weight[row])` straight into `c`, one weight
-//! shift per output row ([`LowBandLhs`]) — so a band needs no scratch
-//! matrix and no second pass, and a run of consecutive bands is one
-//! call that packs the activations once and visits each output tile
-//! once. Operands lowered to four bits or fewer lie in `[-8, 7]`; on
-//! either SIMD tier such a run is a byte-quad run at `+8` (AVX2's
-//! `vpmaddubsw` tile or the VNNI tile, exactness argued in
-//! [`crate::simd`]), with the lowered weights prepacked as lhs tiles
-//! inside [`LowBandLhs`] — one format both tiles read. Under AVX-VNNI a
-//! wider run is a `+128` byte-quad run too; everything else runs the
-//! ordinary i8 kernels with the same write-back; all of it is exact in
-//! `i32`. (A linear layer
-//! needs none of this: its shifts fold into round-tripped operands, and
-//! it runs as one plain prepacked GEMM.)
+//! [`gemm_i8_low_bands`] is the one convolution GEMM. It runs a run of
+//! consecutive feature-group bands of one conv group against a
+//! [`ConvSource`], with the weights as the lhs ([`LowBandLhs`]), and it
+//! serves both precisions:
+//!
+//! * A **bit-lowered** band does not end at its sum: the sum re-enters
+//!   the 8-bit accumulator scale by a left shift of the band's
+//!   extraction positions (the paper's *bit-shifted accumulation*). The
+//!   call takes that shift as the **write-back** of the integer kernels
+//!   — every tile and reference loop adds `sum << (act + weight[row])`
+//!   straight into `c`, one weight shift per output row — so a band
+//!   needs no scratch matrix and no second pass.
+//! * An **8-bit** band adds its plain sum (`Epilogue::Add`).
+//!
+//! Either way a run is one call that packs its rhs panels once, straight
+//! from the source, and visits each output tile once. Operands lowered
+//! to four bits or fewer lie in `[-8, 7]`; on either SIMD tier such a
+//! run is a byte-quad run at `+8` (AVX2's `vpmaddubsw` tile or the VNNI
+//! tile, exactness argued in [`crate::simd`]). Under AVX-VNNI every other
+//! run — every 8-bit run included — is a `+128` byte-quad run. The
+//! weights of every band are prepacked as lhs quad tiles inside
+//! [`LowBandLhs`] for the offset the active ISA runs them at, so no conv
+//! call packs weights. Everything else (scalar dispatch, sub-threshold
+//! shapes, full-range operands under AVX2) materializes the run's
+//! `[Σ kb, n]` block from the same source and runs the ordinary i8
+//! kernels with the same write-back; all of it is exact in `i32`. (A
+//! linear layer needs none of this: its shifts fold into round-tripped
+//! operands, and it runs as one plain prepacked GEMM.)
 //!
 //! # Prepacked weights
 //!
@@ -144,8 +163,8 @@
 //! an owned [`PackedRhsI8`] holding exactly the panels a per-call pack
 //! would produce — plain, pair or `+128` quad panels, by the ISA active
 //! at prepack — and [`gemm_i8_band_wt_prepacked`] feeds them straight
-//! to the driver (as [`LowBandLhs`] does for the lowered bands'
-//! dense tiles). Whether a panel is consumed is decided by the call's
+//! to the driver (as [`LowBandLhs`] does for the conv bands' lhs
+//! quad tiles). Whether a panel is consumed is decided by the call's
 //! inputs, never by a setting: it is used wherever the problem blocks
 //! (the per-call path would have packed the same full-width rhs once),
 //! and the per-call code runs everywhere else — sub-threshold shapes
@@ -181,6 +200,7 @@ use std::sync::Arc;
 
 use flexiq_parallel::{chunk_ranges_into, put_ranges, take_ranges, ThreadPool};
 
+use crate::im2col::Conv2dGeometry;
 use crate::scratch::Pooled;
 use crate::simd::{self, Isa};
 
@@ -1438,9 +1458,11 @@ pub fn gemm_i8(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) 
 /// Partial integer GEMM over a contiguous band of the reduction dimension.
 ///
 /// Computes `c[m,n] += a[m, k0..k1] * b[k0..k1, n]` where `a` is `[m,k]`
-/// and `b` is `[k,n]`. The convolution engine calls this once per run
-/// of adjacent 8-bit feature-group bands (its 4-bit runs go through
-/// [`gemm_i8_low_bands`], which shifts each band's sum in).
+/// and `b` is `[k,n]`: a GEMM over a row-major rhs, such as an im2col
+/// matrix. The quantized convolution engine does not call it — its
+/// runs of both precisions go through [`gemm_i8_low_bands`], which reads
+/// the channel-quad activations — so it serves the replay tools and the
+/// tests that compare the two.
 pub fn gemm_i8_band(
     m: usize,
     n: usize,
@@ -1524,7 +1546,6 @@ pub fn gemm_i8_band_wt_prepacked(
 
 /// Rhs panel offset of full-range byte-quad runs: `b + 128 ∈ [0, 255]`
 /// is the unsigned side of `vpdpbusd` (see [`crate::simd`]).
-#[cfg(target_arch = "x86_64")]
 const FULL_RANGE_OFFSET: i32 = 128;
 
 /// Rhs panel offset of low-range byte-quad runs: `b + 8 ∈ [0, 15]`, the
@@ -1569,29 +1590,26 @@ fn pack_quad_lhs(
     }
 }
 
-/// Quad-interleaved lhs tiles of a low-range block with their `+8`
-/// offset corrections ([`pack_quad_lhs`]), owned — the prepacked lhs of
-/// [`LowBandLhs`].
+/// Quad-interleaved lhs tiles of a weight block with their
+/// `-offset·Σa` corrections ([`pack_quad_lhs`]), owned — the prepacked
+/// lhs of [`LowBandLhs`], for panels stored at `+offset`.
 #[derive(Debug, Clone)]
 struct DenseLhs {
+    offset: i32,
     tiles: Vec<i8>,
     corr: Vec<i32>,
 }
 
 impl DenseLhs {
-    /// Packs a row-major `[m, kb]` block.
-    fn pack(m: usize, kb: usize, rows: &[i8]) -> Self {
+    /// Packs a row-major `[m, kb]` block for `+offset` panels.
+    fn pack(m: usize, kb: usize, rows: &[i8], offset: i32) -> Self {
         let (mut tiles, mut corr) = (Vec::new(), Vec::new());
-        pack_quad_lhs(
-            rows,
-            kb,
-            m,
-            [0, kb],
-            LOW_RANGE_OFFSET,
-            &mut tiles,
-            &mut corr,
-        );
-        DenseLhs { tiles, corr }
+        pack_quad_lhs(rows, kb, m, [0, kb], offset, &mut tiles, &mut corr);
+        DenseLhs {
+            offset,
+            tiles,
+            corr,
+        }
     }
 
     /// Bytes held (tiles and corrections).
@@ -1614,7 +1632,8 @@ struct QuadBand<'a> {
 }
 
 /// Packs all `n` columns of the consecutive reduction bands `kbs`
-/// (starting at step `k0`) of `rhs` into quad panels:
+/// (starting at step `k0`) of a row-major or weight-layout `rhs` into
+/// quad panels (a conv run packs its own, [`ConvSource::pack_quads`]):
 /// `buf[((jp*kq + q0_s + q)*NR_I8 + lane)*4 + t]` holds column
 /// `jp*NR_I8 + lane` of band `s`'s step `4q + t`, **offset by
 /// `+offset`** and stored as a wrapping byte, where `kq = Σ_s ⌈kb_s/4⌉`
@@ -1623,7 +1642,6 @@ struct QuadBand<'a> {
 /// band's end and lanes past the matrix edge stay zero (the lhs tiles
 /// are zero there, so the value is moot). Returns the OR of every
 /// stored byte: `≤ 15` iff a `+8` pack met only values in `[-8, 7]`.
-#[cfg(target_arch = "x86_64")]
 fn pack_b_quads(
     rhs: Rhs<'_, i8>,
     k0: usize,
@@ -1635,7 +1653,7 @@ fn pack_b_quads(
     let kq: usize = kbs.clone().map(|kb| kb.div_ceil(4)).sum();
     let npan = n.div_ceil(NR_I8);
     let offset = offset as i8;
-    let simd_rows = simd::detect().has_avx2();
+    let simd_rows = cfg!(target_arch = "x86_64") && simd::detect().has_avx2();
     buf.clear();
     buf.resize(npan * kq * NR_I8 * 4, 0);
     let mut seen = 0u8;
@@ -1652,6 +1670,7 @@ fn pack_b_quads(
                     } else {
                         0
                     };
+                    #[cfg(target_arch = "x86_64")]
                     if full > 0 {
                         let src = &b[p0 * ldb + j0..];
                         // SAFETY: `full > 0` only after runtime detection
@@ -1826,14 +1845,407 @@ fn quads_general(
     lhs_bytes as u64 + rhs_bytes
 }
 
-// ─── Low-band operands and the fused low-band entry point ───────────────
+// ─── The convolution rhs ────────────────────────────────────────────────
 
-/// A bit-lowered weight band in **convolution orientation** (weights
-/// are the GEMM lhs): the lowered `[m, kb]` block, one extraction shift
-/// per output row, and — when built under an ISA with AVX2 and lowered
-/// to four bits or fewer — the block's prepacked `+8` lhs quad tiles.
-/// The owned operand of [`LowBands`]; the quantized engine caches one
-/// per (layer, conv group, feature group).
+/// Bytes of one quad step of a panel: [`NR_I8`] lanes of four steps.
+const QUAD_STEP_BYTES: usize = NR_I8 * 4;
+
+/// Where each lane of one panel reads: `base[lane]` is the offset of
+/// the lane's output column's window corner (quad 0, tap `(0, 0)`) in
+/// the padded quads, so tap `(ki, kj)` of quad `q` is `base[lane] +
+/// q·quad_len + ki·row + 4·kj`. `run` is the widest chunk — 16, 8, 4 or
+/// 1 lanes — whose lanes read consecutive quads in every aligned chunk
+/// of a full panel (one output row at stride 1), so a quad step copies
+/// `NR_I8 / run` contiguous pieces.
+struct PanelLanes {
+    base: [usize; NR_I8],
+    lanes: usize,
+    run: usize,
+}
+
+/// The rhs of a convolution's band GEMMs, read straight from its
+/// **channel-quad** activations: no `[K, N·OH·OW]` lowered matrix is
+/// ever built.
+///
+/// A sample's activations are `[quads][H + 2·pad][W + 2·pad][4]`: one
+/// byte quad is four adjacent channels of one band at one pixel, each
+/// quad plane carries a zero border of the conv's `pad` (so every
+/// kernel tap reads inside the plane, and a padding tap reads a zero),
+/// and a band whose channel count is not a multiple of four pads its
+/// last quad with zero channels, so every band is whole quads
+/// ([`channel_quads_fill`] writes this layout). Sample `s` starts at
+/// `s * sample_stride`. A band of `nq` quads reduces over `nq·KH·KW·4`
+/// steps in the order (quad, `kh`, `kw`, channel): step `p` is channel
+/// `4·(p / (4·KH·KW)) + p % 4` of the band at tap `(p / 4) % (KH·KW)`.
+/// The lhs (the weights) is laid out in the same order. Output column
+/// `j` is sample `j / (OH·OW)` at output position `j % (OH·OW)`, as in
+/// the column-stacked batch layout.
+///
+/// A run of bands reads consecutive quads from `q0`; each band's
+/// [`LowBandLhs`] width says how many. One quad step of one panel lane
+/// is four contiguous bytes, so at stride 1 a panel row of [`NR_I8`]
+/// lanes is a copy of whole quads (two 64-byte copies for a 16-wide
+/// output row) and at larger strides a gather of every `stride`-th quad.
+#[derive(Debug, Clone, Copy)]
+pub struct ConvSource<'a> {
+    /// Padded channel-quad activations of every sample.
+    pub quads: &'a [i8],
+    /// Samples stacked along the output columns.
+    pub nb: usize,
+    /// Elements from one sample's quads to the next sample's.
+    pub sample_stride: usize,
+    /// Input extent (unpadded), kernel, stride and padding. `c_in` is
+    /// not read: the bands' widths say how many quads a run reads.
+    pub geom: Conv2dGeometry,
+    /// The run's first quad within a sample.
+    pub q0: usize,
+}
+
+impl ConvSource<'_> {
+    /// Output columns: every sample's `OH·OW` positions, stacked.
+    pub fn n(&self) -> usize {
+        self.nb * self.geom.cols()
+    }
+
+    /// Reduction steps of one quad: four channels at each of the
+    /// `KH·KW` taps.
+    pub fn quad_steps(&self) -> usize {
+        4 * self.geom.kh * self.geom.kw
+    }
+
+    /// Elements of one padded quad plane of one sample.
+    pub fn quad_len(&self) -> usize {
+        let g = &self.geom;
+        4 * (g.h + 2 * g.pad) * (g.w + 2 * g.pad)
+    }
+
+    /// The number of quads a `kb`-step reduction reads, after checking
+    /// that they are whole and lie inside the activations.
+    fn quads_for(&self, kb: usize) -> usize {
+        let steps = self.quad_steps();
+        assert!(
+            kb % steps == 0,
+            "a band must be whole quads ({steps} steps each)"
+        );
+        let nq = kb / steps;
+        assert!(self.nb > 0, "empty batch");
+        assert!(
+            self.quads.len()
+                >= (self.nb - 1) * self.sample_stride + (self.q0 + nq) * self.quad_len(),
+            "channel-quad activations too short"
+        );
+        nq
+    }
+
+    /// The lane sources of the panel starting at column `j0`, `lanes`
+    /// lanes wide.
+    fn panel_lanes(&self, j0: usize, lanes: usize) -> PanelLanes {
+        let g = &self.geom;
+        let (oh, ow, row) = (g.out_h(), g.out_w(), 4 * (g.w + 2 * g.pad));
+        let (mut s, r) = (j0 / (oh * ow), j0 % (oh * ow));
+        let (mut oy, mut ox) = (r / ow, r % ow);
+        let mut base = [0; NR_I8];
+        for b in &mut base[..lanes] {
+            *b = s * self.sample_stride + g.stride * (oy * row + 4 * ox);
+            ox += 1;
+            if ox == ow {
+                (ox, oy) = (0, oy + 1);
+                if oy == oh {
+                    (oy, s) = (0, s + 1);
+                }
+            }
+        }
+        let contiguous = |w: usize| (0..NR_I8).all(|l| base[l] == base[l - l % w] + 4 * (l % w));
+        let full = lanes == NR_I8 && g.stride == 1;
+        let run = [16, 8, 4]
+            .into_iter()
+            .find(|&w| full && contiguous(w))
+            .unwrap_or(1);
+        PanelLanes { base, lanes, run }
+    }
+
+    /// The primitive: writes quad step `off` (tap `(ki, kj)` of quad
+    /// `q` at `off = q·quad_len + ki·row + 4·kj`) of a panel's lanes into
+    /// `dst`, four bytes per lane, each byte offset by `+offset`
+    /// (wrapping), so padding taps land as the offset's zero; lanes past
+    /// the panel's end hold the offset's zero too. ORs every byte written
+    /// into `seen`. `RUN` is the panel's [`PanelLanes::run`]: the lanes
+    /// move as `NR_I8 / RUN` contiguous pieces with the offset fused in,
+    /// or (`RUN == 1`) as a gather of one quad per lane and one offset
+    /// pass over the step.
+    #[inline(always)]
+    fn quad_step<const RUN: usize>(
+        &self,
+        lanes: &PanelLanes,
+        off: usize,
+        offset: i8,
+        dst: &mut [i8; QUAD_STEP_BYTES],
+        seen: &mut [u8; 16],
+    ) {
+        if RUN >= 4 {
+            for c in 0..NR_I8 / RUN {
+                let src = &self.quads[lanes.base[c * RUN] + off..][..4 * RUN];
+                let d = &mut dst[c * 4 * RUN..][..4 * RUN];
+                for (d, s) in d
+                    .as_chunks_mut::<16>()
+                    .0
+                    .iter_mut()
+                    .zip(src.as_chunks::<16>().0)
+                {
+                    *d = s.map(|v| v.wrapping_add(offset));
+                    for (o, &v) in seen.iter_mut().zip(d.iter()) {
+                        *o |= v as u8;
+                    }
+                }
+            }
+            return;
+        }
+        for (d, &b) in dst
+            .as_chunks_mut::<4>()
+            .0
+            .iter_mut()
+            .zip(&lanes.base[..lanes.lanes])
+        {
+            *d = self.quads[b + off..][..4].try_into().expect("4 bytes");
+        }
+        dst[4 * lanes.lanes..].fill(0);
+        for d in dst.as_chunks_mut::<16>().0 {
+            *d = d.map(|v| v.wrapping_add(offset));
+            for (o, &v) in seen.iter_mut().zip(d.iter()) {
+                *o |= v as u8;
+            }
+        }
+    }
+
+    /// Packs one panel's `nq` quads of steps into `steps`, in reduction
+    /// order: quad, `kh`, `kw`.
+    #[inline(always)]
+    fn pack_panel<const RUN: usize>(
+        &self,
+        nq: usize,
+        lanes: &PanelLanes,
+        offset: i8,
+        steps: &mut [[i8; QUAD_STEP_BYTES]],
+        seen: &mut [u8; 16],
+    ) {
+        let g = &self.geom;
+        let (row, quad_len) = (4 * (g.w + 2 * g.pad), self.quad_len());
+        let mut steps = steps.iter_mut();
+        for q in self.q0..self.q0 + nq {
+            for ki in 0..g.kh {
+                for kj in 0..g.kw {
+                    let dst = steps.next().expect("one step per tap");
+                    self.quad_step::<RUN>(
+                        lanes,
+                        q * quad_len + ki * row + 4 * kj,
+                        offset,
+                        dst,
+                        seen,
+                    );
+                }
+            }
+        }
+    }
+
+    /// Packs the quad panels of a `kb`-step run from `q0` at `+offset`
+    /// — the rhs a byte-quad run streams its tiles against:
+    /// `buf[((jp·kq + qs)·NR_I8 + lane)·4 + t]` holds column
+    /// `jp·NR_I8 + lane` of reduction step `4·qs + t`, where
+    /// `kq = kb / 4` and step `qs` is tap `(qs / KW % KH, qs % KW)` of
+    /// quad `qs / (KH·KW)`. Padding taps and lanes past `n` hold the
+    /// offset's zero. Returns the OR of every stored byte: `≤ 15` iff a
+    /// `+8` pack met only values in `[-8, 7]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kb` is not whole quads or they overrun the activations.
+    pub fn pack_quads(&self, kb: usize, offset: i32, buf: &mut Vec<i8>) -> u8 {
+        let nq = self.quads_for(kb);
+        let n = self.n();
+        let len = n.div_ceil(NR_I8) * (kb / 4) * QUAD_STEP_BYTES;
+        // Every byte is written below: no zero fill first.
+        buf.truncate(len);
+        buf.resize(len, 0);
+        if len == 0 {
+            return 0;
+        }
+        let offset = offset as i8;
+        let mut seen = [0u8; 16];
+        let panels = buf
+            .as_chunks_mut::<QUAD_STEP_BYTES>()
+            .0
+            .chunks_exact_mut(kb / 4);
+        for (jp, steps) in panels.enumerate() {
+            let lanes = self.panel_lanes(jp * NR_I8, (n - jp * NR_I8).min(NR_I8));
+            // One monomorphized step loop per piece width.
+            match lanes.run {
+                16 => self.pack_panel::<16>(nq, &lanes, offset, steps, &mut seen),
+                8 => self.pack_panel::<8>(nq, &lanes, offset, steps, &mut seen),
+                4 => self.pack_panel::<4>(nq, &lanes, offset, steps, &mut seen),
+                _ => self.pack_panel::<1>(nq, &lanes, offset, steps, &mut seen),
+            }
+        }
+        seen.iter().fold(0, |acc, &v| acc | v)
+    }
+
+    /// Materializes the row-major `[kb, n]` block of a `kb`-step run
+    /// from `q0` (step `4·qs + t` is row `4·qs + t`), for the tiers that
+    /// read plain rows: the AVX2 pair panels, the scalar panels and the
+    /// reference-order loops. It transposes the run's offset-free quad
+    /// panels.
+    fn rows_block(&self, kb: usize, buf: &mut Vec<i8>) {
+        let n = self.n();
+        buf.truncate(kb * n);
+        buf.resize(kb * n, 0);
+        if kb * n == 0 {
+            return;
+        }
+        let mut panels = i8::take();
+        self.pack_quads(kb, 0, &mut panels);
+        let steps = panels.as_chunks::<QUAD_STEP_BYTES>().0.chunks_exact(kb / 4);
+        for (jp, steps) in steps.enumerate() {
+            let j0 = jp * NR_I8;
+            let lanes = (n - j0).min(NR_I8);
+            for (qs, step) in steps.iter().enumerate() {
+                for t in 0..4 {
+                    let row = &mut buf[(4 * qs + t) * n + j0..][..lanes];
+                    for (d, quad) in row.iter_mut().zip(step.as_chunks::<4>().0) {
+                        *d = quad[t];
+                    }
+                }
+            }
+        }
+        i8::put(panels);
+    }
+}
+
+/// A row of zero channel values, for the dead channels of a band's last
+/// quad.
+static ZERO_ROW: [i8; 256] = [0; 256];
+
+/// Zeroes a short run of border pixels: one fixed-size store for the
+/// one- and two-pixel runs of a pad-1 border, where a `fill` would be a
+/// `memset` call per row.
+#[inline(always)]
+fn zero_pixels(d: &mut [i8]) {
+    match d.len() {
+        0 => {}
+        4 => d.copy_from_slice(&[0; 4]),
+        8 => d.copy_from_slice(&[0; 8]),
+        _ => d.fill(0),
+    }
+}
+
+/// Interleaves `nb` samples of `[C, h, w]` channel planes into the
+/// padded channel quads a [`ConvSource`] reads: `widths` splits the `C`
+/// channels into consecutive bands, each band is cut into quads of four
+/// adjacent channels (its last quad padded with zero channels), and
+/// each quad plane gets a zero border of `pad` pixels. `out` is
+/// `[nb][Σ ⌈width/4⌉][h + 2·pad][w + 2·pad][4]`; every element is
+/// written.
+///
+/// # Panics
+///
+/// Panics if a buffer does not match its extent.
+pub fn channel_quads_fill(
+    planes: &[i8],
+    nb: usize,
+    [h, w]: [usize; 2],
+    pad: usize,
+    widths: &[usize],
+    out: &mut [i8],
+) {
+    let (c, hw): (usize, _) = (widths.iter().sum(), h * w);
+    let nq: usize = widths.iter().map(|w| w.div_ceil(4)).sum();
+    let (wp, quad_len) = (w + 2 * pad, 4 * (h + 2 * pad) * (w + 2 * pad));
+    assert_eq!(planes.len(), nb * c * hw, "planes must be [nb, C, h, w]");
+    assert_eq!(
+        out.len(),
+        nb * nq * quad_len,
+        "quads must be [nb, quads, h + 2·pad, w + 2·pad, 4]"
+    );
+    if nq == 0 || hw == 0 {
+        out.fill(0);
+        return;
+    }
+    let empty = [0i8; 0];
+    for (src, dst) in planes
+        .chunks_exact(c * hw)
+        .zip(out.chunks_exact_mut(nq * quad_len))
+    {
+        let mut quads = dst.chunks_exact_mut(quad_len);
+        let mut chans = src.chunks_exact(hw);
+        for &width in widths {
+            for q in 0..width.div_ceil(4) {
+                let d = quads.next().expect("sized above");
+                let p: [&[i8]; 4] = std::array::from_fn(|t| match 4 * q + t < width {
+                    true => chans.next().expect("sized above"),
+                    false => &empty,
+                });
+                // The top border and the first row's left border, then
+                // per row its pixels and the border run that joins it to
+                // the next row; the bottom border ends the plane.
+                d[..4 * (pad * wp + pad)].fill(0);
+                d[4 * ((pad + h) * wp - pad)..].fill(0);
+                for y in 0..h {
+                    let row = &mut d[4 * ((pad + y) * wp + pad)..][..4 * wp];
+                    let (pixels, border) = row.split_at_mut(4 * w);
+                    if y + 1 < h {
+                        zero_pixels(border);
+                    }
+                    let pixels = pixels.as_chunks_mut::<4>().0;
+                    if p[3].is_empty() && w > ZERO_ROW.len() {
+                        // A band's last, partly live quad on a row wider
+                        // than the zero row.
+                        for (x, d) in pixels.iter_mut().enumerate() {
+                            *d = std::array::from_fn(|t| p[t].get(y * w + x).copied().unwrap_or(0));
+                        }
+                        continue;
+                    }
+                    // The dead channels of a band's last quad read zeros.
+                    let at = |t: usize| match p[t].is_empty() {
+                        true => &ZERO_ROW[..w],
+                        false => &p[t][y * w..(y + 1) * w],
+                    };
+                    let (p0, p1, p2, p3) = (at(0), at(1), at(2), at(3));
+                    let planes = p0.iter().zip(p1).zip(p2.iter().zip(p3));
+                    for (d, ((&a, &b), (&c, &e))) in pixels.iter_mut().zip(planes) {
+                        // Byte arithmetic on a u32 lane, which the
+                        // compiler vectorizes.
+                        let v = a as u8 as u32
+                            | (b as u8 as u32) << 8
+                            | (c as u8 as u32) << 16
+                            | (e as u8 as u32) << 24;
+                        *d = v.to_le_bytes().map(|x| x as i8);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The `+offset` quad panels of the first `kb` rows of a row-major
+/// `[k, n]` matrix — the rhs a blocked [`gemm_i8_band`] packs per call
+/// under AVX-VNNI. With [`ConvSource::pack_quads`], exposed so the kernel
+/// sweep can time both rhs sources and compare their bytes. Returns the
+/// OR of every stored byte.
+pub fn pack_rows_quads(b: &[i8], n: usize, kb: usize, offset: i32, buf: &mut Vec<i8>) -> u8 {
+    assert!(b.len() >= kb * n, "rhs buffer too small");
+    pack_b_quads(Rhs::Rows { b, n }, 0, std::iter::once(kb), n, offset, buf)
+}
+
+// ─── Convolution bands and the conv entry point ─────────────────────────
+
+/// One weight band of a convolution in **convolution orientation**
+/// (weights are the GEMM lhs), in the reduction order of a
+/// [`ConvSource`]: the `[m, kb]` block, and either one extraction shift
+/// per output row (a bit-lowered band, [`LowBandLhs::new`]) or none (a
+/// full-range 8-bit band, [`LowBandLhs::full`]). Construction prepacks
+/// the block's lhs quad tiles for the active ISA: `+8` tiles under AVX2
+/// or AVX-VNNI when every weight lies in `[-8, 7]` (anything lowered to
+/// four bits or fewer), `+128` tiles under AVX-VNNI otherwise. The
+/// quantized engine caches both kinds per (layer, conv group, feature
+/// group), so no conv GEMM packs weights per call.
 #[derive(Debug, Clone)]
 pub struct LowBandLhs {
     m: usize,
@@ -1852,11 +2264,32 @@ impl LowBandLhs {
     ///
     /// Panics if a slice does not match its extent.
     pub fn new(m: usize, kb: usize, rows: Vec<i8>, shifts: Vec<u8>) -> Self {
-        assert_eq!(rows.len(), m * kb, "lowered block must be [m, kb]");
         assert_eq!(shifts.len(), m, "one shift per output row");
         // True of anything lowered to four bits or fewer.
         let low_range = rows.iter().all(|v| (-8..=7).contains(v));
-        let dense = (low_range && simd::active().has_avx2()).then(|| DenseLhs::pack(m, kb, &rows));
+        Self::prepacked(m, kb, rows, shifts, low_range)
+    }
+
+    /// Wraps a full-range row-major `[m, kb]` weight block — a band of
+    /// an 8-bit run, which adds its plain sum — prepacking for the
+    /// active ISA.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is not `[m, kb]`.
+    pub fn full(m: usize, kb: usize, rows: Vec<i8>) -> Self {
+        Self::prepacked(m, kb, rows, Vec::new(), false)
+    }
+
+    fn prepacked(m: usize, kb: usize, rows: Vec<i8>, shifts: Vec<u8>, low_range: bool) -> Self {
+        assert_eq!(rows.len(), m * kb, "weight block must be [m, kb]");
+        let isa = simd::active();
+        let offset = if low_range && isa.has_avx2() {
+            Some(LOW_RANGE_OFFSET)
+        } else {
+            (isa == Isa::AvxVnni).then_some(FULL_RANGE_OFFSET)
+        };
+        let dense = offset.map(|offset| DenseLhs::pack(m, kb, &rows, offset));
         LowBandLhs {
             m,
             kb,
@@ -1867,70 +2300,102 @@ impl LowBandLhs {
         }
     }
 
-    /// Bytes held (lowered block, shifts, dense tiles and corrections).
+    /// Bytes held (weight block, shifts, quad tiles and corrections).
     pub fn bytes(&self) -> usize {
         self.rows.len() + self.shifts.len() + self.dense.as_ref().map_or(0, DenseLhs::bytes)
     }
+
+    /// Whether the block holds prepacked quad tiles.
+    pub fn has_tiles(&self) -> bool {
+        self.dense.is_some()
+    }
+
+    /// The write-back of this band's sums: shifted in by `act` plus the
+    /// row's shift for a lowered band, added plainly for a full one.
+    fn epilogue(&self, act: Option<&u8>) -> Epilogue<'_> {
+        match act {
+            Some(&act) => Epilogue::ShlRows {
+                act,
+                weight: &self.shifts,
+            },
+            None => Epilogue::Add,
+        }
+    }
 }
 
-/// The operands of one fused low-band call ([`gemm_i8_low_bands`]): a
-/// run of consecutive bit-lowered convolution weight bands as the lhs,
-/// whose partial sums are shifted into the 8-bit accumulator scale **at
-/// write-back**, with no intermediate buffer. With `sh(s, i) =
-/// a_shifts[s] + bands[s].shift[i]`: `c[i, j] += Σ_s (bands[s] · b_s)[i,
-/// j] << sh(s, i)`, where `b` is row-major `[Σ kb, n]` and `b_s` its rows
-/// belonging to band `s` (bands are consecutive in the reduction
-/// dimension, e.g. rows of one im2col matrix).
+/// The operands of one conv call ([`gemm_i8_low_bands`]): a run of
+/// consecutive weight bands of one conv group as the lhs, and the
+/// channel-quad activations they reduce over as the rhs. A **lowered**
+/// run carries one activation extraction shift per band and shifts each
+/// band's partial sum into the 8-bit accumulator scale at write-back:
+/// with `sh(s, i) = a_shifts[s] + bands[s].shift[i]`, `c[i, j] += Σ_s
+/// (bands[s] · b_s)[i, j] << sh(s, i)`, where `b_s` is band `s`'s rows of
+/// the source in its reduction order. A **full-range** (8-bit) run has
+/// empty `a_shifts` and adds `Σ_s (bands[s] · b_s)[i, j]`.
 #[derive(Clone, Copy)]
 pub struct LowBands<'a> {
-    /// Output columns.
-    pub n: usize,
-    /// The run's lowered weight bands, all `m` rows tall.
+    /// The run's weight bands, all `m` rows tall: all lowered
+    /// ([`LowBandLhs::new`]) or all full-range ([`LowBandLhs::full`]).
     pub bands: &'a [LowBandLhs],
-    /// Activation extraction shift of each band.
+    /// Activation extraction shift of each lowered band; empty for a
+    /// full-range run.
     pub a_shifts: &'a [u8],
-    /// The lowered activations, `[Σ kb, n]` row-major.
-    pub b: &'a [i8],
+    /// The activations, read from quad `src.q0` on.
+    pub src: ConvSource<'a>,
 }
 
-/// Fused low-band GEMM: bit-lowered operands in, **shifted
-/// accumulation applied at write-back** — the paper's low-precision
-/// convolution band in one call, accumulating straight into `c`.
+/// The convolution GEMM, for both precisions: a run of weight bands
+/// against the channel-quad activations, **shifted accumulation applied
+/// at write-back** for a lowered run — the paper's low-precision
+/// convolution band in one call, accumulating straight into `c`
+/// (`[m, n]`, `n = src.n()`).
 ///
 /// A blocked run is one byte-quad run ([`crate::simd`]) wherever the
 /// ISA has a tile for its operands: under AVX-VNNI always (`+8` panels
-/// when every operand lies in `[-8, 7]`, `+128` otherwise), under AVX2
-/// when every operand lies in `[-8, 7]` (the dense `vpmaddubsw` tile).
-/// The rhs is then packed once for the whole run, and each output tile
-/// is visited once however many bands the run has. Everything else —
-/// scalar dispatch, sub-threshold shapes, wider operands under AVX2 —
-/// runs the ordinary i8 kernels with the same fused write-back. Every
-/// path is exact in `i32`, so results are bit-identical to per-band
-/// GEMMs into a scratch buffer followed by `c += scratch << shift`.
+/// when every operand lies in `[-8, 7]`, `+128` otherwise — every 8-bit
+/// run), under AVX2 when every operand lies in `[-8, 7]` (the dense
+/// `vpmaddubsw` tile). Its quad panels are packed once per call straight
+/// from the source, and each output tile is visited once however many
+/// bands the run has; the bands' prepacked tiles are the lhs. Everything
+/// else — scalar dispatch, sub-threshold shapes, full-range operands
+/// under AVX2 — materializes the run's `[Σ kb, n]` block from the same
+/// source and runs the ordinary i8 kernels per band with the same
+/// write-back. Every path is exact in `i32`, so results are
+/// bit-identical to per-band GEMMs into a scratch buffer followed by
+/// `c += scratch << shift`.
 ///
 /// # Panics
 ///
-/// Panics if a buffer is smaller than its extent, if band heights or
-/// shift counts disagree, if a total shift exceeds
-/// [`MAX_EPILOGUE_SHIFT`], or if a `+8` run meets an activation
-/// outside `[-8, 7]` under bands that promised that range.
+/// Panics if a buffer is smaller than its extent, if a band is not
+/// whole quads, if band heights or shift counts disagree, if lowered
+/// and full-range bands mix, if a total shift exceeds
+/// [`MAX_EPILOGUE_SHIFT`], or if a `+8` run meets an activation outside
+/// `[-8, 7]` under bands that promised that range.
 pub fn gemm_i8_low_bands(call: LowBands<'_>, c: &mut [i32]) {
     let LowBands {
-        n,
         bands,
         a_shifts,
-        b,
+        src,
     } = call;
     let Some(first) = bands.first() else { return };
-    let m = first.m;
+    let (m, n) = (first.m, src.n());
     let kb: usize = bands.iter().map(|s| s.kb).sum();
     assert!(bands.iter().all(|s| s.m == m), "bands differ in height");
-    assert_eq!(a_shifts.len(), bands.len(), "one activation shift per band");
-    assert!(b.len() >= kb * n, "rhs buffer too small");
+    let lowered = !a_shifts.is_empty();
+    if lowered {
+        assert_eq!(a_shifts.len(), bands.len(), "one activation shift per band");
+    }
+    assert!(
+        bands.iter().all(|s| s.shifts.is_empty() != lowered),
+        "a run is all lowered bands or all full-range bands"
+    );
+    for s in bands {
+        src.quads_for(s.kb);
+    }
+    src.quads_for(kb);
     assert!(c.len() >= m * n, "out buffer too small");
-    for (band, &act) in bands.iter().zip(a_shifts) {
-        let weight = &band.shifts[..];
-        Epilogue::ShlRows { act, weight }.validate(m);
+    for (s, band) in bands.iter().enumerate() {
+        band.epilogue(a_shifts.get(s)).validate(m);
     }
     let isa = simd::active();
     gemm_traced(
@@ -1944,20 +2409,23 @@ pub fn gemm_i8_low_bands(call: LowBands<'_>, c: &mut [i32]) {
                 && worth_blocking(m, n, kb, NR_I8, 0)
                 && (isa == Isa::AvxVnni || bands.iter().all(|s| s.low_range))
             {
-                return low_run_quads(isa, m, n, bands, a_shifts, b, c);
+                return conv_run_quads(isa, m, bands, a_shifts, src, c);
             }
-            let (mut row0, mut packed) = (0, 0);
-            for (band, &act) in bands.iter().zip(a_shifts) {
-                let weight = &band.shifts[..];
-                let epi = Epilogue::ShlRows { act, weight };
+            let mut block = i8::take();
+            src.rows_block(kb, &mut block);
+            let mut packed = block.len() as u64;
+            let mut row0 = 0;
+            for (s, band) in bands.iter().enumerate() {
                 let rhs = Rhs::Rows {
-                    b: &b[row0 * n..],
+                    b: &block[row0 * n..],
                     n,
                 };
                 let ops = Operands::new(&band.rows, band.kb, rhs, 0, band.kb);
+                let epi = band.epilogue(a_shifts.get(s));
                 packed += gemm_i8_general(m, n, ops, None, epi, c, isa);
                 row0 += band.kb;
             }
+            i8::put(block);
             packed
         },
     );
@@ -1965,19 +2433,18 @@ pub fn gemm_i8_low_bands(call: LowBands<'_>, c: &mut [i32]) {
 
 /// Byte-quad path of [`gemm_i8_low_bands`] (an ISA with AVX2, blocked
 /// shape, and — without VNNI — all operands in `[-8, 7]`) as one
-/// [`quad_run`]. A low-range run uses `+8` panels and the bands' own
-/// prepacked lhs tiles, or packs them here when a band was built under
-/// scalar dispatch; a wider run (VNNI only) uses `+128` panels and packs
-/// every band's lhs here. The rhs quad panels are packed once per call.
-/// Returns the bytes packed.
+/// [`quad_run`]. A low-range run uses `+8` panels, a wider one `+128`
+/// panels; each band's prepacked tiles serve where they were packed at
+/// the run's offset, and the rest (bands built under another ISA, or a
+/// `+8` band in a `+128` run) are packed here. The rhs quad panels are
+/// packed once per call from the source. Returns the bytes packed.
 #[cfg(target_arch = "x86_64")]
-fn low_run_quads(
+fn conv_run_quads(
     isa: Isa,
     m: usize,
-    n: usize,
     bands: &[LowBandLhs],
     a_shifts: &[u8],
-    b: &[i8],
+    src: ConvSource<'_>,
     c: &mut [i32],
 ) -> u64 {
     let low = bands.iter().all(|s| s.low_range);
@@ -1986,22 +2453,22 @@ fn low_run_quads(
     } else {
         FULL_RANGE_OFFSET
     };
-    let prepacked = low && bands.iter().all(|s| s.dense.is_some());
+    fn own(s: &LowBandLhs, offset: i32) -> Option<&DenseLhs> {
+        s.dense.as_ref().filter(|d| d.offset == offset)
+    }
     let (mut ltiles, mut lcorr) = (i8::take(), i32::take());
-    if !prepacked {
-        for s in bands {
-            pack_quad_lhs(&s.rows, s.kb, m, [0, s.kb], offset, &mut ltiles, &mut lcorr);
-        }
+    for s in bands.iter().filter(|s| own(s, offset).is_none()) {
+        pack_quad_lhs(&s.rows, s.kb, m, [0, s.kb], offset, &mut ltiles, &mut lcorr);
     }
     let lhs_bytes = ltiles.len() + lcorr.len() * size_of::<i32>();
     let (ltiles_ref, lcorr_ref) = (&ltiles[..], &lcorr[..]);
     let quads = bands
         .iter()
-        .zip(a_shifts)
-        .scan((0, 0), move |(t0, c0), (s, &act)| {
-            let (tiles, corr) = match &s.dense {
-                Some(d) if prepacked => (&d.tiles[..], &d.corr[..]),
-                _ => {
+        .enumerate()
+        .scan((0, 0), move |(t0, c0), (i, s)| {
+            let (tiles, corr) = match own(s, offset) {
+                Some(d) => (&d.tiles[..], &d.corr[..]),
+                None => {
                     let ntiles = m.div_ceil(MR);
                     let (tl, cl) = (ntiles * s.kb.div_ceil(4) * MR * 4, ntiles * MR);
                     let own = (&ltiles_ref[*t0..*t0 + tl], &lcorr_ref[*c0..*c0 + cl]);
@@ -2009,25 +2476,21 @@ fn low_run_quads(
                     own
                 }
             };
-            let epi = Epilogue::ShlRows {
-                act,
-                weight: &s.shifts,
-            };
             Some(QuadBand {
                 kb: s.kb,
                 tiles,
                 corr,
-                epi,
+                epi: s.epilogue(a_shifts.get(i)),
             })
         });
+    let kb = bands.iter().map(|s| s.kb).sum();
     let rhs_bytes = quad_run(
         isa == Isa::AvxVnni,
-        [m, n],
+        [m, src.n()],
         quads,
         None,
         |bq| {
-            let kbs = bands.iter().map(|s| s.kb);
-            let seen = pack_b_quads(Rhs::Rows { b, n }, 0, kbs, n, offset, bq);
+            let seen = src.pack_quads(kb, offset, bq);
             assert!(!low || seen <= 15, "low-band activation outside [-8, 7]");
         },
         c,
@@ -2625,14 +3088,79 @@ mod tests {
         gemm_i8_band_wt_prepacked(4, 8, 8, 2, 6, &ai, &wi, &packed, &mut c);
     }
 
-    // ── fused low-band entry point ──
+    // ── the conv entry point ──
 
     fn rand_low(len: usize, lo: i16, hi: i16, rng: &mut impl Rng) -> Vec<i8> {
         (0..len).map(|_| rng.gen_range(lo..=hi) as i8).collect()
     }
 
-    /// `c += Σ_s (w_s · b_s) << (a_shifts[s] + shifts_s[i])`, one term at
-    /// a time — the semantics [`gemm_i8_low_bands`] must reproduce.
+    fn geom(hw: [usize; 2], k: usize, stride: usize, pad: usize) -> Conv2dGeometry {
+        Conv2dGeometry {
+            c_in: 0,
+            h: hw[0],
+            w: hw[1],
+            kh: k,
+            kw: k,
+            stride,
+            pad,
+        }
+    }
+
+    /// The `[Σ kb, nb·OH·OW]` rhs of bands of `widths` channels over the
+    /// `[nb, C, H, W]` planes, written from the definition: step `p` of
+    /// a band is channel `4·(p / (4·KH·KW)) + p % 4` of the band at tap
+    /// `(p / 4) % (KH·KW)` — zero past the band's channels and on
+    /// padding taps.
+    fn block_by_definition(
+        planes: &[i8],
+        nb: usize,
+        g: &Conv2dGeometry,
+        widths: &[usize],
+    ) -> Vec<i8> {
+        let (oh, ow, khkw) = (g.out_h(), g.out_w(), g.kh * g.kw);
+        let (c, n) = (widths.iter().sum::<usize>(), nb * oh * ow);
+        let mut rows = Vec::new();
+        let mut c0 = 0;
+        for &w in widths {
+            for p in 0..w.div_ceil(4) * 4 * khkw {
+                let (ch, tap) = (4 * (p / (4 * khkw)) + p % 4, p / 4 % khkw);
+                let (ki, kj) = (tap / g.kw, tap % g.kw);
+                rows.extend((0..n).map(|j| {
+                    let (s, oy, ox) = (j / (oh * ow), j / ow % oh, j % ow);
+                    let iy = (oy * g.stride + ki) as isize - g.pad as isize;
+                    let ix = (ox * g.stride + kj) as isize - g.pad as isize;
+                    let inside = (0..g.h as isize).contains(&iy) && (0..g.w as isize).contains(&ix);
+                    if ch >= w || !inside {
+                        return 0;
+                    }
+                    planes[((s * c + c0 + ch) * g.h + iy as usize) * g.w + ix as usize]
+                }));
+            }
+            c0 += w;
+        }
+        rows
+    }
+
+    /// Random `[nb, C, H, W]` planes in `[lo, hi]` and their channel
+    /// quads.
+    fn conv_planes(
+        g: &Conv2dGeometry,
+        nb: usize,
+        widths: &[usize],
+        [lo, hi]: [i16; 2],
+        rng: &mut impl Rng,
+    ) -> (Vec<i8>, Vec<i8>) {
+        let (c, hw) = (widths.iter().sum::<usize>(), g.h * g.w);
+        let planes = rand_low(nb * c * hw, lo, hi, rng);
+        let nq: usize = widths.iter().map(|w| w.div_ceil(4)).sum();
+        let mut quads = vec![0i8; nb * nq * 4 * (g.h + 2 * g.pad) * (g.w + 2 * g.pad)];
+        channel_quads_fill(&planes, nb, [g.h, g.w], g.pad, widths, &mut quads);
+        (planes, quads)
+    }
+
+    /// `c += Σ_s (w_s · b_s) << (a_shifts[s] + shifts_s[i])` — or the
+    /// plain sum with no `a_shifts` — one term at a time: the semantics
+    /// [`gemm_i8_low_bands`] must reproduce.
     fn low_run_oracle(
         m: usize,
         n: usize,
@@ -2642,95 +3170,193 @@ mod tests {
         c: &mut [i32],
     ) {
         let mut row0 = 0;
-        for ((kb, w, shifts), &act) in blocks.iter().zip(a_shifts) {
+        for (s, (kb, w, shifts)) in blocks.iter().enumerate() {
             for i in 0..m {
                 for j in 0..n {
                     let mut sum = 0i32;
                     for p in 0..*kb {
                         sum += w[i * kb + p] as i32 * b[(row0 + p) * n + j] as i32;
                     }
-                    c[i * n + j] += sum << (act + shifts[i]);
+                    c[i * n + j] += match a_shifts.get(s) {
+                        Some(act) => sum << (act + shifts[i]),
+                        None => sum,
+                    };
                 }
             }
             row0 += kb;
         }
     }
 
-    fn check_low_run(m: usize, n: usize, kbs: &[usize], lo: i16, hi: i16, seed: u64) {
+    /// One run of bands of `widths` channels over a random conv source,
+    /// against [`low_run_oracle`] over the block by definition: lowered
+    /// bands when `lowered`, full-range 8-bit ones otherwise.
+    fn check_conv_run(
+        m: usize,
+        g: Conv2dGeometry,
+        nb: usize,
+        widths: &[usize],
+        range: [i16; 2],
+        lowered: bool,
+        seed: u64,
+    ) {
         let mut rng = seeded(seed);
-        let blocks: Vec<(usize, Vec<i8>, Vec<u8>)> = kbs
+        let (planes, quads) = conv_planes(&g, nb, widths, range, &mut rng);
+        let khkw = g.kh * g.kw;
+        let blocks: Vec<(usize, Vec<i8>, Vec<u8>)> = widths
             .iter()
-            .map(|&kb| {
-                let w = rand_low(m * kb, lo, hi, &mut rng);
+            .map(|&w| {
+                let kb = w.div_ceil(4) * 4 * khkw;
+                let rows = rand_low(m * kb, range[0], range[1], &mut rng);
                 let shifts = (0..m).map(|_| rng.gen_range(0u8..=4)).collect();
-                (kb, w, shifts)
+                (kb, rows, shifts)
             })
             .collect();
-        let a_shifts: Vec<u8> = kbs.iter().map(|_| rng.gen_range(0u8..=4)).collect();
-        let k: usize = kbs.iter().sum();
-        let b = rand_low(k * n, lo, hi, &mut rng);
+        let a_shifts: Vec<u8> = match lowered {
+            true => widths.iter().map(|_| rng.gen_range(0u8..=4)).collect(),
+            false => Vec::new(),
+        };
+        let src = ConvSource {
+            quads: &quads,
+            nb,
+            sample_stride: quads.len() / nb,
+            geom: g,
+            q0: 0,
+        };
+        let n = src.n();
+        let b = block_by_definition(&planes, nb, &g, widths);
         let start: Vec<i32> = (0..m * n).map(|_| rng.gen_range(-999..999)).collect();
         let bands: Vec<LowBandLhs> = blocks
             .iter()
-            .map(|(kb, w, s)| LowBandLhs::new(m, *kb, w.clone(), s.clone()))
+            .map(|(kb, w, s)| match lowered {
+                true => LowBandLhs::new(m, *kb, w.clone(), s.clone()),
+                false => LowBandLhs::full(m, *kb, w.clone()),
+            })
             .collect();
         let mut want = start.clone();
         low_run_oracle(m, n, &blocks, &a_shifts, &b, &mut want);
         let mut got = start;
         let call = LowBands {
-            n,
             bands: &bands,
             a_shifts: &a_shifts,
-            b: &b,
+            src,
         };
         gemm_i8_low_bands(call, &mut got);
-        assert_eq!(want, got, "m={m} n={n} kbs={kbs:?} range=[{lo},{hi}]");
+        assert_eq!(
+            want, got,
+            "m={m} {g:?} nb={nb} widths={widths:?} range={range:?}"
+        );
+    }
+
+    fn check_low_run(
+        m: usize,
+        g: Conv2dGeometry,
+        nb: usize,
+        widths: &[usize],
+        lo: i16,
+        hi: i16,
+        seed: u64,
+    ) {
+        check_conv_run(m, g, nb, widths, [lo, hi], true, seed)
     }
 
     #[test]
     fn low_run_matches_the_per_band_oracle() {
         // Blocked and sub-threshold shapes, partial lane panels, partial
-        // row tiles, odd band widths, runs of one and of many bands —
-        // under whichever tile the ISA picks for nibble-range operands.
-        let shapes: &[(usize, usize, &[usize])] = &[
-            (16, 2048, &[36, 36, 36, 36]),
-            (24, 512, &[36, 27, 9]),
-            (33, 100, &[5, 3, 7, 1, 4]),
-            (4, 32, &[64]),
-            (7, 75, &[13]),
-            (1, 300, &[9]),
-            (2, 31, &[8, 8]),
-            (64, 130, &[144, 145]),
+        // row tiles, bands of 1–9 channels (padded quads), runs of one
+        // and of many bands, strides past the kernel — under whichever
+        // tile the ISA picks for nibble-range operands, and full-range
+        // 8-bit runs through the same entry point.
+        let shapes: &[(usize, Conv2dGeometry, usize, &[usize])] = &[
+            (16, geom([16, 16], 3, 1, 1), 8, &[4, 4, 4, 4]),
+            (24, geom([8, 8], 3, 1, 1), 2, &[4, 3, 1]),
+            (33, geom([5, 4], 1, 1, 0), 5, &[5, 3, 7, 1, 4]),
+            (4, geom([6, 6], 2, 3, 1), 3, &[16]),
+            (7, geom([9, 5], 3, 2, 2), 2, &[9]),
+            (1, geom([10, 10], 3, 1, 1), 3, &[1]),
+            (2, geom([1, 31], 1, 1, 0), 1, &[2, 2]),
+            (64, geom([3, 33], 1, 2, 0), 4, &[36, 37]),
         ];
-        for (i, &(m, n, kbs)) in shapes.iter().enumerate() {
-            check_low_run(m, n, kbs, -8, 7, 400 + i as u64);
-            check_low_run(m, n, kbs, -2, 1, 500 + i as u64);
+        for (i, &(m, g, nb, widths)) in shapes.iter().enumerate() {
+            let seed = i as u64;
+            check_low_run(m, g, nb, widths, -8, 7, 400 + seed);
+            check_low_run(m, g, nb, widths, -2, 1, 500 + seed);
             // Full i8 operands take the ordinary tiles, same write-back.
-            check_low_run(m, n, kbs, -128, 127, 600 + i as u64);
+            check_low_run(m, g, nb, widths, -128, 127, 600 + seed);
+            check_conv_run(m, g, nb, widths, [-128, 127], false, 700 + seed);
+        }
+    }
+
+    #[test]
+    fn conv_panels_match_the_row_panels_of_the_block() {
+        // A conv source's quad panels are the row packer's panels of the
+        // block by definition, byte for byte, at both offsets; its
+        // materialized block is that block. Lanes past `n` differ by
+        // design (the offset's zero against a raw zero) and are skipped.
+        let mut rng = seeded(37);
+        for (g, nb, widths) in [
+            (geom([16, 16], 3, 1, 1), 2usize, &[4usize, 4][..]),
+            (geom([7, 5], 3, 2, 1), 3, &[3, 5]),
+            (geom([6, 6], 1, 2, 0), 2, &[8]),
+            (geom([4, 4], 2, 3, 2), 1, &[1, 2]),
+        ] {
+            let (planes, quads) = conv_planes(&g, nb, widths, [-128, 127], &mut rng);
+            let b = block_by_definition(&planes, nb, &g, widths);
+            let src = ConvSource {
+                quads: &quads,
+                nb,
+                sample_stride: quads.len() / nb,
+                geom: g,
+                q0: 0,
+            };
+            let (n, kb) = (src.n(), b.len() / src.n());
+            let mut block = Vec::new();
+            src.rows_block(kb, &mut block);
+            assert_eq!(block, b, "{g:?} block");
+            for offset in [LOW_RANGE_OFFSET, FULL_RANGE_OFFSET] {
+                let (mut conv, mut rows) = (Vec::new(), Vec::new());
+                src.pack_quads(kb, offset, &mut conv);
+                pack_rows_quads(&b, n, kb, offset, &mut rows);
+                assert_eq!(conv.len(), rows.len());
+                for (i, (x, y)) in conv.iter().zip(&rows).enumerate() {
+                    let lane = i / 4 % NR_I8;
+                    let j = i / (kb * NR_I8) * NR_I8 + lane;
+                    if j < n {
+                        assert_eq!(x, y, "{g:?} offset {offset} byte {i}");
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn low_run_is_exact_at_the_range_and_accumulation_limits() {
         // Constant operands at each corner of [-8, 7]² drive every i16
-        // lane to its extreme; reduction extents straddle the proven
-        // i16 accumulation limit (136 steps of four) and its odd tails.
+        // lane to its extreme; band widths straddle the proven i16
+        // accumulation limit (136 steps of four) and its padded tails.
         let limit = 4 * simd::DENSE_I16_STEPS;
-        for kb in [limit - 1, limit, limit + 1, limit + 4, 2 * limit + 3] {
+        for width in [limit - 1, limit, limit + 1, limit + 4, 2 * limit + 3] {
             for (wv, bv) in [(-8i8, 7i8), (-8, -8), (7, 7), (7, -8)] {
                 let (m, n) = (5usize, 70usize);
+                let kb = width.div_ceil(4) * 4;
                 let band = LowBandLhs::new(m, kb, vec![wv; m * kb], vec![1; m]);
-                let b = vec![bv; kb * n];
+                let mut quads = vec![0i8; kb * n];
+                channel_quads_fill(&vec![bv; width * n], 1, [1, n], 0, &[width], &mut quads);
+                let src = ConvSource {
+                    quads: &quads,
+                    nb: 1,
+                    sample_stride: quads.len(),
+                    geom: geom([1, n], 1, 1, 0),
+                    q0: 0,
+                };
                 let mut c = vec![3i32; m * n];
                 let call = LowBands {
-                    n,
                     bands: std::slice::from_ref(&band),
                     a_shifts: &[2],
-                    b: &b,
+                    src,
                 };
                 gemm_i8_low_bands(call, &mut c);
-                let want = 3 + ((kb as i32 * wv as i32 * bv as i32) << 3);
-                assert!(c.iter().all(|&v| v == want), "kb={kb} w={wv} b={bv}");
+                let want = 3 + ((width as i32 * wv as i32 * bv as i32) << 3);
+                assert!(c.iter().all(|&v| v == want), "width={width} w={wv} b={bv}");
             }
         }
     }
@@ -2744,13 +3370,19 @@ mod tests {
         }
         let (m, n, kb) = (8usize, 64usize, 32usize);
         let band = LowBandLhs::new(m, kb, vec![1; m * kb], vec![0; m]);
-        let mut b = vec![0i8; kb * n];
-        b[5 * n + 40] = 8;
+        let mut quads = vec![0i8; kb * n];
+        quads[(n + 40) * 4 + 1] = 8;
+        let src = ConvSource {
+            quads: &quads,
+            nb: 1,
+            sample_stride: quads.len(),
+            geom: geom([1, n], 1, 1, 0),
+            q0: 0,
+        };
         let call = LowBands {
-            n,
             bands: std::slice::from_ref(&band),
             a_shifts: &[0],
-            b: &b,
+            src,
         };
         gemm_i8_low_bands(call, &mut vec![0i32; m * n]);
     }
@@ -2762,10 +3394,12 @@ mod tests {
             flexiq_parallel::with_pool(&pool, || {
                 // Tall (row bands), wide-but-short (serial: one row
                 // tile) and a ragged last tile.
-                check_low_run(64, 512, &[36, 36], -8, 7, 900);
-                check_low_run(3, 4096, &[36, 9], -8, 7, 901);
-                check_low_run(19, 1024, &[40], -8, 7, 902);
-                check_low_run(64, 512, &[36, 36], -100, 100, 903);
+                let (s1, s2) = (geom([16, 16], 3, 1, 1), geom([8, 8], 3, 2, 1));
+                check_low_run(64, s1, 2, &[4, 4], -8, 7, 900);
+                check_low_run(3, s1, 16, &[4, 1], -8, 7, 901);
+                check_low_run(19, s2, 16, &[4, 4], -8, 7, 902);
+                check_low_run(64, s1, 2, &[4, 4], -100, 100, 903);
+                check_conv_run(64, s2, 8, &[4, 4, 4], [-128, 127], false, 904);
             });
         }
     }

@@ -8,11 +8,19 @@
 //! ```
 //!
 //! The reduction dimension is ordered **input-channel-major** (`c_in`,
-//! then `kh`, then `kw`). This ordering is load-bearing for FlexiQ: a
-//! feature-channel group of `G` input channels corresponds to a contiguous
-//! band of `G*KH*KW` rows of the lowered matrix, so the mixed-precision
-//! GEMM can run each group's band at its own bitwidth and bit-shift the
-//! partial sums exactly as the paper's GPU kernel does (§7).
+//! then `kh`, then `kw`): a feature-channel group of `G` input channels
+//! corresponds to a contiguous band of `G*KH*KW` rows of the lowered
+//! matrix, which is how a mixed-precision GEMM can run each group's band
+//! at its own bitwidth and bit-shift the partial sums (§7).
+//!
+//! The lowered matrix serves the f32 convolution
+//! (`flexiq_nn::ops::Conv2d`), the training tape's conv backward
+//! ([`col2im`]), the end-to-end benchmark's GEMM replays, and the tests,
+//! as the definition the integer engine is checked against. The integer
+//! engine itself builds no lowered matrix: its band GEMMs pack their
+//! panels straight from channel-quad activations
+//! ([`crate::gemm::ConvSource`]), in the band order (channel quad, `kh`,
+//! `kw`, channel) — a permutation of each band's rows here.
 
 /// Output spatial size of a convolution along one dimension.
 pub fn conv_out_size(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
@@ -220,11 +228,15 @@ fn tap_span(
 /// one-copy form measures 0.08 / 0.22 / 0.79 ns per element at 16 / 8 /
 /// 4-wide rows against 0.30 / 0.62 / 1.27 for a copy per row.
 ///
-/// Serial on purpose: at these speeds a lowering costs a few percent of
-/// the GEMM that consumes it, and fanning it out across a 2-thread pool
-/// only starts to pay (1.45×) at 4.7 M elements — sixteen times the
-/// largest matrix a bundled model lowers at batch 8 — while it doubles
-/// the cost (27 → 47 µs at 295 k elements) below that.
+/// It is not cheap next to the GEMM it feeds: over the 21 conv layers
+/// of a batch-8 RNet20 pass on a 2-vCPU AVX-VNNI box, the i8 lowerings
+/// took 0.53 ms against 0.92 ms for the `gemm_i8_band` calls that read
+/// them — which is why the integer engine no longer builds this matrix
+/// (see the module docs) and the function now serves the f32 path, the
+/// replays and the tests. Serial on purpose: fanning it out across a
+/// 2-thread pool only starts to pay (1.45×) at 4.7 M elements — sixteen
+/// times the largest matrix a bundled model lowers at batch 8 — while
+/// it doubles the cost (27 → 47 µs at 295 k elements) below that.
 fn batch_fill<T: Copy + Default>(
     input: &[T],
     nb: usize,

@@ -14,8 +14,9 @@
 //!   GPU/NPU simulators are validated against; the naive loops survive
 //!   as [`gemm::reference`], the executable specification the blocked
 //!   kernels are property-tested bit-exact against.
-//! * [`im2col`] — convolution lowering used by both the inference engine
-//!   and the autograd engine.
+//! * [`im2col`] — convolution lowering used by the f32 inference path,
+//!   the autograd engine and the tests (the integer engine reads
+//!   channel-quad activations instead, [`gemm::ConvSource`]).
 //! * [`stats`] — reductions (per-channel ranges, norms, percentiles) used
 //!   by calibration and by the paper's analysis figures.
 //! * [`scratch`] — per-thread reusable buffers behind the kernels'

@@ -1,9 +1,9 @@
 //! Thread-local scratch buffers for the kernel hot path.
 //!
 //! The blocked GEMM kernels and the convolution lowering need short-lived
-//! buffers (packed operand panels, im2col matrices) on every call. Heap-
-//! allocating them per call would dominate small layers and churn the
-//! allocator under serving load, so each thread keeps a small pool of
+//! buffers (packed operand panels, lowered convolution blocks) on every
+//! call. Heap-allocating them per call would dominate small layers and
+//! churn the allocator under serving load, so each thread keeps a small pool of
 //! typed `Vec`s: [`take_f32`]/[`take_i8`]/[`take_i32`] pop a buffer
 //! (retaining whatever capacity it grew to on earlier calls) and the
 //! matching `put_*` returns it. After a few warm-up passes the pools are
@@ -117,7 +117,7 @@ scratch_pool!(
 );
 
 /// Elements pre-faulted per type by [`warm_defaults`]: enough for the
-/// packed panels and im2col chunks of the bundled models' largest layers
+/// packed panels and lowered blocks of the bundled models' largest layers
 /// without reserving serving-irrelevant memory (512 KiB f32, 128 KiB i8,
 /// 512 KiB i32 per thread).
 pub const WARM_ELEMS: usize = 128 * 1024;

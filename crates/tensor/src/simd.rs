@@ -84,10 +84,12 @@
 //!   32767`), then widened to i32 by one `pmaddwd` against ones; longer
 //!   bands repeat the cycle. No intermediate can wrap.
 //!
-//! Both packers of a `+8` run (`x86::quads_pack_avx2` for the rhs, the
-//! lhs packer in [`crate::gemm`]) verify the `[-8, 7]` precondition on
-//! every byte they touch and the driver panics on a violation rather
-//! than return a saturated sum. Scalar builds run the ordinary i8 tiles
+//! The rhs packers of a `+8` run (`x86::quads_pack_avx2` for a row-major
+//! rhs, `gemm::ConvSource::pack_quads` for a convolution's channel
+//! quads) report the OR of every byte they store, and the driver panics
+//! when it shows a value outside `[-8, 7]` rather than return a
+//! saturated sum; a weight block gets `+8` tiles only when every weight
+//! lies in `[-8, 7]`. Scalar builds run the ordinary i8 tiles
 //! on the same operands — exact as ever, just not cheaper.
 //!
 //! The AVX2 full-range i8 tile consumes a dedicated *pair* panel layout

@@ -114,7 +114,10 @@ fn fused_low_band_kernel_agrees_with_gpu_and_npu_in_4bit_mode() {
     // where the ISA has one) against the two simulated datapaths, on the
     // extraction rules the GPU descriptor derives: three 4-bit tiles,
     // per-tile activation rules, per-(tile, output) weight rules.
-    use flexiq::tensor::gemm::{gemm_i8_band_wt, gemm_i8_low_bands, LowBandLhs, LowBands};
+    use flexiq::tensor::gemm::{
+        channel_quads_fill, gemm_i8_band_wt, gemm_i8_low_bands, ConvSource, LowBandLhs, LowBands,
+    };
+    use flexiq::tensor::im2col::Conv2dGeometry;
 
     let mut rng = seeded(9104);
     let (m, n, k) = (40usize, 12usize, 3 * TILE_K);
@@ -149,7 +152,8 @@ fn fused_low_band_kernel_agrees_with_gpu_and_npu_in_4bit_mode() {
     };
 
     // Convolution orientation: weights are the lhs, one band per tile,
-    // the whole run in one call against the transposed activations.
+    // the whole run in one call against the activations as a 1×1
+    // convolution's channel quads (`k` channels of one `1 × m` plane).
     let bands: Vec<LowBandLhs> = (0..k / TILE_K)
         .map(|t| {
             let block = (0..n * TILE_K)
@@ -162,12 +166,29 @@ fn fused_low_band_kernel_agrees_with_gpu_and_npu_in_4bit_mode() {
         })
         .collect();
     let a_low_t: Vec<i8> = (0..k * m).map(|i| a_low[(i % m) * k + i / m]).collect();
+    let mut quads = vec![0i8; k * m];
+    channel_quads_fill(&a_low_t, 1, [1, m], 0, &[TILE_K; 3], &mut quads);
+    let geom = Conv2dGeometry {
+        c_in: k,
+        h: 1,
+        w: m,
+        kh: 1,
+        kw: 1,
+        stride: 1,
+        pad: 0,
+    };
+    let src = ConvSource {
+        quads: &quads,
+        nb: 1,
+        sample_stride: k * m,
+        geom,
+        q0: 0,
+    };
     let mut conv_out = vec![0i32; n * m];
     let call = LowBands {
-        n: m,
         bands: &bands,
         a_shifts: &a_shifts,
-        b: &a_low_t,
+        src,
     };
     gemm_i8_low_bands(call, &mut conv_out);
 

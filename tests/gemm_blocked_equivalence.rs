@@ -25,6 +25,7 @@ use std::sync::Mutex;
 
 use flexiq::parallel::ThreadPool;
 use flexiq::tensor::gemm::{self, reference};
+use flexiq::tensor::im2col::{im2col_i8_batch, Conv2dGeometry};
 use flexiq::tensor::rng::seeded;
 use flexiq::tensor::simd;
 use proptest::prelude::*;
@@ -335,65 +336,222 @@ fn rand_band(len: usize, nibble: bool, rng: &mut impl Rng) -> Vec<i8> {
     (0..len).map(|_| rng.gen_range(lo..=hi) as i8).collect()
 }
 
+/// One convolution case for the conv entry point: geometry, batch,
+/// channels, conv groups and the feature-band width.
+#[derive(Debug, Clone, Copy)]
+struct ConvCase {
+    geom: Conv2dGeometry,
+    nb: usize,
+    c_in: usize,
+    groups: usize,
+    band: usize,
+    m: usize,
+}
+
+/// Checks every conv group of `case` through [`gemm::gemm_i8_low_bands`]
+/// — lowered (`+8` operands, shifted write-back) when `nibble`, an 8-bit
+/// full-range run otherwise — against `reference::gemm_i8_band` over
+/// the group's `im2col_i8_batch` matrix with its rows permuted to the
+/// band order, at threads 1/2/4 under every ISA cap the host has.
+fn check_conv_case(case: ConvCase, nibble: bool, seed: u64) {
+    let ConvCase {
+        geom,
+        nb,
+        c_in,
+        groups,
+        band,
+        m,
+    } = case;
+    let mut rng = seeded(seed);
+    let (hw, khkw) = (geom.h * geom.w, geom.kh * geom.kw);
+    let c_in_g = c_in / groups;
+    let planes = rand_band(nb * c_in * hw, nibble, &mut rng);
+    // Bands of `band` channels per conv group, the last one ragged.
+    let widths: Vec<usize> = (0..groups)
+        .flat_map(|_| (0..c_in_g).step_by(band).map(move |c| band.min(c_in_g - c)))
+        .collect();
+    let nq: usize = widths.iter().map(|w| w.div_ceil(4)).sum();
+    let quad_len = 4 * (geom.h + 2 * geom.pad) * (geom.w + 2 * geom.pad);
+    let mut quads = vec![0i8; nb * nq * quad_len];
+    gemm::channel_quads_fill(&planes, nb, [geom.h, geom.w], geom.pad, &widths, &mut quads);
+    let per_group = widths.len() / groups;
+    let g_geom = Conv2dGeometry {
+        c_in: c_in_g,
+        ..geom
+    };
+    let n = nb * g_geom.cols();
+    let mut q0 = 0;
+    for cg in 0..groups {
+        let bands_w = &widths[cg * per_group..(cg + 1) * per_group];
+        // The group's im2col rows `(c, kh, kw)`, permuted to the band
+        // order `(band, quad, kh, kw, channel)`: zero rows for the
+        // channels that pad a band's last quad.
+        let cols = im2col_i8_batch(&planes[cg * c_in_g * hw..], nb, c_in * hw, &g_geom);
+        let mut b = Vec::new();
+        let mut c0 = 0;
+        for &w in bands_w {
+            for p in 0..w.div_ceil(4) * 4 * khkw {
+                let (ch, tap) = (4 * (p / (4 * khkw)) + p % 4, p / 4 % khkw);
+                match ch < w {
+                    true => b.extend_from_slice(&cols[((c0 + ch) * khkw + tap) * n..][..n]),
+                    false => b.extend(std::iter::repeat_n(0, n)),
+                }
+            }
+            c0 += w;
+        }
+        let kbs: Vec<usize> = bands_w.iter().map(|w| w.div_ceil(4) * 4 * khkw).collect();
+        let k: usize = kbs.iter().sum();
+        let a = rand_band(m * k, nibble, &mut rng);
+        let shifts: Vec<Vec<u8>> = kbs
+            .iter()
+            .map(|_| (0..m).map(|_| rng.gen_range(0u8..=5)).collect())
+            .collect();
+        let a_shifts: Vec<u8> = match nibble {
+            true => kbs.iter().map(|_| rng.gen_range(0u8..=5)).collect(),
+            false => Vec::new(),
+        };
+        let c0: Vec<i32> = (0..m * n).map(|_| rng.gen_range(-500..500)).collect();
+        // Per band, a reference GEMM into a scratch, then the shifted
+        // accumulation as its own loop.
+        let mut want = c0.clone();
+        let mut k0 = 0;
+        for (s, &kb) in kbs.iter().enumerate() {
+            let mut scratch = vec![0i32; m * n];
+            reference::gemm_i8_band(m, n, k, k0, k0 + kb, &a, &b, &mut scratch);
+            for i in 0..m {
+                let sh = a_shifts.get(s).map_or(0, |act| act + shifts[s][i]);
+                for j in 0..n {
+                    want[i * n + j] += scratch[i * n + j] << sh;
+                }
+            }
+            k0 += kb;
+        }
+        let src = gemm::ConvSource {
+            quads: &quads,
+            nb,
+            sample_stride: nq * quad_len,
+            geom: g_geom,
+            q0,
+        };
+        for isa in simd::host_caps() {
+            let _cap = Cap::pin(isa);
+            // The bands prepack for the capped ISA, as the engine's
+            // cache does.
+            let mut k0 = 0;
+            let bands: Vec<gemm::LowBandLhs> = kbs
+                .iter()
+                .enumerate()
+                .map(|(s, &kb)| {
+                    let rows: Vec<i8> = (0..m)
+                        .flat_map(|i| a[i * k + k0..i * k + k0 + kb].to_vec())
+                        .collect();
+                    k0 += kb;
+                    match nibble {
+                        true => gemm::LowBandLhs::new(m, kb, rows, shifts[s].clone()),
+                        false => gemm::LowBandLhs::full(m, kb, rows),
+                    }
+                })
+                .collect();
+            for threads in THREADS {
+                let pool = ThreadPool::new(threads);
+                let mut c = c0.clone();
+                flexiq::parallel::with_pool(&pool, || {
+                    let call = gemm::LowBands {
+                        bands: &bands,
+                        a_shifts: &a_shifts,
+                        src,
+                    };
+                    gemm::gemm_i8_low_bands(call, &mut c);
+                });
+                assert_eq!(
+                    c, want,
+                    "{isa:?} group {cg} {case:?} nibble={nibble} x{threads}"
+                );
+            }
+        }
+        q0 += bands_w.iter().map(|w| w.div_ceil(4)).sum::<usize>();
+    }
+}
+
+/// A geometry whose output row is exactly `ow` wide (padding dropped
+/// where the input would otherwise vanish).
+fn conv_geometry(ow: usize, oh: usize, kernel: usize, stride: usize, pad: usize) -> Conv2dGeometry {
+    let pad = if (ow - 1) * stride + kernel > 2 * pad && (oh - 1) * stride + kernel > 2 * pad {
+        pad
+    } else {
+        0
+    };
+    let g = Conv2dGeometry {
+        c_in: 0,
+        h: (oh - 1) * stride + kernel - 2 * pad,
+        w: (ow - 1) * stride + kernel - 2 * pad,
+        kh: kernel,
+        kw: kernel,
+        stride,
+        pad,
+    };
+    assert_eq!((g.out_h(), g.out_w()), (oh, ow), "{g:?}");
+    g
+}
+
 proptest! {
-    /// The fused low-band entry point == per-band naive sums shifted in
-    /// afterwards, for nibble-range operands (`+8` byte quads where the
-    /// ISA has a quad tile) and full-range ones (`+128` quads under
-    /// AVX-VNNI, the ordinary tiles elsewhere), at threads 1/2/4, under
-    /// every ISA cap the host supports.
+    /// The conv entry point == per-band reference GEMMs over the
+    /// permuted im2col matrix, shifted in afterwards, over random
+    /// geometries: kernels 1–3, strides 1–3 (past the kernel too), pads
+    /// 0–2, output rows that split panels and cross samples, channel
+    /// counts that pad quads, bands of 1, 2 and 4 channels and
+    /// depthwise groups — for lowered `+8` runs and full-range `+128`
+    /// runs, at threads 1/2/4, under every ISA cap the host supports.
     #[test]
     fn low_bands_match_shifted_reference(
-        m in 1usize..40,
-        n in 1usize..200,
-        kbs in proptest::collection::vec(1usize..50, 1..5),
-        nibble in 0usize..2,
+        ow in 0usize..6,
+        oh in 1usize..4,
+        kernel in 1usize..4,
+        stride in 1usize..4,
+        pad in 0usize..3,
+        shape in 0usize..5,
+        band in 0usize..3,
+        depthwise in 0usize..4,
+        nb in 1usize..4,
+        m in 1usize..20,
         seed in 0u64..1000,
     ) {
         let _serial = cap_lock();
-        let nibble = nibble == 1;
-        let mut rng = seeded(seed ^ 0x10B);
-        let k: usize = kbs.iter().sum();
-        let blocks: Vec<(Vec<i8>, Vec<u8>)> = kbs.iter().map(|&kb| {
-            (rand_band(m * kb, nibble, &mut rng), (0..m).map(|_| rng.gen_range(0u8..=5)).collect())
-        }).collect();
-        let a_shifts: Vec<u8> = kbs.iter().map(|_| rng.gen_range(0u8..=5)).collect();
-        let b = rand_band(k * n, nibble, &mut rng);
-        let c0: Vec<i32> = (0..m * n).map(|_| rng.gen_range(-500..500)).collect();
-        // Per band, a reference GEMM into a
-        // scratch, then the shifted accumulation as its own loop.
-        let mut want = c0.clone();
-        let mut row0 = 0;
-        for ((kb, (w, shifts)), &act) in kbs.iter().zip(&blocks).zip(&a_shifts) {
-            let mut scratch = vec![0i32; m * n];
-            reference::gemm_i8(m, n, *kb, w, &b[row0 * n..], &mut scratch);
-            for i in 0..m {
-                for j in 0..n {
-                    want[i * n + j] += scratch[i * n + j] << (act + shifts[i]);
-                }
-            }
-            row0 += kb;
-        }
-        let run = |threads: usize| {
-            let pool = ThreadPool::new(threads);
-            flexiq::parallel::with_pool(&pool, || {
-                // The bands prepack for the capped ISA, as the engine's
-                // cache does.
-                let bands: Vec<gemm::LowBandLhs> = kbs.iter().zip(&blocks)
-                    .map(|(&kb, (w, s))| gemm::LowBandLhs::new(m, kb, w.clone(), s.clone()))
-                    .collect();
-                let mut c = c0.clone();
-                let call = gemm::LowBands { n, bands: &bands, a_shifts: &a_shifts, b: &b };
-                gemm::gemm_i8_low_bands(call, &mut c);
-                c
-            })
-        };
-        for threads in THREADS {
-            for isa in simd::host_caps() {
-                let _cap = Cap::pin(isa);
-                let c = run(threads);
-                prop_assert_eq!(&c, &want, "{:?} ({}, {}, {:?}) nibble={} x{}",
-                    isa, m, n, &kbs, nibble, threads);
-            }
+        let ow = [1usize, 3, 4, 8, 16, 33][ow];
+        let c_in = [1usize, 3, 4, 5, 16][shape];
+        let geom = conv_geometry(ow, oh, kernel, stride, pad);
+        let groups = if depthwise == 0 { c_in } else { 1 };
+        let case = ConvCase { geom, nb, c_in, groups, band: [1, 2, 4][band], m };
+        check_conv_case(case, true, seed);
+        check_conv_case(case, false, seed ^ 0x10B);
+    }
+}
+
+/// The geometries where the reached pixels are not the whole plane —
+/// 1×1 stride 2 and 2×2 stride 3 — and wide outputs whose panels span
+/// many output rows, pinned outside the random draw.
+#[test]
+fn strides_past_the_kernel_read_the_right_pixels() {
+    let _serial = cap_lock();
+    for (ow, oh, kernel, stride, pad, c_in, band) in [
+        (8, 8, 1, 2, 0, 16, 4),
+        (4, 3, 2, 3, 0, 5, 4),
+        (16, 4, 2, 3, 1, 3, 2),
+        (33, 2, 3, 1, 1, 4, 4),
+        (1, 5, 3, 2, 2, 5, 1),
+    ] {
+        let geom = conv_geometry(ow, oh, kernel, stride, pad);
+        for groups in [1, c_in] {
+            let case = ConvCase {
+                geom,
+                nb: 2,
+                c_in,
+                groups,
+                band,
+                m: 9,
+            };
+            check_conv_case(case, true, 77);
+            check_conv_case(case, false, 78);
         }
     }
 }

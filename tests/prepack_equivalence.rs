@@ -23,6 +23,7 @@ use flexiq::nn::qexec::{run_quantized, QuantExecOptions};
 use flexiq::nn::zoo::{ModelId, Scale};
 use flexiq::parallel::ThreadPool;
 use flexiq::tensor::gemm;
+use flexiq::tensor::im2col::Conv2dGeometry;
 use flexiq::tensor::rng::seeded;
 use flexiq::tensor::simd::{self, Isa};
 use proptest::prelude::*;
@@ -179,16 +180,36 @@ fn check_foreign_panel(isa: Isa) {
 /// A low-band run's prepacked dense lhs tiles are an optimization, not
 /// a dependency: the same bands give the same sums when they were built
 /// under the scalar cap and carry no tiles (packed per call under each
-/// SIMD cap), and when the whole call runs the scalar tiles.
+/// SIMD cap), and when the whole call runs the scalar tiles. The run is
+/// a 1×1 convolution over bands of 36, 20 and 7 channels (the last one
+/// padded to a whole quad).
 #[test]
 fn low_band_tiles_are_optional_bitwise() {
     let _gate = toggle_lock();
     let mut rng = seeded(0x10BA);
-    let (m, n, kbs) = (16usize, 256usize, [36usize, 20, 7]);
+    let (m, hw, widths) = (16usize, 256usize, [36usize, 20, 7]);
+    let kbs = widths.map(|w| w.div_ceil(4) * 4);
     let mut nibbles =
         |len: usize| -> Vec<i8> { (0..len).map(|_| rng.gen_range(-8i16..=7) as i8).collect() };
     let blocks: Vec<Vec<i8>> = kbs.iter().map(|&kb| nibbles(m * kb)).collect();
-    let b = nibbles(kbs.iter().sum::<usize>() * n);
+    let planes = nibbles(widths.iter().sum::<usize>() * hw);
+    let mut quads = vec![0i8; kbs.iter().sum::<usize>() * hw];
+    gemm::channel_quads_fill(&planes, 1, [1, hw], 0, &widths, &mut quads);
+    let src = gemm::ConvSource {
+        quads: &quads,
+        nb: 1,
+        sample_stride: quads.len(),
+        geom: Conv2dGeometry {
+            c_in: widths.iter().sum(),
+            h: 1,
+            w: hw,
+            kh: 1,
+            kw: 1,
+            stride: 1,
+            pad: 0,
+        },
+        q0: 0,
+    };
     let build = || -> Vec<gemm::LowBandLhs> {
         kbs.iter()
             .zip(&blocks)
@@ -196,12 +217,11 @@ fn low_band_tiles_are_optional_bitwise() {
             .collect()
     };
     let run = |bands: &[gemm::LowBandLhs]| {
-        let mut c = vec![0i32; m * n];
+        let mut c = vec![0i32; m * hw];
         let call = gemm::LowBands {
-            n,
             bands,
             a_shifts: &[1, 3, 0],
-            b: &b,
+            src,
         };
         gemm::gemm_i8_low_bands(call, &mut c);
         c
